@@ -25,15 +25,25 @@ from .errors import (
     DivisionByZero,
     EmptyComponent,
     InfeasibleProblem,
+    InvariantViolation,
     NegativeParameter,
     NoFiniteVertex,
     ParseError,
     PblpError,
+    SystemMismatch,
     TooLarge,
     UnboundedFeasibleSet,
     UnboundedScalarization,
 )
-from .lp_core import LinearProgram, LpResult, LpStatus, Sense, solve_lex_lp, solve_lp
+from .lp_core import (
+    FeasibleSystem,
+    LinearProgram,
+    LpResult,
+    LpStatus,
+    Sense,
+    solve_lex_lp,
+    solve_lp,
+)
 from .numerics import INF, Rational, rat, rat_format, rat_parse
 from .oracle import (
     SweepReport,

@@ -27,10 +27,18 @@ from enum import Enum
 from fractions import Fraction
 
 from . import lp_core
-from .errors import EmptyComponent, NoFiniteVertex
-from .lp_core import LinearProgram, LpStatus, Sense, solve_lp
+from .errors import EmptyComponent, InvariantViolation, NoFiniteVertex
+from .lp_core import FeasibleSystem, LinearProgram, LpStatus, Sense, solve_lp
 from .numerics import INF
-from .problem_model import Case, Pblp, Tolp, build_tolp, ge_form, lambda_from_weight
+from .problem_model import (
+    Case,
+    Pblp,
+    Tolp,
+    Weight3,
+    build_tolp,
+    ge_form,
+    lambda_from_weight,
+)
 from .weight_geometry import (
     ComponentHrep,
     ConvexPolygon2,
@@ -98,7 +106,8 @@ def interval_lp_case2(h: ComponentHrep) -> tuple[Fraction, object]:
 
     lambda and s = w1 + w2 are inverse to each other along the simplex
     (lambda = 1/s - 1), so the extreme s over the lifted feasible set
-    give the extreme lambdas directly.
+    give the extreme lambdas directly.  Both solves share one feasible
+    system, so phase one runs once.
     """
     zero = Fraction(0)
     one = Fraction(1)
@@ -110,7 +119,8 @@ def interval_lp_case2(h: ComponentHrep) -> tuple[Fraction, object]:
         objective=tuple(-c for c in s_obj),
         rows=h.P, rhs=h.q, senses=senses, nonneg=nonneg,
     )
-    res = solve_lp(maximize)
+    system = FeasibleSystem(maximize)
+    res = solve_lp(maximize, system=system)
     if res.status is LpStatus.INFEASIBLE:
         raise EmptyComponent("lifted component system is infeasible")
     if res.status is not LpStatus.OPTIMAL:
@@ -123,7 +133,7 @@ def interval_lp_case2(h: ComponentHrep) -> tuple[Fraction, object]:
     minimize = LinearProgram(
         objective=s_obj, rows=h.P, rhs=h.q, senses=senses, nonneg=nonneg
     )
-    res = solve_lp(minimize)
+    res = solve_lp(minimize, system=system)
     if res.status is not LpStatus.OPTIMAL:
         raise EmptyComponent("lifted component system is degenerate")
     s_min = res.value
@@ -187,22 +197,27 @@ def _lambda_from_ell1(ell1: Fraction):
     return (2 * ell1 - 1) / (1 - ell1)
 
 
-def interval_lp_case1(t: Tolp, y: Point3) -> tuple[Fraction, object]:
-    """Interval via the two expanded LPs, case ONE."""
-    res = solve_lp(_case1_lp(t, y, find_upper=False))
+def _case1_ell1(t: Tolp, y: Point3, find_upper: bool) -> Fraction:
+    """Optimal l1 of one expanded LP, checked to lie in [1/2, 1]."""
+    res = solve_lp(_case1_lp(t, y, find_upper))
     if res.status is not LpStatus.OPTIMAL:
         raise EmptyComponent(f"expanded system for {y} has no optimum")
-    ell1 = -res.value
-    assert Fraction(1, 2) <= ell1 <= 1, f"l1 = {ell1} outside [1/2, 1]"
-    lower = _lambda_from_ell1(ell1)
-    assert lower is not INF, "interval lower end cannot be infinite"
+    ell1 = res.value if find_upper else -res.value
+    if not Fraction(1, 2) <= ell1 <= 1:
+        raise InvariantViolation(f"l1 = {ell1} outside [1/2, 1]")
+    return ell1
 
-    res = solve_lp(_case1_lp(t, y, find_upper=True))
-    if res.status is not LpStatus.OPTIMAL:
-        raise EmptyComponent(f"expanded system for {y} has no optimum")
-    ell1 = res.value
-    assert Fraction(1, 2) <= ell1 <= 1, f"l1 = {ell1} outside [1/2, 1]"
-    upper = _lambda_from_ell1(ell1)
+
+def interval_lp_case1(t: Tolp, y: Point3) -> tuple[Fraction, object]:
+    """Interval via the two expanded LPs, case ONE.
+
+    The two LPs differ in a sign block, not only in the objective, so
+    each takes its own tableau.
+    """
+    lower = _lambda_from_ell1(_case1_ell1(t, y, find_upper=False))
+    if lower is INF:
+        raise InvariantViolation(f"interval lower end for {y} is infinite")
+    upper = _lambda_from_ell1(_case1_ell1(t, y, find_upper=True))
     return lower, upper
 
 
@@ -218,7 +233,7 @@ def interval_vertex(case: Case, poly: ConvexPolygon2) -> tuple[Fraction, object]
     finite: list[Fraction] = []
     unbounded = False
     for w1, w2 in poly.vertices:
-        lam = lambda_from_weight(case, _lift(w1, w2))
+        lam = lambda_from_weight(case, Weight3(w1, w2, 1 - w1 - w2))
         if lam is None:
             continue
         if lam is INF:
@@ -228,12 +243,6 @@ def interval_vertex(case: Case, poly: ConvexPolygon2) -> tuple[Fraction, object]
     if not finite:
         raise NoFiniteVertex("no component vertex encodes a finite lambda")
     return min(finite), (INF if unbounded else max(finite))
-
-
-def _lift(w1: Fraction, w2: Fraction):
-    from .problem_model import Weight3
-
-    return Weight3(w1, w2, 1 - w1 - w2)
 
 
 # -- axis assembly ----------------------------------------------------------

@@ -21,6 +21,7 @@ along as comment lines for quick plotting, marked lossy.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 import time
@@ -404,7 +405,8 @@ def cli_main(argv=None) -> int:
             )
             sys.stdout.write(emit_sweep(problem, report))
         elif args.command == "check":
-            problems = run_check(problem)
+            # notes go to stderr unless --quiet, which swallows them
+            problems = run_check(problem, io.StringIO() if args.quiet else None)
             if problems:
                 for line in problems:
                     print(f"MISMATCH: {line}", file=sys.stderr)

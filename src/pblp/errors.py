@@ -55,3 +55,13 @@ class TooLarge(PblpError):
 class UnboundedFeasibleSet(PblpError):
     """The feasible set is unbounded, so vertex enumeration alone cannot
     describe it."""
+
+
+class SystemMismatch(PblpError):
+    """An LP was solved on a FeasibleSystem built from other constraints."""
+
+
+class InvariantViolation(PblpError):
+    """A result the theory rules out: phase one unbounded, a tiling that
+    admits a known image again, an interval end outside its range.  It
+    signals a defect in this package, not in the input."""

@@ -1,14 +1,24 @@
 """Exact rational linear programming.
 
 A small two-phase primal simplex over fractions.Fraction.  Bland's rule
-makes it immune to cycling, every number stays exact, and optimal duals
-are recovered from the final basis.  Lexicographic ties are solved on
-the same tableau after phase two: each stage bans the columns whose
-positive reduced cost takes them off the previous stage's optimal face
-(Ehrgott, Multicriteria Optimization, 2005), so one tableau and one
-phase one serve every stage.  Sizes here are tiny (tens of rows), so the
-dense tableau with recomputed reduced costs is the simple and entirely
-adequate choice.
+makes it immune to cycling and every number stays exact.  Lexicographic
+ties are solved on the same tableau after phase two: each stage bans the
+columns whose positive reduced cost takes them off the previous stage's
+optimal face (Ehrgott, Multicriteria Optimization, 2005), so one tableau
+and one phase one serve every stage.  Sizes here are tiny (tens of
+rows), so the dense tableau with recomputed reduced costs is the simple
+and entirely adequate choice.
+
+Phase one never reads the objective.  A FeasibleSystem runs the
+standard-form set-up, the rank reduction and phase one once for a set of
+constraints and keeps the feasible tableau; every LP over those
+constraints then starts phase two from a copy of it (the reuse across
+weights of Przybylski, Gandibleux and Ehrgott, INFORMS J. Comput. 2010).
+The pivot path, and so the optimal vertex, is the one a fresh solve
+takes.
+
+Optimal duals are recovered from the final basis of a plain solve only:
+one with no ties and no FeasibleSystem.
 
 Sign conventions for duals of  min c.x  s.t. rows (sense) rhs, mixed
 variable domains:
@@ -19,17 +29,19 @@ variable domains:
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, InvariantViolation, SystemMismatch
 
 __all__ = [
     "Sense",
     "LpStatus",
     "LinearProgram",
     "LpResult",
+    "FeasibleSystem",
     "solve_lp",
     "solve_lex_lp",
 ]
@@ -105,6 +117,12 @@ class LinearProgram:
 
 @dataclass(frozen=True)
 class LpResult:
+    """Outcome of a solve; x and value are set when status is OPTIMAL.
+
+    dual holds one optimal dual per original row for a plain solve (no
+    ties, no FeasibleSystem) and is None otherwise.
+    """
+
     status: LpStatus
     x: tuple[Fraction, ...] | None = None
     value: Fraction | None = None
@@ -306,8 +324,9 @@ class _Tableau:
             cost[j] = Fraction(1)
         # Make artificial basis columns identity again (appending created them
         # as identity already, but slack-basis rows may hold nonzeros there).
-        status = self._simplex(cost, banned=set())
-        assert status is LpStatus.OPTIMAL  # phase one is always bounded
+        # Phase one is bounded below by zero, so it always ends optimal.
+        if self._simplex(cost, banned=set()) is not LpStatus.OPTIMAL:
+            raise InvariantViolation("phase one reported an unbounded objective")
         value = sum(
             self.b[i] for i in range(m) if self.basis[i] in self.art_cols
         )
@@ -354,6 +373,19 @@ class _Tableau:
             if self._simplex(cost, banned) is LpStatus.UNBOUNDED:
                 return LpStatus.UNBOUNDED
         return LpStatus.OPTIMAL
+
+    def copy(self, lp: LinearProgram) -> "_Tableau":
+        """An independent twin for solving lp, an LP over the same system.
+
+        Pivots replace rows and write b and basis in place, so those
+        three are copied; the column layout is shared.
+        """
+        twin = copy.copy(self)
+        twin.lp = lp
+        twin.rows = [row[:] for row in self.rows]
+        twin.b = self.b[:]
+        twin.basis = self.basis[:]
+        return twin
 
     # -- extraction -------------------------------------------------------
 
@@ -427,6 +459,38 @@ def _solve_square(aug: list[list[Fraction]], m: int) -> list[Fraction]:
     return [aug[r][m] for r in range(m)]
 
 
+def _feasible_tableau(lp: LinearProgram) -> _Tableau | None:
+    """lp's tableau after phase one, or None when lp is infeasible."""
+    tab = _Tableau(lp)
+    if tab.infeasible_by_rank or not tab.phase_one():
+        return None
+    return tab
+
+
+class FeasibleSystem:
+    """The constraints of an LP, taken through phase one once.
+
+    Built from any LP over the system; its objective plays no part.
+    Holds the feasible tableau, or None when the system is infeasible.
+    solve_lp and solve_lex_lp accept it for any LP with the same rows,
+    rhs, senses and nonneg, and run only phase two on a copy.  Nothing
+    is cached beyond the object, so it lives as long as its caller
+    keeps it.
+    """
+
+    def __init__(self, lp: LinearProgram):
+        self._constraints = (lp.rows, lp.rhs, lp.senses, lp.nonneg)
+        self._tableau = _feasible_tableau(lp)
+
+    def tableau_for(self, lp: LinearProgram) -> _Tableau | None:
+        """A fresh copy of the feasible tableau for lp, None if infeasible."""
+        if (lp.rows, lp.rhs, lp.senses, lp.nonneg) != self._constraints:
+            raise SystemMismatch("LP constraints differ from the feasible system's")
+        if self._tableau is None:
+            return None
+        return self._tableau.copy(lp)
+
+
 _solve_calls = 0
 
 
@@ -437,13 +501,17 @@ def solve_calls() -> int:
     return _solve_calls
 
 
-def solve_lp(lp: LinearProgram, ties=()) -> LpResult:
+def solve_lp(
+    lp: LinearProgram, ties=(), system: FeasibleSystem | None = None
+) -> LpResult:
     """Exact lexicographic minimum of lp: lp.objective, then each tie.
 
     Every tie is minimized over the optimal face of the objectives
-    before it, all on one tableau, so phase one runs once.  value is the
-    first objective's.  Optimal duals are reported for a plain solve
-    only, when ties is empty.
+    before it, all on one tableau, so phase one runs once.  With a
+    system, lp must have its rows, rhs, senses and nonneg (else
+    SystemMismatch), and only phase two runs, on a copy of its feasible
+    tableau.  value is the first objective's.  Optimal duals are
+    reported for a plain solve only: no ties and no system.
     """
     global _solve_calls
     _solve_calls += 1
@@ -451,23 +519,27 @@ def solve_lp(lp: LinearProgram, ties=()) -> LpResult:
     for tie in ties:
         if len(tie) != lp.num_vars:
             raise DimensionMismatch("tie length differs from objective")
-    tab = _Tableau(lp)
-    if tab.infeasible_by_rank or not tab.phase_one():
+    tab = _feasible_tableau(lp) if system is None else system.tableau_for(lp)
+    if tab is None:
         return LpResult(LpStatus.INFEASIBLE)
     if tab.phase_two((lp.objective,) + ties) is LpStatus.UNBOUNDED:
         return LpResult(LpStatus.UNBOUNDED)
     x = tab.solution()
     value = sum((c * v for c, v in zip(lp.objective, x)), Fraction(0))
-    return LpResult(LpStatus.OPTIMAL, x, value, None if ties else tab.duals())
+    plain = not ties and system is None
+    return LpResult(LpStatus.OPTIMAL, x, value, tab.duals() if plain else None)
 
 
-def solve_lex_lp(lp: LinearProgram, ties) -> LpResult:
+def solve_lex_lp(
+    lp: LinearProgram, ties, system: FeasibleSystem | None = None
+) -> LpResult:
     """Lexicographic minimum: lp.objective first, then each tie in order.
 
-    One solve_lp call on one tableau: each tie is minimized over the
-    optimal face of the stages before it.  The result is an optimum of
-    the first objective that is lexicographically minimal for the ties.
-    The returned value is the first objective's; duals are computed only
-    when ties is empty.
+    One solve_lp call on one tableau (a copy of system's, when given):
+    each tie is minimized over the optimal face of the stages before it.
+    The result is an optimum of the first objective that is
+    lexicographically minimal for the ties.  The returned value is the
+    first objective's; duals are computed only when ties is empty and no
+    system is given.
     """
-    return solve_lp(lp, ties)
+    return solve_lp(lp, ties, system)

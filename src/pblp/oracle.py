@@ -9,7 +9,7 @@ scratch on a lambda grid.  Slow on purpose, exact on purpose.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -20,7 +20,14 @@ from .errors import (
     UnboundedFeasibleSet,
     UnboundedScalarization,
 )
-from .lp_core import LinearProgram, LpStatus, Sense, solve_lex_lp, solve_lp
+from .lp_core import (
+    FeasibleSystem,
+    LinearProgram,
+    LpStatus,
+    Sense,
+    solve_lex_lp,
+    solve_lp,
+)
 from .problem_model import Bolp, Case, Pblp, Tolp, build_tolp, fix_lambda
 from .weight_geometry import Point3, component_vertices
 
@@ -77,15 +84,18 @@ def enumerate_vertices_bruteforce(
     empty vertex set.
     """
     zero = Fraction(0)
+    system_lp = LinearProgram(
+        objective=(zero,) * n,
+        rows=tuple(tuple(Fraction(a) for a in r) for r in rows),
+        rhs=tuple(Fraction(b) for b in rhs),
+        senses=tuple(senses),
+        nonneg=(True,) * n,
+    )
+    system = FeasibleSystem(system_lp)
     for j in range(n):
-        probe = LinearProgram(
-            objective=tuple(-Fraction(1) if i == j else zero for i in range(n)),
-            rows=tuple(tuple(Fraction(a) for a in r) for r in rows),
-            rhs=tuple(Fraction(b) for b in rhs),
-            senses=tuple(senses),
-            nonneg=(True,) * n,
-        )
-        res = solve_lp(probe)
+        objective = tuple(-Fraction(1) if i == j else zero for i in range(n))
+        probe = replace(system_lp, objective=objective)
+        res = solve_lp(probe, system=system)
         if res.status is LpStatus.INFEASIBLE:
             return VertexSet(())
         if res.status is LpStatus.UNBOUNDED:
@@ -194,15 +204,18 @@ def extreme_nondominated_bruteforce(
 # -- parametric oracle -------------------------------------------------------
 
 
-def _lex(bolp: Bolp, objective, ties):
-    lp = LinearProgram(
+def _bolp_lp(bolp: Bolp, objective) -> LinearProgram:
+    return LinearProgram(
         objective=tuple(objective),
         rows=bolp.rows,
         rhs=bolp.rhs,
         senses=bolp.senses,
         nonneg=(True,) * bolp.n,
     )
-    res = solve_lex_lp(lp, ties)
+
+
+def _lex(bolp: Bolp, objective, ties, system: FeasibleSystem):
+    res = solve_lex_lp(_bolp_lp(bolp, objective), ties, system)
     if res.status is LpStatus.UNBOUNDED:
         raise UnboundedScalarization("biobjective scalarization is unbounded")
     if res.status is LpStatus.INFEASIBLE:
@@ -210,19 +223,24 @@ def _lex(bolp: Bolp, objective, ties):
     return res.x
 
 
-def dichotomic_bolp(bolp: Bolp, extra_ties=()) -> tuple:
+def dichotomic_bolp(
+    bolp: Bolp, extra_ties=(), system: FeasibleSystem | None = None
+) -> tuple:
     """All extreme nondominated images of a biobjective problem.
 
     Classic dichotomic search: solve both lexicographic corners, then
     recursively probe the weight orthogonal to each gap.  Ties inside
     every solve are broken by (f1, f2) and then extra_ties, making the
-    witnesses deterministic.  Returns (image, witness) pairs sorted by
-    first objective value.
+    witnesses deterministic.  Every solve runs on system, bolp's
+    feasible system, which is built here when not given.  Returns
+    (image, witness) pairs sorted by first objective value.
     """
+    if system is None:
+        system = FeasibleSystem(_bolp_lp(bolp, bolp.f1))
     ties_a = (bolp.f2,) + tuple(extra_ties)
     ties_b = (bolp.f1,) + tuple(extra_ties)
-    xa = _lex(bolp, bolp.f1, ties_a)
-    xb = _lex(bolp, bolp.f2, ties_b)
+    xa = _lex(bolp, bolp.f1, ties_a, system)
+    xb = _lex(bolp, bolp.f2, ties_b, system)
     a, b = bolp.image(xa), bolp.image(xb)
     if a == b:
         return ((a, xa),)
@@ -232,7 +250,7 @@ def dichotomic_bolp(bolp: Bolp, extra_ties=()) -> tuple:
         # lo has the smaller f1 and larger f2, so both parts are positive
         w1, w2 = lo[1] - hi[1], hi[0] - lo[0]
         objective = tuple(w1 * f + w2 * g for f, g in zip(bolp.f1, bolp.f2))
-        x = _lex(bolp, objective, (bolp.f1, bolp.f2) + tuple(extra_ties))
+        x = _lex(bolp, objective, (bolp.f1, bolp.f2) + tuple(extra_ties), system)
         y = bolp.image(x)
         if w1 * y[0] + w2 * y[1] < w1 * lo[0] + w2 * lo[1]:
             found[y] = x
@@ -266,7 +284,8 @@ def sweep_lambda(p: Pblp, lambda_max: Fraction, steps: int) -> SweepReport:
 
     Witnesses carry their triobjective images, which are constant between
     breakpoints; consecutive grid points with different witness image
-    sets bracket a breakpoint.
+    sets bracket a breakpoint.  Fixing lambda changes only the
+    objectives, so the whole grid shares one feasible system.
     """
     if steps <= 0:
         raise ValueError("steps must be positive")
@@ -275,11 +294,14 @@ def sweep_lambda(p: Pblp, lambda_max: Fraction, steps: int) -> SweepReport:
     t = build_tolp(p)
     extra = (p.c1, p.c2, p.d1)
     grid = tuple(Fraction(i) * lambda_max / steps for i in range(steps + 1))
+    system = FeasibleSystem(
+        LinearProgram(p.c1, p.rows, p.rhs, p.senses, nonneg=(True,) * p.n)
+    )
     witness_images = []
     bolp_images = []
     for lam in grid:
         bolp = fix_lambda(p, lam)
-        pairs = dichotomic_bolp(bolp, extra_ties=extra)
+        pairs = dichotomic_bolp(bolp, extra_ties=extra, system=system)
         witness_images.append(tuple(sorted({t.image(x) for _, x in pairs})))
         bolp_images.append(tuple(y for y, _ in pairs))
     changes = tuple(

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import lp_core
-from .errors import InfeasibleProblem, UnboundedScalarization
-from .lp_core import LpStatus, solve_lex_lp, solve_lp
+from .errors import InfeasibleProblem, InvariantViolation, UnboundedScalarization
+from .lp_core import FeasibleSystem, LpStatus, solve_lex_lp, solve_lp
 from .problem_model import Tolp, Weight2, Weight3, ws_scalarize
 from .weight_geometry import ConvexPolygon2, Point2, Point3, component_vertices
 
@@ -56,14 +56,17 @@ class Decomposition:
         raise KeyError(f"no component for image {y}")
 
 
-def find_extreme_image(t: Tolp, w: Weight3) -> ExtremeImage:
+def find_extreme_image(
+    t: Tolp, w: Weight3, system: FeasibleSystem | None = None
+) -> ExtremeImage:
     """Lexicographic weighted-sum solve at w, ties (c1, c2, d1).
 
     The ties pin a single image even when w sits on a component boundary,
     and they guarantee the returned image is a nondominated extreme
-    point, not merely weakly nondominated.
+    point, not merely weakly nondominated.  system, when given, is t's
+    feasible system and spares the solve its phase one.
     """
-    result = solve_lex_lp(ws_scalarize(t, w), ties=(t.c1, t.c2, t.d1))
+    result = solve_lex_lp(ws_scalarize(t, w), ties=(t.c1, t.c2, t.d1), system=system)
     if result.status is LpStatus.UNBOUNDED:
         raise UnboundedScalarization(f"weighted sum unbounded at w = {w}")
     if result.status is LpStatus.INFEASIBLE:
@@ -84,8 +87,10 @@ def decompose(t: Tolp) -> Decomposition:
         Weight3(Fraction(0), one, Fraction(0)),
         Weight3(Fraction(0), Fraction(0), one),
     )
+    # Every weighted sum shares t's constraints: phase one runs once here.
+    system = FeasibleSystem(ws_scalarize(t, unit_weights[0]))
     for w in unit_weights:
-        status = solve_lp(ws_scalarize(t, w)).status
+        status = solve_lp(ws_scalarize(t, w), system=system).status
         if status is LpStatus.UNBOUNDED:
             raise UnboundedScalarization(
                 f"objective weighted ({w.w1}, {w.w2}, {w.w3}) is unbounded"
@@ -97,7 +102,7 @@ def decompose(t: Tolp) -> Decomposition:
     # weight, because min (sum wi ci).x >= sum wi min ci.x.
 
     centroid = Weight3(Fraction(1, 3), Fraction(1, 3), Fraction(1, 3))
-    known: list[ExtremeImage] = [find_extreme_image(t, centroid)]
+    known: list[ExtremeImage] = [find_extreme_image(t, centroid, system)]
     # One LP certificate per distinct vertex, ever: w -> (value, image idx
     # into discovered order is not stable, so keep the record itself).
     cache: dict[Point2, tuple[Fraction, ExtremeImage]] = {}
@@ -106,7 +111,7 @@ def decompose(t: Tolp) -> Decomposition:
         rec = cache.get(vertex)
         if rec is None:
             w = Weight2(*vertex).lift()
-            found = find_extreme_image(t, w)
+            found = find_extreme_image(t, w, system)
             rec = (_dot3(w, found.image), found)
             cache[vertex] = rec
         return rec
@@ -126,7 +131,8 @@ def decompose(t: Tolp) -> Decomposition:
                 break
         if challenger is None:
             break
-        assert challenger.image not in points, "tiling admitted a known image"
+        if challenger.image in points:
+            raise InvariantViolation(f"tiling admitted known image {challenger.image}")
         known.append(challenger)
 
     keep = [

@@ -5,8 +5,15 @@ from fractions import Fraction
 
 import pytest
 
-from pblp import LinearProgram, LpStatus, Sense, solve_lex_lp, solve_lp
-from pblp.errors import DimensionMismatch
+from pblp import (
+    FeasibleSystem,
+    LinearProgram,
+    LpStatus,
+    Sense,
+    solve_lex_lp,
+    solve_lp,
+)
+from pblp.errors import DimensionMismatch, SystemMismatch
 from pblp.lp_core import solve_calls
 from pblp.oracle import enumerate_vertices_bruteforce
 
@@ -247,6 +254,113 @@ def test_lex_solve_matches_stage_by_stage_pinning():
         if first.status is LpStatus.OPTIMAL and got.status is LpStatus.UNBOUNDED:
             seen["unbounded tie"] += 1
     assert all(count >= 5 for count in seen.values()), seen
+
+
+def _random_system_case(rng):
+    """Mixed senses, free variables, redundant and contradictory equality
+    pairs, and an orthant cap only half the time, so infeasible and
+    unbounded objectives both occur; then 3-4 objectives, some with ties.
+    Returns the LPs, their tie lists and the set of row kinds added."""
+    n = rng.randint(1, 4)
+    kinds = set()
+
+    def vec():
+        return [rng.choice((0, 0, 1, -1, 2, -2, 3)) for _ in range(n)]
+
+    m = rng.randint(0, 3)
+    rows = [vec() for _ in range(m)]
+    rhs = [rng.randint(-3, 4) for _ in range(m)]
+    senses = [rng.choice(["<=", ">=", "="]) for _ in range(m)]
+    if rng.random() < 0.4:  # an equality row and a redundant multiple of it
+        row, b = vec(), rng.randint(-2, 3)
+        rows += [row, [2 * a for a in row]]
+        rhs += [b, 2 * b]
+        senses += ["=", "="]
+        kinds.add("redundant")
+    if rng.random() < 0.1:  # two equality rows that contradict each other
+        row = vec()
+        rows += [row, row]
+        rhs += [1, 2]
+        senses += ["=", "="]
+        kinds.add("contradictory")
+    if rng.random() < 0.5:
+        rows.append([1] * n)
+        rhs.append(rng.randint(1, 5))
+        senses.append("<=")
+    nonneg = [rng.random() < 0.75 for _ in range(n)]
+    lps = [
+        LinearProgram.build(vec(), rows, rhs, senses, nonneg)
+        for _ in range(rng.randint(3, 4))
+    ]
+    ties = [
+        [tuple(Fraction(c) for c in vec()) for _ in range(rng.choice((0, 0, 1, 2)))]
+        for _ in lps
+    ]
+    return lps, ties, kinds
+
+
+def test_solves_on_a_shared_system_match_fresh_solves():
+    """Seeded oracle: phase one never reads the objective, so solving on a
+    shared FeasibleSystem takes a fresh solve's pivot path and must give
+    its status, its x and its value, for every objective and tie list."""
+    rng = random.Random(2010)
+    seen = {status: 0 for status in LpStatus}
+    seen.update(free=0, redundant=0, contradictory=0, ties=0)
+    for _ in range(300):
+        lps, ties, kinds = _random_system_case(rng)
+        system = FeasibleSystem(lps[0])
+        statuses = set()
+        for lp, lp_ties in zip(lps, ties):
+            before = solve_calls()
+            got = solve_lp(lp, lp_ties, system=system)
+            assert solve_calls() == before + 1
+            want = solve_lp(lp, lp_ties)
+            assert got.status is want.status, (lp, lp_ties)
+            assert (got.x, got.value) == (want.x, want.value), (lp, lp_ties)
+            assert got.dual is None
+            statuses.add(got.status)
+            seen[got.status] += 1
+            seen["ties"] += bool(lp_ties)
+        # infeasibility belongs to the system, not to an objective
+        assert LpStatus.INFEASIBLE not in statuses or statuses == {LpStatus.INFEASIBLE}
+        seen["free"] += not all(lps[0].nonneg)
+        for kind in kinds:
+            seen[kind] += 1
+    assert all(count >= 20 for count in seen.values()), seen
+
+
+def test_infeasible_system_is_infeasible_for_every_objective():
+    lp = LinearProgram.build([1, 0], [[1, 1], [1, 0]], [4, 5], ["<=", ">="])
+    system = FeasibleSystem(lp)
+    for objective, ties in (([1, 0], ()), ([0, -1], ()), ([-1, -1], [(1, 0)])):
+        before = solve_calls()
+        res = solve_lex_lp(
+            LinearProgram.build(objective, lp.rows, lp.rhs, lp.senses), ties, system
+        )
+        assert res.status is LpStatus.INFEASIBLE
+        assert solve_calls() == before + 1
+
+
+def test_solve_on_another_system_is_rejected():
+    lp = LinearProgram.build([1, 1], [[1, 1], [1, -1]], [1, 0], [">=", "<="])
+    system = FeasibleSystem(lp)
+    others = [
+        LinearProgram.build([1, 1], [[1, 1], [1, -2]], [1, 0], [">=", "<="]),
+        LinearProgram.build([1, 1], [[1, 1], [1, -1]], [2, 0], [">=", "<="]),
+        LinearProgram.build([1, 1], [[1, 1], [1, -1]], [1, 0], [">=", "="]),
+        LinearProgram.build(
+            [1, 1], [[1, 1], [1, -1]], [1, 0], [">=", "<="], [True, False]
+        ),
+        LinearProgram.build([1, 1], [[1, 1]], [1], [">="]),
+    ]
+    for other in others:
+        with pytest.raises(SystemMismatch):
+            solve_lp(other, system=system)
+        with pytest.raises(SystemMismatch):
+            solve_lex_lp(other, [(1, 0)], system)
+    # only the objective may differ
+    same = LinearProgram.build([2, 1], lp.rows, lp.rhs, lp.senses)
+    assert solve_lp(same, system=system).value == 1
 
 
 def test_solver_is_deterministic():
