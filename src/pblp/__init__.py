@@ -22,7 +22,6 @@ from .breakpoints import (
 from .errors import (
     BadCase,
     DimensionMismatch,
-    DivisionByZero,
     EmptyComponent,
     InfeasibleProblem,
     InvariantViolation,
@@ -44,7 +43,7 @@ from .lp_core import (
     solve_lex_lp,
     solve_lp,
 )
-from .numerics import INF, Rational, rat, rat_format, rat_parse
+from .numerics import INF, rat_format, rat_parse
 from .oracle import (
     SweepReport,
     VertexSet,

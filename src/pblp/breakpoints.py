@@ -198,8 +198,13 @@ def _lambda_from_ell1(ell1: Fraction):
 
 
 def _case1_ell1(t: Tolp, y: Point3, find_upper: bool) -> Fraction:
-    """Optimal l1 of one expanded LP, checked to lie in [1/2, 1]."""
-    res = solve_lp(_case1_lp(t, y, find_upper))
+    """Optimal l1 of one expanded LP, checked to lie in [1/2, 1].
+
+    The solve runs on the LP's own FeasibleSystem, so it computes no
+    duals, which nothing here reads.
+    """
+    lp = _case1_lp(t, y, find_upper)
+    res = solve_lp(lp, system=FeasibleSystem(lp))
     if res.status is not LpStatus.OPTIMAL:
         raise EmptyComponent(f"expanded system for {y} has no optimum")
     ell1 = res.value if find_upper else -res.value

@@ -21,10 +21,6 @@ class BadCase(PblpError):
     """Case tag is neither 1 nor 2."""
 
 
-class DivisionByZero(PblpError):
-    """Exact division by a zero rational."""
-
-
 class NegativeParameter(PblpError):
     """A parameter value that must be nonnegative was negative."""
 

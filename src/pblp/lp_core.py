@@ -1,13 +1,20 @@
 """Exact rational linear programming.
 
-A small two-phase primal simplex over fractions.Fraction.  Bland's rule
-makes it immune to cycling and every number stays exact.  Lexicographic
-ties are solved on the same tableau after phase two: each stage bans the
-columns whose positive reduced cost takes them off the previous stage's
-optimal face (Ehrgott, Multicriteria Optimization, 2005), so one tableau
-and one phase one serve every stage.  Sizes here are tiny (tens of
-rows), so the dense tableau with recomputed reduced costs is the simple
-and entirely adequate choice.
+A small two-phase primal simplex on a fraction-free integer tableau.
+Each row is scaled to integers once; from then on the tableau is a
+matrix of Python ints over one positive common denominator det, and
+every pivot is the integer-preserving update of Bareiss (Math. Comp.
+1968) and Edmonds (J. Res. NBS 1967), whose division by the previous
+pivot is exact.  Costs are scaled to integers once per stage, so pricing
+and the ratio test read only signs of integer expressions and take the
+decisions a Fraction tableau would take.  Bland's rule makes it immune
+to cycling and every number stays exact.  Lexicographic ties are solved
+on the same tableau after phase two: each stage bans the columns whose
+positive reduced cost takes them off the previous stage's optimal face
+(Ehrgott, Multicriteria Optimization, 2005), so one tableau and one
+phase one serve every stage.  Sizes here are tiny (tens of rows), so the
+dense tableau with recomputed reduced costs is the simple and entirely
+adequate choice.
 
 Phase one never reads the objective.  A FeasibleSystem runs the
 standard-form set-up, the rank reduction and phase one once for a set of
@@ -17,8 +24,8 @@ weights of Przybylski, Gandibleux and Ehrgott, INFORMS J. Comput. 2010).
 The pivot path, and so the optimal vertex, is the one a fresh solve
 takes.
 
-Optimal duals are recovered from the final basis of a plain solve only:
-one with no ties and no FeasibleSystem.
+Optimal duals are recovered in Fractions from the final basis of a plain
+solve only: one with no ties and no FeasibleSystem.
 
 Sign conventions for duals of  min c.x  s.t. rows (sense) rhs, mixed
 variable domains:
@@ -33,6 +40,7 @@ import copy
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import gcd, lcm, prod
 
 from .errors import DimensionMismatch, InvariantViolation, SystemMismatch
 
@@ -130,7 +138,12 @@ class LpResult:
 
 
 class _Tableau:
-    """Standard-form tableau  A z = b, z >= 0  kept as B^-1 A throughout."""
+    """Standard-form tableau  A z = b, z >= 0  kept as B^-1 A throughout.
+
+    Fraction-free: rows and b hold ints over one positive common
+    denominator det, so the true tableau is rows/det and the true right
+    side b/det, and every basic column reads det times a unit vector.
+    """
 
     def __init__(self, lp: LinearProgram):
         self.lp = lp
@@ -155,50 +168,67 @@ class _Tableau:
                 cols += 1
         self.num_cols = cols
 
-        self.rows: list[list[Fraction]] = []
-        self.b: list[Fraction] = []
+        # Each row is scaled to integers by the lcm of its denominators,
+        # which leaves its rank and its solutions alone.
+        self.rows: list[list[int]] = []
+        self.b: list[int] = []
         self.row_sign: list[int] = []  # +1 kept as-is, -1 negated for b >= 0
         self.orig_row: list[int] = []  # index into lp.rows, for duals
-        zero = Fraction(0)
+        scales: list[int] = []
         for i, row in enumerate(lp.rows):
-            dense = [zero] * self.num_cols
+            dense = [0] * self.num_cols
             for j, a in enumerate(row):
                 p, q = self.col_of_var[j]
                 dense[p] = a
                 if q is not None:
                     dense[q] = -a
             if slack_col[i] is not None:
-                dense[slack_col[i]] = (
-                    Fraction(1) if lp.senses[i] is Sense.LE else Fraction(-1)
-                )
+                dense[slack_col[i]] = 1 if lp.senses[i] is Sense.LE else -1
             rhs = lp.rhs[i]
             sign = 1
             if rhs < 0:
                 dense = [-a for a in dense]
                 rhs = -rhs
                 sign = -1
-            self.rows.append(dense)
-            self.b.append(rhs)
+            scale = lcm(rhs.denominator, *(a.denominator for a in dense))
+            self.rows.append([a.numerator * (scale // a.denominator) for a in dense])
+            self.b.append(rhs.numerator * (scale // rhs.denominator))
             self.row_sign.append(sign)
             self.orig_row.append(i)
+            scales.append(scale)
         self.slack_col = slack_col
         self.basis: list[int] = []
         self.art_cols: set[int] = set()
         self.redundant_rows: list[int] = []  # original indices, dual 0
         self.infeasible_by_rank = False
-        self._drop_dependent_rows()
+        keep = self._independent_rows()
+        if len(keep) != len(self.rows):
+            self.rows = [self.rows[i] for i in keep]
+            self.b = [self.b[i] for i in keep]
+            self.row_sign = [self.row_sign[i] for i in keep]
+            self.orig_row = [self.orig_row[i] for i in keep]
+            scales = [scales[i] for i in keep]
+        # The product of the row scales, not their lcm, is the determinant
+        # of the starting basis in the integer system, and only with it
+        # are the Bareiss divisions in _pivot exact.
+        self.det = prod(scales)
+        for i, scale in enumerate(scales):
+            if scale != self.det:
+                up = self.det // scale
+                self.rows[i] = [a * up for a in self.rows[i]]
+                self.b[i] *= up
 
-    def _drop_dependent_rows(self):
-        """Reduce to an independent row set before any pivoting.
+    def _independent_rows(self) -> list[int]:
+        """Indices of an independent row set, found before any pivoting.
 
         Simplex basis bookkeeping (and dual recovery from the basis)
         needs the standard-form matrix to have full row rank.  Rows are
-        eliminated in order against the kept ones; a row that reduces to
-        zero coefficients is redundant when its right side reduces to
-        zero too, and proves infeasibility otherwise.  Dropped rows get
-        dual zero later.
+        eliminated in order against the kept ones, fraction-free; a row
+        that reduces to zero coefficients is redundant when its right
+        side reduces to zero too, and proves infeasibility otherwise.
+        Dropped rows get dual zero later.
         """
-        eliminators: list[list[Fraction]] = []  # reduced [row | rhs], pivot first
+        eliminators: list[list[int]] = []  # reduced [row | rhs], pivot first
         pivot_cols: list[int] = []
         keep: list[int] = []
         for idx in range(len(self.rows)):
@@ -206,7 +236,8 @@ class _Tableau:
             for piv_col, elim in zip(pivot_cols, eliminators):
                 factor = work[piv_col]
                 if factor != 0:
-                    work = [a - factor * e for a, e in zip(work, elim)]
+                    p = elim[piv_col]
+                    work = [a * p - factor * e for a, e in zip(work, elim)]
             piv = next((j for j in range(self.num_cols) if work[j] != 0), None)
             if piv is None:
                 if work[-1] != 0:
@@ -214,51 +245,67 @@ class _Tableau:
                 else:
                     self.redundant_rows.append(self.orig_row[idx])
                 continue
-            inv = Fraction(1) / work[piv]
-            eliminators.append([a * inv for a in work])
+            content = gcd(*work)
+            eliminators.append([a // content for a in work])
             pivot_cols.append(piv)
             keep.append(idx)
-        if len(keep) != len(self.rows):
-            self.rows = [self.rows[i] for i in keep]
-            self.b = [self.b[i] for i in keep]
-            self.row_sign = [self.row_sign[i] for i in keep]
-            self.orig_row = [self.orig_row[i] for i in keep]
+        return keep
 
     # -- pivoting ---------------------------------------------------------
 
     def _pivot(self, r: int, col: int):
-        piv = self.rows[r][col]
-        inv = Fraction(1) / piv
-        self.rows[r] = [a * inv for a in self.rows[r]]
-        self.b[r] *= inv
-        for i in range(len(self.rows)):
+        """Bareiss's integer-preserving pivot (Bareiss 1968, Edmonds 1967).
+
+        With p the pivot entry, every other row becomes
+        (row * p - row[col] * pivot row) / det and det becomes p.  The
+        division is exact by Sylvester's identity: each entry stays a
+        minor of the starting integer system.  A negative p flips the
+        sign of everything, so det stays positive.
+        """
+        rows, b, det = self.rows, self.b, self.det
+        prow, pb = rows[r], b[r]
+        p = prow[col]
+        if p < 0:
+            p = -p
+            prow = rows[r] = [-a for a in prow]
+            pb = b[r] = -pb
+        for i, row in enumerate(rows):
             if i == r:
                 continue
-            factor = self.rows[i][col]
-            if factor == 0:
-                continue
-            self.rows[i] = [
-                a - factor * p for a, p in zip(self.rows[i], self.rows[r])
-            ]
-            self.b[i] -= factor * self.b[r]
+            f = row[col]
+            if f != 0:
+                rows[i] = [(a * p - f * q) // det for a, q in zip(row, prow)]
+                b[i] = (b[i] * p - f * pb) // det
+            elif p != det:
+                rows[i] = [a * p // det for a in row]
+                b[i] = b[i] * p // det
+        self.det = p
         self.basis[r] = col
 
-    def _priced_columns(self, cost: list[Fraction], banned: set[int]):
-        """(j, reduced cost) of every column free to enter, by index."""
-        cb = [cost[col] for col in self.basis]
+    def _priced_columns(self, cost: list[int], banned: set[int]):
+        """(j, reduced cost times det) of every column free to enter.
+
+        cost is integer (see _column_cost) and det positive, so each
+        value has the sign of the true reduced cost, which is all that
+        pricing reads.
+        """
+        det = self.det
+        priced = [
+            (cost[col], row) for col, row in zip(self.basis, self.rows) if cost[col]
+        ]
         basic = set(self.basis)
         for j in range(len(cost)):
             if j in banned or j in basic:
                 continue
-            reduced = cost[j]
-            for c, row in zip(cb, self.rows):
-                if c != 0 and row[j] != 0:
+            reduced = cost[j] * det
+            for c, row in priced:
+                if row[j] != 0:
                     reduced -= c * row[j]
             yield j, reduced
 
-    def _simplex(self, cost: list[Fraction], banned: set[int]) -> LpStatus:
+    def _simplex(self, cost: list[int], banned: set[int]) -> LpStatus:
         """Minimize cost.z with Bland's rule; banned columns never enter."""
-        m = len(self.rows)
+        rows, b, basis = self.rows, self.b, self.basis
         while True:
             entering = next(
                 (j for j, reduced in self._priced_columns(cost, banned) if reduced < 0),
@@ -266,24 +313,25 @@ class _Tableau:
             )
             if entering < 0:
                 return LpStatus.OPTIMAL
+            # Minimum ratio b[i] / a over a > 0, compared cross-multiplied.
             leaving = -1
-            best = None
-            for i in range(m):
-                a = self.rows[i][entering]
+            best_b = best_a = 0
+            for i in range(len(rows)):
+                a = rows[i][entering]
                 if a > 0:
-                    ratio = self.b[i] / a
+                    lhs, rhs = b[i] * best_a, best_b * a
                     if (
-                        best is None
-                        or ratio < best
-                        or (ratio == best and self.basis[i] < self.basis[leaving])
+                        leaving < 0
+                        or lhs < rhs
+                        or (lhs == rhs and basis[i] < basis[leaving])
                     ):
-                        best = ratio
+                        best_b, best_a = b[i], a
                         leaving = i
             if leaving < 0:
                 return LpStatus.UNBOUNDED
             self._pivot(leaving, entering)
 
-    def _ban_optimal_face(self, cost: list[Fraction], banned: set[int]):
+    def _ban_optimal_face(self, cost: list[int], banned: set[int]):
         """Confine later stages to the optimal face of cost.
 
         At an optimal basis cost.z equals the optimum plus the sum of
@@ -301,27 +349,27 @@ class _Tableau:
     def phase_one(self) -> bool:
         """Install a feasible basis.  Returns False when infeasible."""
         m = len(self.rows)
-        zero = Fraction(0)
+        det = self.det
         # Start from slack columns where they already form identity entries,
         # artificials everywhere else.
         for i in range(m):
             col = self.slack_col[i]
             if col is not None:
                 coeff = self.rows[i][col]
-                if coeff == 1:
+                if coeff == det:
                     self.basis.append(col)
                     continue
             art = self.num_cols + len(self.art_cols)
             self.art_cols.add(art)
             for k in range(m):
-                self.rows[k].append(Fraction(1) if k == i else zero)
+                self.rows[k].append(det if k == i else 0)
             self.basis.append(art)
         if not self.art_cols:
             return True
         total = self.num_cols + len(self.art_cols)
-        cost = [zero] * total
+        cost = [0] * total
         for j in self.art_cols:
-            cost[j] = Fraction(1)
+            cost[j] = 1
         # Make artificial basis columns identity again (appending created them
         # as identity already, but slack-basis rows may hold nonzeros there).
         # Phase one is bounded below by zero, so it always ends optimal.
@@ -348,11 +396,16 @@ class _Tableau:
         self.art_cols = set()
         return True
 
-    def _column_cost(self, objective) -> list[Fraction]:
-        """objective over the original variables as standard-form costs."""
-        cost = [Fraction(0)] * self.num_cols
-        for j, (p, q) in enumerate(self.col_of_var):
-            cost[p] = Fraction(objective[j])
+    def _column_cost(self, objective) -> list[int]:
+        """objective over the original variables as standard-form costs,
+        scaled to integers by the lcm of its denominators.  Pricing reads
+        only signs, which a positive scale keeps, and scaling once per
+        stage spares every pricing pass the Fraction arithmetic."""
+        values = [Fraction(c) for c in objective]
+        scale = lcm(*(v.denominator for v in values))
+        cost = [0] * self.num_cols
+        for v, (p, q) in zip(values, self.col_of_var):
+            cost[p] = v.numerator * (scale // v.denominator)
             if q is not None:
                 cost[q] = -cost[p]
         return cost
@@ -378,7 +431,8 @@ class _Tableau:
         """An independent twin for solving lp, an LP over the same system.
 
         Pivots replace rows and write b and basis in place, so those
-        three are copied; the column layout is shared.
+        three are copied; det is an int, rebound by each pivot, and the
+        column layout is shared.
         """
         twin = copy.copy(self)
         twin.lp = lp
@@ -393,7 +447,7 @@ class _Tableau:
         zero = Fraction(0)
         z = [zero] * self.num_cols
         for i, col in enumerate(self.basis):
-            z[col] = self.b[i]
+            z[col] = Fraction(self.b[i], self.det)
         out = []
         for p, q in self.col_of_var:
             out.append(z[p] - z[q] if q is not None else z[p])

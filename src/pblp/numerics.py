@@ -12,20 +12,9 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .errors import DivisionByZero, ParseError
-
-Rational = Fraction
+from .errors import ParseError
 
 _TOKEN_RE = re.compile(r"^[+-]?(?:\d+(?:\.\d+)?|\d+/\d+)$")
-
-
-def rat(value, denom=None) -> Fraction:
-    """Build a Fraction from ints, strings, or another Fraction."""
-    if denom is not None:
-        if denom == 0:
-            raise DivisionByZero(f"rational {value}/{denom}")
-        return Fraction(value, denom)
-    return Fraction(value)
 
 
 def rat_parse(token: str) -> Fraction:
@@ -48,13 +37,6 @@ def rat_parse(token: str) -> Fraction:
 def rat_format(value: Fraction) -> str:
     """Canonical text for a rational: 'p' or 'p/q' in lowest terms."""
     return str(value)
-
-
-def rat_div(a: Fraction, b: Fraction) -> Fraction:
-    """Exact division; raises DivisionByZero instead of ZeroDivisionError."""
-    if b == 0:
-        raise DivisionByZero(f"{a} / 0")
-    return a / b
 
 
 class _PositiveInfinity:
@@ -96,13 +78,6 @@ INF = _PositiveInfinity()
 
 # A parameter bound is either an exact rational or right-unbounded.
 ExtendedRational = Fraction | _PositiveInfinity
-
-
-def ext_parse(token: str):
-    """Parse a rational token or 'inf'."""
-    if token.strip() == "inf":
-        return INF
-    return rat_parse(token)
 
 
 def ext_format(value) -> str:

@@ -20,7 +20,14 @@ from . import lp_core
 from .errors import InfeasibleProblem, InvariantViolation, UnboundedScalarization
 from .lp_core import FeasibleSystem, LpStatus, solve_lex_lp, solve_lp
 from .problem_model import Tolp, Weight2, Weight3, ws_scalarize
-from .weight_geometry import ConvexPolygon2, Point2, Point3, component_vertices
+from .weight_geometry import (
+    ConvexPolygon2,
+    Point2,
+    Point3,
+    clip_polygon,
+    component_halfplanes,
+    component_vertices,
+)
 
 __all__ = ["ExtremeImage", "Decomposition", "find_extreme_image", "decompose"]
 
@@ -116,9 +123,12 @@ def decompose(t: Tolp) -> Decomposition:
             cache[vertex] = rec
         return rec
 
+    # A new image adds one half-plane to each known component, so the
+    # known polygons are clipped by it rather than rebuilt; intersection
+    # is exact and ConvexPolygon2 canonical, so the tiling is the same.
+    points = [known[0].image]
+    polygons = [component_vertices(known[0].image, points)]
     while True:
-        points = [e.image for e in known]
-        polygons = [component_vertices(y, points) for y in points]
         challenger = None
         for entry, poly in zip(known, polygons):
             for vertex in poly.vertices:
@@ -131,9 +141,16 @@ def decompose(t: Tolp) -> Decomposition:
                 break
         if challenger is None:
             break
-        if challenger.image in points:
-            raise InvariantViolation(f"tiling admitted known image {challenger.image}")
+        y = challenger.image
+        if y in points:
+            raise InvariantViolation(f"tiling admitted known image {y}")
+        polygons = [
+            clip_polygon(poly, component_halfplanes(entry.image, [y])[0])
+            for entry, poly in zip(known, polygons)
+        ]
         known.append(challenger)
+        points.append(y)
+        polygons.append(component_vertices(y, points))
 
     keep = [
         (entry, poly)

@@ -13,6 +13,7 @@ from pblp import (
     solve_lex_lp,
     solve_lp,
 )
+from pblp import lp_core
 from pblp.errors import DimensionMismatch, SystemMismatch
 from pblp.lp_core import solve_calls
 from pblp.oracle import enumerate_vertices_bruteforce
@@ -324,6 +325,231 @@ def test_solves_on_a_shared_system_match_fresh_solves():
         # infeasibility belongs to the system, not to an objective
         assert LpStatus.INFEASIBLE not in statuses or statuses == {LpStatus.INFEASIBLE}
         seen["free"] += not all(lps[0].nonneg)
+        for kind in kinds:
+            seen[kind] += 1
+    assert all(count >= 20 for count in seen.values()), seen
+
+
+def _gauss_jordan(aug):
+    """Solve the square system given as rows of [coeffs | rhs]."""
+    m = len(aug)
+    for col in range(m):
+        piv = next(r for r in range(col, m) if aug[r][col] != 0)
+        aug[col], aug[piv] = aug[piv], aug[col]
+        aug[col] = [a / aug[col][col] for a in aug[col]]
+        for r in range(m):
+            if r != col and aug[r][col] != 0:
+                aug[r] = [a - aug[r][col] * b for a, b in zip(aug[r], aug[col])]
+    return [row[m] for row in aug]
+
+
+def _fraction_reference(lp, ties):
+    """Two-phase simplex on a Fraction tableau, normalized after every
+    pivot: the textbook form of the engine's algorithm.  It takes the
+    same decisions in the same order (column layout, rank reduction,
+    phase-one start, Bland's rule, ratio-test ties, stage bans), so the
+    engine must reproduce its pivot path exactly.  Returns (status, x,
+    value, dual, basis); basis is None when the rank reduction already
+    proves infeasibility, and dual is set on optimal plain solves only.
+    """
+    zero, one = Fraction(0), Fraction(1)
+    col_of_var, cols = [], 0
+    for nonneg in lp.nonneg:
+        col_of_var.append((cols, None if nonneg else cols + 1))
+        cols += 1 if nonneg else 2
+    slack_col = []
+    for sense in lp.senses:
+        slack_col.append(None if sense is Sense.EQ else cols)
+        cols += sense is not Sense.EQ
+    n = cols
+
+    def column_cost(objective):
+        cost = [zero] * n
+        for c, (p, q) in zip(objective, col_of_var):
+            cost[p] = Fraction(c)
+            if q is not None:
+                cost[q] = -Fraction(c)
+        return cost
+
+    std, sign = [], []  # standard-form [row | rhs], sign-flipped to rhs >= 0
+    for i, row in enumerate(lp.rows):
+        dense = [zero] * n
+        for a, (p, q) in zip(row, col_of_var):
+            dense[p] = Fraction(a)
+            if q is not None:
+                dense[q] = -Fraction(a)
+        if slack_col[i] is not None:
+            dense[slack_col[i]] = one if lp.senses[i] is Sense.LE else -one
+        sign.append(-1 if lp.rhs[i] < 0 else 1)
+        std.append([sign[i] * a for a in dense + [Fraction(lp.rhs[i])]])
+
+    keep, elims, piv_cols = [], [], []
+    for i, work in enumerate(std):
+        for pc, elim in zip(piv_cols, elims):
+            work = [a - work[pc] * e for a, e in zip(work, elim)]
+        pc = next((j for j in range(n) if work[j] != 0), None)
+        if pc is None:
+            if work[-1] != 0:
+                return LpStatus.INFEASIBLE, None, None, None, None
+            continue
+        elims.append([a / work[pc] for a in work])
+        piv_cols.append(pc)
+        keep.append(i)
+    tab = [std[i][:] for i in keep]  # [B^-1 A | B^-1 b]
+    m = len(tab)
+
+    def pivot(r, col):
+        tab[r] = [a / tab[r][col] for a in tab[r]]
+        for i in range(m):
+            if i != r and tab[i][col] != 0:
+                tab[i] = [a - tab[i][col] * p for a, p in zip(tab[i], tab[r])]
+        basis[r] = col
+
+    def priced(cost, banned):
+        for j in range(len(cost)):
+            if j not in banned and j not in basis:
+                yield j, cost[j] - sum(cost[c] * tab[i][j] for i, c in enumerate(basis))
+
+    def simplex(cost, banned):
+        while True:
+            entering = next((j for j, red in priced(cost, banned) if red < 0), None)
+            if entering is None:
+                return LpStatus.OPTIMAL
+            rows = [i for i in range(m) if tab[i][entering] > 0]
+            if not rows:
+                return LpStatus.UNBOUNDED
+            pivot(min(rows, key=lambda i: (tab[i][-1] / tab[i][entering], basis[i])),
+                  entering)
+
+    # Phase one.  The slack test reads slack_col at the row's position
+    # among the kept rows, as the engine does.
+    basis, arts = [], []
+    for i in range(m):
+        col = slack_col[i]
+        if col is not None and tab[i][col] == 1:
+            basis.append(col)
+            continue
+        arts.append(n + len(arts))
+        for k in range(m):
+            tab[k].insert(-1, one if k == i else zero)
+        basis.append(arts[-1])
+    if arts:
+        simplex([zero] * n + [one] * len(arts), set())
+        if any(tab[i][-1] != 0 for i in range(m) if basis[i] in arts):
+            return LpStatus.INFEASIBLE, None, None, None, basis
+        for i in range(m):
+            if basis[i] in arts:
+                pivot(i, next(j for j in range(n) if tab[i][j] != 0))
+        for i in range(m):
+            tab[i] = tab[i][:n] + tab[i][-1:]
+
+    banned, cost = set(), None
+    for objective in (lp.objective, *ties):
+        if cost is not None:
+            banned.update(j for j, red in priced(cost, banned) if red > 0)
+        cost = column_cost(objective)
+        if simplex(cost, banned) is LpStatus.UNBOUNDED:
+            return LpStatus.UNBOUNDED, None, None, None, basis
+    z = [zero] * n
+    for i, col in enumerate(basis):
+        z[col] = tab[i][-1]
+    x = tuple(z[p] - z[q] if q is not None else z[p] for p, q in col_of_var)
+    value = sum((Fraction(c) * v for c, v in zip(lp.objective, x)), zero)
+    dual = None
+    if not ties:  # B^T y = c_B over the untouched kept rows
+        y = _gauss_jordan(
+            [[std[keep[i]][col] for i in range(m)] + [cost[col]] for col in basis]
+        )
+        dual = [zero] * len(lp.rows)
+        for i, yi in zip(keep, y):
+            dual[i] = sign[i] * yi
+        dual = tuple(dual)
+    return LpStatus.OPTIMAL, x, value, dual, basis
+
+
+def _random_fractional_case(rng):
+    """Fractional rows, rhs, costs and ties (denominators 2-7) with many
+    zeros, so det > 1 from the start and ties have optimal faces to act
+    on; negative rhs, equality rows, redundant and contradictory rows,
+    free variables, and an orthant cap only half the time."""
+    n = rng.randint(1, 4)
+    kinds = set()
+
+    def num():
+        if rng.random() < 0.35:
+            return Fraction(0)
+        return Fraction(rng.randint(-9, 9), rng.randint(2, 7))
+
+    def vec():
+        return [num() for _ in range(n)]
+
+    m = rng.randint(0, 4)
+    rows = [vec() for _ in range(m)]
+    rhs = [num() for _ in range(m)]
+    senses = [rng.choice(["<=", ">=", "="]) for _ in range(m)]
+    if rng.random() < 0.3:  # an equality row and a fractional multiple of it
+        row, b, k = vec(), num(), Fraction(rng.randint(1, 9), rng.randint(2, 7))
+        rows += [row, [k * a for a in row]]
+        rhs += [b, k * b]
+        senses += ["=", "="]
+        kinds.add("redundant")
+    if rng.random() < 0.1:  # two rows that contradict each other
+        row = vec()
+        rows += [row, row]
+        rhs += [Fraction(1, 2), Fraction(2, 3)]
+        senses += ["=", "="]
+        kinds.add("contradictory")
+    if rng.random() < 0.5:
+        rows.append([Fraction(rng.randint(1, 3), rng.randint(2, 7))] * n)
+        rhs.append(Fraction(rng.randint(1, 9), rng.randint(2, 7)))
+        senses.append("<=")
+    nonneg = [rng.random() < 0.75 for _ in range(n)]
+    order = list(range(len(rows)))
+    rng.shuffle(order)
+    lp = LinearProgram.build(
+        vec(), [rows[i] for i in order], [rhs[i] for i in order],
+        [senses[i] for i in order], nonneg,
+    )
+    ties = [tuple(vec()) for _ in range(rng.choice((0, 0, 1, 2)))]
+    return lp, ties, kinds
+
+
+def _assert_fraction_free(tab):
+    assert type(tab.det) is int and tab.det > 0
+    assert all(type(v) is int for v in tab.b)
+    assert all(type(a) is int for row in tab.rows for a in row)
+
+
+def test_integer_tableau_matches_a_fraction_reference():
+    """Seeded oracle for the fraction-free tableau: on LPs with
+    fractional data it must take the pivot path of a plain Fraction
+    tableau, so status, x, value, duals and the final basis agree, and
+    every entry stays an int over a positive det."""
+    rng = random.Random(1968)
+    seen = {status: 0 for status in LpStatus}
+    seen.update(free=0, redundant=0, contradictory=0, ties=0, negative_rhs=0, det=0)
+    for _ in range(500):
+        lp, ties, kinds = _random_fractional_case(rng)
+        want_status, want_x, want_value, want_dual, want_basis = _fraction_reference(
+            lp, ties
+        )
+        got = solve_lp(lp, ties)
+        assert (got.status, got.x, got.value) == (want_status, want_x, want_value), (
+            lp, ties,
+        )
+        assert got.dual == want_dual, (lp, ties)
+        tab = lp_core._Tableau(lp)
+        _assert_fraction_free(tab)
+        seen["det"] += tab.det > 1
+        if not tab.infeasible_by_rank:
+            if tab.phase_one():
+                tab.phase_two((lp.objective, *ties))
+            _assert_fraction_free(tab)
+            assert tab.basis == want_basis, (lp, ties)
+        seen[got.status] += 1
+        seen["free"] += not all(lp.nonneg)
+        seen["ties"] += bool(ties)
+        seen["negative_rhs"] += any(b < 0 for b in lp.rhs)
         for kind in kinds:
             seen[kind] += 1
     assert all(count >= 20 for count in seen.values()), seen

@@ -14,10 +14,17 @@ from pblp import (
     extreme_nondominated_bruteforce,
     find_extreme_image,
 )
+from pblp import lp_core
 from pblp.errors import InfeasibleProblem, UnboundedScalarization
-from pblp.problem_model import w3
-from pblp.weight_geometry import intersect_polygons, simplex_triangle
-from instance_gen import random_pblp
+from pblp.lp_core import FeasibleSystem
+from pblp.problem_model import Weight2, w3, ws_scalarize
+from pblp.weight_geometry import (
+    component_vertices,
+    intersect_polygons,
+    simplex_triangle,
+)
+from pblp.wsd import Decomposition
+from instance_gen import random_bounded_system, random_cost, random_pblp
 
 F = Fraction
 
@@ -160,3 +167,69 @@ def test_decompose_random_instances_agree_with_the_oracle():
 def test_lp_solve_count_is_reported(example2):
     dec = decompose(build_tolp(example2))
     assert dec.lp_solves > 0
+
+
+def _decompose_from_scratch(t):
+    """Reference decomposition that rebuilds every known image's
+    component from all known images in every round."""
+    start = lp_core.solve_calls()
+    system = FeasibleSystem(ws_scalarize(t, w3(F(1), F(0), F(0))))
+    for w in (w3(F(1), F(0), F(0)), w3(F(0), F(1), F(0)), w3(F(0), F(0), F(1))):
+        lp_core.solve_lp(ws_scalarize(t, w), system=system)
+    known = [find_extreme_image(t, w3(F(1, 3), F(1, 3), F(1, 3)), system)]
+    cache = {}
+
+    def value(w, y):
+        return w.w1 * y[0] + w.w2 * y[1] + w.w3 * y[2]
+
+    while True:
+        points = [e.image for e in known]
+        polygons = [component_vertices(y, points) for y in points]
+        challenger = None
+        for entry, poly in zip(known, polygons):
+            for vertex in poly.vertices:
+                w = Weight2(*vertex).lift()
+                if vertex not in cache:
+                    cache[vertex] = find_extreme_image(t, w, system)
+                if value(w, cache[vertex].image) < value(w, entry.image):
+                    challenger = cache[vertex]
+                    break
+            if challenger is not None:
+                break
+        if challenger is None:
+            break
+        known.append(challenger)
+    keep = sorted(
+        ((e, poly) for e, poly in zip(known, polygons) if poly.area() > 0),
+        key=lambda pair: pair[0].image,
+    )
+    return Decomposition(
+        images=tuple(e for e, _ in keep),
+        components=tuple(poly for _, poly in keep),
+        lp_solves=lp_core.solve_calls() - start,
+    )
+
+
+def test_incremental_components_match_a_rebuild_per_round():
+    """decompose clips the known components by each new image's
+    half-plane instead of rebuilding them; on seeded acceptance-family
+    and larger instances it must return the same Decomposition, images,
+    witnesses, components and lp_solves alike."""
+    rng = random.Random(1405)
+    problems = [random_pblp(rng, (Case.ONE, Case.TWO)[i % 2]) for i in range(24)]
+    for i in range(4):  # larger systems, as in the benchmark's scaled family
+        n, rows, rhs, senses = random_bounded_system(rng, max_vars=7, max_rows=10)
+        c1, c2, d1 = (random_cost(rng, n) for _ in range(3))
+        problems.append(
+            Pblp(
+                case=(Case.ONE, Case.TWO)[i % 2], n=n, rows=rows, rhs=rhs,
+                senses=senses, c1=c1, c2=c2, d1=d1,
+            )
+        )
+    rounds = 0
+    for p in problems:
+        t = build_tolp(p)
+        got = decompose(t)
+        assert got == _decompose_from_scratch(t), p
+        rounds += len(got.images) > 2
+    assert rounds >= 10
