@@ -18,6 +18,7 @@ from .breakpoints import (
     interval_lp_case1,
     interval_lp_case2,
     interval_vertex,
+    solve_on_decomposition,
 )
 from .errors import (
     BadCase,
@@ -82,7 +83,6 @@ from .weight_geometry import (
     component_halfplanes,
     component_hrep,
     component_vertices,
-    hrep_feasible_at,
     simplex_triangle,
 )
 from .wsd import Decomposition, ExtremeImage, decompose, find_extreme_image

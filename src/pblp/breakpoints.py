@@ -56,6 +56,7 @@ __all__ = [
     "interval_lp_case1",
     "interval_vertex",
     "enumerate_breakpoints",
+    "solve_on_decomposition",
 ]
 
 
@@ -281,8 +282,16 @@ def _covers(iv: ParameterInterval, lo, hi) -> bool:
 def enumerate_breakpoints(p: Pblp, method: Method) -> ParametricSolution:
     """Full parametric solution: decomposition, intervals, breakpoints,
     and the annotated lambda axis."""
+    return solve_on_decomposition(p, decompose(build_tolp(p)), method)
+
+
+def solve_on_decomposition(
+    p: Pblp, dec: Decomposition, method: Method
+) -> ParametricSolution:
+    """Intervals, breakpoints and the annotated lambda axis of p by
+    method, from dec, the decomposition of p's triobjective companion.
+    Both methods can share one decomposition."""
     t = build_tolp(p)
-    dec = decompose(t)
     before = lp_core.solve_calls()
     intervals = []
     for entry, poly in zip(dec.images, dec.components):

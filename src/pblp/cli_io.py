@@ -28,7 +28,12 @@ import time
 from fractions import Fraction
 
 from . import lp_core
-from .breakpoints import Method, ParametricSolution, enumerate_breakpoints
+from .breakpoints import (
+    Method,
+    ParametricSolution,
+    enumerate_breakpoints,
+    solve_on_decomposition,
+)
 from .errors import (
     BadCase,
     DimensionMismatch,
@@ -257,12 +262,15 @@ def emit_plot_data(dec: Decomposition, case: Case, lambdas=()) -> str:
 
 
 def run_check(p: Pblp, out=None) -> list[str]:
-    """Cross-validate every route on one instance; returns mismatches."""
+    """Cross-validate every route on one instance; returns mismatches.
+
+    Both interval routes run on one decomposition, which the brute-force
+    image oracle checks independently."""
     if out is None:
         out = sys.stderr
     problems: list[str] = []
     by_lp = enumerate_breakpoints(p, Method.LP)
-    by_vertex = enumerate_breakpoints(p, Method.ADAPTED)
+    by_vertex = solve_on_decomposition(p, by_lp.decomposition, Method.ADAPTED)
 
     if by_lp.intervals != by_vertex.intervals:
         problems.append(

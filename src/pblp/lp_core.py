@@ -24,8 +24,12 @@ weights of Przybylski, Gandibleux and Ehrgott, INFORMS J. Comput. 2010).
 The pivot path, and so the optimal vertex, is the one a fresh solve
 takes.
 
-Optimal duals are recovered in Fractions from the final basis of a plain
-solve only: one with no ties and no FeasibleSystem.
+integer_row, eliminate and solve_square are the package's one exact
+elimination routine, shared by the tableau's rank reduction, the duals
+and the brute-force vertex oracle.
+
+Optimal duals are solved exactly from the final basis of a plain solve
+only: one with no ties and no FeasibleSystem.
 
 Sign conventions for duals of  min c.x  s.t. rows (sense) rhs, mixed
 variable domains:
@@ -52,6 +56,10 @@ __all__ = [
     "FeasibleSystem",
     "solve_lp",
     "solve_lex_lp",
+    "integer_row",
+    "Echelon",
+    "eliminate",
+    "solve_square",
 ]
 
 
@@ -137,6 +145,88 @@ class LpResult:
     dual: tuple[Fraction, ...] | None = None
 
 
+# -- exact elimination ------------------------------------------------------
+
+
+def integer_row(values) -> tuple[list[int], int]:
+    """values (ints or Fractions) times the lcm of their denominators.
+
+    Returns the integer row and the scale.  A row of a linear system so
+    scaled keeps its rank and its solutions.
+    """
+    scale = lcm(*(v.denominator for v in values))
+    return [v.numerator * (scale // v.denominator) for v in values], scale
+
+
+@dataclass(frozen=True)
+class Echelon:
+    """Outcome of eliminate on integer rows [coefficients | rhs].
+
+    kept indexes the kept rows and pivots holds their pivot columns.
+    rows holds them reduced: row k is zero in the pivot columns of rows
+    0..k-1, so in pivot-column order the kept system is triangular.
+    consistent is False when a dropped row reduces to 0 = nonzero.
+    """
+
+    kept: list[int]
+    pivots: list[int]
+    rows: list[list[int]]
+    consistent: bool
+
+
+def eliminate(rows: list[list[int]]) -> Echelon:
+    """Forward elimination in integers, one row at a time, in order.
+
+    Each row is reduced against the kept rows before it, fraction-free
+    (row * pivot - row[col] * kept row, both factors divided by their
+    gcd), and kept when a coefficient survives; its first nonzero
+    coefficient is its pivot and its content is divided out.  So the
+    kept rows are the greedy independent set in row order.
+    """
+    kept: list[int] = []
+    pivots: list[int] = []
+    reduced: list[list[int]] = []
+    consistent = True
+    width = len(rows[0]) - 1 if rows else 0
+    for idx, work in enumerate(rows):
+        for col, elim in zip(pivots, reduced):
+            f = work[col]
+            if f:
+                p = elim[col]
+                g = gcd(p, f)
+                p, f = p // g, f // g
+                work = [a * p - f * e for a, e in zip(work, elim)]
+        piv = next((j for j in range(width) if work[j]), None)
+        if piv is None:
+            consistent = consistent and work[-1] == 0
+            continue
+        content = gcd(*work)
+        reduced.append([a // content for a in work])
+        pivots.append(piv)
+        kept.append(idx)
+    return Echelon(kept, pivots, reduced, consistent)
+
+
+def solve_square(rows: list[list[int]]) -> list[Fraction] | None:
+    """x with A x = b for a square integer system [A | b], None if A is
+    singular.
+
+    Back-substitutes the triangular rows of eliminate in integers over
+    D, the product of their pivots.  D is the determinant of that
+    triangular system up to sign, so by Cramer's rule every D * x_j is
+    an integer and every division below is exact.
+    """
+    echelon = eliminate(rows)
+    if len(echelon.kept) < len(rows):
+        return None
+    det = prod(row[col] for row, col in zip(echelon.rows, echelon.pivots))
+    scaled = [0] * len(rows)  # det * x, filled from the last pivot back
+    for row, col in zip(reversed(echelon.rows), reversed(echelon.pivots)):
+        rest = sum(a * v for a, v in zip(row, scaled) if a)
+        scaled[col] = (row[-1] * det - rest) // row[col]
+    return [Fraction(v, det) for v in scaled]
+
+
 class _Tableau:
     """Standard-form tableau  A z = b, z >= 0  kept as B^-1 A throughout.
 
@@ -158,7 +248,6 @@ class _Tableau:
             else:
                 self.col_of_var.append((cols, cols + 1))
                 cols += 2
-        self.struct_cols = cols
         slack_col: list[int | None] = []
         for sense in lp.senses:
             if sense is Sense.EQ:
@@ -169,12 +258,13 @@ class _Tableau:
         self.num_cols = cols
 
         # Each row is scaled to integers by the lcm of its denominators,
-        # which leaves its rank and its solutions alone.
+        # which leaves its rank and its solutions alone, and negated where
+        # its rhs is negative, so that b >= 0.  row_factor is that scale
+        # times that sign, the factor from original to integer row.
         self.rows: list[list[int]] = []
         self.b: list[int] = []
-        self.row_sign: list[int] = []  # +1 kept as-is, -1 negated for b >= 0
+        self.row_factor: list[int] = []
         self.orig_row: list[int] = []  # index into lp.rows, for duals
-        scales: list[int] = []
         for i, row in enumerate(lp.rows):
             dense = [0] * self.num_cols
             for j, a in enumerate(row):
@@ -184,72 +274,40 @@ class _Tableau:
                     dense[q] = -a
             if slack_col[i] is not None:
                 dense[slack_col[i]] = 1 if lp.senses[i] is Sense.LE else -1
-            rhs = lp.rhs[i]
-            sign = 1
-            if rhs < 0:
-                dense = [-a for a in dense]
-                rhs = -rhs
-                sign = -1
-            scale = lcm(rhs.denominator, *(a.denominator for a in dense))
-            self.rows.append([a.numerator * (scale // a.denominator) for a in dense])
-            self.b.append(rhs.numerator * (scale // rhs.denominator))
-            self.row_sign.append(sign)
+            scaled, scale = integer_row(dense + [lp.rhs[i]])
+            if lp.rhs[i] < 0:
+                scaled = [-a for a in scaled]
+                scale = -scale
+            self.b.append(scaled.pop())
+            self.rows.append(scaled)
+            self.row_factor.append(scale)
             self.orig_row.append(i)
-            scales.append(scale)
         self.slack_col = slack_col
         self.basis: list[int] = []
         self.art_cols: set[int] = set()
-        self.redundant_rows: list[int] = []  # original indices, dual 0
-        self.infeasible_by_rank = False
-        keep = self._independent_rows()
+        # Simplex basis bookkeeping (and dual recovery from the basis)
+        # needs full row rank.  Dependent rows are dropped before any
+        # pivoting and get dual zero; a dependent row whose right side
+        # disagrees proves infeasibility.
+        echelon = eliminate([row + [b] for row, b in zip(self.rows, self.b)])
+        self.infeasible_by_rank = not echelon.consistent
+        keep = echelon.kept
         if len(keep) != len(self.rows):
             self.rows = [self.rows[i] for i in keep]
             self.b = [self.b[i] for i in keep]
-            self.row_sign = [self.row_sign[i] for i in keep]
+            self.row_factor = [self.row_factor[i] for i in keep]
             self.orig_row = [self.orig_row[i] for i in keep]
-            scales = [scales[i] for i in keep]
+        self.start_rows = [row[:] for row in self.rows]  # B for the duals
         # The product of the row scales, not their lcm, is the determinant
         # of the starting basis in the integer system, and only with it
         # are the Bareiss divisions in _pivot exact.
+        scales = [abs(f) for f in self.row_factor]
         self.det = prod(scales)
         for i, scale in enumerate(scales):
             if scale != self.det:
                 up = self.det // scale
                 self.rows[i] = [a * up for a in self.rows[i]]
                 self.b[i] *= up
-
-    def _independent_rows(self) -> list[int]:
-        """Indices of an independent row set, found before any pivoting.
-
-        Simplex basis bookkeeping (and dual recovery from the basis)
-        needs the standard-form matrix to have full row rank.  Rows are
-        eliminated in order against the kept ones, fraction-free; a row
-        that reduces to zero coefficients is redundant when its right
-        side reduces to zero too, and proves infeasibility otherwise.
-        Dropped rows get dual zero later.
-        """
-        eliminators: list[list[int]] = []  # reduced [row | rhs], pivot first
-        pivot_cols: list[int] = []
-        keep: list[int] = []
-        for idx in range(len(self.rows)):
-            work = self.rows[idx] + [self.b[idx]]
-            for piv_col, elim in zip(pivot_cols, eliminators):
-                factor = work[piv_col]
-                if factor != 0:
-                    p = elim[piv_col]
-                    work = [a * p - factor * e for a, e in zip(work, elim)]
-            piv = next((j for j in range(self.num_cols) if work[j] != 0), None)
-            if piv is None:
-                if work[-1] != 0:
-                    self.infeasible_by_rank = True
-                else:
-                    self.redundant_rows.append(self.orig_row[idx])
-                continue
-            content = gcd(*work)
-            eliminators.append([a // content for a in work])
-            pivot_cols.append(piv)
-            keep.append(idx)
-        return keep
 
     # -- pivoting ---------------------------------------------------------
 
@@ -353,7 +411,7 @@ class _Tableau:
         # Start from slack columns where they already form identity entries,
         # artificials everywhere else.
         for i in range(m):
-            col = self.slack_col[i]
+            col = self.slack_col[self.orig_row[i]]
             if col is not None:
                 coeff = self.rows[i][col]
                 if coeff == det:
@@ -396,19 +454,18 @@ class _Tableau:
         self.art_cols = set()
         return True
 
-    def _column_cost(self, objective) -> list[int]:
-        """objective over the original variables as standard-form costs,
-        scaled to integers by the lcm of its denominators.  Pricing reads
-        only signs, which a positive scale keeps, and scaling once per
-        stage spares every pricing pass the Fraction arithmetic."""
-        values = [Fraction(c) for c in objective]
-        scale = lcm(*(v.denominator for v in values))
+    def _column_cost(self, objective) -> tuple[list[int], int]:
+        """objective as standard-form costs scaled to integers by the lcm
+        of its denominators, and that scale.  Pricing reads only signs,
+        which a positive scale keeps, and scaling once per stage spares
+        every pricing pass the Fraction arithmetic."""
+        values, scale = integer_row([Fraction(c) for c in objective])
         cost = [0] * self.num_cols
         for v, (p, q) in zip(values, self.col_of_var):
-            cost[p] = v.numerator * (scale // v.denominator)
+            cost[p] = v
             if q is not None:
-                cost[q] = -cost[p]
-        return cost
+                cost[q] = -v
+        return cost, scale
 
     def phase_two(self, objectives) -> LpStatus:
         """Lexicographic minimum of objectives in order, on this tableau.
@@ -422,7 +479,7 @@ class _Tableau:
         for objective in objectives:
             if cost is not None:
                 self._ban_optimal_face(cost, banned)
-            cost = self._column_cost(objective)
+            cost, _ = self._column_cost(objective)
             if self._simplex(cost, banned) is LpStatus.UNBOUNDED:
                 return LpStatus.UNBOUNDED
         return LpStatus.OPTIMAL
@@ -432,7 +489,7 @@ class _Tableau:
 
         Pivots replace rows and write b and basis in place, so those
         three are copied; det is an int, rebound by each pivot, and the
-        column layout is shared.
+        column layout and the read-only start_rows are shared.
         """
         twin = copy.copy(self)
         twin.lp = lp
@@ -454,63 +511,23 @@ class _Tableau:
         return tuple(out)
 
     def duals(self) -> tuple[Fraction, ...]:
-        """Dual of each original row from B^T y = c_B on the final basis."""
-        m = len(self.rows)
-        zero = Fraction(0)
-        # Rebuild the untouched standard-form columns of the final basis.
-        cols = []
-        for col in self.basis:
-            column = []
-            for i in range(m):
-                oi = self.orig_row[i]
-                sign = self.row_sign[i]
-                if col < self.struct_cols:
-                    a = zero
-                    for j, (p, q) in enumerate(self.col_of_var):
-                        if col == p:
-                            a = self.lp.rows[oi][j]
-                            break
-                        if q is not None and col == q:
-                            a = -self.lp.rows[oi][j]
-                            break
-                else:
-                    a = zero
-                    if self.slack_col[oi] == col:
-                        a = Fraction(1) if self.lp.senses[oi] is Sense.LE else Fraction(-1)
-                column.append(sign * a)
-            cols.append(column)
-        cost = {  # objective coefficient per basis column
-            i: self._struct_cost(col) for i, col in enumerate(self.basis)
-        }
-        # Solve B^T y = c_B by Gaussian elimination (B^T rows are the columns).
-        aug = [cols[i] + [cost[i]] for i in range(m)]
-        y = _solve_square(aug, m)
-        duals = [zero] * len(self.lp.rows)
-        for i in range(m):
-            duals[self.orig_row[i]] = self.row_sign[i] * y[i]
+        """Dual of each original row from B^T y = c_B on the final basis.
+
+        B is read off start_rows, the kept integer rows before any pivot,
+        and c is the objective times the lcm of its denominators, so y_i
+        times row_factor[i] over that lcm is the dual of original row
+        orig_row[i].  Dropped rows get dual zero.
+        """
+        cost, scale = self._column_cost(self.lp.objective)
+        y = solve_square(
+            [[row[col] for row in self.start_rows] + [cost[col]] for col in self.basis]
+        )
+        if y is None:
+            raise InvariantViolation("final simplex basis is singular")
+        duals = [Fraction(0)] * len(self.lp.rows)
+        for i, factor, v in zip(self.orig_row, self.row_factor, y):
+            duals[i] = v * factor / scale
         return tuple(duals)
-
-    def _struct_cost(self, col: int) -> Fraction:
-        for j, (p, q) in enumerate(self.col_of_var):
-            if col == p:
-                return self.lp.objective[j]
-            if q is not None and col == q:
-                return -self.lp.objective[j]
-        return Fraction(0)
-
-
-def _solve_square(aug: list[list[Fraction]], m: int) -> list[Fraction]:
-    """Solve the m x m system given as rows of [coeffs | rhs], in place."""
-    for col in range(m):
-        piv = next(r for r in range(col, m) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [a * inv for a in aug[col]]
-        for r in range(m):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return [aug[r][m] for r in range(m)]
 
 
 def _feasible_tableau(lp: LinearProgram) -> _Tableau | None:

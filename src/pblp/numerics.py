@@ -76,9 +76,6 @@ class _PositiveInfinity:
 
 INF = _PositiveInfinity()
 
-# A parameter bound is either an exact rational or right-unbounded.
-ExtendedRational = Fraction | _PositiveInfinity
-
 
 def ext_format(value) -> str:
     """Canonical text for an extended rational."""

@@ -4,7 +4,9 @@ Nothing here shares logic with the component/interval code: vertices come
 from exhaustive basis enumeration, extreme nondominated images from
 re-deriving each candidate's component against the full vertex image set,
 and the parametric picture from solving the biobjective problem from
-scratch on a lambda grid.  Slow on purpose, exact on purpose.
+scratch on a lambda grid.  Slow on purpose, exact on purpose.  Candidate
+bases are solved by lp_core's fraction-free elimination, a primitive of
+the LP engine, not of wsd or breakpoints.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from math import comb
 
 from .errors import (
     InfeasibleProblem,
+    InvariantViolation,
     TooLarge,
     UnboundedFeasibleSet,
     UnboundedScalarization,
@@ -25,8 +28,11 @@ from .lp_core import (
     LinearProgram,
     LpStatus,
     Sense,
+    eliminate,
+    integer_row,
     solve_lex_lp,
     solve_lp,
+    solve_square,
 )
 from .problem_model import Bolp, Case, Pblp, Tolp, build_tolp, fix_lambda
 from .weight_geometry import Point3, component_vertices
@@ -48,29 +54,6 @@ class VertexSet:
     """All vertices of a bounded feasible set, sorted."""
 
     vertices: tuple[tuple[Fraction, ...], ...]
-
-
-def _rref(matrix: list[list[Fraction]]) -> list[int]:
-    """In-place reduced row echelon; returns the pivot column per row."""
-    pivots = []
-    row = 0
-    cols = len(matrix[0]) if matrix else 0
-    for col in range(cols):
-        piv = next((r for r in range(row, len(matrix)) if matrix[r][col] != 0), None)
-        if piv is None:
-            continue
-        matrix[row], matrix[piv] = matrix[piv], matrix[row]
-        inv = Fraction(1) / matrix[row][col]
-        matrix[row] = [a * inv for a in matrix[row]]
-        for r in range(len(matrix)):
-            if r != row and matrix[r][col] != 0:
-                f = matrix[r][col]
-                matrix[r] = [a - f * b for a, b in zip(matrix[r], matrix[row])]
-        pivots.append(col)
-        row += 1
-        if row == len(matrix):
-            break
-    return pivots
 
 
 def enumerate_vertices_bruteforce(
@@ -101,33 +84,27 @@ def enumerate_vertices_bruteforce(
         if res.status is LpStatus.UNBOUNDED:
             raise UnboundedFeasibleSet(f"coordinate {j} is unbounded")
 
-    # Standard form: one slack (LE) or surplus (GE) column per inequality.
-    m = len(rows)
+    # Standard form: one slack (LE) or surplus (GE) column per inequality,
+    # each row [coefficients | rhs] scaled to integers.
     aug_cols = sum(1 for s in senses if s is not Sense.EQ)
     total = n + aug_cols
-    std = [[zero] * total for _ in range(m)]
-    col = n
-    for i, (row, sense) in enumerate(zip(rows, senses)):
-        for j, a in enumerate(row):
-            std[i][j] = Fraction(a)
-        if sense is Sense.LE:
-            std[i][col] = Fraction(1)
-            col += 1
-        elif sense is Sense.GE:
-            std[i][col] = Fraction(-1)
-            col += 1
-    b = [Fraction(v) for v in rhs]
+    std = []
+    k = 0  # next slack column
+    for row, b, sense in zip(rows, rhs, senses):
+        slack = [0] * aug_cols
+        if sense is not Sense.EQ:
+            slack[k] = 1 if sense is Sense.LE else -1
+            k += 1
+        std.append(integer_row([Fraction(a) for a in row] + slack + [Fraction(b)])[0])
 
     # Reduce to an independent row set so degenerate inputs cannot hide
-    # vertices behind singular bases.
-    work = [std[i] + [b[i]] for i in range(m)]
-    pivots = _rref(work)
-    rank = len(pivots)
-    # A pivot in the appended column would mean 0 = 1; feasibility was
-    # already established above, so it cannot happen here.
-    keep = [r for r in range(rank)]
-    reduced = [work[r][:total] for r in keep]
-    reduced_b = [work[r][total] for r in keep]
+    # vertices behind singular bases.  Any independent set spanning the
+    # rows gives each basis the same solution.
+    echelon = eliminate(std)
+    if not echelon.consistent:
+        raise InvariantViolation("a feasible system reduced to 0 = nonzero")
+    reduced = echelon.rows
+    rank = len(reduced)
 
     if comb(total, rank) > max_bases:
         raise TooLarge(
@@ -136,8 +113,7 @@ def enumerate_vertices_bruteforce(
 
     seen: set[tuple[Fraction, ...]] = set()
     for basis in combinations(range(total), rank):
-        aug = [[reduced[r][c] for c in basis] + [reduced_b[r]] for r in range(rank)]
-        sol = _solve_maybe(aug, rank)
+        sol = solve_square([[row[c] for c in basis] + [row[-1]] for row in reduced])
         if sol is None:
             continue
         z = [zero] * total
@@ -151,22 +127,6 @@ def enumerate_vertices_bruteforce(
         if _satisfies(rows, rhs, senses, x):
             seen.add(x)
     return VertexSet(tuple(sorted(seen)))
-
-
-def _solve_maybe(aug: list[list[Fraction]], k: int):
-    """Solve a k x k augmented system; None when singular."""
-    for col in range(k):
-        piv = next((r for r in range(col, k) if aug[r][col] != 0), None)
-        if piv is None:
-            return None
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [a * inv for a in aug[col]]
-        for r in range(k):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return [aug[r][k] for r in range(k)]
 
 
 def _satisfies(rows, rhs, senses, x) -> bool:

@@ -17,6 +17,7 @@ from fractions import Fraction
 
 from .errors import BadCase, DimensionMismatch, NegativeParameter
 from .lp_core import LinearProgram, Sense
+from .numerics import INF
 
 
 class Case(Enum):
@@ -228,8 +229,6 @@ def lambda_from_weight(case: Case, w: Weight3):
     Returns a Fraction, INF for the limit lambda -> infinity, or None when
     the weight corresponds to no lambda at all (case ONE at (0, 1, 0)).
     """
-    from .numerics import INF
-
     if case is Case.ONE:
         if w.w1 > 0:
             return w.w3 / w.w1

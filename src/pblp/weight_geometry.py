@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .lp_core import LinearProgram, LpStatus, Sense, solve_lp
 from .problem_model import Tolp, ge_form
 
 Point2 = tuple[Fraction, Fraction]
@@ -244,22 +243,3 @@ def component_hrep(t: Tolp, y: Point3) -> ComponentHrep:
     P.append((zero,) * m + (-one, -one, -one))
     q = (zero,) * n + (zero, zero, one, -one)
     return ComponentHrep(P=tuple(P), q=q, m=m, n=n)
-
-
-def hrep_feasible_at(h: ComponentHrep, w: Point3) -> bool:
-    """Whether some v >= 0 makes (v, w) satisfy the lifted system."""
-    rows = []
-    rhs = []
-    for prow, qval in zip(h.P, h.q):
-        vpart = prow[: h.m]
-        wpart = prow[h.m :]
-        rows.append(vpart)
-        rhs.append(qval - sum(a * b for a, b in zip(wpart, w)))
-    lp = LinearProgram(
-        objective=(Fraction(0),) * h.m,
-        rows=tuple(rows),
-        rhs=tuple(rhs),
-        senses=(Sense.GE,) * len(rows),
-        nonneg=(True,) * h.m,
-    )
-    return solve_lp(lp).status is LpStatus.OPTIMAL

@@ -26,6 +26,7 @@ from pblp import (
     map_weight_to_simplex,
     segment_for_lambda,
     solve_lp,
+    solve_on_decomposition,
     sweep_lambda,
 )
 from pblp.problem_model import w2, w3
@@ -69,8 +70,9 @@ _batch_cache = None
 
 
 def _batch():
-    """200 seeded bounded instances solved by both interval routes plus
-    the brute-force image oracle; built once, reused by three criteria."""
+    """200 seeded bounded instances solved by both interval routes on one
+    decomposition, as run_check does, plus the brute-force image oracle;
+    built once, reused by three criteria."""
     global _batch_cache
     if _batch_cache is None:
         started = time.perf_counter()
@@ -80,7 +82,9 @@ def _batch():
             case = Case.ONE if trial % 2 == 0 else Case.TWO
             p = random_pblp(rng, case)
             by_lp = enumerate_breakpoints(p, Method.LP)
-            by_vertex = enumerate_breakpoints(p, Method.ADAPTED)
+            by_vertex = solve_on_decomposition(
+                p, by_lp.decomposition, Method.ADAPTED
+            )
             oracle_images = extreme_nondominated_bruteforce(build_tolp(p))
             entries.append((p, by_lp, by_vertex, oracle_images))
         _batch_cache = (entries, time.perf_counter() - started)

@@ -1,5 +1,6 @@
 """Problem file round trips, result documents, and CLI behavior."""
 
+import io
 import json
 import random
 from fractions import Fraction
@@ -148,6 +149,21 @@ def test_run_check_passes_the_bounded_example(example1, capsys):
 def test_run_check_skips_the_oracle_on_unbounded_sets(example2, capsys):
     assert run_check(example2) == []
     assert "vertex oracle skipped" in capsys.readouterr().err
+
+
+def test_run_check_decomposes_once(monkeypatch, example1, example2_case1):
+    """Both interval routes share one decomposition per check."""
+    calls = []
+
+    def counting(t):
+        calls.append(t)
+        return decompose(t)
+
+    monkeypatch.setattr("pblp.breakpoints.decompose", counting)
+    for p in (example1, example2_case1):
+        calls.clear()
+        assert run_check(p, io.StringIO()) == []
+        assert len(calls) == 1
 
 
 # -- the command line ---------------------------------------------------------

@@ -15,7 +15,7 @@ from pblp import (
 )
 from pblp import lp_core
 from pblp.errors import DimensionMismatch, SystemMismatch
-from pblp.lp_core import solve_calls
+from pblp.lp_core import eliminate, integer_row, solve_calls, solve_square
 from pblp.oracle import enumerate_vertices_bruteforce
 
 
@@ -421,11 +421,11 @@ def _fraction_reference(lp, ties):
             pivot(min(rows, key=lambda i: (tab[i][-1] / tab[i][entering], basis[i])),
                   entering)
 
-    # Phase one.  The slack test reads slack_col at the row's position
-    # among the kept rows, as the engine does.
+    # Phase one.  Each kept row starts on its own slack when that
+    # column reads 1 there, else on an artificial.
     basis, arts = [], []
     for i in range(m):
-        col = slack_col[i]
+        col = slack_col[keep[i]]
         if col is not None and tab[i][col] == 1:
             basis.append(col)
             continue
@@ -553,6 +553,123 @@ def test_integer_tableau_matches_a_fraction_reference():
         for kind in kinds:
             seen[kind] += 1
     assert all(count >= 20 for count in seen.values()), seen
+
+
+def test_phase_one_starts_each_inequality_row_on_its_own_slack(monkeypatch):
+    """A duplicate row dropped by the rank reduction must not hide the
+    slack of a later row: min x + y over x + y = 2, x + y = 2, x <= 3
+    takes the single phase-one pivot of the system without the
+    duplicate, with the x <= 3 row left on its slack."""
+    pivots = []
+    original = lp_core._Tableau._pivot
+
+    def counting(self, r, col):
+        pivots.append(col)
+        original(self, r, col)
+
+    monkeypatch.setattr(lp_core._Tableau, "_pivot", counting)
+    duplicated = LinearProgram.build(
+        [1, 1], [[1, 1], [1, 1], [1, 0]], [2, 2, 3], ["=", "=", "<="]
+    )
+    plain = LinearProgram.build([1, 1], [[1, 1], [1, 0]], [2, 3], ["=", "<="])
+    for lp in (duplicated, plain):
+        tab = lp_core._Tableau(lp)
+        pivots.clear()
+        assert tab.phase_one()
+        assert pivots == [0]
+        assert tab.basis == [0, 2]
+        assert solve_lp(lp).x == (2, 0)
+
+
+def _fraction_elimination(rows):
+    """Greedy independent rows by Fraction Gauss-Jordan, in row order.
+
+    Returns (kept, pivots, consistent, reduced): reduced holds the kept
+    rows normalized to 1 at their pivot and 0 at every other pivot."""
+    kept, pivots, reduced, consistent = [], [], [], True
+    for idx, row in enumerate(rows):
+        work = [Fraction(a) for a in row]
+        for pc, done in zip(pivots, reduced):
+            work = [a - work[pc] * d for a, d in zip(work, done)]
+        pc = next((j for j in range(len(work) - 1) if work[j] != 0), None)
+        if pc is None:
+            consistent = consistent and work[-1] == 0
+            continue
+        work = [a / work[pc] for a in work]
+        reduced = [[a - done[pc] * w for a, w in zip(done, work)] for done in reduced]
+        kept.append(idx)
+        pivots.append(pc)
+        reduced.append(work)
+    return kept, pivots, consistent, reduced
+
+
+def _random_rows(rng, count, width):
+    """Integer or fractional rows [coefficients | rhs] with dependent
+    and contradictory rows mixed in."""
+
+    def num():
+        if rng.random() < 0.3:
+            return Fraction(0)
+        den = 1 if rng.random() < 0.4 else rng.randint(2, 7)
+        return Fraction(rng.randint(-9, 9), den)
+
+    rows = []
+    while len(rows) < count:
+        if rows and rng.random() < 0.3:  # a combination of earlier rows
+            mix = [num() for _ in rows]
+            row = [sum(k * r[j] for k, r in zip(mix, rows)) for j in range(width + 1)]
+            if rng.random() < 0.3:  # with a contradicting right side
+                row[-1] += Fraction(rng.randint(1, 5), rng.randint(1, 3))
+            rows.append(row)
+        else:
+            rows.append([num() for _ in range(width + 1)])
+    return rows
+
+
+def test_elimination_matches_a_fraction_gauss_jordan():
+    """Seeded oracle for the one exact elimination routine: the kept
+    rows, their pivots, the consistency verdict and every square solve
+    agree with a Fraction Gauss-Jordan, and solutions are Fractions."""
+    rng = random.Random(1968)
+    seen = dict(dropped=0, inconsistent=0, fractional=0, singular=0, solved=0)
+    for _ in range(400):
+        rows = _random_rows(rng, rng.randint(0, 6), rng.randint(1, 5))
+        scaled = [integer_row(row)[0] for row in rows]
+        echelon = eliminate(scaled)
+        kept, pivots, consistent, _ = _fraction_elimination(rows)
+        assert (echelon.kept, echelon.pivots) == (kept, pivots), rows
+        assert echelon.consistent == consistent, rows
+        assert all(type(a) is int for row in echelon.rows for a in row)
+        seen["dropped"] += len(kept) < len(rows)
+        seen["inconsistent"] += not consistent
+        seen["fractional"] += any(a.denominator > 1 for row in rows for a in row)
+
+        k = rng.randint(0, 5)
+        square = _random_rows(rng, k, k)
+        if k > 1 and rng.random() < 0.2:  # a repeated column
+            for row in square:
+                row[1] = row[0]
+        kept, pivots, _, reduced = _fraction_elimination(square)
+        want = None
+        if len(kept) == k:
+            want = [Fraction(0)] * k
+            for pc, row in zip(pivots, reduced):
+                want[pc] = row[-1]
+        got = solve_square([integer_row(row)[0] for row in square])
+        assert got == want, square
+        if got is None:
+            seen["singular"] += 1
+        else:
+            seen["solved"] += 1
+            assert all(type(v) is Fraction for v in got), got
+            for row in square:
+                assert sum(a * v for a, v in zip(row, got)) == row[-1]
+    assert all(count >= 20 for count in seen.values()), seen
+
+
+def test_integer_row_scales_by_the_lcm_of_denominators():
+    assert integer_row([Fraction(1, 2), 3, Fraction(-2, 3)]) == ([3, 18, -4], 6)
+    assert integer_row([0, 0]) == ([0, 0], 1)
 
 
 def test_infeasible_system_is_infeasible_for_every_objective():

@@ -9,18 +9,38 @@ from hypothesis import strategies as st
 from pblp import (
     ConvexPolygon2,
     HalfPlane,
+    LinearProgram,
+    LpStatus,
+    Sense,
     build_tolp,
     clip_polygon,
     component_halfplanes,
     component_hrep,
     component_vertices,
     decompose,
-    hrep_feasible_at,
     simplex_triangle,
+    solve_lp,
 )
 from pblp.weight_geometry import intersect_polygons
 
 F = Fraction
+
+
+def hrep_feasible_at(h, w):
+    """Whether some v >= 0 makes (v, w) satisfy the lifted system."""
+    rows = []
+    rhs = []
+    for prow, qval in zip(h.P, h.q):
+        rows.append(prow[: h.m])
+        rhs.append(qval - sum(a * b for a, b in zip(prow[h.m :], w)))
+    lp = LinearProgram(
+        objective=(F(0),) * h.m,
+        rows=tuple(rows),
+        rhs=tuple(rhs),
+        senses=(Sense.GE,) * len(rows),
+        nonneg=(True,) * h.m,
+    )
+    return solve_lp(lp).status is LpStatus.OPTIMAL
 
 
 def test_hull_is_canonical_regardless_of_input_order():
