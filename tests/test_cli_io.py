@@ -214,6 +214,28 @@ def test_cli_decompose_and_sweep(capsys):
     ]
 
 
+GOLDEN_DIR = INSTANCE_DIR.parent / "tests" / "golden"
+GOLDEN_COMMANDS = {
+    "solve-lp": ["solve", "--method", "lp"],
+    "solve-adapted": ["solve", "--method", "adapted"],
+    "decompose": ["decompose"],
+    "sweep": ["sweep", "--lambda-max", "6", "--steps", "60"],
+    "check": ["check"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN_COMMANDS))
+@pytest.mark.parametrize("instance", ["example1", "example2", "example2_case1"])
+def test_cli_quiet_stdout_matches_the_golden_file(instance, command, capsys):
+    """--quiet stdout of every command on the bundled instances, byte for
+    byte (stats.lp_solves included); check --quiet prints nothing."""
+    argv = GOLDEN_COMMANDS[command] + [_instance(f"{instance}.pblp"), "--quiet"]
+    assert cli_main(argv) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out == (GOLDEN_DIR / f"{instance}.{command}.out").read_text()
+
+
 def test_cli_plot_out_writes_the_plot_file(tmp_path, capsys):
     target = tmp_path / "plot.txt"
     code = cli_main(
