@@ -2,11 +2,12 @@
 
 Nothing here shares logic with the component/interval code: vertices come
 from exhaustive basis enumeration, extreme nondominated images from
-re-deriving each candidate's component against the full vertex image set,
-and the parametric picture from solving the biobjective problem from
-scratch on a lambda grid.  Slow on purpose, exact on purpose.  Candidate
-bases are solved by lp_core's fraction-free elimination, a primitive of
-the LP engine, not of wsd or breakpoints.
+re-deriving each candidate's component against the vertex images that no
+other vertex image dominates componentwise, and the parametric picture
+from solving the biobjective problem from scratch on a lambda grid.  Slow
+on purpose, exact on purpose.  Candidate bases are solved by lp_core's
+fraction-free elimination, a primitive of the LP engine, not of wsd or
+breakpoints.
 """
 
 from __future__ import annotations
@@ -146,16 +147,25 @@ def extreme_nondominated_bruteforce(
 ) -> tuple[Point3, ...]:
     """Extreme nondominated images from first principles.
 
-    Enumerate all vertices, map them through the cost rows, and keep the
-    images whose component against the complete image list has positive
-    area.  The feasible set must be bounded, so its image is the convex
-    hull of the vertex images and the component test is exact.
+    Enumerate all vertices, map them through the cost rows, drop every
+    image that another one dominates componentwise, and keep the images
+    whose component against the remaining list has positive area.  The
+    feasible set must be bounded, so its image is the convex hull of the
+    vertex images and the component test is exact.  The Pareto filter
+    changes no result: with w >= 0 a dominated image's component lies in
+    the simplex boundary (zero area), and its half-plane w.x <= w.y is
+    implied by its dominator z's, w.x <= w.z <= w.y, so it never binds.
     """
     verts = enumerate_vertices_bruteforce(t.rows, t.rhs, t.senses, t.n, max_bases)
     images = sorted({t.image(x) for x in verts.vertices})
+    # a dominator is lexicographically smaller, so only earlier ones count
+    pareto = [
+        y for i, y in enumerate(images)
+        if not any(all(a <= b for a, b in zip(z, y)) for z in images[:i])
+    ]
     keep = []
-    for y in images:
-        others = [z for z in images if z != y]
+    for y in pareto:
+        others = [z for z in pareto if z != y]
         if component_vertices(y, others).area() > 0:
             keep.append(y)
     return tuple(keep)

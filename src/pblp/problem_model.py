@@ -168,14 +168,6 @@ class Weight2:
         return Weight3(self.w1, self.w2, 1 - self.w1 - self.w2)
 
 
-def w3(a, b, c) -> Weight3:
-    return Weight3(Fraction(a), Fraction(b), Fraction(c))
-
-
-def w2(a, b) -> Weight2:
-    return Weight2(Fraction(a), Fraction(b))
-
-
 @dataclass(frozen=True)
 class Segment2:
     """A nondegenerate segment in the projected simplex."""

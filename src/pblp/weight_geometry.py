@@ -4,7 +4,9 @@ Components of the weight-set decomposition live in the triangle
 {(w1, w2) : w1, w2 >= 0, w1 + w2 <= 1} (the third weight is implicit).
 Everything here is exact: half-plane clipping, canonical convex polygons,
 shoelace areas, and the lifted H-representation of a component over
-(v, w) used by the LP-based interval method.
+(v, w) used by the LP-based interval method.  A clip is one
+Sutherland-Hodgman pass followed by a linear canonicalization, not the
+sorting hull that ConvexPolygon2.from_points takes of a point soup.
 """
 
 from __future__ import annotations
@@ -130,31 +132,43 @@ def simplex_triangle() -> ConvexPolygon2:
 
 
 def clip_polygon(poly: ConvexPolygon2, hp: HalfPlane) -> ConvexPolygon2:
-    """Intersect a polygon with one half-plane (Sutherland-Hodgman)."""
-    if poly.is_empty():
-        return poly
-    if hp.is_trivial():
-        return poly if hp.rhs >= 0 else ConvexPolygon2(())
+    """Intersect a polygon with one half-plane in linear time.
+
+    Each vertex is evaluated against the plane once.  A plane that leaves
+    every vertex inside returns poly itself, and one that leaves every
+    vertex strictly outside returns the empty polygon.  Otherwise one
+    Sutherland-Hodgman pass (Sutherland and Hodgman, CACM 1974) reuses
+    those values for the crossing points.  Clipping keeps a convex
+    counterclockwise polygon convex and counterclockwise, so the canonical
+    form needs no hull: drop repeated points (a vertex on the line is
+    emitted twice) and collinear ones (left by a polygon built with extra
+    points on its edges), then rotate to the smallest vertex.  Fewer than
+    three points leave a sorted point or segment.
+    """
     vs = poly.vertices
-    if len(vs) == 1:
-        return poly if hp.contains(vs[0]) else ConvexPolygon2(())
+    d = [hp.a1 * x + hp.a2 * y - hp.rhs for x, y in vs]
+    if all(v <= 0 for v in d):
+        return poly
+    if all(v > 0 for v in d):
+        return ConvexPolygon2(())
     out: list[Point2] = []
-    count = len(vs)
-    for i in range(count if count > 2 else 1):
-        s = vs[i]
-        e = vs[(i + 1) % count]
-        s_in, e_in = hp.contains(s), hp.contains(e)
-        if s_in:
-            out.append(s)
-        if s_in != e_in:
-            ds = hp.a1 * s[0] + hp.a2 * s[1] - hp.rhs
-            de = hp.a1 * e[0] + hp.a2 * e[1] - hp.rhs
+    for i, (e, de) in enumerate(zip(vs, d)):  # edge vs[i-1] -> vs[i]
+        s, ds = vs[i - 1], d[i - 1]
+        if (ds > 0) != (de > 0):
             t = ds / (ds - de)
             out.append((s[0] + t * (e[0] - s[0]), s[1] + t * (e[1] - s[1])))
-    if count == 2:  # open segment, also keep a satisfied far endpoint
-        if hp.contains(vs[1]):
-            out.append(vs[1])
-    return ConvexPolygon2.from_points(out)
+        if de <= 0:
+            out.append(e)
+    pts = [p for i, p in enumerate(out) if p != out[i - 1]] or out[:1]
+    count = len(pts)
+    hull = [
+        p for i, p in enumerate(pts)
+        if _cross(pts[i - 1], p, pts[(i + 1) % count]) != 0
+    ]
+    if len(hull) < 3:  # a point or a segment: its sorted extremes
+        return ConvexPolygon2(tuple(sorted({min(pts), max(pts)})))
+    start = hull.index(min(hull))
+    return ConvexPolygon2(tuple(hull[start:] + hull[:start]))
 
 
 def intersect_polygons(a: ConvexPolygon2, b: ConvexPolygon2) -> ConvexPolygon2:
@@ -170,25 +184,30 @@ def intersect_polygons(a: ConvexPolygon2, b: ConvexPolygon2) -> ConvexPolygon2:
 # -- components ------------------------------------------------------------
 
 
+def competitor_halfplane(y: Point3, other: Point3) -> HalfPlane:
+    """The weights where y is no worse than other, w.y <= w.other.
+
+    Projecting out w3 = 1 - w1 - w2 turns the condition into
+    (D1 - D3) w1 + (D2 - D3) w2 <= -D3 with D = y - other.
+    """
+    d = tuple(a - b for a, b in zip(y, other))
+    return HalfPlane(d[0] - d[2], d[1] - d[2], -d[2])
+
+
 def component_halfplanes(y: Point3, others) -> list[HalfPlane]:
     """Half-planes whose intersection is the component of y.
 
-    For a competitor y' the condition w.y <= w.y' becomes, after
-    projecting out w3 = 1 - w1 - w2,
-
-        (D1 - D3) w1 + (D2 - D3) w2 <= -D3   with  D = y - y'.
-
-    A competitor equal to y + t*(1,1,1) yields the degenerate plane
-    0 <= -t, trivially true for shifts upward.  The three bounds of the
-    projected simplex close the list, so intersecting everything over
-    the whole plane gives the component directly.
+    One competitor_halfplane per competitor y' other than y.  A competitor
+    equal to y + t*(1,1,1) yields the degenerate plane 0 <= -t, trivially
+    true for shifts upward.  The three bounds of the projected simplex
+    close the list, so intersecting everything over the whole plane gives
+    the component directly.
     """
-    out = []
-    for other in others:
-        if tuple(other) == tuple(y):
-            continue
-        d = tuple(a - b for a, b in zip(y, other))
-        out.append(HalfPlane(d[0] - d[2], d[1] - d[2], -d[2]))
+    out = [
+        competitor_halfplane(y, other)
+        for other in others
+        if tuple(other) != tuple(y)
+    ]
     zero, one = Fraction(0), Fraction(1)
     out.append(HalfPlane(-one, zero, zero))  # w1 >= 0
     out.append(HalfPlane(zero, -one, zero))  # w2 >= 0

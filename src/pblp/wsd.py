@@ -25,7 +25,7 @@ from .weight_geometry import (
     Point2,
     Point3,
     clip_polygon,
-    component_halfplanes,
+    competitor_halfplane,
     component_vertices,
 )
 
@@ -145,7 +145,7 @@ def decompose(t: Tolp) -> Decomposition:
         if y in points:
             raise InvariantViolation(f"tiling admitted known image {y}")
         polygons = [
-            clip_polygon(poly, component_halfplanes(entry.image, [y])[0])
+            clip_polygon(poly, competitor_halfplane(entry.image, y))
             for entry, poly in zip(known, polygons)
         ]
         known.append(challenger)

@@ -29,9 +29,8 @@ from pblp import (
     solve_on_decomposition,
     sweep_lambda,
 )
-from pblp.problem_model import w2, w3
 from pblp.weight_geometry import intersect_polygons
-from conftest import load_instance
+from conftest import load_instance, w2, w3
 from instance_gen import random_pblp
 
 F = Fraction

@@ -22,7 +22,7 @@ from pblp import (
 )
 from pblp.breakpoints import ParameterInterval
 from pblp.errors import NoFiniteVertex
-from pblp.problem_model import w3
+from conftest import w3
 from pblp.weight_geometry import ConvexPolygon2
 from instance_gen import random_pblp
 

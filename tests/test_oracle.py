@@ -1,5 +1,6 @@
 """Brute-force oracles: vertex enumeration, extreme images, grid sweeps."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,8 @@ from pblp import (
     sweep_lambda,
 )
 from pblp.errors import TooLarge, UnboundedFeasibleSet
+from pblp.weight_geometry import component_vertices
+from instance_gen import random_pblp
 
 F = Fraction
 
@@ -93,6 +96,63 @@ def test_extreme_images_drop_dominated_vertices():
     images = extreme_nondominated_bruteforce(build_tolp(p))
     assert (F(0), F(0), F(0)) in images
     assert (F(1), F(1), F(2)) not in images
+
+
+def _unfiltered_extreme_images(t):
+    """The image oracle without its Pareto filter: every vertex image's
+    component is tested against all the others."""
+    verts = enumerate_vertices_bruteforce(t.rows, t.rhs, t.senses, t.n)
+    images = sorted({t.image(x) for x in verts.vertices})
+    return tuple(
+        y
+        for y in images
+        if component_vertices(y, [z for z in images if z != y]).area() > 0
+    )
+
+
+def _dominated_images(t):
+    verts = enumerate_vertices_bruteforce(t.rows, t.rhs, t.senses, t.n)
+    images = {t.image(x) for x in verts.vertices}
+    return [
+        y for y in images
+        if any(z != y and all(a <= b for a, b in zip(z, y)) for z in images)
+    ]
+
+
+def test_pareto_filter_keeps_the_extreme_images_of_the_acceptance_family():
+    rng = random.Random(1405)
+    with_dominated = 0
+    for trial in range(40):
+        case = Case.ONE if trial % 2 == 0 else Case.TWO
+        t = build_tolp(random_pblp(rng, case))
+        assert extreme_nondominated_bruteforce(t) == _unfiltered_extreme_images(t)
+        with_dominated += bool(_dominated_images(t))
+    assert with_dominated >= 10  # the filter has work to do in this family
+
+
+def test_pareto_filter_drops_dominated_and_shifted_images():
+    # the simplex x >= 0, x1 + ... + x4 <= 1: vertex e_j maps to column j
+    # of (c1, c2, d1), the origin to (0, 0, 0)
+    p = Pblp(
+        case=Case.TWO,
+        n=4,
+        rows=((F(1),) * 4,),
+        rhs=(F(1),),
+        senses=(Sense.LE,),
+        c1=(F(1), F(0), F(-1), F(2)),
+        c2=(F(1), F(1), F(2), F(-1)),
+        d1=(F(1), F(2), F(-1), F(0)),
+    )
+    t = build_tolp(p)
+    shifted, dominated = (F(1), F(1), F(1)), (F(0), F(1), F(2))
+    assert sorted(_dominated_images(t)) == [dominated, shifted]
+    images = extreme_nondominated_bruteforce(t)
+    assert images == _unfiltered_extreme_images(t)
+    assert images == (
+        (F(-1), F(2), F(-1)),
+        (F(0), F(0), F(0)),
+        (F(2), F(-1), F(0)),
+    )
 
 
 def test_dichotomic_finds_both_corners_and_the_middle(example2):

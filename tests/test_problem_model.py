@@ -21,7 +21,8 @@ from pblp import (
     ws_scalarize,
 )
 from pblp.errors import BadCase, DimensionMismatch, NegativeParameter
-from pblp.problem_model import Weight2, Weight3, ge_form, w2, w3
+from pblp.problem_model import Weight2, Weight3, ge_form
+from conftest import w2, w3
 
 F = Fraction
 

@@ -147,6 +147,106 @@ def test_clipping_shrinks_and_respects_the_halfplane(points, plane):
     assert again.vertices == clipped.vertices
 
 
+def _reference_clip(poly, hp):
+    """The clip as it was before its linear canonicalization: one
+    Sutherland-Hodgman pass, then the sorting hull of from_points."""
+    if poly.is_empty():
+        return poly
+    if hp.is_trivial():
+        return poly if hp.rhs >= 0 else ConvexPolygon2(())
+    vs = poly.vertices
+    if len(vs) == 1:
+        return poly if hp.contains(vs[0]) else ConvexPolygon2(())
+    out = []
+    count = len(vs)
+    for i in range(count if count > 2 else 1):
+        s = vs[i]
+        e = vs[(i + 1) % count]
+        s_in, e_in = hp.contains(s), hp.contains(e)
+        if s_in:
+            out.append(s)
+        if s_in != e_in:
+            ds = hp.a1 * s[0] + hp.a2 * s[1] - hp.rhs
+            de = hp.a1 * e[0] + hp.a2 * e[1] - hp.rhs
+            t = ds / (ds - de)
+            out.append((s[0] + t * (e[0] - s[0]), s[1] + t * (e[1] - s[1])))
+    if count == 2:
+        if hp.contains(vs[1]):
+            out.append(vs[1])
+    return ConvexPolygon2.from_points(out)
+
+
+def _plane_through(a1, a2, pt, flip=1):
+    a1, a2 = flip * F(a1), flip * F(a2)
+    return HalfPlane(a1, a2, a1 * pt[0] + a2 * pt[1])
+
+
+def _clip_cases(rng, count):
+    """Seeded canonical polygons (points, segments, triangles and larger)
+    with random planes, planes through one vertex, planes along an edge
+    in either orientation, and trivial planes."""
+
+    def coord():
+        return F(rng.randint(-6, 6), rng.randint(1, 3))
+
+    def small():
+        return rng.randint(-3, 3)
+
+    for trial in range(count):
+        size = rng.choice((1, 2, 3, 3, 5, 8))
+        poly = ConvexPolygon2.from_points(
+            [(coord(), coord()) for _ in range(size)]
+        )
+        vs = poly.vertices
+        kind = trial % 4
+        if kind == 0:
+            hp = HalfPlane(F(small()), F(small()), coord())
+        elif kind == 1:
+            hp = _plane_through(small(), small(), rng.choice(vs))
+        elif kind == 2 and len(vs) > 1:
+            i = rng.randrange(len(vs))
+            (x1, y1), (x2, y2) = vs[i - 1], vs[i]
+            hp = _plane_through(y2 - y1, x1 - x2, vs[i], rng.choice((1, -1)))
+        else:
+            hp = HalfPlane(F(0), F(0), F(rng.randint(-1, 1)))
+        yield poly, hp
+
+
+def test_linear_clip_matches_the_hull_clip():
+    rng = random.Random(20)
+    shapes = set()
+    for poly, hp in _clip_cases(rng, 3000):
+        clipped = clip_polygon(poly, hp)
+        assert clipped.vertices == _reference_clip(poly, hp).vertices, (poly, hp)
+        shapes.add((len(poly.vertices), len(clipped.vertices)))
+    for size in (1, 2, 3, 4):  # inputs and results of every small size
+        assert any(n_in == size for n_in, _ in shapes)
+        assert any(n_out == size for _, n_out in shapes)
+    assert any(n_out == 0 for _, n_out in shapes)
+
+
+def test_a_cut_canonicalizes_redundant_boundary_points():
+    """A polygon built directly with extra points on its edges still comes
+    out of a cut in canonical form, as the hull clip gives it."""
+    rng = random.Random(21)
+    cuts = 0
+    for poly, hp in _clip_cases(rng, 2000):
+        vs = poly.vertices
+        if len(vs) < 3:
+            continue
+        padded = []
+        for i, v in enumerate(vs):
+            w = vs[(i + 1) % len(vs)]
+            padded += [v, ((v[0] + w[0]) / 2, (v[1] + w[1]) / 2)]
+        redundant = ConvexPolygon2(tuple(padded))
+        if all(hp.contains(v) for v in padded):
+            continue  # an uncut polygon is returned as it is
+        cuts += 1
+        expected = _reference_clip(redundant, hp).vertices
+        assert clip_polygon(redundant, hp).vertices == expected
+    assert cuts > 500
+
+
 def test_component_halfplanes_known_values():
     y = (F(5), F(10), F(0))
     others = [(F(0), F(5), F(5)), (F(15), F(0), F(2))]

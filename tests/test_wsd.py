@@ -17,7 +17,8 @@ from pblp import (
 from pblp import lp_core
 from pblp.errors import InfeasibleProblem, UnboundedScalarization
 from pblp.lp_core import FeasibleSystem
-from pblp.problem_model import Weight2, w3, ws_scalarize
+from pblp.problem_model import Weight2, ws_scalarize
+from conftest import w3
 from pblp.weight_geometry import (
     component_vertices,
     intersect_polygons,
