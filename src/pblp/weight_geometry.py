@@ -4,15 +4,18 @@ Components of the weight-set decomposition live in the triangle
 {(w1, w2) : w1, w2 >= 0, w1 + w2 <= 1} (the third weight is implicit).
 Everything here is exact: half-plane clipping, canonical convex polygons,
 shoelace areas, and the lifted H-representation of a component over
-(v, w) used by the LP-based interval method.  A clip is one
-Sutherland-Hodgman pass followed by a linear canonicalization, not the
-sorting hull that ConvexPolygon2.from_points takes of a point soup.
+(v, w) used by the LP-based interval method.  Vertices are canonical
+Fraction pairs, but clips, areas and edge half-planes compute in plain
+ints, in the exact-geometric-computation style (Yap, Towards exact
+geometric computation, 1997): points as homogeneous integer triples,
+half-planes and polygons scaled by positive common denominators.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .problem_model import Tolp, ge_form
 
@@ -33,15 +36,23 @@ class HalfPlane:
     a2: Fraction
     rhs: Fraction
 
-    def contains(self, pt: Point2) -> bool:
-        return self.a1 * pt[0] + self.a2 * pt[1] <= self.rhs
 
-    def is_trivial(self) -> bool:
-        return self.a1 == 0 and self.a2 == 0
+def _homogeneous(x: Fraction, y: Fraction) -> tuple[int, int, int]:
+    """(x, y) as (X, Y, W) with W > 0 and gcd(X, Y, W) = 1."""
+    w = lcm(x.denominator, y.denominator)
+    return x.numerator * (w // x.denominator), y.numerator * (w // y.denominator), w
 
 
-def _cross(o: Point2, a: Point2, b: Point2) -> Fraction:
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+def _det3(p, q, r) -> int:
+    """Twice the signed area of p, q, r times the product of their W."""
+    (x1, y1, w1), (x2, y2, w2), (x3, y3, w3) = p, q, r
+    return x1 * (y2 * w3 - w2 * y3) - y1 * (x2 * w3 - w2 * x3) + w1 * (x2 * y3 - y2 * x3)
+
+
+def _integral(values) -> tuple[int, list[int]]:
+    """A positive common denominator of values and their numerators over it."""
+    scale = lcm(*(v.denominator for v in values))
+    return scale, [v.numerator * (scale // v.denominator) for v in values]
 
 
 @dataclass(frozen=True)
@@ -56,73 +67,31 @@ class ConvexPolygon2:
 
     vertices: tuple[Point2, ...]
 
-    @staticmethod
-    def from_points(points) -> "ConvexPolygon2":
-        """Canonicalize an arbitrary point soup via exact convex hull."""
-        pts = sorted(set((Fraction(a), Fraction(b)) for a, b in points))
-        if len(pts) <= 2:
-            return ConvexPolygon2(tuple(pts))
-        lower: list[Point2] = []
-        for p in pts:
-            while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) <= 0:
-                lower.pop()
-            lower.append(p)
-        upper: list[Point2] = []
-        for p in reversed(pts):
-            while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= 0:
-                upper.pop()
-            upper.append(p)
-        hull = lower[:-1] + upper[:-1]
-        if len(hull) <= 2:
-            # All points collinear: keep the two extremes of the sort.
-            return ConvexPolygon2((pts[0], pts[-1]))
-        start = hull.index(min(hull))
-        return ConvexPolygon2(tuple(hull[start:] + hull[:start]))
-
     def is_empty(self) -> bool:
         return not self.vertices
 
     def area(self) -> Fraction:
-        if len(self.vertices) < 3:
+        vs = self.vertices
+        if len(vs) < 3:
             return Fraction(0)
-        twice = Fraction(0)
-        vs = self.vertices
-        for i in range(len(vs)):
-            x1, y1 = vs[i]
-            x2, y2 = vs[(i + 1) % len(vs)]
-            twice += x1 * y2 - x2 * y1
-        return twice / 2
-
-    def contains(self, pt: Point2) -> bool:
-        vs = self.vertices
-        if not vs:
-            return False
-        if len(vs) == 1:
-            return pt == vs[0]
-        if len(vs) == 2:
-            a, b = vs
-            if _cross(a, b, pt) != 0:
-                return False
-            return (
-                min(a[0], b[0]) <= pt[0] <= max(a[0], b[0])
-                and min(a[1], b[1]) <= pt[1] <= max(a[1], b[1])
-            )
-        for i in range(len(vs)):
-            if _cross(vs[i], vs[(i + 1) % len(vs)], pt) < 0:
-                return False
-        return True
+        scale, flat = _integral([c for v in vs for c in v])
+        xs, ys = flat[0::2], flat[1::2]
+        twice = sum(xs[i - 1] * ys[i] - xs[i] * ys[i - 1] for i in range(len(vs)))
+        return Fraction(twice, 2 * scale * scale)
 
     def edge_halfplanes(self) -> list[HalfPlane]:
         """Inward half-planes of a full-dimensional polygon's edges."""
-        vs = self.vertices
+        scale, flat = _integral([c for v in self.vertices for c in v])
+        pts = list(zip(flat[0::2], flat[1::2]))
         out = []
-        for i in range(len(vs)):
-            (x1, y1), (x2, y2) = vs[i], vs[(i + 1) % len(vs)]
+        for (x1, y1), (x2, y2) in zip(pts, pts[1:] + pts[:1]):
             # CCW edge: the inside is its left side, which rearranges to
-            # (y2-y1) w1 + (x1-x2) w2 <= (y2-y1) x1 + (x1-x2) y1.
-            a1 = y2 - y1
-            a2 = x1 - x2
-            out.append(HalfPlane(a1, a2, a1 * x1 + a2 * y1))
+            # (y2-y1) w1 + (x1-x2) w2 <= (y2-y1) x1 + (x1-x2) y1; over the
+            # common denominator, times its square, the plane is integral.
+            a1, a2 = y2 - y1, x1 - x2
+            out.append(HalfPlane(
+                Fraction(a1 * scale), Fraction(a2 * scale), Fraction(a1 * x1 + a2 * y1)
+            ))
         return out
 
 
@@ -134,39 +103,58 @@ def simplex_triangle() -> ConvexPolygon2:
 def clip_polygon(poly: ConvexPolygon2, hp: HalfPlane) -> ConvexPolygon2:
     """Intersect a polygon with one half-plane in linear time.
 
-    Each vertex is evaluated against the plane once.  A plane that leaves
-    every vertex inside returns poly itself, and one that leaves every
-    vertex strictly outside returns the empty polygon.  Otherwise one
-    Sutherland-Hodgman pass (Sutherland and Hodgman, CACM 1974) reuses
-    those values for the crossing points.  Clipping keeps a convex
-    counterclockwise polygon convex and counterclockwise, so the canonical
-    form needs no hull: drop repeated points (a vertex on the line is
-    emitted twice) and collinear ones (left by a polygon built with extra
-    points on its edges), then rotate to the smallest vertex.  Fewer than
-    three points leave a sorted point or segment.
+    The plane, scaled by the lcm of its denominators, is (c1, c2, r) in
+    ints.  Each vertex, read as (X, Y, W) with W > 0, is evaluated once
+    as D = c1*X + c2*Y - r*W; both scales are positive, so D has the
+    sign of a1*x + a2*y - rhs.  A plane that leaves every vertex inside
+    returns poly itself, and one that leaves every vertex strictly
+    outside the empty polygon.  Otherwise one Sutherland-Hodgman pass
+    (Sutherland and Hodgman, CACM 1974) reuses the D: edge s -> e
+    crosses the line at Ds*e - De*s, negated to W > 0 and divided by
+    the gcd of its entries.  A convex counterclockwise polygon stays so,
+    and the canonical form needs no hull: drop repeated triples (a
+    vertex on the line is emitted twice) and collinear ones, whose 3x3
+    determinant vanishes (left by a polygon built with extra points on
+    its edges), then rotate to the smallest vertex.  Fewer than three
+    points leave a sorted point or segment.  Only the crossing points
+    become Fraction pairs.
     """
     vs = poly.vertices
-    d = [hp.a1 * x + hp.a2 * y - hp.rhs for x, y in vs]
+    _, (c1, c2, r) = _integral((hp.a1, hp.a2, hp.rhs))
+    hs = [_homogeneous(x, y) for x, y in vs]
+    d = [c1 * x + c2 * y - r * w for x, y, w in hs]
     if all(v <= 0 for v in d):
         return poly
     if all(v > 0 for v in d):
         return ConvexPolygon2(())
-    out: list[Point2] = []
-    for i, (e, de) in enumerate(zip(vs, d)):  # edge vs[i-1] -> vs[i]
-        s, ds = vs[i - 1], d[i - 1]
+    out: list[tuple[int, int, int]] = []
+    original: dict[tuple[int, int, int], Point2] = {}
+    for i, (e, de) in enumerate(zip(hs, d)):  # edge vs[i-1] -> vs[i]
+        s, ds = hs[i - 1], d[i - 1]
         if (ds > 0) != (de > 0):
-            t = ds / (ds - de)
-            out.append((s[0] + t * (e[0] - s[0]), s[1] + t * (e[1] - s[1])))
+            x = ds * e[0] - de * s[0]
+            y = ds * e[1] - de * s[1]
+            w = ds * e[2] - de * s[2]
+            if w < 0:
+                x, y, w = -x, -y, -w
+            g = gcd(x, y, w)
+            out.append((x // g, y // g, w // g))
         if de <= 0:
             out.append(e)
+            original[e] = vs[i]
     pts = [p for i, p in enumerate(out) if p != out[i - 1]] or out[:1]
+
+    def pair(p):
+        return original.get(p) or (Fraction(p[0], p[2]), Fraction(p[1], p[2]))
+
     count = len(pts)
     hull = [
-        p for i, p in enumerate(pts)
-        if _cross(pts[i - 1], p, pts[(i + 1) % count]) != 0
+        pair(p) for i, p in enumerate(pts)
+        if _det3(pts[i - 1], p, pts[(i + 1) % count]) != 0
     ]
     if len(hull) < 3:  # a point or a segment: its sorted extremes
-        return ConvexPolygon2(tuple(sorted({min(pts), max(pts)})))
+        points = [pair(p) for p in pts]
+        return ConvexPolygon2(tuple(sorted({min(points), max(points)})))
     start = hull.index(min(hull))
     return ConvexPolygon2(tuple(hull[start:] + hull[:start]))
 

@@ -110,16 +110,16 @@ def decompose(t: Tolp) -> Decomposition:
 
     centroid = Weight3(Fraction(1, 3), Fraction(1, 3), Fraction(1, 3))
     known: list[ExtremeImage] = [find_extreme_image(t, centroid, system)]
-    # One LP certificate per distinct vertex, ever: w -> (value, image idx
-    # into discovered order is not stable, so keep the record itself).
-    cache: dict[Point2, tuple[Fraction, ExtremeImage]] = {}
+    # One LP certificate per distinct vertex, ever: w -> (lifted weight,
+    # value, image record; an index into discovered order is not stable).
+    cache: dict[Point2, tuple[Weight3, Fraction, ExtremeImage]] = {}
 
     def certificate(vertex: Point2):
         rec = cache.get(vertex)
         if rec is None:
             w = Weight2(*vertex).lift()
             found = find_extreme_image(t, w, system)
-            rec = (_dot3(w, found.image), found)
+            rec = (w, _dot3(w, found.image), found)
             cache[vertex] = rec
         return rec
 
@@ -128,15 +128,21 @@ def decompose(t: Tolp) -> Decomposition:
     # is exact and ConvexPolygon2 canonical, so the tiling is the same.
     points = [known[0].image]
     polygons = [component_vertices(known[0].image, points)]
+    # certified[i]: vertices that passed against known[i].  A pass depends
+    # on the image and the vertex alone, so later rounds skip the pair and
+    # find the same first failure, hence the same challenger.
+    certified: list[set[Point2]] = [set()]
     while True:
         challenger = None
-        for entry, poly in zip(known, polygons):
+        for entry, poly, done in zip(known, polygons, certified):
             for vertex in poly.vertices:
-                best_value, best = certificate(vertex)
-                own_value = _dot3(Weight2(*vertex).lift(), entry.image)
-                if best_value < own_value:
+                if vertex in done:
+                    continue
+                w, best_value, best = certificate(vertex)
+                if best_value < _dot3(w, entry.image):
                     challenger = best
                     break
+                done.add(vertex)
             if challenger is not None:
                 break
         if challenger is None:
@@ -149,6 +155,7 @@ def decompose(t: Tolp) -> Decomposition:
             for entry, poly in zip(known, polygons)
         ]
         known.append(challenger)
+        certified.append(set())
         points.append(y)
         polygons.append(component_vertices(y, points))
 

@@ -22,8 +22,7 @@ from pblp import (
 )
 from pblp.breakpoints import ParameterInterval
 from pblp.errors import NoFiniteVertex
-from conftest import w3
-from pblp.weight_geometry import ConvexPolygon2
+from conftest import hull_of, w3
 from instance_gen import random_pblp
 
 F = Fraction
@@ -132,7 +131,7 @@ def test_lp_route_spends_two_solves_per_image(example2, example2_case1):
 def test_interval_vertex_skips_the_undefined_corner():
     # vertices (0,1) [no lambda] and (1/2,1/2) [lambda 0] and (0,0)
     # [lambda inf] together give [0, inf)
-    poly = ConvexPolygon2.from_points(
+    poly = hull_of(
         [(F(0), F(1)), (F(1, 2), F(1, 2)), (F(0), F(0))]
     )
     assert interval_vertex(Case.ONE, poly) == (F(0), INF)
@@ -140,7 +139,7 @@ def test_interval_vertex_skips_the_undefined_corner():
 
 def test_interval_vertex_without_finite_lambdas():
     # the corner (0,1) alone encodes no lambda for case ONE
-    point = ConvexPolygon2.from_points([(F(0), F(1))])
+    point = hull_of([(F(0), F(1))])
     with pytest.raises(NoFiniteVertex):
         interval_vertex(Case.ONE, point)
 

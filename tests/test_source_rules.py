@@ -1,13 +1,18 @@
 """Rules the package source keeps: every failure is a typed PblpError,
 never an assert (which python -O strips), and no float decides
 anything, so float() appears only in the lossy plot comments of
-cli_io.emit_plot_data."""
+cli_io.emit_plot_data.  Two modules also keep their layer: the vertex
+oracle shares no logic with the decomposition and the interval routes
+it cross-checks, and the weight geometry builds only on the problem
+records and the numerics."""
 
 import ast
 import pathlib
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "pblp"
 FLOAT_ALLOWED = {("cli_io", "emit_plot_data")}
+IMPORTS_FORBIDDEN = {"oracle": {"wsd", "breakpoints"}}
+IMPORTS_ALLOWED = {"weight_geometry": {"problem_model", "numerics"}}
 
 
 def _violations(path: pathlib.Path) -> list[str]:
@@ -52,4 +57,70 @@ def test_the_rules_see_what_they_forbid(tmp_path):
     assert _violations(bad) == [
         "cli_io.py:4: assert statement",
         "cli_io.py:5: float() call",
+    ]
+
+
+def _pblp_imports(tree):
+    """(line, pblp module) for every import of a pblp module in tree."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == "pblp" and len(parts) > 1:
+                    yield node.lineno, parts[1]
+        elif isinstance(node, ast.ImportFrom):
+            parts = (node.module or "").split(".")
+            if node.level == 0 and parts[0] != "pblp":
+                continue
+            if node.level == 0:
+                parts = parts[1:]
+            if parts and parts[0]:
+                yield node.lineno, parts[0]
+            else:  # from . import a, b / from pblp import a, b
+                for alias in node.names:
+                    yield node.lineno, alias.name
+
+
+def _layering_violations(path: pathlib.Path) -> list[str]:
+    module = path.stem
+    forbidden = IMPORTS_FORBIDDEN.get(module, set())
+    allowed = IMPORTS_ALLOWED.get(module)
+    return [
+        f"{path.name}:{line}: imports {name}"
+        for line, name in sorted(_pblp_imports(ast.parse(path.read_text(), filename=str(path))))
+        if name in forbidden or (allowed is not None and name not in allowed)
+    ]
+
+
+def test_oracle_and_geometry_keep_their_layers():
+    modules = (*IMPORTS_FORBIDDEN, *IMPORTS_ALLOWED)
+    found = [line for m in modules for line in _layering_violations(SRC / f"{m}.py")]
+    assert found == []
+
+
+def test_the_layering_rule_sees_what_it_forbids(tmp_path):
+    oracle = tmp_path / "oracle.py"
+    oracle.write_text(
+        "from .lp_core import solve_square\n"
+        "from .wsd import decompose\n"
+        "def f():\n"
+        "    from . import breakpoints, numerics\n"
+        "import pblp.wsd\n"
+    )
+    assert _layering_violations(oracle) == [
+        "oracle.py:2: imports wsd",
+        "oracle.py:4: imports breakpoints",
+        "oracle.py:5: imports wsd",
+    ]
+    geometry = tmp_path / "weight_geometry.py"
+    geometry.write_text(
+        "from fractions import Fraction\n"
+        "from .problem_model import Tolp\n"
+        "from .numerics import INF\n"
+        "from .lp_core import solve_lp\n"
+        "from pblp import errors\n"
+    )
+    assert _layering_violations(geometry) == [
+        "weight_geometry.py:4: imports lp_core",
+        "weight_geometry.py:5: imports errors",
     ]

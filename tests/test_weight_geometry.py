@@ -23,6 +23,8 @@ from pblp import (
 )
 from pblp.weight_geometry import intersect_polygons
 
+from conftest import hull_of, plane_contains, plane_is_trivial, polygon_contains
+
 F = Fraction
 
 
@@ -46,7 +48,7 @@ def hrep_feasible_at(h, w):
 def test_hull_is_canonical_regardless_of_input_order():
     pts = [(F(0), F(0)), (F(2), F(0)), (F(2), F(2)), (F(0), F(2)), (F(1), F(1))]
     rng = random.Random(3)
-    reference = ConvexPolygon2.from_points(pts)
+    reference = hull_of(pts)
     assert reference.vertices == (
         (F(0), F(0)),
         (F(2), F(0)),
@@ -55,23 +57,23 @@ def test_hull_is_canonical_regardless_of_input_order():
     )
     for _ in range(10):
         rng.shuffle(pts)
-        assert ConvexPolygon2.from_points(pts + pts).vertices == reference.vertices
+        assert hull_of(pts + pts).vertices == reference.vertices
 
 
 def test_hull_drops_collinear_interior_points():
     pts = [(F(0), F(0)), (F(1), F(0)), (F(2), F(0)), (F(0), F(2))]
-    poly = ConvexPolygon2.from_points(pts)
+    poly = hull_of(pts)
     assert poly.vertices == ((F(0), F(0)), (F(2), F(0)), (F(0), F(2)))
 
 
 def test_degenerate_hulls_are_points_and_segments():
-    point = ConvexPolygon2.from_points([(F(1), F(1)), (F(1), F(1))])
+    point = hull_of([(F(1), F(1)), (F(1), F(1))])
     assert point.vertices == ((F(1), F(1)),)
     assert point.area() == 0
-    seg = ConvexPolygon2.from_points([(F(0), F(0)), (F(2), F(2)), (F(1), F(1))])
+    seg = hull_of([(F(0), F(0)), (F(2), F(2)), (F(1), F(1))])
     assert seg.vertices == ((F(0), F(0)), (F(2), F(2)))
     assert seg.area() == 0
-    assert ConvexPolygon2.from_points([]).is_empty()
+    assert hull_of([]).is_empty()
 
 
 def test_simplex_triangle_area_is_one_half():
@@ -105,12 +107,12 @@ def test_clip_to_empty_and_to_lower_dimensions():
 
 def test_contains_handles_interior_boundary_and_outside():
     tri = simplex_triangle()
-    assert tri.contains((F(1, 4), F(1, 4)))
-    assert tri.contains((F(1, 2), F(1, 2)))  # on the hypotenuse
-    assert not tri.contains((F(3, 4), F(3, 4)))
-    seg = ConvexPolygon2.from_points([(F(0), F(0)), (F(2), F(2))])
-    assert seg.contains((F(1), F(1)))
-    assert not seg.contains((F(1), F(0)))
+    assert polygon_contains(tri, (F(1, 4), F(1, 4)))
+    assert polygon_contains(tri, (F(1, 2), F(1, 2)))  # on the hypotenuse
+    assert not polygon_contains(tri, (F(3, 4), F(3, 4)))
+    seg = hull_of([(F(0), F(0)), (F(2), F(2))])
+    assert polygon_contains(seg, (F(1), F(1)))
+    assert not polygon_contains(seg, (F(1), F(0)))
 
 
 def test_edge_halfplanes_recover_the_polygon():
@@ -122,7 +124,7 @@ def test_edge_halfplanes_recover_the_polygon():
     planes = tri.edge_halfplanes()
     assert len(planes) == 3
     for pt in grid:
-        assert tri.contains(pt) == all(hp.contains(pt) for hp in planes)
+        assert polygon_contains(tri, pt) == all(plane_contains(hp, pt) for hp in planes)
     assert intersect_polygons(rebuilt, tri).vertices == tri.vertices
 
 
@@ -136,12 +138,12 @@ coords = st.fractions(min_value=-3, max_value=3, max_denominator=12)
 def test_clipping_shrinks_and_respects_the_halfplane(points, plane):
     a1, a2, rhs = plane
     hp = HalfPlane(a1, a2, rhs)
-    poly = ConvexPolygon2.from_points(points)
+    poly = hull_of(points)
     clipped = clip_polygon(poly, hp)
     assert clipped.area() <= poly.area()
     for v in clipped.vertices:
-        assert hp.contains(v)
-        assert poly.contains(v)
+        assert plane_contains(hp, v)
+        assert polygon_contains(poly, v)
     # clipping is idempotent
     again = clip_polygon(clipped, hp)
     assert again.vertices == clipped.vertices
@@ -152,17 +154,17 @@ def _reference_clip(poly, hp):
     Sutherland-Hodgman pass, then the sorting hull of from_points."""
     if poly.is_empty():
         return poly
-    if hp.is_trivial():
+    if plane_is_trivial(hp):
         return poly if hp.rhs >= 0 else ConvexPolygon2(())
     vs = poly.vertices
     if len(vs) == 1:
-        return poly if hp.contains(vs[0]) else ConvexPolygon2(())
+        return poly if plane_contains(hp, vs[0]) else ConvexPolygon2(())
     out = []
     count = len(vs)
     for i in range(count if count > 2 else 1):
         s = vs[i]
         e = vs[(i + 1) % count]
-        s_in, e_in = hp.contains(s), hp.contains(e)
+        s_in, e_in = plane_contains(hp, s), plane_contains(hp, e)
         if s_in:
             out.append(s)
         if s_in != e_in:
@@ -171,9 +173,9 @@ def _reference_clip(poly, hp):
             t = ds / (ds - de)
             out.append((s[0] + t * (e[0] - s[0]), s[1] + t * (e[1] - s[1])))
     if count == 2:
-        if hp.contains(vs[1]):
+        if plane_contains(hp, vs[1]):
             out.append(vs[1])
-    return ConvexPolygon2.from_points(out)
+    return hull_of(out)
 
 
 def _plane_through(a1, a2, pt, flip=1):
@@ -194,7 +196,7 @@ def _clip_cases(rng, count):
 
     for trial in range(count):
         size = rng.choice((1, 2, 3, 3, 5, 8))
-        poly = ConvexPolygon2.from_points(
+        poly = hull_of(
             [(coord(), coord()) for _ in range(size)]
         )
         vs = poly.vertices
@@ -239,12 +241,101 @@ def test_a_cut_canonicalizes_redundant_boundary_points():
             w = vs[(i + 1) % len(vs)]
             padded += [v, ((v[0] + w[0]) / 2, (v[1] + w[1]) / 2)]
         redundant = ConvexPolygon2(tuple(padded))
-        if all(hp.contains(v) for v in padded):
+        if all(plane_contains(hp, v) for v in padded):
             continue  # an uncut polygon is returned as it is
         cuts += 1
         expected = _reference_clip(redundant, hp).vertices
         assert clip_polygon(redundant, hp).vertices == expected
     assert cuts > 500
+
+
+def _hard_coord(rng):
+    d = rng.randint(1, 10**6)
+    return F(rng.randint(-d, d), d)
+
+
+def _hard_coefficient(rng):
+    return F(rng.randint(-9, 9), rng.choice((1, rng.randint(1, 10**6))))
+
+
+def _hard_polygon(rng, sizes=(1, 2, 3, 3, 5, 8)):
+    return hull_of(
+        [(_hard_coord(rng), _hard_coord(rng)) for _ in range(rng.choice(sizes))]
+    )
+
+
+def _hard_clip_cases(rng, count):
+    """Seeded polygons in [-1, 1]^2 with mixed denominators up to 10**6,
+    and planes with fractional coefficients: random ones, ones through a
+    vertex, ones along an edge scaled by a random positive fraction in
+    either orientation, and zero-normal ones."""
+    for trial in range(count):
+        poly = _hard_polygon(rng)
+        vs = poly.vertices
+        kind = trial % 4
+        if kind == 0:
+            a1, a2 = _hard_coefficient(rng), _hard_coefficient(rng)
+            pt = (_hard_coord(rng), _hard_coord(rng))
+            hp = HalfPlane(a1, a2, a1 * pt[0] + a2 * pt[1])
+        elif kind == 1:
+            a1, a2 = _hard_coefficient(rng), _hard_coefficient(rng)
+            hp = _plane_through(a1, a2, rng.choice(vs))
+        elif kind == 2 and len(vs) > 1:
+            i = rng.randrange(len(vs))
+            (x1, y1), (x2, y2) = vs[i - 1], vs[i]
+            k = F(rng.randint(1, 10**6), rng.randint(1, 10**6)) * rng.choice((1, -1))
+            hp = _plane_through(k * (y2 - y1), k * (x1 - x2), vs[i])
+        else:
+            hp = HalfPlane(F(0), F(0), F(rng.randint(-1, 1), rng.randint(1, 10**6)))
+        yield poly, hp
+
+
+def test_integer_clip_matches_the_fraction_clip_on_hard_inputs():
+    rng = random.Random(22)
+    cuts = through_vertex = 0
+    for poly, hp in _hard_clip_cases(rng, 2000):
+        clipped = clip_polygon(poly, hp)
+        assert clipped.vertices == _reference_clip(poly, hp).vertices, (poly, hp)
+        if clipped.vertices and clipped.vertices != poly.vertices:
+            cuts += 1
+            through_vertex += any(
+                hp.a1 * x + hp.a2 * y == hp.rhs for x, y in poly.vertices
+            )
+    assert cuts > 500 and through_vertex > 300
+
+
+def test_area_matches_a_fraction_shoelace():
+    rng = random.Random(23)
+    for _ in range(300):
+        vs = _hard_polygon(rng).vertices
+        twice = F(0)
+        for i in range(len(vs) if len(vs) >= 3 else 0):
+            (x1, y1), (x2, y2) = vs[i], vs[(i + 1) % len(vs)]
+            twice += x1 * y2 - x2 * y1
+        assert ConvexPolygon2(vs).area() == twice / 2
+
+
+def test_intersect_polygons_matches_a_fraction_clip_by_clip_reference():
+    rng = random.Random(24)
+    nonempty = empty = 0
+    for _ in range(300):
+        a = _hard_polygon(rng)
+        b = _hard_polygon(rng, sizes=(3, 4, 5, 8))
+        if len(b.vertices) < 3:
+            continue
+        expected = a
+        vs = b.vertices
+        for i in range(len(vs)):
+            (x1, y1), (x2, y2) = vs[i], vs[(i + 1) % len(vs)]
+            hp = HalfPlane(y2 - y1, x1 - x2, (y2 - y1) * x1 + (x1 - x2) * y1)
+            expected = _reference_clip(expected, hp)
+            if expected.is_empty():
+                break
+        got = intersect_polygons(a, b)
+        assert got.vertices == expected.vertices, (a, b)
+        nonempty += len(got.vertices) >= 3
+        empty += got.is_empty()
+    assert nonempty > 100 and empty > 40
 
 
 def test_component_halfplanes_known_values():
@@ -264,7 +355,7 @@ def test_component_halfplanes_known_values():
 def test_uniform_shift_gives_a_trivial_halfplane():
     y = (F(1), F(2), F(3))
     planes = component_halfplanes(y, [(F(2), F(3), F(4))])
-    assert planes[0].is_trivial()
+    assert plane_is_trivial(planes[0])
     assert planes[0].rhs == 1  # 0 <= 1, satisfied everywhere
 
 
@@ -320,4 +411,4 @@ def test_hrep_projection_matches_the_polygon_on_a_grid(example2):
         h = component_hrep(t, entry.image)
         for w1, w2 in grid:
             lifted = (w1, w2, 1 - w1 - w2)
-            assert hrep_feasible_at(h, lifted) == poly.contains((w1, w2))
+            assert hrep_feasible_at(h, lifted) == polygon_contains(poly, (w1, w2))
