@@ -5,9 +5,10 @@ stays optimal for the parametric problem over one closed lambda interval
 [lower, upper] (upper possibly infinite).  Two independent routes compute
 it:
 
-  * the LP route works on a lifted H-representation of the component
-    (case TWO) or on an expanded primal LP over the original variables
-    (case ONE), two solves per image either way;
+  * the LP route minimizes and maximizes lambda, a linear-fractional
+    function of the weight in both cases, as one LP pair on the
+    component's lifted cone over one feasible system, two solves per
+    image;
   * the vertex route reads the interval off the component polygon's
     vertices through the exact weight-to-lambda correspondence.
 
@@ -27,18 +28,10 @@ from enum import Enum
 from fractions import Fraction
 
 from . import lp_core
-from .errors import EmptyComponent, InvariantViolation, NoFiniteVertex
+from .errors import EmptyComponent, NoFiniteVertex
 from .lp_core import FeasibleSystem, LinearProgram, LpStatus, Sense, solve_lp
 from .numerics import INF
-from .problem_model import (
-    Case,
-    Pblp,
-    Tolp,
-    Weight3,
-    build_tolp,
-    ge_form,
-    lambda_from_weight,
-)
+from .problem_model import Case, Pblp, Weight3, build_tolp, lambda_from_weight
 from .weight_geometry import (
     ComponentHrep,
     ConvexPolygon2,
@@ -102,129 +95,46 @@ class ParametricSolution:
     interval_lp_solves: int
 
 
-def interval_lp_case2(h: ComponentHrep) -> tuple[Fraction, object]:
-    """Interval from the lifted component system, case TWO.
+def _interval_lp(h: ComponentHrep, den: tuple[int, int, int]):
+    """Interval from the component's lifted cone, lambda = w3/(den.w).
 
-    lambda and s = w1 + w2 are inverse to each other along the simplex
-    (lambda = 1/s - 1), so the extreme s over the lifted feasible set
-    give the extreme lambdas directly.  Both solves share one feasible
-    system, so phase one runs once.
+    lambda has degree 0 in w, so the simplex equality (the last two rows
+    of h) can be swapped for den.w = 1 on the cone left by the other
+    rows, all with rhs 0 (Charnes and Cooper, Naval Res. Logist. Q.
+    1962).  On that slice lambda is w3, and both solves share one
+    feasible system, so phase one runs once.  max w3 is unbounded
+    exactly when the component reaches den.w = 0 with w3 > 0.
     """
     zero = Fraction(0)
-    one = Fraction(1)
-    senses = (Sense.GE,) * len(h.P)
+    rows = h.P[:-2] + ((zero,) * h.m + tuple(map(Fraction, den)),)
+    rhs = (zero,) * (len(rows) - 1) + (Fraction(1),)
+    senses = (Sense.GE,) * (len(rows) - 1) + (Sense.EQ,)
     nonneg = (True,) * (h.m + 3)
-    s_obj = (zero,) * h.m + (one, one, zero)
 
-    maximize = LinearProgram(
-        objective=tuple(-c for c in s_obj),
-        rows=h.P, rhs=h.q, senses=senses, nonneg=nonneg,
-    )
-    system = FeasibleSystem(maximize)
-    res = solve_lp(maximize, system=system)
-    if res.status is LpStatus.INFEASIBLE:
-        raise EmptyComponent("lifted component system is infeasible")
-    if res.status is not LpStatus.OPTIMAL:
-        raise EmptyComponent("lifted component system is degenerate")
-    s_max = -res.value
-    if s_max <= 0:
-        raise EmptyComponent("component misses the projected simplex")
-    lower = one / s_max - 1
+    def lp(sign: int) -> LinearProgram:
+        objective = (zero,) * (h.m + 2) + (Fraction(sign),)
+        return LinearProgram(objective, rows, rhs, senses, nonneg)
 
-    minimize = LinearProgram(
-        objective=s_obj, rows=h.P, rhs=h.q, senses=senses, nonneg=nonneg
-    )
+    minimize = lp(1)
+    system = FeasibleSystem(minimize)
     res = solve_lp(minimize, system=system)
     if res.status is not LpStatus.OPTIMAL:
-        raise EmptyComponent("lifted component system is degenerate")
-    s_min = res.value
-    upper = INF if s_min == 0 else one / s_min - 1
-    return lower, upper
+        raise EmptyComponent("lifted component cone misses den.w = 1")
+    lower = res.value
+    res = solve_lp(lp(-1), system=system)
+    if res.status is LpStatus.UNBOUNDED:
+        return lower, INF
+    return lower, -res.value
 
 
-def _case1_lp(t: Tolp, y: Point3, find_upper: bool) -> LinearProgram:
-    """Expanded primal over (x, x_opt, x_w, l1, l2), case ONE.
-
-    Feasibility at (l1, l2) certifies that the whole component sits on
-    one side of the lambda(l1) segment line: below it for the variant
-    that maximizes l1 (so its optimum is the first contact, the interval
-    lower end) and above it for the minimizing variant (the last
-    contact, the upper end).  The objective direction and one sign block
-    are all that differ.
-    """
-    rows_a, rhs_a = ge_form(t.rows, t.rhs, t.senses)
-    m, n = len(rows_a), t.n
-    zero = Fraction(0)
-    one = Fraction(1)
-    C = t.cost_rows
-    sign = one if find_upper else -one
-    rows = []
-    rhs = []
-    senses = []
-    for j in range(m):  # -(A x)_j + b_j x_opt <= 0
-        rows.append(
-            tuple(-rows_a[j][i] for i in range(n)) + (rhs_a[j], zero, zero, zero)
-        )
-        rhs.append(zero)
-        senses.append(Sense.LE)
-    ell_cols = ((one, zero), (zero, one), (zero, zero))
-    for k in range(3):  # C_k x - y_k x_opt -/+ x_w +/- (l1, l2, 0)_k <= 0
-        rows.append(
-            tuple(C[k])
-            + (-Fraction(y[k]), sign, -sign * ell_cols[k][0], -sign * ell_cols[k][1])
-        )
-        rhs.append(zero)
-        senses.append(Sense.LE)
-    rows.append((zero,) * n + (zero, one, zero, -one))  # x_w = l2
-    rhs.append(zero)
-    senses.append(Sense.EQ)
-    rows.append((zero,) * n + (zero, zero, one, one))  # l1 + l2 = 1
-    rhs.append(one)
-    senses.append(Sense.EQ)
-    objective = (zero,) * n + (zero, zero, one if find_upper else -one, zero)
-    return LinearProgram(
-        objective=objective,
-        rows=tuple(rows),
-        rhs=tuple(rhs),
-        senses=tuple(senses),
-        nonneg=(True,) * n + (False, False, True, True),
-    )
+def interval_lp_case1(h: ComponentHrep) -> tuple[Fraction, object]:
+    """Interval by the lifted-cone LPs, case ONE: lambda = w3/w1."""
+    return _interval_lp(h, (1, 0, 0))
 
 
-def _lambda_from_ell1(ell1: Fraction):
-    """lambda = (2 l1 - 1)/(1 - l1); l1 = 1 encodes lambda -> infinity."""
-    if ell1 == 1:
-        return INF
-    return (2 * ell1 - 1) / (1 - ell1)
-
-
-def _case1_ell1(t: Tolp, y: Point3, find_upper: bool) -> Fraction:
-    """Optimal l1 of one expanded LP, checked to lie in [1/2, 1].
-
-    The solve runs on the LP's own FeasibleSystem, so it computes no
-    duals, which nothing here reads.
-    """
-    lp = _case1_lp(t, y, find_upper)
-    res = solve_lp(lp, system=FeasibleSystem(lp))
-    if res.status is not LpStatus.OPTIMAL:
-        raise EmptyComponent(f"expanded system for {y} has no optimum")
-    ell1 = res.value if find_upper else -res.value
-    if not Fraction(1, 2) <= ell1 <= 1:
-        raise InvariantViolation(f"l1 = {ell1} outside [1/2, 1]")
-    return ell1
-
-
-def interval_lp_case1(t: Tolp, y: Point3) -> tuple[Fraction, object]:
-    """Interval via the two expanded LPs, case ONE.
-
-    The two LPs differ in a sign block, not only in the objective, so
-    each takes its own tableau.
-    """
-    lower = _lambda_from_ell1(_case1_ell1(t, y, find_upper=False))
-    if lower is INF:
-        raise InvariantViolation(f"interval lower end for {y} is infinite")
-    upper = _lambda_from_ell1(_case1_ell1(t, y, find_upper=True))
-    return lower, upper
+def interval_lp_case2(h: ComponentHrep) -> tuple[Fraction, object]:
+    """Interval by the lifted-cone LPs, case TWO: lambda = w3/(w1 + w2)."""
+    return _interval_lp(h, (1, 1, 0))
 
 
 def interval_vertex(case: Case, poly: ConvexPolygon2) -> tuple[Fraction, object]:
@@ -296,10 +206,8 @@ def solve_on_decomposition(
     intervals = []
     for entry, poly in zip(dec.images, dec.components):
         if method is Method.LP:
-            if p.case is Case.ONE:
-                lower, upper = interval_lp_case1(t, entry.image)
-            else:
-                lower, upper = interval_lp_case2(component_hrep(t, entry.image))
+            route = interval_lp_case1 if p.case is Case.ONE else interval_lp_case2
+            lower, upper = route(component_hrep(t, entry.image))
         else:
             lower, upper = interval_vertex(p.case, poly)
         intervals.append(

@@ -47,6 +47,7 @@ from .numerics import INF, ext_format, rat_format, rat_parse
 from .oracle import (
     SweepReport,
     extreme_nondominated_bruteforce,
+    lambda_grid,
     sweep_lambda,
 )
 from .problem_model import Case, Pblp, build_tolp, segment_for_lambda
@@ -393,16 +394,14 @@ def cli_main(argv=None) -> int:
                     ),
                 )
         elif args.command == "decompose":
+            if (args.lambda_max is None) != (args.steps is None):
+                raise ValueError("--lambda-max and --steps go together")
+            lambdas = ()
+            if args.steps is not None:
+                lambdas = lambda_grid(rat_parse(args.lambda_max), args.steps)
             result = decompose(build_tolp(problem))
             sys.stdout.write(emit_decomposition(problem, result))
             if args.plot_out:
-                lambdas = ()
-                if args.lambda_max is not None and args.steps:
-                    top = rat_parse(args.lambda_max)
-                    lambdas = tuple(
-                        Fraction(i) * top / args.steps
-                        for i in range(args.steps + 1)
-                    )
                 _write(
                     args.plot_out,
                     emit_plot_data(result, problem.case, lambdas),

@@ -44,6 +44,7 @@ __all__ = [
     "enumerate_vertices_bruteforce",
     "extreme_nondominated_bruteforce",
     "dichotomic_bolp",
+    "lambda_grid",
     "sweep_lambda",
 ]
 
@@ -249,6 +250,15 @@ class SweepReport:
     changes: tuple[tuple[Fraction, Fraction], ...]
 
 
+def lambda_grid(lambda_max: Fraction, steps: int) -> tuple[Fraction, ...]:
+    """steps + 1 evenly spaced lambdas from 0 to lambda_max."""
+    if steps <= 0:
+        raise ValueError("steps must be positive")
+    if lambda_max < 0:
+        raise ValueError("lambda_max must be nonnegative")
+    return tuple(Fraction(i) * lambda_max / steps for i in range(steps + 1))
+
+
 def sweep_lambda(p: Pblp, lambda_max: Fraction, steps: int) -> SweepReport:
     """Solve the biobjective problem on an exact lambda grid.
 
@@ -257,13 +267,9 @@ def sweep_lambda(p: Pblp, lambda_max: Fraction, steps: int) -> SweepReport:
     sets bracket a breakpoint.  Fixing lambda changes only the
     objectives, so the whole grid shares one feasible system.
     """
-    if steps <= 0:
-        raise ValueError("steps must be positive")
-    if lambda_max < 0:
-        raise ValueError("lambda_max must be nonnegative")
+    grid = lambda_grid(lambda_max, steps)
     t = build_tolp(p)
     extra = (p.c1, p.c2, p.d1)
-    grid = tuple(Fraction(i) * lambda_max / steps for i in range(steps + 1))
     system = FeasibleSystem(
         LinearProgram(p.c1, p.rows, p.rhs, p.senses, nonneg=(True,) * p.n)
     )

@@ -144,12 +144,6 @@ class Weight3:
         if self.w1 + self.w2 + self.w3 != 1:
             raise ValueError(f"weights do not sum to 1 in {self}")
 
-    def project(self) -> "Weight2":
-        return Weight2(self.w1, self.w2)
-
-    def as_tuple(self):
-        return (self.w1, self.w2, self.w3)
-
 
 @dataclass(frozen=True)
 class Weight2:

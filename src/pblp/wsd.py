@@ -56,12 +56,6 @@ class Decomposition:
     def image_points(self) -> tuple[Point3, ...]:
         return tuple(e.image for e in self.images)
 
-    def component_of(self, y: Point3) -> ConvexPolygon2:
-        for e, poly in zip(self.images, self.components):
-            if e.image == y:
-                return poly
-        raise KeyError(f"no component for image {y}")
-
 
 def find_extreme_image(
     t: Tolp, w: Weight3, system: FeasibleSystem | None = None

@@ -20,6 +20,22 @@ def w2(a, b) -> Weight2:
     return Weight2(Fraction(a), Fraction(b))
 
 
+def as_tuple(w: Weight3) -> tuple[Fraction, Fraction, Fraction]:
+    return (w.w1, w.w2, w.w3)
+
+
+def project(w: Weight3) -> Weight2:
+    return Weight2(w.w1, w.w2)
+
+
+def component_of(dec, y) -> ConvexPolygon2:
+    """The component polygon of image y in decomposition dec."""
+    for e, poly in zip(dec.images, dec.components):
+        if e.image == y:
+            return poly
+    raise KeyError(f"no component for image {y}")
+
+
 def cross(o, a, b) -> Fraction:
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 

@@ -30,7 +30,7 @@ from pblp import (
     sweep_lambda,
 )
 from pblp.weight_geometry import intersect_polygons
-from conftest import load_instance, w2, w3
+from conftest import as_tuple, component_of, load_instance, w2, w3
 from instance_gen import random_pblp
 
 F = Fraction
@@ -99,7 +99,7 @@ def test_criterion_1_example2_reproduction():
         (F(5), F(10), F(0)),
         (F(15), F(0), F(2)),
     )
-    assert dec.component_of((F(5), F(10), F(0))).vertices == (
+    assert component_of(dec, (F(5), F(10), F(0))).vertices == (
         (F(0), F(0)),
         (F(1, 2), F(0)),
         (F(1, 5), F(3, 10)),
@@ -185,7 +185,7 @@ def test_criterion_6_weight_map_properties():
         w = random_edge_weight()
         lam = random_lambda()
         m = map_weight_to_simplex(case, w, lam)
-        parts = m.as_tuple()
+        parts = as_tuple(m)
         assert all(v >= 0 for v in parts) and sum(parts) == 1
         # the image lies on the lambda segment
         seg = segment_for_lambda(case, lam)
@@ -208,7 +208,7 @@ def test_criterion_6_weight_map_properties():
             if case is Case.TWO:
                 assert m2.w3 != m.w3
             elif w.w1 > 0 and w2_.w1 > 0:
-                assert m2.as_tuple() != m.as_tuple()
+                assert as_tuple(m2) != as_tuple(m)
 
 
 @criterion(7, "LP core agrees with vertex minima and prices duals", 60)

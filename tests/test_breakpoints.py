@@ -20,6 +20,7 @@ from pblp import (
     interval_vertex,
     lambda_from_weight,
 )
+from pblp import breakpoints
 from pblp.breakpoints import ParameterInterval
 from pblp.errors import NoFiniteVertex
 from conftest import hull_of, w3
@@ -115,7 +116,7 @@ def test_interval_routes_agree_per_component(example2, example2_case1, example1)
         for entry, poly in zip(dec.images, dec.components):
             by_vertex = interval_vertex(p.case, poly)
             if p.case is Case.ONE:
-                by_lp = interval_lp_case1(t, entry.image)
+                by_lp = interval_lp_case1(component_hrep(t, entry.image))
             else:
                 by_lp = interval_lp_case2(component_hrep(t, entry.image))
             assert by_lp == by_vertex
@@ -126,6 +127,39 @@ def test_lp_route_spends_two_solves_per_image(example2, example2_case1):
         sol = enumerate_breakpoints(p, Method.LP)
         assert sol.interval_lp_solves == 2 * len(sol.intervals)
         assert enumerate_breakpoints(p, Method.ADAPTED).interval_lp_solves == 0
+
+
+def test_lp_route_takes_phase_one_once_per_image(example2_case1, monkeypatch):
+    built = []
+
+    class CountingSystem(breakpoints.FeasibleSystem):
+        def __init__(self, lp):
+            built.append(lp)
+            super().__init__(lp)
+
+    monkeypatch.setattr(breakpoints, "FeasibleSystem", CountingSystem)
+    sol = enumerate_breakpoints(example2_case1, Method.LP)
+    assert len(built) == len(sol.intervals)
+
+
+def test_lp_route_matches_vertices_in_both_cases():
+    """One decomposition serves both cases, since the triobjective
+    companion does not depend on the case; each component's lifted-cone
+    LPs must give the vertex-route interval under either lambda map."""
+    rng = random.Random(1405)
+    routes = ((Case.ONE, interval_lp_case1), (Case.TWO, interval_lp_case2))
+    unbounded = corner = 0
+    for _ in range(60):
+        t = build_tolp(random_pblp(rng, Case.ONE))
+        dec = decompose(t)
+        for entry, poly in zip(dec.images, dec.components):
+            h = component_hrep(t, entry.image)
+            for case, route in routes:
+                expected = interval_vertex(case, poly)
+                assert route(h) == expected
+                unbounded += expected[1] is INF
+            corner += (F(0), F(1)) in poly.vertices
+    assert unbounded > 0 and corner > 0
 
 
 def test_interval_vertex_skips_the_undefined_corner():

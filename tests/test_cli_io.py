@@ -278,6 +278,28 @@ def test_cli_turns_bad_option_values_into_clean_errors(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_cli_decompose_checks_the_plot_grid_before_decomposing(tmp_path, capsys):
+    inst = _instance("example2.pblp")
+    target = tmp_path / "plot.txt"
+    for grid in (
+        ["--lambda-max", "-1", "--steps", "4"],
+        ["--lambda-max", "6", "--steps", "0"],
+        ["--lambda-max", "6", "--steps", "-3"],
+        ["--lambda-max", "6"],
+        ["--steps", "4"],
+    ):
+        argv = ["decompose", inst, "--plot-out", str(target), "--quiet"] + grid
+        assert cli_main(argv) == USAGE_ERROR, grid
+        out, err = capsys.readouterr()
+        assert out == "" and "error:" in err, grid
+        assert not target.exists(), grid
+    argv = ["decompose", inst, "--plot-out", str(target), "--quiet",
+            "--lambda-max", "6", "--steps", "4"]
+    assert cli_main(argv) == 0
+    capsys.readouterr()
+    assert target.read_text().count("\nsegment,") == 5
+
+
 def test_cli_reports_computational_failures(tmp_path, capsys):
     # minimizing -x over x >= 1 is unbounded for every weight
     unbounded = tmp_path / "unbounded.pblp"

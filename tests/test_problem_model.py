@@ -22,7 +22,7 @@ from pblp import (
 )
 from pblp.errors import BadCase, DimensionMismatch, NegativeParameter
 from pblp.problem_model import Weight2, Weight3, ge_form
-from conftest import w2, w3
+from conftest import as_tuple, project, w2, w3
 
 F = Fraction
 
@@ -82,7 +82,7 @@ def test_weights_validate_on_construction():
         Weight3(F(-1, 4), F(3, 4), F(1, 2))
     with pytest.raises(ValueError):
         Weight2(F(3, 4), F(3, 4))
-    assert w3(F(1, 4), F(1, 4), F(1, 2)).project() == w2(F(1, 4), F(1, 4))
+    assert project(w3(F(1, 4), F(1, 4), F(1, 2))) == w2(F(1, 4), F(1, 4))
     assert w2(F(1, 4), F(1, 4)).lift() == w3(F(1, 4), F(1, 4), F(1, 2))
 
 
@@ -106,19 +106,20 @@ def test_scalarized_lex_solve_settles_the_tie(example2):
 
 
 def test_weight_map_known_values():
-    assert map_weight_to_simplex(Case.ONE, w2(F(1, 2), F(1, 2)), F(1)).as_tuple() == (
+    half = w2(F(1, 2), F(1, 2))
+    assert as_tuple(map_weight_to_simplex(Case.ONE, half, F(1))) == (
         F(1, 3),
         F(1, 3),
         F(1, 3),
     )
-    assert map_weight_to_simplex(Case.TWO, w2(F(1, 2), F(1, 2)), F(1)).as_tuple() == (
+    assert as_tuple(map_weight_to_simplex(Case.TWO, half, F(1))) == (
         F(1, 4),
         F(1, 4),
         F(1, 2),
     )
     # the second corner of case ONE is a fixed point for every lambda
     for lam in (F(0), F(1), F(17, 3)):
-        assert map_weight_to_simplex(Case.ONE, w2(0, 1), lam).as_tuple() == (
+        assert as_tuple(map_weight_to_simplex(Case.ONE, w2(0, 1), lam)) == (
             F(0),
             F(1),
             F(0),
