@@ -104,11 +104,17 @@ def _interval_lp(h: ComponentHrep, den: tuple[int, int, int]):
     1962).  On that slice lambda is w3, and both solves share one
     feasible system, so phase one runs once.  max w3 is unbounded
     exactly when the component reaches den.w = 0 with w3 > 0.
+
+    The cone rows P z >= 0 are written as -P z <= 0: the same set, but
+    z = 0 satisfies each row on its own slack, so phase one starts with
+    one artificial, on den.w = 1.  Only the two optimal values are read,
+    never a witness, so the row sense cannot change the result.
     """
     zero = Fraction(0)
-    rows = h.P[:-2] + ((zero,) * h.m + tuple(map(Fraction, den)),)
+    cone = tuple(tuple(-a for a in row) for row in h.P[:-2])
+    rows = cone + ((zero,) * h.m + tuple(map(Fraction, den)),)
     rhs = (zero,) * (len(rows) - 1) + (Fraction(1),)
-    senses = (Sense.GE,) * (len(rows) - 1) + (Sense.EQ,)
+    senses = (Sense.LE,) * (len(rows) - 1) + (Sense.EQ,)
     nonneg = (True,) * (h.m + 3)
 
     def lp(sign: int) -> LinearProgram:

@@ -16,6 +16,14 @@ phase one serve every stage.  Sizes here are tiny (tens of rows), so the
 dense tableau with recomputed reduced costs is the simple and entirely
 adequate choice.
 
+Rows keep the sense they are given in.  Phase one starts a row on its
+own slack when that slack reads +1 once the right side is made
+nonnegative (a <= row with rhs >= 0, a >= row with rhs <= 0) and on an
+artificial otherwise, so rows that z = 0 satisfies, written in <= form,
+need no artificial.  The rank reduction eliminates over the equality
+rows only: an inequality row is the one row with a nonzero in its slack
+column, so it never depends on the others.
+
 Phase one never reads the objective.  A FeasibleSystem runs the
 standard-form set-up, the rank reduction and phase one once for a set of
 constraints and keeps the feasible tableau; every LP over those
@@ -248,6 +256,7 @@ class _Tableau:
             else:
                 self.col_of_var.append((cols, cols + 1))
                 cols += 2
+        var_cols = cols
         slack_col: list[int | None] = []
         for sense in lp.senses:
             if sense is Sense.EQ:
@@ -288,11 +297,23 @@ class _Tableau:
         # Simplex basis bookkeeping (and dual recovery from the basis)
         # needs full row rank.  Dependent rows are dropped before any
         # pivoting and get dual zero; a dependent row whose right side
-        # disagrees proves infeasibility.
-        echelon = eliminate([row + [b] for row, b in zip(self.rows, self.b)])
+        # disagrees proves infeasibility.  Only equality rows can be
+        # dependent: an inequality row alone is nonzero in its slack
+        # column, so it is independent of every other row, and no
+        # equality row depends on it.  Eliminating the equality rows
+        # over the variable columns (they are zero in every slack
+        # column) so keeps exactly the rows a pass over all rows keeps.
+        eq_rows = [i for i, col in enumerate(slack_col) if col is None]
+        echelon = eliminate(
+            [self.rows[i][:var_cols] + [self.b[i]] for i in eq_rows]
+        )
         self.infeasible_by_rank = not echelon.consistent
-        keep = echelon.kept
-        if len(keep) != len(self.rows):
+        if len(echelon.kept) != len(eq_rows):
+            kept_eq = {eq_rows[k] for k in echelon.kept}
+            keep = [
+                i for i, col in enumerate(slack_col)
+                if col is not None or i in kept_eq
+            ]
             self.rows = [self.rows[i] for i in keep]
             self.b = [self.b[i] for i in keep]
             self.row_factor = [self.row_factor[i] for i in keep]
@@ -428,9 +449,9 @@ class _Tableau:
         cost = [0] * total
         for j in self.art_cols:
             cost[j] = 1
-        # Make artificial basis columns identity again (appending created them
-        # as identity already, but slack-basis rows may hold nonzeros there).
-        # Phase one is bounded below by zero, so it always ends optimal.
+        # Each artificial column was appended as det times a unit vector,
+        # so the starting basis reads det times the identity.  Phase one
+        # is bounded below by zero, so it always ends optimal.
         if self._simplex(cost, banned=set()) is not LpStatus.OPTIMAL:
             raise InvariantViolation("phase one reported an unbounded objective")
         value = sum(
@@ -445,8 +466,10 @@ class _Tableau:
             if self.basis[i] not in self.art_cols:
                 continue
             pivot_col = next(
-                j for j in range(self.num_cols) if self.rows[i][j] != 0
+                (j for j in range(self.num_cols) if self.rows[i][j] != 0), None
             )
+            if pivot_col is None:
+                raise InvariantViolation("an artificial row has no pivot column")
             self._pivot(i, pivot_col)
         # Artificial columns are dead from here on; truncate them.
         for i in range(len(self.rows)):

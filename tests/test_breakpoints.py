@@ -20,7 +20,7 @@ from pblp import (
     interval_vertex,
     lambda_from_weight,
 )
-from pblp import breakpoints
+from pblp import breakpoints, lp_core
 from pblp.breakpoints import ParameterInterval
 from pblp.errors import NoFiniteVertex
 from conftest import hull_of, w3
@@ -140,6 +140,49 @@ def test_lp_route_takes_phase_one_once_per_image(example2_case1, monkeypatch):
     monkeypatch.setattr(breakpoints, "FeasibleSystem", CountingSystem)
     sol = enumerate_breakpoints(example2_case1, Method.LP)
     assert len(built) == len(sol.intervals)
+
+
+# Phase-one pivots of all interval LPs of one LP-route solve, as measured
+# with the cone rows in <= form (21, 19 and 19 with them in >= form).
+INTERVAL_PHASE_ONE_PIVOTS = {"example1": 16, "example2": 10, "example2_case1": 10}
+
+
+def test_interval_lps_start_on_their_slacks(request, monkeypatch):
+    """Deterministic pivot gate for the interval LPs: every cone row
+    starts on its own slack, so phase one holds one artificial column,
+    on den.w = 1, and its pivot count stays at the measured value."""
+    in_phase_one = []
+    pivots = []
+    artificials = []
+    pivot, simplex = lp_core._Tableau._pivot, lp_core._Tableau._simplex
+
+    class MarkingSystem(breakpoints.FeasibleSystem):
+        def __init__(self, lp):
+            in_phase_one.append(lp)
+            try:
+                super().__init__(lp)
+            finally:
+                in_phase_one.pop()
+
+    def counting_pivot(self, r, col):
+        if in_phase_one:
+            pivots.append(col)
+        pivot(self, r, col)
+
+    def recording_simplex(self, cost, banned):
+        if in_phase_one:
+            artificials.append(len(self.art_cols))
+        return simplex(self, cost, banned)
+
+    monkeypatch.setattr(breakpoints, "FeasibleSystem", MarkingSystem)
+    monkeypatch.setattr(lp_core._Tableau, "_pivot", counting_pivot)
+    monkeypatch.setattr(lp_core._Tableau, "_simplex", recording_simplex)
+    for name, bound in INTERVAL_PHASE_ONE_PIVOTS.items():
+        pivots.clear()
+        artificials.clear()
+        sol = enumerate_breakpoints(request.getfixturevalue(name), Method.LP)
+        assert len(pivots) <= bound, (name, len(pivots))
+        assert artificials == [1] * len(sol.intervals), name
 
 
 def test_lp_route_matches_vertices_in_both_cases():

@@ -2,7 +2,10 @@
 
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -234,6 +237,20 @@ def test_cli_quiet_stdout_matches_the_golden_file(instance, command, capsys):
     out, err = capsys.readouterr()
     assert err == ""
     assert out == (GOLDEN_DIR / f"{instance}.{command}.out").read_text()
+
+
+def test_cli_stdout_is_the_same_under_python_O():
+    """python -O strips asserts; the package keeps none, so the LP
+    route's --quiet stdout must still match its golden file."""
+    src = INSTANCE_DIR.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    argv = ["solve", "--method", "lp", "--quiet", _instance("example2.pblp")]
+    run = subprocess.run(
+        [sys.executable, "-O", "-m", "pblp.cli_io", *argv],
+        env=env, capture_output=True, check=False,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == (GOLDEN_DIR / "example2.solve-lp.out").read_bytes()
 
 
 def test_cli_plot_out_writes_the_plot_file(tmp_path, capsys):

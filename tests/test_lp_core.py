@@ -581,6 +581,88 @@ def test_phase_one_starts_each_inequality_row_on_its_own_slack(monkeypatch):
         assert solve_lp(lp).x == (2, 0)
 
 
+def _standard_form_rows(lp):
+    """lp's rows in the tableau's column layout, [coefficients | rhs]:
+    p and q columns for each free variable, then one slack or surplus
+    column per inequality row."""
+    free = [not nonneg for nonneg in lp.nonneg]
+    inequalities = [i for i, s in enumerate(lp.senses) if s is not Sense.EQ]
+    out = []
+    for i, (row, b) in enumerate(zip(lp.rows, lp.rhs)):
+        dense = []
+        for a, is_free in zip(row, free):
+            dense += [a, -a] if is_free else [a]
+        slack = Fraction(1 if lp.senses[i] is Sense.LE else -1)
+        dense += [slack if k == i else Fraction(0) for k in inequalities]
+        out.append(dense + [b])
+    return out
+
+
+def test_rank_reduction_over_equality_rows_keeps_what_all_rows_keep():
+    """The tableau eliminates over its equality rows only, since an
+    inequality row alone touches its slack column.  Its kept rows and
+    its infeasibility verdict must be those of eliminate over every
+    integer row, with duplicated and summed equality rows, duplicated
+    inequality rows and contradictory duplicates mixed in."""
+    rng = random.Random(1405)
+    seen = dict(duplicate=0, summed=0, inequality_twins=0, contradictory=0)
+
+    def num():
+        if rng.random() < 0.3:
+            return Fraction(0)
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+
+    for _ in range(500):
+        n = rng.randint(1, 4)
+        rows, rhs, senses = [], [], []
+        groups = {}  # kind -> indices (before shuffling) of the rows involved
+
+        def add(row, b, sense):
+            rows.append(row)
+            rhs.append(b)
+            senses.append(sense)
+            return len(rows) - 1
+
+        for _ in range(rng.randint(1, 4)):
+            add([num() for _ in range(n)], num(), rng.choice(["<=", ">=", "="]))
+        eq = [i for i, s in enumerate(senses) if s == "="]
+        ineq = [i for i, s in enumerate(senses) if s != "="]
+        if eq and rng.random() < 0.5:
+            i = rng.choice(eq)
+            groups["duplicate"] = (i, add(rows[i][:], rhs[i], "="))
+        if len(eq) > 1 and rng.random() < 0.5:
+            i, j = rng.sample(eq, 2)
+            total = [a + c for a, c in zip(rows[i], rows[j])]
+            groups["summed"] = (i, j, add(total, rhs[i] + rhs[j], "="))
+        if ineq and rng.random() < 0.5:
+            i = rng.choice(ineq)
+            groups["inequality_twins"] = (i, add(rows[i][:], rhs[i], senses[i]))
+        if eq and rng.random() < 0.3:
+            i = rng.choice(eq)
+            groups["contradictory"] = (i, add(rows[i][:], rhs[i] + 1, "="))
+        order = list(range(len(rows)))
+        rng.shuffle(order)
+        nonneg = [rng.random() < 0.75 for _ in range(n)]
+        lp = LinearProgram.build(
+            [num() for _ in range(n)], [rows[i] for i in order],
+            [rhs[i] for i in order], [senses[i] for i in order], nonneg,
+        )
+        echelon = eliminate([integer_row(row)[0] for row in _standard_form_rows(lp)])
+        tab = lp_core._Tableau(lp)
+        assert tab.orig_row == echelon.kept, lp
+        assert tab.infeasible_by_rank == (not echelon.consistent), lp
+
+        kept = {order[k] for k in echelon.kept}  # indices before shuffling
+        assert all(senses[i] == "=" for i in set(order) - kept), lp
+        for kind, group in groups.items():
+            # a dependent group loses a row; inequality twins both stay
+            assert kept.issuperset(group) == (kind == "inequality_twins"), lp
+            seen[kind] += 1
+        if "contradictory" in groups:
+            assert not echelon.consistent, lp
+    assert all(count >= 20 for count in seen.values()), seen
+
+
 def _fraction_elimination(rows):
     """Greedy independent rows by Fraction Gauss-Jordan, in row order.
 

@@ -1,6 +1,7 @@
 """Rules the package source keeps: every failure is a typed PblpError,
-never an assert (which python -O strips), and no float decides
-anything, so float() appears only in the lossy plot comments of
+never an assert (which python -O strips) and never a StopIteration
+from a next() without a default, and no float decides anything, so
+float() appears only in the lossy plot comments of
 cli_io.emit_plot_data.  Two modules also keep their layer: the vertex
 oracle shares no logic with the decomposition and the interval routes
 it cross-checks, and the weight geometry builds only on the problem
@@ -31,6 +32,14 @@ def _violations(path: pathlib.Path) -> list[str]:
             and (module, function) not in FLOAT_ALLOWED
         ):
             found.append(f"{path.name}:{node.lineno}: float() call")
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "next"
+            and len(node.args) == 1
+            and not node.keywords
+        ):
+            found.append(f"{path.name}:{node.lineno}: next() without a default")
         for child in ast.iter_child_nodes(node):
             visit(child, function)
 
@@ -53,10 +62,13 @@ def test_the_rules_see_what_they_forbid(tmp_path):
         "def emit_solution(x):\n"
         "    assert x\n"
         "    return [float(v) for v in x]\n"
+        "def first(x):\n"
+        "    return next(iter(x)), next(iter(x), None)\n"
     )
     assert _violations(bad) == [
         "cli_io.py:4: assert statement",
         "cli_io.py:5: float() call",
+        "cli_io.py:7: next() without a default",
     ]
 
 
