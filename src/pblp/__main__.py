@@ -1,0 +1,6 @@
+"""python -m pblp: the pblp command line."""
+
+from .cli_io import main
+
+if __name__ == "__main__":
+    main()

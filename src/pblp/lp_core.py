@@ -37,7 +37,11 @@ elimination routine, shared by the tableau's rank reduction, the duals
 and the brute-force vertex oracle.
 
 Optimal duals are solved exactly from the final basis of a plain solve
-only: one with no ties and no FeasibleSystem.
+only: one with no ties and no FeasibleSystem.  Reduced costs at the
+final basis are reported for the objectives a caller asks to price,
+over one common positive scale, so that the weights for which that
+basis stays optimal form an integer cone (Ehrgott, Multicriteria
+Optimization, 2005, ch. 7).
 
 Sign conventions for duals of  min c.x  s.t. rows (sense) rhs, mixed
 variable domains:
@@ -145,12 +149,20 @@ class LpResult:
 
     dual holds one optimal dual per original row for a plain solve (no
     ties, no FeasibleSystem) and is None otherwise.
+
+    reduced is set by an optimal solve that was asked to price objectives
+    (see solve_lp) and is None otherwise.  It holds one integer tuple per
+    standard-form column, slack columns included, whose tuple is not all
+    zero: objective k's reduced cost there, every objective over one
+    common positive scale.  So for weights a the final basis is optimal
+    for sum_k a_k objective_k exactly when no sum_k a_k r_k is negative.
     """
 
     status: LpStatus
     x: tuple[Fraction, ...] | None = None
     value: Fraction | None = None
     dual: tuple[Fraction, ...] | None = None
+    reduced: tuple[tuple[int, ...], ...] | None = None
 
 
 # -- exact elimination ------------------------------------------------------
@@ -490,6 +502,25 @@ class _Tableau:
                 cost[q] = -v
         return cost, scale
 
+    def reduced_costs(self, objectives) -> tuple[tuple[int, ...], ...]:
+        """LpResult.reduced for objectives at this basis.
+
+        _priced_columns gives det * s_k times objective k's reduced cost,
+        s_k its _column_cost scale, so times L / s_k, L the lcm of the
+        s_k, every objective is over det * L.  Nothing is banned: every
+        nonbasic column, slack or structural, bounds the cone.
+        """
+        costs = [self._column_cost(objective) for objective in objectives]
+        common = lcm(*(scale for _, scale in costs))
+        ups = [common // scale for _, scale in costs]
+        priced = [self._priced_columns(cost, set()) for cost, _ in costs]
+        out = []
+        for column in zip(*priced):
+            entry = tuple(r * up for (_, r), up in zip(column, ups))
+            if any(entry):
+                out.append(entry)
+        return tuple(out)
+
     def phase_two(self, objectives) -> LpStatus:
         """Lexicographic minimum of objectives in order, on this tableau.
 
@@ -596,7 +627,10 @@ def solve_calls() -> int:
 
 
 def solve_lp(
-    lp: LinearProgram, ties=(), system: FeasibleSystem | None = None
+    lp: LinearProgram,
+    ties=(),
+    system: FeasibleSystem | None = None,
+    price=(),
 ) -> LpResult:
     """Exact lexicographic minimum of lp: lp.objective, then each tie.
 
@@ -605,14 +639,17 @@ def solve_lp(
     system, lp must have its rows, rhs, senses and nonneg (else
     SystemMismatch), and only phase two runs, on a copy of its feasible
     tableau.  value is the first objective's.  Optimal duals are
-    reported for a plain solve only: no ties and no system.
+    reported for a plain solve only: no ties and no system.  price lists
+    objectives whose reduced costs at the final basis an optimal result
+    reports in LpResult.reduced; the default prices nothing.
     """
     global _solve_calls
     _solve_calls += 1
     ties = tuple(ties)
-    for tie in ties:
-        if len(tie) != lp.num_vars:
-            raise DimensionMismatch("tie length differs from objective")
+    price = tuple(price)
+    for objective in ties + price:
+        if len(objective) != lp.num_vars:
+            raise DimensionMismatch("tie or priced objective length differs")
     tab = _feasible_tableau(lp) if system is None else system.tableau_for(lp)
     if tab is None:
         return LpResult(LpStatus.INFEASIBLE)
@@ -621,11 +658,17 @@ def solve_lp(
     x = tab.solution()
     value = sum((c * v for c, v in zip(lp.objective, x)), Fraction(0))
     plain = not ties and system is None
-    return LpResult(LpStatus.OPTIMAL, x, value, tab.duals() if plain else None)
+    return LpResult(
+        LpStatus.OPTIMAL,
+        x,
+        value,
+        tab.duals() if plain else None,
+        tab.reduced_costs(price) if price else None,
+    )
 
 
 def solve_lex_lp(
-    lp: LinearProgram, ties, system: FeasibleSystem | None = None
+    lp: LinearProgram, ties, system: FeasibleSystem | None = None, price=()
 ) -> LpResult:
     """Lexicographic minimum: lp.objective first, then each tie in order.
 
@@ -634,6 +677,6 @@ def solve_lex_lp(
     The result is an optimum of the first objective that is
     lexicographically minimal for the ties.  The returned value is the
     first objective's; duals are computed only when ties is empty and no
-    system is given.
+    system is given, and reduced costs only for the objectives in price.
     """
-    return solve_lp(lp, ties, system)
+    return solve_lp(lp, ties, system, price)

@@ -241,15 +241,17 @@ def test_cli_quiet_stdout_matches_the_golden_file(instance, command, capsys):
 
 def test_cli_stdout_is_the_same_under_python_O():
     """python -O strips asserts; the package keeps none, so the LP
-    route's --quiet stdout must still match its golden file."""
+    route's --quiet stdout from python -m pblp must still match its
+    golden file, with nothing at all on stderr."""
     src = INSTANCE_DIR.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     argv = ["solve", "--method", "lp", "--quiet", _instance("example2.pblp")]
     run = subprocess.run(
-        [sys.executable, "-O", "-m", "pblp.cli_io", *argv],
+        [sys.executable, "-O", "-m", "pblp", *argv],
         env=env, capture_output=True, check=False,
     )
     assert run.returncode == 0, run.stderr
+    assert run.stderr == b""
     assert run.stdout == (GOLDEN_DIR / "example2.solve-lp.out").read_bytes()
 
 

@@ -555,6 +555,96 @@ def test_integer_tableau_matches_a_fraction_reference():
     assert all(count >= 20 for count in seen.values()), seen
 
 
+def _weighted_sum_case(rng):
+    """A _random_fractional_case system with three fractional objectives
+    of unlike denominators, and now and then a duplicated column or a
+    zero-cost column, so optimal faces and degenerate cones occur."""
+    lp, _, _ = _random_fractional_case(rng)
+    n = lp.num_vars
+
+    def cost(den):
+        return [
+            Fraction(0) if rng.random() < 0.3 else Fraction(rng.randint(-9, 9), den)
+            for _ in range(n)
+        ]
+
+    costs = [cost(1), cost(rng.randint(2, 4)), cost(rng.randint(5, 9))]
+    rows = [list(row) for row in lp.rows]
+    nonneg = list(lp.nonneg)
+    kind = rng.choice(("plain", "duplicate", "zero cost"))
+    if kind == "duplicate":
+        j = rng.randrange(n)
+        for row in rows + costs:
+            row.append(row[j])
+        nonneg.append(nonneg[j])
+    elif kind == "zero cost":
+        for row in rows:
+            row.append(Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+        for row in costs:
+            row.append(Fraction(0))
+        nonneg.append(True)
+    costs = [tuple(row) for row in costs]
+
+    def weighted(w):
+        objective = [sum(a * c for a, c in zip(w, column)) for column in zip(*costs)]
+        return LinearProgram.build(objective, rows, lp.rhs, lp.senses, nonneg)
+
+    return weighted, costs, kind
+
+
+def _simplex_weight(rng):
+    while True:
+        parts = [rng.choice((0, 0, 1, 2, 3, 5, 8)) for _ in range(3)]
+        if any(parts):
+            return tuple(Fraction(p, sum(parts)) for p in parts)
+
+
+def _in_cone(reduced, w):
+    return all(sum(a * r for a, r in zip(w, entry)) >= 0 for entry in reduced)
+
+
+def test_priced_cone_holds_the_weights_its_basis_solves():
+    """solve_lp(..., price=C) reports the reduced costs of C's rows at
+    the final basis.  On seeded weighted-sum LPs w.C, plain and
+    lexicographic on C as find_extreme_image solves them, the cone holds
+    w itself, and at every simplex weight w' it holds a fresh plain
+    solve of w'.C has the value w'.(C x).  Without price, reduced is
+    None."""
+    rng = random.Random(2005)
+    seen = dict(covered=0, uncovered=0, ties=0, duplicate=0, zero_cost=0)
+    for _ in range(300):
+        weighted, costs, kind = _weighted_sum_case(rng)
+        w = _simplex_weight(rng)
+        lp = weighted(w)
+        ties = costs if rng.random() < 0.5 else ()
+        assert solve_lex_lp(lp, ties).reduced is None
+        res = solve_lex_lp(lp, ties, price=costs)
+        if res.status is not LpStatus.OPTIMAL:
+            assert res.reduced is None
+            continue
+        assert all(
+            len(entry) == 3 and any(entry) and all(type(r) is int for r in entry)
+            for entry in res.reduced
+        )
+        assert _in_cone(res.reduced, w), (lp, costs)
+        image = [sum(c * v for c, v in zip(row, res.x)) for row in costs]
+        for _ in range(12):
+            other = _simplex_weight(rng)
+            if not _in_cone(res.reduced, other):
+                seen["uncovered"] += 1
+                continue
+            seen["covered"] += 1
+            fresh = solve_lp(weighted(other))
+            assert fresh.status is LpStatus.OPTIMAL, (lp, costs, other)
+            assert fresh.value == sum(a * y for a, y in zip(other, image)), (
+                lp, costs, other,
+            )
+        seen["ties"] += bool(ties)
+        if kind != "plain":
+            seen[kind.replace(" ", "_")] += 1
+    assert all(count >= 20 for count in seen.values()), seen
+
+
 def test_phase_one_starts_each_inequality_row_on_its_own_slack(monkeypatch):
     """A duplicate row dropped by the rank reduction must not hide the
     slack of a later row: min x + y over x + y = 2, x + y = 2, x <= 3
@@ -811,3 +901,8 @@ def test_solve_call_counter_increments():
 def test_dimension_mismatch_is_rejected():
     with pytest.raises(DimensionMismatch):
         LinearProgram.build([1, 2], [[1]], [1], ["<="])
+    lp = LinearProgram.build([1, 2], [[1, 1]], [1], ["<="])
+    with pytest.raises(DimensionMismatch):
+        solve_lp(lp, ties=[(1,)])
+    with pytest.raises(DimensionMismatch):
+        solve_lex_lp(lp, ties=[], price=[(1, 2), (1,)])

@@ -172,7 +172,8 @@ def test_lp_solve_count_is_reported(example2):
 
 def _decompose_from_scratch(t):
     """Reference decomposition that rebuilds every known image's
-    component from all known images in every round."""
+    component from all known images in every round and solves a
+    lexicographic LP at every vertex it checks."""
     start = lp_core.solve_calls()
     system = FeasibleSystem(ws_scalarize(t, w3(F(1), F(0), F(0))))
     for w in (w3(F(1), F(0), F(0)), w3(F(0), F(1), F(0)), w3(F(0), F(0), F(1))):
@@ -211,11 +212,39 @@ def _decompose_from_scratch(t):
     )
 
 
+def _degenerate(p, kind, rng):
+    """p with a duplicated column, a zero-cost column, d1 = 2 c1 or
+    c2 = c1 + d1: preimages that are edges or faces, and images that
+    share weights, so cones are often lower-dimensional or shared."""
+    rows, c1, c2, d1, n = p.rows, p.c1, p.c2, p.d1, p.n
+    if kind == "duplicate":
+        j = rng.randrange(n)
+        rows = tuple(row + (row[j],) for row in rows)
+        c1, c2, d1 = (c + (c[j],) for c in (c1, c2, d1))
+        n += 1
+    elif kind == "zero cost":
+        # the last row is the box row, which keeps the set bounded
+        column = [F(rng.randint(-9, 9)) for _ in rows[:-1]] + [F(1)]
+        rows = tuple(row + (a,) for row, a in zip(rows, column))
+        c1, c2, d1 = (c + (F(0),) for c in (c1, c2, d1))
+        n += 1
+    elif kind == "d1 = 2 c1" and any(c1):
+        d1 = tuple(2 * a for a in c1)
+    elif kind == "c2 = c1 + d1":
+        c2 = tuple(a + b for a, b in zip(c1, d1))
+    return Pblp(
+        case=p.case, n=n, rows=rows, rhs=p.rhs, senses=p.senses, c1=c1, c2=c2, d1=d1
+    )
+
+
 def test_incremental_components_match_a_rebuild_per_round():
     """decompose clips the known components by each new image's
-    half-plane instead of rebuilding them; on seeded acceptance-family
-    and larger instances it must return the same Decomposition, images,
-    witnesses, components and lp_solves alike."""
+    half-plane instead of rebuilding them, and passes a vertex without an
+    LP when a basis that yields the image is optimal there.  On seeded
+    acceptance-family, larger and degenerate instances it must return
+    the images, witnesses and components of a reference that rebuilds
+    every round and solves an LP at every vertex, with no more LP solves
+    on any instance and fewer in all."""
     rng = random.Random(1405)
     problems = [random_pblp(rng, (Case.ONE, Case.TWO)[i % 2]) for i in range(24)]
     for i in range(4):  # larger systems, as in the benchmark's scaled family
@@ -227,10 +256,29 @@ def test_incremental_components_match_a_rebuild_per_round():
                 senses=senses, c1=c1, c2=c2, d1=d1,
             )
         )
-    rounds = 0
+    for i in range(24):
+        kind = ("duplicate", "zero cost", "d1 = 2 c1", "c2 = c1 + d1")[i % 4]
+        base = random_pblp(rng, (Case.ONE, Case.TWO)[i // 4 % 2])
+        problems.append(_degenerate(base, kind, rng))
+    rounds = solves = reference_solves = 0
     for p in problems:
         t = build_tolp(p)
         got = decompose(t)
-        assert got == _decompose_from_scratch(t), p
+        ref = _decompose_from_scratch(t)
+        assert (got.images, got.components) == (ref.images, ref.components), p
+        assert [e.witness for e in got.images] == [e.witness for e in ref.images], p
+        assert got.lp_solves <= ref.lp_solves, p
         rounds += len(got.images) > 2
+        solves += got.lp_solves
+        reference_solves += ref.lp_solves
     assert rounds >= 10
+    assert solves < reference_solves
+
+
+def test_bundled_decompositions_take_eight_lp_solves(example1, example2, example2_case1):
+    """Three corner solves, the centroid, and a certificate LP only at
+    the vertices no basis cone of their image covers."""
+    counts = [
+        decompose(build_tolp(p)).lp_solves for p in (example1, example2, example2_case1)
+    ]
+    assert counts == [8, 8, 8]
