@@ -17,6 +17,7 @@ from .breakpoints import (
     enumerate_breakpoints,
     interval_lp_case1,
     interval_lp_case2,
+    interval_system,
     interval_vertex,
     solve_on_decomposition,
 )

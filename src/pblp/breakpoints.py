@@ -7,8 +7,8 @@ it:
 
   * the LP route minimizes and maximizes lambda, a linear-fractional
     function of the weight in both cases, as one LP pair on the
-    component's lifted cone over one feasible system, two solves per
-    image;
+    component's lifted cone, two solves per image, on one feasible
+    system per problem extended by the image's row;
   * the vertex route reads the interval off the component polygon's
     vertices through the exact weight-to-lambda correspondence.
 
@@ -23,12 +23,12 @@ one-point segment is needed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 
 from . import lp_core
-from .errors import EmptyComponent, NoFiniteVertex
+from .errors import EmptyComponent, NoFiniteVertex, SystemMismatch
 from .lp_core import FeasibleSystem, LinearProgram, LpStatus, Sense, solve_lp
 from .numerics import INF
 from .problem_model import Case, Pblp, Weight3, build_tolp, lambda_from_weight
@@ -47,6 +47,7 @@ __all__ = [
     "ParametricSolution",
     "interval_lp_case2",
     "interval_lp_case1",
+    "interval_system",
     "interval_vertex",
     "enumerate_breakpoints",
     "solve_on_decomposition",
@@ -95,35 +96,50 @@ class ParametricSolution:
     interval_lp_solves: int
 
 
-def _interval_lp(h: ComponentHrep, den: tuple[int, int, int]):
+def _den(case: Case) -> tuple[int, int, int]:
+    """lambda = w3/(den.w): w3/w1 in case ONE, w3/(w1 + w2) in case TWO."""
+    return (1, 0, 0) if case is Case.ONE else (1, 1, 0)
+
+
+def interval_system(h: ComponentHrep, case: Case) -> FeasibleSystem:
+    """What the interval LPs of h's problem share, through phase one:
+    the h.n cone rows that start every component hrep of the problem,
+    as -P z <= 0, and den.w = 1, the one row that needs an artificial."""
+    zero, width = Fraction(0), h.m + 3
+    rows = tuple(tuple(-a for a in row) for row in h.P[: h.n])
+    rows += ((zero,) * h.m + tuple(map(Fraction, _den(case))),)
+    rhs = (zero,) * h.n + (Fraction(1),)
+    senses = (Sense.LE,) * h.n + (Sense.EQ,)
+    return FeasibleSystem(
+        LinearProgram((zero,) * width, rows, rhs, senses, (True,) * width)
+    )
+
+
+def _interval_lp(h: ComponentHrep, case: Case, base: FeasibleSystem):
     """Interval from the component's lifted cone, lambda = w3/(den.w).
 
     lambda has degree 0 in w, so the simplex equality (the last two rows
     of h) can be swapped for den.w = 1 on the cone left by the other
     rows, all with rhs 0 (Charnes and Cooper, Naval Res. Logist. Q.
-    1962).  On that slice lambda is w3, and both solves share one
-    feasible system, so phase one runs once.  max w3 is unbounded
-    exactly when the component reaches den.w = 0 with w3 > 0.
+    1962).  On that slice lambda is w3, and max w3 is unbounded exactly
+    when the component reaches den.w = 0 with w3 > 0.
 
-    The cone rows P z >= 0 are written as -P z <= 0: the same set, but
-    z = 0 satisfies each row on its own slack, so phase one starts with
-    one artificial, on den.w = 1.  Only the two optimal values are read,
-    never a witness, so the row sense cannot change the result.
+    base, interval_system of the problem for case (else SystemMismatch),
+    holds everything but the image row b.v - y.w = 0, row h.n of h (one
+    row for its split pair).  Extending base by that row runs phase one
+    on its one artificial only, and both solves run on the extension.
+    Only the two optimal values are read, never a witness, so neither
+    the row senses nor the pivot path can change the result.
     """
+    if base.lp.rows[-1][h.m :] != _den(case):
+        raise SystemMismatch("interval system is not the slice of this case")
+    system = base.extended(h.P[h.n], 0)
     zero = Fraction(0)
-    cone = tuple(tuple(-a for a in row) for row in h.P[:-2])
-    rows = cone + ((zero,) * h.m + tuple(map(Fraction, den)),)
-    rhs = (zero,) * (len(rows) - 1) + (Fraction(1),)
-    senses = (Sense.LE,) * (len(rows) - 1) + (Sense.EQ,)
-    nonneg = (True,) * (h.m + 3)
 
     def lp(sign: int) -> LinearProgram:
-        objective = (zero,) * (h.m + 2) + (Fraction(sign),)
-        return LinearProgram(objective, rows, rhs, senses, nonneg)
+        return replace(system.lp, objective=(zero,) * (h.m + 2) + (Fraction(sign),))
 
-    minimize = lp(1)
-    system = FeasibleSystem(minimize)
-    res = solve_lp(minimize, system=system)
+    res = solve_lp(lp(1), system=system)
     if res.status is not LpStatus.OPTIMAL:
         raise EmptyComponent("lifted component cone misses den.w = 1")
     lower = res.value
@@ -133,14 +149,20 @@ def _interval_lp(h: ComponentHrep, den: tuple[int, int, int]):
     return lower, -res.value
 
 
-def interval_lp_case1(h: ComponentHrep) -> tuple[Fraction, object]:
-    """Interval by the lifted-cone LPs, case ONE: lambda = w3/w1."""
-    return _interval_lp(h, (1, 0, 0))
+def interval_lp_case1(
+    h: ComponentHrep, base: FeasibleSystem
+) -> tuple[Fraction, object]:
+    """Interval by the lifted-cone LPs, case ONE: lambda = w3/w1, on
+    base = interval_system(h, Case.ONE) of any component h."""
+    return _interval_lp(h, Case.ONE, base)
 
 
-def interval_lp_case2(h: ComponentHrep) -> tuple[Fraction, object]:
-    """Interval by the lifted-cone LPs, case TWO: lambda = w3/(w1 + w2)."""
-    return _interval_lp(h, (1, 1, 0))
+def interval_lp_case2(
+    h: ComponentHrep, base: FeasibleSystem
+) -> tuple[Fraction, object]:
+    """Interval by the lifted-cone LPs, case TWO: lambda = w3/(w1 + w2),
+    on base = interval_system(h, Case.TWO) of any component h."""
+    return _interval_lp(h, Case.TWO, base)
 
 
 def interval_vertex(case: Case, poly: ConvexPolygon2) -> tuple[Fraction, object]:
@@ -209,16 +231,17 @@ def solve_on_decomposition(
     Both methods can share one decomposition."""
     t = build_tolp(p)
     before = lp_core.solve_calls()
-    intervals = []
-    for entry, poly in zip(dec.images, dec.components):
-        if method is Method.LP:
-            route = interval_lp_case1 if p.case is Case.ONE else interval_lp_case2
-            lower, upper = route(component_hrep(t, entry.image))
-        else:
-            lower, upper = interval_vertex(p.case, poly)
-        intervals.append(
-            ParameterInterval(image=entry.image, lower=lower, upper=upper)
-        )
+    if method is Method.LP:
+        route = interval_lp_case1 if p.case is Case.ONE else interval_lp_case2
+        hreps = [component_hrep(t, entry.image) for entry in dec.images]
+        base = interval_system(hreps[0], p.case)
+        ends = [route(h, base) for h in hreps]
+    else:
+        ends = [interval_vertex(p.case, poly) for poly in dec.components]
+    intervals = [
+        ParameterInterval(image=entry.image, lower=lower, upper=upper)
+        for entry, (lower, upper) in zip(dec.images, ends)
+    ]
     interval_lp_solves = lp_core.solve_calls() - before
 
     finite_ends: set[Fraction] = set()

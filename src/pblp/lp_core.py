@@ -30,17 +30,21 @@ constraints and keeps the feasible tableau; every LP over those
 constraints then starts phase two from a copy of it (the reuse across
 weights of Przybylski, Gandibleux and Ehrgott, INFORMS J. Comput. 2010).
 The pivot path, and so the optimal vertex, is the one a fresh solve
-takes.
+takes.  FeasibleSystem.extended adds one equality row: written in the
+feasible basis, the row gets one artificial column that keeps the basis
+determinant, so phase one runs on that row alone and the Bareiss
+divisions stay exact.  On an extension the optimal value is a fresh
+solve's; the optimal vertex may differ.
 
 integer_row, eliminate and solve_square are the package's one exact
 elimination routine, shared by the tableau's rank reduction, the duals
 and the brute-force vertex oracle.
 
 Optimal duals are solved exactly from the final basis of a plain solve
-only: one with no ties and no FeasibleSystem.  Reduced costs at the
-final basis are reported for the objectives a caller asks to price,
-over one common positive scale, so that the weights for which that
-basis stays optimal form an integer cone (Ehrgott, Multicriteria
+only: one with no ties and no FeasibleSystem, extended or not.  Reduced
+costs at the final basis are reported for the objectives a caller asks
+to price, over one common positive scale, so that the weights for which
+that basis stays optimal form an integer cone (Ehrgott, Multicriteria
 Optimization, 2005, ch. 7).
 
 Sign conventions for duals of  min c.x  s.t. rows (sense) rhs, mixed
@@ -287,12 +291,7 @@ class _Tableau:
         self.row_factor: list[int] = []
         self.orig_row: list[int] = []  # index into lp.rows, for duals
         for i, row in enumerate(lp.rows):
-            dense = [0] * self.num_cols
-            for j, a in enumerate(row):
-                p, q = self.col_of_var[j]
-                dense[p] = a
-                if q is not None:
-                    dense[q] = -a
+            dense = self._dense(row)
             if slack_col[i] is not None:
                 dense[slack_col[i]] = 1 if lp.senses[i] is Sense.LE else -1
             scaled, scale = integer_row(dense + [lp.rhs[i]])
@@ -341,6 +340,15 @@ class _Tableau:
                 up = self.det // scale
                 self.rows[i] = [a * up for a in self.rows[i]]
                 self.b[i] *= up
+
+    def _dense(self, row) -> list:
+        """row over the standard-form columns, zero in every slack column."""
+        dense = [0] * self.num_cols
+        for a, (p, q) in zip(row, self.col_of_var):
+            dense[p] = a
+            if q is not None:
+                dense[q] = -a
+        return dense
 
     # -- pivoting ---------------------------------------------------------
 
@@ -439,31 +447,42 @@ class _Tableau:
 
     def phase_one(self) -> bool:
         """Install a feasible basis.  Returns False when infeasible."""
-        m = len(self.rows)
-        det = self.det
         # Start from slack columns where they already form identity entries,
         # artificials everywhere else.
-        for i in range(m):
+        for i, row in enumerate(self.rows):
             col = self.slack_col[self.orig_row[i]]
-            if col is not None:
-                coeff = self.rows[i][col]
-                if coeff == det:
-                    self.basis.append(col)
-                    continue
-            art = self.num_cols + len(self.art_cols)
-            self.art_cols.add(art)
-            for k in range(m):
-                self.rows[k].append(det if k == i else 0)
-            self.basis.append(art)
+            if col is not None and row[col] == self.det:
+                self.basis.append(col)
+            else:
+                self.basis.append(self._artificial(i))
+        return self._clear_artificials()
+
+    def _artificial(self, i: int) -> int:
+        """Append an artificial column, det in row i and zero elsewhere,
+        and return its index."""
+        art = self.num_cols + len(self.art_cols)
+        self.art_cols.add(art)
+        for k, row in enumerate(self.rows):
+            row.append(self.det if k == i else 0)
+        return art
+
+    def _clear_artificials(self) -> bool:
+        """Minimize the sum of the basic artificials, then drive them out.
+
+        Returns False when that sum stays positive, so the rows have no
+        solution.  The rows are independent (see __init__ and extended),
+        so a zero-valued artificial always has a pivot column.
+        """
         if not self.art_cols:
             return True
+        m = len(self.rows)
         total = self.num_cols + len(self.art_cols)
         cost = [0] * total
         for j in self.art_cols:
             cost[j] = 1
         # Each artificial column was appended as det times a unit vector,
-        # so the starting basis reads det times the identity.  Phase one
-        # is bounded below by zero, so it always ends optimal.
+        # so it starts basic.  Phase one is bounded below by zero, so it
+        # always ends optimal.
         if self._simplex(cost, banned=set()) is not LpStatus.OPTIMAL:
             raise InvariantViolation("phase one reported an unbounded objective")
         value = sum(
@@ -471,9 +490,6 @@ class _Tableau:
         )
         if value != 0:
             return False
-        # Drive zero-valued artificials out of the basis.  The rows were
-        # reduced to an independent set up front, so a pivot column always
-        # exists.
         for i in range(m):
             if self.basis[i] not in self.art_cols:
                 continue
@@ -541,16 +557,56 @@ class _Tableau:
     def copy(self, lp: LinearProgram) -> "_Tableau":
         """An independent twin for solving lp, an LP over the same system.
 
-        Pivots replace rows and write b and basis in place, so those
-        three are copied; det is an int, rebound by each pivot, and the
-        column layout and the read-only start_rows are shared.
+        Pivots and extended write rows, b, basis and art_cols in place,
+        so those four are copied; det is an int, rebound by each pivot,
+        and the column layout and the row bookkeeping, which extended
+        rebinds, are shared.
         """
         twin = copy.copy(self)
         twin.lp = lp
         twin.rows = [row[:] for row in self.rows]
         twin.b = self.b[:]
         twin.basis = self.basis[:]
+        twin.art_cols = set(self.art_cols)
         return twin
+
+    def extended(self, index: int, row, rhs) -> "_Tableau | None":
+        """A feasible twin with row.x = rhs appended as original row index,
+        or None when no point of this system satisfies it.
+
+        With r the row scaled to integers, the new row is r written in
+        the current basis, det * r - sum_i r[basis_i] * rows_i (the right
+        side likewise), negated if its right side is negative, with one
+        artificial column reading det.  That is the Bareiss tableau of
+        the integer system with r appended and a column reading 1 in r's
+        row, on the old basis plus that column, whose determinant is the
+        old det: so det stays and later divisions stay exact.  Phase one
+        runs on that artificial.  A row that reduces to zero depends on
+        the old rows: 0 = 0 is dropped and 0 = c, c nonzero, is
+        infeasible; any other leaves the rows independent.
+        """
+        r, scale = integer_row(self._dense(row) + [rhs])
+        twin = self.copy(self.lp)
+        det = twin.det
+        new = [det * a for a in r]
+        for col, trow, tb in zip(twin.basis, twin.rows, twin.b):
+            f = r[col]
+            if f:
+                new = [a - f * q for a, q in zip(new, trow + [tb])]
+        if new[-1] < 0:
+            new = [-a for a in new]
+            r = [-a for a in r]
+            scale = -scale
+        if not any(new[:-1]):
+            return None if new[-1] else twin
+        twin.b.append(new.pop())
+        twin.rows.append(new)
+        twin.start_rows = self.start_rows + [r[:-1]]
+        twin.row_factor = self.row_factor + [scale]
+        twin.orig_row = self.orig_row + [index]
+        twin.slack_col = self.slack_col + [None]
+        twin.basis.append(twin._artificial(len(twin.rows) - 1))
+        return twin if twin._clear_artificials() else None
 
     # -- extraction -------------------------------------------------------
 
@@ -595,21 +651,45 @@ def _feasible_tableau(lp: LinearProgram) -> _Tableau | None:
 class FeasibleSystem:
     """The constraints of an LP, taken through phase one once.
 
-    Built from any LP over the system; its objective plays no part.
+    Built from lp, any LP over the system; its objective plays no part.
     Holds the feasible tableau, or None when the system is infeasible.
     solve_lp and solve_lex_lp accept it for any LP with the same rows,
     rhs, senses and nonneg, and run only phase two on a copy.  Nothing
     is cached beyond the object, so it lives as long as its caller
     keeps it.
+
+    extended(row, rhs) is the system with one more equality row, whose
+    phase one runs on that row alone from the basis held here (see
+    _Tableau.extended for why det stays exact).  That pivot path is not
+    a fresh solve's, so an LP on it may end on another optimal vertex of
+    the same value.  No system, extended or not, reports duals.
     """
 
     def __init__(self, lp: LinearProgram):
-        self._constraints = (lp.rows, lp.rhs, lp.senses, lp.nonneg)
+        self.lp = lp
         self._tableau = _feasible_tableau(lp)
+
+    def extended(self, row, rhs) -> "FeasibleSystem":
+        """This system with row.x = rhs appended to lp's rows."""
+        lp = self.lp
+        twin = copy.copy(self)
+        twin.lp = LinearProgram(
+            lp.objective,
+            lp.rows + (_frac_tuple(row),),
+            lp.rhs + (Fraction(rhs),),
+            lp.senses + (Sense.EQ,),
+            lp.nonneg,
+        )
+        if self._tableau is not None:
+            twin._tableau = self._tableau.extended(len(lp.rows), row, rhs)
+        return twin
 
     def tableau_for(self, lp: LinearProgram) -> _Tableau | None:
         """A fresh copy of the feasible tableau for lp, None if infeasible."""
-        if (lp.rows, lp.rhs, lp.senses, lp.nonneg) != self._constraints:
+        own = self.lp
+        if (lp.rows, lp.rhs, lp.senses, lp.nonneg) != (
+            own.rows, own.rhs, own.senses, own.nonneg
+        ):
             raise SystemMismatch("LP constraints differ from the feasible system's")
         if self._tableau is None:
             return None

@@ -17,12 +17,13 @@ from pblp import (
     enumerate_breakpoints,
     interval_lp_case1,
     interval_lp_case2,
+    interval_system,
     interval_vertex,
     lambda_from_weight,
 )
 from pblp import breakpoints, lp_core
 from pblp.breakpoints import ParameterInterval
-from pblp.errors import NoFiniteVertex
+from pblp.errors import EmptyComponent, NoFiniteVertex, SystemMismatch
 from conftest import hull_of, w3
 from instance_gen import random_pblp
 
@@ -113,13 +114,11 @@ def test_interval_routes_agree_per_component(example2, example2_case1, example1)
     for p in (example2, example2_case1, example1):
         t = build_tolp(p)
         dec = decompose(t)
-        for entry, poly in zip(dec.images, dec.components):
-            by_vertex = interval_vertex(p.case, poly)
-            if p.case is Case.ONE:
-                by_lp = interval_lp_case1(component_hrep(t, entry.image))
-            else:
-                by_lp = interval_lp_case2(component_hrep(t, entry.image))
-            assert by_lp == by_vertex
+        route = interval_lp_case1 if p.case is Case.ONE else interval_lp_case2
+        hreps = [component_hrep(t, entry.image) for entry in dec.images]
+        base = interval_system(hreps[0], p.case)
+        for h, poly in zip(hreps, dec.components):
+            assert route(h, base) == interval_vertex(p.case, poly)
 
 
 def test_lp_route_spends_two_solves_per_image(example2, example2_case1):
@@ -129,28 +128,44 @@ def test_lp_route_spends_two_solves_per_image(example2, example2_case1):
         assert enumerate_breakpoints(p, Method.ADAPTED).interval_lp_solves == 0
 
 
-def test_lp_route_takes_phase_one_once_per_image(example2_case1, monkeypatch):
-    built = []
+def test_lp_route_takes_phase_one_once_per_image(request, monkeypatch):
+    """One LP-route solve builds one base FeasibleSystem, the cone rows
+    and the slice row that every image shares, and extends it once per
+    image by that image's row."""
+    built, extended = [], []
 
     class CountingSystem(breakpoints.FeasibleSystem):
         def __init__(self, lp):
             built.append(lp)
             super().__init__(lp)
 
+        def extended(self, row, rhs):
+            extended.append(row)
+            return super().extended(row, rhs)
+
     monkeypatch.setattr(breakpoints, "FeasibleSystem", CountingSystem)
-    sol = enumerate_breakpoints(example2_case1, Method.LP)
-    assert len(built) == len(sol.intervals)
+    for name in INTERVAL_PHASE_ONE_PIVOTS:
+        built.clear()
+        extended.clear()
+        sol = enumerate_breakpoints(request.getfixturevalue(name), Method.LP)
+        assert len(built) == 1, name
+        assert len(extended) == len(sol.intervals), name
 
 
-# Phase-one pivots of all interval LPs of one LP-route solve, as measured
-# with the cone rows in <= form (21, 19 and 19 with them in >= form).
-INTERVAL_PHASE_ONE_PIVOTS = {"example1": 16, "example2": 10, "example2_case1": 10}
+# Phase-one pivots of all interval LPs of one LP-route solve: the base
+# system's and every extension's.  With one full system per image they
+# were 16, 10 and 10 (21, 19 and 19 with the cone rows in >= form): the
+# extensions' phase ones cost more on the two example2 instances, whose
+# phase twos shrink by more (all interval pivots 24, 15, 16 -> 19, 16,
+# 16), and far less on larger problems (see the seeded family below).
+INTERVAL_PHASE_ONE_PIVOTS = {"example1": 11, "example2": 13, "example2_case1": 13}
 
 
 def test_interval_lps_start_on_their_slacks(request, monkeypatch):
     """Deterministic pivot gate for the interval LPs: every cone row
-    starts on its own slack, so phase one holds one artificial column,
-    on den.w = 1, and its pivot count stays at the measured value."""
+    starts on its own slack, so the base system's phase one holds one
+    artificial column, on den.w = 1, each image's extension one more,
+    on its own row, and the pivot count stays at the measured value."""
     in_phase_one = []
     pivots = []
     artificials = []
@@ -161,6 +176,13 @@ def test_interval_lps_start_on_their_slacks(request, monkeypatch):
             in_phase_one.append(lp)
             try:
                 super().__init__(lp)
+            finally:
+                in_phase_one.pop()
+
+        def extended(self, row, rhs):
+            in_phase_one.append(row)
+            try:
+                return super().extended(row, rhs)
             finally:
                 in_phase_one.pop()
 
@@ -182,27 +204,71 @@ def test_interval_lps_start_on_their_slacks(request, monkeypatch):
         artificials.clear()
         sol = enumerate_breakpoints(request.getfixturevalue(name), Method.LP)
         assert len(pivots) <= bound, (name, len(pivots))
-        assert artificials == [1] * len(sol.intervals), name
+        assert artificials == [1] * (1 + len(sol.intervals)), name
+
+
+# All interval-LP pivots, both phases, of the LP route on 40 seeded
+# instances: 1199 with one full system per image.
+FAMILY_INTERVAL_PIVOTS = 950
+
+
+def test_interval_pivots_on_a_seeded_family(monkeypatch):
+    """Deterministic pivot gate for one base system per problem."""
+    rng = random.Random(1405)
+    problems = [random_pblp(rng, (Case.ONE, Case.TWO)[i % 2]) for i in range(40)]
+    decompositions = [decompose(build_tolp(p)) for p in problems]
+    pivots = []
+    pivot = lp_core._Tableau._pivot
+
+    def counting_pivot(self, r, col):
+        pivots.append(col)
+        pivot(self, r, col)
+
+    monkeypatch.setattr(lp_core._Tableau, "_pivot", counting_pivot)
+    for p, dec in zip(problems, decompositions):
+        breakpoints.solve_on_decomposition(p, dec, Method.LP)
+    assert len(pivots) <= FAMILY_INTERVAL_PIVOTS, len(pivots)
 
 
 def test_lp_route_matches_vertices_in_both_cases():
     """One decomposition serves both cases, since the triobjective
     companion does not depend on the case; each component's lifted-cone
-    LPs must give the vertex-route interval under either lambda map."""
+    LPs, on one base system per case, must give the vertex-route
+    interval under either lambda map."""
     rng = random.Random(1405)
     routes = ((Case.ONE, interval_lp_case1), (Case.TWO, interval_lp_case2))
-    unbounded = corner = 0
+    unbounded = corner = compared = 0
     for _ in range(60):
         t = build_tolp(random_pblp(rng, Case.ONE))
         dec = decompose(t)
-        for entry, poly in zip(dec.images, dec.components):
-            h = component_hrep(t, entry.image)
-            for case, route in routes:
+        hreps = [component_hrep(t, entry.image) for entry in dec.images]
+        bases = [interval_system(hreps[0], case) for case, _ in routes]
+        for h, poly in zip(hreps, dec.components):
+            for (case, route), base in zip(routes, bases):
                 expected = interval_vertex(case, poly)
-                assert route(h) == expected
+                assert route(h, base) == expected
                 unbounded += expected[1] is INF
             corner += (F(0), F(1)) in poly.vertices
-    assert unbounded > 0 and corner > 0
+        compared += 1
+    assert compared == 60 and unbounded > 0 and corner > 0
+
+
+def test_lp_route_raises_typed_errors(example2, example1):
+    """An extreme image y shifted by (1, 1, 1) is no image: on the lifted
+    cone b.v <= y.w by weak duality, which is less than (y + 1).w on the
+    slice, so its row leaves the extended system infeasible and the route
+    raises EmptyComponent.  A base built for the other case raises
+    SystemMismatch."""
+    routes = {Case.ONE: interval_lp_case1, Case.TWO: interval_lp_case2}
+    for p in (example2, example1):
+        t = build_tolp(p)
+        for entry in decompose(t).images:
+            h = component_hrep(t, tuple(c + 1 for c in entry.image))
+            with pytest.raises(EmptyComponent):
+                routes[p.case](h, interval_system(h, p.case))
+        other = Case.ONE if p.case is Case.TWO else Case.TWO
+        with pytest.raises(SystemMismatch):
+            routes[p.case](h, interval_system(h, other))
 
 
 def test_interval_vertex_skips_the_undefined_corner():

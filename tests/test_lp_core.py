@@ -1,6 +1,7 @@
 """Exact two-phase simplex: optima, duals, degeneracy, determinism."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -842,6 +843,106 @@ def test_elimination_matches_a_fraction_gauss_jordan():
 def test_integer_row_scales_by_the_lcm_of_denominators():
     assert integer_row([Fraction(1, 2), 3, Fraction(-2, 3)]) == ([3, 18, -4], 6)
     assert integer_row([0, 0]) == ([0, 0], 1)
+
+
+def _extension_case(rng):
+    """A _random_fractional_case LP and one equality row to extend it
+    by: a multiple of one of its equality rows, with the matching right
+    side (dependent) or another one (inconsistent), or a fractional row
+    whose right side is met at the LP's optimum half the time."""
+    lp, _, _ = _random_fractional_case(rng)
+    eqs = [i for i, s in enumerate(lp.senses) if s is Sense.EQ]
+    pick = rng.random()
+    if eqs and pick < 0.4:
+        i = rng.choice(eqs)
+        k = Fraction(rng.choice((-3, -1, 1, 2, 5)), rng.randint(1, 4))
+        rhs = k * lp.rhs[i] + (Fraction(1, 3) if pick < 0.15 else 0)
+        return lp, [k * a for a in lp.rows[i]], rhs
+    row = [
+        Fraction(0) if rng.random() < 0.3
+        else Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+        for _ in range(lp.num_vars)
+    ]
+    res = solve_lp(lp)
+    if res.status is LpStatus.OPTIMAL and rng.random() < 0.5:
+        return lp, row, sum((a * v for a, v in zip(row, res.x)), Fraction(0))
+    return lp, row, Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+
+
+def test_extension_by_one_row_matches_a_fresh_system(monkeypatch):
+    """Seeded oracle for FeasibleSystem.extended: the base's feasible
+    tableau extended by one equality row must give a fresh system of
+    the full LP's status and optimal value for min and max objectives.
+    Its phase one holds one artificial; a dependent row is dropped, an
+    inconsistent one or an infeasible base makes every LP infeasible,
+    and extending is not an LP solve."""
+    rng = random.Random(2026)
+    seen = {status: 0 for status in LpStatus}
+    seen.update(infeasible_row=0, infeasible_base=0, dropped=0, negated=0)
+    artificials = []
+    simplex = lp_core._Tableau._simplex
+
+    def recording_simplex(self, cost, banned):
+        artificials.append(len(self.art_cols))
+        return simplex(self, cost, banned)
+
+    for _ in range(400):
+        lp, row, rhs = _extension_case(rng)
+        base = FeasibleSystem(lp)
+        before = solve_calls()
+        monkeypatch.setattr(lp_core._Tableau, "_simplex", recording_simplex)
+        artificials.clear()
+        extended = base.extended(row, rhs)
+        monkeypatch.undo()
+        assert solve_calls() == before
+        assert artificials in ([], [1])
+        full = LinearProgram.build(
+            lp.objective, lp.rows + (row,), lp.rhs + (rhs,),
+            lp.senses + (Sense.EQ,), lp.nonneg,
+        )
+        assert extended.lp == full
+        fresh = FeasibleSystem(full)
+        for sign in (1, -1):
+            objective = [sign * c for c in lp.objective]
+            program = LinearProgram.build(
+                objective, full.rows, full.rhs, full.senses, full.nonneg
+            )
+            got = solve_lp(program, system=extended)
+            want = solve_lp(program, system=fresh)
+            assert (got.status, got.value) == (want.status, want.value), (lp, row, rhs)
+            if got.status is LpStatus.OPTIMAL:
+                assert all(
+                    sum((a * v for a, v in zip(r, got.x)), Fraction(0)) == b
+                    for r, b, s in zip(full.rows, full.rhs, full.senses)
+                    if s is Sense.EQ
+                )
+            seen[got.status] += 1
+        tab, grown = base._tableau, extended._tableau
+        if tab is None:
+            seen["infeasible_base"] += 1
+        elif grown is None:
+            seen["infeasible_row"] += 1
+        else:
+            _assert_fraction_free(grown)
+            if len(grown.rows) == len(tab.rows):
+                seen["dropped"] += 1
+            elif grown.row_factor[-1] < 0:
+                seen["negated"] += 1
+    assert all(count >= 20 for count in seen.values()), seen
+
+
+def test_extension_keeps_the_base_intact():
+    """Extensions of one base are independent of each other and leave
+    the base as it was: max y over x + y <= 4, x - y <= 1 and x = k is
+    at (k, 4 - k) for k = 1, 2 and infeasible for k = 3."""
+    lp = LinearProgram.build([1, 1], [[1, 1], [1, -1]], [4, 1], ["<=", "<="])
+    base = FeasibleSystem(lp)
+    want = solve_lp(lp, system=base)
+    pinned = [base.extended([1, 0], k) for k in (1, 2, 3)]
+    assert solve_lp(lp, system=base) == want
+    top = (Fraction(0), Fraction(-1))
+    got = [solve_lp(replace(s.lp, objective=top), system=s).x for s in pinned]
+    assert got == [(1, 3), (2, 2), None]
 
 
 def test_infeasible_system_is_infeasible_for_every_objective():

@@ -2,16 +2,22 @@
 never an assert (which python -O strips) and never a StopIteration
 from a next() without a default, and no float decides anything, so
 float() appears only in the lossy plot comments of
-cli_io.emit_plot_data.  Two modules also keep their layer: the vertex
-oracle shares no logic with the decomposition and the interval routes
-it cross-checks, and the weight geometry builds only on the problem
-records and the numerics."""
+cli_io.emit_plot_data.  No state lives at module level beyond the solve
+counter: no module-level dict, list or set but __all__, and no global
+statement but lp_core's for _solve_calls.  Two modules also keep their
+layer: the vertex oracle shares no logic with the decomposition and the
+interval routes it cross-checks, and the weight geometry builds only on
+the problem records and the numerics."""
 
 import ast
 import pathlib
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "pblp"
 FLOAT_ALLOWED = {("cli_io", "emit_plot_data")}
+GLOBALS_ALLOWED = {("lp_core", "_solve_calls")}
+MUTABLE_DISPLAYS = (
+    ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp
+)
 IMPORTS_FORBIDDEN = {"oracle": {"wsd", "breakpoints"}}
 IMPORTS_ALLOWED = {"weight_geometry": {"problem_model", "numerics"}}
 
@@ -69,6 +75,66 @@ def test_the_rules_see_what_they_forbid(tmp_path):
         "cli_io.py:4: assert statement",
         "cli_io.py:5: float() call",
         "cli_io.py:7: next() without a default",
+    ]
+
+
+def _state_violations(path: pathlib.Path) -> list[str]:
+    """Module-level dicts, lists and sets (displays, comprehensions and
+    dict/list/set calls) other than __all__, and global statements other
+    than GLOBALS_ALLOWED."""
+    module = path.stem
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets, value = node.targets, node.value
+        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+            targets, value = [node.target], node.value
+        else:
+            continue
+        mutable = isinstance(value, MUTABLE_DISPLAYS) or (
+            isinstance(value, ast.Call)
+            and isinstance(value.func, ast.Name)
+            and value.func.id in ("dict", "list", "set")
+        )
+        names = [ast.unparse(t) for t in targets]
+        if mutable and names != ["__all__"]:
+            found.append(f"{path.name}:{node.lineno}: module-level {names[0]}")
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Global):
+            for name in node.names:
+                if (module, name) not in GLOBALS_ALLOWED:
+                    found.append(f"{path.name}:{node.lineno}: global {name}")
+    return found
+
+
+def test_no_module_level_state():
+    paths = sorted(SRC.glob("*.py"))
+    assert len(paths) >= 10
+    found = [line for path in paths for line in _state_violations(path)]
+    assert found == []
+
+
+def test_the_state_rule_sees_what_it_forbids(tmp_path):
+    bad = tmp_path / "lp_core.py"
+    bad.write_text(
+        "__all__ = ['solve_lp']\n"
+        "_cache = {}\n"
+        "_seen: set = set()\n"
+        "_order = [k for k in range(3)]\n"
+        "_sizes = (1, 2)\n"
+        "_state.rows = []\n"
+        "_solve_calls = 0\n"
+        "def solve_lp():\n"
+        "    global _solve_calls, _cache\n"
+        "    local = {}\n"
+    )
+    assert _state_violations(bad) == [
+        "lp_core.py:2: module-level _cache",
+        "lp_core.py:3: module-level _seen",
+        "lp_core.py:4: module-level _order",
+        "lp_core.py:6: module-level _state.rows",
+        "lp_core.py:9: global _cache",
     ]
 
 
