@@ -33,7 +33,6 @@ from .errors import (
     PblpError,
     SystemMismatch,
     TooLarge,
-    UnboundedFeasibleSet,
     UnboundedScalarization,
 )
 from .lp_core import (
@@ -50,9 +49,9 @@ from .oracle import (
     SweepReport,
     VertexSet,
     dichotomic_bolp,
-    enumerate_vertices_bruteforce,
     extreme_nondominated_bruteforce,
     sweep_lambda,
+    vertices_and_rays,
 )
 from .problem_model import (
     Bolp,

@@ -40,7 +40,6 @@ from .errors import (
     ParseError,
     PblpError,
     TooLarge,
-    UnboundedFeasibleSet,
 )
 from .lp_core import Sense
 from .numerics import INF, ext_format, rat_format, rat_parse
@@ -288,10 +287,8 @@ def run_check(p: Pblp, out=None) -> list[str]:
     dec = by_lp.decomposition
     try:
         expected = extreme_nondominated_bruteforce(build_tolp(p))
-    except (UnboundedFeasibleSet, TooLarge) as exc:
-        # The enumeration oracle only covers bounded, desk-sized feasible
-        # sets; an unbounded set is legitimate for the main solver (only
-        # the scalarizations must be bounded), so skip this comparison.
+    except TooLarge as exc:
+        # The enumeration oracle only covers desk-sized feasible sets.
         print(f"note: vertex oracle skipped ({exc})", file=out)
     else:
         if dec.image_points() != expected:

@@ -45,12 +45,7 @@ class NoFiniteVertex(PblpError):
 
 
 class TooLarge(PblpError):
-    """Brute-force enumeration would exceed the configured basis budget."""
-
-
-class UnboundedFeasibleSet(PblpError):
-    """The feasible set is unbounded, so vertex enumeration alone cannot
-    describe it."""
+    """The vertex oracle would hold more rays than its budget allows."""
 
 
 class SystemMismatch(PblpError):

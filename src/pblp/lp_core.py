@@ -37,8 +37,8 @@ divisions stay exact.  On an extension the optimal value is a fresh
 solve's; the optimal vertex may differ.
 
 integer_row, eliminate and solve_square are the package's one exact
-elimination routine, shared by the tableau's rank reduction, the duals
-and the brute-force vertex oracle.
+elimination routine, shared by the tableau's rank reduction and the
+duals; the vertex oracle scales its rows with integer_row.
 
 Optimal duals are solved exactly from the final basis of a plain solve
 only: one with no ties and no FeasibleSystem, extended or not.  Reduced

@@ -1,164 +1,173 @@
-"""Independent brute-force checks for the decomposition machinery.
+"""Independent checks for the decomposition machinery.
 
-Nothing here shares logic with the component/interval code: vertices come
-from exhaustive basis enumeration, extreme nondominated images from
-re-deriving each candidate's component against the vertex images that no
-other vertex image dominates componentwise, and the parametric picture
-from solving the biobjective problem from scratch on a lambda grid.  Slow
-on purpose, exact on purpose.  Candidate bases are solved by lp_core's
-fraction-free elimination, a primitive of the LP engine, not of wsd or
-breakpoints.
+Nothing here shares logic with the component/interval code: vertices and
+extreme rays come from an exact double-description conversion of the
+constraints, extreme nondominated images from re-deriving each
+candidate's component against the vertex images that no other vertex
+image dominates componentwise, and the parametric picture from solving
+the biobjective problem from scratch on a lambda grid.  The vertex path
+runs no simplex: it shares only lp_core's integer_row with the LP
+engine, never wsd or breakpoints.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from math import comb
+from math import gcd
+from operator import mul
 
-from .errors import (
-    InfeasibleProblem,
-    InvariantViolation,
-    TooLarge,
-    UnboundedFeasibleSet,
-    UnboundedScalarization,
-)
+from .errors import InfeasibleProblem, TooLarge, UnboundedScalarization
 from .lp_core import (
     FeasibleSystem,
     LinearProgram,
     LpStatus,
     Sense,
-    eliminate,
     integer_row,
     solve_lex_lp,
-    solve_lp,
-    solve_square,
 )
-from .problem_model import Bolp, Case, Pblp, Tolp, build_tolp, fix_lambda
+from .problem_model import Bolp, Pblp, Tolp, build_tolp, fix_lambda
 from .weight_geometry import Point3, component_vertices
 
 __all__ = [
     "VertexSet",
     "SweepReport",
-    "enumerate_vertices_bruteforce",
+    "vertices_and_rays",
     "extreme_nondominated_bruteforce",
     "dichotomic_bolp",
     "lambda_grid",
     "sweep_lambda",
 ]
 
-DEFAULT_BASIS_BUDGET = 10**6
+DEFAULT_RAY_BUDGET = 20000
 
 
 @dataclass(frozen=True)
 class VertexSet:
-    """All vertices of a bounded feasible set, sorted."""
+    """Vertices and extreme rays (primitive integer directions), sorted."""
 
     vertices: tuple[tuple[Fraction, ...], ...]
+    rays: tuple[tuple[int, ...], ...]
 
 
-def enumerate_vertices_bruteforce(
-    rows, rhs, senses, n: int, max_bases: int = DEFAULT_BASIS_BUDGET
+def vertices_and_rays(
+    rows, rhs, senses, n: int, max_rays: int = DEFAULT_RAY_BUDGET
 ) -> VertexSet:
-    """Every vertex of {x >= 0 : rows (senses) rhs} by basis enumeration.
+    """Every vertex and extreme ray of {x >= 0 : rows (senses) rhs}.
 
-    Proves boundedness first (one LP per coordinate) and raises
-    UnboundedFeasibleSet otherwise; raises TooLarge when the number of
-    candidate bases exceeds max_bases.  An infeasible system yields the
-    empty vertex set.
+    Double description (Motzkin, Raiffa, Thompson and Thrall 1953;
+    Fukuda and Prodon 1996) on the pointed cone {(x, t) >= 0 :
+    a.x - b.t (sense) 0}: from the n + 1 unit rays of the orthant, cut by
+    one integer row at a time, equalities first.  A cut keeps the rays on
+    its side (on it, for an equality) and adds v+ r- - v- r+, over its
+    gcd, for each adjacent pair it separates.  A ray's zero set, the rows
+    it is tight on, is an int bitmask; two rays are adjacent when no
+    other ray's zero set contains their common one.  A ray with t > 0
+    gives the vertex x / t, one with t = 0 an extreme ray; if no ray has
+    t > 0 the set is empty, and the rays, of {A x (sense) 0}, are dropped.
+    Raises TooLarge when more than max_rays rays are held at once.
     """
-    zero = Fraction(0)
-    system_lp = LinearProgram(
-        objective=(zero,) * n,
-        rows=tuple(tuple(Fraction(a) for a in r) for r in rows),
-        rhs=tuple(Fraction(b) for b in rhs),
-        senses=tuple(senses),
-        nonneg=(True,) * n,
-    )
-    system = FeasibleSystem(system_lp)
-    for j in range(n):
-        objective = tuple(-Fraction(1) if i == j else zero for i in range(n))
-        probe = replace(system_lp, objective=objective)
-        res = solve_lp(probe, system=system)
-        if res.status is LpStatus.INFEASIBLE:
-            return VertexSet(())
-        if res.status is LpStatus.UNBOUNDED:
-            raise UnboundedFeasibleSet(f"coordinate {j} is unbounded")
-
-    # Standard form: one slack (LE) or surplus (GE) column per inequality,
-    # each row [coefficients | rhs] scaled to integers.
-    aug_cols = sum(1 for s in senses if s is not Sense.EQ)
-    total = n + aug_cols
-    std = []
-    k = 0  # next slack column
+    d = n + 1
+    cuts = []  # (g, is_eq): the cut g.z >= 0, or g.z = 0
     for row, b, sense in zip(rows, rhs, senses):
-        slack = [0] * aug_cols
-        if sense is not Sense.EQ:
-            slack[k] = 1 if sense is Sense.LE else -1
-            k += 1
-        std.append(integer_row([Fraction(a) for a in row] + slack + [Fraction(b)])[0])
+        g = integer_row([Fraction(a) for a in row] + [-Fraction(b)])[0]
+        if sense is Sense.LE:
+            g = [-v for v in g]
+        cuts.append((g, sense is Sense.EQ))
+    cuts.sort(key=lambda cut: not cut[1])
+    # zero-set bit j < d: coordinate j of z is zero; bit d + k: cut k is tight
+    rays = [
+        (tuple(int(i == j) for i in range(d)), ((1 << d) - 1) ^ (1 << j))
+        for j in range(d)
+    ]
+    for k, (g, eq) in enumerate(cuts, start=d):
+        values = [sum(map(mul, g, r)) for r, _ in rays]
+        kept = [
+            (r, z | (1 << k) if v == 0 else z)
+            for (r, z), v in zip(rays, values)
+            if v == 0 or (v > 0 and not eq)
+        ]
+        for ray in _crossings(rays, values, d, k):
+            kept.append(ray)
+            if len(kept) > max_rays:
+                raise TooLarge(f"more than {max_rays} rays held at once")
+        rays = kept
+    vertices = tuple(sorted(
+        tuple(Fraction(a, r[-1]) for a in r[:-1]) for r, _ in rays if r[-1]
+    ))
+    if not vertices:
+        return VertexSet((), ())
+    return VertexSet(vertices, tuple(sorted(r[:-1] for r, _ in rays if not r[-1])))
 
-    # Reduce to an independent row set so degenerate inputs cannot hide
-    # vertices behind singular bases.  Any independent set spanning the
-    # rows gives each basis the same solution.
-    echelon = eliminate(std)
-    if not echelon.consistent:
-        raise InvariantViolation("a feasible system reduced to 0 = nonzero")
-    reduced = echelon.rows
-    rank = len(reduced)
 
-    if comb(total, rank) > max_bases:
-        raise TooLarge(
-            f"{comb(total, rank)} candidate bases exceed budget {max_bases}"
-        )
+def _crossings(rays, values, d: int, k: int):
+    """The new rays on cut k: one per adjacent pair it separates.
 
-    seen: set[tuple[Fraction, ...]] = set()
-    for basis in combinations(range(total), rank):
-        sol = solve_square([[row[c] for c in basis] + [row[-1]] for row in reduced])
-        if sol is None:
+    values holds g.r for each ray.  Bit sets over ray indices do the
+    work: neg holds the rays with g.r < 0, holders[b] the rays tight on
+    row b.
+    """
+    neg = sum(1 << i for i, v in enumerate(values) if v < 0)
+    if not neg:
+        return
+    holders = [
+        sum(1 << i for i, (_, z) in enumerate(rays) if z >> b & 1) for b in range(k)
+    ]
+    everyone = (1 << len(rays)) - 1
+    for i, ((rp, zp), vp) in enumerate(zip(rays, values)):
+        if vp <= 0:
             continue
-        z = [zero] * total
-        for c, v in zip(basis, sol):
-            z[c] = v
-        if any(v < 0 for v in z):
-            continue
-        x = tuple(z[:n])
-        if x in seen:
-            continue
-        if _satisfies(rows, rhs, senses, x):
-            seen.add(x)
-    return VertexSet(tuple(sorted(seen)))
+        # near[j]: the negative rays missing at most j of zp's rows; an
+        # adjacent one shares at least d - 2 of them
+        slack = zp.bit_count() - (d - 2)
+        near = [neg] * (slack + 1)
+        for b in _bits(zp):
+            for j in range(slack, 0, -1):
+                near[j] = (near[j] & holders[b]) | near[j - 1]
+            near[0] &= holders[b]
+        for m in _bits(near[slack]):
+            (rn, zn), vn = rays[m], values[m]
+            common = zp & zn
+            face = everyone
+            for b in _bits(common):
+                face &= holders[b]
+            if face == (1 << i) | (1 << m):  # no other ray on their face
+                r = [vp * a - vn * c for a, c in zip(rn, rp)]
+                div = gcd(*r)
+                yield tuple(a // div for a in r), common | (1 << k)
 
 
-def _satisfies(rows, rhs, senses, x) -> bool:
-    for row, b, sense in zip(rows, rhs, senses):
-        lhs = sum(Fraction(a) * v for a, v in zip(row, x))
-        if sense is Sense.GE and lhs < b:
-            return False
-        if sense is Sense.LE and lhs > b:
-            return False
-        if sense is Sense.EQ and lhs != b:
-            return False
-    return True
+def _bits(mask: int):
+    """The indices of mask's set bits, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def extreme_nondominated_bruteforce(
-    t: Tolp, max_bases: int = DEFAULT_BASIS_BUDGET
+    t: Tolp, max_rays: int = DEFAULT_RAY_BUDGET
 ) -> tuple[Point3, ...]:
     """Extreme nondominated images from first principles.
 
-    Enumerate all vertices, map them through the cost rows, drop every
-    image that another one dominates componentwise, and keep the images
-    whose component against the remaining list has positive area.  The
-    feasible set must be bounded, so its image is the convex hull of the
-    vertex images and the component test is exact.  The Pareto filter
-    changes no result: with w >= 0 a dominated image's component lies in
-    the simplex boundary (zero area), and its half-plane w.x <= w.y is
-    implied by its dominator z's, w.x <= w.z <= w.y, so it never binds.
+    Enumerate all vertices and extreme rays.  A ray r with a negative
+    entry of C r, C the cost rows, makes the scalarization by that
+    corner of the weight simplex unbounded: UnboundedScalarization.
+    Otherwise w.C r >= 0 for every weight w, so each scalarization is
+    minimized at a vertex and the image's extreme points are vertex
+    images.  Map the vertices through the cost rows, drop every image
+    that another one dominates componentwise, and keep the images whose
+    component against the remaining list has positive area.  The Pareto
+    filter changes no result: with w >= 0 a dominated image's component
+    lies in the simplex boundary (zero area), and its half-plane
+    w.x <= w.y is implied by its dominator z's, w.x <= w.z <= w.y, so it
+    never binds.
     """
-    verts = enumerate_vertices_bruteforce(t.rows, t.rhs, t.senses, t.n, max_bases)
-    images = sorted({t.image(x) for x in verts.vertices})
+    found = vertices_and_rays(t.rows, t.rhs, t.senses, t.n, max_rays)
+    for r in found.rays:
+        if any(c < 0 for c in t.image(r)):
+            raise UnboundedScalarization(f"ray {r} lowers a cost row")
+    images = sorted({t.image(x) for x in found.vertices})
     # a dominator is lexicographically smaller, so only earlier ones count
     pareto = [
         y for i, y in enumerate(images)

@@ -1,9 +1,22 @@
 import pathlib
+from dataclasses import replace
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from pblp import ConvexPolygon2, HalfPlane, Weight2, Weight3, parse_problem
+from pblp.errors import InvariantViolation
+from pblp.lp_core import (
+    FeasibleSystem,
+    LinearProgram,
+    LpStatus,
+    Sense,
+    eliminate,
+    integer_row,
+    solve_lp,
+    solve_square,
+)
 
 INSTANCE_DIR = pathlib.Path(__file__).resolve().parent.parent / "instances"
 
@@ -26,6 +39,74 @@ def as_tuple(w: Weight3) -> tuple[Fraction, Fraction, Fraction]:
 
 def project(w: Weight3) -> Weight2:
     return Weight2(w.w1, w.w2)
+
+
+class UnboundedFeasibleSet(Exception):
+    """The reference enumeration met an unbounded feasible set."""
+
+
+def basis_vertices(rows, rhs, senses, n: int):
+    """Reference enumeration: every vertex of the bounded set
+    {x >= 0 : rows (senses) rhs}, sorted, by trying every basis.
+
+    Proves boundedness first (one LP per coordinate) and raises
+    UnboundedFeasibleSet otherwise.  An infeasible system yields ().
+    """
+    zero = Fraction(0)
+    system_lp = LinearProgram(
+        objective=(zero,) * n,
+        rows=tuple(tuple(Fraction(a) for a in r) for r in rows),
+        rhs=tuple(Fraction(b) for b in rhs),
+        senses=tuple(senses),
+        nonneg=(True,) * n,
+    )
+    system = FeasibleSystem(system_lp)
+    for j in range(n):
+        objective = tuple(-Fraction(1) if i == j else zero for i in range(n))
+        res = solve_lp(replace(system_lp, objective=objective), system=system)
+        if res.status is LpStatus.INFEASIBLE:
+            return ()
+        if res.status is LpStatus.UNBOUNDED:
+            raise UnboundedFeasibleSet(f"coordinate {j} is unbounded")
+
+    # Standard form: one slack (LE) or surplus (GE) column per inequality,
+    # each row [coefficients | rhs] scaled to integers, reduced to an
+    # independent row set so singular bases hide no vertex.
+    aug_cols = sum(1 for s in senses if s is not Sense.EQ)
+    total = n + aug_cols
+    std = []
+    k = 0  # next slack column
+    for row, b, sense in zip(rows, rhs, senses):
+        slack = [0] * aug_cols
+        if sense is not Sense.EQ:
+            slack[k] = 1 if sense is Sense.LE else -1
+            k += 1
+        std.append(integer_row([Fraction(a) for a in row] + slack + [Fraction(b)])[0])
+    echelon = eliminate(std)
+    if not echelon.consistent:
+        raise InvariantViolation("a feasible system reduced to 0 = nonzero")
+    reduced = echelon.rows
+    seen = set()
+    for basis in combinations(range(total), len(reduced)):
+        sol = solve_square([[row[c] for c in basis] + [row[-1]] for row in reduced])
+        if sol is None:
+            continue
+        z = [zero] * total
+        for c, v in zip(basis, sol):
+            z[c] = v
+        if all(v >= 0 for v in z) and _satisfies(rows, rhs, senses, z[:n]):
+            seen.add(tuple(z[:n]))
+    return tuple(sorted(seen))
+
+
+def _satisfies(rows, rhs, senses, x) -> bool:
+    for row, b, sense in zip(rows, rhs, senses):
+        lhs = sum(Fraction(a) * v for a, v in zip(row, x))
+        if (sense is Sense.GE and lhs < b) or (sense is Sense.LE and lhs > b):
+            return False
+        if sense is Sense.EQ and lhs != b:
+            return False
+    return True
 
 
 def component_of(dec, y) -> ConvexPolygon2:

@@ -20,7 +20,6 @@ from pblp import (
     build_tolp,
     decompose,
     enumerate_breakpoints,
-    enumerate_vertices_bruteforce,
     extreme_nondominated_bruteforce,
     lambda_from_weight,
     map_weight_to_simplex,
@@ -28,6 +27,7 @@ from pblp import (
     solve_lp,
     solve_on_decomposition,
     sweep_lambda,
+    vertices_and_rays,
 )
 from pblp.weight_geometry import intersect_polygons
 from conftest import as_tuple, component_of, load_instance, w2, w3
@@ -232,7 +232,8 @@ def test_criterion_7_lp_core():
         if res.status is not LpStatus.OPTIMAL:
             continue
         solved += 1
-        verts = enumerate_vertices_bruteforce(lp.rows, lp.rhs, lp.senses, n)
+        verts = vertices_and_rays(lp.rows, lp.rhs, lp.senses, n)
+        assert verts.rays == ()
         best = min(
             sum(c * v for c, v in zip(lp.objective, x)) for x in verts.vertices
         )

@@ -10,7 +10,15 @@ from fractions import Fraction
 
 import pytest
 
-from pblp import Method, build_tolp, cli_main, decompose, parse_problem
+from pblp import (
+    Method,
+    build_tolp,
+    cli_main,
+    decompose,
+    extreme_nondominated_bruteforce,
+    parse_problem,
+    vertices_and_rays,
+)
 from pblp.breakpoints import enumerate_breakpoints
 from pblp.cli_io import (
     COMPUTE_ERROR,
@@ -22,7 +30,7 @@ from pblp.cli_io import (
     emit_solution,
     run_check,
 )
-from pblp.errors import BadCase, DimensionMismatch, ParseError
+from pblp.errors import BadCase, DimensionMismatch, ParseError, TooLarge
 from conftest import INSTANCE_DIR
 from instance_gen import random_pblp
 from pblp import Case
@@ -149,9 +157,23 @@ def test_run_check_passes_the_bounded_example(example1, capsys):
     assert run_check(example1) == []
 
 
-def test_run_check_skips_the_oracle_on_unbounded_sets(example2, capsys):
-    assert run_check(example2) == []
-    assert "vertex oracle skipped" in capsys.readouterr().err
+def test_run_check_runs_the_oracle_on_unbounded_sets(example2, example2_case1, capsys):
+    for p in (example2, example2_case1):
+        found = vertices_and_rays(p.rows, p.rhs, p.senses, p.n)
+        assert (len(found.vertices), len(found.rays)) == (3, 3)
+        assert run_check(p) == []
+        assert capsys.readouterr().err == ""
+        t = build_tolp(p)
+        assert extreme_nondominated_bruteforce(t) == decompose(t).image_points()
+
+
+def test_run_check_notes_an_oracle_over_its_budget(monkeypatch, example1, capsys):
+    def over_budget(t):
+        raise TooLarge("more than 3 rays held at once")
+
+    monkeypatch.setattr("pblp.cli_io.extreme_nondominated_bruteforce", over_budget)
+    assert run_check(example1) == []
+    assert "note: vertex oracle skipped (more than 3 rays" in capsys.readouterr().err
 
 
 def test_run_check_decomposes_once(monkeypatch, example1, example2_case1):
@@ -270,8 +292,7 @@ def test_cli_plot_out_writes_the_plot_file(tmp_path, capsys):
 def test_cli_check_passes_on_all_bundled_instances(capsys):
     for name in ("example1.pblp", "example2.pblp", "example2_case1.pblp"):
         assert cli_main(["check", _instance(name), "--quiet"]) == 0
-        # example2 and example2_case1 are unbounded, so the vertex oracle
-        # is skipped; --quiet keeps that note off stderr too
+        # the vertex oracle also runs on the unbounded example2 sets
         assert capsys.readouterr().err == "", name
 
 

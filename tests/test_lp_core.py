@@ -17,7 +17,7 @@ from pblp import (
 from pblp import lp_core
 from pblp.errors import DimensionMismatch, SystemMismatch
 from pblp.lp_core import eliminate, integer_row, solve_calls, solve_square
-from pblp.oracle import enumerate_vertices_bruteforce
+from pblp.oracle import vertices_and_rays
 
 
 def test_minimum_on_a_triangle():
@@ -94,7 +94,8 @@ def test_blands_rule_finishes_a_classic_cycling_instance():
     ]
     rhs = list(lp.rhs) + [Fraction(1000)] * 4
     senses = list(lp.senses) + [Sense.LE] * 4
-    verts = enumerate_vertices_bruteforce(tuple(rows), tuple(rhs), tuple(senses), 4)
+    verts = vertices_and_rays(tuple(rows), tuple(rhs), tuple(senses), 4)
+    assert verts.rays == ()
     best = min(
         sum(c * v for c, v in zip(lp.objective, x)) for x in verts.vertices
     )
@@ -139,9 +140,8 @@ def test_random_lps_match_vertex_minima_and_duality():
         if res.status is not LpStatus.OPTIMAL:
             continue
         solved += 1
-        verts = enumerate_vertices_bruteforce(
-            lp.rows, lp.rhs, lp.senses, lp.num_vars
-        )
+        verts = vertices_and_rays(lp.rows, lp.rhs, lp.senses, lp.num_vars)
+        assert verts.rays == ()
         best = min(
             sum(c * v for c, v in zip(lp.objective, x)) for x in verts.vertices
         )

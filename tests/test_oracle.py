@@ -1,7 +1,9 @@
 """Brute-force oracles: vertex enumeration, extreme images, grid sweeps."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -9,29 +11,29 @@ from pblp import (
     Case,
     Pblp,
     Sense,
+    VertexSet,
     build_tolp,
+    decompose,
     dichotomic_bolp,
-    enumerate_vertices_bruteforce,
     extreme_nondominated_bruteforce,
     fix_lambda,
     sweep_lambda,
+    vertices_and_rays,
 )
-from pblp.errors import TooLarge, UnboundedFeasibleSet
+from pblp import lp_core, oracle
+from pblp.errors import TooLarge, UnboundedScalarization
 from pblp.weight_geometry import component_vertices
+from conftest import UnboundedFeasibleSet, basis_vertices, load_instance
 from instance_gen import random_pblp
 
 F = Fraction
+BUNDLED = ("example1.pblp", "example2.pblp", "example2_case1.pblp")
 
 
 def test_vertices_of_the_example1_region(example1):
-    verts = enumerate_vertices_bruteforce(
-        example1.rows, example1.rhs, example1.senses, example1.n
-    )
-    assert verts.vertices == (
-        (F(0), F(3)),
-        (F(2), F(0)),
-        (F(10), F(0)),
-        (F(10), F(3)),
+    found = vertices_and_rays(example1.rows, example1.rhs, example1.senses, example1.n)
+    assert found == VertexSet(
+        ((F(0), F(3)), (F(2), F(0)), (F(10), F(0)), (F(10), F(3))), ()
     )
 
 
@@ -40,34 +42,207 @@ def test_vertices_of_a_box_with_a_cut():
     rows = ((F(1), F(0)), (F(0), F(1)), (F(1), F(1)))
     rhs = (F(1), F(1), F(3, 2))
     senses = (Sense.LE, Sense.LE, Sense.LE)
-    verts = enumerate_vertices_bruteforce(rows, rhs, senses, 2)
-    assert verts.vertices == (
+    found = vertices_and_rays(rows, rhs, senses, 2)
+    assert found.vertices == (
         (F(0), F(0)),
         (F(0), F(1)),
         (F(1, 2), F(1)),
         (F(1), F(0)),
         (F(1), F(1, 2)),
     )
+    assert found.rays == ()
 
 
 def test_vertex_enumeration_flags_unbounded_sets():
+    # the half-line x >= 0 and the wedge 0 <= x2 <= 2 x1 + 1
+    assert vertices_and_rays(((F(1),),), (F(0),), (Sense.GE,), 1) == VertexSet(
+        ((F(0),),), ((1,),)
+    )
+    found = vertices_and_rays(((F(-2), F(1)),), (F(1),), (Sense.LE,), 2)
+    assert found == VertexSet(((F(0), F(0)), (F(0), F(1))), ((1, 0), (1, 2)))
     with pytest.raises(UnboundedFeasibleSet):
-        enumerate_vertices_bruteforce(((F(1),),), (F(0),), (Sense.GE,), 1)
+        basis_vertices(((F(-2), F(1)),), (F(1),), (Sense.LE,), 2)
 
 
-def test_vertex_enumeration_respects_the_basis_budget():
+def test_vertex_enumeration_respects_the_ray_budget(example1):
     rows = ((F(1), F(1)),)
     rhs = (F(1),)
     with pytest.raises(TooLarge):
-        enumerate_vertices_bruteforce(rows, rhs, (Sense.LE,), 2, max_bases=1)
+        vertices_and_rays(rows, rhs, (Sense.LE,), 2, max_rays=2)
+    assert len(vertices_and_rays(rows, rhs, (Sense.LE,), 2, max_rays=3).vertices) == 3
+    with pytest.raises(TooLarge):
+        extreme_nondominated_bruteforce(build_tolp(example1), max_rays=3)
 
 
 def test_vertex_enumeration_of_an_empty_set_is_empty():
     rows = ((F(1),), (F(1),))
     rhs = (F(2), F(1))
     senses = (Sense.GE, Sense.LE)
-    verts = enumerate_vertices_bruteforce(rows, rhs, senses, 1)
-    assert verts.vertices == ()
+    assert vertices_and_rays(rows, rhs, senses, 1) == VertexSet((), ())
+
+
+def test_an_empty_set_with_recession_rays_is_empty_not_unbounded():
+    # x1 - x2 >= 1 and x1 - x2 <= 0 meet nowhere, while {A x (sense) 0}
+    # is the half-line x1 = x2 >= 0, whose direction lowers c1
+    p = Pblp(
+        case=Case.ONE,
+        n=2,
+        rows=((F(1), F(-1)), (F(1), F(-1))),
+        rhs=(F(1), F(0)),
+        senses=(Sense.GE, Sense.LE),
+        c1=(F(-1), F(0)),
+        c2=(F(0), F(1)),
+        d1=(F(1), F(1)),
+    )
+    assert vertices_and_rays(p.rows, p.rhs, p.senses, p.n) == VertexSet((), ())
+    assert basis_vertices(p.rows, p.rhs, p.senses, p.n) == ()
+    assert extreme_nondominated_bruteforce(build_tolp(p)) == ()
+
+
+def test_a_ray_that_lowers_a_cost_row_is_an_unbounded_scalarization():
+    # x1 - x2 <= 1 on the orthant has the rays (0, 1) and (1, 1); c1
+    # falls along (0, 1) while c2 and d1 rise along both
+    p = Pblp(
+        case=Case.TWO,
+        n=2,
+        rows=((F(1), F(-1)),),
+        rhs=(F(1),),
+        senses=(Sense.LE,),
+        c1=(F(1), F(-2)),
+        c2=(F(0), F(1)),
+        d1=(F(1), F(1)),
+    )
+    assert vertices_and_rays(p.rows, p.rhs, p.senses, p.n).rays == ((0, 1), (1, 1))
+    with pytest.raises(UnboundedScalarization):
+        extreme_nondominated_bruteforce(build_tolp(p))
+    bounded = replace(p, c1=(F(1), F(0)))
+    assert extreme_nondominated_bruteforce(build_tolp(bounded)) == (
+        (F(0), F(0), F(0)),
+    )
+
+
+def _compare_with_the_reference(rows, rhs, senses, n):
+    """Check vertices_and_rays against the basis enumeration; returns
+    "bounded", "unbounded" or "empty" and the checked VertexSet.
+
+    The vertices of an unbounded set are those of the set boxed by
+    x1 + ... + xn <= U, U beyond every vertex, that stay below U.  The
+    rays of a nonempty set, scaled to x1 + ... + xn = 1, are the
+    vertices of its recession cone so cut.
+    """
+    found = vertices_and_rays(rows, rhs, senses, n)
+    box = (F(1),) * n
+    try:
+        reference = basis_vertices(rows, rhs, senses, n)
+        kind = "bounded" if reference else "empty"
+    except UnboundedFeasibleSet:
+        far = F(10**12)
+        boxed = basis_vertices(rows + [box], rhs + [far], senses + [Sense.LE], n)
+        reference = tuple(x for x in boxed if sum(x) < far)
+        kind = "unbounded"
+    assert found.vertices == reference
+    if kind == "empty":
+        assert found.rays == ()
+    else:
+        cone = basis_vertices(
+            rows + [box], [F(0)] * len(rows) + [F(1)], senses + [Sense.EQ], n
+        )
+        assert sorted(tuple(F(a, sum(r)) for a in r) for r in found.rays) == list(cone)
+        assert all(gcd(*r) == 1 for r in found.rays)
+        assert bool(found.rays) == (kind == "unbounded")
+    return kind, found
+
+
+def _seeded_system(rng, trial):
+    """A small system built around the feature trial % 5 picks: a
+    duplicated row, a scaled one, a dependent equality, a zero row or
+    rows through the origin; half of them get a box row."""
+    n = rng.randint(1, 4)
+    rows = [
+        tuple(F(rng.randint(-4, 4)) for _ in range(n)) for _ in range(rng.randint(1, 4))
+    ]
+    rhs = [F(rng.randint(-2, 8)) for _ in rows]
+    pool = (Sense.LE, Sense.GE, Sense.LE, Sense.LE, Sense.EQ)
+    senses = [rng.choice(pool) for _ in rows]
+    i, j = rng.randrange(len(rows)), rng.randrange(len(rows))
+    kind = trial % 5
+    if kind == 0:
+        extra = [(rows[i], rhs[i], senses[i])]
+    elif kind == 1:
+        # a negative factor flips an inequality
+        f = F(rng.choice((-3, -1, 2, 5)), rng.choice((1, 2, 3)))
+        flipped = {Sense.LE: Sense.GE, Sense.GE: Sense.LE, Sense.EQ: Sense.EQ}
+        sense = senses[i] if f > 0 else flipped[senses[i]]
+        extra = [(tuple(f * a for a in rows[i]), f * rhs[i], sense)]
+    elif kind == 2:
+        senses[i] = senses[j] = Sense.EQ
+        combined = tuple(a + 2 * c for a, c in zip(rows[i], rows[j]))
+        extra = [(combined, rhs[i] + 2 * rhs[j], Sense.EQ)]
+    elif kind == 3:
+        extra = [((F(0),) * n, F(rng.randint(-1, 2)), rng.choice(list(Sense)))]
+    else:
+        extra = [
+            (tuple(F(rng.randint(-4, 4)) for _ in range(n)), F(0), Sense.LE)
+            for _ in range(2)
+        ]
+    if rng.random() < 0.5:
+        extra.append(((F(1),) * n, F(rng.randint(3, 8)), Sense.LE))
+    for row, b, sense in extra:
+        at = rng.randint(0, len(rows))
+        rows.insert(at, row)
+        rhs.insert(at, b)
+        senses.insert(at, sense)
+    return n, rows, rhs, senses
+
+
+def _degenerate(rows, rhs, senses, n, vertices) -> bool:
+    """Some vertex has more than n tight constraints, x_j >= 0 included."""
+    return any(
+        sum(v == 0 for v in x)
+        + sum(sum(a * v for a, v in zip(row, x)) == b for row, b in zip(rows, rhs))
+        > n
+        for x in vertices
+    )
+
+
+def test_vertex_sets_match_the_basis_reference_on_seeded_systems():
+    rng = random.Random(2024)
+    seen = {"bounded": 0, "unbounded": 0, "empty": 0, "degenerate": 0}
+    for trial in range(500):
+        n, rows, rhs, senses = _seeded_system(rng, trial)
+        kind, found = _compare_with_the_reference(rows, rhs, senses, n)
+        seen[kind] += 1
+        seen["degenerate"] += _degenerate(rows, rhs, senses, n, found.vertices)
+    assert min(seen.values()) >= 40, seen
+
+
+def test_vertex_sets_match_the_basis_reference_on_the_acceptance_batch():
+    rng = random.Random(1405)
+    for trial in range(200):
+        p = random_pblp(rng, Case.ONE if trial % 2 == 0 else Case.TWO)
+        system = (list(p.rows), list(p.rhs), list(p.senses), p.n)
+        assert _compare_with_the_reference(*system)[0] == "bounded"
+
+
+def test_the_image_oracle_runs_no_simplex(monkeypatch):
+    rng = random.Random(1405)
+    problems = [load_instance(name) for name in BUNDLED] + [
+        random_pblp(rng, Case.ONE if i % 2 == 0 else Case.TWO) for i in range(20)
+    ]
+    tolps = [build_tolp(p) for p in problems]
+    expected = [decompose(t).image_points() for t in tolps]
+
+    def no_simplex(*args, **kwargs):
+        raise RuntimeError("the vertex oracle ran the simplex")
+
+    for module in (lp_core, oracle):
+        for name in ("solve_lp", "solve_lex_lp", "FeasibleSystem"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, no_simplex)
+    monkeypatch.setattr(lp_core, "_Tableau", no_simplex)
+    with pytest.raises(RuntimeError):
+        dichotomic_bolp(fix_lambda(problems[0], F(0)))
+    assert [extreme_nondominated_bruteforce(t) for t in tolps] == expected
 
 
 def test_extreme_images_of_example1(example1):
@@ -101,7 +276,7 @@ def test_extreme_images_drop_dominated_vertices():
 def _unfiltered_extreme_images(t):
     """The image oracle without its Pareto filter: every vertex image's
     component is tested against all the others."""
-    verts = enumerate_vertices_bruteforce(t.rows, t.rhs, t.senses, t.n)
+    verts = vertices_and_rays(t.rows, t.rhs, t.senses, t.n)
     images = sorted({t.image(x) for x in verts.vertices})
     return tuple(
         y
@@ -111,7 +286,7 @@ def _unfiltered_extreme_images(t):
 
 
 def _dominated_images(t):
-    verts = enumerate_vertices_bruteforce(t.rows, t.rhs, t.senses, t.n)
+    verts = vertices_and_rays(t.rows, t.rhs, t.senses, t.n)
     images = {t.image(x) for x in verts.vertices}
     return [
         y for y in images

@@ -165,6 +165,22 @@ def test_decompose_random_instances_agree_with_the_oracle():
         assert sum(poly.area() for poly in dec.components) == F(1, 2)
 
 
+def test_decompose_agrees_with_the_oracle_on_larger_systems():
+    """Up to 8 variables and 12 rows, where trying every basis was too
+    slow for this suite."""
+    rng = random.Random(23)
+    for trial in range(20):
+        n, rows, rhs, senses = random_bounded_system(rng, max_vars=8, max_rows=12)
+        c1, c2, d1 = (random_cost(rng, n) for _ in range(3))
+        t = build_tolp(
+            Pblp(
+                case=(Case.ONE, Case.TWO)[trial % 2], n=n, rows=rows, rhs=rhs,
+                senses=senses, c1=c1, c2=c2, d1=d1,
+            )
+        )
+        assert decompose(t).image_points() == extreme_nondominated_bruteforce(t)
+
+
 def test_lp_solve_count_is_reported(example2):
     dec = decompose(build_tolp(example2))
     assert dec.lp_solves > 0
