@@ -5,10 +5,10 @@ stays optimal for the parametric problem over one closed lambda interval
 [lower, upper] (upper possibly infinite).  Two independent routes compute
 it:
 
-  * the LP route minimizes and maximizes lambda, a linear-fractional
-    function of the weight in both cases, as one LP pair on the
-    component's lifted cone, two solves per image, on one feasible
-    system per problem extended by the image's row;
+  * the LP route minimizes and maximizes lambda = w3/(s1*w1 + s2*w2),
+    s the case's shares, a linear-fractional function of the weight, as
+    one LP pair on the component's lifted cone, two solves per image, on
+    one feasible system per problem extended by the image's row;
   * the vertex route reads the interval off the component polygon's
     vertices through the exact weight-to-lambda correspondence.
 
@@ -96,20 +96,15 @@ class ParametricSolution:
     interval_lp_solves: int
 
 
-def _den(case: Case) -> tuple[int, int, int]:
-    """lambda = w3/(den.w): w3/w1 in case ONE, w3/(w1 + w2) in case TWO."""
-    return (1, 0, 0) if case is Case.ONE else (1, 1, 0)
-
-
 def interval_system(h: ComponentHrep, case: Case) -> FeasibleSystem:
     """What the interval LPs of h's problem share, through phase one:
-    the h.n cone rows that start every component hrep of the problem,
-    as -P z <= 0, and den.w = 1, the one row that needs an artificial."""
-    zero, width = Fraction(0), h.m + 3
-    rows = tuple(tuple(-a for a in row) for row in h.P[: h.n])
-    rows += ((zero,) * h.m + tuple(map(Fraction, _den(case))),)
-    rhs = (zero,) * h.n + (Fraction(1),)
-    senses = (Sense.LE,) * h.n + (Sense.EQ,)
+    h.cone, the rows A^T v - C^T w <= 0 that every component hrep of the
+    problem starts with, and den.w = 1, den = (s1, s2, 0) from the case's
+    shares, the one row that needs an artificial."""
+    zero, width, n = Fraction(0), h.m + 3, len(h.cone)
+    rows = h.cone + ((zero,) * h.m + tuple(map(Fraction, case.shares + (0,))),)
+    rhs = (zero,) * n + (Fraction(1),)
+    senses = (Sense.LE,) * n + (Sense.EQ,)
     return FeasibleSystem(
         LinearProgram((zero,) * width, rows, rhs, senses, (True,) * width)
     )
@@ -118,22 +113,22 @@ def interval_system(h: ComponentHrep, case: Case) -> FeasibleSystem:
 def _interval_lp(h: ComponentHrep, case: Case, base: FeasibleSystem):
     """Interval from the component's lifted cone, lambda = w3/(den.w).
 
-    lambda has degree 0 in w, so the simplex equality (the last two rows
-    of h) can be swapped for den.w = 1 on the cone left by the other
-    rows, all with rhs 0 (Charnes and Cooper, Naval Res. Logist. Q.
-    1962).  On that slice lambda is w3, and max w3 is unbounded exactly
-    when the component reaches den.w = 0 with w3 > 0.
+    lambda has degree 0 in w, so on the cone the simplex equality
+    w1 + w2 + w3 = 1 can be swapped for den.w = 1 (Charnes and Cooper,
+    Naval Res. Logist. Q. 1962).  On that slice lambda is w3, and max w3
+    is unbounded exactly when the component reaches den.w = 0 with
+    w3 > 0.
 
     base, interval_system of the problem for case (else SystemMismatch),
-    holds everything but the image row b.v - y.w = 0, row h.n of h (one
-    row for its split pair).  Extending base by that row runs phase one
-    on its one artificial only, and both solves run on the extension.
-    Only the two optimal values are read, never a witness, so neither
-    the row senses nor the pivot path can change the result.
+    holds everything but h.image, b.v - y.w = 0.  Extending base by that
+    row runs phase one on its one artificial only, and both solves run
+    on the extension.  Only the two optimal values are read, never a
+    witness, so neither the row senses nor the pivot path can change the
+    result.
     """
-    if base.lp.rows[-1][h.m :] != _den(case):
+    if base.lp.rows[-1][h.m :] != case.shares + (0,):
         raise SystemMismatch("interval system is not the slice of this case")
-    system = base.extended(h.P[h.n], 0)
+    system = base.extended(h.image, 0)
     zero = Fraction(0)
 
     def lp(sign: int) -> LinearProgram:
@@ -193,9 +188,8 @@ def interval_vertex(case: Case, poly: ConvexPolygon2) -> tuple[Fraction, object]
 
 
 def _bolp_image(case: Case, y: Point3, lam: Fraction):
-    if case is Case.ONE:
-        return (y[0] + lam * y[2], y[1])
-    return (y[0] + lam * y[2], y[1] + lam * y[2])
+    s1, s2 = case.shares
+    return (y[0] + lam * s1 * y[2], y[1] + lam * s2 * y[2])
 
 
 def _classify(case, intervals, beta):

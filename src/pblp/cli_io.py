@@ -332,6 +332,14 @@ def _write(path: str, content: str):
         handle.write(content)
 
 
+def _lambda_max(text: str) -> Fraction:
+    """A malformed --lambda-max is a usage error, not a bad problem file."""
+    try:
+        return rat_parse(text)
+    except ParseError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pblp",
@@ -354,12 +362,14 @@ def _build_parser() -> argparse.ArgumentParser:
     dec = sub.add_parser("decompose", help="weight set decomposition only")
     common(dec)
     dec.add_argument("--plot-out", metavar="PATH", help="write plot data here")
-    dec.add_argument("--lambda-max", metavar="R", help="segments up to this lambda")
+    dec.add_argument(
+        "--lambda-max", type=_lambda_max, metavar="R", help="segments up to this lambda"
+    )
     dec.add_argument("--steps", type=int, metavar="N", help="segment count")
 
     sweep = sub.add_parser("sweep", help="grid sweep oracle")
     common(sweep)
-    sweep.add_argument("--lambda-max", metavar="R", required=True)
+    sweep.add_argument("--lambda-max", type=_lambda_max, metavar="R", required=True)
     sweep.add_argument("--steps", type=int, metavar="N", required=True)
 
     check = sub.add_parser("check", help="cross-validate all routes")
@@ -395,7 +405,7 @@ def cli_main(argv=None) -> int:
                 raise ValueError("--lambda-max and --steps go together")
             lambdas = ()
             if args.steps is not None:
-                lambdas = lambda_grid(rat_parse(args.lambda_max), args.steps)
+                lambdas = lambda_grid(args.lambda_max, args.steps)
             result = decompose(build_tolp(problem))
             sys.stdout.write(emit_decomposition(problem, result))
             if args.plot_out:
@@ -404,9 +414,7 @@ def cli_main(argv=None) -> int:
                     emit_plot_data(result, problem.case, lambdas),
                 )
         elif args.command == "sweep":
-            report = sweep_lambda(
-                problem, rat_parse(args.lambda_max), args.steps
-            )
+            report = sweep_lambda(problem, args.lambda_max, args.steps)
             sys.stdout.write(emit_sweep(problem, report))
         elif args.command == "check":
             # notes go to stderr unless --quiet, which swallows them

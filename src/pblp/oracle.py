@@ -145,6 +145,17 @@ def _bits(mask: int):
         mask ^= low
 
 
+def _nondominated(images) -> list[Point3]:
+    """The distinct images no other one dominates, sorted.  A dominator is
+    lexicographically smaller and dominance is transitive, so each image
+    is compared only with those already kept."""
+    kept: list[Point3] = []
+    for y in sorted(set(images)):
+        if not any(all(a <= b for a, b in zip(z, y)) for z in kept):
+            kept.append(y)
+    return kept
+
+
 def extreme_nondominated_bruteforce(
     t: Tolp, max_rays: int = DEFAULT_RAY_BUDGET
 ) -> tuple[Point3, ...]:
@@ -167,12 +178,7 @@ def extreme_nondominated_bruteforce(
     for r in found.rays:
         if any(c < 0 for c in t.image(r)):
             raise UnboundedScalarization(f"ray {r} lowers a cost row")
-    images = sorted({t.image(x) for x in found.vertices})
-    # a dominator is lexicographically smaller, so only earlier ones count
-    pareto = [
-        y for i, y in enumerate(images)
-        if not any(all(a <= b for a, b in zip(z, y)) for z in images[:i])
-    ]
+    pareto = _nondominated(t.image(x) for x in found.vertices)
     keep = []
     for y in pareto:
         others = [z for z in pareto if z != y]

@@ -2,11 +2,12 @@
 
 A parametric biobjective problem (Pblp) carries a feasible system
 rows (sense) rhs with x >= 0 implicit, three cost rows c1, c2, d1 and a
-case tag.  Case ONE perturbs only the first objective by lambda*d1;
-case TWO perturbs both.  Either way the associated triobjective problem
-(Tolp) minimizes (c1.x, c2.x, d1.x), and each lambda >= 0 corresponds to
-a line segment inside the projected weight simplex
-{(w1, w2) : w1, w2 >= 0, w1 + w2 <= 1}.
+case tag, read as a share vector s: objective k is c_k + lambda*s_k*d1,
+with s = (1, 0) in case ONE and (1, 1) in case TWO.  Either way the
+associated triobjective problem (Tolp) minimizes (c1.x, c2.x, d1.x), and
+each lambda >= 0 corresponds to a line segment inside the projected
+weight simplex {(w1, w2) : w1, w2 >= 0, w1 + w2 <= 1}; every
+case-dependent formula below follows from s.
 """
 
 from __future__ import annotations
@@ -30,6 +31,11 @@ class Case(Enum):
             if c.value == text:
                 return c
         raise BadCase(f"case must be 1 or 2, got {text!r}")
+
+    @property
+    def shares(self) -> tuple[int, int]:
+        """(s1, s2), each 0 or 1: objective k is c_k + lambda*s_k*d1."""
+        return (1, 0) if self is Case.ONE else (1, 1)
 
 
 def _check_system(rows, rhs, senses, width, *cost_rows):
@@ -117,14 +123,11 @@ def fix_lambda(p: Pblp, lam: Fraction) -> Bolp:
     """Substitute a concrete lambda >= 0 into the parametric objectives."""
     if lam < 0:
         raise NegativeParameter(f"lambda = {lam}")
-    f1 = tuple(c + lam * d for c, d in zip(p.c1, p.d1))
-    if p.case is Case.ONE:
-        f2 = p.c2
-    else:
-        f2 = tuple(c + lam * d for c, d in zip(p.c2, p.d1))
-    return Bolp(
-        n=p.n, rows=p.rows, rhs=p.rhs, senses=p.senses, f1=f1, f2=tuple(f2)
+    f1, f2 = (  # a zero share leaves its row as it is
+        tuple(c + lam * d for c, d in zip(row, p.d1)) if share else row
+        for row, share in zip((p.c1, p.c2), p.case.shares)
     )
+    return Bolp(n=p.n, rows=p.rows, rhs=p.rhs, senses=p.senses, f1=f1, f2=f2)
 
 
 # -- weights ---------------------------------------------------------------
@@ -200,48 +203,41 @@ def map_weight_to_simplex(case: Case, w: Weight2, lam: Fraction) -> Weight3:
         raise NegativeParameter(f"lambda = {lam}")
     if w.w1 + w.w2 != 1:
         raise ValueError("biobjective weight must satisfy w1 + w2 = 1")
-    if case is Case.ONE:
-        den = 1 + w.w1 * lam
-        return Weight3(w.w1 / den, w.w2 / den, w.w1 * lam / den)
-    if case is Case.TWO:
-        den = 1 + lam
-        return Weight3(w.w1 / den, w.w2 / den, lam / den)
-    raise BadCase(str(case))
+    s1, s2 = case.shares
+    w3 = lam * (s1 * w.w1 + s2 * w.w2)
+    den = 1 + w3
+    return Weight3(w.w1 / den, w.w2 / den, w3 / den)
 
 
 def lambda_from_weight(case: Case, w: Weight3):
     """Invert the weight map: which lambda does a simplex weight encode.
 
-    Returns a Fraction, INF for the limit lambda -> infinity, or None when
+    lambda = w3/(s1*w1 + s2*w2).  Returns a Fraction, INF for the limit
+    lambda -> infinity (a zero denominator with w3 > 0), or None when
     the weight corresponds to no lambda at all (case ONE at (0, 1, 0)).
     """
-    if case is Case.ONE:
-        if w.w1 > 0:
-            return w.w3 / w.w1
-        if w.w3 > 0:
-            return INF
-        return None
-    if case is Case.TWO:
-        if w.w3 == 1:
-            return INF
-        return w.w3 / (1 - w.w3)
-    raise BadCase(str(case))
+    s1, s2 = case.shares
+    den = (w.w1 if s1 else 0) + (w.w2 if s2 else 0)  # a zero share costs nothing
+    if den > 0:
+        return w.w3 / den
+    if w.w3 > 0:
+        return INF
+    return None
 
 
 def segment_for_lambda(case: Case, lam: Fraction) -> Segment2:
     """The projected-simplex segment carrying all weights of a fixed lambda.
 
-    Case ONE runs from (0, 1) to (1/(1+lambda), 0) with slope -(1+lambda);
-    case TWO from (0, 1/(1+lambda)) to (1/(1+lambda), 0) with slope -1.
+    It runs from (0, 1/(1+lambda*s2)) to (1/(1+lambda*s1), 0): in case
+    ONE from (0, 1) with slope -(1+lambda), in case TWO with slope -1.
     """
     if lam < 0:
         raise NegativeParameter(f"lambda = {lam}")
-    end = Fraction(1, 1) / (1 + lam)
-    if case is Case.ONE:
-        return Segment2(Weight2(Fraction(0), Fraction(1)), Weight2(end, Fraction(0)))
-    if case is Case.TWO:
-        return Segment2(Weight2(Fraction(0), end), Weight2(end, Fraction(0)))
-    raise BadCase(str(case))
+    s1, s2 = case.shares
+    return Segment2(
+        Weight2(Fraction(0), Fraction(1) / (1 + lam * s2)),
+        Weight2(Fraction(1) / (1 + lam * s1), Fraction(0)),
+    )
 
 
 def ge_form(rows, rhs, senses):

@@ -4,11 +4,12 @@ Components of the weight-set decomposition live in the triangle
 {(w1, w2) : w1, w2 >= 0, w1 + w2 <= 1} (the third weight is implicit).
 Everything here is exact: half-plane clipping, canonical convex polygons,
 shoelace areas, and the lifted H-representation of a component over
-(v, w) used by the LP-based interval method.  Vertices are canonical
-Fraction pairs, but clips, areas and edge half-planes compute in plain
-ints, in the exact-geometric-computation style (Yap, Towards exact
-geometric computation, 1997): points as homogeneous integer triples,
-half-planes and polygons scaled by positive common denominators.
+(v, w), in the row layout the LP-based interval method solves.
+Vertices are canonical Fraction pairs, but clips, areas and edge
+half-planes compute in plain ints, in the exact-geometric-computation
+style (Yap, Towards exact geometric computation, 1997): points as
+homogeneous integer triples, half-planes and polygons scaled by positive
+common denominators.
 """
 
 from __future__ import annotations
@@ -217,36 +218,26 @@ def component_vertices(y: Point3, others) -> ConvexPolygon2:
 class ComponentHrep:
     """Lifted H-representation of a component over z = (v_1..v_m, w1, w2, w3).
 
-    All variables are nonnegative and the system reads P z >= q with rows,
-    in order: for each of the n original variables, -(A^T v) + C^T w >= 0
-    (that is, A^T v <= C^T w, with A and b the feasible system rewritten
-    in >=-form, so m counts the rewritten rows, not the input rows); the
-    equality b.v = w.y split as two >= rows; and the simplex equality
-    w1 + w2 + w3 = 1 split likewise.  The projection onto (w1, w2, w3) of
-    the feasible set is exactly the component of y.
+    All variables are nonnegative.  cone holds one row per original
+    variable, A^T v - C^T w, read as <= 0 (A and b the feasible system
+    rewritten in >=-form, so m counts the rewritten rows, not the input
+    rows); image is b.v - y.w, read as = 0.  Every row has rhs 0, so the
+    set is a cone, and its projection onto (w1, w2, w3) is the cone over
+    the component of y: its slice w1 + w2 + w3 = 1 is the component.
     """
 
-    P: tuple[tuple[Fraction, ...], ...]
-    q: tuple[Fraction, ...]
+    cone: tuple[tuple[Fraction, ...], ...]
+    image: tuple[Fraction, ...]
     m: int
-    n: int
 
 
 def component_hrep(t: Tolp, y: Point3) -> ComponentHrep:
     rows, rhs = ge_form(t.rows, t.rhs, t.senses)
-    m, n = len(rows), t.n
-    zero = Fraction(0)
+    m = len(rows)
     C = t.cost_rows
-    P: list[tuple[Fraction, ...]] = []
-    for j in range(n):
-        P.append(
-            tuple(-rows[i][j] for i in range(m))
-            + tuple(C[k][j] for k in range(3))
-        )
-    P.append(tuple(rhs) + tuple(-Fraction(v) for v in y))
-    P.append(tuple(-b for b in rhs) + tuple(Fraction(v) for v in y))
-    one = Fraction(1)
-    P.append((zero,) * m + (one, one, one))
-    P.append((zero,) * m + (-one, -one, -one))
-    q = (zero,) * n + (zero, zero, one, -one)
-    return ComponentHrep(P=tuple(P), q=q, m=m, n=n)
+    cone = tuple(
+        tuple(rows[i][j] for i in range(m)) + tuple(-C[k][j] for k in range(3))
+        for j in range(t.n)
+    )
+    image = tuple(rhs) + tuple(-Fraction(v) for v in y)
+    return ComponentHrep(cone=cone, image=image, m=m)

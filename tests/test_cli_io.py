@@ -311,6 +311,9 @@ def test_cli_turns_bad_option_values_into_clean_errors(tmp_path, capsys):
     inst = _instance("example2.pblp")
     assert cli_main(["sweep", inst, "--lambda-max", "6", "--steps", "0"]) == USAGE_ERROR
     assert cli_main(["sweep", inst, "--lambda-max", "-2", "--steps", "5"]) == USAGE_ERROR
+    for bad in ("abc", "1/0"):
+        assert cli_main(["sweep", inst, "--lambda-max", bad, "--steps", "3"]) == USAGE_ERROR
+        assert capsys.readouterr().out == ""
     gone = str(tmp_path / "nodir" / "plot.txt")
     assert cli_main(["solve", inst, "--plot-out", gone, "--quiet"]) == PARSE_ERROR
     err = capsys.readouterr().err
@@ -323,6 +326,8 @@ def test_cli_decompose_checks_the_plot_grid_before_decomposing(tmp_path, capsys)
     target = tmp_path / "plot.txt"
     for grid in (
         ["--lambda-max", "-1", "--steps", "4"],
+        ["--lambda-max", "abc", "--steps", "4"],
+        ["--lambda-max", "1/0", "--steps", "4"],
         ["--lambda-max", "6", "--steps", "0"],
         ["--lambda-max", "6", "--steps", "-3"],
         ["--lambda-max", "6"],

@@ -305,6 +305,29 @@ def test_pareto_filter_keeps_the_extreme_images_of_the_acceptance_family():
     assert with_dominated >= 10  # the filter has work to do in this family
 
 
+def test_pareto_filter_matches_the_all_pairs_definition():
+    """The survivor-only filter keeps exactly the distinct images that
+    no other image dominates, on seeded sets full of ties and repeats."""
+    rng = random.Random(1405)
+    repeats = ties = 0
+    for _ in range(300):
+        points = [
+            tuple(F(rng.randint(-3, 3)) for _ in range(3))
+            for _ in range(rng.randint(1, 40))
+        ]
+        expected = sorted(
+            y for y in set(points)
+            if not any(z != y and all(a <= b for a, b in zip(z, y)) for z in points)
+        )
+        assert oracle._nondominated(points) == expected
+        repeats += len(set(points)) < len(points)
+        ties += any(
+            y != z and any(a == b for a, b in zip(y, z))
+            for y in expected for z in expected
+        )
+    assert repeats > 100 and ties > 100
+
+
 def test_pareto_filter_drops_dominated_and_shifted_images():
     # the simplex x >= 0, x1 + ... + x4 <= 1: vertex e_j maps to column j
     # of (c1, c2, d1), the origin to (0, 0, 0)

@@ -7,7 +7,9 @@ counter: no module-level dict, list or set but __all__, and no global
 statement but lp_core's for _solve_calls.  Two modules also keep their
 layer: the vertex oracle shares no logic with the decomposition and the
 interval routes it cross-checks, and the weight geometry builds only on
-the problem records and the numerics."""
+the problem records and the numerics.  A case is its share vector
+Case.shares, so Case.ONE and Case.TWO are named only in Case itself,
+in the two interval routes and in the route pick that selects them."""
 
 import ast
 import pathlib
@@ -20,6 +22,12 @@ MUTABLE_DISPLAYS = (
 )
 IMPORTS_FORBIDDEN = {"oracle": {"wsd", "breakpoints"}}
 IMPORTS_ALLOWED = {"weight_geometry": {"problem_model", "numerics"}}
+CASE_NAMED = {
+    ("problem_model", "Case"),
+    ("breakpoints", "interval_lp_case1"),
+    ("breakpoints", "interval_lp_case2"),
+    ("breakpoints", "solve_on_decomposition"),
+}
 
 
 def _violations(path: pathlib.Path) -> list[str]:
@@ -202,3 +210,54 @@ def test_the_layering_rule_sees_what_it_forbids(tmp_path):
         "weight_geometry.py:4: imports lp_core",
         "weight_geometry.py:5: imports errors",
     ]
+
+
+def _case_violations(path: pathlib.Path) -> list[str]:
+    """Case.ONE and Case.TWO named outside the top-level definitions
+    in CASE_NAMED."""
+    module = path.stem
+    found = []
+    for top in ast.parse(path.read_text(), filename=str(path)).body:
+        owner = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "Case"
+                and node.attr in ("ONE", "TWO")
+                and (module, owner) not in CASE_NAMED
+            ):
+                found.append(f"{path.name}:{node.lineno}: Case.{node.attr}")
+    return found
+
+
+def test_cases_are_named_only_where_the_routes_are_picked():
+    paths = sorted(SRC.glob("*.py"))
+    assert len(paths) >= 10
+    found = [line for path in paths for line in _case_violations(path)]
+    assert found == []
+
+
+def test_the_case_rule_sees_what_it_forbids(tmp_path):
+    bad = tmp_path / "problem_model.py"
+    bad.write_text(
+        "class Case(Enum):\n"
+        "    def shares(self):\n"
+        "        return (1, 0) if self is Case.ONE else (1, 1)\n"
+        "def fix_lambda(p, lam):\n"
+        "    if p.case is Case.ONE:\n"
+        "        return p.c2\n"
+        "DEFAULT = Case.TWO\n"
+    )
+    assert _case_violations(bad) == [
+        "problem_model.py:5: Case.ONE",
+        "problem_model.py:7: Case.TWO",
+    ]
+    routes = tmp_path / "breakpoints.py"
+    routes.write_text(
+        "def interval_lp_case1(h, base):\n"
+        "    return _interval_lp(h, Case.ONE, base)\n"
+        "def _den(case):\n"
+        "    return (1, 0, 0) if case is Case.ONE else (1, 1, 0)\n"
+    )
+    assert _case_violations(routes) == ["breakpoints.py:4: Case.ONE"]

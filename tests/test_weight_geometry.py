@@ -29,17 +29,14 @@ F = Fraction
 
 
 def hrep_feasible_at(h, w):
-    """Whether some v >= 0 makes (v, w) satisfy the lifted system."""
-    rows = []
-    rhs = []
-    for prow, qval in zip(h.P, h.q):
-        rows.append(prow[: h.m])
-        rhs.append(qval - sum(a * b for a, b in zip(prow[h.m :], w)))
+    """Whether some v >= 0 makes (v, w) satisfy the lifted system:
+    cone.(v, w) <= 0 and image.(v, w) = 0."""
+    lifted = h.cone + (h.image,)
     lp = LinearProgram(
         objective=(F(0),) * h.m,
-        rows=tuple(rows),
-        rhs=tuple(rhs),
-        senses=(Sense.GE,) * len(rows),
+        rows=tuple(row[: h.m] for row in lifted),
+        rhs=tuple(-sum(a * b for a, b in zip(row[h.m :], w)) for row in lifted),
+        senses=(Sense.LE,) * len(h.cone) + (Sense.EQ,),
         nonneg=(True,) * h.m,
     )
     return solve_lp(lp).status is LpStatus.OPTIMAL
@@ -389,26 +386,28 @@ def test_hrep_dimensions_and_membership(example2):
     t = build_tolp(example2)
     y = (F(5), F(10), F(0))
     h = component_hrep(t, y)
-    assert len(h.P) == t.n + 4
-    assert all(len(row) == h.m + 3 for row in h.P)
-    assert len(h.q) == t.n + 4
+    assert len(h.cone) == t.n
+    assert all(len(row) == h.m + 3 for row in h.cone + (h.image,))
     assert hrep_feasible_at(h, (F(1, 4), F(1, 4), F(1, 2)))
     assert not hrep_feasible_at(h, (F(1, 3), F(1, 3), F(1, 3)))
 
 
-def test_hrep_projection_matches_the_polygon_on_a_grid(example2):
+def test_hrep_projection_matches_the_polygon_on_a_grid(
+    example2, example2_case1, example1
+):
     """The lifted system and the half-plane polygon must carve out the
     same region; compare them pointwise on a rational grid."""
-    t = build_tolp(example2)
-    dec = decompose(t)
     step = 6
     grid = [
         (F(a, step), F(b, step))
         for a in range(step + 1)
         for b in range(step + 1 - a)
     ]
-    for entry, poly in zip(dec.images, dec.components):
-        h = component_hrep(t, entry.image)
-        for w1, w2 in grid:
-            lifted = (w1, w2, 1 - w1 - w2)
-            assert hrep_feasible_at(h, lifted) == polygon_contains(poly, (w1, w2))
+    for p in (example2, example2_case1, example1):
+        t = build_tolp(p)
+        dec = decompose(t)
+        for entry, poly in zip(dec.images, dec.components):
+            h = component_hrep(t, entry.image)
+            for w1, w2 in grid:
+                lifted = (w1, w2, 1 - w1 - w2)
+                assert hrep_feasible_at(h, lifted) == polygon_contains(poly, (w1, w2))
