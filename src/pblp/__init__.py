@@ -29,6 +29,7 @@ from .errors import (
     InvariantViolation,
     NegativeParameter,
     NoFiniteVertex,
+    NotRational,
     ParseError,
     PblpError,
     SystemMismatch,

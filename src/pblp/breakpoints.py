@@ -227,8 +227,10 @@ def solve_on_decomposition(
     before = lp_core.solve_calls()
     if method is Method.LP:
         route = interval_lp_case1 if p.case is Case.ONE else interval_lp_case2
-        hreps = [component_hrep(t, entry.image) for entry in dec.images]
-        base = interval_system(hreps[0], p.case)
+        # the n cone rows are built once per problem, an image row per image
+        first = component_hrep(t, dec.images[0].image)
+        hreps = [first.for_image(entry.image) for entry in dec.images]
+        base = interval_system(first, p.case)
         ends = [route(h, base) for h in hreps]
     else:
         ends = [interval_vertex(p.case, poly) for poly in dec.components]

@@ -13,6 +13,10 @@ class ParseError(PblpError):
     """Problem text or a rational token could not be parsed."""
 
 
+class NotRational(PblpError):
+    """An LP entry is neither an int nor a Fraction."""
+
+
 class DimensionMismatch(PblpError):
     """Declared dimensions disagree with the data that follows them."""
 

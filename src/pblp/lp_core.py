@@ -12,9 +12,10 @@ to cycling and every number stays exact.  Lexicographic ties are solved
 on the same tableau after phase two: each stage bans the columns whose
 positive reduced cost takes them off the previous stage's optimal face
 (Ehrgott, Multicriteria Optimization, 2005), so one tableau and one
-phase one serve every stage.  Sizes here are tiny (tens of rows), so the
-dense tableau with recomputed reduced costs is the simple and entirely
-adequate choice.
+phase one serve every stage; once every nonbasic column is banned the
+face is the current vertex and the stages stop.  Sizes here are tiny
+(tens of rows), so the dense tableau with recomputed reduced costs is
+the simple and entirely adequate choice.
 
 Rows keep the sense they are given in.  Phase one starts a row on its
 own slack when that slack reads +1 once the right side is made
@@ -38,7 +39,8 @@ solve's; the optimal vertex may differ.
 
 integer_row, eliminate and solve_square are the package's one exact
 elimination routine, shared by the tableau's rank reduction and the
-duals; the vertex oracle scales its rows with integer_row.
+duals; the vertex oracle and the problem records scale their rows with
+it.  It raises NotRational on an entry that is no int or Fraction.
 
 Optimal duals are solved exactly from the final basis of a plain solve
 only: one with no ties and no FeasibleSystem, extended or not.  Reduced
@@ -62,7 +64,7 @@ from enum import Enum
 from fractions import Fraction
 from math import gcd, lcm, prod
 
-from .errors import DimensionMismatch, InvariantViolation, SystemMismatch
+from .errors import DimensionMismatch, InvariantViolation, NotRational, SystemMismatch
 
 __all__ = [
     "Sense",
@@ -178,8 +180,12 @@ def integer_row(values) -> tuple[list[int], int]:
     Returns the integer row and the scale.  A row of a linear system so
     scaled keeps its rank and its solutions.
     """
-    scale = lcm(*(v.denominator for v in values))
-    return [v.numerator * (scale // v.denominator) for v in values], scale
+    try:
+        scale = lcm(*(v.denominator for v in values))
+        return [v.numerator * (scale // v.denominator) for v in values], scale
+    except AttributeError:
+        bad = next((v for v in values if not isinstance(v, (int, Fraction))), None)
+        raise NotRational(f"{bad!r} is neither an int nor a Fraction") from None
 
 
 @dataclass(frozen=True)
@@ -291,14 +297,15 @@ class _Tableau:
         self.row_factor: list[int] = []
         self.orig_row: list[int] = []  # index into lp.rows, for duals
         for i, row in enumerate(lp.rows):
-            dense = self._dense(row)
+            scaled, scale = integer_row([*row, lp.rhs[i]])
+            b = scaled.pop()
+            scaled = self._dense(scaled)
             if slack_col[i] is not None:
-                dense[slack_col[i]] = 1 if lp.senses[i] is Sense.LE else -1
-            scaled, scale = integer_row(dense + [lp.rhs[i]])
-            if lp.rhs[i] < 0:
+                scaled[slack_col[i]] = scale if lp.senses[i] is Sense.LE else -scale
+            if b < 0:
                 scaled = [-a for a in scaled]
-                scale = -scale
-            self.b.append(scaled.pop())
+                b, scale = -b, -scale
+            self.b.append(b)
             self.rows.append(scaled)
             self.row_factor.append(scale)
             self.orig_row.append(i)
@@ -430,8 +437,9 @@ class _Tableau:
                 return LpStatus.UNBOUNDED
             self._pivot(leaving, entering)
 
-    def _ban_optimal_face(self, cost: list[int], banned: set[int]):
-        """Confine later stages to the optimal face of cost.
+    def _ban_optimal_face(self, cost: list[int], banned: set[int]) -> bool:
+        """Confine later stages to the optimal face of cost; False when
+        no column is left free, so the face is the current vertex.
 
         At an optimal basis cost.z equals the optimum plus the sum of
         reduced cost times z_j over nonbasic columns, every reduced cost
@@ -439,9 +447,9 @@ class _Tableau:
         column of positive reduced cost is zero; banning those columns
         keeps every later pivot on that face.
         """
-        banned.update(
-            [j for j, reduced in self._priced_columns(cost, banned) if reduced > 0]
-        )
+        priced = list(self._priced_columns(cost, banned))
+        banned.update(j for j, reduced in priced if reduced > 0)
+        return any(reduced == 0 for _, reduced in priced)
 
     # -- phases -----------------------------------------------------------
 
@@ -510,7 +518,7 @@ class _Tableau:
         of its denominators, and that scale.  Pricing reads only signs,
         which a positive scale keeps, and scaling once per stage spares
         every pricing pass the Fraction arithmetic."""
-        values, scale = integer_row([Fraction(c) for c in objective])
+        values, scale = integer_row(objective)
         cost = [0] * self.num_cols
         for v, (p, q) in zip(values, self.col_of_var):
             cost[p] = v
@@ -537,22 +545,30 @@ class _Tableau:
                 out.append(entry)
         return tuple(out)
 
-    def phase_two(self, objectives) -> LpStatus:
-        """Lexicographic minimum of objectives in order, on this tableau.
+    def phase_two(self, objectives) -> Fraction | None:
+        """Lexicographic minimum of objectives in order, on this tableau:
+        the first objective's optimal value, or None when a stage is
+        unbounded.
 
         Each stage runs from the previous stage's optimal basis with the
         columns that leave its optimal face banned, so phase one runs
-        once however many ties follow.
+        once however many ties follow.  Once every nonbasic column is
+        banned the face is the current vertex, which no later stage
+        could leave, so the stages stop.  The value is sum_i
+        cost[basis_i] * b_i over det times the first cost's scale.
         """
         banned: set[int] = set()
-        cost = None
+        value = None
         for objective in objectives:
-            if cost is not None:
-                self._ban_optimal_face(cost, banned)
-            cost, _ = self._column_cost(objective)
+            if value is not None and not self._ban_optimal_face(cost, banned):
+                break
+            cost, scale = self._column_cost(objective)
             if self._simplex(cost, banned) is LpStatus.UNBOUNDED:
-                return LpStatus.UNBOUNDED
-        return LpStatus.OPTIMAL
+                return None
+            if value is None:
+                total = sum(cost[col] * b for col, b in zip(self.basis, self.b))
+                value = Fraction(total, self.det * scale)
+        return value
 
     def copy(self, lp: LinearProgram) -> "_Tableau":
         """An independent twin for solving lp, an LP over the same system.
@@ -585,7 +601,8 @@ class _Tableau:
         the old rows: 0 = 0 is dropped and 0 = c, c nonzero, is
         infeasible; any other leaves the rows independent.
         """
-        r, scale = integer_row(self._dense(row) + [rhs])
+        r, scale = integer_row([*row, rhs])
+        r = self._dense(r[:-1]) + r[-1:]
         twin = self.copy(self.lp)
         det = twin.det
         new = [det * a for a in r]
@@ -733,14 +750,13 @@ def solve_lp(
     tab = _feasible_tableau(lp) if system is None else system.tableau_for(lp)
     if tab is None:
         return LpResult(LpStatus.INFEASIBLE)
-    if tab.phase_two((lp.objective,) + ties) is LpStatus.UNBOUNDED:
+    value = tab.phase_two((lp.objective,) + ties)
+    if value is None:
         return LpResult(LpStatus.UNBOUNDED)
-    x = tab.solution()
-    value = sum((c * v for c, v in zip(lp.objective, x)), Fraction(0))
     plain = not ties and system is None
     return LpResult(
         LpStatus.OPTIMAL,
-        x,
+        tab.solution(),
         value,
         tab.duals() if plain else None,
         tab.reduced_costs(price) if price else None,

@@ -231,11 +231,15 @@ def dichotomic_bolp(
     if a == b:
         return ((a, xa),)
     found = {a: xa, b: xb}
+    (f1, scale1), (f2, scale2) = bolp.integer_costs
 
     def probe(lo, hi):
         # lo has the smaller f1 and larger f2, so both parts are positive
         w1, w2 = lo[1] - hi[1], hi[0] - lo[0]
-        objective = tuple(w1 * f + w2 * g for f, g in zip(bolp.f1, bolp.f2))
+        # k (w1 f1 + w2 f2) in ints, k > 0: the signs, and so the pivots,
+        # are the weighted sum's, and _lex never reads the value
+        (k1, k2), _ = integer_row((w1 / scale1, w2 / scale2))
+        objective = tuple(k1 * f + k2 * g for f, g in zip(f1, f2))
         x = _lex(bolp, objective, (bolp.f1, bolp.f2) + tuple(extra_ties), system)
         y = bolp.image(x)
         if w1 * y[0] + w2 * y[1] < w1 * lo[0] + w2 * lo[1]:

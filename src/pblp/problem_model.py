@@ -15,9 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
+from operator import mul
 
 from .errors import BadCase, DimensionMismatch, NegativeParameter
-from .lp_core import LinearProgram, Sense
+from .lp_core import LinearProgram, Sense, integer_row
 from .numerics import INF
 
 
@@ -47,6 +49,15 @@ def _check_system(rows, rhs, senses, width, *cost_rows):
     for cost in cost_rows:
         if len(cost) != width:
             raise DimensionMismatch("cost row width differs from n")
+
+
+def _image(integer_costs, x) -> tuple[Fraction, ...]:
+    """c.x per (integer row, scale) of c, with x (ints or Fractions)
+    over one denominator: one Fraction per row."""
+    xs, den = integer_row(x)
+    return tuple(
+        Fraction(sum(map(mul, row, xs)), scale * den) for row, scale in integer_costs
+    )
 
 
 @dataclass(frozen=True)
@@ -89,8 +100,13 @@ class Tolp:
     def cost_rows(self) -> tuple[tuple[Fraction, ...], ...]:
         return (self.c1, self.c2, self.d1)
 
+    @cached_property
+    def integer_costs(self) -> tuple[tuple[list[int], int], ...]:
+        """integer_row of each cost row, scaled once per record."""
+        return tuple(integer_row(row) for row in self.cost_rows)
+
     def image(self, x) -> tuple[Fraction, Fraction, Fraction]:
-        return tuple(sum(c * v for c, v in zip(row, x)) for row in self.cost_rows)
+        return _image(self.integer_costs, x)
 
 
 @dataclass(frozen=True)
@@ -104,11 +120,13 @@ class Bolp:
     f1: tuple[Fraction, ...]
     f2: tuple[Fraction, ...]
 
+    @cached_property
+    def integer_costs(self) -> tuple[tuple[list[int], int], ...]:
+        """integer_row of f1 and of f2, scaled once per record."""
+        return integer_row(self.f1), integer_row(self.f2)
+
     def image(self, x) -> tuple[Fraction, Fraction]:
-        return (
-            sum(c * v for c, v in zip(self.f1, x)),
-            sum(c * v for c, v in zip(self.f2, x)),
-        )
+        return _image(self.integer_costs, x)
 
 
 def build_tolp(p: Pblp) -> Tolp:

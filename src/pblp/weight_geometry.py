@@ -230,6 +230,12 @@ class ComponentHrep:
     image: tuple[Fraction, ...]
     m: int
 
+    def for_image(self, y: Point3) -> "ComponentHrep":
+        """The hrep of another image y of the same problem: the cone is
+        shared, and only the image row's -y part changes."""
+        image = self.image[: self.m] + tuple(-Fraction(v) for v in y)
+        return ComponentHrep(cone=self.cone, image=image, m=self.m)
+
 
 def component_hrep(t: Tolp, y: Point3) -> ComponentHrep:
     rows, rhs = ge_form(t.rows, t.rhs, t.senses)

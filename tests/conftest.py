@@ -99,6 +99,24 @@ def basis_vertices(rows, rhs, senses, n: int):
     return tuple(sorted(seen))
 
 
+def reference_phase_two(tab, objectives):
+    """Reference lexicographic phase two on tab, a feasible _Tableau:
+    every stage runs, even once the optimal face is a single vertex, and
+    the value is the first objective's Fraction dot product with x.
+    Returns that value, or None when a stage is unbounded, as
+    _Tableau.phase_two does."""
+    banned: set[int] = set()
+    cost = None
+    for objective in objectives:
+        if cost is not None:
+            tab._ban_optimal_face(cost, banned)
+        cost, _ = tab._column_cost(objective)
+        if tab._simplex(cost, banned) is LpStatus.UNBOUNDED:
+            return None
+    x = tab.solution()
+    return sum((Fraction(c) * v for c, v in zip(objectives[0], x)), Fraction(0))
+
+
 def _satisfies(rows, rhs, senses, x) -> bool:
     for row, b, sense in zip(rows, rhs, senses):
         lhs = sum(Fraction(a) * v for a, v in zip(row, x))

@@ -128,6 +128,24 @@ def test_lp_route_spends_two_solves_per_image(example2, example2_case1):
         assert enumerate_breakpoints(p, Method.ADAPTED).interval_lp_solves == 0
 
 
+def test_lp_route_builds_the_cone_once_per_problem(request, monkeypatch):
+    """component_hrep runs once per LP-route solve; every other image
+    takes the first hrep's cone and gets only its own image row."""
+    calls = []
+    build = breakpoints.component_hrep
+
+    def counting_hrep(t, y):
+        calls.append(y)
+        return build(t, y)
+
+    monkeypatch.setattr(breakpoints, "component_hrep", counting_hrep)
+    for name in ("example1", "example2", "example2_case1"):
+        calls.clear()
+        sol = enumerate_breakpoints(request.getfixturevalue(name), Method.LP)
+        assert len(sol.intervals) > 1
+        assert calls == [sol.intervals[0].image], name
+
+
 def test_lp_route_takes_phase_one_once_per_image(request, monkeypatch):
     """One LP-route solve builds one base FeasibleSystem, the cone rows
     and the slice row that every image shares, and extends it once per

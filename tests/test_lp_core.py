@@ -15,9 +15,10 @@ from pblp import (
     solve_lp,
 )
 from pblp import lp_core
-from pblp.errors import DimensionMismatch, SystemMismatch
+from pblp.errors import DimensionMismatch, NotRational, SystemMismatch
 from pblp.lp_core import eliminate, integer_row, solve_calls, solve_square
 from pblp.oracle import vertices_and_rays
+from conftest import reference_phase_two
 
 
 def test_minimum_on_a_triangle():
@@ -646,6 +647,69 @@ def test_priced_cone_holds_the_weights_its_basis_solves():
     assert all(count >= 20 for count in seen.values()), seen
 
 
+def _lex_equivalence_case(rng):
+    """(lp, ties, price, kind): a _random_fractional_case LP with its
+    ties, or a degenerate _weighted_sum_case, a weighted sum of its cost
+    rows C (now and then the zero weight) lexicographic on C, where
+    duplicated and zero-cost columns leave an edge or more as the first
+    stage's optimal face, so later stages pivot."""
+    if rng.random() < 0.5:
+        lp, ties, _ = _random_fractional_case(rng)
+        return lp, ties, (lp.objective, *ties), "fractional"
+    weighted, costs, kind = _weighted_sum_case(rng)
+    w = (0, 0, 0) if rng.random() < 0.2 else _simplex_weight(rng)
+    return weighted(w), costs, costs, kind
+
+
+def test_phase_two_stops_at_a_vertex_face_as_every_stage_would(monkeypatch):
+    """Seeded oracle for the vertex-face stop: _Tableau.phase_two against
+    conftest.reference_phase_two, which runs every stage and takes the
+    value as a Fraction dot product.  Status, x, value, duals, reduced
+    costs and the pivot sequence agree, and value is objective . x,
+    free variables included.  Both the stop and later stages that pivot
+    occur."""
+    rng = random.Random(1967)
+    pivots, stage_starts = [], []
+    pivot, column_cost = lp_core._Tableau._pivot, lp_core._Tableau._column_cost
+
+    def recording_pivot(self, r, col):
+        pivots.append((r, col))
+        pivot(self, r, col)
+
+    def recording_column_cost(self, objective):
+        stage_starts.append(len(pivots))
+        return column_cost(self, objective)
+
+    def run(lp, ties, price):
+        pivots.clear()
+        stage_starts.clear()
+        return solve_lp(lp, ties, price=price), pivots[:], stage_starts[:]
+
+    monkeypatch.setattr(lp_core._Tableau, "_pivot", recording_pivot)
+    monkeypatch.setattr(lp_core._Tableau, "_column_cost", recording_column_cost)
+    seen = {status: 0 for status in LpStatus}
+    seen.update(stopped=0, later_pivots=0, free=0, duplicate=0, zero_cost=0)
+    for _ in range(600):
+        lp, ties, price, kind = _lex_equivalence_case(rng)
+        got, got_pivots, got_starts = run(lp, ties, price)
+        with monkeypatch.context() as patch:
+            patch.setattr(lp_core._Tableau, "phase_two", reference_phase_two)
+            want, want_pivots, want_starts = run(lp, ties, price)
+        assert got == want, (lp, ties)
+        assert got_pivots == want_pivots, (lp, ties)
+        if got.status is LpStatus.OPTIMAL:
+            assert got.value == sum(
+                (c * v for c, v in zip(lp.objective, got.x)), Fraction(0)
+            )
+            seen["free"] += not all(lp.nonneg)
+        seen[got.status] += 1
+        seen["stopped"] += len(got_starts) < len(want_starts)
+        seen["later_pivots"] += len(want_starts) > 1 and len(want_pivots) > want_starts[1]
+        if kind in ("duplicate", "zero cost"):
+            seen[kind.replace(" ", "_")] += 1
+    assert all(count >= 20 for count in seen.values()), seen
+
+
 def test_phase_one_starts_each_inequality_row_on_its_own_slack(monkeypatch):
     """A duplicate row dropped by the rank reduction must not hide the
     slack of a later row: min x + y over x + y = 2, x + y = 2, x <= 3
@@ -1007,3 +1071,27 @@ def test_dimension_mismatch_is_rejected():
         solve_lp(lp, ties=[(1,)])
     with pytest.raises(DimensionMismatch):
         solve_lex_lp(lp, ties=[], price=[(1, 2), (1,)])
+
+
+def test_a_float_in_the_objective_is_a_typed_error():
+    """Objectives reach integer_row as they are, so a float is refused
+    there, not silently turned into a Fraction."""
+    lp = LinearProgram.build([1, 1], [[1, 1]], [1], [">="])
+    with pytest.raises(NotRational):
+        solve_lp(replace(lp, objective=(0.5, Fraction(1))))
+    with pytest.raises(NotRational):
+        solve_lp(lp, ties=[(Fraction(1), 0.25)])
+    with pytest.raises(NotRational):
+        integer_row([Fraction(1, 2), "3"])
+
+
+def test_a_float_in_a_row_is_a_typed_error():
+    lp = LinearProgram.build([1, 1], [[1, 1]], [1], [">="])
+    with pytest.raises(NotRational):
+        solve_lp(replace(lp, rows=((Fraction(1), 0.5),)))
+    with pytest.raises(NotRational):
+        solve_lp(replace(lp, rhs=(1.0,)))
+    with pytest.raises(NotRational):  # a free column is negated after scaling
+        solve_lp(replace(lp, rows=((Fraction(1), "2"),), nonneg=(True, False)))
+    with pytest.raises(NotRational):
+        FeasibleSystem(lp).extended((0.5, Fraction(1)), Fraction(1))

@@ -395,6 +395,39 @@ def test_sweep_brackets_the_case_one_breakpoints(example2_case1):
     assert report.changes == ((F(1), F(11, 10)), (F(12, 5), F(5, 2)))
 
 
+# The sweep grids of the benchmark, per pass: 538 pivots and 484 LP
+# solves, on 2621 _simplex runs (phase ones and lexicographic stages)
+# while every tie stage ran; a stage after a vertex face stops cuts them
+# to 705.
+SWEEP_GRIDS = (("example2", 6, 60), ("example2_case1", 4, 40), ("example1", 4, 40))
+SWEEP_SIMPLEX_RUNS, SWEEP_PIVOTS, SWEEP_LP_SOLVES = 705, 538, 484
+
+
+def test_sweep_stage_gate(request, monkeypatch):
+    """Deterministic gate for the sweep's lexicographic solves: the
+    stages after a vertex face do not run, and the pivots and LP solves
+    stay at the measured values."""
+    counts = dict(simplex=0, pivots=0)
+    pivot, simplex = lp_core._Tableau._pivot, lp_core._Tableau._simplex
+
+    def counting_pivot(self, r, col):
+        counts["pivots"] += 1
+        pivot(self, r, col)
+
+    def counting_simplex(self, cost, banned):
+        counts["simplex"] += 1
+        return simplex(self, cost, banned)
+
+    monkeypatch.setattr(lp_core._Tableau, "_pivot", counting_pivot)
+    monkeypatch.setattr(lp_core._Tableau, "_simplex", counting_simplex)
+    before = lp_core.solve_calls()
+    for name, lambda_max, steps in SWEEP_GRIDS:
+        sweep_lambda(request.getfixturevalue(name), F(lambda_max), steps)
+    assert counts["simplex"] <= SWEEP_SIMPLEX_RUNS, counts
+    assert counts["pivots"] <= SWEEP_PIVOTS, counts
+    assert lp_core.solve_calls() - before == SWEEP_LP_SOLVES
+
+
 def test_sweep_grid_is_exact(example2):
     report = sweep_lambda(example2, F(1, 3), 4)
     assert report.grid == (F(0), F(1, 12), F(1, 6), F(1, 4), F(1, 3))

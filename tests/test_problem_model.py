@@ -1,5 +1,6 @@
 """Problem records and the weight/parameter correspondence."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -53,6 +54,38 @@ def test_tolp_shares_the_system_and_stacks_costs(example2):
     assert t.rows == example2.rows
     assert t.cost_rows == (example2.c1, example2.c2, example2.d1)
     assert t.image((F(0), F(5), F(5))) == (F(0), F(5), F(5))
+
+
+def test_images_match_the_fraction_dot_product():
+    """Tolp.image and Bolp.image work over integer cost rows and x over
+    one denominator; on seeded rational vectors, int rays with negative
+    entries and the zero vector they give the Fraction dot product."""
+    rng = random.Random(1405)
+
+    def num():
+        return F(rng.randint(-9, 9), rng.randint(1, 7)) if rng.random() < 0.8 else F(0)
+
+    for trial in range(200):
+        n = rng.randint(1, 6)
+        p = Pblp(
+            case=(Case.ONE, Case.TWO)[trial % 2], n=n, rows=(), rhs=(), senses=(),
+            c1=tuple(num() for _ in range(n)),
+            c2=tuple(num() for _ in range(n)),
+            d1=tuple(num() for _ in range(n)),
+        )
+        t, b = build_tolp(p), fix_lambda(p, F(rng.randint(0, 9), rng.randint(1, 4)))
+        for x in (
+            tuple(num() for _ in range(n)),
+            tuple(rng.randint(-5, 5) for _ in range(n)),
+            (0,) * n,
+            (F(0),) * n,
+        ):
+            for record, rows in ((t, t.cost_rows), (b, (b.f1, b.f2))):
+                image = record.image(x)
+                assert image == tuple(
+                    sum((c * v for c, v in zip(row, x)), F(0)) for row in rows
+                ), (record, x)
+                assert all(type(v) is F for v in image)
 
 
 def test_fix_lambda_case_two_shifts_both_objectives(example2):

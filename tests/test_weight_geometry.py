@@ -392,6 +392,18 @@ def test_hrep_dimensions_and_membership(example2):
     assert not hrep_feasible_at(h, (F(1, 3), F(1, 3), F(1, 3)))
 
 
+def test_hrep_for_another_image_shares_the_cone(example2, example1):
+    """for_image keeps the cone rows and gives component_hrep's image row."""
+    for p in (example2, example1):
+        t = build_tolp(p)
+        images = [entry.image for entry in decompose(t).images]
+        first = component_hrep(t, images[0])
+        for y in images + [(F(-1, 2), F(3), F(0))]:
+            h = first.for_image(y)
+            assert h == component_hrep(t, y)
+            assert h.cone is first.cone
+
+
 def test_hrep_projection_matches_the_polygon_on_a_grid(
     example2, example2_case1, example1
 ):
