@@ -65,7 +65,6 @@ from .problem_model import (
     build_tolp,
     fix_lambda,
     lambda_from_weight,
-    map_weight_to_simplex,
     segment_for_lambda,
     ws_scalarize,
 )

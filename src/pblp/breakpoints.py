@@ -31,7 +31,7 @@ from . import lp_core
 from .errors import EmptyComponent, NoFiniteVertex, SystemMismatch
 from .lp_core import FeasibleSystem, LinearProgram, LpStatus, Sense, solve_lp
 from .numerics import INF
-from .problem_model import Case, Pblp, Weight3, build_tolp, lambda_from_weight
+from .problem_model import Case, Pblp, build_tolp
 from .weight_geometry import (
     ComponentHrep,
     ConvexPolygon2,
@@ -164,21 +164,22 @@ def interval_vertex(case: Case, poly: ConvexPolygon2) -> tuple[Fraction, object]
     """Interval read off the component polygon's vertices.
 
     lambda is a monotone fractional-linear function of the weight on the
-    component, so its extremes over the polygon occur at vertices.  The
+    component, so its extremes over the polygon occur at vertices.  At
+    the vertex (X, Y, W) it is Z/(s1*X + s2*Y), Z = W - X - Y, s the
+    case's shares (lambda_from_weight of the lifted weight).  The
     projected vertex (0, 1) (case ONE) encodes no lambda and is skipped;
     vertices on w1 = 0 (case ONE) or at (0, 0) (case TWO) push the upper
     end to infinity.
     """
+    s1, s2 = case.shares
     finite: list[Fraction] = []
     unbounded = False
-    for w1, w2 in poly.vertices:
-        lam = lambda_from_weight(case, Weight3(w1, w2, 1 - w1 - w2))
-        if lam is None:
-            continue
-        if lam is INF:
+    for x, y, w in poly.triples:
+        den = s1 * x + s2 * y
+        if den > 0:
+            finite.append(Fraction(w - x - y, den))
+        elif w - x - y > 0:
             unbounded = True
-        else:
-            finite.append(lam)
     if not finite:
         raise NoFiniteVertex("no component vertex encodes a finite lambda")
     return min(finite), (INF if unbounded else max(finite))

@@ -27,7 +27,7 @@ from .lp_core import (
     solve_lex_lp,
 )
 from .problem_model import Bolp, Pblp, Tolp, build_tolp, fix_lambda
-from .weight_geometry import Point3, component_vertices
+from .weight_geometry import Point3, component_vertices, integral_image
 
 __all__ = [
     "VertexSet",
@@ -179,12 +179,10 @@ def extreme_nondominated_bruteforce(
         if any(c < 0 for c in t.image(r)):
             raise UnboundedScalarization(f"ray {r} lowers a cost row")
     pareto = _nondominated(t.image(x) for x in found.vertices)
-    keep = []
-    for y in pareto:
-        others = [z for z in pareto if z != y]
-        if component_vertices(y, others).area() > 0:
-            keep.append(y)
-    return tuple(keep)
+    scaled = [integral_image(y) for y in pareto]
+    return tuple(
+        y for y, s in zip(pareto, scaled) if component_vertices(s, scaled).area() > 0
+    )
 
 
 # -- parametric oracle -------------------------------------------------------

@@ -210,23 +210,6 @@ def ws_scalarize(t: Tolp, w: Weight3) -> LinearProgram:
     )
 
 
-def map_weight_to_simplex(case: Case, w: Weight2, lam: Fraction) -> Weight3:
-    """Where a biobjective weight (w1, w2), w1+w2 = 1 lands in the simplex
-    once lambda is folded into the objectives.
-
-    The input is the projected pair; its lift must lie on the edge
-    w1 + w2 = 1 of the simplex (a biobjective weight has no third part).
-    """
-    if lam < 0:
-        raise NegativeParameter(f"lambda = {lam}")
-    if w.w1 + w.w2 != 1:
-        raise ValueError("biobjective weight must satisfy w1 + w2 = 1")
-    s1, s2 = case.shares
-    w3 = lam * (s1 * w.w1 + s2 * w.w2)
-    den = 1 + w3
-    return Weight3(w.w1 / den, w.w2 / den, w3 / den)
-
-
 def lambda_from_weight(case: Case, w: Weight3):
     """Invert the weight map: which lambda does a simplex weight encode.
 

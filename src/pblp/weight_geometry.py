@@ -2,46 +2,45 @@
 
 Components of the weight-set decomposition live in the triangle
 {(w1, w2) : w1, w2 >= 0, w1 + w2 <= 1} (the third weight is implicit).
-Everything here is exact: half-plane clipping, canonical convex polygons,
-shoelace areas, and the lifted H-representation of a component over
-(v, w), in the row layout the LP-based interval method solves.
-Vertices are canonical Fraction pairs, but clips, areas and edge
-half-planes compute in plain ints, in the exact-geometric-computation
-style (Yap, Towards exact geometric computation, 1997): points as
-homogeneous integer triples, half-planes and polygons scaled by positive
-common denominators.
+Everything here is exact and, in the exact-geometric-computation style
+(Yap, Towards exact geometric computation, 1997), in plain ints: a point
+is a reduced homogeneous triple (X, Y, W), W > 0 and gcd(X, Y, W) = 1,
+for (X/W, Y/W), so equal points are equal triples; a half-plane has
+integer coefficients; an image is integer numerators over one positive
+denominator.  On top of that: half-plane clipping, canonical convex
+polygons, shoelace areas, and the lifted H-representation of a
+component over (v, w), in the row layout the LP-based interval method
+solves.  Fractions are built only for callers that read them: a
+polygon's vertices and its area.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, cmp_to_key
 from math import gcd, lcm
 
 from .problem_model import Tolp, ge_form
 
 Point2 = tuple[Fraction, Fraction]
 Point3 = tuple[Fraction, Fraction, Fraction]
+Triple = tuple[int, int, int]  # (X, Y, W): the point (X/W, Y/W)
+IntImage = tuple[int, int, int, int]  # (Y1, Y2, Y3, D): the image (Yk/D)
 
 
 @dataclass(frozen=True)
 class HalfPlane:
-    """The set a1*w1 + a2*w2 <= rhs.
+    """The set a1*w1 + a2*w2 <= rhs, in ints.
 
     A zero normal is deliberately legal: it encodes the trivially true
     plane (rhs >= 0, contributed by a competitor that is a uniform shift
     of the image) or the empty one (rhs < 0).
     """
 
-    a1: Fraction
-    a2: Fraction
-    rhs: Fraction
-
-
-def _homogeneous(x: Fraction, y: Fraction) -> tuple[int, int, int]:
-    """(x, y) as (X, Y, W) with W > 0 and gcd(X, Y, W) = 1."""
-    w = lcm(x.denominator, y.denominator)
-    return x.numerator * (w // x.denominator), y.numerator * (w // y.denominator), w
+    a1: int
+    a2: int
+    rhs: int
 
 
 def _det3(p, q, r) -> int:
@@ -50,15 +49,21 @@ def _det3(p, q, r) -> int:
     return x1 * (y2 * w3 - w2 * y3) - y1 * (x2 * w3 - w2 * x3) + w1 * (x2 * y3 - y2 * x3)
 
 
-def _integral(values) -> tuple[int, list[int]]:
-    """A positive common denominator of values and their numerators over it."""
-    scale = lcm(*(v.denominator for v in values))
-    return scale, [v.numerator * (scale // v.denominator) for v in values]
+def _compare(p: Triple, q: Triple) -> int:
+    """-1, 0 or 1 as p comes before, at or after q, x first, then y."""
+    (x1, y1, w1), (x2, y2, w2) = p, q
+    a, b = x1 * w2, x2 * w1
+    if a == b:
+        a, b = y1 * w2, y2 * w1
+    return (a > b) - (a < b)
+
+
+_lex = cmp_to_key(_compare)
 
 
 @dataclass(frozen=True)
 class ConvexPolygon2:
-    """A convex polygon in canonical form.
+    """A convex polygon in canonical form, as reduced triples.
 
     Vertices are counterclockwise, collinear points removed, starting at
     the lexicographically smallest vertex.  Zero, one or two vertices
@@ -66,72 +71,70 @@ class ConvexPolygon2:
     arise naturally while clipping and have area zero.
     """
 
-    vertices: tuple[Point2, ...]
+    triples: tuple[Triple, ...]
+
+    @cached_property
+    def vertices(self) -> tuple[Point2, ...]:
+        """The vertices as Fraction pairs, built once per polygon."""
+        return tuple((Fraction(x, w), Fraction(y, w)) for x, y, w in self.triples)
 
     def is_empty(self) -> bool:
-        return not self.vertices
+        return not self.triples
 
     def area(self) -> Fraction:
-        vs = self.vertices
-        if len(vs) < 3:
+        ts = self.triples
+        if len(ts) < 3:
             return Fraction(0)
-        scale, flat = _integral([c for v in vs for c in v])
-        xs, ys = flat[0::2], flat[1::2]
-        twice = sum(xs[i - 1] * ys[i] - xs[i] * ys[i - 1] for i in range(len(vs)))
+        scale = lcm(*(w for _, _, w in ts))
+        pts = [(x * (scale // w), y * (scale // w)) for x, y, w in ts]
+        twice = sum(pts[i - 1][0] * y - x * pts[i - 1][1] for i, (x, y) in enumerate(pts))
         return Fraction(twice, 2 * scale * scale)
 
     def edge_halfplanes(self) -> list[HalfPlane]:
-        """Inward half-planes of a full-dimensional polygon's edges."""
-        scale, flat = _integral([c for v in self.vertices for c in v])
-        pts = list(zip(flat[0::2], flat[1::2]))
-        out = []
-        for (x1, y1), (x2, y2) in zip(pts, pts[1:] + pts[:1]):
-            # CCW edge: the inside is its left side, which rearranges to
-            # (y2-y1) w1 + (x1-x2) w2 <= (y2-y1) x1 + (x1-x2) y1; over the
-            # common denominator, times its square, the plane is integral.
-            a1, a2 = y2 - y1, x1 - x2
-            out.append(HalfPlane(
-                Fraction(a1 * scale), Fraction(a2 * scale), Fraction(a1 * x1 + a2 * y1)
-            ))
-        return out
+        """Inward half-planes of a full-dimensional polygon's edges.
+
+        The counterclockwise edge p -> q keeps the points r on its left,
+        det(p, q, r) = r.(p x q) >= 0, whose coefficients are those of
+        the cross product p x q.
+        """
+        ts = self.triples
+        return [
+            HalfPlane(w1 * y2 - y1 * w2, x1 * w2 - w1 * x2, x1 * y2 - y1 * x2)
+            for (x1, y1, w1), (x2, y2, w2) in zip(ts, ts[1:] + ts[:1])
+        ]
 
 
 def simplex_triangle() -> ConvexPolygon2:
-    z, o = Fraction(0), Fraction(1)
-    return ConvexPolygon2(((z, z), (o, z), (z, o)))
+    return ConvexPolygon2(((0, 0, 1), (1, 0, 1), (0, 1, 1)))
 
 
 def clip_polygon(poly: ConvexPolygon2, hp: HalfPlane) -> ConvexPolygon2:
     """Intersect a polygon with one half-plane in linear time.
 
-    The plane, scaled by the lcm of its denominators, is (c1, c2, r) in
-    ints.  Each vertex, read as (X, Y, W) with W > 0, is evaluated once
-    as D = c1*X + c2*Y - r*W; both scales are positive, so D has the
-    sign of a1*x + a2*y - rhs.  A plane that leaves every vertex inside
-    returns poly itself, and one that leaves every vertex strictly
-    outside the empty polygon.  Otherwise one Sutherland-Hodgman pass
-    (Sutherland and Hodgman, CACM 1974) reuses the D: edge s -> e
-    crosses the line at Ds*e - De*s, negated to W > 0 and divided by
-    the gcd of its entries.  A convex counterclockwise polygon stays so,
-    and the canonical form needs no hull: drop repeated triples (a
+    Each vertex (X, Y, W) is evaluated once as D = a1*X + a2*Y - rhs*W;
+    W > 0, so D has the sign of a1*x + a2*y - rhs.  A plane that leaves
+    every vertex inside returns poly itself, and one that leaves every
+    vertex strictly outside the empty polygon.  Otherwise one
+    Sutherland-Hodgman pass (Sutherland and Hodgman, CACM 1974) reuses
+    the D: edge s -> e crosses the line at Ds*e - De*s, negated to W > 0
+    and divided by the gcd of its entries, so a positive multiple of the
+    plane gives the same point.  A convex counterclockwise polygon stays
+    so, and the canonical form needs no hull: drop repeated triples (a
     vertex on the line is emitted twice) and collinear ones, whose 3x3
     determinant vanishes (left by a polygon built with extra points on
     its edges), then rotate to the smallest vertex.  Fewer than three
-    points leave a sorted point or segment.  Only the crossing points
-    become Fraction pairs.
+    points leave a sorted point or segment.
     """
-    vs = poly.vertices
-    _, (c1, c2, r) = _integral((hp.a1, hp.a2, hp.rhs))
-    hs = [_homogeneous(x, y) for x, y in vs]
-    d = [c1 * x + c2 * y - r * w for x, y, w in hs]
+    ts = poly.triples
+    a1, a2, rhs = hp.a1, hp.a2, hp.rhs
+    d = [a1 * x + a2 * y - rhs * w for x, y, w in ts]
     if all(v <= 0 for v in d):
         return poly
     if all(v > 0 for v in d):
         return ConvexPolygon2(())
-    out: list[tuple[int, int, int]] = []
-    original: dict[tuple[int, int, int], Point2] = {}
-    for i, (e, de) in enumerate(zip(hs, d)):  # edge vs[i-1] -> vs[i]
-        s, ds = hs[i - 1], d[i - 1]
+    out: list[Triple] = []
+    for i, (e, de) in enumerate(zip(ts, d)):  # edge ts[i-1] -> ts[i]
+        s, ds = ts[i - 1], d[i - 1]
         if (ds > 0) != (de > 0):
             x = ds * e[0] - de * s[0]
             y = ds * e[1] - de * s[1]
@@ -142,21 +145,16 @@ def clip_polygon(poly: ConvexPolygon2, hp: HalfPlane) -> ConvexPolygon2:
             out.append((x // g, y // g, w // g))
         if de <= 0:
             out.append(e)
-            original[e] = vs[i]
     pts = [p for i, p in enumerate(out) if p != out[i - 1]] or out[:1]
-
-    def pair(p):
-        return original.get(p) or (Fraction(p[0], p[2]), Fraction(p[1], p[2]))
-
     count = len(pts)
     hull = [
-        pair(p) for i, p in enumerate(pts)
+        p for i, p in enumerate(pts)
         if _det3(pts[i - 1], p, pts[(i + 1) % count]) != 0
     ]
     if len(hull) < 3:  # a point or a segment: its sorted extremes
-        points = [pair(p) for p in pts]
-        return ConvexPolygon2(tuple(sorted({min(points), max(points)})))
-    start = hull.index(min(hull))
+        low, high = min(pts, key=_lex), max(pts, key=_lex)
+        return ConvexPolygon2((low,) if low == high else (low, high))
+    start = hull.index(min(hull, key=_lex))
     return ConvexPolygon2(tuple(hull[start:] + hull[:start]))
 
 
@@ -173,39 +171,46 @@ def intersect_polygons(a: ConvexPolygon2, b: ConvexPolygon2) -> ConvexPolygon2:
 # -- components ------------------------------------------------------------
 
 
-def competitor_halfplane(y: Point3, other: Point3) -> HalfPlane:
+def integral_image(y: Point3) -> IntImage:
+    """y as integer numerators over its least common denominator D > 0,
+    (Y1, Y2, Y3, D); equal images give equal tuples."""
+    den = lcm(*(v.denominator for v in y))
+    return (*(v.numerator * (den // v.denominator) for v in y), den)
+
+
+def competitor_halfplane(y: IntImage, other: IntImage) -> HalfPlane:
     """The weights where y is no worse than other, w.y <= w.other.
 
     Projecting out w3 = 1 - w1 - w2 turns the condition into
-    (D1 - D3) w1 + (D2 - D3) w2 <= -D3 with D = y - other.
+    (D1 - D3) w1 + (D2 - D3) w2 <= -D3 with D = y - other, here times
+    the product of the two denominators.
     """
-    d = tuple(a - b for a, b in zip(y, other))
-    return HalfPlane(d[0] - d[2], d[1] - d[2], -d[2])
+    y1, y2, y3, dy = y
+    o1, o2, o3, do = other
+    d1, d2, d3 = y1 * do - o1 * dy, y2 * do - o2 * dy, y3 * do - o3 * dy
+    return HalfPlane(d1 - d3, d2 - d3, -d3)
 
 
-def component_halfplanes(y: Point3, others) -> list[HalfPlane]:
+def component_halfplanes(y: IntImage, others) -> list[HalfPlane]:
     """Half-planes whose intersection is the component of y.
 
-    One competitor_halfplane per competitor y' other than y.  A competitor
-    equal to y + t*(1,1,1) yields the degenerate plane 0 <= -t, trivially
-    true for shifts upward.  The three bounds of the projected simplex
-    close the list, so intersecting everything over the whole plane gives
-    the component directly.
+    One competitor_halfplane per competitor y' other than y, all as
+    integral_image gives them.  A competitor equal to y + t*(1,1,1)
+    yields the degenerate plane 0 <= -t, trivially true for shifts
+    upward.  The three bounds of the projected simplex close the list,
+    so intersecting everything over the whole plane gives the component
+    directly.
     """
-    out = [
-        competitor_halfplane(y, other)
-        for other in others
-        if tuple(other) != tuple(y)
-    ]
-    zero, one = Fraction(0), Fraction(1)
-    out.append(HalfPlane(-one, zero, zero))  # w1 >= 0
-    out.append(HalfPlane(zero, -one, zero))  # w2 >= 0
-    out.append(HalfPlane(one, one, one))  # w1 + w2 <= 1
+    out = [competitor_halfplane(y, other) for other in others if other != y]
+    out.append(HalfPlane(-1, 0, 0))  # w1 >= 0
+    out.append(HalfPlane(0, -1, 0))  # w2 >= 0
+    out.append(HalfPlane(1, 1, 1))  # w1 + w2 <= 1
     return out
 
 
-def component_vertices(y: Point3, others) -> ConvexPolygon2:
-    """The component of y within the projected simplex, as a polygon."""
+def component_vertices(y: IntImage, others) -> ConvexPolygon2:
+    """The component of y within the projected simplex, as a polygon;
+    y and others as integral_image gives them."""
     poly = simplex_triangle()
     for hp in component_halfplanes(y, others):
         poly = clip_polygon(poly, hp)
@@ -233,7 +238,7 @@ class ComponentHrep:
     def for_image(self, y: Point3) -> "ComponentHrep":
         """The hrep of another image y of the same problem: the cone is
         shared, and only the image row's -y part changes."""
-        image = self.image[: self.m] + tuple(-Fraction(v) for v in y)
+        image = self.image[: self.m] + tuple(-v for v in y)
         return ComponentHrep(cone=self.cone, image=image, m=self.m)
 
 
@@ -245,5 +250,5 @@ def component_hrep(t: Tolp, y: Point3) -> ComponentHrep:
         tuple(rows[i][j] for i in range(m)) + tuple(-C[k][j] for k in range(3))
         for j in range(t.n)
     )
-    image = tuple(rhs) + tuple(-Fraction(v) for v in y)
+    image = tuple(rhs) + tuple(-v for v in y)
     return ComponentHrep(cone=cone, image=image, m=m)

@@ -23,6 +23,11 @@ image y itself, so the vertex passes, and the LP a certificate would
 run there is skipped.  The first vertex that fails, and so every
 challenger, witness and component, is the one a solve at every vertex
 finds.
+
+The loop runs in ints on weight_geometry's vertex triples (X, Y, W),
+the weight (X, Y, W - X - Y)/W: cone tests and weighted values are
+integer dot products, and a certificate's objective is a positive
+multiple of ws_scalarize's, with the same signs and pivots.
 """
 
 from __future__ import annotations
@@ -33,15 +38,17 @@ from math import lcm
 
 from . import lp_core
 from .errors import InfeasibleProblem, InvariantViolation, UnboundedScalarization
-from .lp_core import FeasibleSystem, LpStatus, solve_lex_lp, solve_lp
-from .problem_model import Tolp, Weight2, Weight3, ws_scalarize
+from .lp_core import FeasibleSystem, LinearProgram, LpStatus, solve_lex_lp, solve_lp
+from .problem_model import Tolp, Weight3, ws_scalarize
 from .weight_geometry import (
     ConvexPolygon2,
-    Point2,
+    IntImage,
     Point3,
+    Triple,
     clip_polygon,
     competitor_halfplane,
     component_vertices,
+    integral_image,
 )
 
 __all__ = ["ExtremeImage", "Decomposition", "find_extreme_image", "decompose"]
@@ -61,13 +68,11 @@ class ExtremeImage:
     witness: tuple[Fraction, ...]
     cone: tuple[tuple[int, int, int], ...] = field(compare=False, repr=False)
 
-    def covers(self, vertex: Point2) -> bool:
+    def covers(self, vertex: Triple) -> bool:
         """Whether the basis behind this image is optimal at the weight
-        (w1, w2, 1 - w1 - w2) of vertex, tested in integers."""
-        w1, w2 = vertex
-        w3 = 1 - w1 - w2
-        scale = lcm(w1.denominator, w2.denominator, w3.denominator)
-        a1, a2, a3 = (w.numerator * (scale // w.denominator) for w in (w1, w2, w3))
+        (X, Y, W - X - Y)/W of vertex = (X, Y, W), tested in integers."""
+        a1, a2, w = vertex
+        a3 = w - a1 - a2
         return all(a1 * r1 + a2 * r2 + a3 * r3 >= 0 for r1, r2, r3 in self.cone)
 
 
@@ -88,19 +93,39 @@ class Decomposition:
         return tuple(e.image for e in self.images)
 
 
+def _weighted_sum(t: Tolp, vertex: Triple) -> LinearProgram:
+    """The weighted-sum LP at vertex = (X, Y, W): the objective
+    X c1 + Y c2 + (W - X - Y) d1 over t.integer_costs, times the lcm of
+    their scales, is L*W times ws_scalarize's, L > 0."""
+    (c1, s1), (c2, s2), (d1, s3) = t.integer_costs
+    scale = lcm(s1, s2, s3)
+    x, y, w = vertex
+    a1, a2, a3 = x * (scale // s1), y * (scale // s2), (w - x - y) * (scale // s3)
+    return LinearProgram(
+        objective=tuple(a1 * p + a2 * q + a3 * r for p, q, r in zip(c1, c2, d1)),
+        rows=t.rows,
+        rhs=t.rhs,
+        senses=t.senses,
+        nonneg=(True,) * t.n,
+    )
+
+
 def find_extreme_image(
-    t: Tolp, w: Weight3, system: FeasibleSystem | None = None
+    t: Tolp, w: Weight3 | Triple, system: FeasibleSystem | None = None
 ) -> ExtremeImage:
     """Lexicographic weighted-sum solve at w, ties (c1, c2, d1).
 
-    The ties pin a single image even when w sits on a component boundary,
-    and they guarantee the returned image is a nondominated extreme
-    point, not merely weakly nondominated.  system, when given, is t's
-    feasible system and spares the solve its phase one.  The solve also
-    prices the ties at its final basis, whose cone the result carries.
+    w is a Weight3 (ws_scalarize) or a vertex triple (X, Y, W)
+    (_weighted_sum); both give the same pivots.  The ties pin a single
+    image even when w sits on a component boundary, and they guarantee
+    the returned image is a nondominated extreme point, not merely weakly
+    nondominated.  system, when given, is t's feasible system and spares
+    the solve its phase one.  The solve also prices the ties at its final
+    basis, whose cone the result carries.
     """
     ties = (t.c1, t.c2, t.d1)
-    result = solve_lex_lp(ws_scalarize(t, w), ties=ties, system=system, price=ties)
+    lp = ws_scalarize(t, w) if isinstance(w, Weight3) else _weighted_sum(t, w)
+    result = solve_lex_lp(lp, ties=ties, system=system, price=ties)
     if result.status is LpStatus.UNBOUNDED:
         raise UnboundedScalarization(f"weighted sum unbounded at w = {w}")
     if result.status is LpStatus.INFEASIBLE:
@@ -108,26 +133,25 @@ def find_extreme_image(
     return ExtremeImage(image=t.image(result.x), witness=result.x, cone=result.reduced)
 
 
-def _dot3(w: Weight3, y: Point3) -> Fraction:
-    return w.w1 * y[0] + w.w2 * y[1] + w.w3 * y[2]
+def _below(vertex: Triple, y: IntImage, z: IntImage) -> bool:
+    """Whether w.y < w.z at the weight w of vertex, in ints."""
+    a1, a2, w = vertex
+    a3 = w - a1 - a2
+    (y1, y2, y3, dy), (z1, z2, z3, dz) = y, z
+    return (a1 * y1 + a2 * y2 + a3 * y3) * dz < (a1 * z1 + a2 * z2 + a3 * z3) * dy
 
 
 def decompose(t: Tolp) -> Decomposition:
     """Compute all extreme nondominated images and their components."""
     start_count = lp_core.solve_calls()
-    one = Fraction(1)
-    unit_weights = (
-        Weight3(one, Fraction(0), Fraction(0)),
-        Weight3(Fraction(0), one, Fraction(0)),
-        Weight3(Fraction(0), Fraction(0), one),
-    )
+    corners = ((1, 0, 1), (0, 1, 1), (0, 0, 1))
     # Every weighted sum shares t's constraints: phase one runs once here.
-    system = FeasibleSystem(ws_scalarize(t, unit_weights[0]))
-    for w in unit_weights:
-        status = solve_lp(ws_scalarize(t, w), system=system).status
+    system = FeasibleSystem(_weighted_sum(t, corners[0]))
+    for x, y, w in corners:
+        status = solve_lp(_weighted_sum(t, (x, y, w)), system=system).status
         if status is LpStatus.UNBOUNDED:
             raise UnboundedScalarization(
-                f"objective weighted ({w.w1}, {w.w2}, {w.w3}) is unbounded"
+                f"objective weighted ({x}, {y}, {w - x - y}) is unbounded"
                 " below over the feasible set"
             )
         if status is LpStatus.INFEASIBLE:
@@ -135,74 +159,62 @@ def decompose(t: Tolp) -> Decomposition:
     # Bounded at the three corners implies bounded for every simplex
     # weight, because min (sum wi ci).x >= sum wi min ci.x.
 
-    # Every solve's record, keyed by its image: each carries the cone of
-    # one basis that yields that image.
-    found: dict[Point3, list[ExtremeImage]] = {}
+    # Every solve's record, keyed by its integral image: each carries the
+    # cone of one basis that yields that image.
+    found: dict[IntImage, list[ExtremeImage]] = {}
 
-    def solve_at(w: Weight3) -> ExtremeImage:
+    def solve_at(w: Triple) -> tuple[ExtremeImage, IntImage]:
         entry = find_extreme_image(t, w, system)
-        found.setdefault(entry.image, []).append(entry)
-        return entry
+        image = integral_image(entry.image)
+        found.setdefault(image, []).append(entry)
+        return entry, image
 
-    centroid = Weight3(Fraction(1, 3), Fraction(1, 3), Fraction(1, 3))
-    known: list[ExtremeImage] = [solve_at(centroid)]
-    # One LP certificate per distinct vertex, ever: w -> (lifted weight,
-    # value, image record; an index into discovered order is not stable).
-    cache: dict[Point2, tuple[Weight3, Fraction, ExtremeImage]] = {}
-
-    def certificate(vertex: Point2):
-        rec = cache.get(vertex)
-        if rec is None:
-            w = Weight2(*vertex).lift()
-            best = solve_at(w)
-            rec = (w, _dot3(w, best.image), best)
-            cache[vertex] = rec
-        return rec
+    entry, y = solve_at((1, 1, 3))  # the centroid
+    known, images = [entry], [y]
+    # One LP certificate per distinct vertex, ever: its optimum's record
+    # and image (an index into discovered order is not stable).
+    cache: dict[Triple, tuple[ExtremeImage, IntImage]] = {}
 
     # A new image adds one half-plane to each known component, so the
     # known polygons are clipped by it rather than rebuilt; intersection
     # is exact and ConvexPolygon2 canonical, so the tiling is the same.
-    points = [known[0].image]
-    polygons = [component_vertices(known[0].image, points)]
+    polygons = [component_vertices(y, images)]
     # certified[i]: vertices that passed against known[i].  A pass depends
     # on the image and the vertex alone, so later rounds skip the pair and
     # find the same first failure, hence the same challenger.  A vertex in
     # the cone of a basis that yields known[i]'s image passes without an
     # LP (see the module docstring).
-    certified: list[set[Point2]] = [set()]
+    certified: list[set[Triple]] = [set()]
     while True:
         challenger = None
-        for entry, poly, done in zip(known, polygons, certified):
-            for vertex in poly.vertices:
+        for image, poly, done in zip(images, polygons, certified):
+            for vertex in poly.triples:
                 if vertex in done:
                     continue
-                if not any(rec.covers(vertex) for rec in found[entry.image]):
-                    w, best_value, best = certificate(vertex)
-                    if best_value < _dot3(w, entry.image):
-                        challenger = best
+                if not any(rec.covers(vertex) for rec in found[image]):
+                    if vertex not in cache:
+                        cache[vertex] = solve_at(vertex)
+                    if _below(vertex, cache[vertex][1], image):
+                        challenger = cache[vertex]
                         break
                 done.add(vertex)
             if challenger is not None:
                 break
         if challenger is None:
             break
-        y = challenger.image
-        if y in points:
-            raise InvariantViolation(f"tiling admitted known image {y}")
+        entry, y = challenger
+        if y in images:
+            raise InvariantViolation(f"tiling admitted known image {entry.image}")
         polygons = [
-            clip_polygon(poly, competitor_halfplane(entry.image, y))
-            for entry, poly in zip(known, polygons)
+            clip_polygon(poly, competitor_halfplane(image, y))
+            for image, poly in zip(images, polygons)
         ]
-        known.append(challenger)
+        known.append(entry)
         certified.append(set())
-        points.append(y)
-        polygons.append(component_vertices(y, points))
+        images.append(y)
+        polygons.append(component_vertices(y, images))
 
-    keep = [
-        (entry, poly)
-        for entry, poly in zip(known, polygons)
-        if poly.area() > 0
-    ]
+    keep = [(entry, poly) for entry, poly in zip(known, polygons) if poly.area() > 0]
     keep.sort(key=lambda pair: pair[0].image)
     return Decomposition(
         images=tuple(entry for entry, _ in keep),

@@ -5,8 +5,8 @@ from itertools import combinations
 
 import pytest
 
-from pblp import ConvexPolygon2, HalfPlane, Weight2, Weight3, parse_problem
-from pblp.errors import InvariantViolation
+from pblp import ConvexPolygon2, HalfPlane, Weight2, Weight3, component_vertices, parse_problem
+from pblp.errors import InvariantViolation, NegativeParameter
 from pblp.lp_core import (
     FeasibleSystem,
     LinearProgram,
@@ -17,6 +17,7 @@ from pblp.lp_core import (
     solve_lp,
     solve_square,
 )
+from pblp.weight_geometry import integral_image
 
 INSTANCE_DIR = pathlib.Path(__file__).resolve().parent.parent / "instances"
 
@@ -31,6 +32,23 @@ def w3(a, b, c) -> Weight3:
 
 def w2(a, b) -> Weight2:
     return Weight2(Fraction(a), Fraction(b))
+
+
+def map_weight_to_simplex(case, w: Weight2, lam: Fraction) -> Weight3:
+    """Where a biobjective weight (w1, w2), w1+w2 = 1 lands in the simplex
+    once lambda is folded into the objectives.
+
+    The input is the projected pair; its lift must lie on the edge
+    w1 + w2 = 1 of the simplex (a biobjective weight has no third part).
+    """
+    if lam < 0:
+        raise NegativeParameter(f"lambda = {lam}")
+    if w.w1 + w.w2 != 1:
+        raise ValueError("biobjective weight must satisfy w1 + w2 = 1")
+    s1, s2 = case.shares
+    w3 = lam * (s1 * w.w1 + s2 * w.w2)
+    den = 1 + w3
+    return Weight3(w.w1 / den, w.w2 / den, w3 / den)
 
 
 def as_tuple(w: Weight3) -> tuple[Fraction, Fraction, Fraction]:
@@ -135,6 +153,30 @@ def component_of(dec, y) -> ConvexPolygon2:
     raise KeyError(f"no component for image {y}")
 
 
+def triple(x, y) -> tuple[int, int, int]:
+    """The point (x, y) as a reduced homogeneous triple (X, Y, W), W > 0."""
+    (px, py), w = integer_row((Fraction(x), Fraction(y)))
+    return px, py, w
+
+
+def polygon(pairs) -> ConvexPolygon2:
+    """A ConvexPolygon2 on the given (x, y) pairs, in the given order."""
+    return ConvexPolygon2(tuple(triple(x, y) for x, y in pairs))
+
+
+def plane(a1, a2, rhs) -> HalfPlane:
+    """The half-plane a1*w1 + a2*w2 <= rhs of rational coefficients,
+    scaled by a positive integer to ints."""
+    (c1, c2, r), _ = integer_row((Fraction(a1), Fraction(a2), Fraction(rhs)))
+    return HalfPlane(c1, c2, r)
+
+
+def component(y, others) -> ConvexPolygon2:
+    """component_vertices of the image y against others, all Fraction
+    triples."""
+    return component_vertices(integral_image(y), [integral_image(z) for z in others])
+
+
 def cross(o, a, b) -> Fraction:
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
@@ -143,7 +185,7 @@ def hull_of(points) -> ConvexPolygon2:
     """Canonicalize an arbitrary point soup via exact convex hull."""
     pts = sorted(set((Fraction(a), Fraction(b)) for a, b in points))
     if len(pts) <= 2:
-        return ConvexPolygon2(tuple(pts))
+        return polygon(pts)
     lower = []
     for p in pts:
         while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
@@ -157,9 +199,9 @@ def hull_of(points) -> ConvexPolygon2:
     hull = lower[:-1] + upper[:-1]
     if len(hull) <= 2:
         # All points collinear: keep the two extremes of the sort.
-        return ConvexPolygon2((pts[0], pts[-1]))
+        return polygon((pts[0], pts[-1]))
     start = hull.index(min(hull))
-    return ConvexPolygon2(tuple(hull[start:] + hull[:start]))
+    return polygon(hull[start:] + hull[:start])
 
 
 def polygon_contains(poly: ConvexPolygon2, pt) -> bool:

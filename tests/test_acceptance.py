@@ -22,7 +22,6 @@ from pblp import (
     enumerate_breakpoints,
     extreme_nondominated_bruteforce,
     lambda_from_weight,
-    map_weight_to_simplex,
     segment_for_lambda,
     solve_lp,
     solve_on_decomposition,
@@ -30,7 +29,7 @@ from pblp import (
     vertices_and_rays,
 )
 from pblp.weight_geometry import intersect_polygons
-from conftest import as_tuple, component_of, load_instance, w2, w3
+from conftest import as_tuple, component_of, load_instance, map_weight_to_simplex, w2, w3
 from instance_gen import random_pblp
 
 F = Fraction

@@ -23,6 +23,7 @@ from pblp import (
 )
 from pblp import breakpoints, lp_core
 from pblp.breakpoints import ParameterInterval
+from pblp.problem_model import Weight3
 from pblp.errors import EmptyComponent, NoFiniteVertex, SystemMismatch
 from conftest import hull_of, w3
 from instance_gen import random_pblp
@@ -303,6 +304,55 @@ def test_interval_vertex_without_finite_lambdas():
     point = hull_of([(F(0), F(1))])
     with pytest.raises(NoFiniteVertex):
         interval_vertex(Case.ONE, point)
+
+
+def _lambda_range(case, poly):
+    """min and max of lambda_from_weight over the Fraction vertices, INF
+    above when one encodes lambda -> infinity; None when none is finite."""
+    lams = [
+        lambda_from_weight(case, Weight3(w1, w2, 1 - w1 - w2)) for w1, w2 in poly.vertices
+    ]
+    finite = [lam for lam in lams if lam is not None and lam is not INF]
+    if not finite:
+        return None
+    return min(finite), (INF if any(lam is INF for lam in lams) else max(finite))
+
+
+def test_interval_vertex_matches_lambda_from_weight_on_random_polygons():
+    """interval_vertex reads lambda off the integer triples; on seeded
+    polygons in the simplex, points and segments among them, many with
+    the corners (0, 1) or (0, 0) or points on w1 = 0, it must give the
+    extremes of lambda_from_weight over the Fraction vertices, and raise
+    NoFiniteVertex exactly where none is finite."""
+    rng = random.Random(16)
+    corners = ((F(0), F(1)), (F(0), F(0)))
+    seen = {"unbounded": 0, "none": 0, "skipped": 0, "finite": 0}
+
+    def point():
+        den = rng.randint(1, 12)
+        a = rng.randint(0, den)
+        b = rng.randint(0, den - a)
+        return F(a, den), F(b, den)
+
+    for trial in range(800):
+        pts = [point() for _ in range(rng.choice((1, 2, 3, 5)))]
+        if trial % 3:
+            pts += rng.sample(corners, rng.randint(1, 2))
+        if trial % 5 == 0:
+            pts = [(F(0), y) for _, y in pts]  # on w1 = 0
+        poly = hull_of(pts)
+        for case in (Case.ONE, Case.TWO):
+            expected = _lambda_range(case, poly)
+            if expected is None:
+                with pytest.raises(NoFiniteVertex):
+                    interval_vertex(case, poly)
+                seen["none"] += 1
+                continue
+            assert interval_vertex(case, poly) == expected, (case, poly)
+            seen["unbounded"] += expected[1] is INF
+            seen["finite"] += expected[1] is not INF
+            seen["skipped"] += case is Case.ONE and (F(0), F(1)) in poly.vertices
+    assert min(seen.values()) > 50, seen
 
 
 def test_parameter_interval_contains():

@@ -22,8 +22,7 @@ from pblp import (
 )
 from pblp import lp_core, oracle
 from pblp.errors import TooLarge, UnboundedScalarization
-from pblp.weight_geometry import component_vertices
-from conftest import UnboundedFeasibleSet, basis_vertices, load_instance
+from conftest import UnboundedFeasibleSet, basis_vertices, component, load_instance
 from instance_gen import random_pblp
 
 F = Fraction
@@ -281,7 +280,7 @@ def _unfiltered_extreme_images(t):
     return tuple(
         y
         for y in images
-        if component_vertices(y, [z for z in images if z != y]).area() > 0
+        if component(y, [z for z in images if z != y]).area() > 0
     )
 
 

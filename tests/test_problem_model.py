@@ -15,7 +15,6 @@ from pblp import (
     build_tolp,
     fix_lambda,
     lambda_from_weight,
-    map_weight_to_simplex,
     segment_for_lambda,
     solve_lex_lp,
     solve_lp,
@@ -23,7 +22,7 @@ from pblp import (
 )
 from pblp.errors import BadCase, DimensionMismatch, NegativeParameter
 from pblp.problem_model import Weight2, Weight3, ge_form
-from conftest import as_tuple, project, w2, w3
+from conftest import as_tuple, map_weight_to_simplex, project, w2, w3
 
 F = Fraction
 

@@ -2,7 +2,9 @@
 never an assert (which python -O strips) and never a StopIteration
 from a next() without a default, and no float decides anything, so
 float() appears only in the lossy plot comments of
-cli_io.emit_plot_data.  No state lives at module level beyond the solve
+cli_io.emit_plot_data.  The weight geometry computes in ints: in
+weight_geometry only ConvexPolygon2.vertices and ConvexPolygon2.area,
+which hand Fractions to callers, build a Fraction.  No state lives at module level beyond the solve
 counter: no module-level dict, list or set but __all__, and no global
 statement but lp_core's for _solve_calls.  Two modules also keep their
 layer: the vertex oracle shares no logic with the decomposition and the
@@ -16,6 +18,11 @@ import pathlib
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "pblp"
 FLOAT_ALLOWED = {("cli_io", "emit_plot_data")}
+FRACTION_RULED = {"weight_geometry"}
+FRACTION_ALLOWED = {
+    ("weight_geometry", "ConvexPolygon2.vertices"),
+    ("weight_geometry", "ConvexPolygon2.area"),
+}
 GLOBALS_ALLOWED = {("lp_core", "_solve_calls")}
 MUTABLE_DISPLAYS = (
     ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp
@@ -35,8 +42,12 @@ def _violations(path: pathlib.Path) -> list[str]:
     found = []
 
     def visit(node, function):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            function = function or node.name  # nested code counts as its outer function
+        # nested code counts as its outer function, a method as Class.method
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if function is None or function.endswith("."):
+                function = (function or "") + node.name
+                if isinstance(node, ast.ClassDef):
+                    function += "."
         if isinstance(node, ast.Assert):
             found.append(f"{path.name}:{node.lineno}: assert statement")
         if (
@@ -46,6 +57,13 @@ def _violations(path: pathlib.Path) -> list[str]:
             and (module, function) not in FLOAT_ALLOWED
         ):
             found.append(f"{path.name}:{node.lineno}: float() call")
+        if (
+            isinstance(node, ast.Call)
+            and module in FRACTION_RULED
+            and "Fraction" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+            and (module, function) not in FRACTION_ALLOWED
+        ):
+            found.append(f"{path.name}:{node.lineno}: Fraction() call")
         if (
             isinstance(node, ast.Call)
             and isinstance(node.func, ast.Name)
@@ -84,6 +102,36 @@ def test_the_rules_see_what_they_forbid(tmp_path):
         "cli_io.py:5: float() call",
         "cli_io.py:7: next() without a default",
     ]
+
+
+def test_the_fraction_rule_sees_what_it_forbids(tmp_path):
+    geometry = tmp_path / "weight_geometry.py"
+    geometry.write_text(
+        "import fractions\n"
+        "from fractions import Fraction\n"
+        "Point2 = tuple[Fraction, Fraction]\n"
+        "class ConvexPolygon2:\n"
+        "    def vertices(self):\n"
+        "        return [Fraction(x, w) for x, w in self.triples]\n"
+        "    def area(self):\n"
+        "        def half(v):\n"
+        "            return Fraction(v, 2)\n"
+        "        return half(1)\n"
+        "    def is_empty(self):\n"
+        "        return Fraction(0) == 0\n"
+        "def area(poly):\n"
+        "    return fractions.Fraction(1, 2)\n"
+        "def vertices(poly):\n"
+        "    return Fraction(1)\n"
+    )
+    assert _violations(geometry) == [
+        "weight_geometry.py:12: Fraction() call",
+        "weight_geometry.py:14: Fraction() call",
+        "weight_geometry.py:16: Fraction() call",
+    ]
+    elsewhere = tmp_path / "wsd.py"
+    elsewhere.write_text(geometry.read_text())
+    assert _violations(elsewhere) == []
 
 
 def _state_violations(path: pathlib.Path) -> list[str]:

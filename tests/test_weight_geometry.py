@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from pblp import (
     ConvexPolygon2,
-    HalfPlane,
     LinearProgram,
     LpStatus,
     Sense,
@@ -16,14 +15,21 @@ from pblp import (
     clip_polygon,
     component_halfplanes,
     component_hrep,
-    component_vertices,
     decompose,
     simplex_triangle,
     solve_lp,
 )
-from pblp.weight_geometry import intersect_polygons
+from pblp.weight_geometry import integral_image, intersect_polygons
 
-from conftest import hull_of, plane_contains, plane_is_trivial, polygon_contains
+from conftest import (
+    component,
+    hull_of,
+    plane,
+    plane_contains,
+    plane_is_trivial,
+    polygon,
+    polygon_contains,
+)
 
 F = Fraction
 
@@ -78,7 +84,7 @@ def test_simplex_triangle_area_is_one_half():
 
 
 def test_clip_cuts_a_corner_exactly():
-    poly = clip_polygon(simplex_triangle(), HalfPlane(F(1), F(1), F(1, 2)))
+    poly = clip_polygon(simplex_triangle(), plane(F(1), F(1), F(1, 2)))
     assert poly.vertices == (
         (F(0), F(0)),
         (F(1, 2), F(0)),
@@ -89,16 +95,16 @@ def test_clip_cuts_a_corner_exactly():
 
 def test_clip_by_trivial_halfplanes():
     tri = simplex_triangle()
-    assert clip_polygon(tri, HalfPlane(F(0), F(0), F(1))).vertices == tri.vertices
-    assert clip_polygon(tri, HalfPlane(F(0), F(0), F(-1))).is_empty()
+    assert clip_polygon(tri, plane(F(0), F(0), F(1))).vertices == tri.vertices
+    assert clip_polygon(tri, plane(F(0), F(0), F(-1))).is_empty()
 
 
 def test_clip_to_empty_and_to_lower_dimensions():
     tri = simplex_triangle()
-    assert clip_polygon(tri, HalfPlane(F(-1), F(0), F(-2))).is_empty()
-    edge = clip_polygon(tri, HalfPlane(F(0), F(1), F(0)))
+    assert clip_polygon(tri, plane(F(-1), F(0), F(-2))).is_empty()
+    edge = clip_polygon(tri, plane(F(0), F(1), F(0)))
     assert edge.vertices == ((F(0), F(0)), (F(1), F(0)))
-    corner = clip_polygon(edge, HalfPlane(F(-1), F(0), F(-1)))
+    corner = clip_polygon(edge, plane(F(-1), F(0), F(-1)))
     assert corner.vertices == ((F(1), F(0)),)
 
 
@@ -132,9 +138,9 @@ coords = st.fractions(min_value=-3, max_value=3, max_denominator=12)
     st.lists(st.tuples(coords, coords), min_size=1, max_size=8),
     st.tuples(coords, coords, coords),
 )
-def test_clipping_shrinks_and_respects_the_halfplane(points, plane):
-    a1, a2, rhs = plane
-    hp = HalfPlane(a1, a2, rhs)
+def test_clipping_shrinks_and_respects_the_halfplane(points, coefficients):
+    a1, a2, rhs = coefficients
+    hp = plane(a1, a2, rhs)
     poly = hull_of(points)
     clipped = clip_polygon(poly, hp)
     assert clipped.area() <= poly.area()
@@ -177,7 +183,7 @@ def _reference_clip(poly, hp):
 
 def _plane_through(a1, a2, pt, flip=1):
     a1, a2 = flip * F(a1), flip * F(a2)
-    return HalfPlane(a1, a2, a1 * pt[0] + a2 * pt[1])
+    return plane(a1, a2, a1 * pt[0] + a2 * pt[1])
 
 
 def _clip_cases(rng, count):
@@ -199,7 +205,7 @@ def _clip_cases(rng, count):
         vs = poly.vertices
         kind = trial % 4
         if kind == 0:
-            hp = HalfPlane(F(small()), F(small()), coord())
+            hp = plane(F(small()), F(small()), coord())
         elif kind == 1:
             hp = _plane_through(small(), small(), rng.choice(vs))
         elif kind == 2 and len(vs) > 1:
@@ -207,7 +213,7 @@ def _clip_cases(rng, count):
             (x1, y1), (x2, y2) = vs[i - 1], vs[i]
             hp = _plane_through(y2 - y1, x1 - x2, vs[i], rng.choice((1, -1)))
         else:
-            hp = HalfPlane(F(0), F(0), F(rng.randint(-1, 1)))
+            hp = plane(F(0), F(0), F(rng.randint(-1, 1)))
         yield poly, hp
 
 
@@ -237,7 +243,7 @@ def test_a_cut_canonicalizes_redundant_boundary_points():
         for i, v in enumerate(vs):
             w = vs[(i + 1) % len(vs)]
             padded += [v, ((v[0] + w[0]) / 2, (v[1] + w[1]) / 2)]
-        redundant = ConvexPolygon2(tuple(padded))
+        redundant = polygon(padded)
         if all(plane_contains(hp, v) for v in padded):
             continue  # an uncut polygon is returned as it is
         cuts += 1
@@ -273,7 +279,7 @@ def _hard_clip_cases(rng, count):
         if kind == 0:
             a1, a2 = _hard_coefficient(rng), _hard_coefficient(rng)
             pt = (_hard_coord(rng), _hard_coord(rng))
-            hp = HalfPlane(a1, a2, a1 * pt[0] + a2 * pt[1])
+            hp = plane(a1, a2, a1 * pt[0] + a2 * pt[1])
         elif kind == 1:
             a1, a2 = _hard_coefficient(rng), _hard_coefficient(rng)
             hp = _plane_through(a1, a2, rng.choice(vs))
@@ -283,7 +289,7 @@ def _hard_clip_cases(rng, count):
             k = F(rng.randint(1, 10**6), rng.randint(1, 10**6)) * rng.choice((1, -1))
             hp = _plane_through(k * (y2 - y1), k * (x1 - x2), vs[i])
         else:
-            hp = HalfPlane(F(0), F(0), F(rng.randint(-1, 1), rng.randint(1, 10**6)))
+            hp = plane(F(0), F(0), F(rng.randint(-1, 1), rng.randint(1, 10**6)))
         yield poly, hp
 
 
@@ -309,7 +315,7 @@ def test_area_matches_a_fraction_shoelace():
         for i in range(len(vs) if len(vs) >= 3 else 0):
             (x1, y1), (x2, y2) = vs[i], vs[(i + 1) % len(vs)]
             twice += x1 * y2 - x2 * y1
-        assert ConvexPolygon2(vs).area() == twice / 2
+        assert polygon(vs).area() == twice / 2
 
 
 def test_intersect_polygons_matches_a_fraction_clip_by_clip_reference():
@@ -324,7 +330,7 @@ def test_intersect_polygons_matches_a_fraction_clip_by_clip_reference():
         vs = b.vertices
         for i in range(len(vs)):
             (x1, y1), (x2, y2) = vs[i], vs[(i + 1) % len(vs)]
-            hp = HalfPlane(y2 - y1, x1 - x2, (y2 - y1) * x1 + (x1 - x2) * y1)
+            hp = plane(y2 - y1, x1 - x2, (y2 - y1) * x1 + (x1 - x2) * y1)
             expected = _reference_clip(expected, hp)
             if expected.is_empty():
                 break
@@ -338,7 +344,7 @@ def test_intersect_polygons_matches_a_fraction_clip_by_clip_reference():
 def test_component_halfplanes_known_values():
     y = (F(5), F(10), F(0))
     others = [(F(0), F(5), F(5)), (F(15), F(0), F(2))]
-    planes = component_halfplanes(y, others)
+    planes = component_halfplanes(integral_image(y), [integral_image(o) for o in others])
     competitor = [(hp.a1, hp.a2, hp.rhs) for hp in planes[:2]]
     assert competitor == [(F(10), F(10), F(5)), (F(-8), F(12), F(2))]
     # the list closes with the three simplex bounds
@@ -351,7 +357,7 @@ def test_component_halfplanes_known_values():
 
 def test_uniform_shift_gives_a_trivial_halfplane():
     y = (F(1), F(2), F(3))
-    planes = component_halfplanes(y, [(F(2), F(3), F(4))])
+    planes = component_halfplanes(integral_image(y), [integral_image((F(2), F(3), F(4)))])
     assert plane_is_trivial(planes[0])
     assert planes[0].rhs == 1  # 0 <= 1, satisfied everywhere
 
@@ -359,7 +365,7 @@ def test_uniform_shift_gives_a_trivial_halfplane():
 def test_component_vertices_known_polygons():
     others = [(F(0), F(5), F(5)), (F(5), F(10), F(0)), (F(15), F(0), F(2))]
     y = (F(5), F(10), F(0))
-    poly = component_vertices(y, [o for o in others if o != y])
+    poly = component(y, [o for o in others if o != y])
     assert poly.vertices == (
         (F(0), F(0)),
         (F(1, 2), F(0)),
@@ -367,7 +373,7 @@ def test_component_vertices_known_polygons():
         (F(0), F(1, 6)),
     )
     y = (F(0), F(5), F(5))
-    poly = component_vertices(y, [o for o in others if o != y])
+    poly = component(y, [o for o in others if o != y])
     assert poly.vertices == (
         (F(1, 5), F(3, 10)),
         (F(1, 2), F(0)),
@@ -378,7 +384,7 @@ def test_component_vertices_known_polygons():
 
 def test_dominated_far_competitor_leaves_the_full_simplex():
     y = (F(0), F(0), F(0))
-    poly = component_vertices(y, [(F(10), F(10), F(10))])
+    poly = component(y, [(F(10), F(10), F(10))])
     assert poly.vertices == simplex_triangle().vertices
 
 

@@ -1,6 +1,9 @@
 """Weight set decomposition against frozen values and the brute oracle."""
 
+import importlib.util
+import pathlib
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -18,12 +21,8 @@ from pblp import lp_core
 from pblp.errors import InfeasibleProblem, UnboundedScalarization
 from pblp.lp_core import FeasibleSystem
 from pblp.problem_model import Weight2, ws_scalarize
-from conftest import w3
-from pblp.weight_geometry import (
-    component_vertices,
-    intersect_polygons,
-    simplex_triangle,
-)
+from conftest import component, w3
+from pblp.weight_geometry import intersect_polygons, simplex_triangle
 from pblp.wsd import Decomposition
 from instance_gen import random_bounded_system, random_cost, random_pblp
 
@@ -202,7 +201,7 @@ def _decompose_from_scratch(t):
 
     while True:
         points = [e.image for e in known]
-        polygons = [component_vertices(y, points) for y in points]
+        polygons = [component(y, points) for y in points]
         challenger = None
         for entry, poly in zip(known, polygons):
             for vertex in poly.vertices:
@@ -298,3 +297,56 @@ def test_bundled_decompositions_take_eight_lp_solves(example1, example2, example
         decompose(build_tolp(p)).lp_solves for p in (example1, example2, example2_case1)
     ]
     assert counts == [8, 8, 8]
+
+
+def _bench_families():
+    """bench/families.py, the benchmark's instance generators."""
+    path = pathlib.Path(__file__).resolve().parent.parent / "bench" / "families.py"
+    spec = importlib.util.spec_from_file_location("bench_families", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_integer_certificates_match_the_fraction_weighted_sum():
+    """decompose certifies a vertex (X, Y, W) with the integer objective
+    X c1 + Y c2 + (W - X - Y) d1 and tests cones in ints.  On the first
+    4 instances of the benchmark's scaled family, at every component
+    vertex, that solve must give the image, witness and cone of the
+    ws_scalarize solve at the lifted Fraction weight, and covers must
+    agree with the cone evaluated at the Fraction weight, for every
+    image's record.  The family's costs are integers, so each instance
+    also runs with its cost rows divided by 2, 3 and 7/5, whose integer
+    rows have different scales."""
+    families = _bench_families()
+    vertices = 0
+    verdicts = set()
+    problems = []
+    for p in families.scaled_family(families.ACCEPTANCE_SEED, 4):
+        problems.append(p)
+        problems.append(replace(
+            p,
+            c1=tuple(c / 2 for c in p.c1),
+            c2=tuple(c / 3 for c in p.c2),
+            d1=tuple(c * F(5, 7) for c in p.d1),
+        ))
+    for p in problems:
+        t = build_tolp(p)
+        system = FeasibleSystem(ws_scalarize(t, w3(1, 0, 0)))
+        dec = decompose(t)
+        for poly in dec.components:
+            for triple, (w1, w2) in zip(poly.triples, poly.vertices):
+                got = find_extreme_image(t, triple, system)
+                ref = find_extreme_image(t, Weight2(w1, w2).lift(), system)
+                assert (got.image, got.witness, got.cone) == (
+                    ref.image, ref.witness, ref.cone
+                ), (p, triple)
+                rest = 1 - w1 - w2
+                for entry in dec.images + (got,):
+                    expected = all(
+                        w1 * r1 + w2 * r2 + rest * r3 >= 0 for r1, r2, r3 in entry.cone
+                    )
+                    assert entry.covers(triple) == expected, (p, triple)
+                    verdicts.add(expected)
+                vertices += 1
+    assert vertices > 80 and verdicts == {True, False}
