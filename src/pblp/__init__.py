@@ -45,7 +45,7 @@ from .lp_core import (
     solve_lex_lp,
     solve_lp,
 )
-from .numerics import INF, rat_format, rat_parse
+from .numerics import INF, rat_parse
 from .oracle import (
     SweepReport,
     VertexSet,

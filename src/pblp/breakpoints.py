@@ -193,15 +193,12 @@ def _bolp_image(case: Case, y: Point3, lam: Fraction):
     return (y[0] + lam * s1 * y[2], y[1] + lam * s2 * y[2])
 
 
-def _classify(case, intervals, beta):
-    """tie / singleton / plain at one breakpoint."""
-    leaving = [iv.image for iv in intervals if iv.upper == beta]
-    entering = [iv.image for iv in intervals if iv.lower == beta]
-    if leaving and entering:
-        left = {_bolp_image(case, y, beta) for y in leaving}
-        right = {_bolp_image(case, y, beta) for y in entering}
-        return "tie" if left == right else "singleton"
-    return "plain"
+def _is_singleton(case, intervals, beta) -> bool:
+    """Whether beta is a one-point segment: images leave and enter with
+    different bolp images."""
+    leaving = {_bolp_image(case, iv.image, beta) for iv in intervals if iv.upper == beta}
+    entering = {_bolp_image(case, iv.image, beta) for iv in intervals if iv.lower == beta}
+    return bool(leaving and entering) and leaving != entering
 
 
 def _covers(iv: ParameterInterval, lo, hi) -> bool:
@@ -249,7 +246,6 @@ def solve_on_decomposition(
             finite_ends.add(iv.upper)  # an upper end of 0 is a breakpoint too
     breakpoints = tuple(sorted(finite_ends))
 
-    kinds = {b: _classify(p.case, intervals, b) for b in breakpoints}
     segments: list[AxisSegment] = []
     zero = Fraction(0)
 
@@ -266,7 +262,7 @@ def solve_on_decomposition(
     prev = zero
     prev_closed = True
     for beta in breakpoints:
-        if kinds[beta] == "singleton":
+        if _is_singleton(p.case, intervals, beta):
             if prev < beta:
                 # up to but excluding the one-point breakpoint (this
                 # piece is absent when the singleton sits at the start)
@@ -276,12 +272,11 @@ def solve_on_decomposition(
             segments.append(
                 AxisSegment(beta, beta, True, True, point_witnesses(beta))
             )
-            prev, prev_closed = beta, False
         else:
             segments.append(
                 AxisSegment(prev, beta, prev_closed, True, witnesses(prev, beta))
             )
-            prev, prev_closed = beta, False
+        prev, prev_closed = beta, False
     segments.append(AxisSegment(prev, INF, prev_closed, False, witnesses(prev, INF)))
 
     return ParametricSolution(

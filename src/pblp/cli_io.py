@@ -42,7 +42,7 @@ from .errors import (
     TooLarge,
 )
 from .lp_core import Sense
-from .numerics import INF, ext_format, rat_format, rat_parse
+from .numerics import rat_parse
 from .oracle import (
     SweepReport,
     extreme_nondominated_bruteforce,
@@ -134,10 +134,10 @@ def emit_problem(p: Pblp) -> str:
     """Canonical problem text; parse_problem inverts it exactly."""
     lines = [f"case: {p.case.value}", f"vars: {p.n}"]
     for row, b, sense in zip(p.rows, p.rhs, p.senses):
-        coeffs = " ".join(rat_format(a) for a in row)
-        lines.append(f"row: {sense.value} {coeffs} {rat_format(b)}")
+        coeffs = " ".join(map(str, row))
+        lines.append(f"row: {sense.value} {coeffs} {b}")
     for key, cost in (("c1", p.c1), ("c2", p.c2), ("d1", p.d1)):
-        lines.append(f"{key}: " + " ".join(rat_format(a) for a in cost))
+        lines.append(f"{key}: " + " ".join(map(str, cost)))
     return "\n".join(lines) + "\n"
 
 
@@ -145,7 +145,18 @@ def emit_problem(p: Pblp) -> str:
 
 
 def _rat_list(values) -> list[str]:
-    return [ext_format(v) for v in values]
+    return [str(v) for v in values]
+
+
+def _images_and_components(dec: Decomposition) -> dict:
+    """The "images" and "components" entries of a result document."""
+    return {
+        "images": [
+            {"image": _rat_list(e.image), "witness": _rat_list(e.witness)}
+            for e in dec.images
+        ],
+        "components": [[_rat_list(v) for v in poly.vertices] for poly in dec.components],
+    }
 
 
 def emit_solution(p: Pblp, sol: ParametricSolution) -> str:
@@ -155,22 +166,16 @@ def emit_solution(p: Pblp, sol: ParametricSolution) -> str:
         "case": p.case.value,
         "method": sol.method.value,
         "problem": emit_problem(p),
-        "images": [
-            {"image": _rat_list(e.image), "witness": _rat_list(e.witness)}
-            for e in dec.images
-        ],
-        "components": [
-            [_rat_list(v) for v in poly.vertices] for poly in dec.components
-        ],
+        **_images_and_components(dec),
         "intervals": [
-            {"lower": ext_format(iv.lower), "upper": ext_format(iv.upper)}
+            {"lower": str(iv.lower), "upper": str(iv.upper)}
             for iv in sol.intervals
         ],
         "breakpoints": _rat_list(sol.breakpoints),
         "axis": [
             {
-                "lower": ext_format(seg.lower),
-                "upper": ext_format(seg.upper),
+                "lower": str(seg.lower),
+                "upper": str(seg.upper),
                 "lower_closed": seg.lower_closed,
                 "upper_closed": seg.upper_closed,
                 "witnesses": list(seg.witnesses),
@@ -189,13 +194,7 @@ def emit_decomposition(p: Pblp, dec: Decomposition) -> str:
     doc = {
         "case": p.case.value,
         "problem": emit_problem(p),
-        "images": [
-            {"image": _rat_list(e.image), "witness": _rat_list(e.witness)}
-            for e in dec.images
-        ],
-        "components": [
-            [_rat_list(v) for v in poly.vertices] for poly in dec.components
-        ],
+        **_images_and_components(dec),
         "stats": {"lp_solves": dec.lp_solves},
     }
     return json.dumps(doc, indent=2) + "\n"
@@ -204,7 +203,7 @@ def emit_decomposition(p: Pblp, dec: Decomposition) -> str:
 def emit_sweep(p: Pblp, report: SweepReport) -> str:
     doc = {
         "case": p.case.value,
-        "lambda_max": rat_format(report.lambda_max),
+        "lambda_max": str(report.lambda_max),
         "steps": report.steps,
         "grid": _rat_list(report.grid),
         "witness_images": [
@@ -214,7 +213,7 @@ def emit_sweep(p: Pblp, report: SweepReport) -> str:
             [_rat_list(y) for y in entry] for entry in report.bolp_images
         ],
         "changes": [
-            {"from": rat_format(lo), "to": rat_format(hi)}
+            {"from": str(lo), "to": str(hi)}
             for lo, hi in report.changes
         ],
     }
@@ -233,8 +232,8 @@ def emit_plot_data(dec: Decomposition, case: Case, lambdas=()) -> str:
     """
     out = ["# weight-set components in the projected simplex"]
     for entry, poly in zip(dec.images, dec.components):
-        image = " ".join(rat_format(v) for v in entry.image)
-        flat = [rat_format(c) for vertex in poly.vertices for c in vertex]
+        image = " ".join(map(str, entry.image))
+        flat = [str(c) for vertex in poly.vertices for c in vertex]
         out.append(",".join(["polygon", image] + flat))
         approx = " ".join(
             f"{float(a):.6g},{float(b):.6g}" for a, b in poly.vertices
@@ -244,9 +243,9 @@ def emit_plot_data(dec: Decomposition, case: Case, lambdas=()) -> str:
         seg = segment_for_lambda(case, lam)
         record = [
             "segment",
-            rat_format(lam),
-            rat_format(seg.p.w1), rat_format(seg.p.w2),
-            rat_format(seg.q.w1), rat_format(seg.q.w2),
+            str(lam),
+            str(seg.p.w1), str(seg.p.w2),
+            str(seg.q.w1), str(seg.q.w2),
         ]
         out.append(",".join(record))
         out.append(
@@ -322,7 +321,7 @@ def _read_problem(path: str) -> Pblp:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:  # a bad byte is a ValueError
         raise ParseError(f"cannot read {path}: {exc}")
     return parse_problem(text)
 

@@ -1,10 +1,9 @@
-"""Exact rational scalars and the positive-infinity sentinel.
+"""Rational token parsing and the positive-infinity sentinel.
 
-Rationals are stdlib fractions.Fraction, which keeps every value in lowest
-terms with a positive denominator by construction.  This module adds the
-token parser used by the problem-file format, a canonical formatter, and
-INF, a single positive-infinity object that compares correctly against
-rationals (needed for right-unbounded parameter intervals).
+Rationals are stdlib fractions.Fraction, always in lowest terms, so str
+gives the canonical 'p' or 'p/q'.  This module adds the problem-file
+token parser and INF, the open right end of a parameter interval, which
+is tested with `is INF`, never ordered, and whose str is 'inf'.
 """
 
 from __future__ import annotations
@@ -34,13 +33,8 @@ def rat_parse(token: str) -> Fraction:
     return Fraction(text)
 
 
-def rat_format(value: Fraction) -> str:
-    """Canonical text for a rational: 'p' or 'p/q' in lowest terms."""
-    return str(value)
-
-
 class _PositiveInfinity:
-    """Sentinel ordered above every rational.  One instance: INF."""
+    """Sentinel for an unbounded upper end.  One instance: INF."""
 
     _instance = None
 
@@ -48,24 +42,6 @@ class _PositiveInfinity:
         if cls._instance is None:
             cls._instance = super().__new__(cls)
         return cls._instance
-
-    def __lt__(self, other):
-        return False
-
-    def __le__(self, other):
-        return other is self
-
-    def __gt__(self, other):
-        return other is not self
-
-    def __ge__(self, other):
-        return True
-
-    def __eq__(self, other):
-        return other is self
-
-    def __hash__(self):
-        return hash("pblp-positive-infinity")
 
     def __repr__(self):
         return "INF"
@@ -76,9 +52,3 @@ class _PositiveInfinity:
 
 INF = _PositiveInfinity()
 
-
-def ext_format(value) -> str:
-    """Canonical text for an extended rational."""
-    if value is INF:
-        return "inf"
-    return str(value)

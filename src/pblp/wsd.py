@@ -24,6 +24,14 @@ run there is skipped.  The first vertex that fails, and so every
 challenger, witness and component, is the one a solve at every vertex
 finds.
 
+No LP runs at the simplex corners up front.  Each corner, an extreme
+point of the simplex, is a vertex of the tentative polygon holding it,
+which the canonical form keeps even for a point or a segment, and every
+vertex passes before the loop ends: in a cone the basis is optimal, and
+a certificate LP without optimum raises UnboundedScalarization or
+InfeasibleProblem in find_extreme_image.  As w.Cr is linear in w, a ray
+r unbounded at some simplex weight is unbounded at a corner.
+
 The loop runs in ints on weight_geometry's vertex triples (X, Y, W),
 the weight (X, Y, W - X - Y)/W: cone tests and weighted values are
 integer dot products, and a certificate's objective is a positive
@@ -38,7 +46,7 @@ from math import lcm
 
 from . import lp_core
 from .errors import InfeasibleProblem, InvariantViolation, UnboundedScalarization
-from .lp_core import FeasibleSystem, LinearProgram, LpStatus, solve_lex_lp, solve_lp
+from .lp_core import FeasibleSystem, LinearProgram, LpStatus, solve_lex_lp
 from .problem_model import Tolp, Weight3, ws_scalarize
 from .weight_geometry import (
     ConvexPolygon2,
@@ -127,7 +135,9 @@ def find_extreme_image(
     lp = ws_scalarize(t, w) if isinstance(w, Weight3) else _weighted_sum(t, w)
     result = solve_lex_lp(lp, ties=ties, system=system, price=ties)
     if result.status is LpStatus.UNBOUNDED:
-        raise UnboundedScalarization(f"weighted sum unbounded at w = {w}")
+        x, y, den = (w.w1, w.w2, 1) if isinstance(w, Weight3) else w
+        weight = ", ".join(str(Fraction(a, den)) for a in (x, y, den - x - y))
+        raise UnboundedScalarization(f"weighted sum unbounded at w = ({weight})")
     if result.status is LpStatus.INFEASIBLE:
         raise InfeasibleProblem("feasible set is empty")
     return ExtremeImage(image=t.image(result.x), witness=result.x, cone=result.reduced)
@@ -144,21 +154,8 @@ def _below(vertex: Triple, y: IntImage, z: IntImage) -> bool:
 def decompose(t: Tolp) -> Decomposition:
     """Compute all extreme nondominated images and their components."""
     start_count = lp_core.solve_calls()
-    corners = ((1, 0, 1), (0, 1, 1), (0, 0, 1))
     # Every weighted sum shares t's constraints: phase one runs once here.
-    system = FeasibleSystem(_weighted_sum(t, corners[0]))
-    for x, y, w in corners:
-        status = solve_lp(_weighted_sum(t, (x, y, w)), system=system).status
-        if status is LpStatus.UNBOUNDED:
-            raise UnboundedScalarization(
-                f"objective weighted ({x}, {y}, {w - x - y}) is unbounded"
-                " below over the feasible set"
-            )
-        if status is LpStatus.INFEASIBLE:
-            raise InfeasibleProblem("feasible set is empty")
-    # Bounded at the three corners implies bounded for every simplex
-    # weight, because min (sum wi ci).x >= sum wi min ci.x.
-
+    system = FeasibleSystem(_weighted_sum(t, (1, 1, 3)))
     # Every solve's record, keyed by its integral image: each carries the
     # cone of one basis that yields that image.
     found: dict[IntImage, list[ExtremeImage]] = {}

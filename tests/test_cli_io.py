@@ -301,6 +301,16 @@ def test_cli_exit_codes_for_bad_input(tmp_path, capsys):
     bad = tmp_path / "bad.pblp"
     bad.write_text(MINIMAL.replace("case: 2", "case: 9"))
     assert cli_main(["solve", str(bad)]) == PARSE_ERROR
+    capsys.readouterr()
+    # a file that is not UTF-8 is unreadable, not a usage error
+    binary = tmp_path / "binary.pblp"
+    binary.write_bytes(b"\xff\xfe")
+    one_byte = tmp_path / "one_byte.pblp"
+    one_byte.write_bytes(MINIMAL.replace("d1: 1 1", "d1: 1 \xff1").encode("latin-1"))
+    for path in (binary, one_byte):
+        assert cli_main(["solve", str(path)]) == PARSE_ERROR, path
+        out, err = capsys.readouterr()
+        assert out == "" and "can't decode" in err, path
     assert cli_main(["frobnicate", _instance("example1.pblp")]) == USAGE_ERROR
     assert cli_main([]) == USAGE_ERROR
     assert cli_main(["--help"]) == 0

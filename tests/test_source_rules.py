@@ -11,7 +11,8 @@ layer: the vertex oracle shares no logic with the decomposition and the
 interval routes it cross-checks, and the weight geometry builds only on
 the problem records and the numerics.  A case is its share vector
 Case.shares, so Case.ONE and Case.TWO are named only in Case itself,
-in the two interval routes and in the route pick that selects them."""
+in the two interval routes and in the route pick that selects them.
+Every module but the package __init__ uses each name it imports."""
 
 import ast
 import pathlib
@@ -257,6 +258,54 @@ def test_the_layering_rule_sees_what_it_forbids(tmp_path):
     assert _layering_violations(geometry) == [
         "weight_geometry.py:4: imports lp_core",
         "weight_geometry.py:5: imports errors",
+    ]
+
+
+def _unused_imports(path: pathlib.Path) -> list[str]:
+    """Names a module imports and never references; a name listed in
+    __all__ counts as referenced, and __future__ imports are exempt."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported.append((node.lineno, alias.asname or alias.name.split(".")[0]))
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported.append((node.lineno, alias.asname or alias.name))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["__all__"]:
+            used.update(ast.literal_eval(node.value))
+    return [
+        f"{path.name}:{line}: unused import {name}"
+        for line, name in imported
+        if name not in used
+    ]
+
+
+def test_modules_import_only_what_they_use():
+    paths = [path for path in sorted(SRC.glob("*.py")) if path.stem != "__init__"]
+    assert len(paths) >= 10
+    found = [line for path in paths for line in _unused_imports(path)]
+    assert found == []
+
+
+def test_the_import_rule_sees_what_it_forbids(tmp_path):
+    bad = tmp_path / "wsd.py"
+    bad.write_text(
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "from fractions import Fraction as F\n"
+        "from .lp_core import FeasibleSystem, solve_lp\n"
+        "from .numerics import INF\n"
+        "__all__ = ['INF']\n"
+        "def f(system: FeasibleSystem):\n"
+        "    return os.sep\n"
+    )
+    assert _unused_imports(bad) == [
+        "wsd.py:3: unused import F",
+        "wsd.py:4: unused import solve_lp",
     ]
 
 

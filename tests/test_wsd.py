@@ -18,6 +18,7 @@ from pblp import (
     find_extreme_image,
 )
 from pblp import lp_core
+from pblp.cli_io import COMPUTE_ERROR, cli_main, emit_problem
 from pblp.errors import InfeasibleProblem, UnboundedScalarization
 from pblp.lp_core import FeasibleSystem
 from pblp.problem_model import Weight2, ws_scalarize
@@ -190,10 +191,9 @@ def _decompose_from_scratch(t):
     component from all known images in every round and solves a
     lexicographic LP at every vertex it checks."""
     start = lp_core.solve_calls()
-    system = FeasibleSystem(ws_scalarize(t, w3(F(1), F(0), F(0))))
-    for w in (w3(F(1), F(0), F(0)), w3(F(0), F(1), F(0)), w3(F(0), F(0), F(1))):
-        lp_core.solve_lp(ws_scalarize(t, w), system=system)
-    known = [find_extreme_image(t, w3(F(1, 3), F(1, 3), F(1, 3)), system)]
+    centroid = w3(F(1, 3), F(1, 3), F(1, 3))
+    system = FeasibleSystem(ws_scalarize(t, centroid))
+    known = [find_extreme_image(t, centroid, system)]
     cache = {}
 
     def value(w, y):
@@ -290,13 +290,73 @@ def test_incremental_components_match_a_rebuild_per_round():
     assert solves < reference_solves
 
 
-def test_bundled_decompositions_take_eight_lp_solves(example1, example2, example2_case1):
-    """Three corner solves, the centroid, and a certificate LP only at
-    the vertices no basis cone of their image covers."""
+def test_bundled_decompositions_take_five_lp_solves(example1, example2, example2_case1):
+    """The centroid, and a certificate LP only at the vertices no basis
+    cone of their image covers; no solve at the simplex corners."""
     counts = [
         decompose(build_tolp(p)).lp_solves for p in (example1, example2, example2_case1)
     ]
-    assert counts == [8, 8, 8]
+    assert counts == [5, 5, 5]
+
+
+@pytest.mark.parametrize("corner", range(3))
+def test_an_unbounded_corner_is_named_though_the_centroid_is_bounded(corner, tmp_path):
+    """x >= 1 with one cost row at -1 and the other two at 2: the
+    centroid's weighted sum is bounded and only the corner weighting the
+    -1 row is not.  decompose names that corner's weight, the vertex
+    oracle rejects the problem too, and pblp solve exits 3."""
+    costs = [(F(2),)] * 3
+    costs[corner] = (F(-1),)
+    p = Pblp(
+        case=Case.ONE, n=1, rows=((F(1),),), rhs=(F(1),), senses=(Sense.GE,),
+        c1=costs[0], c2=costs[1], d1=costs[2],
+    )
+    t = build_tolp(p)
+    weight = ", ".join("1" if k == corner else "0" for k in range(3))
+    with pytest.raises(UnboundedScalarization, match=rf"w = \({weight}\)"):
+        decompose(t)
+    with pytest.raises(UnboundedScalarization):
+        extreme_nondominated_bruteforce(t)
+    path = tmp_path / "corner.pblp"
+    path.write_text(emit_problem(p))
+    assert cli_main(["solve", str(path), "--quiet"]) == COMPUTE_ERROR
+
+
+def _unboxed_system(rng):
+    """1-4 variables and 1-4 rows of mixed senses with no box row, so the
+    feasible set may be empty or unbounded; costs in [-2, 5]."""
+    n, m = rng.randint(1, 4), rng.randint(1, 4)
+    rows = tuple(tuple(F(rng.randint(-3, 3)) for _ in range(n)) for _ in range(m))
+    rhs = tuple(F(rng.randint(-4, 6)) for _ in range(m))
+    senses = tuple(rng.choice((Sense.LE, Sense.GE, Sense.EQ)) for _ in range(m))
+    c1, c2, d1 = (tuple(F(rng.randint(-2, 5)) for _ in range(n)) for _ in range(3))
+    case = rng.choice((Case.ONE, Case.TWO))
+    return Pblp(case=case, n=n, rows=rows, rhs=rhs, senses=senses, c1=c1, c2=c2, d1=d1)
+
+
+def test_decompose_agrees_with_the_oracle_on_sets_that_need_not_be_bounded():
+    """decompose raises UnboundedScalarization exactly when the vertex
+    oracle does, InfeasibleProblem exactly when the oracle finds no
+    image, and otherwise returns the oracle's images."""
+    rng = random.Random(1706)
+    outcomes = {"decomposed": 0, "unbounded": 0, "infeasible": 0}
+    for _ in range(600):
+        t = build_tolp(_unboxed_system(rng))
+        try:
+            expected = extreme_nondominated_bruteforce(t)
+        except UnboundedScalarization:
+            with pytest.raises(UnboundedScalarization):
+                decompose(t)
+            outcomes["unbounded"] += 1
+            continue
+        if expected == ():
+            with pytest.raises(InfeasibleProblem):
+                decompose(t)
+            outcomes["infeasible"] += 1
+        else:
+            assert decompose(t).image_points() == expected, t
+            outcomes["decomposed"] += 1
+    assert min(outcomes.values()) >= 100, outcomes
 
 
 def _bench_families():
