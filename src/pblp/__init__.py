@@ -59,10 +59,8 @@ from .problem_model import (
     Case,
     Pblp,
     Segment2,
-    Tolp,
     Weight2,
     Weight3,
-    build_tolp,
     fix_lambda,
     lambda_from_weight,
     segment_for_lambda,

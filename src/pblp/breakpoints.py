@@ -31,7 +31,7 @@ from . import lp_core
 from .errors import EmptyComponent, NoFiniteVertex, SystemMismatch
 from .lp_core import FeasibleSystem, LinearProgram, LpStatus, Sense, solve_lp
 from .numerics import INF
-from .problem_model import Case, Pblp, build_tolp
+from .problem_model import Case, Pblp
 from .weight_geometry import (
     ComponentHrep,
     ConvexPolygon2,
@@ -212,21 +212,20 @@ def _covers(iv: ParameterInterval, lo, hi) -> bool:
 def enumerate_breakpoints(p: Pblp, method: Method) -> ParametricSolution:
     """Full parametric solution: decomposition, intervals, breakpoints,
     and the annotated lambda axis."""
-    return solve_on_decomposition(p, decompose(build_tolp(p)), method)
+    return solve_on_decomposition(p, decompose(p), method)
 
 
 def solve_on_decomposition(
     p: Pblp, dec: Decomposition, method: Method
 ) -> ParametricSolution:
     """Intervals, breakpoints and the annotated lambda axis of p by
-    method, from dec, the decomposition of p's triobjective companion.
-    Both methods can share one decomposition."""
-    t = build_tolp(p)
+    method, from dec, the decomposition of p (decompose(p)).  Both
+    methods can share one decomposition."""
     before = lp_core.solve_calls()
     if method is Method.LP:
         route = interval_lp_case1 if p.case is Case.ONE else interval_lp_case2
         # the n cone rows are built once per problem, an image row per image
-        first = component_hrep(t, dec.images[0].image)
+        first = component_hrep(p, dec.images[0].image)
         hreps = [first.for_image(entry.image) for entry in dec.images]
         base = interval_system(first, p.case)
         ends = [route(h, base) for h in hreps]

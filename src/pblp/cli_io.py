@@ -49,7 +49,7 @@ from .oracle import (
     lambda_grid,
     sweep_lambda,
 )
-from .problem_model import Case, Pblp, build_tolp, segment_for_lambda
+from .problem_model import Case, Pblp, segment_for_lambda
 from .weight_geometry import intersect_polygons
 from .wsd import Decomposition, decompose
 
@@ -285,7 +285,7 @@ def run_check(p: Pblp, out=None) -> list[str]:
 
     dec = by_lp.decomposition
     try:
-        expected = extreme_nondominated_bruteforce(build_tolp(p))
+        expected = extreme_nondominated_bruteforce(p)
     except TooLarge as exc:
         # The enumeration oracle only covers desk-sized feasible sets.
         print(f"note: vertex oracle skipped ({exc})", file=out)
@@ -391,27 +391,24 @@ def cli_main(argv=None) -> int:
         if args.command == "solve":
             method = Method.LP if args.method == "lp" else Method.ADAPTED
             sol = enumerate_breakpoints(problem, method)
-            sys.stdout.write(emit_solution(problem, sol))
+            # the plot file goes first: a path it cannot write leaves
+            # nothing on stdout
             if args.plot_out:
                 _write(
                     args.plot_out,
-                    emit_plot_data(
-                        sol.decomposition, problem.case, sol.breakpoints
-                    ),
+                    emit_plot_data(sol.decomposition, problem.case, sol.breakpoints),
                 )
+            sys.stdout.write(emit_solution(problem, sol))
         elif args.command == "decompose":
             if (args.lambda_max is None) != (args.steps is None):
                 raise ValueError("--lambda-max and --steps go together")
             lambdas = ()
             if args.steps is not None:
                 lambdas = lambda_grid(args.lambda_max, args.steps)
-            result = decompose(build_tolp(problem))
-            sys.stdout.write(emit_decomposition(problem, result))
+            result = decompose(problem)
             if args.plot_out:
-                _write(
-                    args.plot_out,
-                    emit_plot_data(result, problem.case, lambdas),
-                )
+                _write(args.plot_out, emit_plot_data(result, problem.case, lambdas))
+            sys.stdout.write(emit_decomposition(problem, result))
         elif args.command == "sweep":
             report = sweep_lambda(problem, args.lambda_max, args.steps)
             sys.stdout.write(emit_sweep(problem, report))

@@ -18,15 +18,8 @@ from math import gcd
 from operator import mul
 
 from .errors import InfeasibleProblem, TooLarge, UnboundedScalarization
-from .lp_core import (
-    FeasibleSystem,
-    LinearProgram,
-    LpStatus,
-    Sense,
-    integer_row,
-    solve_lex_lp,
-)
-from .problem_model import Bolp, Pblp, Tolp, build_tolp, fix_lambda
+from .lp_core import FeasibleSystem, LpStatus, Sense, integer_row, solve_lex_lp
+from .problem_model import Bolp, Pblp, fix_lambda, system_lp
 from .weight_geometry import Point3, component_vertices, integral_image
 
 __all__ = [
@@ -157,9 +150,10 @@ def _nondominated(images) -> list[Point3]:
 
 
 def extreme_nondominated_bruteforce(
-    t: Tolp, max_rays: int = DEFAULT_RAY_BUDGET
+    p: Pblp, max_rays: int = DEFAULT_RAY_BUDGET
 ) -> tuple[Point3, ...]:
-    """Extreme nondominated images from first principles.
+    """Extreme nondominated images of p's triobjective problem from
+    first principles; p.case plays no part.
 
     Enumerate all vertices and extreme rays.  A ray r with a negative
     entry of C r, C the cost rows, makes the scalarization by that
@@ -174,11 +168,11 @@ def extreme_nondominated_bruteforce(
     w.x <= w.y is implied by its dominator z's, w.x <= w.z <= w.y, so it
     never binds.
     """
-    found = vertices_and_rays(t.rows, t.rhs, t.senses, t.n, max_rays)
+    found = vertices_and_rays(p.rows, p.rhs, p.senses, p.n, max_rays)
     for r in found.rays:
-        if any(c < 0 for c in t.image(r)):
+        if any(c < 0 for c in p.image(r)):
             raise UnboundedScalarization(f"ray {r} lowers a cost row")
-    pareto = _nondominated(t.image(x) for x in found.vertices)
+    pareto = _nondominated(p.image(x) for x in found.vertices)
     scaled = [integral_image(y) for y in pareto]
     return tuple(
         y for y, s in zip(pareto, scaled) if component_vertices(s, scaled).area() > 0
@@ -188,18 +182,8 @@ def extreme_nondominated_bruteforce(
 # -- parametric oracle -------------------------------------------------------
 
 
-def _bolp_lp(bolp: Bolp, objective) -> LinearProgram:
-    return LinearProgram(
-        objective=tuple(objective),
-        rows=bolp.rows,
-        rhs=bolp.rhs,
-        senses=bolp.senses,
-        nonneg=(True,) * bolp.n,
-    )
-
-
 def _lex(bolp: Bolp, objective, ties, system: FeasibleSystem):
-    res = solve_lex_lp(_bolp_lp(bolp, objective), ties, system)
+    res = solve_lex_lp(system_lp(bolp, objective), ties, system)
     if res.status is LpStatus.UNBOUNDED:
         raise UnboundedScalarization("biobjective scalarization is unbounded")
     if res.status is LpStatus.INFEASIBLE:
@@ -220,7 +204,7 @@ def dichotomic_bolp(
     (image, witness) pairs sorted by first objective value.
     """
     if system is None:
-        system = FeasibleSystem(_bolp_lp(bolp, bolp.f1))
+        system = FeasibleSystem(system_lp(bolp, bolp.f1))
     ties_a = (bolp.f2,) + tuple(extra_ties)
     ties_b = (bolp.f1,) + tuple(extra_ties)
     xa = _lex(bolp, bolp.f1, ties_a, system)
@@ -285,17 +269,13 @@ def sweep_lambda(p: Pblp, lambda_max: Fraction, steps: int) -> SweepReport:
     objectives, so the whole grid shares one feasible system.
     """
     grid = lambda_grid(lambda_max, steps)
-    t = build_tolp(p)
-    extra = (p.c1, p.c2, p.d1)
-    system = FeasibleSystem(
-        LinearProgram(p.c1, p.rows, p.rhs, p.senses, nonneg=(True,) * p.n)
-    )
+    system = FeasibleSystem(system_lp(p, p.c1))
     witness_images = []
     bolp_images = []
     for lam in grid:
         bolp = fix_lambda(p, lam)
-        pairs = dichotomic_bolp(bolp, extra_ties=extra, system=system)
-        witness_images.append(tuple(sorted({t.image(x) for _, x in pairs})))
+        pairs = dichotomic_bolp(bolp, extra_ties=p.cost_rows, system=system)
+        witness_images.append(tuple(sorted({p.image(x) for _, x in pairs})))
         bolp_images.append(tuple(y for y, _ in pairs))
     changes = tuple(
         (grid[i - 1], grid[i])

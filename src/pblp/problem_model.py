@@ -3,11 +3,12 @@
 A parametric biobjective problem (Pblp) carries a feasible system
 rows (sense) rhs with x >= 0 implicit, three cost rows c1, c2, d1 and a
 case tag, read as a share vector s: objective k is c_k + lambda*s_k*d1,
-with s = (1, 0) in case ONE and (1, 1) in case TWO.  Either way the
-associated triobjective problem (Tolp) minimizes (c1.x, c2.x, d1.x), and
-each lambda >= 0 corresponds to a line segment inside the projected
-weight simplex {(w1, w2) : w1, w2 >= 0, w1 + w2 <= 1}; every
-case-dependent formula below follows from s.
+with s = (1, 0) in case ONE and (1, 1) in case TWO.  Without its case
+tag the record is the associated triobjective problem
+min (c1.x, c2.x, d1.x), whose weight set decomposition every case
+shares; each lambda >= 0 corresponds to a line segment inside the
+projected weight simplex {(w1, w2) : w1, w2 >= 0, w1 + w2 <= 1}, and
+every case-dependent formula below follows from s.
 """
 
 from __future__ import annotations
@@ -40,17 +41,6 @@ class Case(Enum):
         return (1, 0) if self is Case.ONE else (1, 1)
 
 
-def _check_system(rows, rhs, senses, width, *cost_rows):
-    if not (len(rows) == len(rhs) == len(senses)):
-        raise DimensionMismatch("row, rhs and sense counts differ")
-    for row in rows:
-        if len(row) != width:
-            raise DimensionMismatch("constraint row width differs from n")
-    for cost in cost_rows:
-        if len(cost) != width:
-            raise DimensionMismatch("cost row width differs from n")
-
-
 def _image(integer_costs, x) -> tuple[Fraction, ...]:
     """c.x per (integer row, scale) of c, with x (ints or Fractions)
     over one denominator: one Fraction per row."""
@@ -62,7 +52,11 @@ def _image(integer_costs, x) -> tuple[Fraction, ...]:
 
 @dataclass(frozen=True)
 class Pblp:
-    """One parametric instance; x >= 0 is implicit in the feasible system."""
+    """One parametric instance; x >= 0 is implicit in the feasible system.
+
+    cost_rows, integer_costs and image belong to the triobjective
+    problem min (c1.x, c2.x, d1.x): case plays no part in them.
+    """
 
     case: Case
     n: int
@@ -74,27 +68,12 @@ class Pblp:
     d1: tuple[Fraction, ...]
 
     def __post_init__(self):
-        _check_system(
-            self.rows, self.rhs, self.senses, self.n, self.c1, self.c2, self.d1
-        )
-
-
-@dataclass(frozen=True)
-class Tolp:
-    """The associated triobjective problem min (c1.x, c2.x, d1.x)."""
-
-    n: int
-    rows: tuple[tuple[Fraction, ...], ...]
-    rhs: tuple[Fraction, ...]
-    senses: tuple[Sense, ...]
-    c1: tuple[Fraction, ...]
-    c2: tuple[Fraction, ...]
-    d1: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        _check_system(
-            self.rows, self.rhs, self.senses, self.n, self.c1, self.c2, self.d1
-        )
+        if not (len(self.rows) == len(self.rhs) == len(self.senses)):
+            raise DimensionMismatch("row, rhs and sense counts differ")
+        if any(len(row) != self.n for row in self.rows):
+            raise DimensionMismatch("constraint row width differs from n")
+        if any(len(cost) != self.n for cost in self.cost_rows):
+            raise DimensionMismatch("cost row width differs from n")
 
     @property
     def cost_rows(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -129,11 +108,14 @@ class Bolp:
         return _image(self.integer_costs, x)
 
 
-def build_tolp(p: Pblp) -> Tolp:
-    """The case-independent triobjective companion of p."""
-    return Tolp(
-        n=p.n, rows=p.rows, rhs=p.rhs, senses=p.senses,
-        c1=p.c1, c2=p.c2, d1=p.d1,
+def system_lp(record: Pblp | Bolp, objective) -> LinearProgram:
+    """The LP  min objective.x  over record's feasible system, x >= 0."""
+    return LinearProgram(
+        objective=tuple(objective),
+        rows=record.rows,
+        rhs=record.rhs,
+        senses=record.senses,
+        nonneg=(True,) * record.n,
     )
 
 
@@ -195,18 +177,11 @@ class Segment2:
             raise ValueError("degenerate segment")
 
 
-def ws_scalarize(t: Tolp, w: Weight3) -> LinearProgram:
-    """The weighted-sum LP  min (w1 c1 + w2 c2 + w3 d1).x  over t's system."""
-    obj = tuple(
-        w.w1 * a + w.w2 * b + w.w3 * c
-        for a, b, c in zip(t.c1, t.c2, t.d1)
-    )
-    return LinearProgram(
-        objective=obj,
-        rows=t.rows,
-        rhs=t.rhs,
-        senses=t.senses,
-        nonneg=(True,) * t.n,
+def ws_scalarize(p: Pblp, w: Weight3) -> LinearProgram:
+    """The weighted-sum LP  min (w1 c1 + w2 c2 + w3 d1).x  over p's
+    system; p.case plays no part."""
+    return system_lp(
+        p, (w.w1 * a + w.w2 * b + w.w3 * c for a, b, c in zip(p.c1, p.c2, p.d1))
     )
 
 

@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import cached_property, cmp_to_key
 from math import gcd, lcm
 
-from .problem_model import Tolp, ge_form
+from .problem_model import Pblp, ge_form
 
 Point2 = tuple[Fraction, Fraction]
 Point3 = tuple[Fraction, Fraction, Fraction]
@@ -242,13 +242,14 @@ class ComponentHrep:
         return ComponentHrep(cone=self.cone, image=image, m=self.m)
 
 
-def component_hrep(t: Tolp, y: Point3) -> ComponentHrep:
-    rows, rhs = ge_form(t.rows, t.rhs, t.senses)
+def component_hrep(p: Pblp, y: Point3) -> ComponentHrep:
+    """The lifted hrep of image y's component; p.case plays no part."""
+    rows, rhs = ge_form(p.rows, p.rhs, p.senses)
     m = len(rows)
-    C = t.cost_rows
+    C = p.cost_rows
     cone = tuple(
         tuple(rows[i][j] for i in range(m)) + tuple(-C[k][j] for k in range(3))
-        for j in range(t.n)
+        for j in range(p.n)
     )
     image = tuple(rhs) + tuple(-v for v in y)
     return ComponentHrep(cone=cone, image=image, m=m)

@@ -47,7 +47,7 @@ from math import lcm
 from . import lp_core
 from .errors import InfeasibleProblem, InvariantViolation, UnboundedScalarization
 from .lp_core import FeasibleSystem, LinearProgram, LpStatus, solve_lex_lp
-from .problem_model import Tolp, Weight3, ws_scalarize
+from .problem_model import Pblp, Weight3, system_lp, ws_scalarize
 from .weight_geometry import (
     ConvexPolygon2,
     IntImage,
@@ -101,25 +101,20 @@ class Decomposition:
         return tuple(e.image for e in self.images)
 
 
-def _weighted_sum(t: Tolp, vertex: Triple) -> LinearProgram:
+def _weighted_sum(p: Pblp, vertex: Triple) -> LinearProgram:
     """The weighted-sum LP at vertex = (X, Y, W): the objective
-    X c1 + Y c2 + (W - X - Y) d1 over t.integer_costs, times the lcm of
-    their scales, is L*W times ws_scalarize's, L > 0."""
-    (c1, s1), (c2, s2), (d1, s3) = t.integer_costs
+    X c1 + Y c2 + (W - X - Y) d1 over p.integer_costs, times the lcm of
+    their scales, is L*W times ws_scalarize's, L > 0.  p.case plays no
+    part."""
+    (c1, s1), (c2, s2), (d1, s3) = p.integer_costs
     scale = lcm(s1, s2, s3)
     x, y, w = vertex
     a1, a2, a3 = x * (scale // s1), y * (scale // s2), (w - x - y) * (scale // s3)
-    return LinearProgram(
-        objective=tuple(a1 * p + a2 * q + a3 * r for p, q, r in zip(c1, c2, d1)),
-        rows=t.rows,
-        rhs=t.rhs,
-        senses=t.senses,
-        nonneg=(True,) * t.n,
-    )
+    return system_lp(p, (a1 * u + a2 * v + a3 * z for u, v, z in zip(c1, c2, d1)))
 
 
 def find_extreme_image(
-    t: Tolp, w: Weight3 | Triple, system: FeasibleSystem | None = None
+    p: Pblp, w: Weight3 | Triple, system: FeasibleSystem | None = None
 ) -> ExtremeImage:
     """Lexicographic weighted-sum solve at w, ties (c1, c2, d1).
 
@@ -127,12 +122,12 @@ def find_extreme_image(
     (_weighted_sum); both give the same pivots.  The ties pin a single
     image even when w sits on a component boundary, and they guarantee
     the returned image is a nondominated extreme point, not merely weakly
-    nondominated.  system, when given, is t's feasible system and spares
+    nondominated.  system, when given, is p's feasible system and spares
     the solve its phase one.  The solve also prices the ties at its final
-    basis, whose cone the result carries.
+    basis, whose cone the result carries.  p.case plays no part.
     """
-    ties = (t.c1, t.c2, t.d1)
-    lp = ws_scalarize(t, w) if isinstance(w, Weight3) else _weighted_sum(t, w)
+    ties = p.cost_rows
+    lp = ws_scalarize(p, w) if isinstance(w, Weight3) else _weighted_sum(p, w)
     result = solve_lex_lp(lp, ties=ties, system=system, price=ties)
     if result.status is LpStatus.UNBOUNDED:
         x, y, den = (w.w1, w.w2, 1) if isinstance(w, Weight3) else w
@@ -140,7 +135,7 @@ def find_extreme_image(
         raise UnboundedScalarization(f"weighted sum unbounded at w = ({weight})")
     if result.status is LpStatus.INFEASIBLE:
         raise InfeasibleProblem("feasible set is empty")
-    return ExtremeImage(image=t.image(result.x), witness=result.x, cone=result.reduced)
+    return ExtremeImage(image=p.image(result.x), witness=result.x, cone=result.reduced)
 
 
 def _below(vertex: Triple, y: IntImage, z: IntImage) -> bool:
@@ -151,17 +146,18 @@ def _below(vertex: Triple, y: IntImage, z: IntImage) -> bool:
     return (a1 * y1 + a2 * y2 + a3 * y3) * dz < (a1 * z1 + a2 * z2 + a3 * z3) * dy
 
 
-def decompose(t: Tolp) -> Decomposition:
-    """Compute all extreme nondominated images and their components."""
+def decompose(p: Pblp) -> Decomposition:
+    """Compute all extreme nondominated images of p's triobjective
+    problem and their components; p.case plays no part."""
     start_count = lp_core.solve_calls()
-    # Every weighted sum shares t's constraints: phase one runs once here.
-    system = FeasibleSystem(_weighted_sum(t, (1, 1, 3)))
+    # Every weighted sum shares p's constraints: phase one runs once here.
+    system = FeasibleSystem(_weighted_sum(p, (1, 1, 3)))
     # Every solve's record, keyed by its integral image: each carries the
     # cone of one basis that yields that image.
     found: dict[IntImage, list[ExtremeImage]] = {}
 
     def solve_at(w: Triple) -> tuple[ExtremeImage, IntImage]:
-        entry = find_extreme_image(t, w, system)
+        entry = find_extreme_image(p, w, system)
         image = integral_image(entry.image)
         found.setdefault(image, []).append(entry)
         return entry, image

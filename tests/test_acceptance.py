@@ -17,7 +17,6 @@ from pblp import (
     LinearProgram,
     LpStatus,
     Method,
-    build_tolp,
     decompose,
     enumerate_breakpoints,
     extreme_nondominated_bruteforce,
@@ -83,7 +82,7 @@ def _batch():
             by_vertex = solve_on_decomposition(
                 p, by_lp.decomposition, Method.ADAPTED
             )
-            oracle_images = extreme_nondominated_bruteforce(build_tolp(p))
+            oracle_images = extreme_nondominated_bruteforce(p)
             entries.append((p, by_lp, by_vertex, oracle_images))
         _batch_cache = (entries, time.perf_counter() - started)
     return _batch_cache
@@ -92,7 +91,7 @@ def _batch():
 @criterion(1, "bundled three-image instance reproduced exactly", 1)
 def test_criterion_1_example2_reproduction():
     p = load_instance("example2.pblp")
-    dec = decompose(build_tolp(p))
+    dec = decompose(p)
     assert dec.image_points() == (
         (F(0), F(5), F(5)),
         (F(5), F(10), F(0)),
@@ -128,11 +127,10 @@ def test_criterion_2_example2_breakpoints():
 @criterion(3, "bundled four-component instance matches the oracle", 1)
 def test_criterion_3_example1_reproduction():
     p = load_instance("example1.pblp")
-    t = build_tolp(p)
-    dec = decompose(t)
+    dec = decompose(p)
     assert len(dec.components) == 4
     assert all(poly.area() > 0 for poly in dec.components)
-    assert dec.image_points() == extreme_nondominated_bruteforce(t)
+    assert dec.image_points() == extreme_nondominated_bruteforce(p)
 
 
 @criterion(4, "interval routes agree on the 200-instance batch", 300)

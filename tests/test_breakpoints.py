@@ -11,7 +11,6 @@ from pblp import (
     Method,
     Pblp,
     Sense,
-    build_tolp,
     component_hrep,
     decompose,
     enumerate_breakpoints,
@@ -113,10 +112,9 @@ def test_example1_axis_has_a_one_point_segment(example1):
 
 def test_interval_routes_agree_per_component(example2, example2_case1, example1):
     for p in (example2, example2_case1, example1):
-        t = build_tolp(p)
-        dec = decompose(t)
+        dec = decompose(p)
         route = interval_lp_case1 if p.case is Case.ONE else interval_lp_case2
-        hreps = [component_hrep(t, entry.image) for entry in dec.images]
+        hreps = [component_hrep(p, entry.image) for entry in dec.images]
         base = interval_system(hreps[0], p.case)
         for h, poly in zip(hreps, dec.components):
             assert route(h, base) == interval_vertex(p.case, poly)
@@ -135,9 +133,9 @@ def test_lp_route_builds_the_cone_once_per_problem(request, monkeypatch):
     calls = []
     build = breakpoints.component_hrep
 
-    def counting_hrep(t, y):
+    def counting_hrep(p, y):
         calls.append(y)
-        return build(t, y)
+        return build(p, y)
 
     monkeypatch.setattr(breakpoints, "component_hrep", counting_hrep)
     for name in ("example1", "example2", "example2_case1"):
@@ -235,7 +233,7 @@ def test_interval_pivots_on_a_seeded_family(monkeypatch):
     """Deterministic pivot gate for one base system per problem."""
     rng = random.Random(1405)
     problems = [random_pblp(rng, (Case.ONE, Case.TWO)[i % 2]) for i in range(40)]
-    decompositions = [decompose(build_tolp(p)) for p in problems]
+    decompositions = [decompose(p) for p in problems]
     pivots = []
     pivot = lp_core._Tableau._pivot
 
@@ -258,9 +256,9 @@ def test_lp_route_matches_vertices_in_both_cases():
     routes = ((Case.ONE, interval_lp_case1), (Case.TWO, interval_lp_case2))
     unbounded = corner = compared = 0
     for _ in range(60):
-        t = build_tolp(random_pblp(rng, Case.ONE))
-        dec = decompose(t)
-        hreps = [component_hrep(t, entry.image) for entry in dec.images]
+        p = random_pblp(rng, Case.ONE)
+        dec = decompose(p)
+        hreps = [component_hrep(p, entry.image) for entry in dec.images]
         bases = [interval_system(hreps[0], case) for case, _ in routes]
         for h, poly in zip(hreps, dec.components):
             for (case, route), base in zip(routes, bases):
@@ -280,9 +278,8 @@ def test_lp_route_raises_typed_errors(example2, example1):
     SystemMismatch."""
     routes = {Case.ONE: interval_lp_case1, Case.TWO: interval_lp_case2}
     for p in (example2, example1):
-        t = build_tolp(p)
-        for entry in decompose(t).images:
-            h = component_hrep(t, tuple(c + 1 for c in entry.image))
+        for entry in decompose(p).images:
+            h = component_hrep(p, tuple(c + 1 for c in entry.image))
             with pytest.raises(EmptyComponent):
                 routes[p.case](h, interval_system(h, p.case))
         other = Case.ONE if p.case is Case.TWO else Case.TWO

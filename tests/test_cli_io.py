@@ -12,7 +12,6 @@ import pytest
 
 from pblp import (
     Method,
-    build_tolp,
     cli_main,
     decompose,
     extreme_nondominated_bruteforce,
@@ -137,7 +136,7 @@ def test_method_choice_changes_only_the_reported_route(example2):
 
 
 def test_plot_data_has_exact_records_and_lossy_comments(example2):
-    dec = decompose(build_tolp(example2))
+    dec = decompose(example2)
     text = emit_plot_data(dec, example2.case, (F(1), F(5)))
     lines = text.splitlines()
     polygons = [l for l in lines if l.startswith("polygon,")]
@@ -163,12 +162,11 @@ def test_run_check_runs_the_oracle_on_unbounded_sets(example2, example2_case1, c
         assert (len(found.vertices), len(found.rays)) == (3, 3)
         assert run_check(p) == []
         assert capsys.readouterr().err == ""
-        t = build_tolp(p)
-        assert extreme_nondominated_bruteforce(t) == decompose(t).image_points()
+        assert extreme_nondominated_bruteforce(p) == decompose(p).image_points()
 
 
 def test_run_check_notes_an_oracle_over_its_budget(monkeypatch, example1, capsys):
-    def over_budget(t):
+    def over_budget(p):
         raise TooLarge("more than 3 rays held at once")
 
     monkeypatch.setattr("pblp.cli_io.extreme_nondominated_bruteforce", over_budget)
@@ -180,9 +178,9 @@ def test_run_check_decomposes_once(monkeypatch, example1, example2_case1):
     """Both interval routes share one decomposition per check."""
     calls = []
 
-    def counting(t):
-        calls.append(t)
-        return decompose(t)
+    def counting(p):
+        calls.append(p)
+        return decompose(p)
 
     monkeypatch.setattr("pblp.breakpoints.decompose", counting)
     for p in (example1, example2_case1):
@@ -261,20 +259,21 @@ def test_cli_quiet_stdout_matches_the_golden_file(instance, command, capsys):
     assert out == (GOLDEN_DIR / f"{instance}.{command}.out").read_text()
 
 
-def test_cli_stdout_is_the_same_under_python_O():
-    """python -O strips asserts; the package keeps none, so the LP
-    route's --quiet stdout from python -m pblp must still match its
+@pytest.mark.parametrize("command", sorted(GOLDEN_COMMANDS))
+def test_cli_stdout_is_the_same_under_python_O(command):
+    """python -O strips asserts; the package keeps none, so every
+    command's --quiet stdout from python -m pblp must still match its
     golden file, with nothing at all on stderr."""
     src = INSTANCE_DIR.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
-    argv = ["solve", "--method", "lp", "--quiet", _instance("example2.pblp")]
+    argv = GOLDEN_COMMANDS[command] + ["--quiet", _instance("example2.pblp")]
     run = subprocess.run(
         [sys.executable, "-O", "-m", "pblp", *argv],
         env=env, capture_output=True, check=False,
     )
     assert run.returncode == 0, run.stderr
     assert run.stderr == b""
-    assert run.stdout == (GOLDEN_DIR / "example2.solve-lp.out").read_bytes()
+    assert run.stdout == (GOLDEN_DIR / f"example2.{command}.out").read_bytes()
 
 
 def test_cli_plot_out_writes_the_plot_file(tmp_path, capsys):
@@ -287,6 +286,19 @@ def test_cli_plot_out_writes_the_plot_file(tmp_path, capsys):
     content = target.read_text()
     assert "segment,1,0,1/2,1/2,0" in content
     assert "polygon,0 5 5," in content
+
+
+@pytest.mark.parametrize("instance", ["example1", "example2", "example2_case1"])
+def test_cli_plot_file_matches_the_golden_file(instance, tmp_path, capsys):
+    """solve --plot-out (LP route) on the bundled instances, byte for
+    byte; stdout stays the solve document's golden file."""
+    target = tmp_path / "plot.txt"
+    argv = ["solve", "--method", "lp", _instance(f"{instance}.pblp"),
+            "--plot-out", str(target), "--quiet"]
+    assert cli_main(argv) == 0
+    out = capsys.readouterr().out
+    assert out == (GOLDEN_DIR / f"{instance}.solve-lp.out").read_text()
+    assert target.read_text() == (GOLDEN_DIR / f"{instance}.solve.plot").read_text()
 
 
 def test_cli_check_passes_on_all_bundled_instances(capsys):
@@ -324,11 +336,14 @@ def test_cli_turns_bad_option_values_into_clean_errors(tmp_path, capsys):
     for bad in ("abc", "1/0"):
         assert cli_main(["sweep", inst, "--lambda-max", bad, "--steps", "3"]) == USAGE_ERROR
         assert capsys.readouterr().out == ""
+    # an unwritable plot path fails before any document reaches stdout
     gone = str(tmp_path / "nodir" / "plot.txt")
-    assert cli_main(["solve", inst, "--plot-out", gone, "--quiet"]) == PARSE_ERROR
-    err = capsys.readouterr().err
-    assert "Traceback" not in err
-    assert "error:" in err
+    for command in ("solve", "decompose"):
+        assert cli_main([command, inst, "--plot-out", gone, "--quiet"]) == PARSE_ERROR
+        out, err = capsys.readouterr()
+        assert out == "", command
+        assert "Traceback" not in err
+        assert "error:" in err
 
 
 def test_cli_decompose_checks_the_plot_grid_before_decomposing(tmp_path, capsys):
@@ -369,7 +384,7 @@ def test_cli_check_reports_mismatches(monkeypatch, capsys):
     """Wire a deliberately wrong oracle in and make sure the check
     command notices and uses its own exit code."""
     monkeypatch.setattr(
-        "pblp.cli_io.extreme_nondominated_bruteforce", lambda t: ()
+        "pblp.cli_io.extreme_nondominated_bruteforce", lambda p: ()
     )
     code = cli_main(["check", _instance("example1.pblp")])
     err = capsys.readouterr().err

@@ -12,7 +12,6 @@ from pblp import (
     Pblp,
     Sense,
     VertexSet,
-    build_tolp,
     decompose,
     dichotomic_bolp,
     extreme_nondominated_bruteforce,
@@ -70,7 +69,7 @@ def test_vertex_enumeration_respects_the_ray_budget(example1):
         vertices_and_rays(rows, rhs, (Sense.LE,), 2, max_rays=2)
     assert len(vertices_and_rays(rows, rhs, (Sense.LE,), 2, max_rays=3).vertices) == 3
     with pytest.raises(TooLarge):
-        extreme_nondominated_bruteforce(build_tolp(example1), max_rays=3)
+        extreme_nondominated_bruteforce(example1, max_rays=3)
 
 
 def test_vertex_enumeration_of_an_empty_set_is_empty():
@@ -95,7 +94,7 @@ def test_an_empty_set_with_recession_rays_is_empty_not_unbounded():
     )
     assert vertices_and_rays(p.rows, p.rhs, p.senses, p.n) == VertexSet((), ())
     assert basis_vertices(p.rows, p.rhs, p.senses, p.n) == ()
-    assert extreme_nondominated_bruteforce(build_tolp(p)) == ()
+    assert extreme_nondominated_bruteforce(p) == ()
 
 
 def test_a_ray_that_lowers_a_cost_row_is_an_unbounded_scalarization():
@@ -113,9 +112,9 @@ def test_a_ray_that_lowers_a_cost_row_is_an_unbounded_scalarization():
     )
     assert vertices_and_rays(p.rows, p.rhs, p.senses, p.n).rays == ((0, 1), (1, 1))
     with pytest.raises(UnboundedScalarization):
-        extreme_nondominated_bruteforce(build_tolp(p))
+        extreme_nondominated_bruteforce(p)
     bounded = replace(p, c1=(F(1), F(0)))
-    assert extreme_nondominated_bruteforce(build_tolp(bounded)) == (
+    assert extreme_nondominated_bruteforce(bounded) == (
         (F(0), F(0), F(0)),
     )
 
@@ -228,8 +227,7 @@ def test_the_image_oracle_runs_no_simplex(monkeypatch):
     problems = [load_instance(name) for name in BUNDLED] + [
         random_pblp(rng, Case.ONE if i % 2 == 0 else Case.TWO) for i in range(20)
     ]
-    tolps = [build_tolp(p) for p in problems]
-    expected = [decompose(t).image_points() for t in tolps]
+    expected = [decompose(p).image_points() for p in problems]
 
     def no_simplex(*args, **kwargs):
         raise RuntimeError("the vertex oracle ran the simplex")
@@ -241,12 +239,11 @@ def test_the_image_oracle_runs_no_simplex(monkeypatch):
     monkeypatch.setattr(lp_core, "_Tableau", no_simplex)
     with pytest.raises(RuntimeError):
         dichotomic_bolp(fix_lambda(problems[0], F(0)))
-    assert [extreme_nondominated_bruteforce(t) for t in tolps] == expected
+    assert [extreme_nondominated_bruteforce(p) for p in problems] == expected
 
 
 def test_extreme_images_of_example1(example1):
-    t = build_tolp(example1)
-    assert extreme_nondominated_bruteforce(t) == (
+    assert extreme_nondominated_bruteforce(example1) == (
         (F(-33), F(4), F(13)),
         (F(-30), F(10), F(10)),
         (F(-6), F(2), F(2)),
@@ -267,16 +264,16 @@ def test_extreme_images_drop_dominated_vertices():
         c2=(F(0), F(1)),
         d1=(F(1), F(1)),
     )
-    images = extreme_nondominated_bruteforce(build_tolp(p))
+    images = extreme_nondominated_bruteforce(p)
     assert (F(0), F(0), F(0)) in images
     assert (F(1), F(1), F(2)) not in images
 
 
-def _unfiltered_extreme_images(t):
+def _unfiltered_extreme_images(p):
     """The image oracle without its Pareto filter: every vertex image's
     component is tested against all the others."""
-    verts = vertices_and_rays(t.rows, t.rhs, t.senses, t.n)
-    images = sorted({t.image(x) for x in verts.vertices})
+    verts = vertices_and_rays(p.rows, p.rhs, p.senses, p.n)
+    images = sorted({p.image(x) for x in verts.vertices})
     return tuple(
         y
         for y in images
@@ -284,9 +281,9 @@ def _unfiltered_extreme_images(t):
     )
 
 
-def _dominated_images(t):
-    verts = vertices_and_rays(t.rows, t.rhs, t.senses, t.n)
-    images = {t.image(x) for x in verts.vertices}
+def _dominated_images(p):
+    verts = vertices_and_rays(p.rows, p.rhs, p.senses, p.n)
+    images = {p.image(x) for x in verts.vertices}
     return [
         y for y in images
         if any(z != y and all(a <= b for a, b in zip(z, y)) for z in images)
@@ -298,9 +295,9 @@ def test_pareto_filter_keeps_the_extreme_images_of_the_acceptance_family():
     with_dominated = 0
     for trial in range(40):
         case = Case.ONE if trial % 2 == 0 else Case.TWO
-        t = build_tolp(random_pblp(rng, case))
-        assert extreme_nondominated_bruteforce(t) == _unfiltered_extreme_images(t)
-        with_dominated += bool(_dominated_images(t))
+        p = random_pblp(rng, case)
+        assert extreme_nondominated_bruteforce(p) == _unfiltered_extreme_images(p)
+        with_dominated += bool(_dominated_images(p))
     assert with_dominated >= 10  # the filter has work to do in this family
 
 
@@ -340,11 +337,10 @@ def test_pareto_filter_drops_dominated_and_shifted_images():
         c2=(F(1), F(1), F(2), F(-1)),
         d1=(F(1), F(2), F(-1), F(0)),
     )
-    t = build_tolp(p)
     shifted, dominated = (F(1), F(1), F(1)), (F(0), F(1), F(2))
-    assert sorted(_dominated_images(t)) == [dominated, shifted]
-    images = extreme_nondominated_bruteforce(t)
-    assert images == _unfiltered_extreme_images(t)
+    assert sorted(_dominated_images(p)) == [dominated, shifted]
+    images = extreme_nondominated_bruteforce(p)
+    assert images == _unfiltered_extreme_images(p)
     assert images == (
         (F(-1), F(2), F(-1)),
         (F(0), F(0), F(0)),

@@ -1,6 +1,7 @@
 """Problem records and the weight/parameter correspondence."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,6 @@ from pblp import (
     Case,
     Pblp,
     Sense,
-    build_tolp,
     fix_lambda,
     lambda_from_weight,
     segment_for_lambda,
@@ -48,15 +48,17 @@ def test_dimension_checks_fire_on_bad_cost_rows():
         )
 
 
-def test_tolp_shares_the_system_and_stacks_costs(example2):
-    t = build_tolp(example2)
-    assert t.rows == example2.rows
-    assert t.cost_rows == (example2.c1, example2.c2, example2.d1)
-    assert t.image((F(0), F(5), F(5))) == (F(0), F(5), F(5))
+def test_triobjective_costs_stack_and_ignore_the_case(example2):
+    """cost_rows and image are those of min (c1.x, c2.x, d1.x), the
+    same for either case tag."""
+    other = replace(example2, case=Case.ONE)
+    for p in (example2, other):
+        assert p.cost_rows == (example2.c1, example2.c2, example2.d1)
+        assert p.image((F(0), F(5), F(5))) == (F(0), F(5), F(5))
 
 
 def test_images_match_the_fraction_dot_product():
-    """Tolp.image and Bolp.image work over integer cost rows and x over
+    """Pblp.image and Bolp.image work over integer cost rows and x over
     one denominator; on seeded rational vectors, int rays with negative
     entries and the zero vector they give the Fraction dot product."""
     rng = random.Random(1405)
@@ -72,14 +74,14 @@ def test_images_match_the_fraction_dot_product():
             c2=tuple(num() for _ in range(n)),
             d1=tuple(num() for _ in range(n)),
         )
-        t, b = build_tolp(p), fix_lambda(p, F(rng.randint(0, 9), rng.randint(1, 4)))
+        b = fix_lambda(p, F(rng.randint(0, 9), rng.randint(1, 4)))
         for x in (
             tuple(num() for _ in range(n)),
             tuple(rng.randint(-5, 5) for _ in range(n)),
             (0,) * n,
             (F(0),) * n,
         ):
-            for record, rows in ((t, t.cost_rows), (b, (b.f1, b.f2))):
+            for record, rows in ((p, p.cost_rows), (b, (b.f1, b.f2))):
                 image = record.image(x)
                 assert image == tuple(
                     sum((c * v for c, v in zip(row, x)), F(0)) for row in rows
@@ -121,20 +123,18 @@ def test_weights_validate_on_construction():
 def test_scalarized_lp_minimizes_the_weighted_image(example2):
     """At the halfway weight the two tied images (5,10,0) and (0,5,5)
     both price to 5/2, which is the scalarized optimum."""
-    t = build_tolp(example2)
     w = w3(F(1, 2), F(0), F(1, 2))
-    res = solve_lp(ws_scalarize(t, w))
+    res = solve_lp(ws_scalarize(example2, w))
     assert res.value == F(5, 2)
     for y in ((F(5), F(10), F(0)), (F(0), F(5), F(5))):
         assert w.w1 * y[0] + w.w2 * y[1] + w.w3 * y[2] == F(5, 2)
 
 
 def test_scalarized_lex_solve_settles_the_tie(example2):
-    t = build_tolp(example2)
     w = w3(F(1, 5), F(3, 10), F(1, 2))
-    res = solve_lex_lp(ws_scalarize(t, w), ties=(t.c1, t.c2, t.d1))
+    res = solve_lex_lp(ws_scalarize(example2, w), ties=example2.cost_rows)
     assert res.value == F(4)
-    assert t.image(res.x) == (F(0), F(5), F(5))
+    assert example2.image(res.x) == (F(0), F(5), F(5))
 
 
 def test_weight_map_known_values():

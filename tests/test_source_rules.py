@@ -250,7 +250,7 @@ def test_the_layering_rule_sees_what_it_forbids(tmp_path):
     geometry = tmp_path / "weight_geometry.py"
     geometry.write_text(
         "from fractions import Fraction\n"
-        "from .problem_model import Tolp\n"
+        "from .problem_model import Pblp\n"
         "from .numerics import INF\n"
         "from .lp_core import solve_lp\n"
         "from pblp import errors\n"

@@ -11,7 +11,6 @@ from pblp import (
     LinearProgram,
     LpStatus,
     Sense,
-    build_tolp,
     clip_polygon,
     component_halfplanes,
     component_hrep,
@@ -389,10 +388,9 @@ def test_dominated_far_competitor_leaves_the_full_simplex():
 
 
 def test_hrep_dimensions_and_membership(example2):
-    t = build_tolp(example2)
     y = (F(5), F(10), F(0))
-    h = component_hrep(t, y)
-    assert len(h.cone) == t.n
+    h = component_hrep(example2, y)
+    assert len(h.cone) == example2.n
     assert all(len(row) == h.m + 3 for row in h.cone + (h.image,))
     assert hrep_feasible_at(h, (F(1, 4), F(1, 4), F(1, 2)))
     assert not hrep_feasible_at(h, (F(1, 3), F(1, 3), F(1, 3)))
@@ -401,12 +399,11 @@ def test_hrep_dimensions_and_membership(example2):
 def test_hrep_for_another_image_shares_the_cone(example2, example1):
     """for_image keeps the cone rows and gives component_hrep's image row."""
     for p in (example2, example1):
-        t = build_tolp(p)
-        images = [entry.image for entry in decompose(t).images]
-        first = component_hrep(t, images[0])
+        images = [entry.image for entry in decompose(p).images]
+        first = component_hrep(p, images[0])
         for y in images + [(F(-1, 2), F(3), F(0))]:
             h = first.for_image(y)
-            assert h == component_hrep(t, y)
+            assert h == component_hrep(p, y)
             assert h.cone is first.cone
 
 
@@ -422,10 +419,9 @@ def test_hrep_projection_matches_the_polygon_on_a_grid(
         for b in range(step + 1 - a)
     ]
     for p in (example2, example2_case1, example1):
-        t = build_tolp(p)
-        dec = decompose(t)
+        dec = decompose(p)
         for entry, poly in zip(dec.images, dec.components):
-            h = component_hrep(t, entry.image)
+            h = component_hrep(p, entry.image)
             for w1, w2 in grid:
                 lifted = (w1, w2, 1 - w1 - w2)
                 assert hrep_feasible_at(h, lifted) == polygon_contains(poly, (w1, w2))

@@ -12,7 +12,6 @@ from pblp import (
     Case,
     Pblp,
     Sense,
-    build_tolp,
     decompose,
     extreme_nondominated_bruteforce,
     find_extreme_image,
@@ -22,7 +21,7 @@ from pblp.cli_io import COMPUTE_ERROR, cli_main, emit_problem
 from pblp.errors import InfeasibleProblem, UnboundedScalarization
 from pblp.lp_core import FeasibleSystem
 from pblp.problem_model import Weight2, ws_scalarize
-from conftest import component, w3
+from conftest import component, load_instance, w3
 from pblp.weight_geometry import intersect_polygons, simplex_triangle
 from pblp.wsd import Decomposition
 from instance_gen import random_bounded_system, random_cost, random_pblp
@@ -31,68 +30,61 @@ F = Fraction
 
 
 def test_find_extreme_image_at_an_interior_weight(example2):
-    t = build_tolp(example2)
-    entry = find_extreme_image(t, w3(F(1, 5), F(3, 10), F(1, 2)))
+    entry = find_extreme_image(example2, w3(F(1, 5), F(3, 10), F(1, 2)))
     assert entry.image == (F(0), F(5), F(5))
-    assert t.image(entry.witness) == entry.image
+    assert example2.image(entry.witness) == entry.image
 
 
 def test_find_extreme_image_on_unbounded_scalarization():
     # min -x over x >= 1 has no weighted-sum optimum for any weight
-    t = build_tolp(
-        Pblp(
-            case=Case.ONE,
-            n=1,
-            rows=((F(1),),),
-            rhs=(F(1),),
-            senses=(Sense.GE,),
-            c1=(F(-1),),
-            c2=(F(0),),
-            d1=(F(1),),
-        )
+    p = Pblp(
+        case=Case.ONE,
+        n=1,
+        rows=((F(1),),),
+        rhs=(F(1),),
+        senses=(Sense.GE,),
+        c1=(F(-1),),
+        c2=(F(0),),
+        d1=(F(1),),
     )
     with pytest.raises(UnboundedScalarization):
-        find_extreme_image(t, w3(F(1, 2), F(1, 4), F(1, 4)))
+        find_extreme_image(p, w3(F(1, 2), F(1, 4), F(1, 4)))
 
 
 def test_decompose_rejects_empty_feasible_sets():
-    t = build_tolp(
-        Pblp(
-            case=Case.TWO,
-            n=1,
-            rows=((F(1),), (F(1),)),
-            rhs=(F(2), F(1)),
-            senses=(Sense.GE, Sense.LE),
-            c1=(F(1),),
-            c2=(F(1),),
-            d1=(F(1),),
-        )
+    p = Pblp(
+        case=Case.TWO,
+        n=1,
+        rows=((F(1),), (F(1),)),
+        rhs=(F(2), F(1)),
+        senses=(Sense.GE, Sense.LE),
+        c1=(F(1),),
+        c2=(F(1),),
+        d1=(F(1),),
     )
     with pytest.raises(InfeasibleProblem):
-        decompose(t)
+        decompose(p)
 
 
 def test_single_image_owns_the_whole_simplex():
     # x fixed to 1: one image, one component, the full triangle
-    t = build_tolp(
-        Pblp(
-            case=Case.ONE,
-            n=1,
-            rows=((F(1),),),
-            rhs=(F(1),),
-            senses=(Sense.EQ,),
-            c1=(F(2),),
-            c2=(F(3),),
-            d1=(F(5),),
-        )
+    p = Pblp(
+        case=Case.ONE,
+        n=1,
+        rows=((F(1),),),
+        rhs=(F(1),),
+        senses=(Sense.EQ,),
+        c1=(F(2),),
+        c2=(F(3),),
+        d1=(F(5),),
     )
-    dec = decompose(t)
+    dec = decompose(p)
     assert dec.image_points() == ((F(2), F(3), F(5)),)
     assert dec.components[0].vertices == simplex_triangle().vertices
 
 
 def test_decompose_example2_frozen(example2):
-    dec = decompose(build_tolp(example2))
+    dec = decompose(example2)
     assert dec.image_points() == (
         (F(0), F(5), F(5)),
         (F(5), F(10), F(0)),
@@ -120,12 +112,12 @@ def test_decompose_example2_frozen(example2):
     }
     for entry, poly in zip(dec.images, dec.components):
         assert poly.vertices == expected[entry.image]
-        assert build_tolp(example2).image(entry.witness) == entry.image
+        assert example2.image(entry.witness) == entry.image
     assert sum(p.area() for p in dec.components) == F(1, 2)
 
 
 def test_decompose_example1_frozen(example1):
-    dec = decompose(build_tolp(example1))
+    dec = decompose(example1)
     assert dec.image_points() == (
         (F(-33), F(4), F(13)),
         (F(-30), F(10), F(10)),
@@ -139,12 +131,12 @@ def test_decompose_example1_frozen(example1):
 
 
 def test_decompose_example1_matches_the_brute_oracle(example1):
-    t = build_tolp(example1)
-    assert decompose(t).image_points() == extreme_nondominated_bruteforce(t)
+    expected = extreme_nondominated_bruteforce(example1)
+    assert decompose(example1).image_points() == expected
 
 
 def test_components_tile_without_overlap(example1):
-    dec = decompose(build_tolp(example1))
+    dec = decompose(example1)
     polys = dec.components
     for i in range(len(polys)):
         for j in range(i + 1, len(polys)):
@@ -159,9 +151,8 @@ def test_decompose_random_instances_agree_with_the_oracle():
     for trial in range(12):
         case = Case.ONE if trial % 2 == 0 else Case.TWO
         p = random_pblp(rng, case)
-        t = build_tolp(p)
-        dec = decompose(t)
-        assert dec.image_points() == extreme_nondominated_bruteforce(t)
+        dec = decompose(p)
+        assert dec.image_points() == extreme_nondominated_bruteforce(p)
         assert sum(poly.area() for poly in dec.components) == F(1, 2)
 
 
@@ -172,28 +163,44 @@ def test_decompose_agrees_with_the_oracle_on_larger_systems():
     for trial in range(20):
         n, rows, rhs, senses = random_bounded_system(rng, max_vars=8, max_rows=12)
         c1, c2, d1 = (random_cost(rng, n) for _ in range(3))
-        t = build_tolp(
-            Pblp(
-                case=(Case.ONE, Case.TWO)[trial % 2], n=n, rows=rows, rhs=rhs,
-                senses=senses, c1=c1, c2=c2, d1=d1,
-            )
+        p = Pblp(
+            case=(Case.ONE, Case.TWO)[trial % 2], n=n, rows=rows, rhs=rhs,
+            senses=senses, c1=c1, c2=c2, d1=d1,
         )
-        assert decompose(t).image_points() == extreme_nondominated_bruteforce(t)
+        assert decompose(p).image_points() == extreme_nondominated_bruteforce(p)
+
+
+def test_the_case_tag_plays_no_part_in_the_decomposition():
+    """decompose and the vertex oracle read only the triobjective
+    problem: swapping a problem's case tag changes neither images,
+    witnesses, cones, components nor the LP solve count."""
+    rng = random.Random(1806)
+    problems = [
+        load_instance(name)
+        for name in ("example1.pblp", "example2.pblp", "example2_case1.pblp")
+    ] + [random_pblp(rng, (Case.ONE, Case.TWO)[i % 2]) for i in range(20)]
+    for p in problems:
+        other = replace(p, case=Case.ONE if p.case is Case.TWO else Case.TWO)
+        dec, swapped = decompose(p), decompose(other)
+        assert swapped == dec, p
+        assert [e.cone for e in swapped.images] == [e.cone for e in dec.images], p
+        oracle = extreme_nondominated_bruteforce(p)
+        assert extreme_nondominated_bruteforce(other) == oracle, p
 
 
 def test_lp_solve_count_is_reported(example2):
-    dec = decompose(build_tolp(example2))
+    dec = decompose(example2)
     assert dec.lp_solves > 0
 
 
-def _decompose_from_scratch(t):
+def _decompose_from_scratch(p):
     """Reference decomposition that rebuilds every known image's
     component from all known images in every round and solves a
     lexicographic LP at every vertex it checks."""
     start = lp_core.solve_calls()
     centroid = w3(F(1, 3), F(1, 3), F(1, 3))
-    system = FeasibleSystem(ws_scalarize(t, centroid))
-    known = [find_extreme_image(t, centroid, system)]
+    system = FeasibleSystem(ws_scalarize(p, centroid))
+    known = [find_extreme_image(p, centroid, system)]
     cache = {}
 
     def value(w, y):
@@ -207,7 +214,7 @@ def _decompose_from_scratch(t):
             for vertex in poly.vertices:
                 w = Weight2(*vertex).lift()
                 if vertex not in cache:
-                    cache[vertex] = find_extreme_image(t, w, system)
+                    cache[vertex] = find_extreme_image(p, w, system)
                 if value(w, cache[vertex].image) < value(w, entry.image):
                     challenger = cache[vertex]
                     break
@@ -277,9 +284,8 @@ def test_incremental_components_match_a_rebuild_per_round():
         problems.append(_degenerate(base, kind, rng))
     rounds = solves = reference_solves = 0
     for p in problems:
-        t = build_tolp(p)
-        got = decompose(t)
-        ref = _decompose_from_scratch(t)
+        got = decompose(p)
+        ref = _decompose_from_scratch(p)
         assert (got.images, got.components) == (ref.images, ref.components), p
         assert [e.witness for e in got.images] == [e.witness for e in ref.images], p
         assert got.lp_solves <= ref.lp_solves, p
@@ -294,7 +300,7 @@ def test_bundled_decompositions_take_five_lp_solves(example1, example2, example2
     """The centroid, and a certificate LP only at the vertices no basis
     cone of their image covers; no solve at the simplex corners."""
     counts = [
-        decompose(build_tolp(p)).lp_solves for p in (example1, example2, example2_case1)
+        decompose(p).lp_solves for p in (example1, example2, example2_case1)
     ]
     assert counts == [5, 5, 5]
 
@@ -311,12 +317,11 @@ def test_an_unbounded_corner_is_named_though_the_centroid_is_bounded(corner, tmp
         case=Case.ONE, n=1, rows=((F(1),),), rhs=(F(1),), senses=(Sense.GE,),
         c1=costs[0], c2=costs[1], d1=costs[2],
     )
-    t = build_tolp(p)
     weight = ", ".join("1" if k == corner else "0" for k in range(3))
     with pytest.raises(UnboundedScalarization, match=rf"w = \({weight}\)"):
-        decompose(t)
+        decompose(p)
     with pytest.raises(UnboundedScalarization):
-        extreme_nondominated_bruteforce(t)
+        extreme_nondominated_bruteforce(p)
     path = tmp_path / "corner.pblp"
     path.write_text(emit_problem(p))
     assert cli_main(["solve", str(path), "--quiet"]) == COMPUTE_ERROR
@@ -341,20 +346,20 @@ def test_decompose_agrees_with_the_oracle_on_sets_that_need_not_be_bounded():
     rng = random.Random(1706)
     outcomes = {"decomposed": 0, "unbounded": 0, "infeasible": 0}
     for _ in range(600):
-        t = build_tolp(_unboxed_system(rng))
+        p = _unboxed_system(rng)
         try:
-            expected = extreme_nondominated_bruteforce(t)
+            expected = extreme_nondominated_bruteforce(p)
         except UnboundedScalarization:
             with pytest.raises(UnboundedScalarization):
-                decompose(t)
+                decompose(p)
             outcomes["unbounded"] += 1
             continue
         if expected == ():
             with pytest.raises(InfeasibleProblem):
-                decompose(t)
+                decompose(p)
             outcomes["infeasible"] += 1
         else:
-            assert decompose(t).image_points() == expected, t
+            assert decompose(p).image_points() == expected, p
             outcomes["decomposed"] += 1
     assert min(outcomes.values()) >= 100, outcomes
 
@@ -391,13 +396,12 @@ def test_integer_certificates_match_the_fraction_weighted_sum():
             d1=tuple(c * F(5, 7) for c in p.d1),
         ))
     for p in problems:
-        t = build_tolp(p)
-        system = FeasibleSystem(ws_scalarize(t, w3(1, 0, 0)))
-        dec = decompose(t)
+        system = FeasibleSystem(ws_scalarize(p, w3(1, 0, 0)))
+        dec = decompose(p)
         for poly in dec.components:
             for triple, (w1, w2) in zip(poly.triples, poly.vertices):
-                got = find_extreme_image(t, triple, system)
-                ref = find_extreme_image(t, Weight2(w1, w2).lift(), system)
+                got = find_extreme_image(p, triple, system)
+                ref = find_extreme_image(p, Weight2(w1, w2).lift(), system)
                 assert (got.image, got.witness, got.cone) == (
                     ref.image, ref.witness, ref.cone
                 ), (p, triple)
