@@ -8,7 +8,8 @@ it:
   * the LP route minimizes and maximizes lambda = w3/(s1*w1 + s2*w2),
     s the case's shares, a linear-fractional function of the weight, as
     one LP pair on the component's lifted cone, two solves per image, on
-    one feasible system per problem extended by the image's row;
+    the optimal face of image y's duality gap y.w - b.v (zero there, by
+    LP weak duality) over one feasible system per problem;
   * the vertex route reads the interval off the component polygon's
     vertices through the exact weight-to-lambda correspondence.
 
@@ -100,13 +101,13 @@ def interval_system(h: ComponentHrep, case: Case) -> FeasibleSystem:
     """What the interval LPs of h's problem share, through phase one:
     h.cone, the rows A^T v - C^T w <= 0 that every component hrep of the
     problem starts with, and den.w = 1, den = (s1, s2, 0) from the case's
-    shares, the one row that needs an artificial."""
+    shares, the one row that needs an artificial.  Its LP is min w3."""
     zero, width, n = Fraction(0), h.m + 3, len(h.cone)
     rows = h.cone + ((zero,) * h.m + tuple(map(Fraction, case.shares + (0,))),)
     rhs = (zero,) * n + (Fraction(1),)
     senses = (Sense.LE,) * n + (Sense.EQ,)
     return FeasibleSystem(
-        LinearProgram((zero,) * width, rows, rhs, senses, (True,) * width)
+        LinearProgram((0,) * (width - 1) + (1,), rows, rhs, senses, (True,) * width)
     )
 
 
@@ -120,25 +121,22 @@ def _interval_lp(h: ComponentHrep, case: Case, base: FeasibleSystem):
     w3 > 0.
 
     base, interval_system of the problem for case (else SystemMismatch),
-    holds everything but h.image, b.v - y.w = 0.  Extending base by that
-    row runs phase one on its one artificial only, and both solves run
-    on the extension.  Only the two optimal values are read, never a
-    witness, so neither the row senses nor the pivot path can change the
-    result.
+    holds everything but h's image y.  With Cx = y, x feasible, every
+    (v, w) on base has b.v <= x.A^T v <= x.C^T w = y.w (LP weak duality,
+    Ehrgott, Multicriteria Optimization, 2005): the gap -h.image is
+    nonnegative there, the lifted component is where it is 0, and a
+    positive minimum raises EmptyComponent.  Both solves run on that
+    optimal face and read only optimal values, so the pivot path cannot
+    change the result.
     """
     if base.lp.rows[-1][h.m :] != case.shares + (0,):
         raise SystemMismatch("interval system is not the slice of this case")
-    system = base.extended(h.image, 0)
-    zero = Fraction(0)
-
-    def lp(sign: int) -> LinearProgram:
-        return replace(system.lp, objective=(zero,) * (h.m + 2) + (Fraction(sign),))
-
-    res = solve_lp(lp(1), system=system)
-    if res.status is not LpStatus.OPTIMAL:
-        raise EmptyComponent("lifted component cone misses den.w = 1")
-    lower = res.value
-    res = solve_lp(lp(-1), system=system)
+    gap, component = base.face(tuple(-a for a in h.image))
+    if gap.value != 0:
+        raise EmptyComponent("the duality gap of the image is positive on the slice")
+    lower = solve_lp(base.lp, system=component).value
+    top = replace(base.lp, objective=(0,) * (h.m + 2) + (-1,))
+    res = solve_lp(top, system=component)
     if res.status is LpStatus.UNBOUNDED:
         return lower, INF
     return lower, -res.value
@@ -224,7 +222,7 @@ def solve_on_decomposition(
     before = lp_core.solve_calls()
     if method is Method.LP:
         route = interval_lp_case1 if p.case is Case.ONE else interval_lp_case2
-        # the n cone rows are built once per problem, an image row per image
+        # the n cone rows are built once per problem, a gap objective per image
         first = component_hrep(p, dec.images[0].image)
         hreps = [first.for_image(entry.image) for entry in dec.images]
         base = interval_system(first, p.case)

@@ -53,7 +53,8 @@ class TooLarge(PblpError):
 
 
 class SystemMismatch(PblpError):
-    """An LP was solved on a FeasibleSystem built from other constraints."""
+    """An LP was solved on a FeasibleSystem built from other constraints,
+    or priced on a face, which keeps no column off the face."""
 
 
 class InvariantViolation(PblpError):

@@ -31,11 +31,11 @@ constraints and keeps the feasible tableau; every LP over those
 constraints then starts phase two from a copy of it (the reuse across
 weights of Przybylski, Gandibleux and Ehrgott, INFORMS J. Comput. 2010).
 The pivot path, and so the optimal vertex, is the one a fresh solve
-takes.  FeasibleSystem.extended adds one equality row: written in the
-feasible basis, the row gets one artificial column that keeps the basis
-determinant, so phase one runs on that row alone and the Bareiss
-divisions stay exact.  On an extension the optimal value is a fresh
-solve's; the optimal vertex may differ.
+takes.  FeasibleSystem.face(f) minimizes f once on a copy and drops the
+columns whose positive reduced cost holds them at zero on f's optimal
+face, so LPs on the face run on a narrower tableau with no new row and
+no phase one.  On a face the optimal value is a fresh solve's with the
+row f.x = min f appended; the optimal vertex may differ.
 
 integer_row, eliminate and solve_square are the package's one exact
 elimination routine, shared by the tableau's rank reduction and the
@@ -43,7 +43,7 @@ duals; the vertex oracle and the problem records scale their rows with
 it.  It raises NotRational on an entry that is no int or Fraction.
 
 Optimal duals are solved exactly from the final basis of a plain solve
-only: one with no ties and no FeasibleSystem, extended or not.  Reduced
+only: one with no ties and no FeasibleSystem, face or not.  Reduced
 costs at the final basis are reported for the objectives a caller asks
 to price, over one common positive scale, so that the weights for which
 that basis stays optimal form an integer cone (Ehrgott, Multicriteria
@@ -151,7 +151,8 @@ class LinearProgram:
 
 @dataclass(frozen=True)
 class LpResult:
-    """Outcome of a solve; x and value are set when status is OPTIMAL.
+    """Outcome of a solve; x and value are set when status is OPTIMAL
+    (value only, from FeasibleSystem.face).
 
     dual holds one optimal dual per original row for a plain solve (no
     ties, no FeasibleSystem) and is None otherwise.
@@ -263,6 +264,8 @@ class _Tableau:
     Fraction-free: rows and b hold ints over one positive common
     denominator det, so the true tableau is rows/det and the true right
     side b/det, and every basic column reads det times a unit vector.
+    columns is None while the tableau holds every standard-form column;
+    a face (see face) keeps some of them, and columns lists which.
     """
 
     def __init__(self, lp: LinearProgram):
@@ -287,6 +290,7 @@ class _Tableau:
                 slack_col.append(cols)
                 cols += 1
         self.num_cols = cols
+        self.columns: list[int] | None = None
 
         # Each row is scaled to integers by the lcm of its denominators,
         # which leaves its rank and its solutions alone, and negated where
@@ -478,8 +482,8 @@ class _Tableau:
         """Minimize the sum of the basic artificials, then drive them out.
 
         Returns False when that sum stays positive, so the rows have no
-        solution.  The rows are independent (see __init__ and extended),
-        so a zero-valued artificial always has a pivot column.
+        solution.  The rows are independent (see __init__), so a
+        zero-valued artificial always has a pivot column.
         """
         if not self.art_cols:
             return True
@@ -519,11 +523,9 @@ class _Tableau:
         which a positive scale keeps, and scaling once per stage spares
         every pricing pass the Fraction arithmetic."""
         values, scale = integer_row(objective)
-        cost = [0] * self.num_cols
-        for v, (p, q) in zip(values, self.col_of_var):
-            cost[p] = v
-            if q is not None:
-                cost[q] = -v
+        cost = self._dense(values)
+        if self.columns is not None:
+            cost = [cost[j] for j in self.columns]
         return cost, scale
 
     def reduced_costs(self, objectives) -> tuple[tuple[int, ...], ...]:
@@ -570,13 +572,38 @@ class _Tableau:
                 value = Fraction(total, self.det * scale)
         return value
 
+    def face(self, objective) -> Fraction | None:
+        """Minimize objective, then narrow this tableau to its optimal
+        face: the minimum, or None when it is unbounded.
+
+        At the optimal basis each nonbasic column of positive reduced
+        cost is zero on the whole face (see _ban_optimal_face), so it is
+        dropped, and columns maps the kept ones to standard-form columns.
+        They keep their order, so Bland's rule and the ratio test's ties
+        take the pivots of a full tableau with the dropped columns
+        banned.  No row is added and det stays.
+        """
+        value = self.phase_two((objective,))
+        if value is None:
+            return None
+        cost, _ = self._column_cost(objective)
+        off: set[int] = set()
+        self._ban_optimal_face(cost, off)
+        keep = [j for j in range(len(cost)) if j not in off]
+        index = {j: k for k, j in enumerate(keep)}
+        self.rows = [[row[j] for j in keep] for row in self.rows]
+        self.basis = [index[j] for j in self.basis]
+        at = self.columns or range(self.num_cols)
+        self.columns = [at[j] for j in keep]
+        return value
+
     def copy(self, lp: LinearProgram) -> "_Tableau":
         """An independent twin for solving lp, an LP over the same system.
 
-        Pivots and extended write rows, b, basis and art_cols in place,
-        so those four are copied; det is an int, rebound by each pivot,
-        and the column layout and the row bookkeeping, which extended
-        rebinds, are shared.
+        Pivots write rows, b, basis and art_cols in place, so those four
+        are copied; det is an int, rebound by each pivot, and columns,
+        which face rebinds, the column layout and the row bookkeeping are
+        shared.
         """
         twin = copy.copy(self)
         twin.lp = lp
@@ -586,52 +613,14 @@ class _Tableau:
         twin.art_cols = set(self.art_cols)
         return twin
 
-    def extended(self, index: int, row, rhs) -> "_Tableau | None":
-        """A feasible twin with row.x = rhs appended as original row index,
-        or None when no point of this system satisfies it.
-
-        With r the row scaled to integers, the new row is r written in
-        the current basis, det * r - sum_i r[basis_i] * rows_i (the right
-        side likewise), negated if its right side is negative, with one
-        artificial column reading det.  That is the Bareiss tableau of
-        the integer system with r appended and a column reading 1 in r's
-        row, on the old basis plus that column, whose determinant is the
-        old det: so det stays and later divisions stay exact.  Phase one
-        runs on that artificial.  A row that reduces to zero depends on
-        the old rows: 0 = 0 is dropped and 0 = c, c nonzero, is
-        infeasible; any other leaves the rows independent.
-        """
-        r, scale = integer_row([*row, rhs])
-        r = self._dense(r[:-1]) + r[-1:]
-        twin = self.copy(self.lp)
-        det = twin.det
-        new = [det * a for a in r]
-        for col, trow, tb in zip(twin.basis, twin.rows, twin.b):
-            f = r[col]
-            if f:
-                new = [a - f * q for a, q in zip(new, trow + [tb])]
-        if new[-1] < 0:
-            new = [-a for a in new]
-            r = [-a for a in r]
-            scale = -scale
-        if not any(new[:-1]):
-            return None if new[-1] else twin
-        twin.b.append(new.pop())
-        twin.rows.append(new)
-        twin.start_rows = self.start_rows + [r[:-1]]
-        twin.row_factor = self.row_factor + [scale]
-        twin.orig_row = self.orig_row + [index]
-        twin.slack_col = self.slack_col + [None]
-        twin.basis.append(twin._artificial(len(twin.rows) - 1))
-        return twin if twin._clear_artificials() else None
-
     # -- extraction -------------------------------------------------------
 
     def solution(self) -> tuple[Fraction, ...]:
         zero = Fraction(0)
         z = [zero] * self.num_cols
-        for i, col in enumerate(self.basis):
-            z[col] = Fraction(self.b[i], self.det)
+        at = self.columns or range(self.num_cols)
+        for col, b in zip(self.basis, self.b):
+            z[at[col]] = Fraction(b, self.det)
         out = []
         for p, q in self.col_of_var:
             out.append(z[p] - z[q] if q is not None else z[p])
@@ -675,31 +664,33 @@ class FeasibleSystem:
     is cached beyond the object, so it lives as long as its caller
     keeps it.
 
-    extended(row, rhs) is the system with one more equality row, whose
-    phase one runs on that row alone from the basis held here (see
-    _Tableau.extended for why det stays exact).  That pivot path is not
-    a fresh solve's, so an LP on it may end on another optimal vertex of
-    the same value.  No system, extended or not, reports duals.
+    face(f) is the system restricted to the optimal face of f, on a
+    narrowed tableau (see _Tableau.face); it keeps lp, so the same LPs
+    are accepted on it.  Its pivot path is not a fresh solve's, so an
+    LP on it may end on another optimal vertex of the same value.  No
+    system, face or not, reports duals, and a face prices nothing.
     """
 
     def __init__(self, lp: LinearProgram):
         self.lp = lp
         self._tableau = _feasible_tableau(lp)
 
-    def extended(self, row, rhs) -> "FeasibleSystem":
-        """This system with row.x = rhs appended to lp's rows."""
-        lp = self.lp
+    def face(self, objective) -> tuple[LpResult, "FeasibleSystem | None"]:
+        """The minimum of objective over this system (status and value,
+        no x) and the system on its optimal face, None unless the
+        minimum is attained.  Phase two runs once, on a copy of the
+        tableau held here; it is not counted as a solve."""
+        if len(objective) != self.lp.num_vars:
+            raise DimensionMismatch("face objective length differs")
+        if self._tableau is None:
+            return LpResult(LpStatus.INFEASIBLE), None
+        tab = self._tableau.copy(self.lp)
+        value = tab.face(objective)
+        if value is None:
+            return LpResult(LpStatus.UNBOUNDED), None
         twin = copy.copy(self)
-        twin.lp = LinearProgram(
-            lp.objective,
-            lp.rows + (_frac_tuple(row),),
-            lp.rhs + (Fraction(rhs),),
-            lp.senses + (Sense.EQ,),
-            lp.nonneg,
-        )
-        if self._tableau is not None:
-            twin._tableau = self._tableau.extended(len(lp.rows), row, rhs)
-        return twin
+        twin._tableau = tab
+        return LpResult(LpStatus.OPTIMAL, value=value), twin
 
     def tableau_for(self, lp: LinearProgram) -> _Tableau | None:
         """A fresh copy of the feasible tableau for lp, None if infeasible."""
@@ -750,6 +741,8 @@ def solve_lp(
     tab = _feasible_tableau(lp) if system is None else system.tableau_for(lp)
     if tab is None:
         return LpResult(LpStatus.INFEASIBLE)
+    if price and tab.columns is not None:
+        raise SystemMismatch("a face keeps no column off the face to price")
     value = tab.phase_two((lp.objective,) + ties)
     if value is None:
         return LpResult(LpStatus.UNBOUNDED)

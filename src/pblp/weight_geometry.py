@@ -226,9 +226,11 @@ class ComponentHrep:
     All variables are nonnegative.  cone holds one row per original
     variable, A^T v - C^T w, read as <= 0 (A and b the feasible system
     rewritten in >=-form, so m counts the rewritten rows, not the input
-    rows); image is b.v - y.w, read as = 0.  Every row has rhs 0, so the
-    set is a cone, and its projection onto (w1, w2, w3) is the cone over
-    the component of y: its slice w1 + w2 + w3 = 1 is the component.
+    rows); image is b.v - y.w, the negated duality gap, which weak
+    duality keeps <= 0 on the cone.  Where image is 0 the cone projects
+    onto (w1, w2, w3) as the cone over the component of y: its slice
+    w1 + w2 + w3 = 1 is the component.  The interval LPs take that set
+    as the optimal face of -image, never as an added row.
     """
 
     cone: tuple[tuple[Fraction, ...], ...]

@@ -56,3 +56,34 @@ def random_pblp(rng: random.Random, case: Case) -> Pblp:
     return Pblp(
         case=case, n=n, rows=rows, rhs=rhs, senses=senses, c1=c1, c2=c2, d1=d1
     )
+
+
+def degenerate_pblp(rng: random.Random, case: Case) -> Pblp:
+    """A bounded instance made degenerate four ways: one column is
+    duplicated, rows and costs alike, so preimages are not unique; one
+    more column costs nothing in all three objectives; d1 is a nonzero
+    multiple of c1, so the images are collinear in (c1, d1); and one row
+    is repeated as a positive multiple, so vertices are degenerate.  The
+    box row covers both new columns, so the set stays bounded."""
+    n, rows, rhs, senses = random_bounded_system(rng)
+    j = rng.randrange(n)
+    rows = [row + (row[j], Fraction(rng.randint(-9, 9))) for row in rows[:-1]]
+    rows.append((Fraction(1),) * (n + 2))
+    c1 = random_cost(rng, n)
+    while not any(c1):
+        c1 = random_cost(rng, n)
+    c2 = random_cost(rng, n)
+    c1, c2 = c1 + (c1[j], Fraction(0)), c2 + (c2[j], Fraction(0))
+    k = Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3))
+    i = rng.randrange(len(rows))
+    scale = Fraction(rng.randint(1, 5), rng.randint(1, 3))
+    return Pblp(
+        case=case,
+        n=n + 2,
+        rows=tuple(rows) + (tuple(scale * a for a in rows[i]),),
+        rhs=rhs + (scale * rhs[i],),
+        senses=senses + (senses[i],),
+        c1=c1,
+        c2=c2,
+        d1=tuple(k * a for a in c1),
+    )

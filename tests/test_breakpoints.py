@@ -25,7 +25,7 @@ from pblp.breakpoints import ParameterInterval
 from pblp.problem_model import Weight3
 from pblp.errors import EmptyComponent, NoFiniteVertex, SystemMismatch
 from conftest import hull_of, w3
-from instance_gen import random_pblp
+from instance_gen import degenerate_pblp, random_pblp
 
 F = Fraction
 
@@ -147,44 +147,46 @@ def test_lp_route_builds_the_cone_once_per_problem(request, monkeypatch):
 
 def test_lp_route_takes_phase_one_once_per_image(request, monkeypatch):
     """One LP-route solve builds one base FeasibleSystem, the cone rows
-    and the slice row that every image shares, and extends it once per
-    image by that image's row."""
-    built, extended = [], []
+    and the slice row that every image shares, and takes one face of it
+    per image, the optimal face of that image's duality gap."""
+    built, faces = [], []
 
     class CountingSystem(breakpoints.FeasibleSystem):
         def __init__(self, lp):
             built.append(lp)
             super().__init__(lp)
 
-        def extended(self, row, rhs):
-            extended.append(row)
-            return super().extended(row, rhs)
+        def face(self, objective):
+            faces.append(objective)
+            return super().face(objective)
 
     monkeypatch.setattr(breakpoints, "FeasibleSystem", CountingSystem)
-    for name in INTERVAL_PHASE_ONE_PIVOTS:
+    for name in INTERVAL_PIVOTS:
         built.clear()
-        extended.clear()
+        faces.clear()
         sol = enumerate_breakpoints(request.getfixturevalue(name), Method.LP)
         assert len(built) == 1, name
-        assert len(extended) == len(sol.intervals), name
+        assert len(faces) == len(sol.intervals), name
 
 
-# Phase-one pivots of all interval LPs of one LP-route solve: the base
-# system's and every extension's.  With one full system per image they
-# were 16, 10 and 10 (21, 19 and 19 with the cone rows in >= form): the
-# extensions' phase ones cost more on the two example2 instances, whose
-# phase twos shrink by more (all interval pivots 24, 15, 16 -> 19, 16,
-# 16), and far less on larger problems (see the seeded family below).
-INTERVAL_PHASE_ONE_PIVOTS = {"example1": 11, "example2": 13, "example2_case1": 13}
+# All interval-LP pivots of one LP-route solve, and the base system's
+# phase-one pivots among them.  Extending the base by each image's row,
+# each with its own phase one, took 19, 16 and 16 pivots in all (11, 13
+# and 13 in phase one); the images' faces of the duality gap need no
+# phase one and run on narrower tableaux.
+INTERVAL_PIVOTS = {"example1": 12, "example2": 13, "example2_case1": 13}
+INTERVAL_PHASE_ONE_PIVOTS = {"example1": 3, "example2": 1, "example2_case1": 1}
 
 
 def test_interval_lps_start_on_their_slacks(request, monkeypatch):
     """Deterministic pivot gate for the interval LPs: every cone row
-    starts on its own slack, so the base system's phase one holds one
-    artificial column, on den.w = 1, each image's extension one more,
-    on its own row, and the pivot count stays at the measured value."""
+    starts on its own slack, so the one phase one that runs, the base
+    system's, holds one artificial column, on den.w = 1; the faces and
+    the solves on them run phase two only, and the pivot counts stay at
+    the measured values."""
     in_phase_one = []
     pivots = []
+    phase_one_pivots = []
     artificials = []
     pivot, simplex = lp_core._Tableau._pivot, lp_core._Tableau._simplex
 
@@ -196,41 +198,41 @@ def test_interval_lps_start_on_their_slacks(request, monkeypatch):
             finally:
                 in_phase_one.pop()
 
-        def extended(self, row, rhs):
-            in_phase_one.append(row)
-            try:
-                return super().extended(row, rhs)
-            finally:
-                in_phase_one.pop()
-
     def counting_pivot(self, r, col):
+        pivots.append(col)
         if in_phase_one:
-            pivots.append(col)
+            phase_one_pivots.append(col)
         pivot(self, r, col)
 
     def recording_simplex(self, cost, banned):
-        if in_phase_one:
+        if self.art_cols:
             artificials.append(len(self.art_cols))
         return simplex(self, cost, banned)
 
     monkeypatch.setattr(breakpoints, "FeasibleSystem", MarkingSystem)
     monkeypatch.setattr(lp_core._Tableau, "_pivot", counting_pivot)
     monkeypatch.setattr(lp_core._Tableau, "_simplex", recording_simplex)
-    for name, bound in INTERVAL_PHASE_ONE_PIVOTS.items():
+    for name, bound in INTERVAL_PIVOTS.items():
+        p = request.getfixturevalue(name)
+        dec = decompose(p)
         pivots.clear()
+        phase_one_pivots.clear()
         artificials.clear()
-        sol = enumerate_breakpoints(request.getfixturevalue(name), Method.LP)
+        breakpoints.solve_on_decomposition(p, dec, Method.LP)
         assert len(pivots) <= bound, (name, len(pivots))
-        assert artificials == [1] * (1 + len(sol.intervals)), name
+        assert len(phase_one_pivots) <= INTERVAL_PHASE_ONE_PIVOTS[name], name
+        assert artificials == [1], name
 
 
 # All interval-LP pivots, both phases, of the LP route on 40 seeded
-# instances: 1199 with one full system per image.
-FAMILY_INTERVAL_PIVOTS = 950
+# instances: 1199 with one full system per image, 950 with one row
+# appended to the base per image, each with its own phase one.
+FAMILY_INTERVAL_PIVOTS = 607
 
 
 def test_interval_pivots_on_a_seeded_family(monkeypatch):
-    """Deterministic pivot gate for one base system per problem."""
+    """Deterministic pivot gate for one base system per problem and one
+    face of it per image."""
     rng = random.Random(1405)
     problems = [random_pblp(rng, (Case.ONE, Case.TWO)[i % 2]) for i in range(40)]
     decompositions = [decompose(p) for p in problems]
@@ -270,12 +272,36 @@ def test_lp_route_matches_vertices_in_both_cases():
     assert compared == 60 and unbounded > 0 and corner > 0
 
 
+def test_lp_route_matches_vertices_on_a_degenerate_family():
+    """On instances with a duplicated column, a zero-cost column, d1
+    parallel to c1 and a redundant row (non-unique preimages, collinear
+    images, degenerate vertices), the LP route, on one base system per
+    case, must still give the vertex-route interval of every component
+    under either lambda map."""
+    rng = random.Random(2005)
+    routes = ((Case.ONE, interval_lp_case1), (Case.TWO, interval_lp_case2))
+    images = unbounded = 0
+    for _ in range(105):
+        p = degenerate_pblp(rng, Case.ONE)
+        dec = decompose(p)
+        first = component_hrep(p, dec.images[0].image)
+        hreps = [first.for_image(entry.image) for entry in dec.images]
+        for case, route in routes:
+            base = interval_system(first, case)
+            for h, poly in zip(hreps, dec.components):
+                expected = interval_vertex(case, poly)
+                assert route(h, base) == expected, (p, h.image)
+                images += 1
+                unbounded += expected[1] is INF
+    assert images > 500 and 100 < unbounded < images - 100, (images, unbounded)
+
+
 def test_lp_route_raises_typed_errors(example2, example1):
     """An extreme image y shifted by (1, 1, 1) is no image: on the lifted
-    cone b.v <= y.w by weak duality, which is less than (y + 1).w on the
-    slice, so its row leaves the extended system infeasible and the route
-    raises EmptyComponent.  A base built for the other case raises
-    SystemMismatch."""
+    cone b.v <= y.w by weak duality, so the shifted image's duality gap
+    (y + 1).w - b.v is at least w1 + w2 + w3 >= 1 on the slice, its
+    minimum is positive and the route raises EmptyComponent.  A base
+    built for the other case raises SystemMismatch."""
     routes = {Case.ONE: interval_lp_case1, Case.TWO: interval_lp_case2}
     for p in (example2, example1):
         for entry in decompose(p).images:

@@ -18,7 +18,7 @@ from pblp import lp_core
 from pblp.errors import DimensionMismatch, NotRational, SystemMismatch
 from pblp.lp_core import eliminate, integer_row, solve_calls, solve_square
 from pblp.oracle import vertices_and_rays
-from conftest import reference_phase_two
+from conftest import _satisfies, reference_phase_two
 
 
 def test_minimum_on_a_triangle():
@@ -909,104 +909,105 @@ def test_integer_row_scales_by_the_lcm_of_denominators():
     assert integer_row([0, 0]) == ([0, 0], 1)
 
 
-def _extension_case(rng):
-    """A _random_fractional_case LP and one equality row to extend it
-    by: a multiple of one of its equality rows, with the matching right
-    side (dependent) or another one (inconsistent), or a fractional row
-    whose right side is met at the LP's optimum half the time."""
+def _face_case(rng):
+    """A _random_fractional_case LP and an objective f to take the
+    optimal face of: a multiple of one of its equality rows, constant on
+    the feasible set, or a fractional row with zeros."""
     lp, _, _ = _random_fractional_case(rng)
     eqs = [i for i, s in enumerate(lp.senses) if s is Sense.EQ]
-    pick = rng.random()
-    if eqs and pick < 0.4:
-        i = rng.choice(eqs)
+    if eqs and rng.random() < 0.3:
         k = Fraction(rng.choice((-3, -1, 1, 2, 5)), rng.randint(1, 4))
-        rhs = k * lp.rhs[i] + (Fraction(1, 3) if pick < 0.15 else 0)
-        return lp, [k * a for a in lp.rows[i]], rhs
-    row = [
+        return lp, tuple(k * a for a in lp.rows[rng.choice(eqs)])
+    return lp, _random_objective(rng, lp.num_vars)
+
+
+def _random_objective(rng, n):
+    return tuple(
         Fraction(0) if rng.random() < 0.3
         else Fraction(rng.randint(-9, 9), rng.randint(1, 7))
-        for _ in range(lp.num_vars)
-    ]
-    res = solve_lp(lp)
-    if res.status is LpStatus.OPTIMAL and rng.random() < 0.5:
-        return lp, row, sum((a * v for a, v in zip(row, res.x)), Fraction(0))
-    return lp, row, Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+        for _ in range(n)
+    )
 
 
-def test_extension_by_one_row_matches_a_fresh_system(monkeypatch):
-    """Seeded oracle for FeasibleSystem.extended: the base's feasible
-    tableau extended by one equality row must give a fresh system of
-    the full LP's status and optimal value for min and max objectives.
-    Its phase one holds one artificial; a dependent row is dropped, an
-    inconsistent one or an infeasible base makes every LP infeasible,
-    and extending is not an LP solve."""
+def _pinned(lp, objective, value):
+    """lp with the row objective.x = value appended."""
+    return LinearProgram(
+        lp.objective, lp.rows + (objective,), lp.rhs + (value,),
+        lp.senses + (Sense.EQ,), lp.nonneg,
+    )
+
+
+def _snapshot(tab):
+    return [row[:] for row in tab.rows], tab.b[:], tab.basis[:], tab.det, tab.columns
+
+
+def test_face_matches_a_solve_with_its_row_appended():
+    """Seeded oracle for FeasibleSystem.face: face(f) gives the status
+    and value of solve_lp for f, and on the face every LP, min and max
+    of g, has the status and value of a plain solve with the row
+    f.x = min f appended, at a point of that system.  The narrowed
+    tableau is fraction-free, drops columns, is no LP solve and leaves
+    the base as it was, and a face of the face is the system with both
+    rows appended."""
     rng = random.Random(2026)
     seen = {status: 0 for status in LpStatus}
-    seen.update(infeasible_row=0, infeasible_base=0, dropped=0, negated=0)
-    artificials = []
-    simplex = lp_core._Tableau._simplex
-
-    def recording_simplex(self, cost, banned):
-        artificials.append(len(self.art_cols))
-        return simplex(self, cost, banned)
-
+    seen.update(dropped=0, nested=0)
     for _ in range(400):
-        lp, row, rhs = _extension_case(rng)
+        lp, f = _face_case(rng)
         base = FeasibleSystem(lp)
+        kept = None if base._tableau is None else _snapshot(base._tableau)
         before = solve_calls()
-        monkeypatch.setattr(lp_core._Tableau, "_simplex", recording_simplex)
-        artificials.clear()
-        extended = base.extended(row, rhs)
-        monkeypatch.undo()
+        got, face = base.face(f)
         assert solve_calls() == before
-        assert artificials in ([], [1])
-        full = LinearProgram.build(
-            lp.objective, lp.rows + (row,), lp.rhs + (rhs,),
-            lp.senses + (Sense.EQ,), lp.nonneg,
-        )
-        assert extended.lp == full
-        fresh = FeasibleSystem(full)
-        for sign in (1, -1):
-            objective = [sign * c for c in lp.objective]
-            program = LinearProgram.build(
-                objective, full.rows, full.rhs, full.senses, full.nonneg
-            )
-            got = solve_lp(program, system=extended)
-            want = solve_lp(program, system=fresh)
-            assert (got.status, got.value) == (want.status, want.value), (lp, row, rhs)
-            if got.status is LpStatus.OPTIMAL:
-                assert all(
-                    sum((a * v for a, v in zip(r, got.x)), Fraction(0)) == b
-                    for r, b, s in zip(full.rows, full.rhs, full.senses)
-                    if s is Sense.EQ
-                )
-            seen[got.status] += 1
-        tab, grown = base._tableau, extended._tableau
-        if tab is None:
-            seen["infeasible_base"] += 1
-        elif grown is None:
-            seen["infeasible_row"] += 1
-        else:
-            _assert_fraction_free(grown)
-            if len(grown.rows) == len(tab.rows):
-                seen["dropped"] += 1
-            elif grown.row_factor[-1] < 0:
-                seen["negated"] += 1
+        want = solve_lp(replace(lp, objective=f))
+        assert (got.status, got.value) == (want.status, want.value), (lp, f)
+        seen[got.status] += 1
+        if got.status is not LpStatus.OPTIMAL:
+            assert face is None
+            continue
+        tab = face._tableau
+        _assert_fraction_free(tab)
+        assert face.lp is lp and tab.columns == sorted(tab.columns)
+        seen["dropped"] += len(tab.columns) < tab.num_cols
+        full = _pinned(lp, f, got.value)
+        g = _random_objective(rng, lp.num_vars)
+        for objective in (g, tuple(-a for a in g)):
+            res = solve_lp(replace(lp, objective=objective), system=face)
+            ref = solve_lp(replace(full, objective=objective))
+            assert (res.status, res.value) == (ref.status, ref.value), (lp, f, g)
+            if res.status is LpStatus.OPTIMAL:
+                assert _satisfies(full.rows, full.rhs, full.senses, res.x)
+                assert all(v >= 0 for v, nn in zip(res.x, lp.nonneg) if nn)
+        inner, nested = face.face(g)
+        ref = solve_lp(replace(full, objective=g))
+        assert (inner.status, inner.value) == (ref.status, ref.value), (lp, f, g)
+        if nested is not None:
+            both = _pinned(full, g, inner.value)
+            h = _random_objective(rng, lp.num_vars)
+            res = solve_lp(replace(lp, objective=h), system=nested)
+            ref = solve_lp(replace(both, objective=h))
+            assert (res.status, res.value) == (ref.status, ref.value), (lp, f, g, h)
+            seen["nested"] += len(nested._tableau.columns) < len(tab.columns)
+        assert _snapshot(base._tableau) == kept
     assert all(count >= 20 for count in seen.values()), seen
 
 
-def test_extension_keeps_the_base_intact():
-    """Extensions of one base are independent of each other and leave
-    the base as it was: max y over x + y <= 4, x - y <= 1 and x = k is
-    at (k, 4 - k) for k = 1, 2 and infeasible for k = 3."""
+def test_faces_of_one_base_are_independent():
+    """Faces of one base are independent of each other and leave the
+    base as it was: over x + y <= 4, x - y <= 1, max 2x + y is at
+    (5/2, 3/2) on the face x + y = 4, at (1, 0) on y = 0 and at (0, 4)
+    on x = 0.  A face prices nothing: it keeps no column off the face."""
     lp = LinearProgram.build([1, 1], [[1, 1], [1, -1]], [4, 1], ["<=", "<="])
     base = FeasibleSystem(lp)
     want = solve_lp(lp, system=base)
-    pinned = [base.extended([1, 0], k) for k in (1, 2, 3)]
+    pinned = [base.face(f) for f in ((-1, -1), (0, 1), (1, 0))]
+    assert [res.value for res, _ in pinned] == [-4, 0, 0]
     assert solve_lp(lp, system=base) == want
-    top = (Fraction(0), Fraction(-1))
-    got = [solve_lp(replace(s.lp, objective=top), system=s).x for s in pinned]
-    assert got == [(1, 3), (2, 2), None]
+    top = replace(lp, objective=(Fraction(-2), Fraction(-1)))
+    got = [solve_lp(top, system=face).x for _, face in pinned]
+    assert got == [(Fraction(5, 2), Fraction(3, 2)), (1, 0), (0, 4)]
+    with pytest.raises(SystemMismatch):
+        solve_lp(lp, system=pinned[0][1], price=[(1, 0)])
 
 
 def test_infeasible_system_is_infeasible_for_every_objective():
@@ -1071,6 +1072,8 @@ def test_dimension_mismatch_is_rejected():
         solve_lp(lp, ties=[(1,)])
     with pytest.raises(DimensionMismatch):
         solve_lex_lp(lp, ties=[], price=[(1, 2), (1,)])
+    with pytest.raises(DimensionMismatch):
+        FeasibleSystem(lp).face((1,))
 
 
 def test_a_float_in_the_objective_is_a_typed_error():
@@ -1083,6 +1086,8 @@ def test_a_float_in_the_objective_is_a_typed_error():
         solve_lp(lp, ties=[(Fraction(1), 0.25)])
     with pytest.raises(NotRational):
         integer_row([Fraction(1, 2), "3"])
+    with pytest.raises(NotRational):
+        FeasibleSystem(lp).face((0.5, Fraction(1)))
 
 
 def test_a_float_in_a_row_is_a_typed_error():
@@ -1093,5 +1098,3 @@ def test_a_float_in_a_row_is_a_typed_error():
         solve_lp(replace(lp, rhs=(1.0,)))
     with pytest.raises(NotRational):  # a free column is negated after scaling
         solve_lp(replace(lp, rows=((Fraction(1), "2"),), nonneg=(True, False)))
-    with pytest.raises(NotRational):
-        FeasibleSystem(lp).extended((0.5, Fraction(1)), Fraction(1))
