@@ -199,14 +199,6 @@ def _is_singleton(case, intervals, beta) -> bool:
     return bool(leaving and entering) and leaving != entering
 
 
-def _covers(iv: ParameterInterval, lo, hi) -> bool:
-    if iv.lower > lo:
-        return False
-    if hi is INF:
-        return iv.upper is INF
-    return iv.upper is INF or iv.upper >= hi
-
-
 def enumerate_breakpoints(p: Pblp, method: Method) -> ParametricSolution:
     """Full parametric solution: decomposition, intervals, breakpoints,
     and the annotated lambda axis."""
@@ -235,46 +227,32 @@ def solve_on_decomposition(
     ]
     interval_lp_solves = lp_core.solve_calls() - before
 
-    finite_ends: set[Fraction] = set()
-    for iv in intervals:
-        if iv.lower > 0:
-            finite_ends.add(iv.lower)
-        if iv.upper is not INF:
-            finite_ends.add(iv.upper)  # an upper end of 0 is a breakpoint too
-    breakpoints = tuple(sorted(finite_ends))
+    # an upper end of 0 is a breakpoint too, a lower end of 0 is not
+    breakpoints = tuple(sorted(
+        {iv.lower for iv in intervals if iv.lower > 0}
+        | {iv.upper for iv in intervals if iv.upper is not INF}
+    ))
+
+    # Every interval end is 0, a breakpoint or INF, so none lies strictly
+    # inside a segment: the intervals that contain any one lambda of a
+    # segment are exactly those that cover it.
+    def witnesses(lam) -> tuple[int, ...]:
+        return tuple(i for i, iv in enumerate(intervals) if iv.contains(lam))
 
     segments: list[AxisSegment] = []
-    zero = Fraction(0)
-
-    def witnesses(lo, hi) -> tuple[int, ...]:
-        return tuple(
-            i for i, iv in enumerate(intervals) if _covers(iv, lo, hi)
-        )
-
-    def point_witnesses(beta) -> tuple[int, ...]:
-        return tuple(
-            i for i, iv in enumerate(intervals) if iv.contains(beta)
-        )
-
-    prev = zero
-    prev_closed = True
+    prev, prev_closed = Fraction(0), True
     for beta in breakpoints:
+        middle = witnesses((prev + beta) / 2)
         if _is_singleton(p.case, intervals, beta):
             if prev < beta:
                 # up to but excluding the one-point breakpoint (this
                 # piece is absent when the singleton sits at the start)
-                segments.append(
-                    AxisSegment(prev, beta, prev_closed, False, witnesses(prev, beta))
-                )
-            segments.append(
-                AxisSegment(beta, beta, True, True, point_witnesses(beta))
-            )
+                segments.append(AxisSegment(prev, beta, prev_closed, False, middle))
+            segments.append(AxisSegment(beta, beta, True, True, witnesses(beta)))
         else:
-            segments.append(
-                AxisSegment(prev, beta, prev_closed, True, witnesses(prev, beta))
-            )
+            segments.append(AxisSegment(prev, beta, prev_closed, True, middle))
         prev, prev_closed = beta, False
-    segments.append(AxisSegment(prev, INF, prev_closed, False, witnesses(prev, INF)))
+    segments.append(AxisSegment(prev, INF, prev_closed, False, witnesses(prev + 1)))
 
     return ParametricSolution(
         case=p.case,

@@ -116,7 +116,7 @@ def parse_problem(text: str) -> Pblp:
             raise DimensionMismatch(
                 f"line {lineno}: row has {len(tokens) - 1} numbers, expected {n + 1}"
             )
-        senses.append(Sense.from_text(tokens[0]))
+        senses.append(Sense(tokens[0]))
         parsed_rows.append(tuple(rat_parse(tok) for tok in tokens[1:-1]))
         rhs.append(rat_parse(tokens[-1]))
 
@@ -389,8 +389,7 @@ def cli_main(argv=None) -> int:
     try:
         problem = _read_problem(args.file)
         if args.command == "solve":
-            method = Method.LP if args.method == "lp" else Method.ADAPTED
-            sol = enumerate_breakpoints(problem, method)
+            sol = enumerate_breakpoints(problem, Method(args.method))
             # the plot file goes first: a path it cannot write leaves
             # nothing on stdout
             if args.plot_out:

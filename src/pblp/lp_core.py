@@ -49,8 +49,8 @@ to price, over one common positive scale, so that the weights for which
 that basis stays optimal form an integer cone (Ehrgott, Multicriteria
 Optimization, 2005, ch. 7).
 
-Sign conventions for duals of  min c.x  s.t. rows (sense) rhs, mixed
-variable domains:
+Every variable is nonnegative.  Sign conventions for duals of
+min c.x  s.t. rows (sense) rhs, x >= 0:
 
     >= rows get dual >= 0,  <= rows get dual <= 0,  = rows are free,
     and dual . rhs == optimal value.
@@ -86,13 +86,6 @@ class Sense(Enum):
     EQ = "="
     LE = "<="
 
-    @staticmethod
-    def from_text(text: str) -> "Sense":
-        for s in Sense:
-            if s.value == text:
-                return s
-        raise ValueError(f"unknown sense {text!r}")
-
 
 class LpStatus(Enum):
     OPTIMAL = "optimal"
@@ -100,15 +93,12 @@ class LpStatus(Enum):
     UNBOUNDED = "unbounded"
 
 
-def _frac_tuple(values) -> tuple[Fraction, ...]:
-    return tuple(Fraction(v) for v in values)
-
-
 @dataclass(frozen=True)
 class LinearProgram:
-    """min objective.x subject to rows[i].x (senses[i]) rhs[i].
+    """min objective.x subject to rows[i].x (senses[i]) rhs[i], x >= 0.
 
-    nonneg[j] is True when x_j >= 0 and False when x_j is free.
+    nonneg holds one True per variable: every variable is nonnegative,
+    and a False entry raises ValueError.
     """
 
     objective: tuple[Fraction, ...]
@@ -121,6 +111,8 @@ class LinearProgram:
         n = len(self.objective)
         if len(self.nonneg) != n:
             raise DimensionMismatch("objective and domain lengths differ")
+        if not all(self.nonneg):
+            raise ValueError("every variable must be nonnegative")
         if not (len(self.rows) == len(self.rhs) == len(self.senses)):
             raise DimensionMismatch("row, rhs and sense counts differ")
         for row in self.rows:
@@ -128,20 +120,15 @@ class LinearProgram:
                 raise DimensionMismatch("row length differs from objective")
 
     @staticmethod
-    def build(objective, rows, rhs, senses, nonneg=None) -> "LinearProgram":
+    def build(objective, rows, rhs, senses) -> "LinearProgram":
         """Convenience constructor coercing ints/strings to exact types."""
-        obj = _frac_tuple(objective)
-        if nonneg is None:
-            nonneg = (True,) * len(obj)
-        sense_vals = tuple(
-            s if isinstance(s, Sense) else Sense.from_text(s) for s in senses
-        )
+        obj = tuple(map(Fraction, objective))
         return LinearProgram(
             objective=obj,
-            rows=tuple(_frac_tuple(r) for r in rows),
-            rhs=_frac_tuple(rhs),
-            senses=sense_vals,
-            nonneg=tuple(bool(v) for v in nonneg),
+            rows=tuple(tuple(map(Fraction, row)) for row in rows),
+            rhs=tuple(map(Fraction, rhs)),
+            senses=tuple(map(Sense, senses)),
+            nonneg=(True,) * len(obj),
         )
 
     @property
@@ -270,18 +257,9 @@ class _Tableau:
 
     def __init__(self, lp: LinearProgram):
         self.lp = lp
-        # Column layout: one column per nonnegative variable, two (p, q with
-        # x = p - q) per free variable, then one slack/surplus per inequality.
-        self.col_of_var: list[tuple[int, int | None]] = []
-        cols = 0
-        for j in range(lp.num_vars):
-            if lp.nonneg[j]:
-                self.col_of_var.append((cols, None))
-                cols += 1
-            else:
-                self.col_of_var.append((cols, cols + 1))
-                cols += 2
-        var_cols = cols
+        # Column layout: one column per variable, then one slack/surplus
+        # per inequality.
+        cols = lp.num_vars
         slack_col: list[int | None] = []
         for sense in lp.senses:
             if sense is Sense.EQ:
@@ -327,7 +305,7 @@ class _Tableau:
         # column) so keeps exactly the rows a pass over all rows keeps.
         eq_rows = [i for i, col in enumerate(slack_col) if col is None]
         echelon = eliminate(
-            [self.rows[i][:var_cols] + [self.b[i]] for i in eq_rows]
+            [self.rows[i][: lp.num_vars] + [self.b[i]] for i in eq_rows]
         )
         self.infeasible_by_rank = not echelon.consistent
         if len(echelon.kept) != len(eq_rows):
@@ -354,12 +332,7 @@ class _Tableau:
 
     def _dense(self, row) -> list:
         """row over the standard-form columns, zero in every slack column."""
-        dense = [0] * self.num_cols
-        for a, (p, q) in zip(row, self.col_of_var):
-            dense[p] = a
-            if q is not None:
-                dense[q] = -a
-        return dense
+        return row + [0] * (self.num_cols - len(row))
 
     # -- pivoting ---------------------------------------------------------
 
@@ -621,10 +594,7 @@ class _Tableau:
         at = self.columns or range(self.num_cols)
         for col, b in zip(self.basis, self.b):
             z[at[col]] = Fraction(b, self.det)
-        out = []
-        for p, q in self.col_of_var:
-            out.append(z[p] - z[q] if q is not None else z[p])
-        return tuple(out)
+        return tuple(z[: self.lp.num_vars])
 
     def duals(self) -> tuple[Fraction, ...]:
         """Dual of each original row from B^T y = c_B on the final basis.

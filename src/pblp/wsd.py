@@ -47,7 +47,7 @@ from math import lcm
 from . import lp_core
 from .errors import InfeasibleProblem, InvariantViolation, UnboundedScalarization
 from .lp_core import FeasibleSystem, LinearProgram, LpStatus, solve_lex_lp
-from .problem_model import Pblp, Weight3, system_lp, ws_scalarize
+from .problem_model import Pblp, system_lp
 from .weight_geometry import (
     ConvexPolygon2,
     IntImage,
@@ -114,23 +114,23 @@ def _weighted_sum(p: Pblp, vertex: Triple) -> LinearProgram:
 
 
 def find_extreme_image(
-    p: Pblp, w: Weight3 | Triple, system: FeasibleSystem | None = None
+    p: Pblp, w: Triple, system: FeasibleSystem | None = None
 ) -> ExtremeImage:
-    """Lexicographic weighted-sum solve at w, ties (c1, c2, d1).
+    """Lexicographic weighted-sum solve (_weighted_sum) at the weight
+    (X, Y, W - X - Y)/W of the vertex triple w = (X, Y, W), ties
+    (c1, c2, d1).
 
-    w is a Weight3 (ws_scalarize) or a vertex triple (X, Y, W)
-    (_weighted_sum); both give the same pivots.  The ties pin a single
-    image even when w sits on a component boundary, and they guarantee
-    the returned image is a nondominated extreme point, not merely weakly
-    nondominated.  system, when given, is p's feasible system and spares
-    the solve its phase one.  The solve also prices the ties at its final
-    basis, whose cone the result carries.  p.case plays no part.
+    The ties pin a single image even when w sits on a component
+    boundary, and they guarantee the returned image is a nondominated
+    extreme point, not merely weakly nondominated.  system, when given,
+    is p's feasible system and spares the solve its phase one.  The
+    solve also prices the ties at its final basis, whose cone the result
+    carries.  p.case plays no part.
     """
     ties = p.cost_rows
-    lp = ws_scalarize(p, w) if isinstance(w, Weight3) else _weighted_sum(p, w)
-    result = solve_lex_lp(lp, ties=ties, system=system, price=ties)
+    result = solve_lex_lp(_weighted_sum(p, w), ties=ties, system=system, price=ties)
     if result.status is LpStatus.UNBOUNDED:
-        x, y, den = (w.w1, w.w2, 1) if isinstance(w, Weight3) else w
+        x, y, den = w
         weight = ", ".join(str(Fraction(a, den)) for a in (x, y, den - x - y))
         raise UnboundedScalarization(f"weighted sum unbounded at w = ({weight})")
     if result.status is LpStatus.INFEASIBLE:

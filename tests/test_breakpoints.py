@@ -1,6 +1,7 @@
 """Parameter intervals, breakpoints and the annotated lambda axis."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from pblp import (
     interval_system,
     interval_vertex,
     lambda_from_weight,
+    solve_on_decomposition,
 )
 from pblp import breakpoints, lp_core
 from pblp.breakpoints import ParameterInterval
@@ -386,19 +388,26 @@ def test_parameter_interval_contains():
     assert ray.contains(F(10**9))
 
 
+def _covers(iv, seg) -> bool:
+    """Reference witness rule: iv holds the whole segment, its one point
+    for a one-point segment, and reaches INF for the last segment."""
+    if seg.lower == seg.upper:
+        return iv.contains(seg.lower)
+    if iv.lower > seg.lower:
+        return False
+    if seg.upper is INF:
+        return iv.upper is INF
+    return iv.upper is INF or iv.upper >= seg.upper
+
+
 def _axis_invariants(sol):
     axis = sol.axis
     assert axis[0].lower == 0 and axis[0].lower_closed
     assert axis[-1].upper is INF and not axis[-1].upper_closed
     for seg in axis:
         assert seg.witnesses, f"empty witness set on {seg}"
-        for i in seg.witnesses:
-            iv = sol.intervals[i]
-            assert iv.lower <= seg.lower
-            if seg.upper is INF:
-                assert iv.upper is INF
-            else:
-                assert iv.upper is INF or iv.upper >= seg.upper
+        covering = tuple(i for i, iv in enumerate(sol.intervals) if _covers(iv, seg))
+        assert seg.witnesses == covering, (seg, sol.intervals)
     for prev, nxt in zip(axis, axis[1:]):
         assert prev.upper == nxt.lower
         assert prev.upper_closed != nxt.lower_closed  # no gap, no overlap
@@ -406,7 +415,40 @@ def _axis_invariants(sol):
 
 def test_axis_invariants_on_the_examples(example1, example2, example2_case1):
     for p in (example1, example2, example2_case1):
-        _axis_invariants(enumerate_breakpoints(p, Method.ADAPTED))
+        for method in Method:
+            _axis_invariants(enumerate_breakpoints(p, method))
+
+
+def test_axis_witnesses_are_the_intervals_that_cover_each_segment():
+    """The axis reads each segment's witnesses at one lambda inside it.
+    _axis_invariants requires them to be the intervals that cover the
+    whole segment (_covers), as on the bundled instances: here on every
+    segment of the acceptance batch (seed 1405, 200 instances, cases
+    alternating) and of the degenerate family in both cases."""
+    solutions = []
+    rng = random.Random(1405)
+    for trial in range(200):
+        p = random_pblp(rng, Case.ONE if trial % 2 == 0 else Case.TWO)
+        solutions.append(enumerate_breakpoints(p, Method.LP))
+    rng = random.Random(2005)
+    for _ in range(105):
+        p = degenerate_pblp(rng, Case.ONE)
+        dec = decompose(p)
+        for case in Case:
+            solutions.append(
+                solve_on_decomposition(replace(p, case=case), dec, Method.ADAPTED)
+            )
+    kinds = {"one-point": 0, "transition": 0, "last": 0}
+    for sol in solutions:
+        _axis_invariants(sol)
+        for seg in sol.axis:
+            if seg.upper is INF:
+                kinds["last"] += 1
+            elif seg.lower == seg.upper:
+                kinds["one-point"] += 1
+            elif any(iv.upper == seg.lower for iv in sol.intervals):
+                kinds["transition"] += 1
+    assert all(count >= 50 for count in kinds.values()), kinds
 
 
 def test_methods_agree_on_random_instances():

@@ -40,14 +40,6 @@ def test_reports_unbounded():
     assert solve_lp(lp).status is LpStatus.UNBOUNDED
 
 
-def test_free_variable_reaches_negative_values():
-    lp = LinearProgram.build([1], [[1]], [-5], ["="], nonneg=[False])
-    res = solve_lp(lp)
-    assert res.status is LpStatus.OPTIMAL
-    assert res.x == (Fraction(-5),)
-    assert res.value == -5
-
-
 def test_equality_rows_and_exact_rationals():
     # min x + y  over  2x + 3y = 1, x,y >= 0
     lp = LinearProgram.build([1, 1], [[2, 3]], [1], ["="])
@@ -210,8 +202,7 @@ def _random_lex_case(rng):
         rows.append([1] * n)
         rhs.append(rng.randint(1, 5))
         senses.append("<=")
-    nonneg = [rng.random() < 0.75 for _ in range(n)]
-    lp = LinearProgram.build(vec(), rows, rhs, senses, nonneg)
+    lp = LinearProgram.build(vec(), rows, rhs, senses)
     ties = [tuple(Fraction(c) for c in vec()) for _ in range(rng.randint(1, 3))]
     return lp, ties
 
@@ -222,13 +213,10 @@ def test_lex_solve_matches_stage_by_stage_pinning():
     of every objective in order."""
     rng = random.Random(2005)
     known = [
-        # rowless, free variable with zero cost: ties act on the orthant
-        (LinearProgram.build([1, 0], [], [], [], [True, False]), [(0, 0), (-1, 0)],
-         LpStatus.OPTIMAL),
-        (LinearProgram.build([0, 1], [], [], [], [True, True]), [(1, 0), (0, -1)],
-         LpStatus.OPTIMAL),
-        (LinearProgram.build([0, 0], [], [], [], [True, False]), [(0, 1)],
-         LpStatus.UNBOUNDED),
+        # rowless: ties act on the orthant
+        (LinearProgram.build([1, 0], [], [], []), [(0, 0), (-1, 0)], LpStatus.OPTIMAL),
+        (LinearProgram.build([0, 1], [], [], []), [(1, 0), (0, -1)], LpStatus.OPTIMAL),
+        (LinearProgram.build([0, 0], [], [], []), [(0, -1)], LpStatus.UNBOUNDED),
         # square [0,1]^2: min x leaves the edge x = 0, -y is bounded there
         (LinearProgram.build([1, 0], [[1, 0], [0, 1]], [1, 1], ["<=", "<="]), [(0, -1)],
          LpStatus.OPTIMAL),
@@ -240,7 +228,7 @@ def test_lex_solve_matches_stage_by_stage_pinning():
         assert solve_lex_lp(lp, ties).status is status, (lp, ties)
     cases = [_random_lex_case(rng) for _ in range(400)]
     cases += [(lp, ties) for lp, ties, _ in known]
-    seen = {"rowless": 0, "free": 0, "face": 0, "unbounded tie": 0}
+    seen = {"rowless": 0, "face": 0, "unbounded tie": 0}
     for lp, ties in cases:
         got = solve_lex_lp(lp, ties)
         want = _pinned_lex(lp, ties)
@@ -253,15 +241,14 @@ def test_lex_solve_matches_stage_by_stage_pinning():
             if _stage_values(lp, ties, got.x) != _stage_values(lp, ties, first.x):
                 seen["face"] += 1
         seen["rowless"] += not lp.rows
-        seen["free"] += not all(lp.nonneg)
         if first.status is LpStatus.OPTIMAL and got.status is LpStatus.UNBOUNDED:
             seen["unbounded tie"] += 1
     assert all(count >= 5 for count in seen.values()), seen
 
 
 def _random_system_case(rng):
-    """Mixed senses, free variables, redundant and contradictory equality
-    pairs, and an orthant cap only half the time, so infeasible and
+    """Mixed senses, redundant and contradictory equality pairs, and an
+    orthant cap only half the time, so infeasible and
     unbounded objectives both occur; then 3-4 objectives, some with ties.
     Returns the LPs, their tie lists and the set of row kinds added."""
     n = rng.randint(1, 4)
@@ -290,10 +277,8 @@ def _random_system_case(rng):
         rows.append([1] * n)
         rhs.append(rng.randint(1, 5))
         senses.append("<=")
-    nonneg = [rng.random() < 0.75 for _ in range(n)]
     lps = [
-        LinearProgram.build(vec(), rows, rhs, senses, nonneg)
-        for _ in range(rng.randint(3, 4))
+        LinearProgram.build(vec(), rows, rhs, senses) for _ in range(rng.randint(3, 4))
     ]
     ties = [
         [tuple(Fraction(c) for c in vec()) for _ in range(rng.choice((0, 0, 1, 2)))]
@@ -308,7 +293,7 @@ def test_solves_on_a_shared_system_match_fresh_solves():
     its status, its x and its value, for every objective and tie list."""
     rng = random.Random(2010)
     seen = {status: 0 for status in LpStatus}
-    seen.update(free=0, redundant=0, contradictory=0, ties=0)
+    seen.update(redundant=0, contradictory=0, ties=0)
     for _ in range(300):
         lps, ties, kinds = _random_system_case(rng)
         system = FeasibleSystem(lps[0])
@@ -326,7 +311,6 @@ def test_solves_on_a_shared_system_match_fresh_solves():
             seen["ties"] += bool(lp_ties)
         # infeasibility belongs to the system, not to an objective
         assert LpStatus.INFEASIBLE not in statuses or statuses == {LpStatus.INFEASIBLE}
-        seen["free"] += not all(lps[0].nonneg)
         for kind in kinds:
             seen[kind] += 1
     assert all(count >= 20 for count in seen.values()), seen
@@ -355,10 +339,7 @@ def _fraction_reference(lp, ties):
     proves infeasibility, and dual is set on optimal plain solves only.
     """
     zero, one = Fraction(0), Fraction(1)
-    col_of_var, cols = [], 0
-    for nonneg in lp.nonneg:
-        col_of_var.append((cols, None if nonneg else cols + 1))
-        cols += 1 if nonneg else 2
+    cols = lp.num_vars
     slack_col = []
     for sense in lp.senses:
         slack_col.append(None if sense is Sense.EQ else cols)
@@ -366,20 +347,11 @@ def _fraction_reference(lp, ties):
     n = cols
 
     def column_cost(objective):
-        cost = [zero] * n
-        for c, (p, q) in zip(objective, col_of_var):
-            cost[p] = Fraction(c)
-            if q is not None:
-                cost[q] = -Fraction(c)
-        return cost
+        return [Fraction(c) for c in objective] + [zero] * (n - lp.num_vars)
 
     std, sign = [], []  # standard-form [row | rhs], sign-flipped to rhs >= 0
     for i, row in enumerate(lp.rows):
-        dense = [zero] * n
-        for a, (p, q) in zip(row, col_of_var):
-            dense[p] = Fraction(a)
-            if q is not None:
-                dense[q] = -Fraction(a)
+        dense = [Fraction(a) for a in row] + [zero] * (n - lp.num_vars)
         if slack_col[i] is not None:
             dense[slack_col[i]] = one if lp.senses[i] is Sense.LE else -one
         sign.append(-1 if lp.rhs[i] < 0 else 1)
@@ -455,7 +427,7 @@ def _fraction_reference(lp, ties):
     z = [zero] * n
     for i, col in enumerate(basis):
         z[col] = tab[i][-1]
-    x = tuple(z[p] - z[q] if q is not None else z[p] for p, q in col_of_var)
+    x = tuple(z[: lp.num_vars])
     value = sum((Fraction(c) * v for c, v in zip(lp.objective, x)), zero)
     dual = None
     if not ties:  # B^T y = c_B over the untouched kept rows
@@ -473,7 +445,7 @@ def _random_fractional_case(rng):
     """Fractional rows, rhs, costs and ties (denominators 2-7) with many
     zeros, so det > 1 from the start and ties have optimal faces to act
     on; negative rhs, equality rows, redundant and contradictory rows,
-    free variables, and an orthant cap only half the time."""
+    and an orthant cap only half the time."""
     n = rng.randint(1, 4)
     kinds = set()
 
@@ -505,12 +477,11 @@ def _random_fractional_case(rng):
         rows.append([Fraction(rng.randint(1, 3), rng.randint(2, 7))] * n)
         rhs.append(Fraction(rng.randint(1, 9), rng.randint(2, 7)))
         senses.append("<=")
-    nonneg = [rng.random() < 0.75 for _ in range(n)]
     order = list(range(len(rows)))
     rng.shuffle(order)
     lp = LinearProgram.build(
         vec(), [rows[i] for i in order], [rhs[i] for i in order],
-        [senses[i] for i in order], nonneg,
+        [senses[i] for i in order],
     )
     ties = [tuple(vec()) for _ in range(rng.choice((0, 0, 1, 2)))]
     return lp, ties, kinds
@@ -529,7 +500,7 @@ def test_integer_tableau_matches_a_fraction_reference():
     every entry stays an int over a positive det."""
     rng = random.Random(1968)
     seen = {status: 0 for status in LpStatus}
-    seen.update(free=0, redundant=0, contradictory=0, ties=0, negative_rhs=0, det=0)
+    seen.update(redundant=0, contradictory=0, ties=0, negative_rhs=0, det=0)
     for _ in range(500):
         lp, ties, kinds = _random_fractional_case(rng)
         want_status, want_x, want_value, want_dual, want_basis = _fraction_reference(
@@ -549,7 +520,6 @@ def test_integer_tableau_matches_a_fraction_reference():
             _assert_fraction_free(tab)
             assert tab.basis == want_basis, (lp, ties)
         seen[got.status] += 1
-        seen["free"] += not all(lp.nonneg)
         seen["ties"] += bool(ties)
         seen["negative_rhs"] += any(b < 0 for b in lp.rhs)
         for kind in kinds:
@@ -572,24 +542,21 @@ def _weighted_sum_case(rng):
 
     costs = [cost(1), cost(rng.randint(2, 4)), cost(rng.randint(5, 9))]
     rows = [list(row) for row in lp.rows]
-    nonneg = list(lp.nonneg)
     kind = rng.choice(("plain", "duplicate", "zero cost"))
     if kind == "duplicate":
         j = rng.randrange(n)
         for row in rows + costs:
             row.append(row[j])
-        nonneg.append(nonneg[j])
     elif kind == "zero cost":
         for row in rows:
             row.append(Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
         for row in costs:
             row.append(Fraction(0))
-        nonneg.append(True)
     costs = [tuple(row) for row in costs]
 
     def weighted(w):
         objective = [sum(a * c for a, c in zip(w, column)) for column in zip(*costs)]
-        return LinearProgram.build(objective, rows, lp.rhs, lp.senses, nonneg)
+        return LinearProgram.build(objective, rows, lp.rhs, lp.senses)
 
     return weighted, costs, kind
 
@@ -665,9 +632,8 @@ def test_phase_two_stops_at_a_vertex_face_as_every_stage_would(monkeypatch):
     """Seeded oracle for the vertex-face stop: _Tableau.phase_two against
     conftest.reference_phase_two, which runs every stage and takes the
     value as a Fraction dot product.  Status, x, value, duals, reduced
-    costs and the pivot sequence agree, and value is objective . x,
-    free variables included.  Both the stop and later stages that pivot
-    occur."""
+    costs and the pivot sequence agree, and value is objective . x.
+    Both the stop and later stages that pivot occur."""
     rng = random.Random(1967)
     pivots, stage_starts = [], []
     pivot, column_cost = lp_core._Tableau._pivot, lp_core._Tableau._column_cost
@@ -688,7 +654,7 @@ def test_phase_two_stops_at_a_vertex_face_as_every_stage_would(monkeypatch):
     monkeypatch.setattr(lp_core._Tableau, "_pivot", recording_pivot)
     monkeypatch.setattr(lp_core._Tableau, "_column_cost", recording_column_cost)
     seen = {status: 0 for status in LpStatus}
-    seen.update(stopped=0, later_pivots=0, free=0, duplicate=0, zero_cost=0)
+    seen.update(stopped=0, later_pivots=0, duplicate=0, zero_cost=0)
     for _ in range(600):
         lp, ties, price, kind = _lex_equivalence_case(rng)
         got, got_pivots, got_starts = run(lp, ties, price)
@@ -701,7 +667,6 @@ def test_phase_two_stops_at_a_vertex_face_as_every_stage_would(monkeypatch):
             assert got.value == sum(
                 (c * v for c, v in zip(lp.objective, got.x)), Fraction(0)
             )
-            seen["free"] += not all(lp.nonneg)
         seen[got.status] += 1
         seen["stopped"] += len(got_starts) < len(want_starts)
         seen["later_pivots"] += len(want_starts) > 1 and len(want_pivots) > want_starts[1]
@@ -738,17 +703,13 @@ def test_phase_one_starts_each_inequality_row_on_its_own_slack(monkeypatch):
 
 def _standard_form_rows(lp):
     """lp's rows in the tableau's column layout, [coefficients | rhs]:
-    p and q columns for each free variable, then one slack or surplus
-    column per inequality row."""
-    free = [not nonneg for nonneg in lp.nonneg]
+    one column per variable, then one slack or surplus column per
+    inequality row."""
     inequalities = [i for i, s in enumerate(lp.senses) if s is not Sense.EQ]
     out = []
     for i, (row, b) in enumerate(zip(lp.rows, lp.rhs)):
-        dense = []
-        for a, is_free in zip(row, free):
-            dense += [a, -a] if is_free else [a]
         slack = Fraction(1 if lp.senses[i] is Sense.LE else -1)
-        dense += [slack if k == i else Fraction(0) for k in inequalities]
+        dense = [*row, *(slack if k == i else Fraction(0) for k in inequalities)]
         out.append(dense + [b])
     return out
 
@@ -797,10 +758,9 @@ def test_rank_reduction_over_equality_rows_keeps_what_all_rows_keep():
             groups["contradictory"] = (i, add(rows[i][:], rhs[i] + 1, "="))
         order = list(range(len(rows)))
         rng.shuffle(order)
-        nonneg = [rng.random() < 0.75 for _ in range(n)]
         lp = LinearProgram.build(
             [num() for _ in range(n)], [rows[i] for i in order],
-            [rhs[i] for i in order], [senses[i] for i in order], nonneg,
+            [rhs[i] for i in order], [senses[i] for i in order],
         )
         echelon = eliminate([integer_row(row)[0] for row in _standard_form_rows(lp)])
         tab = lp_core._Tableau(lp)
@@ -977,7 +937,7 @@ def test_face_matches_a_solve_with_its_row_appended():
             assert (res.status, res.value) == (ref.status, ref.value), (lp, f, g)
             if res.status is LpStatus.OPTIMAL:
                 assert _satisfies(full.rows, full.rhs, full.senses, res.x)
-                assert all(v >= 0 for v, nn in zip(res.x, lp.nonneg) if nn)
+                assert all(v >= 0 for v in res.x)
         inner, nested = face.face(g)
         ref = solve_lp(replace(full, objective=g))
         assert (inner.status, inner.value) == (ref.status, ref.value), (lp, f, g)
@@ -1029,9 +989,6 @@ def test_solve_on_another_system_is_rejected():
         LinearProgram.build([1, 1], [[1, 1], [1, -2]], [1, 0], [">=", "<="]),
         LinearProgram.build([1, 1], [[1, 1], [1, -1]], [2, 0], [">=", "<="]),
         LinearProgram.build([1, 1], [[1, 1], [1, -1]], [1, 0], [">=", "="]),
-        LinearProgram.build(
-            [1, 1], [[1, 1], [1, -1]], [1, 0], [">=", "<="], [True, False]
-        ),
         LinearProgram.build([1, 1], [[1, 1]], [1], [">="]),
     ]
     for other in others:
@@ -1096,5 +1053,17 @@ def test_a_float_in_a_row_is_a_typed_error():
         solve_lp(replace(lp, rows=((Fraction(1), 0.5),)))
     with pytest.raises(NotRational):
         solve_lp(replace(lp, rhs=(1.0,)))
-    with pytest.raises(NotRational):  # a free column is negated after scaling
-        solve_lp(replace(lp, rows=((Fraction(1), "2"),), nonneg=(True, False)))
+    with pytest.raises(NotRational):
+        solve_lp(replace(lp, rows=((Fraction(1), "2"),)))
+
+
+def test_a_free_variable_is_rejected():
+    """Every variable is nonnegative: a False in nonneg raises instead
+    of being solved as x >= 0."""
+    lp = LinearProgram.build([1, 1], [[1, 1]], [1], [">="])
+    with pytest.raises(ValueError):
+        replace(lp, nonneg=(True, False))
+    with pytest.raises(ValueError):  # min x over x = -5, x free, would be -5
+        LinearProgram(
+            (Fraction(1),), ((Fraction(1),),), (Fraction(-5),), (Sense.EQ,), (False,)
+        )

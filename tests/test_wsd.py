@@ -19,7 +19,7 @@ from pblp import (
 from pblp import lp_core
 from pblp.cli_io import COMPUTE_ERROR, cli_main, emit_problem
 from pblp.errors import InfeasibleProblem, UnboundedScalarization
-from pblp.lp_core import FeasibleSystem
+from pblp.lp_core import FeasibleSystem, solve_lex_lp
 from pblp.problem_model import Weight2, ws_scalarize
 from conftest import component, load_instance, w3
 from pblp.weight_geometry import intersect_polygons, simplex_triangle
@@ -30,7 +30,7 @@ F = Fraction
 
 
 def test_find_extreme_image_at_an_interior_weight(example2):
-    entry = find_extreme_image(example2, w3(F(1, 5), F(3, 10), F(1, 2)))
+    entry = find_extreme_image(example2, (2, 3, 10))  # w = (1/5, 3/10, 1/2)
     assert entry.image == (F(0), F(5), F(5))
     assert example2.image(entry.witness) == entry.image
 
@@ -48,7 +48,7 @@ def test_find_extreme_image_on_unbounded_scalarization():
         d1=(F(1),),
     )
     with pytest.raises(UnboundedScalarization):
-        find_extreme_image(p, w3(F(1, 2), F(1, 4), F(1, 4)))
+        find_extreme_image(p, (2, 1, 4))  # w = (1/2, 1/4, 1/4)
 
 
 def test_decompose_rejects_empty_feasible_sets():
@@ -198,9 +198,8 @@ def _decompose_from_scratch(p):
     component from all known images in every round and solves a
     lexicographic LP at every vertex it checks."""
     start = lp_core.solve_calls()
-    centroid = w3(F(1, 3), F(1, 3), F(1, 3))
-    system = FeasibleSystem(ws_scalarize(p, centroid))
-    known = [find_extreme_image(p, centroid, system)]
+    system = FeasibleSystem(ws_scalarize(p, w3(F(1, 3), F(1, 3), F(1, 3))))
+    known = [find_extreme_image(p, (1, 1, 3), system)]  # the centroid
     cache = {}
 
     def value(w, y):
@@ -211,10 +210,10 @@ def _decompose_from_scratch(p):
         polygons = [component(y, points) for y in points]
         challenger = None
         for entry, poly in zip(known, polygons):
-            for vertex in poly.vertices:
+            for triple, vertex in zip(poly.triples, poly.vertices):
                 w = Weight2(*vertex).lift()
                 if vertex not in cache:
-                    cache[vertex] = find_extreme_image(p, w, system)
+                    cache[vertex] = find_extreme_image(p, triple, system)
                 if value(w, cache[vertex].image) < value(w, entry.image):
                     challenger = cache[vertex]
                     break
@@ -401,9 +400,12 @@ def test_integer_certificates_match_the_fraction_weighted_sum():
         for poly in dec.components:
             for triple, (w1, w2) in zip(poly.triples, poly.vertices):
                 got = find_extreme_image(p, triple, system)
-                ref = find_extreme_image(p, Weight2(w1, w2).lift(), system)
+                ref = solve_lex_lp(
+                    ws_scalarize(p, Weight2(w1, w2).lift()), p.cost_rows, system,
+                    price=p.cost_rows,
+                )
                 assert (got.image, got.witness, got.cone) == (
-                    ref.image, ref.witness, ref.cone
+                    p.image(ref.x), ref.x, ref.reduced
                 ), (p, triple)
                 rest = 1 - w1 - w2
                 for entry in dec.images + (got,):
