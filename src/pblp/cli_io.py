@@ -228,15 +228,22 @@ def emit_plot_data(dec: Decomposition, case: Case, lambdas=()) -> str:
 
     Exact rationals only in records; each record is mirrored by a
     '# approx' comment line with lossy decimals for tools that cannot
-    divide fractions.
+    divide fractions; a value past the float range reads inf there.
     """
+
+    def lossy(v: Fraction) -> float:
+        try:
+            return float(v)
+        except OverflowError:
+            return float("inf") if v > 0 else float("-inf")
+
     out = ["# weight-set components in the projected simplex"]
     for entry, poly in zip(dec.images, dec.components):
         image = " ".join(map(str, entry.image))
         flat = [str(c) for vertex in poly.vertices for c in vertex]
         out.append(",".join(["polygon", image] + flat))
         approx = " ".join(
-            f"{float(a):.6g},{float(b):.6g}" for a, b in poly.vertices
+            f"{lossy(a):.6g},{lossy(b):.6g}" for a, b in poly.vertices
         )
         out.append(f"# approx polygon {image}: {approx} (lossy)")
     for lam in lambdas:
@@ -250,8 +257,8 @@ def emit_plot_data(dec: Decomposition, case: Case, lambdas=()) -> str:
         out.append(",".join(record))
         out.append(
             "# approx segment {}: {:.6g},{:.6g} -> {:.6g},{:.6g} (lossy)".format(
-                float(lam), float(seg.p.w1), float(seg.p.w2),
-                float(seg.q.w1), float(seg.q.w2),
+                lossy(lam), lossy(seg.p.w1), lossy(seg.p.w2),
+                lossy(seg.q.w1), lossy(seg.q.w2),
             )
         )
     return "\n".join(out) + "\n"

@@ -1,21 +1,21 @@
 """Exact rational linear programming.
 
-A small two-phase primal simplex on a fraction-free integer tableau.
-Each row is scaled to integers once; from then on the tableau is a
-matrix of Python ints over one positive common denominator det, and
-every pivot is the integer-preserving update of Bareiss (Math. Comp.
-1968) and Edmonds (J. Res. NBS 1967), whose division by the previous
-pivot is exact.  Costs are scaled to integers once per stage, so pricing
-and the ratio test read only signs of integer expressions and take the
-decisions a Fraction tableau would take.  Bland's rule makes it immune
-to cycling and every number stays exact.  Lexicographic ties are solved
-on the same tableau after phase two: each stage bans the columns whose
-positive reduced cost takes them off the previous stage's optimal face
-(Ehrgott, Multicriteria Optimization, 2005), so one tableau and one
-phase one serve every stage; once every nonbasic column is banned the
-face is the current vertex and the stages stop.  Sizes here are tiny
-(tens of rows), so the dense tableau with recomputed reduced costs is
-the simple and entirely adequate choice.
+A small two-phase primal simplex on a fraction-free integer dictionary
+(Chvatal, Linear Programming, 1983): each basic variable keeps one row
+over the nonbasic columns only.  Each row is scaled to integers once;
+from then on the rows are Python ints over one positive common
+denominator det, and every pivot is the integer-preserving update of
+Bareiss (Math. Comp. 1968) and Edmonds (J. Res. NBS 1967), whose
+division by the previous pivot is exact, run on the dictionary as in
+Avis's lrs (2000).  Costs are scaled to integers once per stage, so
+pricing and the ratio test read only signs of integer expressions and
+take the decisions a Fraction tableau would take.  Bland's rule makes it
+immune to cycling and every number stays exact.  Lexicographic ties are
+solved on the same dictionary after phase two: each stage bans the
+columns whose positive reduced cost takes them off the previous stage's
+optimal face (Ehrgott, Multicriteria Optimization, 2005), so one
+dictionary and one phase one serve every stage; once every nonbasic
+column is banned the face is the current vertex and the stages stop.
 
 Rows keep the sense they are given in.  Phase one starts a row on its
 own slack when that slack reads +1 once the right side is made
@@ -27,15 +27,16 @@ column, so it never depends on the others.
 
 Phase one never reads the objective.  A FeasibleSystem runs the
 standard-form set-up, the rank reduction and phase one once for a set of
-constraints and keeps the feasible tableau; every LP over those
+constraints and keeps the feasible dictionary; every LP over those
 constraints then starts phase two from a copy of it (the reuse across
 weights of Przybylski, Gandibleux and Ehrgott, INFORMS J. Comput. 2010).
 The pivot path, and so the optimal vertex, is the one a fresh solve
 takes.  FeasibleSystem.face(f) minimizes f once on a copy and drops the
-columns whose positive reduced cost holds them at zero on f's optimal
-face, so LPs on the face run on a narrower tableau with no new row and
-no phase one.  On a face the optimal value is a fresh solve's with the
-row f.x = min f appended; the optimal vertex may differ.
+nonbasic columns whose positive reduced cost holds them at zero on f's
+optimal face, so LPs on the face run on a narrower dictionary with no
+new row and no phase one.  On a face the optimal value is a fresh
+solve's with the row f.x = min f appended; the optimal vertex may
+differ.
 
 integer_row, eliminate and solve_square are the package's one exact
 elimination routine, shared by the tableau's rank reduction and the
@@ -59,6 +60,7 @@ min c.x  s.t. rows (sense) rhs, x >= 0:
 from __future__ import annotations
 
 import copy
+from bisect import bisect
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -119,18 +121,6 @@ class LinearProgram:
             if len(row) != n:
                 raise DimensionMismatch("row length differs from objective")
 
-    @staticmethod
-    def build(objective, rows, rhs, senses) -> "LinearProgram":
-        """Convenience constructor coercing ints/strings to exact types."""
-        obj = tuple(map(Fraction, objective))
-        return LinearProgram(
-            objective=obj,
-            rows=tuple(tuple(map(Fraction, row)) for row in rows),
-            rhs=tuple(map(Fraction, rhs)),
-            senses=tuple(map(Sense, senses)),
-            nonneg=(True,) * len(obj),
-        )
-
     @property
     def num_vars(self) -> int:
         return len(self.objective)
@@ -146,10 +136,11 @@ class LpResult:
 
     reduced is set by an optimal solve that was asked to price objectives
     (see solve_lp) and is None otherwise.  It holds one integer tuple per
-    standard-form column, slack columns included, whose tuple is not all
-    zero: objective k's reduced cost there, every objective over one
-    common positive scale.  So for weights a the final basis is optimal
-    for sum_k a_k objective_k exactly when no sum_k a_k r_k is negative.
+    nonbasic standard-form column, slack columns included, in column
+    order, whose tuple is not all zero: objective k's reduced cost
+    there, every objective over one common positive scale.  So for
+    weights a the final basis is optimal for sum_k a_k objective_k
+    exactly when no sum_k a_k r_k is negative.
     """
 
     status: LpStatus
@@ -246,19 +237,23 @@ def solve_square(rows: list[list[int]]) -> list[Fraction] | None:
 
 
 class _Tableau:
-    """Standard-form tableau  A z = b, z >= 0  kept as B^-1 A throughout.
+    """Standard-form system  A z = b, z >= 0  as a dictionary over a basis.
 
+    A label is a standard-form column index: the variables, then one
+    slack per inequality row, then phase one's artificials.  basis holds
+    the basic label of each row and nonbasic the other labels, in label
+    order; each basic label keeps one row over the nonbasic labels only,
+    its row of B^-1 A, since every basic column is a unit vector.
     Fraction-free: rows and b hold ints over one positive common
-    denominator det, so the true tableau is rows/det and the true right
-    side b/det, and every basic column reads det times a unit vector.
-    columns is None while the tableau holds every standard-form column;
-    a face (see face) keeps some of them, and columns lists which.
+    denominator det, so the true dictionary is rows/det and the true
+    right side b/det.  Until phase one installs a basis, every label
+    < num_cols is nonbasic.  A face (see face) drops nonbasic labels.
     """
 
     def __init__(self, lp: LinearProgram):
         self.lp = lp
-        # Column layout: one column per variable, then one slack/surplus
-        # per inequality.
+        # Label layout: one per variable, then one slack/surplus per
+        # inequality.
         cols = lp.num_vars
         slack_col: list[int | None] = []
         for sense in lp.senses:
@@ -268,7 +263,6 @@ class _Tableau:
                 slack_col.append(cols)
                 cols += 1
         self.num_cols = cols
-        self.columns: list[int] | None = None
 
         # Each row is scaled to integers by the lcm of its denominators,
         # which leaves its rank and its solutions alone, and negated where
@@ -281,7 +275,7 @@ class _Tableau:
         for i, row in enumerate(lp.rows):
             scaled, scale = integer_row([*row, lp.rhs[i]])
             b = scaled.pop()
-            scaled = self._dense(scaled)
+            scaled += [0] * (cols - lp.num_vars)
             if slack_col[i] is not None:
                 scaled[slack_col[i]] = scale if lp.senses[i] is Sense.LE else -scale
             if b < 0:
@@ -293,7 +287,7 @@ class _Tableau:
             self.orig_row.append(i)
         self.slack_col = slack_col
         self.basis: list[int] = []
-        self.art_cols: set[int] = set()
+        self.nonbasic = list(range(cols))
         # Simplex basis bookkeeping (and dual recovery from the basis)
         # needs full row rank.  Dependent rows are dropped before any
         # pivoting and get dual zero; a dependent row whose right side
@@ -330,43 +324,53 @@ class _Tableau:
                 self.rows[i] = [a * up for a in self.rows[i]]
                 self.b[i] *= up
 
-    def _dense(self, row) -> list:
-        """row over the standard-form columns, zero in every slack column."""
-        return row + [0] * (self.num_cols - len(row))
-
     # -- pivoting ---------------------------------------------------------
 
     def _pivot(self, r: int, col: int):
-        """Bareiss's integer-preserving pivot (Bareiss 1968, Edmonds 1967).
+        """Bareiss's integer-preserving pivot (Bareiss 1968, Edmonds 1967):
+        label col enters in row r, and basis[r] leaves.
 
         With p the pivot entry, every other row becomes
         (row * p - row[col] * pivot row) / det and det becomes p.  The
         division is exact by Sylvester's identity: each entry stays a
         minor of the starting integer system.  A negative p flips the
-        sign of everything, so det stays positive.
+        sign of row r, so det stays positive.  The leaving column was det
+        times a unit vector, so its new entries follow without arithmetic:
+        -row[col] in every other row and det in row r, both negated when
+        p < 0.  It moves to its place in label order.
         """
-        rows, b, det = self.rows, self.b, self.det
+        rows, b, det, nonbasic = self.rows, self.b, self.det, self.nonbasic
+        k = nonbasic.index(col)
+        leaving = self.basis[r]
+        del nonbasic[k]
+        at = bisect(nonbasic, leaving)
+        nonbasic.insert(at, leaving)
         prow, pb = rows[r], b[r]
-        p = prow[col]
+        p, sign = prow[k], 1
         if p < 0:
-            p = -p
+            p, sign = -p, -1
             prow = rows[r] = [-a for a in prow]
             pb = b[r] = -pb
         for i, row in enumerate(rows):
             if i == r:
                 continue
-            f = row[col]
+            f = row[k]
             if f != 0:
-                rows[i] = [(a * p - f * q) // det for a, q in zip(row, prow)]
+                row = rows[i] = [(a * p - f * q) // det for a, q in zip(row, prow)]
                 b[i] = (b[i] * p - f * pb) // det
             elif p != det:
-                rows[i] = [a * p // det for a in row]
+                row = rows[i] = [a * p // det for a in row]
                 b[i] = b[i] * p // det
+            del row[k]
+            row.insert(at, -sign * f)
+        del prow[k]
+        prow.insert(at, sign * det)
         self.det = p
         self.basis[r] = col
 
     def _priced_columns(self, cost: list[int], banned: set[int]):
-        """(j, reduced cost times det) of every column free to enter.
+        """(j, reduced cost times det) of every nonbasic label j free to
+        enter, in label order.
 
         cost is integer (see _column_cost) and det positive, so each
         value has the sign of the true reduced cost, which is all that
@@ -376,18 +380,17 @@ class _Tableau:
         priced = [
             (cost[col], row) for col, row in zip(self.basis, self.rows) if cost[col]
         ]
-        basic = set(self.basis)
-        for j in range(len(cost)):
-            if j in banned or j in basic:
+        for k, j in enumerate(self.nonbasic):
+            if j in banned:
                 continue
             reduced = cost[j] * det
             for c, row in priced:
-                if row[j] != 0:
-                    reduced -= c * row[j]
+                if row[k] != 0:
+                    reduced -= c * row[k]
             yield j, reduced
 
     def _simplex(self, cost: list[int], banned: set[int]) -> LpStatus:
-        """Minimize cost.z with Bland's rule; banned columns never enter."""
+        """Minimize cost.z with Bland's rule; banned labels never enter."""
         rows, b, basis = self.rows, self.b, self.basis
         while True:
             entering = next(
@@ -396,11 +399,12 @@ class _Tableau:
             )
             if entering < 0:
                 return LpStatus.OPTIMAL
+            k = self.nonbasic.index(entering)
             # Minimum ratio b[i] / a over a > 0, compared cross-multiplied.
             leaving = -1
             best_b = best_a = 0
             for i in range(len(rows)):
-                a = rows[i][entering]
+                a = rows[i][k]
                 if a > 0:
                     lhs, rhs = b[i] * best_a, best_b * a
                     if (
@@ -416,90 +420,74 @@ class _Tableau:
 
     def _ban_optimal_face(self, cost: list[int], banned: set[int]) -> bool:
         """Confine later stages to the optimal face of cost; False when
-        no column is left free, so the face is the current vertex.
+        no label is left free, so the face is the current vertex.
 
         At an optimal basis cost.z equals the optimum plus the sum of
-        reduced cost times z_j over nonbasic columns, every reduced cost
+        reduced cost times z_j over nonbasic labels, every reduced cost
         nonnegative.  So the optimal face is exactly where each nonbasic
-        column of positive reduced cost is zero; banning those columns
+        label of positive reduced cost is zero; banning those labels
         keeps every later pivot on that face.
         """
         priced = list(self._priced_columns(cost, banned))
         banned.update(j for j, reduced in priced if reduced > 0)
         return any(reduced == 0 for _, reduced in priced)
 
+    def _drop(self, labels):
+        """Remove the nonbasic labels in labels, entries and all."""
+        keep = [k for k, j in enumerate(self.nonbasic) if j not in labels]
+        self.nonbasic = [self.nonbasic[k] for k in keep]
+        self.rows = [[row[k] for k in keep] for row in self.rows]
+
     # -- phases -----------------------------------------------------------
 
     def phase_one(self) -> bool:
-        """Install a feasible basis.  Returns False when infeasible."""
-        # Start from slack columns where they already form identity entries,
-        # artificials everywhere else.
+        """Install a feasible basis.  Returns False when infeasible.
+
+        Each row starts on its slack where that slack column is already
+        det times a unit vector, and on an artificial, the next label
+        from num_cols on, everywhere else.  The sum of the artificials is
+        minimized, and those left basic at zero are driven out; a
+        departed artificial stays a priced nonbasic label until then and
+        is dropped after.  The rows are independent (see __init__), so a
+        zero-valued artificial always has a label to pivot on.
+        """
+        width = self.num_cols  # labels so far, artificials included
         for i, row in enumerate(self.rows):
             col = self.slack_col[self.orig_row[i]]
             if col is not None and row[col] == self.det:
                 self.basis.append(col)
             else:
-                self.basis.append(self._artificial(i))
-        return self._clear_artificials()
-
-    def _artificial(self, i: int) -> int:
-        """Append an artificial column, det in row i and zero elsewhere,
-        and return its index."""
-        art = self.num_cols + len(self.art_cols)
-        self.art_cols.add(art)
-        for k, row in enumerate(self.rows):
-            row.append(self.det if k == i else 0)
-        return art
-
-    def _clear_artificials(self) -> bool:
-        """Minimize the sum of the basic artificials, then drive them out.
-
-        Returns False when that sum stays positive, so the rows have no
-        solution.  The rows are independent (see __init__), so a
-        zero-valued artificial always has a pivot column.
-        """
-        if not self.art_cols:
+                self.basis.append(width)
+                width += 1
+        self._drop(set(self.basis))
+        if width == self.num_cols:
             return True
-        m = len(self.rows)
-        total = self.num_cols + len(self.art_cols)
-        cost = [0] * total
-        for j in self.art_cols:
-            cost[j] = 1
-        # Each artificial column was appended as det times a unit vector,
-        # so it starts basic.  Phase one is bounded below by zero, so it
-        # always ends optimal.
+        cost = [0] * self.num_cols + [1] * (width - self.num_cols)
+        # Phase one is bounded below by zero, so it always ends optimal.
         if self._simplex(cost, banned=set()) is not LpStatus.OPTIMAL:
             raise InvariantViolation("phase one reported an unbounded objective")
-        value = sum(
-            self.b[i] for i in range(m) if self.basis[i] in self.art_cols
-        )
-        if value != 0:
+        if any(b for col, b in zip(self.basis, self.b) if col >= self.num_cols):
             return False
-        for i in range(m):
-            if self.basis[i] not in self.art_cols:
+        for i, row in enumerate(self.rows):
+            if self.basis[i] < self.num_cols:
                 continue
             pivot_col = next(
-                (j for j in range(self.num_cols) if self.rows[i][j] != 0), None
+                (j for j, a in zip(self.nonbasic, row) if a and j < self.num_cols),
+                None,
             )
             if pivot_col is None:
                 raise InvariantViolation("an artificial row has no pivot column")
             self._pivot(i, pivot_col)
-        # Artificial columns are dead from here on; truncate them.
-        for i in range(len(self.rows)):
-            del self.rows[i][self.num_cols :]
-        self.art_cols = set()
+        self._drop(range(self.num_cols, width))
         return True
 
     def _column_cost(self, objective) -> tuple[list[int], int]:
-        """objective as standard-form costs scaled to integers by the lcm
-        of its denominators, and that scale.  Pricing reads only signs,
-        which a positive scale keeps, and scaling once per stage spares
-        every pricing pass the Fraction arithmetic."""
+        """objective as costs per label < num_cols, scaled to integers by
+        the lcm of its denominators, and that scale.  Pricing reads only
+        signs, which a positive scale keeps, and scaling once per stage
+        spares every pricing pass the Fraction arithmetic."""
         values, scale = integer_row(objective)
-        cost = self._dense(values)
-        if self.columns is not None:
-            cost = [cost[j] for j in self.columns]
-        return cost, scale
+        return values + [0] * (self.num_cols - len(values)), scale
 
     def reduced_costs(self, objectives) -> tuple[tuple[int, ...], ...]:
         """LpResult.reduced for objectives at this basis.
@@ -507,7 +495,7 @@ class _Tableau:
         _priced_columns gives det * s_k times objective k's reduced cost,
         s_k its _column_cost scale, so times L / s_k, L the lcm of the
         s_k, every objective is over det * L.  Nothing is banned: every
-        nonbasic column, slack or structural, bounds the cone.
+        nonbasic label, slack or structural, bounds the cone.
         """
         costs = [self._column_cost(objective) for objective in objectives]
         common = lcm(*(scale for _, scale in costs))
@@ -526,8 +514,8 @@ class _Tableau:
         unbounded.
 
         Each stage runs from the previous stage's optimal basis with the
-        columns that leave its optimal face banned, so phase one runs
-        once however many ties follow.  Once every nonbasic column is
+        labels that leave its optimal face banned, so phase one runs
+        once however many ties follow.  Once every nonbasic label is
         banned the face is the current vertex, which no later stage
         could leave, so the stages stop.  The value is sum_i
         cost[basis_i] * b_i over det times the first cost's scale.
@@ -549,12 +537,11 @@ class _Tableau:
         """Minimize objective, then narrow this tableau to its optimal
         face: the minimum, or None when it is unbounded.
 
-        At the optimal basis each nonbasic column of positive reduced
+        At the optimal basis each nonbasic label of positive reduced
         cost is zero on the whole face (see _ban_optimal_face), so it is
-        dropped, and columns maps the kept ones to standard-form columns.
-        They keep their order, so Bland's rule and the ratio test's ties
-        take the pivots of a full tableau with the dropped columns
-        banned.  No row is added and det stays.
+        dropped.  The rest keep their label order, so Bland's rule and
+        the ratio test's ties take the pivots of a full tableau with the
+        dropped labels banned.  No row is added and det stays.
         """
         value = self.phase_two((objective,))
         if value is None:
@@ -562,47 +549,40 @@ class _Tableau:
         cost, _ = self._column_cost(objective)
         off: set[int] = set()
         self._ban_optimal_face(cost, off)
-        keep = [j for j in range(len(cost)) if j not in off]
-        index = {j: k for k, j in enumerate(keep)}
-        self.rows = [[row[j] for j in keep] for row in self.rows]
-        self.basis = [index[j] for j in self.basis]
-        at = self.columns or range(self.num_cols)
-        self.columns = [at[j] for j in keep]
+        self._drop(off)
         return value
 
     def copy(self, lp: LinearProgram) -> "_Tableau":
         """An independent twin for solving lp, an LP over the same system.
 
-        Pivots write rows, b, basis and art_cols in place, so those four
-        are copied; det is an int, rebound by each pivot, and columns,
-        which face rebinds, the column layout and the row bookkeeping are
-        shared.
+        Pivots write rows, b, basis and nonbasic in place, so those four
+        are copied; det is an int, rebound by each pivot, and the label
+        layout and the row bookkeeping are shared.
         """
         twin = copy.copy(self)
         twin.lp = lp
         twin.rows = [row[:] for row in self.rows]
         twin.b = self.b[:]
         twin.basis = self.basis[:]
-        twin.art_cols = set(self.art_cols)
+        twin.nonbasic = self.nonbasic[:]
         return twin
 
     # -- extraction -------------------------------------------------------
 
     def solution(self) -> tuple[Fraction, ...]:
-        zero = Fraction(0)
-        z = [zero] * self.num_cols
-        at = self.columns or range(self.num_cols)
+        x = [Fraction(0)] * self.lp.num_vars
         for col, b in zip(self.basis, self.b):
-            z[at[col]] = Fraction(b, self.det)
-        return tuple(z[: self.lp.num_vars])
+            if col < len(x):
+                x[col] = Fraction(b, self.det)
+        return tuple(x)
 
     def duals(self) -> tuple[Fraction, ...]:
         """Dual of each original row from B^T y = c_B on the final basis.
 
-        B is read off start_rows, the kept integer rows before any pivot,
-        and c is the objective times the lcm of its denominators, so y_i
-        times row_factor[i] over that lcm is the dual of original row
-        orig_row[i].  Dropped rows get dual zero.
+        B is read off start_rows, the kept integer rows over every label
+        before any pivot, and c is the objective times the lcm of its
+        denominators, so y_i times row_factor[i] over that lcm is the
+        dual of original row orig_row[i].  Dropped rows get dual zero.
         """
         cost, scale = self._column_cost(self.lp.objective)
         y = solve_square(
@@ -635,10 +615,11 @@ class FeasibleSystem:
     keeps it.
 
     face(f) is the system restricted to the optimal face of f, on a
-    narrowed tableau (see _Tableau.face); it keeps lp, so the same LPs
-    are accepted on it.  Its pivot path is not a fresh solve's, so an
-    LP on it may end on another optimal vertex of the same value.  No
-    system, face or not, reports duals, and a face prices nothing.
+    dictionary without the labels that leave that face (see
+    _Tableau.face); it keeps lp, so the same LPs are accepted on it.
+    Its pivot path is not a fresh solve's, so an LP on it may end on
+    another optimal vertex of the same value.  No system, face or not,
+    reports duals, and a face that drops a label prices nothing.
     """
 
     def __init__(self, lp: LinearProgram):
@@ -711,8 +692,8 @@ def solve_lp(
     tab = _feasible_tableau(lp) if system is None else system.tableau_for(lp)
     if tab is None:
         return LpResult(LpStatus.INFEASIBLE)
-    if price and tab.columns is not None:
-        raise SystemMismatch("a face keeps no column off the face to price")
+    if price and len(tab.basis) + len(tab.nonbasic) < tab.num_cols:
+        raise SystemMismatch("a face keeps no label off the face to price")
     value = tab.phase_two((lp.objective,) + ties)
     if value is None:
         return LpResult(LpStatus.UNBOUNDED)

@@ -26,6 +26,18 @@ def load_instance(name: str):
     return parse_problem((INSTANCE_DIR / name).read_text())
 
 
+def build_lp(objective, rows, rhs, senses) -> LinearProgram:
+    """The LP min objective.x s.t. rows (senses) rhs, x >= 0, from ints,
+    strings or Fractions and sense strings such as "<="."""
+    return LinearProgram(
+        objective=tuple(map(Fraction, objective)),
+        rows=tuple(tuple(map(Fraction, row)) for row in rows),
+        rhs=tuple(map(Fraction, rhs)),
+        senses=tuple(map(Sense, senses)),
+        nonneg=(True,) * len(objective),
+    )
+
+
 def w3(a, b, c) -> Weight3:
     return Weight3(Fraction(a), Fraction(b), Fraction(c))
 

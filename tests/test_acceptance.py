@@ -14,7 +14,6 @@ from fractions import Fraction
 from pblp import (
     INF,
     Case,
-    LinearProgram,
     LpStatus,
     Method,
     decompose,
@@ -28,7 +27,9 @@ from pblp import (
     vertices_and_rays,
 )
 from pblp.weight_geometry import intersect_polygons
-from conftest import as_tuple, component_of, load_instance, map_weight_to_simplex, w2, w3
+from conftest import (
+    as_tuple, build_lp, component_of, load_instance, map_weight_to_simplex, w2, w3,
+)
 from instance_gen import random_pblp
 
 F = Fraction
@@ -224,7 +225,7 @@ def test_criterion_7_lp_core():
         rhs.append(F(rng.randint(3, 9)))
         senses.append("<=")
         obj = [F(rng.randint(-9, 9)) for _ in range(n)]
-        lp = LinearProgram.build(obj, rows, rhs, senses)
+        lp = build_lp(obj, rows, rhs, senses)
         res = solve_lp(lp)
         if res.status is not LpStatus.OPTIMAL:
             continue
@@ -237,7 +238,7 @@ def test_criterion_7_lp_core():
         assert res.value == best
         assert sum(d * b for d, b in zip(res.dual, lp.rhs)) == res.value
     # the classic cycling instance must terminate under Bland's rule
-    beale = LinearProgram.build(
+    beale = build_lp(
         [F(-3, 4), 150, F(-1, 50), 6],
         [
             [F(1, 4), -60, F(-1, 25), 9],

@@ -183,7 +183,7 @@ INTERVAL_PHASE_ONE_PIVOTS = {"example1": 3, "example2": 1, "example2_case1": 1}
 def test_interval_lps_start_on_their_slacks(request, monkeypatch):
     """Deterministic pivot gate for the interval LPs: every cone row
     starts on its own slack, so the one phase one that runs, the base
-    system's, holds one artificial column, on den.w = 1; the faces and
+    system's, holds one artificial label, on den.w = 1; the faces and
     the solves on them run phase two only, and the pivot counts stay at
     the measured values."""
     in_phase_one = []
@@ -207,8 +207,9 @@ def test_interval_lps_start_on_their_slacks(request, monkeypatch):
         pivot(self, r, col)
 
     def recording_simplex(self, cost, banned):
-        if self.art_cols:
-            artificials.append(len(self.art_cols))
+        arts = sum(j >= self.num_cols for j in self.basis + self.nonbasic)
+        if arts:
+            artificials.append(arts)
         return simplex(self, cost, banned)
 
     monkeypatch.setattr(breakpoints, "FeasibleSystem", MarkingSystem)
@@ -230,14 +231,17 @@ def test_interval_lps_start_on_their_slacks(request, monkeypatch):
 # instances: 1199 with one full system per image, 950 with one row
 # appended to the base per image, each with its own phase one.
 FAMILY_INTERVAL_PIVOTS = 607
+# All pivots of decompose, both phases, on the same 40 instances.
+FAMILY_DECOMPOSITION_PIVOTS = 363
 
 
-def test_interval_pivots_on_a_seeded_family(monkeypatch):
-    """Deterministic pivot gate for one base system per problem and one
-    face of it per image."""
+def _seeded_family():
     rng = random.Random(1405)
-    problems = [random_pblp(rng, (Case.ONE, Case.TWO)[i % 2]) for i in range(40)]
-    decompositions = [decompose(p) for p in problems]
+    return [random_pblp(rng, (Case.ONE, Case.TWO)[i % 2]) for i in range(40)]
+
+
+def _counted_pivots(monkeypatch) -> list:
+    """The entering label of every _Tableau._pivot from here on."""
     pivots = []
     pivot = lp_core._Tableau._pivot
 
@@ -246,9 +250,28 @@ def test_interval_pivots_on_a_seeded_family(monkeypatch):
         pivot(self, r, col)
 
     monkeypatch.setattr(lp_core._Tableau, "_pivot", counting_pivot)
+    return pivots
+
+
+def test_interval_pivots_on_a_seeded_family(monkeypatch):
+    """Deterministic pivot gate for one base system per problem and one
+    face of it per image."""
+    problems = _seeded_family()
+    decompositions = [decompose(p) for p in problems]
+    pivots = _counted_pivots(monkeypatch)
     for p, dec in zip(problems, decompositions):
         breakpoints.solve_on_decomposition(p, dec, Method.LP)
     assert len(pivots) <= FAMILY_INTERVAL_PIVOTS, len(pivots)
+
+
+def test_decomposition_pivots_on_a_seeded_family(monkeypatch):
+    """Deterministic pivot gate for decompose: its weighted-sum and
+    certificate LPs, phase ones included."""
+    problems = _seeded_family()
+    pivots = _counted_pivots(monkeypatch)
+    for p in problems:
+        decompose(p)
+    assert len(pivots) <= FAMILY_DECOMPOSITION_PIVOTS, len(pivots)
 
 
 def test_lp_route_matches_vertices_in_both_cases():

@@ -370,6 +370,20 @@ def test_cli_decompose_checks_the_plot_grid_before_decomposing(tmp_path, capsys)
     assert target.read_text().count("\nsegment,") == 5
 
 
+def test_cli_plot_file_keeps_a_lambda_past_the_float_range(tmp_path, capsys):
+    """The exact record carries any lambda; only its lossy mirror is
+    bounded by the float range, and reads inf there."""
+    big = 10**400
+    target = tmp_path / "plot.txt"
+    argv = ["decompose", _instance("example2.pblp"), "--plot-out", str(target),
+            "--quiet", "--lambda-max", str(big), "--steps", "1"]
+    assert cli_main(argv) == 0
+    capsys.readouterr()
+    lines = target.read_text().splitlines()
+    record = next(line for line in lines if line.startswith(f"segment,{big},"))
+    assert lines[lines.index(record) + 1].startswith("# approx segment inf: ")
+
+
 def test_cli_reports_computational_failures(tmp_path, capsys):
     # minimizing -x over x >= 1 is unbounded for every weight
     unbounded = tmp_path / "unbounded.pblp"

@@ -18,12 +18,12 @@ from pblp import lp_core
 from pblp.errors import DimensionMismatch, NotRational, SystemMismatch
 from pblp.lp_core import eliminate, integer_row, solve_calls, solve_square
 from pblp.oracle import vertices_and_rays
-from conftest import _satisfies, reference_phase_two
+from conftest import _satisfies, build_lp, reference_phase_two
 
 
 def test_minimum_on_a_triangle():
     # min -x - y  over  x + y <= 4, x <= 3, x,y >= 0
-    lp = LinearProgram.build([-1, -1], [[1, 1], [1, 0]], [4, 3], ["<=", "<="])
+    lp = build_lp([-1, -1], [[1, 1], [1, 0]], [4, 3], ["<=", "<="])
     res = solve_lp(lp)
     assert res.status is LpStatus.OPTIMAL
     assert res.value == -4
@@ -31,18 +31,18 @@ def test_minimum_on_a_triangle():
 
 
 def test_reports_infeasible():
-    lp = LinearProgram.build([1], [[1], [1]], [2, 1], [">=", "<="])
+    lp = build_lp([1], [[1], [1]], [2, 1], [">=", "<="])
     assert solve_lp(lp).status is LpStatus.INFEASIBLE
 
 
 def test_reports_unbounded():
-    lp = LinearProgram.build([-1, 0], [[0, 1]], [1], ["<="])
+    lp = build_lp([-1, 0], [[0, 1]], [1], ["<="])
     assert solve_lp(lp).status is LpStatus.UNBOUNDED
 
 
 def test_equality_rows_and_exact_rationals():
     # min x + y  over  2x + 3y = 1, x,y >= 0
-    lp = LinearProgram.build([1, 1], [[2, 3]], [1], ["="])
+    lp = build_lp([1, 1], [[2, 3]], [1], ["="])
     res = solve_lp(lp)
     assert res.status is LpStatus.OPTIMAL
     assert res.value == Fraction(1, 3)
@@ -50,7 +50,7 @@ def test_equality_rows_and_exact_rationals():
 
 
 def test_duplicate_row_is_tolerated():
-    lp = LinearProgram.build(
+    lp = build_lp(
         [-1, -1], [[1, 1], [1, 1], [1, 0]], [4, 4, 3], ["<=", "<=", "<="]
     )
     res = solve_lp(lp)
@@ -60,14 +60,14 @@ def test_duplicate_row_is_tolerated():
 
 
 def test_contradictory_dependent_rows_are_infeasible():
-    lp = LinearProgram.build([0, 0], [[1, 1], [1, 1]], [1, 2], ["=", "="])
+    lp = build_lp([0, 0], [[1, 1], [1, 1]], [1, 2], ["=", "="])
     assert solve_lp(lp).status is LpStatus.INFEASIBLE
 
 
 def test_blands_rule_finishes_a_classic_cycling_instance():
     """Beale's degenerate example loops forever under naive most-negative
     pivoting; Bland's rule must terminate at value -1/20."""
-    lp = LinearProgram.build(
+    lp = build_lp(
         [Fraction(-3, 4), 150, Fraction(-1, 50), 6],
         [
             [Fraction(1, 4), -60, Fraction(-1, 25), 9],
@@ -97,7 +97,7 @@ def test_blands_rule_finishes_a_classic_cycling_instance():
 
 def test_dual_signs_follow_row_senses():
     # one binding GE row, one binding LE row, one slack row
-    lp = LinearProgram.build(
+    lp = build_lp(
         [1, 1], [[1, 1], [1, -1], [1, 0]], [2, 0, 5], [">=", "<=", "<="]
     )
     res = solve_lp(lp)
@@ -119,7 +119,7 @@ def _random_bounded_lp(rng):
     rhs.append(Fraction(rng.randint(3, 8)))
     senses.append("<=")
     obj = [Fraction(rng.randint(-6, 6)) for _ in range(n)]
-    return LinearProgram.build(obj, rows, rhs, senses)
+    return build_lp(obj, rows, rhs, senses)
 
 
 def test_random_lps_match_vertex_minima_and_duality():
@@ -149,7 +149,7 @@ def test_random_lps_match_vertex_minima_and_duality():
 def test_lex_solve_breaks_ties_with_later_objectives():
     # every point of x + y <= 1 ties on the zero objective; the tie row
     # -x then selects the corner (1, 0)
-    lp = LinearProgram.build([0, 0], [[1, 1]], [1], ["<="])
+    lp = build_lp([0, 0], [[1, 1]], [1], ["<="])
     res = solve_lex_lp(lp, ties=[(Fraction(-1), Fraction(0))])
     assert res.status is LpStatus.OPTIMAL
     assert res.x == (Fraction(1), Fraction(0))
@@ -158,7 +158,7 @@ def test_lex_solve_breaks_ties_with_later_objectives():
 
 def test_lex_solve_pins_the_first_optimum_before_the_next():
     # square [0,1]^2: min x fixes the edge x = 0, then min -y picks (0, 1)
-    lp = LinearProgram.build([1, 0], [[1, 0], [0, 1]], [1, 1], ["<=", "<="])
+    lp = build_lp([1, 0], [[1, 0], [0, 1]], [1, 1], ["<=", "<="])
     res = solve_lex_lp(lp, ties=[(Fraction(0), Fraction(-1))])
     assert res.x == (Fraction(0), Fraction(1))
 
@@ -202,7 +202,7 @@ def _random_lex_case(rng):
         rows.append([1] * n)
         rhs.append(rng.randint(1, 5))
         senses.append("<=")
-    lp = LinearProgram.build(vec(), rows, rhs, senses)
+    lp = build_lp(vec(), rows, rhs, senses)
     ties = [tuple(Fraction(c) for c in vec()) for _ in range(rng.randint(1, 3))]
     return lp, ties
 
@@ -214,14 +214,14 @@ def test_lex_solve_matches_stage_by_stage_pinning():
     rng = random.Random(2005)
     known = [
         # rowless: ties act on the orthant
-        (LinearProgram.build([1, 0], [], [], []), [(0, 0), (-1, 0)], LpStatus.OPTIMAL),
-        (LinearProgram.build([0, 1], [], [], []), [(1, 0), (0, -1)], LpStatus.OPTIMAL),
-        (LinearProgram.build([0, 0], [], [], []), [(0, -1)], LpStatus.UNBOUNDED),
+        (build_lp([1, 0], [], [], []), [(0, 0), (-1, 0)], LpStatus.OPTIMAL),
+        (build_lp([0, 1], [], [], []), [(1, 0), (0, -1)], LpStatus.OPTIMAL),
+        (build_lp([0, 0], [], [], []), [(0, -1)], LpStatus.UNBOUNDED),
         # square [0,1]^2: min x leaves the edge x = 0, -y is bounded there
-        (LinearProgram.build([1, 0], [[1, 0], [0, 1]], [1, 1], ["<=", "<="]), [(0, -1)],
+        (build_lp([1, 0], [[1, 0], [0, 1]], [1, 1], ["<=", "<="]), [(0, -1)],
          LpStatus.OPTIMAL),
         # x + y >= 1: min x leaves the ray x = 0, y >= 1, where -y is unbounded
-        (LinearProgram.build([1, 0], [[1, 1]], [1], [">="]), [(0, -1)],
+        (build_lp([1, 0], [[1, 1]], [1], [">="]), [(0, -1)],
          LpStatus.UNBOUNDED),
     ]
     for lp, ties, status in known:
@@ -278,7 +278,7 @@ def _random_system_case(rng):
         rhs.append(rng.randint(1, 5))
         senses.append("<=")
     lps = [
-        LinearProgram.build(vec(), rows, rhs, senses) for _ in range(rng.randint(3, 4))
+        build_lp(vec(), rows, rhs, senses) for _ in range(rng.randint(3, 4))
     ]
     ties = [
         [tuple(Fraction(c) for c in vec()) for _ in range(rng.choice((0, 0, 1, 2)))]
@@ -479,7 +479,7 @@ def _random_fractional_case(rng):
         senses.append("<=")
     order = list(range(len(rows)))
     rng.shuffle(order)
-    lp = LinearProgram.build(
+    lp = build_lp(
         vec(), [rows[i] for i in order], [rhs[i] for i in order],
         [senses[i] for i in order],
     )
@@ -487,10 +487,27 @@ def _random_fractional_case(rng):
     return lp, ties, kinds
 
 
-def _assert_fraction_free(tab):
+def _assert_fraction_free(tab, infeasible=False, face=False):
+    """tab is an integer dictionary over a positive det: one int row per
+    basic label over its nonbasic labels, which are in label order and
+    disjoint from the basic ones.  Unless phase one found tab infeasible
+    no artificial label is left, and unless tab is a face, which drops
+    labels, every label < num_cols is basic or nonbasic."""
     assert type(tab.det) is int and tab.det > 0
     assert all(type(v) is int for v in tab.b)
+    assert all(len(row) == len(tab.nonbasic) for row in tab.rows)
     assert all(type(a) is int for row in tab.rows for a in row)
+    assert tab.nonbasic == sorted(tab.nonbasic)
+    assert not set(tab.basis) & set(tab.nonbasic)
+    labels = set(tab.basis) | set(tab.nonbasic)
+    if not infeasible:
+        assert all(j < tab.num_cols for j in labels)
+        if not face:
+            assert labels == set(range(tab.num_cols))
+
+
+def _label_count(tab):
+    return len(tab.basis) + len(tab.nonbasic)
 
 
 def test_integer_tableau_matches_a_fraction_reference():
@@ -515,9 +532,10 @@ def test_integer_tableau_matches_a_fraction_reference():
         _assert_fraction_free(tab)
         seen["det"] += tab.det > 1
         if not tab.infeasible_by_rank:
-            if tab.phase_one():
+            feasible = tab.phase_one()
+            if feasible:
                 tab.phase_two((lp.objective, *ties))
-            _assert_fraction_free(tab)
+            _assert_fraction_free(tab, infeasible=not feasible)
             assert tab.basis == want_basis, (lp, ties)
         seen[got.status] += 1
         seen["ties"] += bool(ties)
@@ -556,7 +574,7 @@ def _weighted_sum_case(rng):
 
     def weighted(w):
         objective = [sum(a * c for a, c in zip(w, column)) for column in zip(*costs)]
-        return LinearProgram.build(objective, rows, lp.rhs, lp.senses)
+        return build_lp(objective, rows, lp.rhs, lp.senses)
 
     return weighted, costs, kind
 
@@ -688,10 +706,10 @@ def test_phase_one_starts_each_inequality_row_on_its_own_slack(monkeypatch):
         original(self, r, col)
 
     monkeypatch.setattr(lp_core._Tableau, "_pivot", counting)
-    duplicated = LinearProgram.build(
+    duplicated = build_lp(
         [1, 1], [[1, 1], [1, 1], [1, 0]], [2, 2, 3], ["=", "=", "<="]
     )
-    plain = LinearProgram.build([1, 1], [[1, 1], [1, 0]], [2, 3], ["=", "<="])
+    plain = build_lp([1, 1], [[1, 1], [1, 0]], [2, 3], ["=", "<="])
     for lp in (duplicated, plain):
         tab = lp_core._Tableau(lp)
         pivots.clear()
@@ -758,7 +776,7 @@ def test_rank_reduction_over_equality_rows_keeps_what_all_rows_keep():
             groups["contradictory"] = (i, add(rows[i][:], rhs[i] + 1, "="))
         order = list(range(len(rows)))
         rng.shuffle(order)
-        lp = LinearProgram.build(
+        lp = build_lp(
             [num() for _ in range(n)], [rows[i] for i in order],
             [rhs[i] for i in order], [senses[i] for i in order],
         )
@@ -898,7 +916,7 @@ def _pinned(lp, objective, value):
 
 
 def _snapshot(tab):
-    return [row[:] for row in tab.rows], tab.b[:], tab.basis[:], tab.det, tab.columns
+    return [row[:] for row in tab.rows], tab.b[:], tab.basis[:], tab.det, tab.nonbasic[:]
 
 
 def test_face_matches_a_solve_with_its_row_appended():
@@ -906,7 +924,7 @@ def test_face_matches_a_solve_with_its_row_appended():
     and value of solve_lp for f, and on the face every LP, min and max
     of g, has the status and value of a plain solve with the row
     f.x = min f appended, at a point of that system.  The narrowed
-    tableau is fraction-free, drops columns, is no LP solve and leaves
+    tableau is fraction-free, drops labels, is no LP solve and leaves
     the base as it was, and a face of the face is the system with both
     rows appended."""
     rng = random.Random(2026)
@@ -926,9 +944,9 @@ def test_face_matches_a_solve_with_its_row_appended():
             assert face is None
             continue
         tab = face._tableau
-        _assert_fraction_free(tab)
-        assert face.lp is lp and tab.columns == sorted(tab.columns)
-        seen["dropped"] += len(tab.columns) < tab.num_cols
+        _assert_fraction_free(tab, face=True)
+        assert face.lp is lp
+        seen["dropped"] += _label_count(tab) < tab.num_cols
         full = _pinned(lp, f, got.value)
         g = _random_objective(rng, lp.num_vars)
         for objective in (g, tuple(-a for a in g)):
@@ -947,7 +965,8 @@ def test_face_matches_a_solve_with_its_row_appended():
             res = solve_lp(replace(lp, objective=h), system=nested)
             ref = solve_lp(replace(both, objective=h))
             assert (res.status, res.value) == (ref.status, ref.value), (lp, f, g, h)
-            seen["nested"] += len(nested._tableau.columns) < len(tab.columns)
+            _assert_fraction_free(nested._tableau, face=True)
+            seen["nested"] += _label_count(nested._tableau) < _label_count(tab)
         assert _snapshot(base._tableau) == kept
     assert all(count >= 20 for count in seen.values()), seen
 
@@ -957,7 +976,7 @@ def test_faces_of_one_base_are_independent():
     base as it was: over x + y <= 4, x - y <= 1, max 2x + y is at
     (5/2, 3/2) on the face x + y = 4, at (1, 0) on y = 0 and at (0, 4)
     on x = 0.  A face prices nothing: it keeps no column off the face."""
-    lp = LinearProgram.build([1, 1], [[1, 1], [1, -1]], [4, 1], ["<=", "<="])
+    lp = build_lp([1, 1], [[1, 1], [1, -1]], [4, 1], ["<=", "<="])
     base = FeasibleSystem(lp)
     want = solve_lp(lp, system=base)
     pinned = [base.face(f) for f in ((-1, -1), (0, 1), (1, 0))]
@@ -971,25 +990,25 @@ def test_faces_of_one_base_are_independent():
 
 
 def test_infeasible_system_is_infeasible_for_every_objective():
-    lp = LinearProgram.build([1, 0], [[1, 1], [1, 0]], [4, 5], ["<=", ">="])
+    lp = build_lp([1, 0], [[1, 1], [1, 0]], [4, 5], ["<=", ">="])
     system = FeasibleSystem(lp)
     for objective, ties in (([1, 0], ()), ([0, -1], ()), ([-1, -1], [(1, 0)])):
         before = solve_calls()
         res = solve_lex_lp(
-            LinearProgram.build(objective, lp.rows, lp.rhs, lp.senses), ties, system
+            build_lp(objective, lp.rows, lp.rhs, lp.senses), ties, system
         )
         assert res.status is LpStatus.INFEASIBLE
         assert solve_calls() == before + 1
 
 
 def test_solve_on_another_system_is_rejected():
-    lp = LinearProgram.build([1, 1], [[1, 1], [1, -1]], [1, 0], [">=", "<="])
+    lp = build_lp([1, 1], [[1, 1], [1, -1]], [1, 0], [">=", "<="])
     system = FeasibleSystem(lp)
     others = [
-        LinearProgram.build([1, 1], [[1, 1], [1, -2]], [1, 0], [">=", "<="]),
-        LinearProgram.build([1, 1], [[1, 1], [1, -1]], [2, 0], [">=", "<="]),
-        LinearProgram.build([1, 1], [[1, 1], [1, -1]], [1, 0], [">=", "="]),
-        LinearProgram.build([1, 1], [[1, 1]], [1], [">="]),
+        build_lp([1, 1], [[1, 1], [1, -2]], [1, 0], [">=", "<="]),
+        build_lp([1, 1], [[1, 1], [1, -1]], [2, 0], [">=", "<="]),
+        build_lp([1, 1], [[1, 1], [1, -1]], [1, 0], [">=", "="]),
+        build_lp([1, 1], [[1, 1]], [1], [">="]),
     ]
     for other in others:
         with pytest.raises(SystemMismatch):
@@ -997,12 +1016,12 @@ def test_solve_on_another_system_is_rejected():
         with pytest.raises(SystemMismatch):
             solve_lex_lp(other, [(1, 0)], system)
     # only the objective may differ
-    same = LinearProgram.build([2, 1], lp.rows, lp.rhs, lp.senses)
+    same = build_lp([2, 1], lp.rows, lp.rhs, lp.senses)
     assert solve_lp(same, system=system).value == 1
 
 
 def test_solver_is_deterministic():
-    lp = LinearProgram.build(
+    lp = build_lp(
         [-1, -1, 0], [[1, 1, 1], [1, 1, 0]], [2, 2], ["<=", "<="]
     )
     first = solve_lp(lp)
@@ -1012,7 +1031,7 @@ def test_solver_is_deterministic():
 
 
 def test_solve_call_counter_increments():
-    lp = LinearProgram.build([1, 0], [[1, 1]], [1], [">="])
+    lp = build_lp([1, 0], [[1, 1]], [1], [">="])
     before = solve_calls()
     solve_lp(lp)
     assert solve_calls() == before + 1
@@ -1023,8 +1042,8 @@ def test_solve_call_counter_increments():
 
 def test_dimension_mismatch_is_rejected():
     with pytest.raises(DimensionMismatch):
-        LinearProgram.build([1, 2], [[1]], [1], ["<="])
-    lp = LinearProgram.build([1, 2], [[1, 1]], [1], ["<="])
+        build_lp([1, 2], [[1]], [1], ["<="])
+    lp = build_lp([1, 2], [[1, 1]], [1], ["<="])
     with pytest.raises(DimensionMismatch):
         solve_lp(lp, ties=[(1,)])
     with pytest.raises(DimensionMismatch):
@@ -1036,7 +1055,7 @@ def test_dimension_mismatch_is_rejected():
 def test_a_float_in_the_objective_is_a_typed_error():
     """Objectives reach integer_row as they are, so a float is refused
     there, not silently turned into a Fraction."""
-    lp = LinearProgram.build([1, 1], [[1, 1]], [1], [">="])
+    lp = build_lp([1, 1], [[1, 1]], [1], [">="])
     with pytest.raises(NotRational):
         solve_lp(replace(lp, objective=(0.5, Fraction(1))))
     with pytest.raises(NotRational):
@@ -1048,7 +1067,7 @@ def test_a_float_in_the_objective_is_a_typed_error():
 
 
 def test_a_float_in_a_row_is_a_typed_error():
-    lp = LinearProgram.build([1, 1], [[1, 1]], [1], [">="])
+    lp = build_lp([1, 1], [[1, 1]], [1], [">="])
     with pytest.raises(NotRational):
         solve_lp(replace(lp, rows=((Fraction(1), 0.5),)))
     with pytest.raises(NotRational):
@@ -1060,7 +1079,7 @@ def test_a_float_in_a_row_is_a_typed_error():
 def test_a_free_variable_is_rejected():
     """Every variable is nonnegative: a False in nonneg raises instead
     of being solved as x >= 0."""
-    lp = LinearProgram.build([1, 1], [[1, 1]], [1], [">="])
+    lp = build_lp([1, 1], [[1, 1]], [1], [">="])
     with pytest.raises(ValueError):
         replace(lp, nonneg=(True, False))
     with pytest.raises(ValueError):  # min x over x = -5, x free, would be -5
