@@ -20,6 +20,26 @@ image leaves and another enters with a different fixed-lambda image gets
 its own one-point segment; if the entering and leaving images collapse
 to the same biobjective point the transition is seam-free and no
 one-point segment is needed.
+
+The breakpoints are exactly the finite positive vertex lambdas: the
+values Z/(s1*X + s2*Y), Z = W - X - Y, over the component vertices
+(X, Y, W) with Z > 0 and s1*X + s2*Y > 0.  Each interval end is the
+minimum or maximum of lambda over its component's vertices (the vertex
+route), so a positive end is such a value; an upper end is never 0,
+since a full-dimensional component has a vertex with Z > 0, whose lambda
+is positive or infinite.  Conversely, take such a vertex v of component
+K.  The level set of lambda through v is a line, and Z - lambda(v) *
+(s1*X + s2*Y) keeps one sign on each side of it, so lambda(v) is the
+minimum or maximum of lambda over any convex set on one side.  The
+components at v cover a neighbourhood of v in the simplex, each a
+convex sector at v, K's narrower than a half-turn.  Inside the simplex
+the sectors fill a full turn, so there are at least three, and the
+line's two rays from v cross the interior of at most two.  On the edge
+w1 = 0 or w2 = 0 (the third edge and two corners have Z = 0, the last
+corner s1*X + s2*Y = 0) they fill a half-turn, so there are at least
+two, and the line crosses the edge, so one ray enters the simplex and
+crosses at most one sector.  Either way some component lies on one side
+of the line, and lambda(v) is one of its interval ends, a positive one.
 """
 
 from __future__ import annotations
@@ -123,15 +143,15 @@ def _interval_lp(h: ComponentHrep, case: Case, base: FeasibleSystem):
     base, interval_system of the problem for case (else SystemMismatch),
     holds everything but h's image y.  With Cx = y, x feasible, every
     (v, w) on base has b.v <= x.A^T v <= x.C^T w = y.w (LP weak duality,
-    Ehrgott, Multicriteria Optimization, 2005): the gap -h.image is
-    nonnegative there, the lifted component is where it is 0, and a
-    positive minimum raises EmptyComponent.  Both solves run on that
-    optimal face and read only optimal values, so the pivot path cannot
-    change the result.
+    Ehrgott, Multicriteria Optimization, 2005): the gap h.gap, a
+    positive multiple of y.w - b.v, is nonnegative there, the lifted
+    component is where it is 0, and a positive minimum raises
+    EmptyComponent.  Both solves run on that optimal face and read only
+    optimal values, so the pivot path cannot change the result.
     """
     if base.lp.rows[-1][h.m :] != case.shares + (0,):
         raise SystemMismatch("interval system is not the slice of this case")
-    gap, component = base.face(tuple(-a for a in h.image))
+    gap, component = base.face(h.gap)
     if gap.value != 0:
         raise EmptyComponent("the duality gap of the image is positive on the slice")
     lower = solve_lp(base.lp, system=component).value

@@ -21,6 +21,7 @@ along as comment lines for quick plotting, marked lossy.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import sys
@@ -57,6 +58,22 @@ USAGE_ERROR = 1
 PARSE_ERROR = 2
 COMPUTE_ERROR = 3
 MISMATCH = 4
+
+
+def _printed(emit):
+    """emit, raising TooLarge where an exact value has more digits than
+    str() converts (sys.get_int_max_str_digits), which is the one
+    ValueError an emitter meets: a caller gets a typed error and the
+    command line writes nothing to stdout."""
+
+    @functools.wraps(emit)
+    def checked(*args, **kwargs):
+        try:
+            return emit(*args, **kwargs)
+        except ValueError as exc:
+            raise TooLarge(f"an exact value is too long to print: {exc}") from None
+
+    return checked
 
 
 # -- problem files -----------------------------------------------------------
@@ -130,6 +147,7 @@ def parse_problem(text: str) -> Pblp:
     )
 
 
+@_printed
 def emit_problem(p: Pblp) -> str:
     """Canonical problem text; parse_problem inverts it exactly."""
     lines = [f"case: {p.case.value}", f"vars: {p.n}"]
@@ -159,6 +177,7 @@ def _images_and_components(dec: Decomposition) -> dict:
     }
 
 
+@_printed
 def emit_solution(p: Pblp, sol: ParametricSolution) -> str:
     """Deterministic JSON document for a full parametric solve."""
     dec = sol.decomposition
@@ -190,6 +209,7 @@ def emit_solution(p: Pblp, sol: ParametricSolution) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+@_printed
 def emit_decomposition(p: Pblp, dec: Decomposition) -> str:
     doc = {
         "case": p.case.value,
@@ -200,6 +220,7 @@ def emit_decomposition(p: Pblp, dec: Decomposition) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+@_printed
 def emit_sweep(p: Pblp, report: SweepReport) -> str:
     doc = {
         "case": p.case.value,
@@ -220,6 +241,7 @@ def emit_sweep(p: Pblp, report: SweepReport) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+@_printed
 def emit_plot_data(dec: Decomposition, case: Case, lambdas=()) -> str:
     """Text records for plotting: components and lambda segments.
 

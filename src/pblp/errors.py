@@ -49,7 +49,9 @@ class NoFiniteVertex(PblpError):
 
 
 class TooLarge(PblpError):
-    """The vertex oracle would hold more rays than its budget allows."""
+    """A size limit was passed: the vertex oracle would hold more rays
+    than its budget allows, or an exact result has more digits than
+    Python converts to text (sys.get_int_max_str_digits)."""
 
 
 class SystemMismatch(PblpError):

@@ -7,15 +7,22 @@ from then on the rows are Python ints over one positive common
 denominator det, and every pivot is the integer-preserving update of
 Bareiss (Math. Comp. 1968) and Edmonds (J. Res. NBS 1967), whose
 division by the previous pivot is exact, run on the dictionary as in
-Avis's lrs (2000).  Costs are scaled to integers once per stage, so
-pricing and the ratio test read only signs of integer expressions and
-take the decisions a Fraction tableau would take.  Bland's rule makes it
-immune to cycling and every number stays exact.  Lexicographic ties are
-solved on the same dictionary after phase two: each stage bans the
-columns whose positive reduced cost takes them off the previous stage's
-optimal face (Ehrgott, Multicriteria Optimization, 2005), so one
-dictionary and one phase one serve every stage; once every nonbasic
-column is banned the face is the current vertex and the stages stop.
+Avis's lrs (2000).  The dictionary also keeps the reduced-cost row of
+the objective being minimized, det times the true one: a simplex run
+builds it once from its integer cost row, and every pivot updates it by
+the same integer step as the rows.  It is the objective row of the
+bordered integer system [[1, c], [0, A]], so Sylvester's identity makes
+its divisions exact too.  Pricing, the ratio test and the face bans
+read only signs of integer expressions and take the decisions a
+Fraction tableau would take.  A cost row is scaled to integers once per
+stage; callers that reuse an objective pass it as ints, which need no
+scaling.  Bland's rule makes the simplex immune to cycling and every
+number stays exact.  Lexicographic ties are solved on the same
+dictionary after phase two: each stage bans the columns whose positive
+reduced cost takes them off the previous stage's optimal face (Ehrgott,
+Multicriteria Optimization, 2005), so one dictionary and one phase one
+serve every stage; once every nonbasic column is banned the face is the
+current vertex and the stages stop.
 
 Rows keep the sense they are given in.  Phase one starts a row on its
 own slack when that slack reads +1 once the right side is made
@@ -59,7 +66,6 @@ min c.x  s.t. rows (sense) rhs, x >= 0:
 
 from __future__ import annotations
 
-import copy
 from bisect import bisect
 from dataclasses import dataclass
 from enum import Enum
@@ -236,6 +242,25 @@ def solve_square(rows: list[list[int]]) -> list[Fraction] | None:
     return [Fraction(v, det) for v in scaled]
 
 
+def _pivoted(
+    row: list[int], k: int, at: int, prow: list[int], p: int, det: int, sign: int
+) -> list[int]:
+    """row after a pivot on entry k of prow, p = |prow[k]| (see
+    _Tableau._pivot): (row * p - row[k] * prow) / det, exact by
+    Sylvester's identity since each entry stays a minor of the starting
+    integer system, with the entering label's entry at k replaced by the
+    leaving label's, -sign * row[k], at position at.  A row with
+    row[k] = 0 is only rescaled, in place when p = det."""
+    f = row[k]
+    if f:
+        row = [(a * p - f * q) // det for a, q in zip(row, prow)]
+    elif p != det:
+        row = [a * p // det for a in row]
+    del row[k]
+    row.insert(at, -sign * f)
+    return row
+
+
 class _Tableau:
     """Standard-form system  A z = b, z >= 0  as a dictionary over a basis.
 
@@ -246,8 +271,12 @@ class _Tableau:
     its row of B^-1 A, since every basic column is a unit vector.
     Fraction-free: rows and b hold ints over one positive common
     denominator det, so the true dictionary is rows/det and the true
-    right side b/det.  Until phase one installs a basis, every label
-    < num_cols is nonbasic.  A face (see face) drops nonbasic labels.
+    right side b/det.  d is the kept reduced-cost row of the current
+    simplex run's cost, det times the true one at each nonbasic
+    position (see _reduced_row), or None outside a run's reach: a new
+    tableau or a copy has none.  Until phase one installs a basis, every
+    label < num_cols is nonbasic.  A face (see face) drops nonbasic
+    labels.
     """
 
     def __init__(self, lp: LinearProgram):
@@ -288,6 +317,7 @@ class _Tableau:
         self.slack_col = slack_col
         self.basis: list[int] = []
         self.nonbasic = list(range(cols))
+        self.d: list[int] | None = None
         # Simplex basis bookkeeping (and dual recovery from the basis)
         # needs full row rank.  Dependent rows are dropped before any
         # pivoting and get dual zero; a dependent row whose right side
@@ -330,14 +360,13 @@ class _Tableau:
         """Bareiss's integer-preserving pivot (Bareiss 1968, Edmonds 1967):
         label col enters in row r, and basis[r] leaves.
 
-        With p the pivot entry, every other row becomes
-        (row * p - row[col] * pivot row) / det and det becomes p.  The
-        division is exact by Sylvester's identity: each entry stays a
-        minor of the starting integer system.  A negative p flips the
-        sign of row r, so det stays positive.  The leaving column was det
-        times a unit vector, so its new entries follow without arithmetic:
-        -row[col] in every other row and det in row r, both negated when
-        p < 0.  It moves to its place in label order.
+        With p the pivot entry, every other row, the kept row d included,
+        becomes (row * p - row[col] * pivot row) / det and det becomes p
+        (see _pivoted).  A negative p flips the sign of row r, so det
+        stays positive.  The leaving column was det times a unit vector,
+        so its new entries follow without arithmetic: -row[col] in every
+        other row and det in row r, both negated when p < 0.  It moves to
+        its place in label order.
         """
         rows, b, det, nonbasic = self.rows, self.b, self.det, self.nonbasic
         k = nonbasic.index(col)
@@ -352,54 +381,48 @@ class _Tableau:
             prow = rows[r] = [-a for a in prow]
             pb = b[r] = -pb
         for i, row in enumerate(rows):
-            if i == r:
-                continue
-            f = row[k]
-            if f != 0:
-                row = rows[i] = [(a * p - f * q) // det for a, q in zip(row, prow)]
-                b[i] = (b[i] * p - f * pb) // det
-            elif p != det:
-                row = rows[i] = [a * p // det for a in row]
-                b[i] = b[i] * p // det
-            del row[k]
-            row.insert(at, -sign * f)
+            if i != r:
+                b[i] = (b[i] * p - row[k] * pb) // det
+                rows[i] = _pivoted(row, k, at, prow, p, det, sign)
+        if self.d is not None:
+            self.d = _pivoted(self.d, k, at, prow, p, det, sign)
         del prow[k]
         prow.insert(at, sign * det)
         self.det = p
         self.basis[r] = col
 
-    def _priced_columns(self, cost: list[int], banned: set[int]):
-        """(j, reduced cost times det) of every nonbasic label j free to
-        enter, in label order.
+    def _reduced_row(self, cost: list[int]) -> list[int]:
+        """det times the reduced cost of each nonbasic label, in label
+        order: cost[j] * det - sum_i cost[basis_i] * rows[i][k] for
+        j = nonbasic[k].
 
         cost is integer (see _column_cost) and det positive, so each
-        value has the sign of the true reduced cost, which is all that
+        entry has the sign of the true reduced cost, which is all that
         pricing reads.
         """
         det = self.det
-        priced = [
-            (cost[col], row) for col, row in zip(self.basis, self.rows) if cost[col]
-        ]
-        for k, j in enumerate(self.nonbasic):
-            if j in banned:
-                continue
-            reduced = cost[j] * det
-            for c, row in priced:
-                if row[k] != 0:
-                    reduced -= c * row[k]
-            yield j, reduced
+        d = [cost[j] * det for j in self.nonbasic]
+        for col, row in zip(self.basis, self.rows):
+            c = cost[col]
+            if c:
+                d = [a - c * q for a, q in zip(d, row)]
+        return d
 
     def _simplex(self, cost: list[int], banned: set[int]) -> LpStatus:
-        """Minimize cost.z with Bland's rule; banned labels never enter."""
-        rows, b, basis = self.rows, self.b, self.basis
+        """Minimize cost.z with Bland's rule; banned labels never enter.
+
+        The kept row d is built here once and updated by each pivot, so
+        pricing reads it: the entering label is the first nonbasic one,
+        in label order, of negative reduced cost.
+        """
+        rows, b, basis, nonbasic = self.rows, self.b, self.basis, self.nonbasic
+        self.d = self._reduced_row(cost)
         while True:
-            entering = next(
-                (j for j, reduced in self._priced_columns(cost, banned) if reduced < 0),
-                -1,
-            )
-            if entering < 0:
+            for k, reduced in enumerate(self.d):
+                if reduced < 0 and nonbasic[k] not in banned:
+                    break
+            else:
                 return LpStatus.OPTIMAL
-            k = self.nonbasic.index(entering)
             # Minimum ratio b[i] / a over a > 0, compared cross-multiplied.
             leaving = -1
             best_b = best_a = 0
@@ -416,11 +439,12 @@ class _Tableau:
                         leaving = i
             if leaving < 0:
                 return LpStatus.UNBOUNDED
-            self._pivot(leaving, entering)
+            self._pivot(leaving, nonbasic[k])
 
     def _ban_optimal_face(self, cost: list[int], banned: set[int]) -> bool:
-        """Confine later stages to the optimal face of cost; False when
-        no label is left free, so the face is the current vertex.
+        """Confine later stages to the optimal face of cost, the cost of
+        the _simplex run just ended, whose kept row d this reads; False
+        when no label is left free, so the face is the current vertex.
 
         At an optimal basis cost.z equals the optimum plus the sum of
         reduced cost times z_j over nonbasic labels, every reduced cost
@@ -428,15 +452,22 @@ class _Tableau:
         label of positive reduced cost is zero; banning those labels
         keeps every later pivot on that face.
         """
-        priced = list(self._priced_columns(cost, banned))
-        banned.update(j for j, reduced in priced if reduced > 0)
-        return any(reduced == 0 for _, reduced in priced)
+        free = False
+        for j, reduced in zip(self.nonbasic, self.d):
+            if j not in banned:
+                if reduced > 0:
+                    banned.add(j)
+                elif reduced == 0:
+                    free = True
+        return free
 
     def _drop(self, labels):
         """Remove the nonbasic labels in labels, entries and all."""
         keep = [k for k, j in enumerate(self.nonbasic) if j not in labels]
         self.nonbasic = [self.nonbasic[k] for k in keep]
         self.rows = [[row[k] for k in keep] for row in self.rows]
+        if self.d is not None:
+            self.d = [self.d[k] for k in keep]
 
     # -- phases -----------------------------------------------------------
 
@@ -446,7 +477,8 @@ class _Tableau:
         Each row starts on its slack where that slack column is already
         det times a unit vector, and on an artificial, the next label
         from num_cols on, everywhere else.  The sum of the artificials is
-        minimized, and those left basic at zero are driven out; a
+        minimized, and those left basic at zero are driven out with that
+        cost's kept row dropped, since no later stage reads it; a
         departed artificial stays a priced nonbasic label until then and
         is dropped after.  The rows are independent (see __init__), so a
         zero-valued artificial always has a label to pivot on.
@@ -466,6 +498,7 @@ class _Tableau:
         # Phase one is bounded below by zero, so it always ends optimal.
         if self._simplex(cost, banned=set()) is not LpStatus.OPTIMAL:
             raise InvariantViolation("phase one reported an unbounded objective")
+        self.d = None
         if any(b for col, b in zip(self.basis, self.b) if col >= self.num_cols):
             return False
         for i, row in enumerate(self.rows):
@@ -484,29 +517,31 @@ class _Tableau:
     def _column_cost(self, objective) -> tuple[list[int], int]:
         """objective as costs per label < num_cols, scaled to integers by
         the lcm of its denominators, and that scale.  Pricing reads only
-        signs, which a positive scale keeps, and scaling once per stage
-        spares every pricing pass the Fraction arithmetic."""
+        signs, which a positive scale keeps; an int objective comes back
+        at scale 1, unchanged."""
         values, scale = integer_row(objective)
         return values + [0] * (self.num_cols - len(values)), scale
+
+    def _value(self, cost: list[int], scale: int) -> Fraction:
+        """The objective cost / scale at the current vertex."""
+        total = sum(cost[col] * b for col, b in zip(self.basis, self.b))
+        return Fraction(total, self.det * scale)
 
     def reduced_costs(self, objectives) -> tuple[tuple[int, ...], ...]:
         """LpResult.reduced for objectives at this basis.
 
-        _priced_columns gives det * s_k times objective k's reduced cost,
+        _reduced_row gives det * s_k times objective k's reduced costs,
         s_k its _column_cost scale, so times L / s_k, L the lcm of the
         s_k, every objective is over det * L.  Nothing is banned: every
         nonbasic label, slack or structural, bounds the cone.
         """
         costs = [self._column_cost(objective) for objective in objectives]
         common = lcm(*(scale for _, scale in costs))
-        ups = [common // scale for _, scale in costs]
-        priced = [self._priced_columns(cost, set()) for cost, _ in costs]
-        out = []
-        for column in zip(*priced):
-            entry = tuple(r * up for (_, r), up in zip(column, ups))
-            if any(entry):
-                out.append(entry)
-        return tuple(out)
+        priced = [
+            [r * (common // scale) for r in self._reduced_row(cost)]
+            for cost, scale in costs
+        ]
+        return tuple(entry for entry in zip(*priced) if any(entry))
 
     def phase_two(self, objectives) -> Fraction | None:
         """Lexicographic minimum of objectives in order, on this tableau:
@@ -517,8 +552,7 @@ class _Tableau:
         labels that leave its optimal face banned, so phase one runs
         once however many ties follow.  Once every nonbasic label is
         banned the face is the current vertex, which no later stage
-        could leave, so the stages stop.  The value is sum_i
-        cost[basis_i] * b_i over det times the first cost's scale.
+        could leave, so the stages stop.
         """
         banned: set[int] = set()
         value = None
@@ -529,8 +563,7 @@ class _Tableau:
             if self._simplex(cost, banned) is LpStatus.UNBOUNDED:
                 return None
             if value is None:
-                total = sum(cost[col] * b for col, b in zip(self.basis, self.b))
-                value = Fraction(total, self.det * scale)
+                value = self._value(cost, scale)
         return value
 
     def face(self, objective) -> Fraction | None:
@@ -539,32 +572,36 @@ class _Tableau:
 
         At the optimal basis each nonbasic label of positive reduced
         cost is zero on the whole face (see _ban_optimal_face), so it is
-        dropped.  The rest keep their label order, so Bland's rule and
-        the ratio test's ties take the pivots of a full tableau with the
-        dropped labels banned.  No row is added and det stays.
+        dropped; the kept row of the minimization tells which, with no
+        second scaling of objective.  The rest keep their label order,
+        so Bland's rule and the ratio test's ties take the pivots of a
+        full tableau with the dropped labels banned.  No row is added
+        and det stays.
         """
-        value = self.phase_two((objective,))
-        if value is None:
+        cost, scale = self._column_cost(objective)
+        if self._simplex(cost, set()) is LpStatus.UNBOUNDED:
             return None
-        cost, _ = self._column_cost(objective)
         off: set[int] = set()
         self._ban_optimal_face(cost, off)
         self._drop(off)
-        return value
+        return self._value(cost, scale)
 
     def copy(self, lp: LinearProgram) -> "_Tableau":
         """An independent twin for solving lp, an LP over the same system.
 
         Pivots write rows, b, basis and nonbasic in place, so those four
-        are copied; det is an int, rebound by each pivot, and the label
-        layout and the row bookkeeping are shared.
+        are copied; det is an int, rebound by each pivot, the label
+        layout and the row bookkeeping are shared, and the twin starts
+        with no kept row.
         """
-        twin = copy.copy(self)
-        twin.lp = lp
+        twin = _Tableau.__new__(_Tableau)
+        twin.lp, twin.num_cols, twin.slack_col = lp, self.num_cols, self.slack_col
+        twin.row_factor, twin.orig_row = self.row_factor, self.orig_row
+        twin.start_rows = self.start_rows
+        twin.infeasible_by_rank = self.infeasible_by_rank
         twin.rows = [row[:] for row in self.rows]
-        twin.b = self.b[:]
-        twin.basis = self.basis[:]
-        twin.nonbasic = self.nonbasic[:]
+        twin.b, twin.det, twin.d = self.b[:], self.det, None
+        twin.basis, twin.nonbasic = self.basis[:], self.nonbasic[:]
         return twin
 
     # -- extraction -------------------------------------------------------
@@ -639,8 +676,8 @@ class FeasibleSystem:
         value = tab.face(objective)
         if value is None:
             return LpResult(LpStatus.UNBOUNDED), None
-        twin = copy.copy(self)
-        twin._tableau = tab
+        twin = object.__new__(type(self))
+        twin.lp, twin._tableau = self.lp, tab
         return LpResult(LpStatus.OPTIMAL, value=value), twin
 
     def tableau_for(self, lp: LinearProgram) -> _Tableau | None:

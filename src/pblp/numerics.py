@@ -19,18 +19,23 @@ _TOKEN_RE = re.compile(r"^[+-]?(?:\d+(?:\.\d+)?|\d+/\d+)$")
 def rat_parse(token: str) -> Fraction:
     """Parse one rational token: integer, p/q, or finite decimal.
 
-    Raises ParseError on anything else, including q == 0.  Scientific
-    notation is deliberately rejected; the file format does not use it.
+    Raises ParseError on anything else, including q == 0 and a token
+    with more digits than Python converts to an int
+    (sys.get_int_max_str_digits).  Scientific notation is deliberately
+    rejected; the file format does not use it.
     """
     text = token.strip()
     if not _TOKEN_RE.match(text):
         raise ParseError(f"not a rational token: {token!r}")
-    if "/" in text:
-        num, _, den = text.partition("/")
-        if int(den) == 0:
-            raise ParseError(f"zero denominator: {token!r}")
-        return Fraction(int(num), int(den))
-    return Fraction(text)
+    try:
+        if "/" in text:
+            num, _, den = text.partition("/")
+            if int(den) == 0:
+                raise ParseError(f"zero denominator: {token!r}")
+            return Fraction(int(num), int(den))
+        return Fraction(text)
+    except ValueError as exc:
+        raise ParseError(f"rational token of {len(text)} characters: {exc}") from None
 
 
 class _PositiveInfinity:

@@ -199,21 +199,22 @@ def dichotomic_bolp(
     Classic dichotomic search: solve both lexicographic corners, then
     recursively probe the weight orthogonal to each gap.  Ties inside
     every solve are broken by (f1, f2) and then extra_ties, making the
-    witnesses deterministic.  Every solve runs on system, bolp's
-    feasible system, which is built here when not given.  Returns
-    (image, witness) pairs sorted by first objective value.
+    witnesses deterministic.  f1 and f2 enter every solve as the integer
+    rows of bolp.integer_costs, positive multiples with the same signs
+    and pivots.  Every solve runs on system, bolp's feasible system,
+    which is built here when not given.  Returns (image, witness) pairs
+    sorted by first objective value.
     """
+    (f1, scale1), (f2, scale2) = bolp.integer_costs
     if system is None:
-        system = FeasibleSystem(system_lp(bolp, bolp.f1))
-    ties_a = (bolp.f2,) + tuple(extra_ties)
-    ties_b = (bolp.f1,) + tuple(extra_ties)
-    xa = _lex(bolp, bolp.f1, ties_a, system)
-    xb = _lex(bolp, bolp.f2, ties_b, system)
+        system = FeasibleSystem(system_lp(bolp, f1))
+    extra_ties = tuple(extra_ties)
+    xa = _lex(bolp, f1, (f2,) + extra_ties, system)
+    xb = _lex(bolp, f2, (f1,) + extra_ties, system)
     a, b = bolp.image(xa), bolp.image(xb)
     if a == b:
         return ((a, xa),)
     found = {a: xa, b: xb}
-    (f1, scale1), (f2, scale2) = bolp.integer_costs
 
     def probe(lo, hi):
         # lo has the smaller f1 and larger f2, so both parts are positive
@@ -222,7 +223,7 @@ def dichotomic_bolp(
         # are the weighted sum's, and _lex never reads the value
         (k1, k2), _ = integer_row((w1 / scale1, w2 / scale2))
         objective = tuple(k1 * f + k2 * g for f, g in zip(f1, f2))
-        x = _lex(bolp, objective, (bolp.f1, bolp.f2) + tuple(extra_ties), system)
+        x = _lex(bolp, objective, (f1, f2) + extra_ties, system)
         y = bolp.image(x)
         if w1 * y[0] + w2 * y[1] < w1 * lo[0] + w2 * lo[1]:
             found[y] = x
@@ -266,15 +267,17 @@ def sweep_lambda(p: Pblp, lambda_max: Fraction, steps: int) -> SweepReport:
     Witnesses carry their triobjective images, which are constant between
     breakpoints; consecutive grid points with different witness image
     sets bracket a breakpoint.  Fixing lambda changes only the
-    objectives, so the whole grid shares one feasible system.
+    objectives, so the whole grid shares one feasible system, and the
+    extra ties (c1, c2, d1) are p.integer_costs rows, scaled once.
     """
     grid = lambda_grid(lambda_max, steps)
     system = FeasibleSystem(system_lp(p, p.c1))
+    ties = tuple(row for row, _ in p.integer_costs)
     witness_images = []
     bolp_images = []
     for lam in grid:
         bolp = fix_lambda(p, lam)
-        pairs = dichotomic_bolp(bolp, extra_ties=p.cost_rows, system=system)
+        pairs = dichotomic_bolp(bolp, extra_ties=ties, system=system)
         witness_images.append(tuple(sorted({p.image(x) for _, x in pairs})))
         bolp_images.append(tuple(y for y, _ in pairs))
     changes = tuple(

@@ -118,17 +118,21 @@ def find_extreme_image(
 ) -> ExtremeImage:
     """Lexicographic weighted-sum solve (_weighted_sum) at the weight
     (X, Y, W - X - Y)/W of the vertex triple w = (X, Y, W), ties
-    (c1, c2, d1).
+    (c1, c2, d1) as the integer rows of p.integer_costs, each a positive
+    multiple of its cost row, with the same signs and pivots.
 
     The ties pin a single image even when w sits on a component
     boundary, and they guarantee the returned image is a nondominated
     extreme point, not merely weakly nondominated.  system, when given,
     is p's feasible system and spares the solve its phase one.  The
-    solve also prices the ties at its final basis, whose cone the result
-    carries.  p.case plays no part.
+    solve also prices p.cost_rows at its final basis, whose cone the
+    result carries: ExtremeImage.covers needs them over one common
+    scale.  p.case plays no part.
     """
-    ties = p.cost_rows
-    result = solve_lex_lp(_weighted_sum(p, w), ties=ties, system=system, price=ties)
+    ties = tuple(row for row, _ in p.integer_costs)
+    result = solve_lex_lp(
+        _weighted_sum(p, w), ties=ties, system=system, price=p.cost_rows
+    )
     if result.status is LpStatus.UNBOUNDED:
         x, y, den = w
         weight = ", ".join(str(Fraction(a, den)) for a in (x, y, den - x - y))

@@ -12,7 +12,6 @@ import time
 from fractions import Fraction
 
 from pblp import (
-    INF,
     Case,
     LpStatus,
     Method,
@@ -253,21 +252,31 @@ def test_criterion_7_lp_core():
     assert res.value == F(-1, 20)
 
 
-@criterion(8, "breakpoints are vertex lambdas and no more numerous", 60)
+@criterion(8, "breakpoints are exactly the finite positive vertex lambdas", 60)
 def test_criterion_8_breakpoints_at_component_vertices():
+    """For both routes the breakpoint set equals {(W-X-Y)/(s1 X + s2 Y)}
+    over every component vertex (X, Y, W) with W - X - Y > 0 and
+    s.(X, Y) > 0, s the case's shares (see the breakpoints module
+    docstring), on the acceptance batch and the bundled instances."""
     entries, _ = _batch()
-    for p, _, by_vertex, _ in entries:
-        vertex_lambdas = set()
-        total_vertices = 0
-        for poly in by_vertex.decomposition.components:
-            for v1, v2 in poly.vertices:
-                total_vertices += 1
-                lam = lambda_from_weight(p.case, w3(v1, v2, 1 - v1 - v2))
-                if lam is not None and lam is not INF:
-                    vertex_lambdas.add(lam)
-        assert len(by_vertex.breakpoints) <= total_vertices, p
-        for beta in by_vertex.breakpoints:
-            assert beta in vertex_lambdas, p
+    solved = [(p, by_lp, by_vertex) for p, by_lp, by_vertex, _ in entries]
+    for name in ("example1.pblp", "example2.pblp", "example2_case1.pblp"):
+        p = load_instance(name)
+        by_lp = enumerate_breakpoints(p, Method.LP)
+        solved.append(
+            (p, by_lp, solve_on_decomposition(p, by_lp.decomposition, Method.ADAPTED))
+        )
+    for p, by_lp, by_vertex in solved:
+        s1, s2 = p.case.shares
+        vertex_lambdas = {
+            Fraction(w - x - y, s1 * x + s2 * y)
+            for poly in by_lp.decomposition.components
+            for x, y, w in poly.triples
+            if w - x - y > 0 and s1 * x + s2 * y > 0
+        }
+        assert set(by_lp.breakpoints) == vertex_lambdas, p
+        assert set(by_vertex.breakpoints) == vertex_lambdas, p
+    return f", {len(solved)} instances"
 
 
 if __name__ == "__main__":

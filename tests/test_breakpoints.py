@@ -231,6 +231,10 @@ def test_interval_lps_start_on_their_slacks(request, monkeypatch):
 # instances: 1199 with one full system per image, 950 with one row
 # appended to the base per image, each with its own phase one.
 FAMILY_INTERVAL_PIVOTS = 607
+# Full reduced-cost rows built by those interval LPs: one per simplex
+# run with a kept row that pivots update, 1231 when every pricing pass
+# summed the rows afresh.
+FAMILY_INTERVAL_PRICING = 478
 # All pivots of decompose, both phases, on the same 40 instances.
 FAMILY_DECOMPOSITION_PIVOTS = 363
 
@@ -254,14 +258,23 @@ def _counted_pivots(monkeypatch) -> list:
 
 
 def test_interval_pivots_on_a_seeded_family(monkeypatch):
-    """Deterministic pivot gate for one base system per problem and one
-    face of it per image."""
+    """Deterministic pivot and pricing gate for one base system per
+    problem and one face of it per image."""
     problems = _seeded_family()
     decompositions = [decompose(p) for p in problems]
     pivots = _counted_pivots(monkeypatch)
+    priced = []
+    reduced_row = lp_core._Tableau._reduced_row
+
+    def counting_reduced_row(self, cost):
+        priced.append(cost)
+        return reduced_row(self, cost)
+
+    monkeypatch.setattr(lp_core._Tableau, "_reduced_row", counting_reduced_row)
     for p, dec in zip(problems, decompositions):
         breakpoints.solve_on_decomposition(p, dec, Method.LP)
     assert len(pivots) <= FAMILY_INTERVAL_PIVOTS, len(pivots)
+    assert len(priced) <= FAMILY_INTERVAL_PRICING, len(priced)
 
 
 def test_decomposition_pivots_on_a_seeded_family(monkeypatch):
@@ -315,7 +328,7 @@ def test_lp_route_matches_vertices_on_a_degenerate_family():
             base = interval_system(first, case)
             for h, poly in zip(hreps, dec.components):
                 expected = interval_vertex(case, poly)
-                assert route(h, base) == expected, (p, h.image)
+                assert route(h, base) == expected, (p, h.gap)
                 images += 1
                 unbounded += expected[1] is INF
     assert images > 500 and 100 < unbounded < images - 100, (images, unbounded)

@@ -404,3 +404,51 @@ def test_cli_check_reports_mismatches(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert code == MISMATCH
     assert "MISMATCH" in err
+
+
+@pytest.fixture
+def digit_limit():
+    """Python's default int/str digit limit, whatever the environment set."""
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(before)
+
+
+def test_cli_number_past_the_digit_limit_is_a_parse_error(
+    digit_limit, tmp_path, capsys
+):
+    """A token with more digits than Python converts to an int is a
+    malformed problem file: ParseError, exit 2 and nothing on stdout."""
+    digits = "1" * (digit_limit + 700)
+    path = tmp_path / "huge.pblp"
+    for text in (
+        MINIMAL.replace(">= 1 1 1", f"<= 1 1 {digits}"),
+        MINIMAL.replace("c1: 1 0", f"c1: 1/{digits} 0"),
+        MINIMAL.replace("c1: 1 0", f"c1: 0.{digits} 0"),
+    ):
+        with pytest.raises(ParseError):
+            parse_problem(text)
+        path.write_text(text)
+        assert cli_main(["solve", str(path), "--quiet"]) == PARSE_ERROR
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ")
+
+
+def test_cli_result_past_the_digit_limit_is_a_typed_failure(
+    digit_limit, tmp_path, capsys
+):
+    """An exact result with more digits than str() converts raises
+    TooLarge from the emitter, and the command exits 3 with nothing on
+    stdout: here c1.x is about -(10**3000 / 9)**2."""
+    ones = "1" * (digit_limit * 2 // 3 + 100)
+    text = f"case: 1\nvars: 2\nrow: <= 1 1 {ones}\nc1: -{ones} 0\nc2: 0 -1\nd1: 1 1\n"
+    p = parse_problem(text)
+    with pytest.raises(TooLarge):
+        emit_solution(p, enumerate_breakpoints(p, Method.LP))
+    path = tmp_path / "huge.pblp"
+    path.write_text(text)
+    for command in ("solve", "decompose"):
+        assert cli_main([command, str(path), "--quiet"]) == COMPUTE_ERROR, command
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: "), command

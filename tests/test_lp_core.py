@@ -7,10 +7,13 @@ from fractions import Fraction
 import pytest
 
 from pblp import (
+    Case,
     FeasibleSystem,
     LinearProgram,
     LpStatus,
+    Method,
     Sense,
+    enumerate_breakpoints,
     solve_lex_lp,
     solve_lp,
 )
@@ -19,6 +22,7 @@ from pblp.errors import DimensionMismatch, NotRational, SystemMismatch
 from pblp.lp_core import eliminate, integer_row, solve_calls, solve_square
 from pblp.oracle import vertices_and_rays
 from conftest import _satisfies, build_lp, reference_phase_two
+from instance_gen import degenerate_pblp
 
 
 def test_minimum_on_a_triangle():
@@ -691,6 +695,58 @@ def test_phase_two_stops_at_a_vertex_face_as_every_stage_would(monkeypatch):
         if kind in ("duplicate", "zero cost"):
             seen[kind.replace(" ", "_")] += 1
     assert all(count >= 20 for count in seen.values()), seen
+
+
+def _kept_row_reference(tab, cost) -> list:
+    """det times each nonbasic label's reduced cost, summed from rows."""
+    return [
+        cost[j] * tab.det
+        - sum(cost[col] * row[k] for col, row in zip(tab.basis, tab.rows))
+        for k, j in enumerate(tab.nonbasic)
+    ]
+
+
+def test_kept_row_equals_a_fresh_reduced_row_after_every_pivot(monkeypatch):
+    """Seeded check of the kept reduced-cost row: after every pivot of a
+    simplex run, on the 600 cases of the vertex-face oracle and on the
+    LP route of degenerate problems in both cases, d holds ints equal to
+    det times the reduced costs of the run's cost summed afresh from the
+    rows.  (A simplex pivot enters a label of negative reduced cost on a
+    positive entry, so d is never only rescaled, and never negated.)"""
+    pivot, simplex = lp_core._Tableau._pivot, lp_core._Tableau._simplex
+    runs = []  # (tableau, cost) of the simplex run in progress
+    checked = []
+
+    def recording_simplex(self, cost, banned):
+        runs.append((self, cost))
+        try:
+            return simplex(self, cost, banned)
+        finally:
+            runs.pop()
+
+    def checking_pivot(self, r, col):
+        kept = self.d is not None
+        pivot(self, r, col)
+        # phase one drops its row before it drives out zero artificials
+        assert kept == (self.d is not None) == bool(runs)
+        if kept:
+            tab, cost = runs[-1]
+            assert tab is self
+            assert all(type(a) is int for a in self.d)
+            assert self.d == _kept_row_reference(self, cost)
+            checked.append(col)
+
+    monkeypatch.setattr(lp_core._Tableau, "_pivot", checking_pivot)
+    monkeypatch.setattr(lp_core._Tableau, "_simplex", recording_simplex)
+    rng = random.Random(1967)
+    for _ in range(600):
+        lp, ties, price, _ = _lex_equivalence_case(rng)
+        solve_lp(lp, ties, price=price)
+    rng = random.Random(7)
+    for i in range(105):
+        p = degenerate_pblp(rng, (Case.ONE, Case.TWO)[i % 2])
+        enumerate_breakpoints(p, Method.LP)
+    assert len(checked) > 3000, len(checked)
 
 
 def test_phase_one_starts_each_inequality_row_on_its_own_slack(monkeypatch):

@@ -393,17 +393,20 @@ def test_sweep_brackets_the_case_one_breakpoints(example2_case1):
 # The sweep grids of the benchmark, per pass: 538 pivots and 484 LP
 # solves, on 2621 _simplex runs (phase ones and lexicographic stages)
 # while every tie stage ran; a stage after a vertex face stops cuts them
-# to 705.
+# to 705.  Each run builds one full reduced-cost row, which its pivots
+# then update: 1945 rows were summed when every pricing pass summed one.
 SWEEP_GRIDS = (("example2", 6, 60), ("example2_case1", 4, 40), ("example1", 4, 40))
 SWEEP_SIMPLEX_RUNS, SWEEP_PIVOTS, SWEEP_LP_SOLVES = 705, 538, 484
 
 
 def test_sweep_stage_gate(request, monkeypatch):
     """Deterministic gate for the sweep's lexicographic solves: the
-    stages after a vertex face do not run, and the pivots and LP solves
-    stay at the measured values."""
-    counts = dict(simplex=0, pivots=0)
+    stages after a vertex face do not run, no simplex iteration sums a
+    reduced-cost row afresh, and the pivots and LP solves stay at the
+    measured values."""
+    counts = dict(simplex=0, pivots=0, priced=0)
     pivot, simplex = lp_core._Tableau._pivot, lp_core._Tableau._simplex
+    reduced_row = lp_core._Tableau._reduced_row
 
     def counting_pivot(self, r, col):
         counts["pivots"] += 1
@@ -413,12 +416,18 @@ def test_sweep_stage_gate(request, monkeypatch):
         counts["simplex"] += 1
         return simplex(self, cost, banned)
 
+    def counting_reduced_row(self, cost):
+        counts["priced"] += 1
+        return reduced_row(self, cost)
+
     monkeypatch.setattr(lp_core._Tableau, "_pivot", counting_pivot)
     monkeypatch.setattr(lp_core._Tableau, "_simplex", counting_simplex)
+    monkeypatch.setattr(lp_core._Tableau, "_reduced_row", counting_reduced_row)
     before = lp_core.solve_calls()
     for name, lambda_max, steps in SWEEP_GRIDS:
         sweep_lambda(request.getfixturevalue(name), F(lambda_max), steps)
     assert counts["simplex"] <= SWEEP_SIMPLEX_RUNS, counts
+    assert counts["priced"] <= SWEEP_SIMPLEX_RUNS, counts
     assert counts["pivots"] <= SWEEP_PIVOTS, counts
     assert lp_core.solve_calls() - before == SWEEP_LP_SOLVES
 

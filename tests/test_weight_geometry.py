@@ -35,8 +35,8 @@ F = Fraction
 
 def hrep_feasible_at(h, w):
     """Whether some v >= 0 makes (v, w) satisfy the lifted system:
-    cone.(v, w) <= 0 and image.(v, w) = 0."""
-    lifted = h.cone + (h.image,)
+    cone.(v, w) <= 0 and gap.(v, w) = 0."""
+    lifted = h.cone + (h.gap,)
     lp = LinearProgram(
         objective=(F(0),) * h.m,
         rows=tuple(row[: h.m] for row in lifted),
@@ -391,13 +391,13 @@ def test_hrep_dimensions_and_membership(example2):
     y = (F(5), F(10), F(0))
     h = component_hrep(example2, y)
     assert len(h.cone) == example2.n
-    assert all(len(row) == h.m + 3 for row in h.cone + (h.image,))
+    assert all(len(row) == h.m + 3 for row in h.cone + (h.gap,))
     assert hrep_feasible_at(h, (F(1, 4), F(1, 4), F(1, 2)))
     assert not hrep_feasible_at(h, (F(1, 3), F(1, 3), F(1, 3)))
 
 
 def test_hrep_for_another_image_shares_the_cone(example2, example1):
-    """for_image keeps the cone rows and gives component_hrep's image row."""
+    """for_image keeps the cone rows and gives component_hrep's gap row."""
     for p in (example2, example1):
         images = [entry.image for entry in decompose(p).images]
         first = component_hrep(p, images[0])
