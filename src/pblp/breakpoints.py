@@ -44,6 +44,7 @@ of the line, and lambda(v) is one of its interval ends, a positive one.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
@@ -211,12 +212,12 @@ def _bolp_image(case: Case, y: Point3, lam: Fraction):
     return (y[0] + lam * s1 * y[2], y[1] + lam * s2 * y[2])
 
 
-def _is_singleton(case, intervals, beta) -> bool:
-    """Whether beta is a one-point segment: images leave and enter with
-    different bolp images."""
-    leaving = {_bolp_image(case, iv.image, beta) for iv in intervals if iv.upper == beta}
-    entering = {_bolp_image(case, iv.image, beta) for iv in intervals if iv.lower == beta}
-    return bool(leaving and entering) and leaving != entering
+def _is_singleton(case: Case, beta: Fraction, leaving, entering) -> bool:
+    """Whether beta is a one-point segment: images leave (their intervals
+    end at beta) and enter (start there) with different bolp images."""
+    left = {_bolp_image(case, y, beta) for y in leaving}
+    came = {_bolp_image(case, y, beta) for y in entering}
+    return bool(left and came) and left != came
 
 
 def enumerate_breakpoints(p: Pblp, method: Method) -> ParametricSolution:
@@ -253,26 +254,37 @@ def solve_on_decomposition(
         | {iv.upper for iv in intervals if iv.upper is not INF}
     ))
 
-    # Every interval end is 0, a breakpoint or INF, so none lies strictly
-    # inside a segment: the intervals that contain any one lambda of a
-    # segment are exactly those that cover it.
-    def witnesses(lam) -> tuple[int, ...]:
-        return tuple(i for i, iv in enumerate(intervals) if iv.contains(lam))
+    # Every interval end is 0, a breakpoint or INF, so the intervals that
+    # contain one lambda of a segment cover all of it.  Read as ranks (a
+    # lower 0 is 0, breakpoint i is i from 1, INF is B + 1), the segment
+    # below breakpoint i has the intervals with lower < i <= upper, and
+    # the point i those with lower <= i <= upper.
+    rank = {beta: i for i, beta in enumerate(breakpoints, 1)}
+    rank[INF] = top = len(breakpoints) + 1
+    ranks = [(rank[iv.lower] if iv.lower else 0, rank[iv.upper]) for iv in intervals]
+
+    def witnesses(low: int, high: int) -> tuple[int, ...]:
+        return tuple(k for k, (lo, up) in enumerate(ranks) if lo <= low and high <= up)
+
+    leaving, entering = defaultdict(list), defaultdict(list)
+    for iv in intervals:
+        leaving[iv.upper].append(iv.image)
+        entering[iv.lower].append(iv.image)
 
     segments: list[AxisSegment] = []
     prev, prev_closed = Fraction(0), True
-    for beta in breakpoints:
-        middle = witnesses((prev + beta) / 2)
-        if _is_singleton(p.case, intervals, beta):
+    for i, beta in enumerate(breakpoints, 1):
+        middle = witnesses(i - 1, i)
+        if _is_singleton(p.case, beta, leaving[beta], entering[beta]):
             if prev < beta:
                 # up to but excluding the one-point breakpoint (this
                 # piece is absent when the singleton sits at the start)
                 segments.append(AxisSegment(prev, beta, prev_closed, False, middle))
-            segments.append(AxisSegment(beta, beta, True, True, witnesses(beta)))
+            segments.append(AxisSegment(beta, beta, True, True, witnesses(i, i)))
         else:
             segments.append(AxisSegment(prev, beta, prev_closed, True, middle))
         prev, prev_closed = beta, False
-    segments.append(AxisSegment(prev, INF, prev_closed, False, witnesses(prev + 1)))
+    segments.append(AxisSegment(prev, INF, prev_closed, False, witnesses(top - 1, top)))
 
     return ParametricSolution(
         case=p.case,

@@ -163,8 +163,11 @@ def integer_row(values) -> tuple[list[int], int]:
     """values (ints or Fractions) times the lcm of their denominators.
 
     Returns the integer row and the scale.  A row of a linear system so
-    scaled keeps its rank and its solutions.
+    scaled keeps its rank and its solutions.  A row of ints comes back
+    as it is, at scale 1.
     """
+    if all(type(v) is int for v in values):
+        return values, 1
     try:
         scale = lcm(*(v.denominator for v in values))
         return [v.numerator * (scale // v.denominator) for v in values], scale
@@ -520,7 +523,7 @@ class _Tableau:
         signs, which a positive scale keeps; an int objective comes back
         at scale 1, unchanged."""
         values, scale = integer_row(objective)
-        return values + [0] * (self.num_cols - len(values)), scale
+        return list(values) + [0] * (self.num_cols - len(values)), scale
 
     def _value(self, cost: list[int], scale: int) -> Fraction:
         """The objective cost / scale at the current vertex."""

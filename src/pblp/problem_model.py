@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from operator import mul
 
 from .errors import BadCase, DimensionMismatch, NegativeParameter
@@ -54,8 +55,9 @@ def _image(integer_costs, x) -> tuple[Fraction, ...]:
 class Pblp:
     """One parametric instance; x >= 0 is implicit in the feasible system.
 
-    cost_rows, integer_costs and image belong to the triobjective
-    problem min (c1.x, c2.x, d1.x): case plays no part in them.
+    cost_rows, integer_costs, common_costs and image belong to the
+    triobjective problem min (c1.x, c2.x, d1.x): case plays no part in
+    them.
     """
 
     case: Case
@@ -83,6 +85,12 @@ class Pblp:
     def integer_costs(self) -> tuple[tuple[list[int], int], ...]:
         """integer_row of each cost row, scaled once per record."""
         return tuple(integer_row(row) for row in self.cost_rows)
+
+    @cached_property
+    def common_costs(self) -> tuple[list[int], ...]:
+        """The cost rows as ints over the lcm of integer_costs' scales."""
+        common = lcm(*(s for _, s in self.integer_costs))
+        return tuple([a * (common // s) for a in row] for row, s in self.integer_costs)
 
     def image(self, x) -> tuple[Fraction, Fraction, Fraction]:
         return _image(self.integer_costs, x)

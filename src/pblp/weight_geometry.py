@@ -7,9 +7,10 @@ Everything here is exact and, in the exact-geometric-computation style
 is a reduced homogeneous triple (X, Y, W), W > 0 and gcd(X, Y, W) = 1,
 for (X/W, Y/W), so equal points are equal triples; a half-plane has
 integer coefficients; an image is integer numerators over one positive
-denominator.  On top of that: half-plane clipping, canonical convex
-polygons, shoelace areas, and the lifted H-representation of a
-component over (v, w), in the row layout the LP-based interval method
+denominator.  On top of that: half-plane clipping that also returns the
+points spanning the piece cut off, canonical convex polygons, the convex
+hull of a point set, shoelace areas, and the lifted H-representation of
+a component over (v, w), in the row layout the LP-based interval method
 solves.  Fractions are built only for callers that read them: a
 polygon's vertices and its area.
 """
@@ -108,43 +109,11 @@ def simplex_triangle() -> ConvexPolygon2:
     return ConvexPolygon2(((0, 0, 1), (1, 0, 1), (0, 1, 1)))
 
 
-def clip_polygon(poly: ConvexPolygon2, hp: HalfPlane) -> ConvexPolygon2:
-    """Intersect a polygon with one half-plane in linear time.
-
-    Each vertex (X, Y, W) is evaluated once as D = a1*X + a2*Y - rhs*W;
-    W > 0, so D has the sign of a1*x + a2*y - rhs.  A plane that leaves
-    every vertex inside returns poly itself, and one that leaves every
-    vertex strictly outside the empty polygon.  Otherwise one
-    Sutherland-Hodgman pass (Sutherland and Hodgman, CACM 1974) reuses
-    the D: edge s -> e crosses the line at Ds*e - De*s, negated to W > 0
-    and divided by the gcd of its entries, so a positive multiple of the
-    plane gives the same point.  A convex counterclockwise polygon stays
-    so, and the canonical form needs no hull: drop repeated triples (a
-    vertex on the line is emitted twice) and collinear ones, whose 3x3
-    determinant vanishes (left by a polygon built with extra points on
-    its edges), then rotate to the smallest vertex.  Fewer than three
-    points leave a sorted point or segment.
-    """
-    ts = poly.triples
-    a1, a2, rhs = hp.a1, hp.a2, hp.rhs
-    d = [a1 * x + a2 * y - rhs * w for x, y, w in ts]
-    if all(v <= 0 for v in d):
-        return poly
-    if all(v > 0 for v in d):
-        return ConvexPolygon2(())
-    out: list[Triple] = []
-    for i, (e, de) in enumerate(zip(ts, d)):  # edge ts[i-1] -> ts[i]
-        s, ds = ts[i - 1], d[i - 1]
-        if (ds > 0) != (de > 0):
-            x = ds * e[0] - de * s[0]
-            y = ds * e[1] - de * s[1]
-            w = ds * e[2] - de * s[2]
-            if w < 0:
-                x, y, w = -x, -y, -w
-            g = gcd(x, y, w)
-            out.append((x // g, y // g, w // g))
-        if de <= 0:
-            out.append(e)
+def _canonical(out: list[Triple]) -> ConvexPolygon2:
+    """The canonical polygon whose boundary out walks counterclockwise:
+    drop repeated triples and collinear ones, whose 3x3 determinant
+    vanishes, and rotate to the smallest vertex.  Fewer than three
+    points left give a sorted point or segment."""
     pts = [p for i, p in enumerate(out) if p != out[i - 1]] or out[:1]
     count = len(pts)
     hull = [
@@ -156,6 +125,69 @@ def clip_polygon(poly: ConvexPolygon2, hp: HalfPlane) -> ConvexPolygon2:
         return ConvexPolygon2((low,) if low == high else (low, high))
     start = hull.index(min(hull, key=_lex))
     return ConvexPolygon2(tuple(hull[start:] + hull[:start]))
+
+
+def split_polygon(
+    poly: ConvexPolygon2, hp: HalfPlane
+) -> tuple[ConvexPolygon2, list[Triple]]:
+    """The part of poly in hp, and the points that span the part cut
+    off: the vertices on or beyond the line and the crossing points.
+
+    Each vertex (X, Y, W) is evaluated once as D = a1*X + a2*Y - rhs*W,
+    of the sign of a1*x + a2*y - rhs as W > 0.  Unless every D is <= 0
+    or every D > 0, one Sutherland-Hodgman pass (CACM 1974) reuses the
+    D: edge s -> e crosses the line at Ds*e - De*s, negated to W > 0 and
+    divided by the gcd of its entries, so a positive multiple of the
+    plane gives the same point.  The kept part stays convex and
+    counterclockwise, so _canonical, not a hull, makes it canonical.
+    """
+    ts = poly.triples
+    a1, a2, rhs = hp.a1, hp.a2, hp.rhs
+    d = [a1 * x + a2 * y - rhs * w for x, y, w in ts]
+    if all(v <= 0 for v in d):
+        return poly, [t for t, v in zip(ts, d) if v == 0]
+    if all(v > 0 for v in d):
+        return ConvexPolygon2(()), list(ts)
+    kept, cut = [], []
+    for i, (e, de) in enumerate(zip(ts, d)):  # edge ts[i-1] -> ts[i]
+        s, ds = ts[i - 1], d[i - 1]
+        if (ds > 0) != (de > 0):
+            x = ds * e[0] - de * s[0]
+            y = ds * e[1] - de * s[1]
+            w = ds * e[2] - de * s[2]
+            if w < 0:
+                x, y, w = -x, -y, -w
+            g = gcd(x, y, w)
+            kept.append((x // g, y // g, w // g))
+            cut.append(kept[-1])
+        if de <= 0:
+            kept.append(e)
+        if de >= 0:
+            cut.append(e)
+    return _canonical(kept), cut
+
+
+def clip_polygon(poly: ConvexPolygon2, hp: HalfPlane) -> ConvexPolygon2:
+    """Intersect a polygon with one half-plane in linear time."""
+    return split_polygon(poly, hp)[0]
+
+
+def convex_hull(points) -> ConvexPolygon2:
+    """The canonical hull of reduced triples by Andrew's monotone chain
+    (Inf. Process. Lett. 1979): it runs counterclockwise from the
+    smallest point, so only a collinear set needs _canonical."""
+    pts = sorted(set(points), key=_lex)
+    if len(pts) < 3:
+        return ConvexPolygon2(tuple(pts))
+    chain: list[Triple] = []
+    for walk in (pts, pts[::-1]):  # the lower chain, then the upper one
+        start = len(chain)
+        for p in walk:
+            while len(chain) - start > 1 and _det3(chain[-2], chain[-1], p) <= 0:
+                chain.pop()
+            chain.append(p)
+        chain.pop()  # the first point of the other walk
+    return _canonical(chain)
 
 
 def intersect_polygons(a: ConvexPolygon2, b: ConvexPolygon2) -> ConvexPolygon2:

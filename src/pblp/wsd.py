@@ -42,7 +42,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
 
 from . import lp_core
 from .errors import InfeasibleProblem, InvariantViolation, UnboundedScalarization
@@ -53,10 +52,11 @@ from .weight_geometry import (
     IntImage,
     Point3,
     Triple,
-    clip_polygon,
     competitor_halfplane,
     component_vertices,
+    convex_hull,
     integral_image,
+    split_polygon,
 )
 
 __all__ = ["ExtremeImage", "Decomposition", "find_extreme_image", "decompose"]
@@ -103,14 +103,11 @@ class Decomposition:
 
 def _weighted_sum(p: Pblp, vertex: Triple) -> LinearProgram:
     """The weighted-sum LP at vertex = (X, Y, W): the objective
-    X c1 + Y c2 + (W - X - Y) d1 over p.integer_costs, times the lcm of
-    their scales, is L*W times ws_scalarize's, L > 0.  p.case plays no
-    part."""
-    (c1, s1), (c2, s2), (d1, s3) = p.integer_costs
-    scale = lcm(s1, s2, s3)
+    X c1 + Y c2 + (W - X - Y) d1 over p.common_costs, scaled by L, is
+    L*W times ws_scalarize's, L > 0.  p.case plays no part."""
     x, y, w = vertex
-    a1, a2, a3 = x * (scale // s1), y * (scale // s2), (w - x - y) * (scale // s3)
-    return system_lp(p, (a1 * u + a2 * v + a3 * z for u, v, z in zip(c1, c2, d1)))
+    z = w - x - y
+    return system_lp(p, (x * a + y * b + z * c for a, b, c in zip(*p.common_costs)))
 
 
 def find_extreme_image(
@@ -118,20 +115,19 @@ def find_extreme_image(
 ) -> ExtremeImage:
     """Lexicographic weighted-sum solve (_weighted_sum) at the weight
     (X, Y, W - X - Y)/W of the vertex triple w = (X, Y, W), ties
-    (c1, c2, d1) as the integer rows of p.integer_costs, each a positive
-    multiple of its cost row, with the same signs and pivots.
+    (c1, c2, d1) as the rows of p.common_costs, each a positive multiple
+    of its cost row, with the same signs and pivots.
 
     The ties pin a single image even when w sits on a component
     boundary, and they guarantee the returned image is a nondominated
     extreme point, not merely weakly nondominated.  system, when given,
     is p's feasible system and spares the solve its phase one.  The
-    solve also prices p.cost_rows at its final basis, whose cone the
-    result carries: ExtremeImage.covers needs them over one common
+    solve also prices p.common_costs at its final basis, whose cone the
+    result carries: ExtremeImage.covers needs the three over one common
     scale.  p.case plays no part.
     """
-    ties = tuple(row for row, _ in p.integer_costs)
     result = solve_lex_lp(
-        _weighted_sum(p, w), ties=ties, system=system, price=p.cost_rows
+        _weighted_sum(p, w), ties=p.common_costs, system=system, price=p.common_costs
     )
     if result.status is LpStatus.UNBOUNDED:
         x, y, den = w
@@ -173,8 +169,11 @@ def decompose(p: Pblp) -> Decomposition:
     cache: dict[Triple, tuple[ExtremeImage, IntImage]] = {}
 
     # A new image adds one half-plane to each known component, so the
-    # known polygons are clipped by it rather than rebuilt; intersection
-    # is exact and ConvexPolygon2 canonical, so the tiling is the same.
+    # known polygons are clipped by it rather than rebuilt.  They tile the
+    # simplex, so the new image's component is the union of the pieces it
+    # cuts off them: the hull of their points.  Clipping and the hull are
+    # exact and ConvexPolygon2 canonical, so the tiling is the one that
+    # component_vertices gives.
     polygons = [component_vertices(y, images)]
     # certified[i]: vertices that passed against known[i].  A pass depends
     # on the image and the vertex alone, so later rounds skip the pair and
@@ -202,14 +201,15 @@ def decompose(p: Pblp) -> Decomposition:
         entry, y = challenger
         if y in images:
             raise InvariantViolation(f"tiling admitted known image {entry.image}")
-        polygons = [
-            clip_polygon(poly, competitor_halfplane(image, y))
+        splits = [
+            split_polygon(poly, competitor_halfplane(image, y))
             for image, poly in zip(images, polygons)
         ]
         known.append(entry)
         certified.append(set())
         images.append(y)
-        polygons.append(component_vertices(y, images))
+        polygons = [kept for kept, _ in splits]
+        polygons.append(convex_hull(point for _, cut in splits for point in cut))
 
     keep = [(entry, poly) for entry, poly in zip(known, polygons) if poly.area() > 0]
     keep.sort(key=lambda pair: pair[0].image)

@@ -487,6 +487,111 @@ def test_axis_witnesses_are_the_intervals_that_cover_each_segment():
     assert all(count >= 50 for count in kinds.values()), kinds
 
 
+def _reference_axis(case, intervals):
+    """The breakpoints and axis as read before the ends became ranks:
+    the witnesses of a segment are the intervals that contain its
+    midpoint (lower + 1 for the last one), those of a one-point segment
+    the intervals that contain it, and a breakpoint is one point when
+    the images leaving and entering there, found by a scan of every
+    interval, have different bolp images."""
+
+    def witnesses(lam):
+        return tuple(i for i, iv in enumerate(intervals) if iv.contains(lam))
+
+    def one_point(beta):
+        def bolp(ivs):
+            return {breakpoints._bolp_image(case, iv.image, beta) for iv in ivs}
+
+        leaving = bolp(iv for iv in intervals if iv.upper == beta)
+        entering = bolp(iv for iv in intervals if iv.lower == beta)
+        return bool(leaving and entering) and leaving != entering
+
+    ends = sorted(
+        {iv.lower for iv in intervals if iv.lower > 0}
+        | {iv.upper for iv in intervals if iv.upper is not INF}
+    )
+    axis = []
+    prev, prev_closed = F(0), True
+    for beta in ends:
+        middle = witnesses((prev + beta) / 2)
+        if one_point(beta):
+            if prev < beta:
+                axis.append((prev, beta, prev_closed, False, middle))
+            axis.append((beta, beta, True, True, witnesses(beta)))
+        else:
+            axis.append((prev, beta, prev_closed, True, middle))
+        prev, prev_closed = beta, False
+    axis.append((prev, INF, prev_closed, False, witnesses(prev + 1)))
+    return tuple(ends), axis
+
+
+def _axis_tuples(sol):
+    return [
+        (s.lower, s.upper, s.lower_closed, s.upper_closed, s.witnesses)
+        for s in sol.axis
+    ]
+
+
+def test_axis_from_end_ranks_matches_the_reference_formulation(
+    example1, example2, example2_case1
+):
+    """solve_on_decomposition reads witnesses off integer end ranks and
+    tests one-point segments on the images grouped by end value.  By both
+    methods it must give the breakpoints and axis of _reference_axis on
+    the acceptance batch (seed 1405, 200 instances, cases alternating),
+    on the degenerate family in both cases and on the bundled three."""
+    problems = []
+    rng = random.Random(1405)
+    for trial in range(200):
+        problems.append(random_pblp(rng, Case.ONE if trial % 2 == 0 else Case.TWO))
+    rng = random.Random(2005)
+    for _ in range(105):
+        p = degenerate_pblp(rng, Case.ONE)
+        problems += [p, replace(p, case=Case.TWO)]
+    problems += [example1, example2, example2_case1]
+    one_point = 0
+    for p in problems:
+        dec = decompose(p)
+        for method in (Method.LP, Method.ADAPTED):
+            sol = solve_on_decomposition(p, dec, method)
+            expected = _reference_axis(p.case, sol.intervals)
+            assert (sol.breakpoints, _axis_tuples(sol)) == expected, (p, method)
+            one_point += sum(s.lower == s.upper for s in sol.axis)
+    assert one_point >= 100, one_point
+
+
+def test_a_one_point_segment_at_the_first_breakpoint():
+    """At lambda = 1/2, the first breakpoint, the image (-5, -5, 10)
+    leaves and (-3, -3, 6) and (4, 0, 0) enter.  In case TWO the first
+    two map to the biobjective point (0, 0) and the third to (4, 0), so
+    the leaving and entering sets differ and 1/2 is a segment of its
+    own, where all three images are optimal."""
+    p = Pblp(
+        case=Case.TWO, n=2,
+        rows=((F(-1), F(1)), (F(2), F(3)), (F(1), F(1))),
+        rhs=(F(2), F(6), F(5)),
+        senses=(Sense.LE, Sense.GE, Sense.LE),
+        c1=(F(-1), F(2)), c2=(F(-1), F(0)), d1=(F(2), F(0)),
+    )
+    for method in (Method.LP, Method.ADAPTED):
+        sol = enumerate_breakpoints(p, method)
+        assert _interval_map(sol) == {
+            (F(-5), F(-5), F(10)): (F(0), F(1, 2)),
+            (F(-3), F(-3), F(6)): (F(1, 2), F(7, 6)),
+            (F(4), F(0), F(0)): (F(1, 2), INF),
+        }
+        assert sol.breakpoints == (F(1, 2), F(7, 6))
+        assert _axis_tuples(sol) == [
+            (F(0), F(1, 2), True, False, (0,)),
+            (F(1, 2), F(1, 2), True, True, (0, 1, 2)),
+            (F(1, 2), F(7, 6), False, True, (1, 2)),
+            (F(7, 6), INF, False, False, (2,)),
+        ]
+        assert _reference_axis(p.case, sol.intervals) == (
+            sol.breakpoints, _axis_tuples(sol)
+        )
+
+
 def test_methods_agree_on_random_instances():
     rng = random.Random(23)
     for trial in range(10):

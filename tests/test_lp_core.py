@@ -943,6 +943,18 @@ def test_integer_row_scales_by_the_lcm_of_denominators():
     assert integer_row([0, 0]) == ([0, 0], 1)
 
 
+def test_an_int_row_comes_back_as_it_is():
+    """A row of ints needs no scaling: integer_row returns it at scale 1.
+    A float or a str among ints is still refused."""
+    row = [3, -7, 0, 2**70]
+    got, scale = integer_row(row)
+    assert got is row and scale == 1
+    assert integer_row([True, 2]) == ([1, 2], 1)
+    for bad in ([1, 2, 0.5], [1.0], [4, "3"], ("1",)):
+        with pytest.raises(NotRational):
+            integer_row(bad)
+
+
 def _face_case(rng):
     """A _random_fractional_case LP and an objective f to take the
     optimal face of: a multiple of one of its equality rows, constant on

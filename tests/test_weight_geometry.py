@@ -18,7 +18,13 @@ from pblp import (
     simplex_triangle,
     solve_lp,
 )
-from pblp.weight_geometry import integral_image, intersect_polygons
+from pblp.weight_geometry import (
+    HalfPlane,
+    convex_hull,
+    integral_image,
+    intersect_polygons,
+    split_polygon,
+)
 
 from conftest import (
     component,
@@ -28,6 +34,7 @@ from conftest import (
     plane_is_trivial,
     polygon,
     polygon_contains,
+    triple,
 )
 
 F = Fraction
@@ -227,6 +234,51 @@ def test_linear_clip_matches_the_hull_clip():
         assert any(n_in == size for n_in, _ in shapes)
         assert any(n_out == size for _, n_out in shapes)
     assert any(n_out == 0 for _, n_out in shapes)
+
+
+def test_a_split_keeps_the_clip_and_returns_the_piece_cut_off():
+    """split_polygon keeps what the reference clip keeps, the hull of
+    its cut points is the reference clip by the opposite closed
+    half-plane, and the hull of both is the polygon again."""
+    rng = random.Random(24)
+    pieces = 0
+    for poly, hp in _clip_cases(rng, 3000):
+        kept, cut = split_polygon(poly, hp)
+        assert kept.vertices == _reference_clip(poly, hp).vertices, (poly, hp)
+        beyond = HalfPlane(-hp.a1, -hp.a2, -hp.rhs)
+        piece = convex_hull(cut)
+        assert piece.vertices == _reference_clip(poly, beyond).vertices, (poly, hp)
+        assert convex_hull(kept.triples + tuple(cut)) == poly, (poly, hp)
+        pieces += not kept.is_empty() and piece.area() > 0
+    assert pieces > 500
+
+
+def _hull_cases(rng, count):
+    """Seeded point lists with repeats and collinear runs, of every size
+    from 1 up, as Fraction pairs."""
+    def coord():
+        return F(rng.randint(-6, 6), rng.randint(1, 3))
+
+    for trial in range(count):
+        size = rng.choice((1, 1, 2, 2, 3, 4, 6, 10))
+        points = [(coord(), coord()) for _ in range(size)]
+        if trial % 3 == 0:  # a collinear run through the first point
+            (x, y), dx, dy = points[0], F(rng.randint(-2, 2)), F(rng.randint(-2, 2))
+            points += [(x + k * dx, y + k * dy) for k in range(rng.randint(1, 4))]
+        if trial % 2 == 0:
+            points += rng.sample(points, rng.randint(1, len(points)))
+        rng.shuffle(points)
+        yield points
+
+
+def test_convex_hull_matches_the_fraction_hull():
+    rng = random.Random(25)
+    sizes = set()
+    for points in _hull_cases(rng, 3000):
+        got = convex_hull(triple(x, y) for x, y in points)
+        assert got == hull_of(points), points
+        sizes.add(min(len(got.triples), 4))
+    assert sizes == {1, 2, 3, 4}
 
 
 def test_a_cut_canonicalizes_redundant_boundary_points():

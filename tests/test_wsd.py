@@ -16,13 +16,19 @@ from pblp import (
     extreme_nondominated_bruteforce,
     find_extreme_image,
 )
-from pblp import lp_core
+from pblp import lp_core, wsd
 from pblp.cli_io import COMPUTE_ERROR, cli_main, emit_problem
 from pblp.errors import InfeasibleProblem, UnboundedScalarization
 from pblp.lp_core import FeasibleSystem, solve_lex_lp
 from pblp.problem_model import Weight2, ws_scalarize
 from conftest import component, load_instance, w3
-from pblp.weight_geometry import intersect_polygons, simplex_triangle
+from pblp.weight_geometry import (
+    competitor_halfplane,
+    component_vertices,
+    convex_hull,
+    intersect_polygons,
+    simplex_triangle,
+)
 from pblp.wsd import Decomposition
 from instance_gen import random_bounded_system, random_cost, random_pblp
 
@@ -258,14 +264,8 @@ def _degenerate(p, kind, rng):
     )
 
 
-def test_incremental_components_match_a_rebuild_per_round():
-    """decompose clips the known components by each new image's
-    half-plane instead of rebuilding them, and passes a vertex without an
-    LP when a basis that yields the image is optimal there.  On seeded
-    acceptance-family, larger and degenerate instances it must return
-    the images, witnesses and components of a reference that rebuilds
-    every round and solves an LP at every vertex, with no more LP solves
-    on any instance and fewer in all."""
+def _incremental_family():
+    """Seeded acceptance-family, larger and degenerate instances."""
     rng = random.Random(1405)
     problems = [random_pblp(rng, (Case.ONE, Case.TWO)[i % 2]) for i in range(24)]
     for i in range(4):  # larger systems, as in the benchmark's scaled family
@@ -281,8 +281,19 @@ def test_incremental_components_match_a_rebuild_per_round():
         kind = ("duplicate", "zero cost", "d1 = 2 c1", "c2 = c1 + d1")[i % 4]
         base = random_pblp(rng, (Case.ONE, Case.TWO)[i // 4 % 2])
         problems.append(_degenerate(base, kind, rng))
+    return problems
+
+
+def test_incremental_components_match_a_rebuild_per_round():
+    """decompose clips the known components by each new image's
+    half-plane instead of rebuilding them, and passes a vertex without an
+    LP when a basis that yields the image is optimal there.  On seeded
+    acceptance-family, larger and degenerate instances it must return
+    the images, witnesses and components of a reference that rebuilds
+    every round and solves an LP at every vertex, with no more LP solves
+    on any instance and fewer in all."""
     rounds = solves = reference_solves = 0
-    for p in problems:
+    for p in _incremental_family():
         got = decompose(p)
         ref = _decompose_from_scratch(p)
         assert (got.images, got.components) == (ref.images, ref.components), p
@@ -293,6 +304,35 @@ def test_incremental_components_match_a_rebuild_per_round():
         reference_solves += ref.lp_solves
     assert rounds >= 10
     assert solves < reference_solves
+
+
+def test_each_new_component_is_the_hull_of_the_pieces_it_cuts_off(monkeypatch):
+    """decompose builds a new image's polygon as the hull of the points
+    it cuts off the known polygons.  On the instances of the rebuild
+    test, every round's polygon must be component_vertices of the new
+    image against every image known by then."""
+    halfplanes, rounds = [], []
+
+    def recording_halfplane(image, y):
+        halfplanes.append((image, y))
+        return competitor_halfplane(image, y)
+
+    def recording_hull(points):
+        poly = convex_hull(points)
+        rounds.append((halfplanes[-1][1], [image for image, _ in halfplanes], poly))
+        halfplanes.clear()
+        return poly
+
+    monkeypatch.setattr(wsd, "competitor_halfplane", recording_halfplane)
+    monkeypatch.setattr(wsd, "convex_hull", recording_hull)
+    count = 0
+    for p in _incremental_family():
+        decompose(p)
+        for y, known, poly in rounds:
+            assert poly == component_vertices(y, known + [y]), (p, y)
+        count += len(rounds)
+        rounds.clear()
+    assert count > 100, count
 
 
 def test_bundled_decompositions_take_five_lp_solves(example1, example2, example2_case1):
@@ -379,9 +419,11 @@ def test_integer_certificates_match_the_fraction_weighted_sum():
     vertex, that solve must give the image, witness and cone of the
     ws_scalarize solve at the lifted Fraction weight, and covers must
     agree with the cone evaluated at the Fraction weight, for every
-    image's record.  The family's costs are integers, so each instance
-    also runs with its cost rows divided by 2, 3 and 7/5, whose integer
-    rows have different scales."""
+    image's record.  The cone decompose prices with p.common_costs must
+    equal the one priced with the Fraction cost rows at the same basis.
+    The family's costs are integers, so each instance also runs with its
+    cost rows divided by 2, 3 and 7/5, whose integer rows have different
+    scales."""
     families = _bench_families()
     vertices = 0
     verdicts = set()
@@ -407,6 +449,11 @@ def test_integer_certificates_match_the_fraction_weighted_sum():
                 assert (got.image, got.witness, got.cone) == (
                     p.image(ref.x), ref.x, ref.reduced
                 ), (p, triple)
+                common = solve_lex_lp(
+                    ws_scalarize(p, Weight2(w1, w2).lift()), p.cost_rows, system,
+                    price=p.common_costs,
+                )
+                assert common.reduced == ref.reduced, (p, triple)
                 rest = 1 - w1 - w2
                 for entry in dec.images + (got,):
                     expected = all(
