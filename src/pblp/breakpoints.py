@@ -153,7 +153,7 @@ def _interval_lp(h: ComponentHrep, case: Case, base: FeasibleSystem):
     if base.lp.rows[-1][h.m :] != case.shares + (0,):
         raise SystemMismatch("interval system is not the slice of this case")
     gap, component = base.face(h.gap)
-    if gap.value != 0:
+    if gap != 0:
         raise EmptyComponent("the duality gap of the image is positive on the slice")
     lower = solve_lp(base.lp, system=component).value
     top = replace(base.lp, objective=(0,) * (h.m + 2) + (-1,))

@@ -106,7 +106,9 @@ def parse_problem(text: str) -> Pblp:
     if not rows:
         raise ParseError("no 'row' lines")
 
-    case = Case.from_text(fields["case"])
+    if fields["case"] not in ("1", "2"):
+        raise BadCase(f"case must be 1 or 2, got {fields['case']!r}")
+    case = Case(fields["case"])
     try:
         n = int(fields["vars"])
     except ValueError:

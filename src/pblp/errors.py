@@ -14,7 +14,7 @@ class ParseError(PblpError):
 
 
 class NotRational(PblpError):
-    """An LP entry is neither an int nor a Fraction."""
+    """A row entry to scale to integers is neither an int nor a Fraction."""
 
 
 class DimensionMismatch(PblpError):

@@ -32,26 +32,28 @@ need no artificial.  The rank reduction eliminates over the equality
 rows only: an inequality row is the one row with a nonzero in its slack
 column, so it never depends on the others.
 
-Phase one never reads the objective.  A FeasibleSystem runs the
-standard-form set-up, the rank reduction and phase one once for a set of
-constraints and keeps the feasible dictionary; every LP over those
-constraints then starts phase two from a copy of it (the reuse across
-weights of Przybylski, Gandibleux and Ehrgott, INFORMS J. Comput. 2010).
-The pivot path, and so the optimal vertex, is the one a fresh solve
-takes.  FeasibleSystem.face(f) minimizes f once on a copy and drops the
+Phase one never reads the objective, and every LP runs one way.  A
+FeasibleSystem runs the standard-form set-up, the rank reduction and
+phase one once for a set of constraints and keeps the feasible
+dictionary; every LP over those constraints starts phase two from a
+copy of it (the reuse across weights of Przybylski, Gandibleux and
+Ehrgott, INFORMS J. Comput. 2010).  A plain solve_lp(lp) builds
+FeasibleSystem(lp) for itself, so a solve on a shared system takes a
+plain solve's pivot path and ends on its optimal vertex.
+FeasibleSystem.face(f) runs phase two of f on a copy and drops the
 nonbasic columns whose positive reduced cost holds them at zero on f's
 optimal face, so LPs on the face run on a narrower dictionary with no
-new row and no phase one.  On a face the optimal value is a fresh
+new row and no phase one.  On a face the optimal value is a plain
 solve's with the row f.x = min f appended; the optimal vertex may
 differ.
 
-integer_row, eliminate and solve_square are the package's one exact
-elimination routine, shared by the tableau's rank reduction and the
-duals; the vertex oracle and the problem records scale their rows with
-it.  It raises NotRational on an entry that is no int or Fraction.
+eliminate and solve_square are the package's one exact elimination
+routine, shared by the tableau's rank reduction and the duals.  Rows
+and objectives reach the integers through numerics.integer_row, which
+raises NotRational on an entry that is no int or Fraction.
 
 Optimal duals are solved exactly from the final basis of a plain solve
-only: one with no ties and no FeasibleSystem, face or not.  Reduced
+only: one with no ties whose caller gave no FeasibleSystem.  Reduced
 costs at the final basis are reported for the objectives a caller asks
 to price, over one common positive scale, so that the weights for which
 that basis stays optimal form an integer cone (Ehrgott, Multicriteria
@@ -72,7 +74,8 @@ from enum import Enum
 from fractions import Fraction
 from math import gcd, lcm, prod
 
-from .errors import DimensionMismatch, InvariantViolation, NotRational, SystemMismatch
+from .errors import DimensionMismatch, InvariantViolation, SystemMismatch
+from .numerics import integer_row
 
 __all__ = [
     "Sense",
@@ -82,7 +85,6 @@ __all__ = [
     "FeasibleSystem",
     "solve_lp",
     "solve_lex_lp",
-    "integer_row",
     "Echelon",
     "eliminate",
     "solve_square",
@@ -134,11 +136,10 @@ class LinearProgram:
 
 @dataclass(frozen=True)
 class LpResult:
-    """Outcome of a solve; x and value are set when status is OPTIMAL
-    (value only, from FeasibleSystem.face).
+    """Outcome of a solve; x and value are set when status is OPTIMAL.
 
     dual holds one optimal dual per original row for a plain solve (no
-    ties, no FeasibleSystem) and is None otherwise.
+    ties, no FeasibleSystem given) and is None otherwise.
 
     reduced is set by an optimal solve that was asked to price objectives
     (see solve_lp) and is None otherwise.  It holds one integer tuple per
@@ -157,23 +158,6 @@ class LpResult:
 
 
 # -- exact elimination ------------------------------------------------------
-
-
-def integer_row(values) -> tuple[list[int], int]:
-    """values (ints or Fractions) times the lcm of their denominators.
-
-    Returns the integer row and the scale.  A row of a linear system so
-    scaled keeps its rank and its solutions.  A row of ints comes back
-    as it is, at scale 1.
-    """
-    if all(type(v) is int for v in values):
-        return values, 1
-    try:
-        scale = lcm(*(v.denominator for v in values))
-        return [v.numerator * (scale // v.denominator) for v in values], scale
-    except AttributeError:
-        bad = next((v for v in values if not isinstance(v, (int, Fraction))), None)
-        raise NotRational(f"{bad!r} is neither an int nor a Fraction") from None
 
 
 @dataclass(frozen=True)
@@ -283,7 +267,6 @@ class _Tableau:
     """
 
     def __init__(self, lp: LinearProgram):
-        self.lp = lp
         # Label layout: one per variable, then one slack/surplus per
         # inequality.
         cols = lp.num_vars
@@ -444,10 +427,10 @@ class _Tableau:
                 return LpStatus.UNBOUNDED
             self._pivot(leaving, nonbasic[k])
 
-    def _ban_optimal_face(self, cost: list[int], banned: set[int]) -> bool:
-        """Confine later stages to the optimal face of cost, the cost of
-        the _simplex run just ended, whose kept row d this reads; False
-        when no label is left free, so the face is the current vertex.
+    def _ban_optimal_face(self, banned: set[int]) -> bool:
+        """Confine later stages to the optimal face of the cost of the
+        _simplex run just ended, whose kept row d this reads; False when
+        no label is left free, so the face is the current vertex.
 
         At an optimal basis cost.z equals the optimum plus the sum of
         reduced cost times z_j over nonbasic labels, every reduced cost
@@ -560,7 +543,7 @@ class _Tableau:
         banned: set[int] = set()
         value = None
         for objective in objectives:
-            if value is not None and not self._ban_optimal_face(cost, banned):
+            if value is not None and not self._ban_optimal_face(banned):
                 break
             cost, scale = self._column_cost(objective)
             if self._simplex(cost, banned) is LpStatus.UNBOUNDED:
@@ -570,38 +553,35 @@ class _Tableau:
         return value
 
     def face(self, objective) -> Fraction | None:
-        """Minimize objective, then narrow this tableau to its optimal
-        face: the minimum, or None when it is unbounded.
+        """phase_two of objective alone, then this tableau narrowed to
+        its optimal face: the minimum, or None when it is unbounded.
 
         At the optimal basis each nonbasic label of positive reduced
         cost is zero on the whole face (see _ban_optimal_face), so it is
-        dropped; the kept row of the minimization tells which, with no
-        second scaling of objective.  The rest keep their label order,
-        so Bland's rule and the ratio test's ties take the pivots of a
-        full tableau with the dropped labels banned.  No row is added
-        and det stays.
+        dropped; the kept row of the minimization tells which.  The rest
+        keep their label order, so Bland's rule and the ratio test's
+        ties take the pivots of a full tableau with the dropped labels
+        banned.  No row is added and det stays.
         """
-        cost, scale = self._column_cost(objective)
-        if self._simplex(cost, set()) is LpStatus.UNBOUNDED:
-            return None
-        off: set[int] = set()
-        self._ban_optimal_face(cost, off)
-        self._drop(off)
-        return self._value(cost, scale)
+        value = self.phase_two((objective,))
+        if value is not None:
+            off: set[int] = set()
+            self._ban_optimal_face(off)
+            self._drop(off)
+        return value
 
-    def copy(self, lp: LinearProgram) -> "_Tableau":
-        """An independent twin for solving lp, an LP over the same system.
+    def copy(self) -> "_Tableau":
+        """An independent twin of this feasible tableau, for phase two of
+        another LP over the same system.
 
         Pivots write rows, b, basis and nonbasic in place, so those four
-        are copied; det is an int, rebound by each pivot, the label
-        layout and the row bookkeeping are shared, and the twin starts
-        with no kept row.
+        are copied; det is an int, rebound by each pivot, the row
+        bookkeeping of the duals is shared, and the twin starts with no
+        kept row.  What only phase one reads stays behind.
         """
         twin = _Tableau.__new__(_Tableau)
-        twin.lp, twin.num_cols, twin.slack_col = lp, self.num_cols, self.slack_col
+        twin.num_cols, twin.start_rows = self.num_cols, self.start_rows
         twin.row_factor, twin.orig_row = self.row_factor, self.orig_row
-        twin.start_rows = self.start_rows
-        twin.infeasible_by_rank = self.infeasible_by_rank
         twin.rows = [row[:] for row in self.rows]
         twin.b, twin.det, twin.d = self.b[:], self.det, None
         twin.basis, twin.nonbasic = self.basis[:], self.nonbasic[:]
@@ -609,39 +589,32 @@ class _Tableau:
 
     # -- extraction -------------------------------------------------------
 
-    def solution(self) -> tuple[Fraction, ...]:
-        x = [Fraction(0)] * self.lp.num_vars
+    def solution(self, n: int) -> tuple[Fraction, ...]:
+        """The current vertex's first n labels, the LP's variables."""
+        x = [Fraction(0)] * n
         for col, b in zip(self.basis, self.b):
-            if col < len(x):
+            if col < n:
                 x[col] = Fraction(b, self.det)
         return tuple(x)
 
-    def duals(self) -> tuple[Fraction, ...]:
-        """Dual of each original row from B^T y = c_B on the final basis.
+    def duals(self, lp: LinearProgram) -> tuple[Fraction, ...]:
+        """Dual of each row of lp from B^T y = c_B on the final basis.
 
         B is read off start_rows, the kept integer rows over every label
-        before any pivot, and c is the objective times the lcm of its
+        before any pivot, and c is lp's objective times the lcm of its
         denominators, so y_i times row_factor[i] over that lcm is the
         dual of original row orig_row[i].  Dropped rows get dual zero.
         """
-        cost, scale = self._column_cost(self.lp.objective)
+        cost, scale = self._column_cost(lp.objective)
         y = solve_square(
             [[row[col] for row in self.start_rows] + [cost[col]] for col in self.basis]
         )
         if y is None:
             raise InvariantViolation("final simplex basis is singular")
-        duals = [Fraction(0)] * len(self.lp.rows)
+        duals = [Fraction(0)] * len(lp.rows)
         for i, factor, v in zip(self.orig_row, self.row_factor, y):
             duals[i] = v * factor / scale
         return tuple(duals)
-
-
-def _feasible_tableau(lp: LinearProgram) -> _Tableau | None:
-    """lp's tableau after phase one, or None when lp is infeasible."""
-    tab = _Tableau(lp)
-    if tab.infeasible_by_rank or not tab.phase_one():
-        return None
-    return tab
 
 
 class FeasibleSystem:
@@ -649,39 +622,39 @@ class FeasibleSystem:
 
     Built from lp, any LP over the system; its objective plays no part.
     Holds the feasible tableau, or None when the system is infeasible.
-    solve_lp and solve_lex_lp accept it for any LP with the same rows,
-    rhs, senses and nonneg, and run only phase two on a copy.  Nothing
-    is cached beyond the object, so it lives as long as its caller
-    keeps it.
+    Every solve runs on one: solve_lp and solve_lex_lp accept it for any
+    LP with the same rows, rhs, senses and nonneg and run only phase two
+    on a copy, and a plain solve builds its own.  Nothing is cached
+    beyond the object, so it lives as long as its caller keeps it.
 
-    face(f) is the system restricted to the optimal face of f, on a
+    face(f) gives the system restricted to the optimal face of f, on a
     dictionary without the labels that leave that face (see
     _Tableau.face); it keeps lp, so the same LPs are accepted on it.
-    Its pivot path is not a fresh solve's, so an LP on it may end on
-    another optimal vertex of the same value.  No system, face or not,
-    reports duals, and a face that drops a label prices nothing.
+    Its pivot path is not a plain solve's, so an LP on it may end on
+    another optimal vertex of the same value.  No solve on a system the
+    caller gives, face or not, reports duals, and a face that drops a
+    label prices nothing.
     """
 
     def __init__(self, lp: LinearProgram):
         self.lp = lp
-        self._tableau = _feasible_tableau(lp)
+        tab = _Tableau(lp)
+        self._tableau = None if tab.infeasible_by_rank or not tab.phase_one() else tab
 
-    def face(self, objective) -> tuple[LpResult, "FeasibleSystem | None"]:
-        """The minimum of objective over this system (status and value,
-        no x) and the system on its optimal face, None unless the
-        minimum is attained.  Phase two runs once, on a copy of the
-        tableau held here; it is not counted as a solve."""
+    def face(self, objective) -> tuple[Fraction | None, "FeasibleSystem | None"]:
+        """(value, face): the minimum of objective over this system and
+        the system on its optimal face, both None when the system is
+        empty or objective is unbounded below.  Phase two runs once, on
+        a copy of the tableau held here; it is not counted as a solve."""
         if len(objective) != self.lp.num_vars:
             raise DimensionMismatch("face objective length differs")
-        if self._tableau is None:
-            return LpResult(LpStatus.INFEASIBLE), None
-        tab = self._tableau.copy(self.lp)
-        value = tab.face(objective)
+        tab = None if self._tableau is None else self._tableau.copy()
+        value = None if tab is None else tab.face(objective)
         if value is None:
-            return LpResult(LpStatus.UNBOUNDED), None
+            return None, None
         twin = object.__new__(type(self))
         twin.lp, twin._tableau = self.lp, tab
-        return LpResult(LpStatus.OPTIMAL, value=value), twin
+        return value, twin
 
     def tableau_for(self, lp: LinearProgram) -> _Tableau | None:
         """A fresh copy of the feasible tableau for lp, None if infeasible."""
@@ -692,7 +665,7 @@ class FeasibleSystem:
             raise SystemMismatch("LP constraints differ from the feasible system's")
         if self._tableau is None:
             return None
-        return self._tableau.copy(lp)
+        return self._tableau.copy()
 
 
 _solve_calls = 0
@@ -714,13 +687,13 @@ def solve_lp(
     """Exact lexicographic minimum of lp: lp.objective, then each tie.
 
     Every tie is minimized over the optimal face of the objectives
-    before it, all on one tableau, so phase one runs once.  With a
-    system, lp must have its rows, rhs, senses and nonneg (else
-    SystemMismatch), and only phase two runs, on a copy of its feasible
-    tableau.  value is the first objective's.  Optimal duals are
-    reported for a plain solve only: no ties and no system.  price lists
-    objectives whose reduced costs at the final basis an optimal result
-    reports in LpResult.reduced; the default prices nothing.
+    before it, all in one phase two on a copy of the feasible tableau of
+    system, or of FeasibleSystem(lp) when none is given.  lp must have
+    system's rows, rhs, senses and nonneg (else SystemMismatch).  value
+    is the first objective's.  Optimal duals are reported for a plain
+    solve only: no ties and no system given.  price lists objectives
+    whose reduced costs at the final basis an optimal result reports in
+    LpResult.reduced; the default prices nothing.
     """
     global _solve_calls
     _solve_calls += 1
@@ -729,7 +702,7 @@ def solve_lp(
     for objective in ties + price:
         if len(objective) != lp.num_vars:
             raise DimensionMismatch("tie or priced objective length differs")
-    tab = _feasible_tableau(lp) if system is None else system.tableau_for(lp)
+    tab = (system if system is not None else FeasibleSystem(lp)).tableau_for(lp)
     if tab is None:
         return LpResult(LpStatus.INFEASIBLE)
     if price and len(tab.basis) + len(tab.nonbasic) < tab.num_cols:
@@ -740,9 +713,9 @@ def solve_lp(
     plain = not ties and system is None
     return LpResult(
         LpStatus.OPTIMAL,
-        tab.solution(),
+        tab.solution(lp.num_vars),
         value,
-        tab.duals() if plain else None,
+        tab.duals(lp) if plain else None,
         tab.reduced_costs(price) if price else None,
     )
 
@@ -752,7 +725,7 @@ def solve_lex_lp(
 ) -> LpResult:
     """Lexicographic minimum: lp.objective first, then each tie in order.
 
-    One solve_lp call on one tableau (a copy of system's, when given):
+    One solve_lp call on one tableau (a copy of system's feasible one):
     each tie is minimized over the optimal face of the stages before it.
     The result is an optimum of the first objective that is
     lexicographically minimal for the ties.  The returned value is the

@@ -6,7 +6,7 @@ constraints, extreme nondominated images from re-deriving each
 candidate's component against the vertex images that no other vertex
 image dominates componentwise, and the parametric picture from solving
 the biobjective problem from scratch on a lambda grid.  The vertex path
-runs no simplex: it shares only lp_core's integer_row with the LP
+runs no simplex: it shares only numerics.integer_row with the LP
 engine, never wsd or breakpoints.
 """
 
@@ -18,7 +18,8 @@ from math import gcd
 from operator import mul
 
 from .errors import InfeasibleProblem, TooLarge, UnboundedScalarization
-from .lp_core import FeasibleSystem, LpStatus, Sense, integer_row, solve_lex_lp
+from .lp_core import FeasibleSystem, LpStatus, Sense, solve_lex_lp
+from .numerics import integer_row
 from .problem_model import Bolp, Pblp, fix_lambda, system_lp
 from .weight_geometry import Point3, component_vertices, integral_image
 
@@ -191,9 +192,7 @@ def _lex(bolp: Bolp, objective, ties, system: FeasibleSystem):
     return res.x
 
 
-def dichotomic_bolp(
-    bolp: Bolp, extra_ties=(), system: FeasibleSystem | None = None
-) -> tuple:
+def dichotomic_bolp(bolp: Bolp, system: FeasibleSystem, extra_ties=()) -> tuple:
     """All extreme nondominated images of a biobjective problem.
 
     Classic dichotomic search: solve both lexicographic corners, then
@@ -201,13 +200,11 @@ def dichotomic_bolp(
     every solve are broken by (f1, f2) and then extra_ties, making the
     witnesses deterministic.  f1 and f2 enter every solve as the integer
     rows of bolp.integer_costs, positive multiples with the same signs
-    and pivots.  Every solve runs on system, bolp's feasible system,
-    which is built here when not given.  Returns (image, witness) pairs
-    sorted by first objective value.
+    and pivots.  Every solve runs phase two only, on system, bolp's
+    feasible system.  Returns (image, witness) pairs sorted by first
+    objective value.
     """
     (f1, scale1), (f2, scale2) = bolp.integer_costs
-    if system is None:
-        system = FeasibleSystem(system_lp(bolp, f1))
     extra_ties = tuple(extra_ties)
     xa = _lex(bolp, f1, (f2,) + extra_ties, system)
     xb = _lex(bolp, f2, (f1,) + extra_ties, system)
@@ -277,7 +274,7 @@ def sweep_lambda(p: Pblp, lambda_max: Fraction, steps: int) -> SweepReport:
     bolp_images = []
     for lam in grid:
         bolp = fix_lambda(p, lam)
-        pairs = dichotomic_bolp(bolp, extra_ties=ties, system=system)
+        pairs = dichotomic_bolp(bolp, system, ties)
         witness_images.append(tuple(sorted({p.image(x) for _, x in pairs})))
         bolp_images.append(tuple(y for y, _ in pairs))
     changes = tuple(

@@ -20,21 +20,14 @@ from functools import cached_property
 from math import lcm
 from operator import mul
 
-from .errors import BadCase, DimensionMismatch, NegativeParameter
-from .lp_core import LinearProgram, Sense, integer_row
-from .numerics import INF
+from .errors import DimensionMismatch, NegativeParameter
+from .lp_core import LinearProgram, Sense
+from .numerics import INF, integer_row
 
 
 class Case(Enum):
     ONE = "1"
     TWO = "2"
-
-    @staticmethod
-    def from_text(text: str) -> "Case":
-        for c in Case:
-            if c.value == text:
-                return c
-        raise BadCase(f"case must be 1 or 2, got {text!r}")
 
     @property
     def shares(self) -> tuple[int, int]:

@@ -22,6 +22,7 @@ from fractions import Fraction
 from functools import cached_property, cmp_to_key
 from math import gcd, lcm
 
+from .numerics import integer_row
 from .problem_model import Pblp, ge_form
 
 Point2 = tuple[Fraction, Fraction]
@@ -206,8 +207,8 @@ def intersect_polygons(a: ConvexPolygon2, b: ConvexPolygon2) -> ConvexPolygon2:
 def integral_image(y: Point3) -> IntImage:
     """y as integer numerators over its least common denominator D > 0,
     (Y1, Y2, Y3, D); equal images give equal tuples."""
-    den = lcm(*(v.denominator for v in y))
-    return (*(v.numerator * (den // v.denominator) for v in y), den)
+    numerators, den = integer_row(y)
+    return (*numerators, den)
 
 
 def competitor_halfplane(y: IntImage, other: IntImage) -> HalfPlane:
@@ -298,6 +299,6 @@ def component_hrep(p: Pblp, y: Point3) -> ComponentHrep:
         tuple(rows[i][j] for i in range(m)) + tuple(-C[k][j] for k in range(3))
         for j in range(p.n)
     )
-    scale = lcm(*(v.denominator for v in b))
-    rhs = tuple(v.numerator * (scale // v.denominator) for v in b)
+    rhs, scale = integer_row(b)
+    rhs = tuple(rhs)
     return ComponentHrep(cone=cone, gap=_gap(rhs, scale, y), m=m, rhs=rhs, scale=scale)

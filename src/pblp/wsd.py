@@ -110,9 +110,7 @@ def _weighted_sum(p: Pblp, vertex: Triple) -> LinearProgram:
     return system_lp(p, (x * a + y * b + z * c for a, b, c in zip(*p.common_costs)))
 
 
-def find_extreme_image(
-    p: Pblp, w: Triple, system: FeasibleSystem | None = None
-) -> ExtremeImage:
+def find_extreme_image(p: Pblp, w: Triple, system: FeasibleSystem) -> ExtremeImage:
     """Lexicographic weighted-sum solve (_weighted_sum) at the weight
     (X, Y, W - X - Y)/W of the vertex triple w = (X, Y, W), ties
     (c1, c2, d1) as the rows of p.common_costs, each a positive multiple
@@ -120,9 +118,9 @@ def find_extreme_image(
 
     The ties pin a single image even when w sits on a component
     boundary, and they guarantee the returned image is a nondominated
-    extreme point, not merely weakly nondominated.  system, when given,
-    is p's feasible system and spares the solve its phase one.  The
-    solve also prices p.common_costs at its final basis, whose cone the
+    extreme point, not merely weakly nondominated.  system is p's
+    feasible system, so the solve runs phase two only.  The solve also
+    prices p.common_costs at its final basis, whose cone the
     result carries: ExtremeImage.covers needs the three over one common
     scale.  p.case plays no part.
     """

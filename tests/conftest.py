@@ -13,10 +13,10 @@ from pblp.lp_core import (
     LpStatus,
     Sense,
     eliminate,
-    integer_row,
     solve_lp,
     solve_square,
 )
+from pblp.numerics import integer_row
 from pblp.weight_geometry import integral_image
 
 INSTANCE_DIR = pathlib.Path(__file__).resolve().parent.parent / "instances"
@@ -139,11 +139,11 @@ def reference_phase_two(tab, objectives):
     cost = None
     for objective in objectives:
         if cost is not None:
-            tab._ban_optimal_face(cost, banned)
+            tab._ban_optimal_face(banned)
         cost, _ = tab._column_cost(objective)
         if tab._simplex(cost, banned) is LpStatus.UNBOUNDED:
             return None
-    x = tab.solution()
+    x = tab.solution(len(objectives[0]))
     return sum((Fraction(c) * v for c, v in zip(objectives[0], x)), Fraction(0))
 
 

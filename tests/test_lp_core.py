@@ -19,7 +19,8 @@ from pblp import (
 )
 from pblp import lp_core
 from pblp.errors import DimensionMismatch, NotRational, SystemMismatch
-from pblp.lp_core import eliminate, integer_row, solve_calls, solve_square
+from pblp.lp_core import eliminate, solve_calls, solve_square
+from pblp.numerics import integer_row
 from pblp.oracle import vertices_and_rays
 from conftest import _satisfies, build_lp, reference_phase_two
 from instance_gen import degenerate_pblp
@@ -988,13 +989,13 @@ def _snapshot(tab):
 
 
 def test_face_matches_a_solve_with_its_row_appended():
-    """Seeded oracle for FeasibleSystem.face: face(f) gives the status
-    and value of solve_lp for f, and on the face every LP, min and max
-    of g, has the status and value of a plain solve with the row
-    f.x = min f appended, at a point of that system.  The narrowed
-    tableau is fraction-free, drops labels, is no LP solve and leaves
-    the base as it was, and a face of the face is the system with both
-    rows appended."""
+    """Seeded oracle for FeasibleSystem.face: face(f) gives the value of
+    solve_lp for f, and a face exactly when that solve is optimal; on
+    the face every LP, min and max of g, has the status and value of a
+    plain solve with the row f.x = min f appended, at a point of that
+    system.  The narrowed tableau is fraction-free, drops labels, is no
+    LP solve and leaves the base as it was, and a face of the face is
+    the system with both rows appended."""
     rng = random.Random(2026)
     seen = {status: 0 for status in LpStatus}
     seen.update(dropped=0, nested=0)
@@ -1006,16 +1007,16 @@ def test_face_matches_a_solve_with_its_row_appended():
         got, face = base.face(f)
         assert solve_calls() == before
         want = solve_lp(replace(lp, objective=f))
-        assert (got.status, got.value) == (want.status, want.value), (lp, f)
-        seen[got.status] += 1
-        if got.status is not LpStatus.OPTIMAL:
-            assert face is None
+        optimal = want.status is LpStatus.OPTIMAL
+        assert (got, face is not None) == (want.value, optimal), (lp, f)
+        seen[want.status] += 1
+        if not optimal:
             continue
         tab = face._tableau
         _assert_fraction_free(tab, face=True)
         assert face.lp is lp
         seen["dropped"] += _label_count(tab) < tab.num_cols
-        full = _pinned(lp, f, got.value)
+        full = _pinned(lp, f, got)
         g = _random_objective(rng, lp.num_vars)
         for objective in (g, tuple(-a for a in g)):
             res = solve_lp(replace(lp, objective=objective), system=face)
@@ -1026,9 +1027,11 @@ def test_face_matches_a_solve_with_its_row_appended():
                 assert all(v >= 0 for v in res.x)
         inner, nested = face.face(g)
         ref = solve_lp(replace(full, objective=g))
-        assert (inner.status, inner.value) == (ref.status, ref.value), (lp, f, g)
+        assert (inner, nested is not None) == (
+            ref.value, ref.status is LpStatus.OPTIMAL
+        ), (lp, f, g)
         if nested is not None:
-            both = _pinned(full, g, inner.value)
+            both = _pinned(full, g, inner)
             h = _random_objective(rng, lp.num_vars)
             res = solve_lp(replace(lp, objective=h), system=nested)
             ref = solve_lp(replace(both, objective=h))
@@ -1048,7 +1051,7 @@ def test_faces_of_one_base_are_independent():
     base = FeasibleSystem(lp)
     want = solve_lp(lp, system=base)
     pinned = [base.face(f) for f in ((-1, -1), (0, 1), (1, 0))]
-    assert [res.value for res, _ in pinned] == [-4, 0, 0]
+    assert [value for value, _ in pinned] == [-4, 0, 0]
     assert solve_lp(lp, system=base) == want
     top = replace(lp, objective=(Fraction(-2), Fraction(-1)))
     got = [solve_lp(top, system=face).x for _, face in pinned]

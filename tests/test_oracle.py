@@ -9,6 +9,7 @@ import pytest
 
 from pblp import (
     Case,
+    FeasibleSystem,
     Pblp,
     Sense,
     VertexSet,
@@ -21,6 +22,7 @@ from pblp import (
 )
 from pblp import lp_core, oracle
 from pblp.errors import TooLarge, UnboundedScalarization
+from pblp.problem_model import system_lp
 from conftest import UnboundedFeasibleSet, basis_vertices, component, load_instance
 from instance_gen import random_pblp
 
@@ -232,13 +234,15 @@ def test_the_image_oracle_runs_no_simplex(monkeypatch):
     def no_simplex(*args, **kwargs):
         raise RuntimeError("the vertex oracle ran the simplex")
 
+    bolp = fix_lambda(problems[0], F(0))
+    system = lp_core.FeasibleSystem(system_lp(bolp, bolp.f1))
     for module in (lp_core, oracle):
         for name in ("solve_lp", "solve_lex_lp", "FeasibleSystem"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, no_simplex)
     monkeypatch.setattr(lp_core, "_Tableau", no_simplex)
-    with pytest.raises(RuntimeError):
-        dichotomic_bolp(fix_lambda(problems[0], F(0)))
+    with pytest.raises(RuntimeError, match="ran the simplex"):
+        dichotomic_bolp(bolp, system)
     assert [extreme_nondominated_bruteforce(p) for p in problems] == expected
 
 
@@ -349,10 +353,11 @@ def test_pareto_filter_drops_dominated_and_shifted_images():
 
 
 def test_dichotomic_finds_both_corners_and_the_middle(example2):
+    system = FeasibleSystem(system_lp(example2, example2.c1))
     b0 = fix_lambda(example2, F(0))
-    assert [y for y, _ in dichotomic_bolp(b0)] == [(F(0), F(5)), (F(15), F(0))]
+    assert [y for y, _ in dichotomic_bolp(b0, system)] == [(F(0), F(5)), (F(15), F(0))]
     b2 = fix_lambda(example2, F(2))
-    assert [y for y, _ in dichotomic_bolp(b2)] == [(F(5), F(10)), (F(19), F(4))]
+    assert [y for y, _ in dichotomic_bolp(b2, system)] == [(F(5), F(10)), (F(19), F(4))]
 
 
 def test_dichotomic_on_a_three_point_front():
@@ -370,9 +375,10 @@ def test_dichotomic_on_a_three_point_front():
         ),
         F(0),
     )
-    front = [y for y, _ in dichotomic_bolp(b)]
+    system = FeasibleSystem(system_lp(b, b.f1))
+    front = [y for y, _ in dichotomic_bolp(b, system)]
     assert front == [(F(0), F(2)), (F(2, 3), F(2, 3)), (F(2), F(0))]
-    for y, x in dichotomic_bolp(b):
+    for y, x in dichotomic_bolp(b, system):
         assert b.image(x) == y
 
 

@@ -13,8 +13,10 @@ from pblp import (
     Case,
     Pblp,
     Sense,
+    emit_problem,
     fix_lambda,
     lambda_from_weight,
+    parse_problem,
     segment_for_lambda,
     solve_lex_lp,
     solve_lp,
@@ -27,11 +29,11 @@ from conftest import as_tuple, map_weight_to_simplex, project, w2, w3
 F = Fraction
 
 
-def test_case_tags_parse_and_reject():
-    assert Case.from_text("1") is Case.ONE
-    assert Case.from_text("2") is Case.TWO
-    with pytest.raises(BadCase):
-        Case.from_text("3")
+def test_case_tags_parse_and_reject(example2):
+    assert Case("1") is Case.ONE
+    assert Case("2") is Case.TWO
+    with pytest.raises(BadCase, match="case must be 1 or 2, got '3'"):
+        parse_problem(emit_problem(example2).replace("case: 2", "case: 3"))
 
 
 def test_dimension_checks_fire_on_bad_cost_rows():

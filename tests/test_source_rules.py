@@ -12,7 +12,10 @@ interval routes it cross-checks, and the weight geometry builds only on
 the problem records and the numerics.  A case is its share vector
 Case.shares, so Case.ONE and Case.TWO are named only in Case itself,
 in the two interval routes and in the route pick that selects them.
-Every module but the package __init__ uses each name it imports."""
+Every module but the package __init__ uses each name it imports, and
+every name the package __init__ exports is referenced by some other
+module of the package, but for the Fraction references the tests
+compare with."""
 
 import ast
 import pathlib
@@ -30,6 +33,7 @@ MUTABLE_DISPLAYS = (
 )
 IMPORTS_FORBIDDEN = {"oracle": {"wsd", "breakpoints"}}
 IMPORTS_ALLOWED = {"weight_geometry": {"problem_model", "numerics"}}
+EXPORTS_UNREFERENCED = {"ws_scalarize", "lambda_from_weight"}
 CASE_NAMED = {
     ("problem_model", "Case"),
     ("breakpoints", "interval_lp_case1"),
@@ -306,6 +310,99 @@ def test_the_import_rule_sees_what_it_forbids(tmp_path):
     assert _unused_imports(bad) == [
         "wsd.py:3: unused import F",
         "wsd.py:4: unused import solve_lp",
+    ]
+
+
+def _unreferenced_exports(package: pathlib.Path) -> list[str]:
+    """Names the package __init__ imports from a module m, and so
+    exports, that no module of package but __init__ reads, but for
+    EXPORTS_UNREFERENCED.  A module reads the name when it loads it and
+    is m or imported it from m, or when it loads it as an attribute of
+    m bound by "from . import m".  An attribute of anything else, or a
+    name another module defines for itself, does not count."""
+    init = ast.parse((package / "__init__.py").read_text())
+    exported = [
+        (alias.lineno, node.module, alias.asname or alias.name)
+        for node in ast.walk(init)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    referenced = set()
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported, modules = {}, {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    if node.module is None:
+                        modules[alias.asname or alias.name] = alias.name
+                    else:
+                        imported[alias.asname or alias.name] = (node.module, alias.name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                referenced.add((path.stem, node.id))
+                referenced.add(imported.get(node.id))
+            elif (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in modules
+            ):
+                referenced.add((modules[node.value.id], node.attr))
+    return [
+        f"__init__.py:{line}: {name} is exported and never referenced"
+        for line, module, name in exported
+        if (module, name) not in referenced and name not in EXPORTS_UNREFERENCED
+    ]
+
+
+def test_every_export_is_referenced_in_the_package():
+    assert _unreferenced_exports(SRC) == []
+
+
+def test_the_export_rule_sees_what_it_forbids(tmp_path):
+    (tmp_path / "__init__.py").write_text(
+        "from .lp_core import (\n"
+        "    solve_lp,\n"
+        "    solve_lex_lp,\n"
+        ")\n"
+        "from .wsd import decompose, find_extreme_image\n"
+        "from .problem_model import Case, fix_lambda, ws_scalarize\n"
+    )
+    (tmp_path / "lp_core.py").write_text(
+        "def solve_lp(lp):\n"
+        "    return lp\n"
+        "def solve_lex_lp(lp):\n"
+        "    return lp\n"
+    )
+    (tmp_path / "wsd.py").write_text(
+        "from . import problem_model as pm\n"
+        "from .lp_core import solve_lp as run\n"
+        "def decompose(p):\n"
+        "    return run(pm.Case)\n"
+        "def find_extreme_image(p):\n"
+        "    return p.find_extreme_image(p.fix_lambda)\n"
+    )
+    (tmp_path / "problem_model.py").write_text(
+        "class Case:\n"
+        "    pass\n"
+        "def fix_lambda(p):\n"
+        "    return p\n"
+        "def ws_scalarize(p):\n"
+        "    return p\n"
+    )
+    (tmp_path / "oracle.py").write_text(
+        "def fix_lambda(p):\n"
+        "    return p\n"
+        "def sweep(p):\n"
+        "    return fix_lambda(p)\n"
+    )
+    assert _unreferenced_exports(tmp_path) == [
+        "__init__.py:3: solve_lex_lp is exported and never referenced",
+        "__init__.py:5: decompose is exported and never referenced",
+        "__init__.py:5: find_extreme_image is exported and never referenced",
+        "__init__.py:6: fix_lambda is exported and never referenced",
     ]
 
 

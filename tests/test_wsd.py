@@ -20,7 +20,7 @@ from pblp import lp_core, wsd
 from pblp.cli_io import COMPUTE_ERROR, cli_main, emit_problem
 from pblp.errors import InfeasibleProblem, UnboundedScalarization
 from pblp.lp_core import FeasibleSystem, solve_lex_lp
-from pblp.problem_model import Weight2, ws_scalarize
+from pblp.problem_model import Weight2, system_lp, ws_scalarize
 from conftest import component, load_instance, w3
 from pblp.weight_geometry import (
     competitor_halfplane,
@@ -36,7 +36,8 @@ F = Fraction
 
 
 def test_find_extreme_image_at_an_interior_weight(example2):
-    entry = find_extreme_image(example2, (2, 3, 10))  # w = (1/5, 3/10, 1/2)
+    system = FeasibleSystem(system_lp(example2, example2.c1))
+    entry = find_extreme_image(example2, (2, 3, 10), system)  # w = (1/5, 3/10, 1/2)
     assert entry.image == (F(0), F(5), F(5))
     assert example2.image(entry.witness) == entry.image
 
@@ -53,8 +54,9 @@ def test_find_extreme_image_on_unbounded_scalarization():
         c2=(F(0),),
         d1=(F(1),),
     )
+    system = FeasibleSystem(system_lp(p, p.c1))
     with pytest.raises(UnboundedScalarization):
-        find_extreme_image(p, (2, 1, 4))  # w = (1/2, 1/4, 1/4)
+        find_extreme_image(p, (2, 1, 4), system)  # w = (1/2, 1/4, 1/4)
 
 
 def test_decompose_rejects_empty_feasible_sets():
