@@ -44,7 +44,6 @@ of the line, and lambda(v) is one of its interval ends, a positive one.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
@@ -248,7 +247,7 @@ def solve_on_decomposition(
     ]
     interval_lp_solves = lp_core.solve_calls() - before
 
-    # an upper end of 0 is a breakpoint too, a lower end of 0 is not
+    # a lower end of 0 is no breakpoint; no upper end is 0 (module docstring)
     breakpoints = tuple(sorted(
         {iv.lower for iv in intervals if iv.lower > 0}
         | {iv.upper for iv in intervals if iv.upper is not INF}
@@ -258,7 +257,8 @@ def solve_on_decomposition(
     # contain one lambda of a segment cover all of it.  Read as ranks (a
     # lower 0 is 0, breakpoint i is i from 1, INF is B + 1), the segment
     # below breakpoint i has the intervals with lower < i <= upper, and
-    # the point i those with lower <= i <= upper.
+    # the point i those with lower <= i <= upper; images leave there at
+    # upper rank i and enter at lower rank i.
     rank = {beta: i for i, beta in enumerate(breakpoints, 1)}
     rank[INF] = top = len(breakpoints) + 1
     ranks = [(rank[iv.lower] if iv.lower else 0, rank[iv.upper]) for iv in intervals]
@@ -266,16 +266,13 @@ def solve_on_decomposition(
     def witnesses(low: int, high: int) -> tuple[int, ...]:
         return tuple(k for k, (lo, up) in enumerate(ranks) if lo <= low and high <= up)
 
-    leaving, entering = defaultdict(list), defaultdict(list)
-    for iv in intervals:
-        leaving[iv.upper].append(iv.image)
-        entering[iv.lower].append(iv.image)
-
     segments: list[AxisSegment] = []
     prev, prev_closed = Fraction(0), True
     for i, beta in enumerate(breakpoints, 1):
         middle = witnesses(i - 1, i)
-        if _is_singleton(p.case, beta, leaving[beta], entering[beta]):
+        leaving = [iv.image for iv, (_, up) in zip(intervals, ranks) if up == i]
+        entering = [iv.image for iv, (lo, _) in zip(intervals, ranks) if lo == i]
+        if _is_singleton(p.case, beta, leaving, entering):
             if prev < beta:
                 # up to but excluding the one-point breakpoint (this
                 # piece is absent when the singleton sits at the start)

@@ -24,6 +24,7 @@ import argparse
 import functools
 import io
 import json
+import re
 import sys
 import time
 from fractions import Fraction
@@ -109,10 +110,10 @@ def parse_problem(text: str) -> Pblp:
     if fields["case"] not in ("1", "2"):
         raise BadCase(f"case must be 1 or 2, got {fields['case']!r}")
     case = Case(fields["case"])
-    try:
-        n = int(fields["vars"])
-    except ValueError:
+    # ASCII digits only; rat_parse types a count too long for int()
+    if not re.fullmatch(r"[+-]?[0-9]+", fields["vars"]):
         raise ParseError(f"vars must be an integer, got {fields['vars']!r}")
+    n = int(rat_parse(fields["vars"]))
     if n <= 0:
         raise ParseError(f"vars must be positive, got {n}")
 

@@ -35,15 +35,15 @@ column, so it never depends on the others.
 Phase one never reads the objective, and every LP runs one way.  A
 FeasibleSystem runs the standard-form set-up, the rank reduction and
 phase one once for a set of constraints and keeps the feasible
-dictionary; every LP over those constraints starts phase two from a
-copy of it (the reuse across weights of Przybylski, Gandibleux and
-Ehrgott, INFORMS J. Comput. 2010).  A plain solve_lp(lp) builds
-FeasibleSystem(lp) for itself, so a solve on a shared system takes a
-plain solve's pivot path and ends on its optimal vertex.
-FeasibleSystem.face(f) runs phase two of f on a copy and drops the
-nonbasic columns whose positive reduced cost holds them at zero on f's
-optimal face, so LPs on the face run on a narrower dictionary with no
-new row and no phase one.  On a face the optimal value is a plain
+dictionary; solve_lp checks that an LP has the system's constraints
+and starts phase two from a copy of it (the reuse across weights of
+Przybylski, Gandibleux and Ehrgott, INFORMS J. Comput. 2010).  A plain
+solve_lp(lp) builds FeasibleSystem(lp) for itself, so a solve on a
+shared system takes a plain solve's pivot path and ends on its optimal
+vertex.  FeasibleSystem.face(f) runs phase two of f on a copy and drops
+the nonbasic columns whose positive reduced cost holds them at zero on
+f's optimal face, so LPs on the face run on a narrower dictionary with
+no new row and no phase one.  On a face the optimal value is a plain
 solve's with the row f.x = min f appended; the optimal vertex may
 differ.
 
@@ -262,8 +262,8 @@ class _Tableau:
     simplex run's cost, det times the true one at each nonbasic
     position (see _reduced_row), or None outside a run's reach: a new
     tableau or a copy has none.  Until phase one installs a basis, every
-    label < num_cols is nonbasic.  A face (see face) drops nonbasic
-    labels.
+    label < num_cols is nonbasic.  A face (see FeasibleSystem.face)
+    drops nonbasic labels.
     """
 
     def __init__(self, lp: LinearProgram):
@@ -552,24 +552,6 @@ class _Tableau:
                 value = self._value(cost, scale)
         return value
 
-    def face(self, objective) -> Fraction | None:
-        """phase_two of objective alone, then this tableau narrowed to
-        its optimal face: the minimum, or None when it is unbounded.
-
-        At the optimal basis each nonbasic label of positive reduced
-        cost is zero on the whole face (see _ban_optimal_face), so it is
-        dropped; the kept row of the minimization tells which.  The rest
-        keep their label order, so Bland's rule and the ratio test's
-        ties take the pivots of a full tableau with the dropped labels
-        banned.  No row is added and det stays.
-        """
-        value = self.phase_two((objective,))
-        if value is not None:
-            off: set[int] = set()
-            self._ban_optimal_face(off)
-            self._drop(off)
-        return value
-
     def copy(self) -> "_Tableau":
         """An independent twin of this feasible tableau, for phase two of
         another LP over the same system.
@@ -625,15 +607,8 @@ class FeasibleSystem:
     Every solve runs on one: solve_lp and solve_lex_lp accept it for any
     LP with the same rows, rhs, senses and nonneg and run only phase two
     on a copy, and a plain solve builds its own.  Nothing is cached
-    beyond the object, so it lives as long as its caller keeps it.
-
-    face(f) gives the system restricted to the optimal face of f, on a
-    dictionary without the labels that leave that face (see
-    _Tableau.face); it keeps lp, so the same LPs are accepted on it.
-    Its pivot path is not a plain solve's, so an LP on it may end on
-    another optimal vertex of the same value.  No solve on a system the
-    caller gives, face or not, reports duals, and a face that drops a
-    label prices nothing.
+    beyond the object, so it lives as long as its caller keeps it.  No
+    solve on a system the caller gives reports duals.
     """
 
     def __init__(self, lp: LinearProgram):
@@ -645,27 +620,30 @@ class FeasibleSystem:
         """(value, face): the minimum of objective over this system and
         the system on its optimal face, both None when the system is
         empty or objective is unbounded below.  Phase two runs once, on
-        a copy of the tableau held here; it is not counted as a solve."""
+        a copy of the tableau held here; it is not counted as a solve.
+
+        At the optimal basis each nonbasic label of positive reduced
+        cost is zero on the whole face (see _Tableau._ban_optimal_face),
+        so the face drops it; the kept row of the minimization tells
+        which.  The rest keep their label order, so Bland's rule and the
+        ratio test's ties take the pivots of a full tableau with the
+        dropped labels banned; no row is added and det stays.  The face
+        keeps lp, so the same LPs are accepted on it, on another pivot
+        path than a plain solve's: one may end on another optimal vertex
+        of the same value.  A face that drops a label prices nothing.
+        """
         if len(objective) != self.lp.num_vars:
             raise DimensionMismatch("face objective length differs")
-        tab = None if self._tableau is None else self._tableau.copy()
-        value = None if tab is None else tab.face(objective)
+        tab = self._tableau and self._tableau.copy()
+        value = tab and tab.phase_two((objective,))
         if value is None:
             return None, None
+        off: set[int] = set()
+        tab._ban_optimal_face(off)
+        tab._drop(off)
         twin = object.__new__(type(self))
         twin.lp, twin._tableau = self.lp, tab
         return value, twin
-
-    def tableau_for(self, lp: LinearProgram) -> _Tableau | None:
-        """A fresh copy of the feasible tableau for lp, None if infeasible."""
-        own = self.lp
-        if (lp.rows, lp.rhs, lp.senses, lp.nonneg) != (
-            own.rows, own.rhs, own.senses, own.nonneg
-        ):
-            raise SystemMismatch("LP constraints differ from the feasible system's")
-        if self._tableau is None:
-            return None
-        return self._tableau.copy()
 
 
 _solve_calls = 0
@@ -702,20 +680,26 @@ def solve_lp(
     for objective in ties + price:
         if len(objective) != lp.num_vars:
             raise DimensionMismatch("tie or priced objective length differs")
-    tab = (system if system is not None else FeasibleSystem(lp)).tableau_for(lp)
-    if tab is None:
+    plain = system is None
+    if plain:
+        system = FeasibleSystem(lp)
+    elif (lp.rows, lp.rhs, lp.senses, lp.nonneg) != (
+        system.lp.rows, system.lp.rhs, system.lp.senses, system.lp.nonneg
+    ):
+        raise SystemMismatch("LP constraints differ from the feasible system's")
+    if system._tableau is None:
         return LpResult(LpStatus.INFEASIBLE)
+    tab = system._tableau.copy()
     if price and len(tab.basis) + len(tab.nonbasic) < tab.num_cols:
         raise SystemMismatch("a face keeps no label off the face to price")
     value = tab.phase_two((lp.objective,) + ties)
     if value is None:
         return LpResult(LpStatus.UNBOUNDED)
-    plain = not ties and system is None
     return LpResult(
         LpStatus.OPTIMAL,
         tab.solution(lp.num_vars),
         value,
-        tab.duals(lp) if plain else None,
+        tab.duals(lp) if plain and not ties else None,
         tab.reduced_costs(price) if price else None,
     )
 

@@ -15,7 +15,7 @@ from math import lcm
 
 from .errors import NotRational, ParseError
 
-_TOKEN_RE = re.compile(r"^[+-]?(?:\d+(?:\.\d+)?|\d+/\d+)$")
+_TOKEN_RE = re.compile(r"^[+-]?(?:\d+(?:\.\d+)?|\d+/\d+)$", re.ASCII)
 
 
 def rat_parse(token: str) -> Fraction:
@@ -23,8 +23,8 @@ def rat_parse(token: str) -> Fraction:
 
     Raises ParseError on anything else, including q == 0 and a token
     with more digits than Python converts to an int
-    (sys.get_int_max_str_digits).  Scientific notation is deliberately
-    rejected; the file format does not use it.
+    (sys.get_int_max_str_digits).  Scientific notation, '_' and non-ASCII
+    digits, which Fraction takes, are rejected: the format has none.
     """
     text = token.strip()
     if not _TOKEN_RE.match(text):

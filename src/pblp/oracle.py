@@ -199,12 +199,12 @@ def dichotomic_bolp(bolp: Bolp, system: FeasibleSystem, extra_ties=()) -> tuple:
     recursively probe the weight orthogonal to each gap.  Ties inside
     every solve are broken by (f1, f2) and then extra_ties, making the
     witnesses deterministic.  f1 and f2 enter every solve as the integer
-    rows of bolp.integer_costs, positive multiples with the same signs
-    and pivots.  Every solve runs phase two only, on system, bolp's
-    feasible system.  Returns (image, witness) pairs sorted by first
-    objective value.
+    rows of bolp.integer_costs, L times each, with the same signs and
+    pivots.  Every solve runs phase two only, on system, bolp's feasible
+    system.  Returns (image, witness) pairs sorted by first objective
+    value.
     """
-    (f1, scale1), (f2, scale2) = bolp.integer_costs
+    (f1, f2), _ = bolp.integer_costs
     extra_ties = tuple(extra_ties)
     xa = _lex(bolp, f1, (f2,) + extra_ties, system)
     xb = _lex(bolp, f2, (f1,) + extra_ties, system)
@@ -216,9 +216,9 @@ def dichotomic_bolp(bolp: Bolp, system: FeasibleSystem, extra_ties=()) -> tuple:
     def probe(lo, hi):
         # lo has the smaller f1 and larger f2, so both parts are positive
         w1, w2 = lo[1] - hi[1], hi[0] - lo[0]
-        # k (w1 f1 + w2 f2) in ints, k > 0: the signs, and so the pivots,
-        # are the weighted sum's, and _lex never reads the value
-        (k1, k2), _ = integer_row((w1 / scale1, w2 / scale2))
+        # k L (w1 f1 + w2 f2) in ints, k > 0: the signs, and so the
+        # pivots, are the weighted sum's, and _lex never reads the value
+        (k1, k2), _ = integer_row((w1, w2))
         objective = tuple(k1 * f + k2 * g for f, g in zip(f1, f2))
         x = _lex(bolp, objective, (f1, f2) + extra_ties, system)
         y = bolp.image(x)
@@ -269,7 +269,7 @@ def sweep_lambda(p: Pblp, lambda_max: Fraction, steps: int) -> SweepReport:
     """
     grid = lambda_grid(lambda_max, steps)
     system = FeasibleSystem(system_lp(p, p.c1))
-    ties = tuple(row for row, _ in p.integer_costs)
+    ties, _ = p.integer_costs
     witness_images = []
     bolp_images = []
     for lam in grid:

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
 from operator import mul
 
 from .errors import DimensionMismatch, NegativeParameter
@@ -35,22 +34,27 @@ class Case(Enum):
         return (1, 0) if self is Case.ONE else (1, 1)
 
 
+def _integer_costs(rows) -> tuple[tuple[list[int], ...], int]:
+    """(ints, L): each row times L, the lcm of all the rows' denominators."""
+    values, scale = integer_row([a for row in rows for a in row])
+    n = len(rows[0])
+    return tuple(values[k : k + n] for k in range(0, len(values), n)), scale
+
+
 def _image(integer_costs, x) -> tuple[Fraction, ...]:
-    """c.x per (integer row, scale) of c, with x (ints or Fractions)
+    """c.x per cost row c of integer_costs, with x (ints or Fractions)
     over one denominator: one Fraction per row."""
+    rows, scale = integer_costs
     xs, den = integer_row(x)
-    return tuple(
-        Fraction(sum(map(mul, row, xs)), scale * den) for row, scale in integer_costs
-    )
+    return tuple(Fraction(sum(map(mul, row, xs)), scale * den) for row in rows)
 
 
 @dataclass(frozen=True)
 class Pblp:
     """One parametric instance; x >= 0 is implicit in the feasible system.
 
-    cost_rows, integer_costs, common_costs and image belong to the
-    triobjective problem min (c1.x, c2.x, d1.x): case plays no part in
-    them.
+    cost_rows, integer_costs and image belong to the triobjective
+    problem min (c1.x, c2.x, d1.x): case plays no part in them.
     """
 
     case: Case
@@ -75,15 +79,9 @@ class Pblp:
         return (self.c1, self.c2, self.d1)
 
     @cached_property
-    def integer_costs(self) -> tuple[tuple[list[int], int], ...]:
-        """integer_row of each cost row, scaled once per record."""
-        return tuple(integer_row(row) for row in self.cost_rows)
-
-    @cached_property
-    def common_costs(self) -> tuple[list[int], ...]:
-        """The cost rows as ints over the lcm of integer_costs' scales."""
-        common = lcm(*(s for _, s in self.integer_costs))
-        return tuple([a * (common // s) for a in row] for row, s in self.integer_costs)
+    def integer_costs(self) -> tuple[tuple[list[int], ...], int]:
+        """_integer_costs of c1, c2 and d1, scaled once per record."""
+        return _integer_costs(self.cost_rows)
 
     def image(self, x) -> tuple[Fraction, Fraction, Fraction]:
         return _image(self.integer_costs, x)
@@ -101,9 +99,9 @@ class Bolp:
     f2: tuple[Fraction, ...]
 
     @cached_property
-    def integer_costs(self) -> tuple[tuple[list[int], int], ...]:
-        """integer_row of f1 and of f2, scaled once per record."""
-        return integer_row(self.f1), integer_row(self.f2)
+    def integer_costs(self) -> tuple[tuple[list[int], ...], int]:
+        """_integer_costs of f1 and f2, scaled once per record."""
+        return _integer_costs((self.f1, self.f2))
 
     def image(self, x) -> tuple[Fraction, Fraction]:
         return _image(self.integer_costs, x)

@@ -102,31 +102,31 @@ class Decomposition:
 
 
 def _weighted_sum(p: Pblp, vertex: Triple) -> LinearProgram:
-    """The weighted-sum LP at vertex = (X, Y, W): the objective
-    X c1 + Y c2 + (W - X - Y) d1 over p.common_costs, scaled by L, is
-    L*W times ws_scalarize's, L > 0.  p.case plays no part."""
+    """The weighted-sum LP at vertex = (X, Y, W): X c1 + Y c2 +
+    (W - X - Y) d1 over the rows of p.integer_costs, each L > 0 times its
+    cost row, is L*W times ws_scalarize's objective; p.case plays no part."""
     x, y, w = vertex
     z = w - x - y
-    return system_lp(p, (x * a + y * b + z * c for a, b, c in zip(*p.common_costs)))
+    rows, _ = p.integer_costs
+    return system_lp(p, (x * a + y * b + z * c for a, b, c in zip(*rows)))
 
 
 def find_extreme_image(p: Pblp, w: Triple, system: FeasibleSystem) -> ExtremeImage:
     """Lexicographic weighted-sum solve (_weighted_sum) at the weight
     (X, Y, W - X - Y)/W of the vertex triple w = (X, Y, W), ties
-    (c1, c2, d1) as the rows of p.common_costs, each a positive multiple
-    of its cost row, with the same signs and pivots.
+    (c1, c2, d1) as the rows of p.integer_costs, each L times its cost
+    row, with the same signs and pivots.
 
     The ties pin a single image even when w sits on a component
     boundary, and they guarantee the returned image is a nondominated
     extreme point, not merely weakly nondominated.  system is p's
     feasible system, so the solve runs phase two only.  The solve also
-    prices p.common_costs at its final basis, whose cone the
-    result carries: ExtremeImage.covers needs the three over one common
-    scale.  p.case plays no part.
+    prices those rows at its final basis, whose cone the result
+    carries: ExtremeImage.covers needs the three over one common
+    scale, which their one L gives.  p.case plays no part.
     """
-    result = solve_lex_lp(
-        _weighted_sum(p, w), ties=p.common_costs, system=system, price=p.common_costs
-    )
+    rows, _ = p.integer_costs
+    result = solve_lex_lp(_weighted_sum(p, w), ties=rows, system=system, price=rows)
     if result.status is LpStatus.UNBOUNDED:
         x, y, den = w
         weight = ", ".join(str(Fraction(a, den)) for a in (x, y, den - x - y))

@@ -16,6 +16,7 @@ from pblp import (
     decompose,
     extreme_nondominated_bruteforce,
     parse_problem,
+    rat_parse,
     vertices_and_rays,
 )
 from pblp.breakpoints import enumerate_breakpoints
@@ -88,6 +89,25 @@ def test_problem_text_round_trips_through_emit(example1, example2, example2_case
 def test_parse_rejects_malformed_problems(mangle, exc):
     with pytest.raises(exc):
         parse_problem(mangle(MINIMAL))
+
+
+def test_parse_accepts_ascii_digits_only(tmp_path, capsys):
+    """int() and Fraction() also take '_' separators and non-ASCII
+    digits such as ARABIC-INDIC ONE and FULLWIDTH TWO; the file format
+    does not, so both a vars line and a coefficient written with them
+    exit as parse errors."""
+    with pytest.raises(ParseError):
+        rat_parse("\uff12")
+    files = {
+        "underscore_vars.pblp": MINIMAL.replace("vars: 2", "vars: 0_2"),
+        "arabic_one.pblp": MINIMAL.replace(">= 1 1 1", ">= \u0661 1 1"),
+    }
+    for name, text in files.items():
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8")
+        assert cli_main(["solve", str(path)]) == PARSE_ERROR, name
+        out, err = capsys.readouterr()
+        assert out == "" and "error:" in err, name
 
 
 def test_solution_document_is_exact_json(example2):

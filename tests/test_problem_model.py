@@ -3,6 +3,7 @@
 import random
 from dataclasses import replace
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given
@@ -89,6 +90,38 @@ def test_images_match_the_fraction_dot_product():
                     sum((c * v for c, v in zip(row, x)), F(0)) for row in rows
                 ), (record, x)
                 assert all(type(v) is F for v in image)
+
+
+def test_integer_costs_put_every_row_over_one_scale(example1, example2, example2_case1):
+    """A record keeps its costs once as ints, integer_costs = (rows, L):
+    every row is over one L, the lcm of all its cost denominators, so
+    row k over L is cost row k.  On the bundled three, on seeded
+    rational records and on their Bolp records at a few lambdas."""
+    rng = random.Random(2025)
+
+    def costs(n):
+        return tuple(F(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(n))
+
+    def check(integer_costs, cost_rows):
+        rows, scale = integer_costs
+        assert scale == lcm(*(c.denominator for row in cost_rows for c in row))
+        assert len(rows) == len(cost_rows)
+        for row, cost in zip(rows, cost_rows):
+            assert all(type(a) is int for a in row)
+            assert [F(a, scale) for a in row] == list(cost)
+
+    records = [example1, example2, example2_case1]
+    for trial in range(40):
+        n = rng.randint(1, 6)
+        records.append(Pblp(
+            case=(Case.ONE, Case.TWO)[trial % 2], n=n, rows=(), rhs=(), senses=(),
+            c1=costs(n), c2=costs(n), d1=costs(n),
+        ))
+    for p in records:
+        check(p.integer_costs, p.cost_rows)
+        for lam in (F(0), F(1, 3), F(5, 2), F(7)):
+            b = fix_lambda(p, lam)
+            check(b.integer_costs, (b.f1, b.f2))
 
 
 def test_fix_lambda_case_two_shifts_both_objectives(example2):
