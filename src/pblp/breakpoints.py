@@ -121,14 +121,15 @@ def interval_system(h: ComponentHrep, case: Case) -> FeasibleSystem:
     """What the interval LPs of h's problem share, through phase one:
     h.cone, the rows A^T v - C^T w <= 0 that every component hrep of the
     problem starts with, and den.w = 1, den = (s1, s2, 0) from the case's
-    shares, the one row that needs an artificial.  Its LP is min w3."""
+    shares, the one row that needs an artificial.  Its LP is min w3.
+    The interval LPs read optimal values only, so the system is
+    value-only: it pivots by Dantzig's rule and reports no vertex."""
     zero, width, n = Fraction(0), h.m + 3, len(h.cone)
     rows = h.cone + ((zero,) * h.m + tuple(map(Fraction, case.shares + (0,))),)
     rhs = (zero,) * n + (Fraction(1),)
     senses = (Sense.LE,) * n + (Sense.EQ,)
-    return FeasibleSystem(
-        LinearProgram((0,) * (width - 1) + (1,), rows, rhs, senses, (True,) * width)
-    )
+    lp = LinearProgram((0,) * (width - 1) + (1,), rows, rhs, senses, (True,) * width)
+    return FeasibleSystem(lp, value_only=True)
 
 
 def _interval_lp(h: ComponentHrep, case: Case, base: FeasibleSystem):

@@ -16,8 +16,9 @@ its divisions exact too.  Pricing, the ratio test and the face bans
 read only signs of integer expressions and take the decisions a
 Fraction tableau would take.  A cost row is scaled to integers once per
 stage; callers that reuse an objective pass it as ints, which need no
-scaling.  Bland's rule makes the simplex immune to cycling and every
-number stays exact.  Lexicographic ties are solved on the same
+scaling.  Every number stays exact.  Bland's rule, immune to cycling,
+chooses the entering column, except on a value-only system (below).
+Lexicographic ties are solved on the same
 dictionary after phase two: each stage bans the columns whose positive
 reduced cost takes them off the previous stage's optimal face (Ehrgott,
 Multicriteria Optimization, 2005), so one dictionary and one phase one
@@ -47,6 +48,13 @@ no new row and no phase one.  On a face the optimal value is a plain
 solve's with the row f.x = min f appended; the optimal vertex may
 differ.
 
+A value-only system, FeasibleSystem(lp, value_only=True), and its faces
+price by Dantzig's rule (Linear Programming and Extensions, 1963), with
+Bland's (Math. Oper. Res. 1977) as the anti-cycling fallback, and
+report optimal values only: at any optimal basis the columns of
+positive reduced cost cut out the same optimal face, so faces and
+values do not depend on the pivot path, but the final basis does.
+
 eliminate and solve_square are the package's one exact elimination
 routine, shared by the tableau's rank reduction and the duals.  Rows
 and objectives reach the integers through numerics.integer_row, which
@@ -55,9 +63,9 @@ raises NotRational on an entry that is no int or Fraction.
 Optimal duals are solved exactly from the final basis of a plain solve
 only: one with no ties whose caller gave no FeasibleSystem.  Reduced
 costs at the final basis are reported for the objectives a caller asks
-to price, over one common positive scale, so that the weights for which
-that basis stays optimal form an integer cone (Ehrgott, Multicriteria
-Optimization, 2005, ch. 7).
+to price, int rows over one common positive scale, so that the weights
+for which that basis stays optimal form an integer cone (Ehrgott,
+Multicriteria Optimization, 2005, ch. 7).
 
 Every variable is nonnegative.  Sign conventions for duals of
 min c.x  s.t. rows (sense) rhs, x >= 0:
@@ -72,9 +80,9 @@ from bisect import bisect
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, prod
 
-from .errors import DimensionMismatch, InvariantViolation, SystemMismatch
+from .errors import DimensionMismatch, InvariantViolation, NotRational, SystemMismatch
 from .numerics import integer_row
 
 __all__ = [
@@ -89,6 +97,8 @@ __all__ = [
     "eliminate",
     "solve_square",
 ]
+
+_DEGENERATE_RUN = 50  # degenerate pivots in a row that end Dantzig's rule
 
 
 class Sense(Enum):
@@ -136,7 +146,8 @@ class LinearProgram:
 
 @dataclass(frozen=True)
 class LpResult:
-    """Outcome of a solve; x and value are set when status is OPTIMAL.
+    """Outcome of a solve; x and value are set when status is OPTIMAL,
+    x only for a system that is not value-only (see FeasibleSystem).
 
     dual holds one optimal dual per original row for a plain solve (no
     ties, no FeasibleSystem given) and is None otherwise.
@@ -263,10 +274,12 @@ class _Tableau:
     position (see _reduced_row), or None outside a run's reach: a new
     tableau or a copy has none.  Until phase one installs a basis, every
     label < num_cols is nonbasic.  A face (see FeasibleSystem.face)
-    drops nonbasic labels.
+    drops nonbasic labels.  dantzig selects the pivot rule (see
+    _simplex).
     """
 
-    def __init__(self, lp: LinearProgram):
+    def __init__(self, lp: LinearProgram, dantzig: bool = False):
+        self.dantzig = dantzig
         # Label layout: one per variable, then one slack/surplus per
         # inequality.
         cols = lp.num_vars
@@ -395,19 +408,26 @@ class _Tableau:
         return d
 
     def _simplex(self, cost: list[int], banned: set[int]) -> LpStatus:
-        """Minimize cost.z with Bland's rule; banned labels never enter.
+        """Minimize cost.z; banned labels never enter.
 
         The kept row d is built here once and updated by each pivot, so
-        pricing reads it: the entering label is the first nonbasic one,
-        in label order, of negative reduced cost.
+        pricing reads it.  Bland's rule enters the first nonbasic label,
+        in label order, of negative reduced cost.  With dantzig set, the
+        label of most negative d, every entry over one det, enters, the
+        lowest on ties, until _DEGENERATE_RUN degenerate pivots in a row
+        hand the rest of the run to Bland's rule, which cannot cycle.
         """
         rows, b, basis, nonbasic = self.rows, self.b, self.basis, self.nonbasic
         self.d = self._reduced_row(cost)
+        bland, stalled = not self.dantzig, 0
         while True:
-            for k, reduced in enumerate(self.d):
-                if reduced < 0 and nonbasic[k] not in banned:
-                    break
-            else:
+            k, least = -1, 0
+            for j, reduced in enumerate(self.d):
+                if reduced < least and nonbasic[j] not in banned:
+                    k, least = j, reduced
+                    if bland:
+                        break
+            if k < 0:
                 return LpStatus.OPTIMAL
             # Minimum ratio b[i] / a over a > 0, compared cross-multiplied.
             leaving = -1
@@ -425,6 +445,8 @@ class _Tableau:
                         leaving = i
             if leaving < 0:
                 return LpStatus.UNBOUNDED
+            stalled = stalled + 1 if b[leaving] == 0 else 0
+            bland = bland or stalled >= _DEGENERATE_RUN
             self._pivot(leaving, nonbasic[k])
 
     def _ban_optimal_face(self, banned: set[int]) -> bool:
@@ -514,19 +536,18 @@ class _Tableau:
         return Fraction(total, self.det * scale)
 
     def reduced_costs(self, objectives) -> tuple[tuple[int, ...], ...]:
-        """LpResult.reduced for objectives at this basis.
-
-        _reduced_row gives det * s_k times objective k's reduced costs,
-        s_k its _column_cost scale, so times L / s_k, L the lcm of the
-        s_k, every objective is over det * L.  Nothing is banned: every
-        nonbasic label, slack or structural, bounds the cone.
+        """LpResult.reduced at this basis for objectives, int rows over
+        one common positive scale L: _reduced_row gives each over det *
+        L.  Nothing is banned: every nonbasic label, slack or
+        structural, bounds the cone.  Raises NotRational on an entry
+        that is no int.
         """
-        costs = [self._column_cost(objective) for objective in objectives]
-        common = lcm(*(scale for _, scale in costs))
-        priced = [
-            [r * (common // scale) for r in self._reduced_row(cost)]
-            for cost, scale in costs
-        ]
+        priced = []
+        for objective in objectives:
+            if any(type(v) is not int for v in objective):
+                raise NotRational("priced objectives must be int rows")
+            pad = [0] * (self.num_cols - len(objective))
+            priced.append(self._reduced_row([*objective, *pad]))
         return tuple(entry for entry in zip(*priced) if any(entry))
 
     def phase_two(self, objectives) -> Fraction | None:
@@ -558,11 +579,13 @@ class _Tableau:
 
         Pivots write rows, b, basis and nonbasic in place, so those four
         are copied; det is an int, rebound by each pivot, the row
-        bookkeeping of the duals is shared, and the twin starts with no
-        kept row.  What only phase one reads stays behind.
+        bookkeeping of the duals and the pivot rule are shared, and the
+        twin starts with no kept row.  What only phase one reads stays
+        behind.
         """
         twin = _Tableau.__new__(_Tableau)
         twin.num_cols, twin.start_rows = self.num_cols, self.start_rows
+        twin.dantzig = self.dantzig
         twin.row_factor, twin.orig_row = self.row_factor, self.orig_row
         twin.rows = [row[:] for row in self.rows]
         twin.b, twin.det, twin.d = self.b[:], self.det, None
@@ -608,12 +631,15 @@ class FeasibleSystem:
     LP with the same rows, rhs, senses and nonneg and run only phase two
     on a copy, and a plain solve builds its own.  Nothing is cached
     beyond the object, so it lives as long as its caller keeps it.  No
-    solve on a system the caller gives reports duals.
+    solve on a system the caller gives reports duals.  A value_only
+    system and its faces pivot by Dantzig's rule (see _Tableau._simplex):
+    an optimal result on one has x, dual and reduced None, and price
+    raises SystemMismatch.
     """
 
-    def __init__(self, lp: LinearProgram):
-        self.lp = lp
-        tab = _Tableau(lp)
+    def __init__(self, lp: LinearProgram, value_only: bool = False):
+        self.lp, self.value_only = lp, value_only
+        tab = _Tableau(lp, dantzig=value_only)
         self._tableau = None if tab.infeasible_by_rank or not tab.phase_one() else tab
 
     def face(self, objective) -> tuple[Fraction | None, "FeasibleSystem | None"]:
@@ -625,12 +651,13 @@ class FeasibleSystem:
         At the optimal basis each nonbasic label of positive reduced
         cost is zero on the whole face (see _Tableau._ban_optimal_face),
         so the face drops it; the kept row of the minimization tells
-        which.  The rest keep their label order, so Bland's rule and the
-        ratio test's ties take the pivots of a full tableau with the
+        which.  The rest keep their label order, so the pivot rule and
+        the ratio test's ties take the pivots of a full tableau with the
         dropped labels banned; no row is added and det stays.  The face
-        keeps lp, so the same LPs are accepted on it, on another pivot
-        path than a plain solve's: one may end on another optimal vertex
-        of the same value.  A face that drops a label prices nothing.
+        keeps lp and value_only, so the same LPs are accepted on it, on
+        another pivot path than a plain solve's: one may end on another
+        optimal vertex of the same value.  A face that drops a label
+        prices nothing.
         """
         if len(objective) != self.lp.num_vars:
             raise DimensionMismatch("face objective length differs")
@@ -642,7 +669,7 @@ class FeasibleSystem:
         tab._ban_optimal_face(off)
         tab._drop(off)
         twin = object.__new__(type(self))
-        twin.lp, twin._tableau = self.lp, tab
+        twin.lp, twin._tableau, twin.value_only = self.lp, tab, self.value_only
         return value, twin
 
 
@@ -669,9 +696,11 @@ def solve_lp(
     system, or of FeasibleSystem(lp) when none is given.  lp must have
     system's rows, rhs, senses and nonneg (else SystemMismatch).  value
     is the first objective's.  Optimal duals are reported for a plain
-    solve only: no ties and no system given.  price lists objectives
-    whose reduced costs at the final basis an optimal result reports in
-    LpResult.reduced; the default prices nothing.
+    solve only: no ties and no system given.  price lists objectives,
+    int rows over one common scale, whose reduced costs at the final
+    basis an optimal result reports in LpResult.reduced; the default
+    prices nothing.  On a value-only system an optimal result holds the
+    value alone, and price raises SystemMismatch.
     """
     global _solve_calls
     _solve_calls += 1
@@ -687,6 +716,8 @@ def solve_lp(
         system.lp.rows, system.lp.rhs, system.lp.senses, system.lp.nonneg
     ):
         raise SystemMismatch("LP constraints differ from the feasible system's")
+    if price and system.value_only:
+        raise SystemMismatch("a value-only system's basis depends on the pivot path")
     if system._tableau is None:
         return LpResult(LpStatus.INFEASIBLE)
     tab = system._tableau.copy()
@@ -695,6 +726,8 @@ def solve_lp(
     value = tab.phase_two((lp.objective,) + ties)
     if value is None:
         return LpResult(LpStatus.UNBOUNDED)
+    if system.value_only:
+        return LpResult(LpStatus.OPTIMAL, value=value)
     return LpResult(
         LpStatus.OPTIMAL,
         tab.solution(lp.num_vars),

@@ -24,6 +24,7 @@ from pblp import (
 )
 from pblp import breakpoints, lp_core
 from pblp.breakpoints import ParameterInterval
+from pblp.cli_io import emit_solution
 from pblp.problem_model import Weight3
 from pblp.errors import EmptyComponent, NoFiniteVertex, SystemMismatch
 from conftest import hull_of, w3
@@ -154,9 +155,9 @@ def test_lp_route_takes_phase_one_once_per_image(request, monkeypatch):
     built, faces = [], []
 
     class CountingSystem(breakpoints.FeasibleSystem):
-        def __init__(self, lp):
+        def __init__(self, lp, **options):
             built.append(lp)
-            super().__init__(lp)
+            super().__init__(lp, **options)
 
         def face(self, objective):
             faces.append(objective)
@@ -175,8 +176,9 @@ def test_lp_route_takes_phase_one_once_per_image(request, monkeypatch):
 # phase-one pivots among them.  Extending the base by each image's row,
 # each with its own phase one, took 19, 16 and 16 pivots in all (11, 13
 # and 13 in phase one); the images' faces of the duality gap need no
-# phase one and run on narrower tableaux.
-INTERVAL_PIVOTS = {"example1": 12, "example2": 13, "example2_case1": 13}
+# phase one and run on narrower tableaux.  Bland's rule took 13 on
+# example2, Dantzig's takes 12.
+INTERVAL_PIVOTS = {"example1": 12, "example2": 12, "example2_case1": 13}
 INTERVAL_PHASE_ONE_PIVOTS = {"example1": 3, "example2": 1, "example2_case1": 1}
 
 
@@ -193,10 +195,10 @@ def test_interval_lps_start_on_their_slacks(request, monkeypatch):
     pivot, simplex = lp_core._Tableau._pivot, lp_core._Tableau._simplex
 
     class MarkingSystem(breakpoints.FeasibleSystem):
-        def __init__(self, lp):
+        def __init__(self, lp, **options):
             in_phase_one.append(lp)
             try:
-                super().__init__(lp)
+                super().__init__(lp, **options)
             finally:
                 in_phase_one.pop()
 
@@ -229,8 +231,9 @@ def test_interval_lps_start_on_their_slacks(request, monkeypatch):
 
 # All interval-LP pivots, both phases, of the LP route on 40 seeded
 # instances: 1199 with one full system per image, 950 with one row
-# appended to the base per image, each with its own phase one.
-FAMILY_INTERVAL_PIVOTS = 607
+# appended to the base per image, each with its own phase one, and 607
+# by Bland's rule before the value-only system priced by Dantzig's.
+FAMILY_INTERVAL_PIVOTS = 502
 # Full reduced-cost rows built by those interval LPs: one per simplex
 # run with a kept row that pivots update, 1231 when every pricing pass
 # summed the rows afresh.
@@ -332,6 +335,59 @@ def test_lp_route_matches_vertices_on_a_degenerate_family():
                 images += 1
                 unbounded += expected[1] is INF
     assert images > 500 and 100 < unbounded < images - 100, (images, unbounded)
+
+
+def test_bland_fallback_moves_no_byte_on_a_degenerate_family(monkeypatch):
+    """The LP route's value-only LPs hand a simplex run from Dantzig's
+    rule to Bland's after lp_core._DEGENERATE_RUN degenerate pivots in a
+    row.  On 105 degenerate problems (Random(7), cases alternating),
+    with that run forced down to 1, the LP route's documents equal those
+    at the default byte for byte, and every interval is
+    interval_vertex's.  The fallback runs: in some Dantzig run a pivot
+    follows a degenerate one, and the pivot path moves."""
+    rng = random.Random(7)
+    family = [degenerate_pblp(rng, (Case.ONE, Case.TWO)[i % 2]) for i in range(105)]
+    decompositions = [decompose(p) for p in family]
+    runs = []  # per Dantzig simplex run: (entering label, degenerate) per pivot
+    active = []
+    pivot, simplex = lp_core._Tableau._pivot, lp_core._Tableau._simplex
+
+    def recording_simplex(self, cost, banned):
+        active.append([] if self.dantzig else None)
+        try:
+            return simplex(self, cost, banned)
+        finally:
+            run = active.pop()
+            if run is not None:
+                runs.append(run)
+
+    def recording_pivot(self, r, col):
+        if active and active[-1] is not None:
+            active[-1].append((col, self.b[r] == 0))
+        pivot(self, r, col)
+
+    monkeypatch.setattr(lp_core._Tableau, "_simplex", recording_simplex)
+    monkeypatch.setattr(lp_core._Tableau, "_pivot", recording_pivot)
+
+    def lp_route():
+        runs.clear()
+        solutions = [
+            solve_on_decomposition(p, dec, Method.LP)
+            for p, dec in zip(family, decompositions)
+        ]
+        documents = [emit_solution(p, sol) for p, sol in zip(family, solutions)]
+        return solutions, documents, runs[:]
+
+    _, want, default_runs = lp_route()
+    monkeypatch.setattr(lp_core, "_DEGENERATE_RUN", 1)
+    solutions, got, forced_runs = lp_route()
+    assert got == want
+    for p, dec, sol in zip(family, decompositions, solutions):
+        assert [(iv.lower, iv.upper) for iv in sol.intervals] == [
+            interval_vertex(p.case, poly) for poly in dec.components
+        ], p
+    fallbacks = sum(any(degenerate for _, degenerate in run[:-1]) for run in forced_runs)
+    assert fallbacks > 20 and forced_runs != default_runs, fallbacks
 
 
 def test_lp_route_raises_typed_errors(example2, example1):

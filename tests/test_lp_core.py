@@ -69,10 +69,9 @@ def test_contradictory_dependent_rows_are_infeasible():
     assert solve_lp(lp).status is LpStatus.INFEASIBLE
 
 
-def test_blands_rule_finishes_a_classic_cycling_instance():
-    """Beale's degenerate example loops forever under naive most-negative
-    pivoting; Bland's rule must terminate at value -1/20."""
-    lp = build_lp(
+def _beale():
+    """Beale's degenerate example, of optimal value -1/20."""
+    return build_lp(
         [Fraction(-3, 4), 150, Fraction(-1, 50), 6],
         [
             [Fraction(1, 4), -60, Fraction(-1, 25), 9],
@@ -82,6 +81,12 @@ def test_blands_rule_finishes_a_classic_cycling_instance():
         [0, 0, 1],
         ["<=", "<=", "<="],
     )
+
+
+def test_blands_rule_finishes_a_classic_cycling_instance():
+    """Beale's degenerate example loops forever under naive most-negative
+    pivoting; Bland's rule must terminate at value -1/20."""
+    lp = _beale()
     res = solve_lp(lp)
     assert res.status is LpStatus.OPTIMAL
     assert res.value == Fraction(-1, 20)
@@ -595,10 +600,20 @@ def _in_cone(reduced, w):
     return all(sum(a * r for a, r in zip(w, entry)) >= 0 for entry in reduced)
 
 
+def _over_one_scale(rows):
+    """rows as int rows, all times the lcm of every denominator, as
+    price takes them: each reduced cost is that positive multiple of
+    the Fraction row's, so the cone is the same."""
+    flat, _ = integer_row([v for row in rows for v in row])
+    n = len(rows[0])
+    return tuple(tuple(flat[i : i + n]) for i in range(0, len(flat), n))
+
+
 def test_priced_cone_holds_the_weights_its_basis_solves():
     """solve_lp(..., price=C) reports the reduced costs of C's rows at
-    the final basis.  On seeded weighted-sum LPs w.C, plain and
-    lexicographic on C as find_extreme_image solves them, the cone holds
+    the final basis, C passed as ints over one scale.  On seeded
+    weighted-sum LPs w.C, plain and lexicographic on C as
+    find_extreme_image solves them, the cone holds
     w itself, and at every simplex weight w' it holds a fresh plain
     solve of w'.C has the value w'.(C x).  Without price, reduced is
     None."""
@@ -610,7 +625,7 @@ def test_priced_cone_holds_the_weights_its_basis_solves():
         lp = weighted(w)
         ties = costs if rng.random() < 0.5 else ()
         assert solve_lex_lp(lp, ties).reduced is None
-        res = solve_lex_lp(lp, ties, price=costs)
+        res = solve_lex_lp(lp, ties, price=_over_one_scale(costs))
         if res.status is not LpStatus.OPTIMAL:
             assert res.reduced is None
             continue
@@ -642,13 +657,14 @@ def _lex_equivalence_case(rng):
     ties, or a degenerate _weighted_sum_case, a weighted sum of its cost
     rows C (now and then the zero weight) lexicographic on C, where
     duplicated and zero-cost columns leave an edge or more as the first
-    stage's optimal face, so later stages pivot."""
+    stage's optimal face, so later stages pivot.  price is the
+    objective and ties, or C, over one scale."""
     if rng.random() < 0.5:
         lp, ties, _ = _random_fractional_case(rng)
-        return lp, ties, (lp.objective, *ties), "fractional"
+        return lp, ties, _over_one_scale((lp.objective, *ties)), "fractional"
     weighted, costs, kind = _weighted_sum_case(rng)
     w = (0, 0, 0) if rng.random() < 0.2 else _simplex_weight(rng)
-    return weighted(w), costs, costs, kind
+    return weighted(w), costs, _over_one_scale(costs), kind
 
 
 def test_phase_two_stops_at_a_vertex_face_as_every_stage_would(monkeypatch):
@@ -1060,6 +1076,98 @@ def test_faces_of_one_base_are_independent():
         solve_lp(lp, system=pinned[0][1], price=[(1, 0)])
 
 
+class _PivotLimit(Exception):
+    pass
+
+
+def _recorded_entering(monkeypatch, limit=None) -> list:
+    """The entering label of every _Tableau._pivot from here on; past
+    limit pivots, _PivotLimit stops the solve."""
+    entered = []
+    pivot = lp_core._Tableau._pivot
+
+    def recording_pivot(self, r, col):
+        entered.append(col)
+        if limit is not None and len(entered) > limit:
+            raise _PivotLimit
+        pivot(self, r, col)
+
+    monkeypatch.setattr(lp_core._Tableau, "_pivot", recording_pivot)
+    return entered
+
+
+def test_dantzig_and_bland_enter_different_labels(monkeypatch):
+    """min -x - 3y - 3z over x + y + z <= 2, at -6: Bland's rule enters
+    x, the first label of negative reduced cost, then y; on a value-only
+    system Dantzig's rule enters y, the most negative and the lower
+    label of its tie with z, and is optimal at once."""
+    lp = build_lp([-1, -3, -3], [[1, 1, 1]], [2], ["<="])
+    entered = _recorded_entering(monkeypatch)
+    for value_only, want in ((False, [0, 1]), (True, [1])):
+        entered.clear()
+        res = solve_lp(lp, system=FeasibleSystem(lp, value_only=value_only))
+        assert (res.value, entered) == (-6, want), value_only
+
+
+def test_dantzig_cycles_on_beale_until_bland_takes_over(monkeypatch):
+    """Dantzig's rule alone cycles on Beale's example through six
+    degenerate bases.  A value-only solve leaves the cycle after
+    _DEGENERATE_RUN degenerate pivots and ends by Bland's rule at
+    -1/20."""
+    lp = _beale()
+    with monkeypatch.context() as patch:
+        patch.setattr(lp_core, "_DEGENERATE_RUN", 10**9)
+        entered = _recorded_entering(patch, limit=60)
+        with pytest.raises(_PivotLimit):
+            solve_lp(lp, system=FeasibleSystem(lp, value_only=True))
+        assert entered[:60] == entered[:6] * 10
+    entered = _recorded_entering(monkeypatch)
+    res = solve_lp(lp, system=FeasibleSystem(lp, value_only=True))
+    assert (res.status, res.value) == (LpStatus.OPTIMAL, Fraction(-1, 20))
+    assert len(entered) > lp_core._DEGENERATE_RUN
+    assert entered[:48] == entered[:6] * 8
+
+
+def test_value_only_solves_and_faces_match_plain_ones():
+    """Seeded check of value-only systems, which pivot by Dantzig's
+    rule: every solve on one, lexicographic or not, and every face of
+    one and solve on that face, has the status and value of the same
+    step on a plain system, and reports no x, dual or reduced.  price
+    raises SystemMismatch on a value-only system, feasible or not, and
+    on its faces."""
+    rng = random.Random(1963)
+    seen = {status: 0 for status in LpStatus}
+    seen.update(ties=0, faces=0)
+    for _ in range(400):
+        lp, ties, _ = _random_fractional_case(rng)
+        value_only, plain = FeasibleSystem(lp, value_only=True), FeasibleSystem(lp)
+        ones = [(1,) * lp.num_vars]
+        with pytest.raises(SystemMismatch):
+            solve_lp(lp, system=value_only, price=ones)
+        got, want = solve_lp(lp, ties, value_only), solve_lp(lp, ties, plain)
+        assert (got.status, got.value) == (want.status, want.value), (lp, ties)
+        assert got.x is None and got.dual is None and got.reduced is None
+        seen[got.status] += 1
+        seen["ties"] += bool(ties) and got.status is LpStatus.OPTIMAL
+        f = _random_objective(rng, lp.num_vars)
+        (low, face), (want_low, want_face) = value_only.face(f), plain.face(f)
+        assert (low, face is None) == (want_low, want_face is None), (lp, f)
+        if face is None:
+            continue
+        seen["faces"] += 1
+        assert face.value_only
+        with pytest.raises(SystemMismatch):
+            solve_lp(lp, system=face, price=ones)
+        g = _random_objective(rng, lp.num_vars)
+        for objective in (g, tuple(-a for a in g)):
+            on_face = replace(lp, objective=objective)
+            res = solve_lp(on_face, system=face)
+            ref = solve_lp(on_face, system=want_face)
+            assert (res.status, res.value) == (ref.status, ref.value), (lp, f, g)
+            assert res.x is None
+    assert all(count >= 20 for count in seen.values()), seen
+
+
 def test_infeasible_system_is_infeasible_for_every_objective():
     lp = build_lp([1, 0], [[1, 1], [1, 0]], [4, 5], ["<=", ">="])
     system = FeasibleSystem(lp)
@@ -1135,6 +1243,9 @@ def test_a_float_in_the_objective_is_a_typed_error():
         integer_row([Fraction(1, 2), "3"])
     with pytest.raises(NotRational):
         FeasibleSystem(lp).face((0.5, Fraction(1)))
+    # priced rows are ints over one scale; a Fraction is refused too
+    with pytest.raises(NotRational):
+        solve_lp(lp, price=[(Fraction(1, 2), 1)])
 
 
 def test_a_float_in_a_row_is_a_typed_error():

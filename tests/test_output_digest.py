@@ -7,6 +7,12 @@ concatenated documents pins every output byte, and the sha256 of the
 repr of the (row, label) list of every simplex pivot taken after the
 draw pins the pivot path.  Both hold on Python 3.10 to 3.13.
 
+The degenerate family (instance_gen.degenerate_pblp, Random(7), 105
+instances, cases alternating) is pinned the same way, by its documents
+only: its duplicated columns, collinear images and repeated rows make
+degenerate pivots, where a change of pivot rule is most likely to move
+a byte.
+
 A change that moves output bytes or pivots on purpose updates the
 constants below and says why in CHANGES.md.
 """
@@ -18,11 +24,12 @@ from fractions import Fraction
 from pblp import Case, Method, enumerate_breakpoints, lp_core, sweep_lambda
 from pblp.cli_io import emit_solution, emit_sweep
 from conftest import load_instance
-from instance_gen import random_pblp
+from instance_gen import degenerate_pblp, random_pblp
 
 DOCUMENTS_SHA256 = "678abde767a6993fb3d0ea3b71ec30251a546f8ba78debba5626d225b65a4929"
-PIVOT_COUNT = 7211
-PIVOTS_SHA256 = "216c88e1e25a91b3343ef57153c089d1954a64591f8553c661ecb14b0844b88c"
+PIVOT_COUNT = 6721
+PIVOTS_SHA256 = "34acf7508616a3a8f62b5e6946aec183cf935fd58cf8198ae88a2b9f203295d2"
+DEGENERATE_SHA256 = "0e1ae3fdda10781650b743abf720c61cbebb93146725b0c9ae49e8ca7b8fc1f5"
 SWEEPS = (("example2", 6, 60), ("example2_case1", 4, 40), ("example1", 4, 40))
 
 
@@ -49,3 +56,15 @@ def test_documents_and_pivots_are_pinned(monkeypatch):
     assert digest == DOCUMENTS_SHA256
     assert len(pivots) == PIVOT_COUNT
     assert hashlib.sha256(repr(pivots).encode()).hexdigest() == PIVOTS_SHA256
+
+
+def test_degenerate_documents_are_pinned():
+    rng = random.Random(7)
+    family = [degenerate_pblp(rng, (Case.ONE, Case.TWO)[i % 2]) for i in range(105)]
+    documents = [
+        emit_solution(p, enumerate_breakpoints(p, method))
+        for p in family
+        for method in (Method.LP, Method.ADAPTED)
+    ]
+    digest = hashlib.sha256("".join(documents).encode()).hexdigest()
+    assert digest == DEGENERATE_SHA256
