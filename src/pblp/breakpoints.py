@@ -124,9 +124,9 @@ def interval_system(h: ComponentHrep, case: Case) -> FeasibleSystem:
     shares, the one row that needs an artificial.  Its LP is min w3.
     The interval LPs read optimal values only, so the system is
     value-only: it pivots by Dantzig's rule and reports no vertex."""
-    zero, width, n = Fraction(0), h.m + 3, len(h.cone)
-    rows = h.cone + ((zero,) * h.m + tuple(map(Fraction, case.shares + (0,))),)
-    rhs = (zero,) * n + (Fraction(1),)
+    width, n = h.m + 3, len(h.cone)
+    rows = h.cone + ((0,) * h.m + case.shares + (0,),)
+    rhs = (0,) * n + (1,)
     senses = (Sense.LE,) * n + (Sense.EQ,)
     lp = LinearProgram((0,) * (width - 1) + (1,), rows, rhs, senses, (True,) * width)
     return FeasibleSystem(lp, value_only=True)
@@ -144,11 +144,11 @@ def _interval_lp(h: ComponentHrep, case: Case, base: FeasibleSystem):
     base, interval_system of the problem for case (else SystemMismatch),
     holds everything but h's image y.  With Cx = y, x feasible, every
     (v, w) on base has b.v <= x.A^T v <= x.C^T w = y.w (LP weak duality,
-    Ehrgott, Multicriteria Optimization, 2005): the gap h.gap, a
-    positive multiple of y.w - b.v, is nonnegative there, the lifted
-    component is where it is 0, and a positive minimum raises
-    EmptyComponent.  Both solves run on that optimal face and read only
-    optimal values, so the pivot path cannot change the result.
+    Ehrgott, Multicriteria Optimization, 2005): the gap h.gap,
+    y.w - b.v, is nonnegative there, the lifted component is where it
+    is 0, and a positive minimum raises EmptyComponent.  Both solves run
+    on that optimal face and read only optimal values, so the pivot path
+    cannot change the result.
     """
     if base.lp.rows[-1][h.m :] != case.shares + (0,):
         raise SystemMismatch("interval system is not the slice of this case")

@@ -266,16 +266,16 @@ class _Tableau:
     slack per inequality row, then phase one's artificials.  basis holds
     the basic label of each row and nonbasic the other labels, in label
     order; each basic label keeps one row over the nonbasic labels only,
-    its row of B^-1 A, since every basic column is a unit vector.
-    Fraction-free: rows and b hold ints over one positive common
-    denominator det, so the true dictionary is rows/det and the true
-    right side b/det.  d is the kept reduced-cost row of the current
-    simplex run's cost, det times the true one at each nonbasic
-    position (see _reduced_row), or None outside a run's reach: a new
-    tableau or a copy has none.  Until phase one installs a basis, every
-    label < num_cols is nonbasic.  A face (see FeasibleSystem.face)
-    drops nonbasic labels.  dantzig selects the pivot rule (see
-    _simplex).
+    its row of B^-1 A, since every basic column is a unit vector, with
+    its right side as the last entry, as in lrs.  Fraction-free: rows
+    hold ints over one positive common denominator det, so the true
+    dictionary and right side are rows/det.  d is the kept reduced-cost
+    row of the current simplex run's cost, det times the true one at
+    each nonbasic position (see _reduced_row), or None outside a run's
+    reach: a new tableau or a copy has none.  Until phase one installs
+    a basis, every label < num_cols is nonbasic.  A face (see
+    FeasibleSystem.face) drops nonbasic labels.  dantzig selects the
+    pivot rule (see _simplex).
     """
 
     def __init__(self, lp: LinearProgram, dantzig: bool = False):
@@ -291,32 +291,17 @@ class _Tableau:
                 slack_col.append(cols)
                 cols += 1
         self.num_cols = cols
-
-        # Each row is scaled to integers by the lcm of its denominators,
-        # which leaves its rank and its solutions alone, and negated where
-        # its rhs is negative, so that b >= 0.  row_factor is that scale
-        # times that sign, the factor from original to integer row.
-        self.rows: list[list[int]] = []
-        self.b: list[int] = []
-        self.row_factor: list[int] = []
-        self.orig_row: list[int] = []  # index into lp.rows, for duals
-        for i, row in enumerate(lp.rows):
-            scaled, scale = integer_row([*row, lp.rhs[i]])
-            b = scaled.pop()
-            scaled += [0] * (cols - lp.num_vars)
-            if slack_col[i] is not None:
-                scaled[slack_col[i]] = scale if lp.senses[i] is Sense.LE else -scale
-            if b < 0:
-                scaled = [-a for a in scaled]
-                b, scale = -b, -scale
-            self.b.append(b)
-            self.rows.append(scaled)
-            self.row_factor.append(scale)
-            self.orig_row.append(i)
         self.slack_col = slack_col
-        self.basis: list[int] = []
-        self.nonbasic = list(range(cols))
-        self.d: list[int] | None = None
+
+        # Each standard-form row [A | b], its slack +1 in a <= row and -1
+        # in a >= row, is scaled to integers by the lcm of its
+        # denominators, which leaves its rank and its solutions alone.
+        scaled = []
+        for row, b, sense, col in zip(lp.rows, lp.rhs, lp.senses, slack_col):
+            unit = [0] * (cols - lp.num_vars)
+            if col is not None:
+                unit[col - lp.num_vars] = 1 if sense is Sense.LE else -1
+            scaled.append(integer_row([*row, *unit, b]))
         # Simplex basis bookkeeping (and dual recovery from the basis)
         # needs full row rank.  Dependent rows are dropped before any
         # pivoting and get dual zero; a dependent row whose right side
@@ -324,34 +309,34 @@ class _Tableau:
         # dependent: an inequality row alone is nonzero in its slack
         # column, so it is independent of every other row, and no
         # equality row depends on it.  Eliminating the equality rows
-        # over the variable columns (they are zero in every slack
-        # column) so keeps exactly the rows a pass over all rows keeps.
+        # (they are zero in every slack column) so keeps exactly the rows
+        # a pass over all rows keeps.
         eq_rows = [i for i, col in enumerate(slack_col) if col is None]
-        echelon = eliminate(
-            [self.rows[i][: lp.num_vars] + [self.b[i]] for i in eq_rows]
-        )
+        echelon = eliminate([scaled[i][0] for i in eq_rows])
         self.infeasible_by_rank = not echelon.consistent
-        if len(echelon.kept) != len(eq_rows):
-            kept_eq = {eq_rows[k] for k in echelon.kept}
-            keep = [
-                i for i, col in enumerate(slack_col)
-                if col is not None or i in kept_eq
-            ]
-            self.rows = [self.rows[i] for i in keep]
-            self.b = [self.b[i] for i in keep]
-            self.row_factor = [self.row_factor[i] for i in keep]
-            self.orig_row = [self.orig_row[i] for i in keep]
-        self.start_rows = [row[:] for row in self.rows]  # B for the duals
-        # The product of the row scales, not their lcm, is the determinant
-        # of the starting basis in the integer system, and only with it
-        # are the Bareiss divisions in _pivot exact.
-        scales = [abs(f) for f in self.row_factor]
-        self.det = prod(scales)
-        for i, scale in enumerate(scales):
-            if scale != self.det:
-                up = self.det // scale
-                self.rows[i] = [a * up for a in self.rows[i]]
-                self.b[i] *= up
+        kept_eq = {eq_rows[k] for k in echelon.kept}
+        self.orig_row = [  # index into lp.rows, for duals
+            i for i, col in enumerate(slack_col) if col is not None or i in kept_eq
+        ]
+        # The product of the kept rows' scales, not their lcm, is the
+        # determinant of the starting basis in the integer system, and
+        # only with it are the Bareiss divisions in _pivot exact.  Each
+        # row is brought to det and negated where its right side is
+        # negative, so that every right side is >= 0; row_factor is the
+        # factor from original to integer row, det times that sign.
+        # start_rows, B for the duals, is rows itself: phase one's first
+        # _drop builds new rows before any pivot.
+        kept = [scaled[i] for i in self.orig_row]
+        self.det = prod(scale for _, scale in kept)
+        self.row_factor = [self.det if row[-1] >= 0 else -self.det for row, _ in kept]
+        self.start_rows = self.rows = [
+            [a * up for a in row]
+            for (row, scale), factor in zip(kept, self.row_factor)
+            for up in (factor // scale,)
+        ]
+        self.basis: list[int] = []
+        self.nonbasic = list(range(cols))
+        self.d: list[int] | None = None
 
     # -- pivoting ---------------------------------------------------------
 
@@ -359,29 +344,28 @@ class _Tableau:
         """Bareiss's integer-preserving pivot (Bareiss 1968, Edmonds 1967):
         label col enters in row r, and basis[r] leaves.
 
-        With p the pivot entry, every other row, the kept row d included,
-        becomes (row * p - row[col] * pivot row) / det and det becomes p
-        (see _pivoted).  A negative p flips the sign of row r, so det
-        stays positive.  The leaving column was det times a unit vector,
-        so its new entries follow without arithmetic: -row[col] in every
-        other row and det in row r, both negated when p < 0.  It moves to
-        its place in label order.
+        With p the pivot entry, every other row, right side included,
+        and the kept row d become (row * p - row[col] * pivot row) / det
+        and det becomes p (see _pivoted); d, which has no right side,
+        stops where it does.  A negative p flips the sign of row r, so
+        det stays positive.  The leaving column was det times a unit
+        vector, so its new entries follow without arithmetic: -row[col]
+        in every other row and det in row r, both negated when p < 0.  It
+        moves to its place in label order.
         """
-        rows, b, det, nonbasic = self.rows, self.b, self.det, self.nonbasic
+        rows, det, nonbasic = self.rows, self.det, self.nonbasic
         k = nonbasic.index(col)
         leaving = self.basis[r]
         del nonbasic[k]
         at = bisect(nonbasic, leaving)
         nonbasic.insert(at, leaving)
-        prow, pb = rows[r], b[r]
+        prow = rows[r]
         p, sign = prow[k], 1
         if p < 0:
             p, sign = -p, -1
             prow = rows[r] = [-a for a in prow]
-            pb = b[r] = -pb
         for i, row in enumerate(rows):
             if i != r:
-                b[i] = (b[i] * p - row[k] * pb) // det
                 rows[i] = _pivoted(row, k, at, prow, p, det, sign)
         if self.d is not None:
             self.d = _pivoted(self.d, k, at, prow, p, det, sign)
@@ -417,7 +401,7 @@ class _Tableau:
         lowest on ties, until _DEGENERATE_RUN degenerate pivots in a row
         hand the rest of the run to Bland's rule, which cannot cycle.
         """
-        rows, b, basis, nonbasic = self.rows, self.b, self.basis, self.nonbasic
+        rows, basis, nonbasic = self.rows, self.basis, self.nonbasic
         self.d = self._reduced_row(cost)
         bland, stalled = not self.dantzig, 0
         while True:
@@ -429,23 +413,24 @@ class _Tableau:
                         break
             if k < 0:
                 return LpStatus.OPTIMAL
-            # Minimum ratio b[i] / a over a > 0, compared cross-multiplied.
+            # Minimum ratio of right side to a over a > 0, compared
+            # cross-multiplied.
             leaving = -1
             best_b = best_a = 0
-            for i in range(len(rows)):
-                a = rows[i][k]
+            for i, row in enumerate(rows):
+                a = row[k]
                 if a > 0:
-                    lhs, rhs = b[i] * best_a, best_b * a
+                    lhs, rhs = row[-1] * best_a, best_b * a
                     if (
                         leaving < 0
                         or lhs < rhs
                         or (lhs == rhs and basis[i] < basis[leaving])
                     ):
-                        best_b, best_a = b[i], a
+                        best_b, best_a = row[-1], a
                         leaving = i
             if leaving < 0:
                 return LpStatus.UNBOUNDED
-            stalled = stalled + 1 if b[leaving] == 0 else 0
+            stalled = stalled + 1 if best_b == 0 else 0
             bland = bland or stalled >= _DEGENERATE_RUN
             self._pivot(leaving, nonbasic[k])
 
@@ -470,12 +455,14 @@ class _Tableau:
         return free
 
     def _drop(self, labels):
-        """Remove the nonbasic labels in labels, entries and all."""
+        """Remove the nonbasic labels in labels, entries and all; each
+        row's right side stays last."""
         keep = [k for k, j in enumerate(self.nonbasic) if j not in labels]
         self.nonbasic = [self.nonbasic[k] for k in keep]
-        self.rows = [[row[k] for k in keep] for row in self.rows]
         if self.d is not None:
             self.d = [self.d[k] for k in keep]
+        keep.append(-1)
+        self.rows = [[row[k] for k in keep] for row in self.rows]
 
     # -- phases -----------------------------------------------------------
 
@@ -507,7 +494,7 @@ class _Tableau:
         if self._simplex(cost, banned=set()) is not LpStatus.OPTIMAL:
             raise InvariantViolation("phase one reported an unbounded objective")
         self.d = None
-        if any(b for col, b in zip(self.basis, self.b) if col >= self.num_cols):
+        if any(r[-1] for col, r in zip(self.basis, self.rows) if col >= self.num_cols):
             return False
         for i, row in enumerate(self.rows):
             if self.basis[i] < self.num_cols:
@@ -532,7 +519,7 @@ class _Tableau:
 
     def _value(self, cost: list[int], scale: int) -> Fraction:
         """The objective cost / scale at the current vertex."""
-        total = sum(cost[col] * b for col, b in zip(self.basis, self.b))
+        total = sum(cost[col] * row[-1] for col, row in zip(self.basis, self.rows))
         return Fraction(total, self.det * scale)
 
     def reduced_costs(self, objectives) -> tuple[tuple[int, ...], ...]:
@@ -577,7 +564,7 @@ class _Tableau:
         """An independent twin of this feasible tableau, for phase two of
         another LP over the same system.
 
-        Pivots write rows, b, basis and nonbasic in place, so those four
+        Pivots write rows, basis and nonbasic in place, so those three
         are copied; det is an int, rebound by each pivot, the row
         bookkeeping of the duals and the pivot rule are shared, and the
         twin starts with no kept row.  What only phase one reads stays
@@ -588,7 +575,7 @@ class _Tableau:
         twin.dantzig = self.dantzig
         twin.row_factor, twin.orig_row = self.row_factor, self.orig_row
         twin.rows = [row[:] for row in self.rows]
-        twin.b, twin.det, twin.d = self.b[:], self.det, None
+        twin.det, twin.d = self.det, None
         twin.basis, twin.nonbasic = self.basis[:], self.nonbasic[:]
         return twin
 
@@ -597,16 +584,16 @@ class _Tableau:
     def solution(self, n: int) -> tuple[Fraction, ...]:
         """The current vertex's first n labels, the LP's variables."""
         x = [Fraction(0)] * n
-        for col, b in zip(self.basis, self.b):
+        for col, row in zip(self.basis, self.rows):
             if col < n:
-                x[col] = Fraction(b, self.det)
+                x[col] = Fraction(row[-1], self.det)
         return tuple(x)
 
     def duals(self, lp: LinearProgram) -> tuple[Fraction, ...]:
         """Dual of each row of lp from B^T y = c_B on the final basis.
 
-        B is read off start_rows, the kept integer rows over every label
-        before any pivot, and c is lp's objective times the lcm of its
+        B is read off start_rows, the kept integer rows as built before
+        any pivot, and c is lp's objective times the lcm of its
         denominators, so y_i times row_factor[i] over that lcm is the
         dual of original row orig_row[i].  Dropped rows get dual zero.
         """

@@ -33,7 +33,7 @@ __all__ = [
     "sweep_lambda",
 ]
 
-DEFAULT_RAY_BUDGET = 20000
+RAY_BUDGET = 20000  # rays held at once before TooLarge
 
 
 @dataclass(frozen=True)
@@ -44,9 +44,7 @@ class VertexSet:
     rays: tuple[tuple[int, ...], ...]
 
 
-def vertices_and_rays(
-    rows, rhs, senses, n: int, max_rays: int = DEFAULT_RAY_BUDGET
-) -> VertexSet:
+def vertices_and_rays(rows, rhs, senses, n: int) -> VertexSet:
     """Every vertex and extreme ray of {x >= 0 : rows (senses) rhs}.
 
     Double description (Motzkin, Raiffa, Thompson and Thrall 1953;
@@ -59,12 +57,12 @@ def vertices_and_rays(
     other ray's zero set contains their common one.  A ray with t > 0
     gives the vertex x / t, one with t = 0 an extreme ray; if no ray has
     t > 0 the set is empty, and the rays, of {A x (sense) 0}, are dropped.
-    Raises TooLarge when more than max_rays rays are held at once.
+    Raises TooLarge when more than RAY_BUDGET rays are held at once.
     """
     d = n + 1
     cuts = []  # (g, is_eq): the cut g.z >= 0, or g.z = 0
     for row, b, sense in zip(rows, rhs, senses):
-        g = integer_row([Fraction(a) for a in row] + [-Fraction(b)])[0]
+        g = integer_row([*row, -b])[0]
         if sense is Sense.LE:
             g = [-v for v in g]
         cuts.append((g, sense is Sense.EQ))
@@ -83,8 +81,8 @@ def vertices_and_rays(
         ]
         for ray in _crossings(rays, values, d, k):
             kept.append(ray)
-            if len(kept) > max_rays:
-                raise TooLarge(f"more than {max_rays} rays held at once")
+            if len(kept) > RAY_BUDGET:
+                raise TooLarge(f"more than {RAY_BUDGET} rays held at once")
         rays = kept
     vertices = tuple(sorted(
         tuple(Fraction(a, r[-1]) for a in r[:-1]) for r, _ in rays if r[-1]
@@ -150,9 +148,7 @@ def _nondominated(images) -> list[Point3]:
     return kept
 
 
-def extreme_nondominated_bruteforce(
-    p: Pblp, max_rays: int = DEFAULT_RAY_BUDGET
-) -> tuple[Point3, ...]:
+def extreme_nondominated_bruteforce(p: Pblp) -> tuple[Point3, ...]:
     """Extreme nondominated images of p's triobjective problem from
     first principles; p.case plays no part.
 
@@ -169,7 +165,7 @@ def extreme_nondominated_bruteforce(
     w.x <= w.y is implied by its dominator z's, w.x <= w.z <= w.y, so it
     never binds.
     """
-    found = vertices_and_rays(p.rows, p.rhs, p.senses, p.n, max_rays)
+    found = vertices_and_rays(p.rows, p.rhs, p.senses, p.n)
     for r in found.rays:
         if any(c < 0 for c in p.image(r)):
             raise UnboundedScalarization(f"ray {r} lowers a cost row")

@@ -259,35 +259,23 @@ class ComponentHrep:
     All variables are nonnegative.  cone holds one row per original
     variable, A^T v - C^T w, read as <= 0 (A and b the feasible system
     rewritten in >=-form, so m counts the rewritten rows, not the input
-    rows).  gap is the duality gap y.w - b.v of image y in ints: times
-    D * scale, D the denominator of integral_image(y) and scale that of
-    rhs, the >=-form right side b times scale, which every image of a
-    problem shares.  Weak duality keeps the gap >= 0 on the cone, and
-    where it is 0 the cone projects onto (w1, w2, w3) as the cone over
-    the component of y: its slice w1 + w2 + w3 = 1 is the component.
-    The interval LPs take that set as the optimal face of gap, never as
-    an added row.
+    rows).  gap is the duality gap y.w - b.v of image y as it stands,
+    the row (-b, y) over (v, w), whose -b every image of the problem
+    shares; the LP engine scales it to integers.  Weak duality keeps the
+    gap >= 0 on the cone, and where it is 0 the cone projects onto
+    (w1, w2, w3) as the cone over the component of y: its slice
+    w1 + w2 + w3 = 1 is the component.  The interval LPs take that set
+    as the optimal face of gap, never as an added row.
     """
 
     cone: tuple[tuple[Fraction, ...], ...]
-    gap: tuple[int, ...]
+    gap: tuple[Fraction, ...]
     m: int
-    rhs: tuple[int, ...]
-    scale: int
 
     def for_image(self, y: Point3) -> "ComponentHrep":
         """The hrep of another image y of the same problem: the cone and
-        the scaled right side are shared, and only the gap changes."""
-        return ComponentHrep(
-            self.cone, _gap(self.rhs, self.scale, y), self.m, self.rhs, self.scale
-        )
-
-
-def _gap(rhs: tuple[int, ...], scale: int, y: Point3) -> tuple[int, ...]:
-    """D * scale * (y.w - b.v), b = rhs / scale and D the denominator
-    of integral_image(y), as a row over (v, w)."""
-    y1, y2, y3, den = integral_image(y)
-    return tuple(-den * b for b in rhs) + (scale * y1, scale * y2, scale * y3)
+        the gap's -b are shared, and only the gap's y changes."""
+        return ComponentHrep(self.cone, self.gap[: self.m] + tuple(y), self.m)
 
 
 def component_hrep(p: Pblp, y: Point3) -> ComponentHrep:
@@ -299,6 +287,4 @@ def component_hrep(p: Pblp, y: Point3) -> ComponentHrep:
         tuple(rows[i][j] for i in range(m)) + tuple(-C[k][j] for k in range(3))
         for j in range(p.n)
     )
-    rhs, scale = integer_row(b)
-    rhs = tuple(rhs)
-    return ComponentHrep(cone=cone, gap=_gap(rhs, scale, y), m=m, rhs=rhs, scale=scale)
+    return ComponentHrep(cone=cone, gap=tuple(-v for v in b) + tuple(y), m=m)

@@ -363,7 +363,7 @@ def test_bland_fallback_moves_no_byte_on_a_degenerate_family(monkeypatch):
 
     def recording_pivot(self, r, col):
         if active and active[-1] is not None:
-            active[-1].append((col, self.b[r] == 0))
+            active[-1].append((col, self.rows[r][-1] == 0))
         pivot(self, r, col)
 
     monkeypatch.setattr(lp_core._Tableau, "_simplex", recording_simplex)

@@ -500,13 +500,16 @@ def _random_fractional_case(rng):
 def _assert_fraction_free(tab, infeasible=False, face=False):
     """tab is an integer dictionary over a positive det: one int row per
     basic label over its nonbasic labels, which are in label order and
-    disjoint from the basic ones.  Unless phase one found tab infeasible
-    no artificial label is left, and unless tab is a face, which drops
-    labels, every label < num_cols is basic or nonbasic."""
+    disjoint from the basic ones, then its right side.  Every right side
+    is >= 0: the set-up makes it so, and the ratio test keeps it, so once
+    phase one has succeeded the dictionary is primal feasible.  Unless
+    phase one found tab infeasible no artificial label is left, and
+    unless tab is a face, which drops labels, every label < num_cols is
+    basic or nonbasic."""
     assert type(tab.det) is int and tab.det > 0
-    assert all(type(v) is int for v in tab.b)
-    assert all(len(row) == len(tab.nonbasic) for row in tab.rows)
+    assert all(len(row) == len(tab.nonbasic) + 1 for row in tab.rows)
     assert all(type(a) is int for row in tab.rows for a in row)
+    assert all(row[-1] >= 0 for row in tab.rows)
     assert tab.nonbasic == sorted(tab.nonbasic)
     assert not set(tab.basis) & set(tab.nonbasic)
     labels = set(tab.basis) | set(tab.nonbasic)
@@ -1001,7 +1004,7 @@ def _pinned(lp, objective, value):
 
 
 def _snapshot(tab):
-    return [row[:] for row in tab.rows], tab.b[:], tab.basis[:], tab.det, tab.nonbasic[:]
+    return [row[:] for row in tab.rows], tab.basis[:], tab.det, tab.nonbasic[:]
 
 
 def test_face_matches_a_solve_with_its_row_appended():

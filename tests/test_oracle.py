@@ -64,14 +64,16 @@ def test_vertex_enumeration_flags_unbounded_sets():
         basis_vertices(((F(-2), F(1)),), (F(1),), (Sense.LE,), 2)
 
 
-def test_vertex_enumeration_respects_the_ray_budget(example1):
+def test_vertex_enumeration_respects_the_ray_budget(example1, monkeypatch):
     rows = ((F(1), F(1)),)
     rhs = (F(1),)
+    monkeypatch.setattr(oracle, "RAY_BUDGET", 2)
     with pytest.raises(TooLarge):
-        vertices_and_rays(rows, rhs, (Sense.LE,), 2, max_rays=2)
-    assert len(vertices_and_rays(rows, rhs, (Sense.LE,), 2, max_rays=3).vertices) == 3
+        vertices_and_rays(rows, rhs, (Sense.LE,), 2)
+    monkeypatch.setattr(oracle, "RAY_BUDGET", 3)
+    assert len(vertices_and_rays(rows, rhs, (Sense.LE,), 2).vertices) == 3
     with pytest.raises(TooLarge):
-        extreme_nondominated_bruteforce(example1, max_rays=3)
+        extreme_nondominated_bruteforce(example1)
 
 
 def test_vertex_enumeration_of_an_empty_set_is_empty():

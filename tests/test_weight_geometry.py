@@ -18,6 +18,7 @@ from pblp import (
     simplex_triangle,
     solve_lp,
 )
+from pblp.problem_model import ge_form
 from pblp.weight_geometry import (
     HalfPlane,
     convex_hull,
@@ -440,8 +441,13 @@ def test_dominated_far_competitor_leaves_the_full_simplex():
 
 
 def test_hrep_dimensions_and_membership(example2):
+    """The gap row is the duality gap y.w - b.v as it stands, b the
+    >=-form right side, for an integer image and a fractional one."""
     y = (F(5), F(10), F(0))
     h = component_hrep(example2, y)
+    _, b = ge_form(example2.rows, example2.rhs, example2.senses)
+    for image in (y, (F(1, 2), F(10, 3), F(0))):
+        assert component_hrep(example2, image).gap == tuple(-v for v in b) + image
     assert len(h.cone) == example2.n
     assert all(len(row) == h.m + 3 for row in h.cone + (h.gap,))
     assert hrep_feasible_at(h, (F(1, 4), F(1, 4), F(1, 2)))
