@@ -48,7 +48,6 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 
-from . import lp_core
 from .errors import EmptyComponent, NoFiniteVertex, SystemMismatch
 from .lp_core import FeasibleSystem, LinearProgram, LpStatus, Sense, solve_lp
 from .numerics import INF
@@ -114,7 +113,7 @@ class ParametricSolution:
     intervals: tuple[ParameterInterval, ...]
     breakpoints: tuple[Fraction, ...]
     axis: tuple[AxisSegment, ...]
-    interval_lp_solves: int
+    interval_lp_solves: int  # 0 on Method.ADAPTED
 
 
 def interval_system(h: ComponentHrep, case: Case) -> FeasibleSystem:
@@ -232,7 +231,6 @@ def solve_on_decomposition(
     """Intervals, breakpoints and the annotated lambda axis of p by
     method, from dec, the decomposition of p (decompose(p)).  Both
     methods can share one decomposition."""
-    before = lp_core.solve_calls()
     if method is Method.LP:
         route = interval_lp_case1 if p.case is Case.ONE else interval_lp_case2
         # the n cone rows are built once per problem, a gap objective per image
@@ -240,13 +238,14 @@ def solve_on_decomposition(
         hreps = [first.for_image(entry.image) for entry in dec.images]
         base = interval_system(first, p.case)
         ends = [route(h, base) for h in hreps]
+        interval_lp_solves = base.solves
     else:
         ends = [interval_vertex(p.case, poly) for poly in dec.components]
+        interval_lp_solves = 0
     intervals = [
         ParameterInterval(image=entry.image, lower=lower, upper=upper)
         for entry, (lower, upper) in zip(dec.images, ends)
     ]
-    interval_lp_solves = lp_core.solve_calls() - before
 
     # a lower end of 0 is no breakpoint; no upper end is 0 (module docstring)
     breakpoints = tuple(sorted(

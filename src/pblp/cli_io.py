@@ -29,7 +29,6 @@ import sys
 import time
 from fractions import Fraction
 
-from . import lp_core
 from .breakpoints import (
     Method,
     ParametricSolution,
@@ -417,7 +416,7 @@ def cli_main(argv=None) -> int:
         return USAGE_ERROR if exc.code not in (0, None) else 0
 
     started = time.monotonic()
-    solves_before = lp_core.solve_calls()
+    solves = None  # the LP solves of the result emitted; check counts none
     try:
         problem = _read_problem(args.file)
         if args.command == "solve":
@@ -430,6 +429,7 @@ def cli_main(argv=None) -> int:
                     emit_plot_data(sol.decomposition, problem.case, sol.breakpoints),
                 )
             sys.stdout.write(emit_solution(problem, sol))
+            solves = sol.decomposition.lp_solves + sol.interval_lp_solves
         elif args.command == "decompose":
             if (args.lambda_max is None) != (args.steps is None):
                 raise ValueError("--lambda-max and --steps go together")
@@ -440,9 +440,11 @@ def cli_main(argv=None) -> int:
             if args.plot_out:
                 _write(args.plot_out, emit_plot_data(result, problem.case, lambdas))
             sys.stdout.write(emit_decomposition(problem, result))
+            solves = result.lp_solves
         elif args.command == "sweep":
             report = sweep_lambda(problem, args.lambda_max, args.steps)
             sys.stdout.write(emit_sweep(problem, report))
+            solves = report.lp_solves
         elif args.command == "check":
             # notes go to stderr unless --quiet, which swallows them
             problems = run_check(problem, io.StringIO() if args.quiet else None)
@@ -468,10 +470,8 @@ def cli_main(argv=None) -> int:
 
     if not args.quiet:
         elapsed = time.monotonic() - started
-        solves = lp_core.solve_calls() - solves_before
-        print(
-            f"done in {elapsed:.3f}s, {solves} LP solves", file=sys.stderr
-        )
+        counted = "" if solves is None else f", {solves} LP solves"
+        print(f"done in {elapsed:.3f}s{counted}", file=sys.stderr)
     return 0
 
 

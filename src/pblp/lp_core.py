@@ -41,10 +41,12 @@ and starts phase two from a copy of it (the reuse across weights of
 Przybylski, Gandibleux and Ehrgott, INFORMS J. Comput. 2010).  A plain
 solve_lp(lp) builds FeasibleSystem(lp) for itself, so a solve on a
 shared system takes a plain solve's pivot path and ends on its optimal
-vertex.  FeasibleSystem.face(f) runs phase two of f on a copy and drops
-the nonbasic columns whose positive reduced cost holds them at zero on
-f's optimal face, so LPs on the face run on a narrower dictionary with
-no new row and no phase one.  On a face the optimal value is a plain
+vertex.  A system counts the solves run on it and on its faces
+(FeasibleSystem.solves); no count lives at module level.
+FeasibleSystem.face(f) runs phase two of f on a copy and drops the
+nonbasic columns whose positive reduced cost holds them at zero on f's
+optimal face, so LPs on the face run on a narrower dictionary with no
+new row and no phase one.  On a face the optimal value is a plain
 solve's with the row f.x = min f appended; the optimal vertex may
 differ.
 
@@ -625,9 +627,15 @@ class FeasibleSystem:
     """
 
     def __init__(self, lp: LinearProgram, value_only: bool = False):
-        self.lp, self.value_only = lp, value_only
+        self.lp, self.value_only, self._solves = lp, value_only, [0]
         tab = _Tableau(lp, dantzig=value_only)
         self._tableau = None if tab.infeasible_by_rank or not tab.phase_one() else tab
+
+    @property
+    def solves(self) -> int:
+        """solve_lp calls accepted on this system and its faces, which
+        share one count: one per call, infeasible or not; face counts none."""
+        return self._solves[0]
 
     def face(self, objective) -> tuple[Fraction | None, "FeasibleSystem | None"]:
         """(value, face): the minimum of objective over this system and
@@ -657,17 +665,8 @@ class FeasibleSystem:
         tab._drop(off)
         twin = object.__new__(type(self))
         twin.lp, twin._tableau, twin.value_only = self.lp, tab, self.value_only
+        twin._solves = self._solves  # a face counts on its system
         return value, twin
-
-
-_solve_calls = 0
-
-
-def solve_calls() -> int:
-    """Total solve_lp invocations so far, one per tableau built: a
-    lexicographic solve with any number of ties counts once.  Snapshot
-    around a phase to count its LP work deterministically."""
-    return _solve_calls
 
 
 def solve_lp(
@@ -689,8 +688,6 @@ def solve_lp(
     prices nothing.  On a value-only system an optimal result holds the
     value alone, and price raises SystemMismatch.
     """
-    global _solve_calls
-    _solve_calls += 1
     ties = tuple(ties)
     price = tuple(price)
     for objective in ties + price:
@@ -703,6 +700,7 @@ def solve_lp(
         system.lp.rows, system.lp.rhs, system.lp.senses, system.lp.nonneg
     ):
         raise SystemMismatch("LP constraints differ from the feasible system's")
+    system._solves[0] += 1
     if price and system.value_only:
         raise SystemMismatch("a value-only system's basis depends on the pivot path")
     if system._tableau is None:

@@ -243,6 +243,7 @@ class SweepReport:
     witness_images: tuple[tuple[Point3, ...], ...]
     bolp_images: tuple[tuple, ...]
     changes: tuple[tuple[Fraction, Fraction], ...]
+    lp_solves: int  # counted on the feasible system the grid shares
 
 
 def lambda_grid(lambda_max: Fraction, steps: int) -> tuple[Fraction, ...]:
@@ -285,4 +286,5 @@ def sweep_lambda(p: Pblp, lambda_max: Fraction, steps: int) -> SweepReport:
         witness_images=tuple(witness_images),
         bolp_images=tuple(bolp_images),
         changes=changes,
+        lp_solves=system.solves,
     )

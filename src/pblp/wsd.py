@@ -43,7 +43,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import lp_core
 from .errors import InfeasibleProblem, InvariantViolation, UnboundedScalarization
 from .lp_core import FeasibleSystem, LinearProgram, LpStatus, solve_lex_lp
 from .problem_model import Pblp, system_lp
@@ -90,7 +89,7 @@ class Decomposition:
 
     images and components run in parallel, sorted by image
     lexicographically; every component is full-dimensional.  lp_solves
-    counts the LP solves spent finding them.
+    counts the LP solves spent finding them, on their feasible system.
     """
 
     images: tuple[ExtremeImage, ...]
@@ -147,7 +146,6 @@ def _below(vertex: Triple, y: IntImage, z: IntImage) -> bool:
 def decompose(p: Pblp) -> Decomposition:
     """Compute all extreme nondominated images of p's triobjective
     problem and their components; p.case plays no part."""
-    start_count = lp_core.solve_calls()
     # Every weighted sum shares p's constraints: phase one runs once here.
     system = FeasibleSystem(_weighted_sum(p, (1, 1, 3)))
     # Every solve's record, keyed by its integral image: each carries the
@@ -214,5 +212,5 @@ def decompose(p: Pblp) -> Decomposition:
     return Decomposition(
         images=tuple(entry for entry, _ in keep),
         components=tuple(poly for _, poly in keep),
-        lp_solves=lp_core.solve_calls() - start_count,
+        lp_solves=system.solves,
     )

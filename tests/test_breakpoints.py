@@ -21,13 +21,14 @@ from pblp import (
     interval_vertex,
     lambda_from_weight,
     solve_on_decomposition,
+    sweep_lambda,
 )
-from pblp import breakpoints, lp_core
+from pblp import breakpoints, lp_core, oracle, wsd
 from pblp.breakpoints import ParameterInterval
 from pblp.cli_io import emit_solution
 from pblp.problem_model import Weight3
 from pblp.errors import EmptyComponent, NoFiniteVertex, SystemMismatch
-from conftest import hull_of, w3
+from conftest import build_lp, hull_of, w3
 from instance_gen import degenerate_pblp, random_pblp
 
 F = Fraction
@@ -128,6 +129,40 @@ def test_lp_route_spends_two_solves_per_image(example2, example2_case1):
         sol = enumerate_breakpoints(p, Method.LP)
         assert sol.interval_lp_solves == 2 * len(sol.intervals)
         assert enumerate_breakpoints(p, Method.ADAPTED).interval_lp_solves == 0
+
+
+def test_stray_solves_leave_every_count_alone(request, monkeypatch):
+    """Each count is read off the feasible system that did the work, so
+    an unrelated solve_lp made between the solves of a decomposition,
+    of the interval route or of a sweep moves none of lp_solves,
+    interval_lp_solves and SweepReport.lp_solves."""
+    stray_lp = build_lp([1, 0], [[1, 1]], [1], [">="])
+    strays = []
+
+    def after_a_stray_solve(function):
+        def wrapped(*args, **kwargs):
+            strays.append(lp_core.solve_lp(stray_lp).status)
+            return function(*args, **kwargs)
+        return wrapped
+
+    def counts(p):
+        sol = enumerate_breakpoints(p, Method.LP)
+        report = sweep_lambda(p, F(4), 8)
+        return sol.decomposition.lp_solves, sol.interval_lp_solves, report.lp_solves
+
+    names = ("example1", "example2", "example2_case1")
+    problems = [request.getfixturevalue(name) for name in names]
+    undisturbed = [counts(p) for p in problems]
+    for module, name in (
+        (wsd, "find_extreme_image"), (breakpoints, "solve_lp"), (oracle, "dichotomic_bolp")
+    ):
+        monkeypatch.setattr(module, name, after_a_stray_solve(getattr(module, name)))
+    for p, want in zip(problems, undisturbed):
+        strays.clear()
+        assert counts(p) == want
+        # one stray before each decomposition and interval solve and
+        # before each of the 9 grid points' searches
+        assert len(strays) == want[0] + want[1] + 9, p
 
 
 def test_lp_route_builds_the_cone_once_per_problem(request, monkeypatch):

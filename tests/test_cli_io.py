@@ -4,6 +4,7 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -17,6 +18,7 @@ from pblp import (
     extreme_nondominated_bruteforce,
     parse_problem,
     rat_parse,
+    sweep_lambda,
     vertices_and_rays,
 )
 from pblp.breakpoints import enumerate_breakpoints
@@ -223,6 +225,25 @@ def test_cli_solve_writes_json_and_a_timing_line(capsys):
     doc = json.loads(out)
     assert doc["breakpoints"] == ["1", "5"]
     assert "LP solves" in err
+
+
+def test_cli_done_line_names_the_lp_solves_of_the_result(example2, capsys):
+    """solve and decompose name their document's stats.lp_solves, sweep
+    its report's lp_solves; check names no count."""
+    path = _instance("example2.pblp")
+    sweep = ["--lambda-max", "6", "--steps", "60"]
+    for command in (["solve"], ["decompose"], ["sweep", *sweep], ["check"]):
+        assert cli_main([command[0], path, *command[1:]]) == 0
+        out, err = capsys.readouterr()
+        done = err.splitlines()[-1]
+        if command[0] == "check":
+            assert re.fullmatch(r"done in \d+\.\d{3}s", done), done
+            continue
+        if command[0] == "sweep":
+            count = sweep_lambda(example2, F(6), 60).lp_solves
+        else:
+            count = json.loads(out)["stats"]["lp_solves"]
+        assert re.fullmatch(rf"done in \d+\.\d{{3}}s, {count} LP solves", done), done
 
 
 def test_cli_quiet_silences_stderr(capsys):

@@ -19,7 +19,7 @@ from pblp import (
 )
 from pblp import lp_core
 from pblp.errors import DimensionMismatch, NotRational, SystemMismatch
-from pblp.lp_core import eliminate, solve_calls, solve_square
+from pblp.lp_core import eliminate, solve_square
 from pblp.numerics import integer_row
 from pblp.oracle import vertices_and_rays
 from conftest import _satisfies, build_lp, reference_phase_two
@@ -309,9 +309,9 @@ def test_solves_on_a_shared_system_match_fresh_solves():
         system = FeasibleSystem(lps[0])
         statuses = set()
         for lp, lp_ties in zip(lps, ties):
-            before = solve_calls()
+            before = system.solves
             got = solve_lp(lp, lp_ties, system=system)
-            assert solve_calls() == before + 1
+            assert system.solves == before + 1
             want = solve_lp(lp, lp_ties)
             assert got.status is want.status, (lp, lp_ties)
             assert (got.x, got.value) == (want.x, want.value), (lp, lp_ties)
@@ -1022,9 +1022,8 @@ def test_face_matches_a_solve_with_its_row_appended():
         lp, f = _face_case(rng)
         base = FeasibleSystem(lp)
         kept = None if base._tableau is None else _snapshot(base._tableau)
-        before = solve_calls()
         got, face = base.face(f)
-        assert solve_calls() == before
+        assert base.solves == 0
         want = solve_lp(replace(lp, objective=f))
         optimal = want.status is LpStatus.OPTIMAL
         assert (got, face is not None) == (want.value, optimal), (lp, f)
@@ -1175,12 +1174,12 @@ def test_infeasible_system_is_infeasible_for_every_objective():
     lp = build_lp([1, 0], [[1, 1], [1, 0]], [4, 5], ["<=", ">="])
     system = FeasibleSystem(lp)
     for objective, ties in (([1, 0], ()), ([0, -1], ()), ([-1, -1], [(1, 0)])):
-        before = solve_calls()
+        before = system.solves
         res = solve_lex_lp(
             build_lp(objective, lp.rows, lp.rhs, lp.senses), ties, system
         )
         assert res.status is LpStatus.INFEASIBLE
-        assert solve_calls() == before + 1
+        assert system.solves == before + 1
 
 
 def test_solve_on_another_system_is_rejected():
@@ -1214,12 +1213,30 @@ def test_solver_is_deterministic():
 
 def test_solve_call_counter_increments():
     lp = build_lp([1, 0], [[1, 1]], [1], [">="])
-    before = solve_calls()
-    solve_lp(lp)
-    assert solve_calls() == before + 1
+    system = FeasibleSystem(lp)
+    assert system.solves == 0
+    solve_lp(lp, system=system)
+    assert system.solves == 1
     # a lexicographic solve is one tableau however many ties it has
-    solve_lex_lp(lp, ties=[(0, 1), (1, 1), (0, -1)])
-    assert solve_calls() == before + 2
+    solve_lex_lp(lp, ties=[(0, 1), (1, 1), (0, -1)], system=system)
+    assert system.solves == 2
+    # a face counts no solve; a solve on a face, or on a face of a face,
+    # counts on the system it came from, and the face reads that count
+    _, face = system.face((0, 1))
+    _, inner = face.face((1, 0))
+    assert system.solves == face.solves == 2
+    solve_lp(lp, system=face)
+    solve_lp(lp, system=inner)
+    assert system.solves == face.solves == inner.solves == 4
+    # another system, and a plain solve, count apart
+    solve_lp(lp)
+    other = FeasibleSystem(lp)
+    solve_lp(lp, system=other)
+    assert (system.solves, other.solves) == (4, 1)
+    # an LP the system rejects counts nothing
+    with pytest.raises(SystemMismatch):
+        solve_lp(build_lp([1, 0], [[1, 1]], [2], [">="]), system=system)
+    assert system.solves == 4
 
 
 def test_dimension_mismatch_is_rejected():

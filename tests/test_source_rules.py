@@ -4,9 +4,9 @@ from a next() without a default, and no float decides anything, so
 float() appears only in the lossy plot comments of
 cli_io.emit_plot_data.  The weight geometry computes in ints: in
 weight_geometry only ConvexPolygon2.vertices and ConvexPolygon2.area,
-which hand Fractions to callers, build a Fraction.  No state lives at module level beyond the solve
-counter: no module-level dict, list or set but __all__, and no global
-statement but lp_core's for _solve_calls.  Two modules also keep their
+which hand Fractions to callers, build a Fraction.  No state lives at
+module level: no module-level dict, list or set but __all__, and no
+global statement.  Two modules also keep their
 layer: the vertex oracle shares no logic with the decomposition and the
 interval routes it cross-checks, and the weight geometry builds only on
 the problem records and the numerics.  A case is its share vector
@@ -27,7 +27,6 @@ FRACTION_ALLOWED = {
     ("weight_geometry", "ConvexPolygon2.vertices"),
     ("weight_geometry", "ConvexPolygon2.area"),
 }
-GLOBALS_ALLOWED = {("lp_core", "_solve_calls")}
 MUTABLE_DISPLAYS = (
     ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp
 )
@@ -141,9 +140,7 @@ def test_the_fraction_rule_sees_what_it_forbids(tmp_path):
 
 def _state_violations(path: pathlib.Path) -> list[str]:
     """Module-level dicts, lists and sets (displays, comprehensions and
-    dict/list/set calls) other than __all__, and global statements other
-    than GLOBALS_ALLOWED."""
-    module = path.stem
+    dict/list/set calls) other than __all__, and global statements."""
     tree = ast.parse(path.read_text(), filename=str(path))
     found = []
     for node in tree.body:
@@ -164,8 +161,7 @@ def _state_violations(path: pathlib.Path) -> list[str]:
     for node in ast.walk(tree):
         if isinstance(node, ast.Global):
             for name in node.names:
-                if (module, name) not in GLOBALS_ALLOWED:
-                    found.append(f"{path.name}:{node.lineno}: global {name}")
+                found.append(f"{path.name}:{node.lineno}: global {name}")
     return found
 
 
@@ -195,6 +191,7 @@ def test_the_state_rule_sees_what_it_forbids(tmp_path):
         "lp_core.py:3: module-level _seen",
         "lp_core.py:4: module-level _order",
         "lp_core.py:6: module-level _state.rows",
+        "lp_core.py:9: global _solve_calls",
         "lp_core.py:9: global _cache",
     ]
 

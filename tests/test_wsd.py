@@ -16,7 +16,7 @@ from pblp import (
     extreme_nondominated_bruteforce,
     find_extreme_image,
 )
-from pblp import lp_core, wsd
+from pblp import wsd
 from pblp.cli_io import COMPUTE_ERROR, cli_main, emit_problem
 from pblp.errors import InfeasibleProblem, UnboundedScalarization
 from pblp.lp_core import FeasibleSystem, solve_lex_lp
@@ -205,7 +205,6 @@ def _decompose_from_scratch(p):
     """Reference decomposition that rebuilds every known image's
     component from all known images in every round and solves a
     lexicographic LP at every vertex it checks."""
-    start = lp_core.solve_calls()
     system = FeasibleSystem(ws_scalarize(p, w3(F(1, 3), F(1, 3), F(1, 3))))
     known = [find_extreme_image(p, (1, 1, 3), system)]  # the centroid
     cache = {}
@@ -237,7 +236,7 @@ def _decompose_from_scratch(p):
     return Decomposition(
         images=tuple(e for e, _ in keep),
         components=tuple(poly for _, poly in keep),
-        lp_solves=lp_core.solve_calls() - start,
+        lp_solves=system.solves,
     )
 
 
