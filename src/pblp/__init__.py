@@ -52,7 +52,6 @@ from .oracle import (
     dichotomic_bolp,
     extreme_nondominated_bruteforce,
     sweep_lambda,
-    vertices_and_rays,
 )
 from .problem_model import (
     Bolp,

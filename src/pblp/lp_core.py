@@ -16,7 +16,9 @@ its divisions exact too.  Pricing, the ratio test and the face bans
 read only signs of integer expressions and take the decisions a
 Fraction tableau would take.  A cost row is scaled to integers once per
 stage; callers that reuse an objective pass it as ints, which need no
-scaling.  Every number stays exact.  Bland's rule, immune to cycling,
+scaling.  An optimal vertex leaves the dictionary as it is held there,
+ints over det; Fractions are built only for a caller that reads
+LpResult.x.  Every number stays exact.  Bland's rule, immune to cycling,
 chooses the entering column, except on a value-only system (below).
 Lexicographic ties are solved on the same
 dictionary after phase two: each stage bans the columns whose positive
@@ -148,8 +150,13 @@ class LinearProgram:
 
 @dataclass(frozen=True)
 class LpResult:
-    """Outcome of a solve; x and value are set when status is OPTIMAL,
-    x only for a system that is not value-only (see FeasibleSystem).
+    """Outcome of a solve; vertex and value are set when status is
+    OPTIMAL, vertex only for a system that is not value-only (see
+    FeasibleSystem).
+
+    vertex is the optimal vertex as the tableau holds it, in integers:
+    (numerators, den), den > 0 the final det, variable j is
+    numerators[j] / den.  x is its Fraction view, built on each read.
 
     dual holds one optimal dual per original row for a plain solve (no
     ties, no FeasibleSystem given) and is None otherwise.
@@ -164,10 +171,17 @@ class LpResult:
     """
 
     status: LpStatus
-    x: tuple[Fraction, ...] | None = None
+    vertex: tuple[tuple[int, ...], int] | None = None
     value: Fraction | None = None
     dual: tuple[Fraction, ...] | None = None
     reduced: tuple[tuple[int, ...], ...] | None = None
+
+    @property
+    def x(self) -> tuple[Fraction, ...] | None:
+        if self.vertex is None:
+            return None
+        numerators, den = self.vertex
+        return tuple(Fraction(a, den) for a in numerators)
 
 
 # -- exact elimination ------------------------------------------------------
@@ -583,13 +597,14 @@ class _Tableau:
 
     # -- extraction -------------------------------------------------------
 
-    def solution(self, n: int) -> tuple[Fraction, ...]:
-        """The current vertex's first n labels, the LP's variables."""
-        x = [Fraction(0)] * n
+    def vertex(self, n: int) -> tuple[tuple[int, ...], int]:
+        """The current vertex's first n labels, the LP's variables, as
+        (numerators, det): label j is numerators[j] / det."""
+        x = [0] * n
         for col, row in zip(self.basis, self.rows):
             if col < n:
-                x[col] = Fraction(row[-1], self.det)
-        return tuple(x)
+                x[col] = row[-1]
+        return tuple(x), self.det
 
     def duals(self, lp: LinearProgram) -> tuple[Fraction, ...]:
         """Dual of each row of lp from B^T y = c_B on the final basis.
@@ -622,8 +637,8 @@ class FeasibleSystem:
     beyond the object, so it lives as long as its caller keeps it.  No
     solve on a system the caller gives reports duals.  A value_only
     system and its faces pivot by Dantzig's rule (see _Tableau._simplex):
-    an optimal result on one has x, dual and reduced None, and price
-    raises SystemMismatch.
+    an optimal result on one has vertex, dual and reduced None, and
+    price raises SystemMismatch.
     """
 
     def __init__(self, lp: LinearProgram, value_only: bool = False):
@@ -715,7 +730,7 @@ def solve_lp(
         return LpResult(LpStatus.OPTIMAL, value=value)
     return LpResult(
         LpStatus.OPTIMAL,
-        tab.solution(lp.num_vars),
+        tab.vertex(lp.num_vars),
         value,
         tab.duals(lp) if plain and not ties else None,
         tab.reduced_costs(price) if price else None,

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
 from math import gcd
 from operator import mul
 
@@ -21,7 +22,7 @@ from .errors import InfeasibleProblem, TooLarge, UnboundedScalarization
 from .lp_core import FeasibleSystem, LpStatus, Sense, solve_lex_lp
 from .numerics import integer_row
 from .problem_model import Bolp, Pblp, fix_lambda, system_lp
-from .weight_geometry import Point3, component_vertices, integral_image
+from .weight_geometry import IntImage, Point3, component_vertices
 
 __all__ = [
     "VertexSet",
@@ -59,6 +60,16 @@ def vertices_and_rays(rows, rhs, senses, n: int) -> VertexSet:
     t > 0 the set is empty, and the rays, of {A x (sense) 0}, are dropped.
     Raises TooLarge when more than RAY_BUDGET rays are held at once.
     """
+    points, rays = _cone_rays(rows, rhs, senses, n)
+    vertices = sorted(tuple(Fraction(a, r[-1]) for a in r[:-1]) for r in points)
+    return VertexSet(tuple(vertices), rays)
+
+
+def _cone_rays(rows, rhs, senses, n):
+    """(points, rays) of the double description in vertices_and_rays:
+    points holds the extreme rays (x, t) with t > 0, each the vertex
+    x / t in ints, and rays the sorted x of those with t = 0; both are
+    empty when no ray has t > 0."""
     d = n + 1
     cuts = []  # (g, is_eq): the cut g.z >= 0, or g.z = 0
     for row, b, sense in zip(rows, rhs, senses):
@@ -84,12 +95,10 @@ def vertices_and_rays(rows, rhs, senses, n: int) -> VertexSet:
             if len(kept) > RAY_BUDGET:
                 raise TooLarge(f"more than {RAY_BUDGET} rays held at once")
         rays = kept
-    vertices = tuple(sorted(
-        tuple(Fraction(a, r[-1]) for a in r[:-1]) for r, _ in rays if r[-1]
-    ))
-    if not vertices:
-        return VertexSet((), ())
-    return VertexSet(vertices, tuple(sorted(r[:-1] for r, _ in rays if not r[-1])))
+    points = [r for r, _ in rays if r[-1]]
+    if not points:
+        return [], ()
+    return points, tuple(sorted(r[:-1] for r, _ in rays if not r[-1]))
 
 
 def _crossings(rays, values, d: int, k: int):
@@ -137,13 +146,23 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _nondominated(images) -> list[Point3]:
-    """The distinct images no other one dominates, sorted.  A dominator is
-    lexicographically smaller and dominance is transitive, so each image
-    is compared only with those already kept."""
-    kept: list[Point3] = []
-    for y in sorted(set(images)):
-        if not any(all(a <= b for a, b in zip(z, y)) for z in kept):
+def _by_value(y: IntImage, z: IntImage) -> int:
+    """-1, 0 or 1 as the image y is lexicographically below, equal to
+    or above z, compared in ints: y's numerators times z's denominator
+    against z's numerators times y's."""
+    left = tuple(a * z[-1] for a in y[:-1])
+    right = tuple(b * y[-1] for b in z[:-1])
+    return (left > right) - (left < right)
+
+
+def _nondominated(images) -> list[IntImage]:
+    """The distinct images, reduced ints (Y..., D) as
+    Pblp.integral_image gives them, that no other one dominates, sorted
+    by value.  A dominator is lexicographically smaller and dominance is
+    transitive, so each image is compared only with those already kept."""
+    kept: list[IntImage] = []
+    for y in sorted(set(images), key=cmp_to_key(_by_value)):
+        if not any(all(a * y[-1] <= b * z[-1] for a, b in zip(z, y[:-1])) for z in kept):
             kept.append(y)
     return kept
 
@@ -152,12 +171,14 @@ def extreme_nondominated_bruteforce(p: Pblp) -> tuple[Point3, ...]:
     """Extreme nondominated images of p's triobjective problem from
     first principles; p.case plays no part.
 
-    Enumerate all vertices and extreme rays.  A ray r with a negative
-    entry of C r, C the cost rows, makes the scalarization by that
-    corner of the weight simplex unbounded: UnboundedScalarization.
+    Enumerate all vertices, in ints as _cone_rays holds them, and
+    extreme rays.  A ray r with a negative entry of C r, C the cost
+    rows, makes the scalarization by that corner of the weight simplex
+    unbounded: UnboundedScalarization.
     Otherwise w.C r >= 0 for every weight w, so each scalarization is
     minimized at a vertex and the image's extreme points are vertex
-    images.  Map the vertices through the cost rows, drop every image
+    images.  Map the vertices through the cost rows, in reduced ints
+    until the images are returned as Fractions, drop every image
     that another one dominates componentwise, and keep the images whose
     component against the remaining list has positive area.  The Pareto
     filter changes no result: with w >= 0 a dominated image's component
@@ -165,14 +186,15 @@ def extreme_nondominated_bruteforce(p: Pblp) -> tuple[Point3, ...]:
     w.x <= w.y is implied by its dominator z's, w.x <= w.z <= w.y, so it
     never binds.
     """
-    found = vertices_and_rays(p.rows, p.rhs, p.senses, p.n)
-    for r in found.rays:
+    points, rays = _cone_rays(p.rows, p.rhs, p.senses, p.n)
+    for r in rays:
         if any(c < 0 for c in p.image(r)):
             raise UnboundedScalarization(f"ray {r} lowers a cost row")
-    pareto = _nondominated(p.image(x) for x in found.vertices)
-    scaled = [integral_image(y) for y in pareto]
+    pareto = _nondominated(p.integral_image(r[:-1], r[-1]) for r in points)
     return tuple(
-        y for y, s in zip(pareto, scaled) if component_vertices(s, scaled).area() > 0
+        tuple(Fraction(a, y[-1]) for a in y[:-1])
+        for y in pareto
+        if component_vertices(y, pareto).area() > 0
     )
 
 
@@ -180,12 +202,13 @@ def extreme_nondominated_bruteforce(p: Pblp) -> tuple[Point3, ...]:
 
 
 def _lex(bolp: Bolp, objective, ties, system: FeasibleSystem):
+    """The vertex (numerators, den) of the lexicographic solve."""
     res = solve_lex_lp(system_lp(bolp, objective), ties, system)
     if res.status is LpStatus.UNBOUNDED:
         raise UnboundedScalarization("biobjective scalarization is unbounded")
     if res.status is LpStatus.INFEASIBLE:
         raise InfeasibleProblem("feasible set is empty")
-    return res.x
+    return res.vertex
 
 
 def dichotomic_bolp(bolp: Bolp, system: FeasibleSystem, extra_ties=()) -> tuple:
@@ -197,34 +220,44 @@ def dichotomic_bolp(bolp: Bolp, system: FeasibleSystem, extra_ties=()) -> tuple:
     witnesses deterministic.  f1 and f2 enter every solve as the integer
     rows of bolp.integer_costs, L times each, with the same signs and
     pivots.  Every solve runs phase two only, on system, bolp's feasible
-    system.  Returns (image, witness) pairs sorted by first objective
-    value.
+    system.  Images are held as Bolp.integral_image gives them, reduced
+    ints (Y1, Y2, D), so equal images are equal tuples and each probe
+    is integer arithmetic.  Returns (image, witness) pairs sorted by
+    first objective value: the image as Fractions, the witness as the
+    solve's vertex (numerators, den).
     """
     (f1, f2), _ = bolp.integer_costs
     extra_ties = tuple(extra_ties)
     xa = _lex(bolp, f1, (f2,) + extra_ties, system)
     xb = _lex(bolp, f2, (f1,) + extra_ties, system)
-    a, b = bolp.image(xa), bolp.image(xb)
-    if a == b:
-        return ((a, xa),)
-    found = {a: xa, b: xb}
+    a, b = bolp.integral_image(*xa), bolp.integral_image(*xb)
+    found = {a: xa}
 
     def probe(lo, hi):
-        # lo has the smaller f1 and larger f2, so both parts are positive
-        w1, w2 = lo[1] - hi[1], hi[0] - lo[0]
-        # k L (w1 f1 + w2 f2) in ints, k > 0: the signs, and so the
-        # pivots, are the weighted sum's, and _lex never reads the value
-        (k1, k2), _ = integer_row((w1, w2))
+        # lo has the smaller f1 and larger f2.  The weight orthogonal to
+        # the gap, (lo_2 - hi_2, hi_1 - lo_1), times Dl Dh over the gcd:
+        # both parts are positive, so the signs, and so the pivots, are
+        # the weighted sum's, and _lex never reads the value
+        l1, l2, dl = lo
+        h1, h2, dh = hi
+        k1, k2 = l2 * dh - h2 * dl, h1 * dl - l1 * dh
+        common = gcd(k1, k2)
+        k1, k2 = k1 // common, k2 // common
         objective = tuple(k1 * f + k2 * g for f, g in zip(f1, f2))
         x = _lex(bolp, objective, (f1, f2) + extra_ties, system)
-        y = bolp.image(x)
-        if w1 * y[0] + w2 * y[1] < w1 * lo[0] + w2 * lo[1]:
+        y = bolp.integral_image(*x)
+        y1, y2, dy = y
+        if (k1 * y1 + k2 * y2) * dl < (k1 * l1 + k2 * l2) * dy:  # strictly below
             found[y] = x
             probe(lo, y)
             probe(y, hi)
 
-    probe(a, b)
-    return tuple(sorted((y, x) for y, x in found.items()))
+    if a != b:
+        found[b] = xb
+        probe(a, b)
+    return tuple(sorted(
+        ((Fraction(y1, d), Fraction(y2, d)), x) for (y1, y2, d), x in found.items()
+    ))
 
 
 @dataclass(frozen=True)
@@ -272,7 +305,7 @@ def sweep_lambda(p: Pblp, lambda_max: Fraction, steps: int) -> SweepReport:
     for lam in grid:
         bolp = fix_lambda(p, lam)
         pairs = dichotomic_bolp(bolp, system, ties)
-        witness_images.append(tuple(sorted({p.image(x) for _, x in pairs})))
+        witness_images.append(tuple(sorted({p.image(*x) for _, x in pairs})))
         bolp_images.append(tuple(y for y, _ in pairs))
     changes = tuple(
         (grid[i - 1], grid[i])

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
+from math import gcd
 from operator import mul
 
 from .errors import DimensionMismatch, NegativeParameter
@@ -34,23 +35,37 @@ class Case(Enum):
         return (1, 0) if self is Case.ONE else (1, 1)
 
 
-def _integer_costs(rows) -> tuple[tuple[list[int], ...], int]:
-    """(ints, L): each row times L, the lcm of all the rows' denominators."""
-    values, scale = integer_row([a for row in rows for a in row])
-    n = len(rows[0])
-    return tuple(values[k : k + n] for k in range(0, len(values), n)), scale
+class _CostRecord:
+    """The cost side of a record, read from its cost_rows C: their
+    integer form, kept once per record, and the images of points."""
 
+    @cached_property
+    def integer_costs(self) -> tuple[tuple[list[int], ...], int]:
+        """(rows, L): each cost row times L, the lcm of all the rows'
+        denominators, scaled once per record."""
+        values, scale = integer_row([a for row in self.cost_rows for a in row])
+        n = len(self.cost_rows[0])
+        return tuple(values[k : k + n] for k in range(0, len(values), n)), scale
 
-def _image(integer_costs, x) -> tuple[Fraction, ...]:
-    """c.x per cost row c of integer_costs, with x (ints or Fractions)
-    over one denominator: one Fraction per row."""
-    rows, scale = integer_costs
-    xs, den = integer_row(x)
-    return tuple(Fraction(sum(map(mul, row, xs)), scale * den) for row in rows)
+    def image(self, x, den=1) -> tuple[Fraction, ...]:
+        """C x / den for x ints over den > 0, as an LP vertex is held, or
+        rationals with den 1: one dot product per row of integer_costs
+        over L * den, and no lcm."""
+        rows, scale = self.integer_costs
+        return tuple(Fraction(sum(map(mul, row, x)), scale * den) for row in rows)
+
+    def integral_image(self, x, den: int) -> tuple[int, ...]:
+        """image(x, den) for ints x as reduced ints (Y..., D), D > 0,
+        the form weight_geometry.integral_image gives: equal images give
+        equal tuples."""
+        rows, scale = self.integer_costs
+        y = (*(sum(map(mul, row, x)) for row in rows), scale * den)
+        common = gcd(*y)
+        return tuple(v // common for v in y)
 
 
 @dataclass(frozen=True)
-class Pblp:
+class Pblp(_CostRecord):
     """One parametric instance; x >= 0 is implicit in the feasible system.
 
     cost_rows, integer_costs and image belong to the triobjective
@@ -78,17 +93,9 @@ class Pblp:
     def cost_rows(self) -> tuple[tuple[Fraction, ...], ...]:
         return (self.c1, self.c2, self.d1)
 
-    @cached_property
-    def integer_costs(self) -> tuple[tuple[list[int], ...], int]:
-        """_integer_costs of c1, c2 and d1, scaled once per record."""
-        return _integer_costs(self.cost_rows)
-
-    def image(self, x) -> tuple[Fraction, Fraction, Fraction]:
-        return _image(self.integer_costs, x)
-
 
 @dataclass(frozen=True)
-class Bolp:
+class Bolp(_CostRecord):
     """A plain biobjective problem, as produced by fixing lambda."""
 
     n: int
@@ -98,13 +105,9 @@ class Bolp:
     f1: tuple[Fraction, ...]
     f2: tuple[Fraction, ...]
 
-    @cached_property
-    def integer_costs(self) -> tuple[tuple[list[int], ...], int]:
-        """_integer_costs of f1 and f2, scaled once per record."""
-        return _integer_costs((self.f1, self.f2))
-
-    def image(self, x) -> tuple[Fraction, Fraction]:
-        return _image(self.integer_costs, x)
+    @property
+    def cost_rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        return (self.f1, self.f2)
 
 
 def system_lp(record: Pblp | Bolp, objective) -> LinearProgram:

@@ -132,7 +132,8 @@ def find_extreme_image(p: Pblp, w: Triple, system: FeasibleSystem) -> ExtremeIma
         raise UnboundedScalarization(f"weighted sum unbounded at w = ({weight})")
     if result.status is LpStatus.INFEASIBLE:
         raise InfeasibleProblem("feasible set is empty")
-    return ExtremeImage(image=p.image(result.x), witness=result.x, cone=result.reduced)
+    image = p.image(*result.vertex)
+    return ExtremeImage(image=image, witness=result.x, cone=result.reduced)
 
 
 def _below(vertex: Triple, y: IntImage, z: IntImage) -> bool:

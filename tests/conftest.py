@@ -143,7 +143,8 @@ def reference_phase_two(tab, objectives):
         cost, _ = tab._column_cost(objective)
         if tab._simplex(cost, banned) is LpStatus.UNBOUNDED:
             return None
-    x = tab.solution(len(objectives[0]))
+    numerators, den = tab.vertex(len(objectives[0]))
+    x = [Fraction(v, den) for v in numerators]
     return sum((Fraction(c) * v for c, v in zip(objectives[0], x)), Fraction(0))
 
 

@@ -23,8 +23,8 @@ from pblp import (
     solve_lp,
     solve_on_decomposition,
     sweep_lambda,
-    vertices_and_rays,
 )
+from pblp.oracle import vertices_and_rays
 from pblp.weight_geometry import intersect_polygons
 from conftest import (
     as_tuple, build_lp, component_of, load_instance, map_weight_to_simplex, w2, w3,

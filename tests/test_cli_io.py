@@ -19,7 +19,6 @@ from pblp import (
     parse_problem,
     rat_parse,
     sweep_lambda,
-    vertices_and_rays,
 )
 from pblp.breakpoints import enumerate_breakpoints
 from pblp.cli_io import (
@@ -33,6 +32,7 @@ from pblp.cli_io import (
     run_check,
 )
 from pblp.errors import BadCase, DimensionMismatch, ParseError, TooLarge
+from pblp.oracle import vertices_and_rays
 from conftest import INSTANCE_DIR
 from instance_gen import random_pblp
 from pblp import Case

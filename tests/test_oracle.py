@@ -18,13 +18,15 @@ from pblp import (
     extreme_nondominated_bruteforce,
     fix_lambda,
     sweep_lambda,
-    vertices_and_rays,
 )
 from pblp import lp_core, oracle
 from pblp.errors import TooLarge, UnboundedScalarization
+from pblp.numerics import integer_row
+from pblp.oracle import vertices_and_rays
 from pblp.problem_model import system_lp
+from pblp.weight_geometry import integral_image
 from conftest import UnboundedFeasibleSet, basis_vertices, component, load_instance
-from instance_gen import random_pblp
+from instance_gen import degenerate_pblp, random_pblp
 
 F = Fraction
 BUNDLED = ("example1.pblp", "example2.pblp", "example2_case1.pblp")
@@ -321,13 +323,36 @@ def test_pareto_filter_matches_the_all_pairs_definition():
             y for y in set(points)
             if not any(z != y and all(a <= b for a, b in zip(z, y)) for z in points)
         )
-        assert oracle._nondominated(points) == expected
+        assert oracle._nondominated(map(integral_image, points)) == [
+            integral_image(y) for y in expected
+        ]
         repeats += len(set(points)) < len(points)
         ties += any(
             y != z and any(a == b for a, b in zip(y, z))
             for y in expected for z in expected
         )
     assert repeats > 100 and ties > 100
+
+
+def test_pareto_filter_orders_images_over_unequal_denominators():
+    """The filter sorts reduced int images by value, as the Fractions
+    sort, and keeps the same survivors, when denominators differ."""
+    rng = random.Random(1406)
+    mixed = 0
+    for _ in range(300):
+        points = [
+            tuple(F(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(3))
+            for _ in range(rng.randint(1, 30))
+        ]
+        expected = sorted(
+            y for y in set(points)
+            if not any(z != y and all(a <= b for a, b in zip(z, y)) for z in points)
+        )
+        assert oracle._nondominated(map(integral_image, points)) == [
+            integral_image(y) for y in expected
+        ]
+        mixed += len({integral_image(y)[-1] for y in expected}) > 1
+    assert mixed > 100
 
 
 def test_pareto_filter_drops_dominated_and_shifted_images():
@@ -381,7 +406,76 @@ def test_dichotomic_on_a_three_point_front():
     front = [y for y, _ in dichotomic_bolp(b, system)]
     assert front == [(F(0), F(2)), (F(2, 3), F(2, 3)), (F(2), F(0))]
     for y, x in dichotomic_bolp(b, system):
-        assert b.image(x) == y
+        assert b.image(*x) == y
+
+
+def _fraction_dichotomic(bolp, system, extra_ties=()):
+    """The dichotomic search in Fractions: each vertex read through
+    LpResult.x, images as Fraction dot products, the probe weight scaled
+    to ints by integer_row and the "strictly below" test in Fractions."""
+    (f1, f2), _ = bolp.integer_costs
+    extra_ties = tuple(extra_ties)
+
+    def lex(objective, ties):
+        return lp_core.solve_lex_lp(system_lp(bolp, objective), ties, system).x
+
+    def image(x):
+        return tuple(
+            sum((c * v for c, v in zip(row, x)), F(0)) for row in (bolp.f1, bolp.f2)
+        )
+
+    xa, xb = lex(f1, (f2,) + extra_ties), lex(f2, (f1,) + extra_ties)
+    a, b = image(xa), image(xb)
+    if a == b:
+        return ((a, xa),)
+    found = {a: xa, b: xb}
+
+    def probe(lo, hi):
+        w1, w2 = lo[1] - hi[1], hi[0] - lo[0]
+        (k1, k2), _ = integer_row((w1, w2))
+        x = lex(tuple(k1 * f + k2 * g for f, g in zip(f1, f2)), (f1, f2) + extra_ties)
+        y = image(x)
+        if w1 * y[0] + w2 * y[1] < w1 * lo[0] + w2 * lo[1]:
+            found[y] = x
+            probe(lo, y)
+            probe(y, hi)
+
+    probe(a, b)
+    return tuple(sorted(found.items()))
+
+
+def test_integer_dichotomic_matches_the_fraction_reference():
+    """dichotomic_bolp in homogeneous ints finds the images, witnesses
+    and LP solve counts of the Fraction search, on the acceptance family
+    and the degenerate family, under both case tags, at five lambdas,
+    with and without the sweep's extra ties."""
+    rng = random.Random(1405)
+    family = [random_pblp(rng, Case.ONE) for _ in range(12)]
+    rng = random.Random(7)
+    family += [degenerate_pblp(rng, Case.ONE) for _ in range(12)]
+    seen = dict(runs=0, probed=0, fractional=0)
+    for p in family:
+        for case in Case:
+            q = replace(p, case=case)
+            ties, _ = q.integer_costs
+            for lam in (F(0), F(1, 3), F(1), F(5, 2), F(7)):
+                bolp = fix_lambda(q, lam)
+                for extra in ((), ties):
+                    system = FeasibleSystem(system_lp(q, q.c1))
+                    reference = FeasibleSystem(system_lp(q, q.c1))
+                    got = dichotomic_bolp(bolp, system, extra)
+                    want = _fraction_dichotomic(bolp, reference, extra)
+                    assert [y for y, _ in got] == [y for y, _ in want], (q, lam)
+                    witnesses = [tuple(F(v, den) for v in x) for _, (x, den) in got]
+                    assert witnesses == [x for _, x in want], (q, lam)
+                    assert system.solves == reference.solves
+                    seen["runs"] += 1
+                    seen["probed"] += len(got) > 2
+                    seen["fractional"] += any(
+                        v.denominator > 1 for y, _ in got for v in y
+                    )
+    assert seen["runs"] == 480
+    assert seen["probed"] >= 100 and seen["fractional"] >= 300, seen
 
 
 def test_sweep_brackets_the_example2_breakpoints(example2):
@@ -439,6 +533,25 @@ def test_sweep_stage_gate(request, monkeypatch):
     assert counts["priced"] <= SWEEP_SIMPLEX_RUNS, counts
     assert counts["pivots"] <= SWEEP_PIVOTS, counts
     assert lp_solves == SWEEP_LP_SOLVES
+
+
+def test_sweep_reads_no_fraction_vertex(request, monkeypatch, example2):
+    """Deterministic gate for the integer sweep: across the bundled sweep
+    grids every LP vertex stays in ints, so no LpResult.x is read; the
+    counter sees a read of its own."""
+    reads = [0]
+    view = lp_core.LpResult.x
+
+    def counting_view(self):
+        reads[0] += 1
+        return view.fget(self)
+
+    monkeypatch.setattr(lp_core.LpResult, "x", property(counting_view))
+    for name, lambda_max, steps in SWEEP_GRIDS:
+        sweep_lambda(request.getfixturevalue(name), F(lambda_max), steps)
+    assert reads[0] == 0
+    assert lp_core.solve_lp(system_lp(example2, example2.c1)).x is not None
+    assert reads[0] == 1
 
 
 def test_sweep_grid_is_exact(example2):

@@ -3,7 +3,7 @@
 import random
 from dataclasses import replace
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given
@@ -90,6 +90,45 @@ def test_images_match_the_fraction_dot_product():
                     sum((c * v for c, v in zip(row, x)), F(0)) for row in rows
                 ), (record, x)
                 assert all(type(v) is F for v in image)
+
+
+_huge = st.builds(
+    lambda digits, sign, low: sign * (10**digits + low),
+    st.integers(1000, 3000),
+    st.sampled_from((-1, 1)),
+    st.integers(0, 10**6),
+)
+_entries = st.one_of(st.just(0), st.integers(-50, 50), _huge)
+_denominators = st.one_of(st.integers(1, 60), _huge.map(abs))
+
+
+@given(st.data())
+def test_image_of_an_integer_vertex_is_the_fraction_dot_product(data):
+    """Pblp.image and Bolp.image on a vertex as an LP leaves it, ints x
+    over den > 0, give the Fraction dot product of each cost row with
+    x / den, and Bolp.integral_image gives the same image as reduced
+    ints (Y1, Y2, D), D > 0; entries, denominators and costs are
+    negative, zero, small or of thousands of digits."""
+    n = data.draw(st.integers(1, 4))
+
+    def row():
+        return tuple(F(data.draw(_entries), data.draw(_denominators)) for _ in range(n))
+
+    p = Pblp(
+        case=data.draw(st.sampled_from(list(Case))), n=n, rows=(), rhs=(), senses=(),
+        c1=row(), c2=row(), d1=row(),
+    )
+    b = fix_lambda(p, F(data.draw(_entries)) ** 2 / data.draw(_denominators))
+    x = [data.draw(_entries) for _ in range(n)]
+    den = data.draw(_denominators)
+    point = [F(v, den) for v in x]
+    for record, rows in ((p, p.cost_rows), (b, (b.f1, b.f2))):
+        assert record.image(x, den) == tuple(
+            sum((c * v for c, v in zip(cost, point)), F(0)) for cost in rows
+        )
+    y1, y2, d = b.integral_image(x, den)
+    assert d > 0 and gcd(y1, y2, d) == 1
+    assert (F(y1, d), F(y2, d)) == b.image(x, den)
 
 
 def test_integer_costs_put_every_row_over_one_scale(example1, example2, example2_case1):
