@@ -23,11 +23,11 @@ from __future__ import annotations
 import argparse
 import functools
 import io
-import json
 import re
 import sys
 import time
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .breakpoints import (
     Method,
@@ -164,6 +164,53 @@ def emit_problem(p: Pblp) -> str:
 # -- result documents --------------------------------------------------------
 
 
+def _json(doc) -> str:
+    """json.dumps(doc, indent=2), byte for byte, for a document of dicts,
+    lists, strs, ints and bools, without the pure-Python encoder that
+    json.dumps takes whenever indent is set: the pieces are gathered
+    once and joined once, as that encoder's are.  Strings are escaped as
+    ensure_ascii escapes them; an int past sys.get_int_max_str_digits
+    raises ValueError, and any other type TypeError."""
+    pieces: list[str] = []
+    _json_pieces(doc, "\n", pieces.append)
+    return "".join(pieces)
+
+
+def _json_pieces(value, indent: str, put):
+    """put each piece of value's JSON text in order; indent opens the
+    lines of value's items, less two spaces."""
+    if isinstance(value, str):
+        put(encode_basestring_ascii(value))
+    elif value is True or value is False:
+        put("true" if value else "false")
+    elif isinstance(value, int):
+        put(int.__repr__(value))
+    elif isinstance(value, list):
+        if not value:
+            put("[]")
+            return
+        inner = indent + "  "
+        sep = "[" + inner
+        for item in value:
+            put(sep)
+            _json_pieces(item, inner, put)
+            sep = "," + inner
+        put(indent + "]")
+    elif isinstance(value, dict):
+        if not value:
+            put("{}")
+            return
+        inner = indent + "  "
+        sep = "{" + inner
+        for key, item in value.items():
+            put(sep + encode_basestring_ascii(key) + ": ")
+            _json_pieces(item, inner, put)
+            sep = "," + inner
+        put(indent + "}")
+    else:
+        raise TypeError(f"{type(value).__name__} has no place in a result document")
+
+
 def _rat_list(values) -> list[str]:
     return [str(v) for v in values]
 
@@ -208,7 +255,7 @@ def emit_solution(p: Pblp, sol: ParametricSolution) -> str:
             "interval_lp_solves": sol.interval_lp_solves,
         },
     }
-    return json.dumps(doc, indent=2) + "\n"
+    return _json(doc) + "\n"
 
 
 @_printed
@@ -219,7 +266,7 @@ def emit_decomposition(p: Pblp, dec: Decomposition) -> str:
         **_images_and_components(dec),
         "stats": {"lp_solves": dec.lp_solves},
     }
-    return json.dumps(doc, indent=2) + "\n"
+    return _json(doc) + "\n"
 
 
 @_printed
@@ -240,7 +287,7 @@ def emit_sweep(p: Pblp, report: SweepReport) -> str:
             for lo, hi in report.changes
         ],
     }
-    return json.dumps(doc, indent=2) + "\n"
+    return _json(doc) + "\n"
 
 
 @_printed

@@ -17,12 +17,13 @@ read only signs of integer expressions and take the decisions a
 Fraction tableau would take.  A cost row is scaled to integers once per
 stage; callers that reuse an objective pass it as ints, which need no
 scaling.  An optimal vertex leaves the dictionary as it is held there,
-ints over det; Fractions are built only for a caller that reads
-LpResult.x.  Every number stays exact.  Bland's rule, immune to cycling,
-chooses the entering column, except on a value-only system (below).
-Lexicographic ties are solved on the same
-dictionary after phase two: each stage bans the columns whose positive
-reduced cost takes them off the previous stage's optimal face (Ehrgott,
+ints over det, and the optimal value as a reduced pair of ints;
+Fractions are built only for a caller that reads LpResult.x or
+LpResult.value.  Every number stays exact.  Bland's rule, immune to
+cycling, chooses the entering column, except on a value-only system
+(below).  Lexicographic ties are solved on the same dictionary after
+phase two: each stage bans the columns whose positive reduced cost
+takes them off the previous stage's optimal face (Ehrgott,
 Multicriteria Optimization, 2005), so one dictionary and one phase one
 serve every stage; once every nonbasic column is banned the face is the
 current vertex and the stages stop.
@@ -157,6 +158,9 @@ class LpResult:
     vertex is the optimal vertex as the tableau holds it, in integers:
     (numerators, den), den > 0 the final det, variable j is
     numerators[j] / den.  x is its Fraction view, built on each read.
+    int_value is the optimal value the same way, (numerator, den)
+    reduced by their gcd, den > 0, so equal values are equal pairs;
+    value is its Fraction view.
 
     dual holds one optimal dual per original row for a plain solve (no
     ties, no FeasibleSystem given) and is None otherwise.
@@ -172,7 +176,7 @@ class LpResult:
 
     status: LpStatus
     vertex: tuple[tuple[int, ...], int] | None = None
-    value: Fraction | None = None
+    int_value: tuple[int, int] | None = None
     dual: tuple[Fraction, ...] | None = None
     reduced: tuple[tuple[int, ...], ...] | None = None
 
@@ -182,6 +186,12 @@ class LpResult:
             return None
         numerators, den = self.vertex
         return tuple(Fraction(a, den) for a in numerators)
+
+    @property
+    def value(self) -> Fraction | None:
+        if self.int_value is None:
+            return None
+        return Fraction(*self.int_value)
 
 
 # -- exact elimination ------------------------------------------------------
@@ -533,10 +543,13 @@ class _Tableau:
         values, scale = integer_row(objective)
         return list(values) + [0] * (self.num_cols - len(values)), scale
 
-    def _value(self, cost: list[int], scale: int) -> Fraction:
-        """The objective cost / scale at the current vertex."""
+    def _value(self, cost: list[int], scale: int) -> tuple[int, int]:
+        """The objective cost / scale at the current vertex, as
+        (numerator, den) reduced by their gcd, den > 0."""
         total = sum(cost[col] * row[-1] for col, row in zip(self.basis, self.rows))
-        return Fraction(total, self.det * scale)
+        den = self.det * scale
+        common = gcd(total, den)
+        return total // common, den // common
 
     def reduced_costs(self, objectives) -> tuple[tuple[int, ...], ...]:
         """LpResult.reduced at this basis for objectives, int rows over
@@ -553,10 +566,10 @@ class _Tableau:
             priced.append(self._reduced_row([*objective, *pad]))
         return tuple(entry for entry in zip(*priced) if any(entry))
 
-    def phase_two(self, objectives) -> Fraction | None:
+    def phase_two(self, objectives) -> tuple[int, int] | None:
         """Lexicographic minimum of objectives in order, on this tableau:
-        the first objective's optimal value, or None when a stage is
-        unbounded.
+        the first objective's optimal value as _value gives it, or None
+        when a stage is unbounded.
 
         Each stage runs from the previous stage's optimal basis with the
         labels that leave its optimal face banned, so phase one runs
@@ -681,7 +694,7 @@ class FeasibleSystem:
         twin = object.__new__(type(self))
         twin.lp, twin._tableau, twin.value_only = self.lp, tab, self.value_only
         twin._solves = self._solves  # a face counts on its system
-        return value, twin
+        return Fraction(*value), twin
 
 
 def solve_lp(
@@ -727,7 +740,7 @@ def solve_lp(
     if value is None:
         return LpResult(LpStatus.UNBOUNDED)
     if system.value_only:
-        return LpResult(LpStatus.OPTIMAL, value=value)
+        return LpResult(LpStatus.OPTIMAL, int_value=value)
     return LpResult(
         LpStatus.OPTIMAL,
         tab.vertex(lp.num_vars),

@@ -295,17 +295,25 @@ def sweep_lambda(p: Pblp, lambda_max: Fraction, steps: int) -> SweepReport:
     breakpoints; consecutive grid points with different witness image
     sets bracket a breakpoint.  Fixing lambda changes only the
     objectives, so the whole grid shares one feasible system, and the
-    extra ties (c1, c2, d1) are p.integer_costs rows, scaled once.
+    extra ties (c1, c2, d1) are p.integer_costs rows, scaled once.  A
+    witness set is keyed by its images as Pblp.integral_image gives
+    them, so each distinct set is turned into sorted Fractions once.
     """
     grid = lambda_grid(lambda_max, steps)
     system = FeasibleSystem(system_lp(p, p.c1))
     ties, _ = p.integer_costs
+    sorted_sets = {}  # frozenset of integral images -> sorted Fraction images
     witness_images = []
     bolp_images = []
     for lam in grid:
         bolp = fix_lambda(p, lam)
         pairs = dichotomic_bolp(bolp, system, ties)
-        witness_images.append(tuple(sorted({p.image(*x) for _, x in pairs})))
+        key = frozenset(p.integral_image(*x) for _, x in pairs)
+        if key not in sorted_sets:
+            sorted_sets[key] = tuple(sorted(
+                tuple(Fraction(a, y[-1]) for a in y[:-1]) for y in key
+            ))
+        witness_images.append(sorted_sets[key])
         bolp_images.append(tuple(y for y, _ in pairs))
     changes = tuple(
         (grid[i - 1], grid[i])

@@ -36,16 +36,9 @@ class Case(Enum):
 
 
 class _CostRecord:
-    """The cost side of a record, read from its cost_rows C: their
-    integer form, kept once per record, and the images of points."""
-
-    @cached_property
-    def integer_costs(self) -> tuple[tuple[list[int], ...], int]:
-        """(rows, L): each cost row times L, the lcm of all the rows'
-        denominators, scaled once per record."""
-        values, scale = integer_row([a for row in self.cost_rows for a in row])
-        n = len(self.cost_rows[0])
-        return tuple(values[k : k + n] for k in range(0, len(values), n)), scale
+    """The images of points under a record's costs, read from its
+    integer_costs (rows, L): each cost row times L, the lcm of all the
+    rows' denominators."""
 
     def image(self, x, den=1) -> tuple[Fraction, ...]:
         """C x / den for x ints over den > 0, as an LP vertex is held, or
@@ -93,21 +86,38 @@ class Pblp(_CostRecord):
     def cost_rows(self) -> tuple[tuple[Fraction, ...], ...]:
         return (self.c1, self.c2, self.d1)
 
+    @cached_property
+    def integer_costs(self) -> tuple[tuple[list[int], ...], int]:
+        """(rows, L) of cost_rows, scaled once per record."""
+        values, scale = integer_row([a for row in self.cost_rows for a in row])
+        n = len(self.cost_rows[0])
+        return tuple(values[k : k + n] for k in range(0, len(values), n)), scale
+
 
 @dataclass(frozen=True)
 class Bolp(_CostRecord):
-    """A plain biobjective problem, as produced by fixing lambda."""
+    """A plain biobjective problem, as produced by fixing lambda: its
+    objectives are held as integer_costs (rows, L) alone, and f1, f2
+    and cost_rows are their Fraction views, built on each read."""
 
     n: int
     rows: tuple[tuple[Fraction, ...], ...]
     rhs: tuple[Fraction, ...]
     senses: tuple[Sense, ...]
-    f1: tuple[Fraction, ...]
-    f2: tuple[Fraction, ...]
+    integer_costs: tuple[tuple[tuple[int, ...], ...], int]
 
     @property
     def cost_rows(self) -> tuple[tuple[Fraction, ...], ...]:
-        return (self.f1, self.f2)
+        rows, scale = self.integer_costs
+        return tuple(tuple(Fraction(a, scale) for a in row) for row in rows)
+
+    @property
+    def f1(self) -> tuple[Fraction, ...]:
+        return self.cost_rows[0]
+
+    @property
+    def f2(self) -> tuple[Fraction, ...]:
+        return self.cost_rows[1]
 
 
 def system_lp(record: Pblp | Bolp, objective) -> LinearProgram:
@@ -122,14 +132,24 @@ def system_lp(record: Pblp | Bolp, objective) -> LinearProgram:
 
 
 def fix_lambda(p: Pblp, lam: Fraction) -> Bolp:
-    """Substitute a concrete lambda >= 0 into the parametric objectives."""
+    """Substitute a concrete lambda >= 0 into the parametric objectives.
+
+    With lambda = a/q and p.integer_costs (C1, C2, D) over L, objective k
+    is (q C_k + a s_k D) / (q L).  Divided by the gcd of qL and every
+    entry, those are the rows and the scale, the lcm of the objectives'
+    denominators, that numerics.integer_row gives the Fraction rows.
+    """
     if lam < 0:
         raise NegativeParameter(f"lambda = {lam}")
-    f1, f2 = (  # a zero share leaves its row as it is
-        tuple(c + lam * d for c, d in zip(row, p.d1)) if share else row
-        for row, share in zip((p.c1, p.c2), p.case.shares)
-    )
-    return Bolp(n=p.n, rows=p.rows, rhs=p.rhs, senses=p.senses, f1=f1, f2=f2)
+    a, q = lam.numerator, lam.denominator
+    (c1, c2, d), scale = p.integer_costs
+    rows = [  # a zero share leaves its row as it is, times q
+        [q * c + a * e for c, e in zip(row, d)] if share else [q * c for c in row]
+        for row, share in zip((c1, c2), p.case.shares)
+    ]
+    common = gcd(q * scale, *rows[0], *rows[1])
+    rows = tuple(tuple([v // common for v in row]) for row in rows)
+    return Bolp(p.n, p.rows, p.rhs, p.senses, (rows, q * scale // common))
 
 
 # -- weights ---------------------------------------------------------------

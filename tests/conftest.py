@@ -133,8 +133,8 @@ def reference_phase_two(tab, objectives):
     """Reference lexicographic phase two on tab, a feasible _Tableau:
     every stage runs, even once the optimal face is a single vertex, and
     the value is the first objective's Fraction dot product with x.
-    Returns that value, or None when a stage is unbounded, as
-    _Tableau.phase_two does."""
+    Returns that value as (numerator, denominator), or None when a stage
+    is unbounded, as _Tableau.phase_two does."""
     banned: set[int] = set()
     cost = None
     for objective in objectives:
@@ -145,7 +145,8 @@ def reference_phase_two(tab, objectives):
             return None
     numerators, den = tab.vertex(len(objectives[0]))
     x = [Fraction(v, den) for v in numerators]
-    return sum((Fraction(c) * v for c, v in zip(objectives[0], x)), Fraction(0))
+    value = sum((Fraction(c) * v for c, v in zip(objectives[0], x)), Fraction(0))
+    return value.numerator, value.denominator
 
 
 def _satisfies(rows, rhs, senses, x) -> bool:

@@ -10,6 +10,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pblp import (
     Method,
@@ -20,6 +22,7 @@ from pblp import (
     rat_parse,
     sweep_lambda,
 )
+from pblp import cli_io
 from pblp.breakpoints import enumerate_breakpoints
 from pblp.cli_io import (
     COMPUTE_ERROR,
@@ -493,3 +496,44 @@ def test_cli_result_past_the_digit_limit_is_a_typed_failure(
         assert cli_main([command, str(path), "--quiet"]) == COMPUTE_ERROR, command
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: "), command
+
+
+_json_leaves = st.one_of(
+    st.text(),
+    st.text(alphabet='"\\/\x00\x07\x1f\x7f\u00e9 \U0001f600ab '),
+    st.booleans(),
+    st.integers(-5, 5),
+    st.integers(-(10**60), 10**60),
+)
+_json_documents = st.recursive(
+    _json_leaves,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300)
+@given(_json_documents)
+@example({})
+@example([])
+@example({"": [[], {}], "a": {"b": [{}]}})
+@example(
+    ["\"", "\\", "\x00\x1f\n\t", "\u00fc\u4e2d\U0001f600", True, False, -7, -(2**200)]
+)
+def test_document_writer_matches_json_dumps(doc):
+    """cli_io._json writes json.dumps(doc, indent=2) byte for byte:
+    empty and nested-empty containers, quotes, backslashes, control and
+    non-ASCII characters, bools, and negative and multi-word ints."""
+    assert cli_io._json(doc) == json.dumps(doc, indent=2)
+
+
+def test_document_writer_types_what_it_cannot_print(digit_limit):
+    """An int past the digit limit inside a document is TooLarge through
+    _printed, as from any emitter, and a float is a TypeError."""
+    with pytest.raises(TooLarge):
+        cli_io._printed(cli_io._json)({"stats": [1, 10 ** (digit_limit + 1)]})
+    with pytest.raises(TypeError):
+        cli_io._json({"value": [0.5]})

@@ -23,7 +23,7 @@ from pblp import lp_core, oracle
 from pblp.errors import TooLarge, UnboundedScalarization
 from pblp.numerics import integer_row
 from pblp.oracle import vertices_and_rays
-from pblp.problem_model import system_lp
+from pblp.problem_model import Bolp, system_lp
 from pblp.weight_geometry import integral_image
 from conftest import UnboundedFeasibleSet, basis_vertices, component, load_instance
 from instance_gen import degenerate_pblp, random_pblp
@@ -537,21 +537,35 @@ def test_sweep_stage_gate(request, monkeypatch):
 
 def test_sweep_reads_no_fraction_vertex(request, monkeypatch, example2):
     """Deterministic gate for the integer sweep: across the bundled sweep
-    grids every LP vertex stays in ints, so no LpResult.x is read; the
-    counter sees a read of its own."""
-    reads = [0]
-    view = lp_core.LpResult.x
+    grids every LP vertex and value stays in ints and every lambda's
+    objectives too, so no LpResult.x, LpResult.value, Bolp.f1, Bolp.f2
+    or Bolp.cost_rows is read; each counter sees a read of its own."""
+    reads = {}
 
-    def counting_view(self):
-        reads[0] += 1
-        return view.fget(self)
+    def count(owner, name):
+        view = getattr(owner, name)
+        reads[name] = 0
 
-    monkeypatch.setattr(lp_core.LpResult, "x", property(counting_view))
+        def counting_view(self):
+            reads[name] += 1
+            return view.fget(self)
+
+        monkeypatch.setattr(owner, name, property(counting_view))
+
+    for name in ("x", "value"):
+        count(lp_core.LpResult, name)
+    for name in ("f1", "f2", "cost_rows"):
+        count(Bolp, name)
     for name, lambda_max, steps in SWEEP_GRIDS:
         sweep_lambda(request.getfixturevalue(name), F(lambda_max), steps)
-    assert reads[0] == 0
-    assert lp_core.solve_lp(system_lp(example2, example2.c1)).x is not None
-    assert reads[0] == 1
+    assert set(reads.values()) == {0}, reads
+    res = lp_core.solve_lp(system_lp(example2, example2.c1))
+    b = fix_lambda(example2, F(1))
+    for owner, names in ((res, ("x", "value")), (b, ("f1", "f2", "cost_rows"))):
+        for name in names:
+            before = reads[name]
+            assert getattr(owner, name) is not None
+            assert reads[name] == before + 1, name
 
 
 def test_sweep_grid_is_exact(example2):

@@ -13,6 +13,11 @@ only: its duplicated columns, collinear images and repeated rows make
 degenerate pivots, where a change of pivot rule is most likely to move
 a byte.
 
+Sweeps beyond the bundled three are pinned by their documents too: 24
+acceptance records (random_pblp, Random(1405)) and 12 degenerate ones
+(degenerate_pblp, Random(7)), cases alternating in each, swept to
+lambda 7/3 in 14 steps.
+
 A change that moves output bytes or pivots on purpose updates the
 constants below and says why in CHANGES.md.
 """
@@ -30,6 +35,7 @@ DOCUMENTS_SHA256 = "678abde767a6993fb3d0ea3b71ec30251a546f8ba78debba5626d225b65a
 PIVOT_COUNT = 6721
 PIVOTS_SHA256 = "34acf7508616a3a8f62b5e6946aec183cf935fd58cf8198ae88a2b9f203295d2"
 DEGENERATE_SHA256 = "0e1ae3fdda10781650b743abf720c61cbebb93146725b0c9ae49e8ca7b8fc1f5"
+SWEEP_SHA256 = "8f8f68e8df1c5a6f63993d90161732441d4fe32273c64085ff40d6c01922231f"
 SWEEPS = (("example2", 6, 60), ("example2_case1", 4, 40), ("example1", 4, 40))
 
 
@@ -68,3 +74,15 @@ def test_degenerate_documents_are_pinned():
     ]
     digest = hashlib.sha256("".join(documents).encode()).hexdigest()
     assert digest == DEGENERATE_SHA256
+
+
+def test_sweep_documents_are_pinned():
+    rng = random.Random(1405)
+    family = [random_pblp(rng, (Case.ONE, Case.TWO)[i % 2]) for i in range(24)]
+    rng = random.Random(7)
+    family += [degenerate_pblp(rng, (Case.ONE, Case.TWO)[i % 2]) for i in range(12)]
+    documents = [
+        emit_sweep(p, sweep_lambda(p, Fraction(7, 3), 14)) for p in family
+    ]
+    digest = hashlib.sha256("".join(documents).encode()).hexdigest()
+    assert digest == SWEEP_SHA256

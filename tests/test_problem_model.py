@@ -24,6 +24,7 @@ from pblp import (
     ws_scalarize,
 )
 from pblp.errors import BadCase, DimensionMismatch, NegativeParameter
+from pblp.numerics import integer_row
 from pblp.problem_model import Weight2, Weight3, ge_form
 from conftest import as_tuple, map_weight_to_simplex, project, w2, w3
 
@@ -161,6 +162,38 @@ def test_integer_costs_put_every_row_over_one_scale(example1, example2, example2
         for lam in (F(0), F(1, 3), F(5, 2), F(7)):
             b = fix_lambda(p, lam)
             check(b.integer_costs, (b.f1, b.f2))
+
+
+def test_fix_lambda_matches_the_fraction_objectives():
+    """fix_lambda builds its rows in ints from p.integer_costs; against
+    c_k + lambda*s_k*d1 taken in Fractions here, f1 and f2 are those
+    objectives and integer_costs is integer_row of the two, split into
+    rows; the record hashes, as a frozen record should.  On the seeded
+    records of the test above, in both cases."""
+    rng = random.Random(2025)
+
+    def costs(n):
+        return tuple(F(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(n))
+
+    for _ in range(40):
+        n = rng.randint(1, 6)
+        c1, c2, d1 = costs(n), costs(n), costs(n)
+        for case in Case:
+            p = Pblp(
+                case=case, n=n, rows=(), rhs=(), senses=(), c1=c1, c2=c2, d1=d1
+            )
+            for lam in (F(0), F(1, 3), F(5, 2), F(7), F(355, 113)):
+                want = [
+                    tuple(c + lam * share * d for c, d in zip(row, d1))
+                    for row, share in zip((c1, c2), case.shares)
+                ]
+                b = fix_lambda(p, lam)
+                assert (b.f1, b.f2) == tuple(want), (p, lam)
+                rows, scale = b.integer_costs
+                assert ([*rows[0], *rows[1]], scale) == integer_row(
+                    [*want[0], *want[1]]
+                ), (p, lam)
+                assert hash(b) == hash(fix_lambda(p, lam))
 
 
 def test_fix_lambda_case_two_shifts_both_objectives(example2):
