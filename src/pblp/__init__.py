@@ -5,8 +5,8 @@ direction row to the first objective only, case TWO to both.  The
 package computes the weight set decomposition of the companion
 triobjective program, per-image parameter intervals by two independent
 methods, the ordered breakpoint set, and the annotated lambda axis, all
-in exact rational arithmetic.  Brute-force oracles for vertices,
-extreme images and grid sweeps live in pblp.oracle.
+in exact rational arithmetic.  Brute-force oracles for extreme images
+and grid sweeps live in pblp.oracle.
 """
 
 from .breakpoints import (
@@ -48,7 +48,6 @@ from .lp_core import (
 from .numerics import INF, rat_parse
 from .oracle import (
     SweepReport,
-    VertexSet,
     dichotomic_bolp,
     extreme_nondominated_bruteforce,
     sweep_lambda,
@@ -57,13 +56,8 @@ from .problem_model import (
     Bolp,
     Case,
     Pblp,
-    Segment2,
-    Weight2,
-    Weight3,
     fix_lambda,
-    lambda_from_weight,
     segment_for_lambda,
-    ws_scalarize,
 )
 from .cli_io import (
     cli_main,

@@ -184,7 +184,7 @@ def interval_vertex(case: Case, poly: ConvexPolygon2) -> tuple[Fraction, object]
     lambda is a monotone fractional-linear function of the weight on the
     component, so its extremes over the polygon occur at vertices.  At
     the vertex (X, Y, W) it is Z/(s1*X + s2*Y), Z = W - X - Y, s the
-    case's shares (lambda_from_weight of the lifted weight).  The
+    case's shares: lambda = w3/(s1*w1 + s2*w2) at the weight.  The
     projected vertex (0, 1) (case ONE) encodes no lambda and is skipped;
     vertices on w1 = 0 (case ONE) or at (0, 0) (case TWO) push the upper
     end to infinity.

@@ -318,18 +318,11 @@ def emit_plot_data(dec: Decomposition, case: Case, lambdas=()) -> str:
         )
         out.append(f"# approx polygon {image}: {approx} (lossy)")
     for lam in lambdas:
-        seg = segment_for_lambda(case, lam)
-        record = [
-            "segment",
-            str(lam),
-            str(seg.p.w1), str(seg.p.w2),
-            str(seg.q.w1), str(seg.q.w2),
-        ]
-        out.append(",".join(record))
+        (px, py), (qx, qy) = segment_for_lambda(case, lam)
+        out.append(",".join(["segment", *map(str, (lam, px, py, qx, qy))]))
         out.append(
             "# approx segment {}: {:.6g},{:.6g} -> {:.6g},{:.6g} (lossy)".format(
-                lossy(lam), lossy(seg.p.w1), lossy(seg.p.w2),
-                lossy(seg.q.w1), lossy(seg.q.w2),
+                *map(lossy, (lam, px, py, qx, qy))
             )
         )
     return "\n".join(out) + "\n"

@@ -25,9 +25,7 @@ from .problem_model import Bolp, Pblp, fix_lambda, system_lp
 from .weight_geometry import IntImage, Point3, component_vertices
 
 __all__ = [
-    "VertexSet",
     "SweepReport",
-    "vertices_and_rays",
     "extreme_nondominated_bruteforce",
     "dichotomic_bolp",
     "lambda_grid",
@@ -37,16 +35,11 @@ __all__ = [
 RAY_BUDGET = 20000  # rays held at once before TooLarge
 
 
-@dataclass(frozen=True)
-class VertexSet:
-    """Vertices and extreme rays (primitive integer directions), sorted."""
-
-    vertices: tuple[tuple[Fraction, ...], ...]
-    rays: tuple[tuple[int, ...], ...]
-
-
-def vertices_and_rays(rows, rhs, senses, n: int) -> VertexSet:
-    """Every vertex and extreme ray of {x >= 0 : rows (senses) rhs}.
+def _cone_rays(rows, rhs, senses, n):
+    """Every vertex and extreme ray of {x >= 0 : rows (senses) rhs}, as
+    (points, rays): points holds the extreme rays (x, t) of the cone
+    below with t > 0, each the vertex x / t in ints, and rays the sorted
+    x, primitive integer directions, of those with t = 0.
 
     Double description (Motzkin, Raiffa, Thompson and Thrall 1953;
     Fukuda and Prodon 1996) on the pointed cone {(x, t) >= 0 :
@@ -55,21 +48,11 @@ def vertices_and_rays(rows, rhs, senses, n: int) -> VertexSet:
     its side (on it, for an equality) and adds v+ r- - v- r+, over its
     gcd, for each adjacent pair it separates.  A ray's zero set, the rows
     it is tight on, is an int bitmask; two rays are adjacent when no
-    other ray's zero set contains their common one.  A ray with t > 0
-    gives the vertex x / t, one with t = 0 an extreme ray; if no ray has
-    t > 0 the set is empty, and the rays, of {A x (sense) 0}, are dropped.
-    Raises TooLarge when more than RAY_BUDGET rays are held at once.
+    other ray's zero set contains their common one.  If no ray has
+    t > 0 the set is empty, both parts are empty, and the rays, of
+    {A x (sense) 0}, are dropped.  Raises TooLarge when more than
+    RAY_BUDGET rays are held at once.
     """
-    points, rays = _cone_rays(rows, rhs, senses, n)
-    vertices = sorted(tuple(Fraction(a, r[-1]) for a in r[:-1]) for r in points)
-    return VertexSet(tuple(vertices), rays)
-
-
-def _cone_rays(rows, rhs, senses, n):
-    """(points, rays) of the double description in vertices_and_rays:
-    points holds the extreme rays (x, t) with t > 0, each the vertex
-    x / t in ints, and rays the sorted x of those with t = 0; both are
-    empty when no ray has t > 0."""
     d = n + 1
     cuts = []  # (g, is_eq): the cut g.z >= 0, or g.z = 0
     for row, b, sense in zip(rows, rhs, senses):

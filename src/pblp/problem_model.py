@@ -22,7 +22,7 @@ from operator import mul
 
 from .errors import DimensionMismatch, NegativeParameter
 from .lp_core import LinearProgram, Sense
-from .numerics import INF, integer_row
+from .numerics import integer_row
 
 
 class Case(Enum):
@@ -97,27 +97,13 @@ class Pblp(_CostRecord):
 @dataclass(frozen=True)
 class Bolp(_CostRecord):
     """A plain biobjective problem, as produced by fixing lambda: its
-    objectives are held as integer_costs (rows, L) alone, and f1, f2
-    and cost_rows are their Fraction views, built on each read."""
+    two objectives are held as integer_costs (rows, L) alone."""
 
     n: int
     rows: tuple[tuple[Fraction, ...], ...]
     rhs: tuple[Fraction, ...]
     senses: tuple[Sense, ...]
     integer_costs: tuple[tuple[tuple[int, ...], ...], int]
-
-    @property
-    def cost_rows(self) -> tuple[tuple[Fraction, ...], ...]:
-        rows, scale = self.integer_costs
-        return tuple(tuple(Fraction(a, scale) for a in row) for row in rows)
-
-    @property
-    def f1(self) -> tuple[Fraction, ...]:
-        return self.cost_rows[0]
-
-    @property
-    def f2(self) -> tuple[Fraction, ...]:
-        return self.cost_rows[1]
 
 
 def system_lp(record: Pblp | Bolp, objective) -> LinearProgram:
@@ -155,76 +141,11 @@ def fix_lambda(p: Pblp, lam: Fraction) -> Bolp:
 # -- weights ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Weight3:
-    """A point of the weight simplex: nonnegative, summing to one."""
-
-    w1: Fraction
-    w2: Fraction
-    w3: Fraction
-
-    def __post_init__(self):
-        if self.w1 < 0 or self.w2 < 0 or self.w3 < 0:
-            raise ValueError(f"negative weight in {self}")
-        if self.w1 + self.w2 + self.w3 != 1:
-            raise ValueError(f"weights do not sum to 1 in {self}")
-
-
-@dataclass(frozen=True)
-class Weight2:
-    """The simplex projected to its first two coordinates."""
-
-    w1: Fraction
-    w2: Fraction
-
-    def __post_init__(self):
-        if self.w1 < 0 or self.w2 < 0:
-            raise ValueError(f"negative weight in {self}")
-        if self.w1 + self.w2 > 1:
-            raise ValueError(f"projected weight outside simplex: {self}")
-
-    def lift(self) -> Weight3:
-        return Weight3(self.w1, self.w2, 1 - self.w1 - self.w2)
-
-
-@dataclass(frozen=True)
-class Segment2:
-    """A nondegenerate segment in the projected simplex."""
-
-    p: Weight2
-    q: Weight2
-
-    def __post_init__(self):
-        if self.p == self.q:
-            raise ValueError("degenerate segment")
-
-
-def ws_scalarize(p: Pblp, w: Weight3) -> LinearProgram:
-    """The weighted-sum LP  min (w1 c1 + w2 c2 + w3 d1).x  over p's
-    system; p.case plays no part."""
-    return system_lp(
-        p, (w.w1 * a + w.w2 * b + w.w3 * c for a, b, c in zip(p.c1, p.c2, p.d1))
-    )
-
-
-def lambda_from_weight(case: Case, w: Weight3):
-    """Invert the weight map: which lambda does a simplex weight encode.
-
-    lambda = w3/(s1*w1 + s2*w2).  Returns a Fraction, INF for the limit
-    lambda -> infinity (a zero denominator with w3 > 0), or None when
-    the weight corresponds to no lambda at all (case ONE at (0, 1, 0)).
-    """
-    s1, s2 = case.shares
-    den = (w.w1 if s1 else 0) + (w.w2 if s2 else 0)  # a zero share costs nothing
-    if den > 0:
-        return w.w3 / den
-    if w.w3 > 0:
-        return INF
-    return None
-
-
-def segment_for_lambda(case: Case, lam: Fraction) -> Segment2:
-    """The projected-simplex segment carrying all weights of a fixed lambda.
+def segment_for_lambda(
+    case: Case, lam: Fraction
+) -> tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]:
+    """The projected-simplex segment carrying all weights of a fixed
+    lambda, as its two end points ((w1, w2), (w1, w2)).
 
     It runs from (0, 1/(1+lambda*s2)) to (1/(1+lambda*s1), 0): in case
     ONE from (0, 1) with slope -(1+lambda), in case TWO with slope -1.
@@ -232,9 +153,9 @@ def segment_for_lambda(case: Case, lam: Fraction) -> Segment2:
     if lam < 0:
         raise NegativeParameter(f"lambda = {lam}")
     s1, s2 = case.shares
-    return Segment2(
-        Weight2(Fraction(0), Fraction(1) / (1 + lam * s2)),
-        Weight2(Fraction(1) / (1 + lam * s1), Fraction(0)),
+    return (
+        (Fraction(0), Fraction(1) / (1 + lam * s2)),
+        (Fraction(1) / (1 + lam * s1), Fraction(0)),
     )
 
 

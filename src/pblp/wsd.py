@@ -35,7 +35,8 @@ r unbounded at some simplex weight is unbounded at a corner.
 The loop runs in ints on weight_geometry's vertex triples (X, Y, W),
 the weight (X, Y, W - X - Y)/W: cone tests and weighted values are
 integer dot products, and a certificate's objective is a positive
-multiple of ws_scalarize's, with the same signs and pivots.
+multiple of the weighted sum w1 c1 + w2 c2 + w3 d1 at that weight, with
+the same signs and pivots.
 """
 
 from __future__ import annotations
@@ -103,7 +104,8 @@ class Decomposition:
 def _weighted_sum(p: Pblp, vertex: Triple) -> LinearProgram:
     """The weighted-sum LP at vertex = (X, Y, W): X c1 + Y c2 +
     (W - X - Y) d1 over the rows of p.integer_costs, each L > 0 times its
-    cost row, is L*W times ws_scalarize's objective; p.case plays no part."""
+    cost row, is L*W times the weighted sum of the cost rows at that
+    weight; p.case plays no part."""
     x, y, w = vertex
     z = w - x - y
     rows, _ = p.integer_costs

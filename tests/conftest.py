@@ -1,11 +1,11 @@
 import pathlib
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
-from pblp import ConvexPolygon2, HalfPlane, Weight2, Weight3, component_vertices, parse_problem
+from pblp import INF, Case, ConvexPolygon2, HalfPlane, Pblp, component_vertices, parse_problem
 from pblp.errors import InvariantViolation, NegativeParameter
 from pblp.lp_core import (
     FeasibleSystem,
@@ -17,6 +17,8 @@ from pblp.lp_core import (
     solve_square,
 )
 from pblp.numerics import integer_row
+from pblp.oracle import _cone_rays
+from pblp.problem_model import system_lp
 from pblp.weight_geometry import integral_image
 
 INSTANCE_DIR = pathlib.Path(__file__).resolve().parent.parent / "instances"
@@ -36,6 +38,86 @@ def build_lp(objective, rows, rhs, senses) -> LinearProgram:
         senses=tuple(map(Sense, senses)),
         nonneg=(True,) * len(objective),
     )
+
+
+def bolp_objectives(b):
+    """The two objectives of the Bolp b as Fraction rows, each row of
+    b.integer_costs over its scale."""
+    rows, scale = b.integer_costs
+    return tuple(tuple(Fraction(a, scale) for a in row) for row in rows)
+
+
+@dataclass(frozen=True)
+class Weight3:
+    """A point of the weight simplex: nonnegative, summing to one."""
+
+    w1: Fraction
+    w2: Fraction
+    w3: Fraction
+
+    def __post_init__(self):
+        if self.w1 < 0 or self.w2 < 0 or self.w3 < 0:
+            raise ValueError(f"negative weight in {self}")
+        if self.w1 + self.w2 + self.w3 != 1:
+            raise ValueError(f"weights do not sum to 1 in {self}")
+
+
+@dataclass(frozen=True)
+class Weight2:
+    """The simplex projected to its first two coordinates."""
+
+    w1: Fraction
+    w2: Fraction
+
+    def __post_init__(self):
+        if self.w1 < 0 or self.w2 < 0:
+            raise ValueError(f"negative weight in {self}")
+        if self.w1 + self.w2 > 1:
+            raise ValueError(f"projected weight outside simplex: {self}")
+
+    def lift(self) -> Weight3:
+        return Weight3(self.w1, self.w2, 1 - self.w1 - self.w2)
+
+
+def ws_scalarize(p: Pblp, w: Weight3) -> LinearProgram:
+    """The weighted-sum LP  min (w1 c1 + w2 c2 + w3 d1).x  over p's
+    system; p.case plays no part."""
+    return system_lp(
+        p, (w.w1 * a + w.w2 * b + w.w3 * c for a, b, c in zip(p.c1, p.c2, p.d1))
+    )
+
+
+def lambda_from_weight(case: Case, w: Weight3):
+    """Invert the weight map: which lambda does a simplex weight encode.
+
+    lambda = w3/(s1*w1 + s2*w2).  Returns a Fraction, INF for the limit
+    lambda -> infinity (a zero denominator with w3 > 0), or None when
+    the weight corresponds to no lambda at all (case ONE at (0, 1, 0)).
+    """
+    s1, s2 = case.shares
+    den = (w.w1 if s1 else 0) + (w.w2 if s2 else 0)  # a zero share costs nothing
+    if den > 0:
+        return w.w3 / den
+    if w.w3 > 0:
+        return INF
+    return None
+
+
+@dataclass(frozen=True)
+class VertexSet:
+    """Vertices and extreme rays (primitive integer directions), sorted."""
+
+    vertices: tuple[tuple[Fraction, ...], ...]
+    rays: tuple[tuple[int, ...], ...]
+
+
+def vertices_and_rays(rows, rhs, senses, n: int) -> VertexSet:
+    """Every vertex, as Fractions, and extreme ray of
+    {x >= 0 : rows (senses) rhs}, read off the oracle's double
+    description; both are empty when the set is."""
+    points, rays = _cone_rays(rows, rhs, senses, n)
+    vertices = sorted(tuple(Fraction(a, r[-1]) for a in r[:-1]) for r in points)
+    return VertexSet(tuple(vertices), rays)
 
 
 def w3(a, b, c) -> Weight3:

@@ -18,16 +18,15 @@ from pblp import (
     decompose,
     enumerate_breakpoints,
     extreme_nondominated_bruteforce,
-    lambda_from_weight,
     segment_for_lambda,
     solve_lp,
     solve_on_decomposition,
     sweep_lambda,
 )
-from pblp.oracle import vertices_and_rays
 from pblp.weight_geometry import intersect_polygons
 from conftest import (
-    as_tuple, build_lp, component_of, load_instance, map_weight_to_simplex, w2, w3,
+    as_tuple, build_lp, component_of, lambda_from_weight, load_instance,
+    map_weight_to_simplex, vertices_and_rays, w2, w3,
 )
 from instance_gen import random_pblp
 
@@ -185,8 +184,7 @@ def test_criterion_6_weight_map_properties():
         parts = as_tuple(m)
         assert all(v >= 0 for v in parts) and sum(parts) == 1
         # the image lies on the lambda segment
-        seg = segment_for_lambda(case, lam)
-        px, py, qx, qy = seg.p.w1, seg.p.w2, seg.q.w1, seg.q.w2
+        (px, py), (qx, qy) = segment_for_lambda(case, lam)
         assert (qx - px) * (m.w2 - py) == (qy - py) * (m.w1 - px)
         assert min(px, qx) <= m.w1 <= max(px, qx)
         # round trip, with the one corner that encodes no lambda

@@ -19,16 +19,14 @@ from pblp import (
     interval_lp_case2,
     interval_system,
     interval_vertex,
-    lambda_from_weight,
     solve_on_decomposition,
     sweep_lambda,
 )
 from pblp import breakpoints, lp_core, oracle, wsd
 from pblp.breakpoints import ParameterInterval
 from pblp.cli_io import emit_solution
-from pblp.problem_model import Weight3
 from pblp.errors import EmptyComponent, NoFiniteVertex, SystemMismatch
-from conftest import build_lp, hull_of, w3
+from conftest import Weight3, build_lp, hull_of, lambda_from_weight, w3
 from instance_gen import degenerate_pblp, random_pblp
 
 F = Fraction

@@ -35,8 +35,7 @@ from pblp.cli_io import (
     run_check,
 )
 from pblp.errors import BadCase, DimensionMismatch, ParseError, TooLarge
-from pblp.oracle import vertices_and_rays
-from conftest import INSTANCE_DIR
+from conftest import INSTANCE_DIR, vertices_and_rays
 from instance_gen import random_pblp
 from pblp import Case
 

@@ -21,8 +21,7 @@ from pblp import lp_core
 from pblp.errors import DimensionMismatch, NotRational, SystemMismatch
 from pblp.lp_core import eliminate, solve_square
 from pblp.numerics import integer_row
-from pblp.oracle import vertices_and_rays
-from conftest import _satisfies, build_lp, reference_phase_two
+from conftest import _satisfies, build_lp, reference_phase_two, vertices_and_rays
 from instance_gen import degenerate_pblp
 
 

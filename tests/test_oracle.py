@@ -12,7 +12,6 @@ from pblp import (
     FeasibleSystem,
     Pblp,
     Sense,
-    VertexSet,
     decompose,
     dichotomic_bolp,
     extreme_nondominated_bruteforce,
@@ -22,10 +21,12 @@ from pblp import (
 from pblp import lp_core, oracle
 from pblp.errors import TooLarge, UnboundedScalarization
 from pblp.numerics import integer_row
-from pblp.oracle import vertices_and_rays
-from pblp.problem_model import Bolp, system_lp
+from pblp.problem_model import system_lp
 from pblp.weight_geometry import integral_image
-from conftest import UnboundedFeasibleSet, basis_vertices, component, load_instance
+from conftest import (
+    UnboundedFeasibleSet, VertexSet, basis_vertices, bolp_objectives, component,
+    load_instance, vertices_and_rays,
+)
 from instance_gen import degenerate_pblp, random_pblp
 
 F = Fraction
@@ -239,7 +240,7 @@ def test_the_image_oracle_runs_no_simplex(monkeypatch):
         raise RuntimeError("the vertex oracle ran the simplex")
 
     bolp = fix_lambda(problems[0], F(0))
-    system = lp_core.FeasibleSystem(system_lp(bolp, bolp.f1))
+    system = lp_core.FeasibleSystem(system_lp(bolp, bolp_objectives(bolp)[0]))
     for module in (lp_core, oracle):
         for name in ("solve_lp", "solve_lex_lp", "FeasibleSystem"):
             if hasattr(module, name):
@@ -402,7 +403,7 @@ def test_dichotomic_on_a_three_point_front():
         ),
         F(0),
     )
-    system = FeasibleSystem(system_lp(b, b.f1))
+    system = FeasibleSystem(system_lp(b, bolp_objectives(b)[0]))
     front = [y for y, _ in dichotomic_bolp(b, system)]
     assert front == [(F(0), F(2)), (F(2, 3), F(2, 3)), (F(2), F(0))]
     for y, x in dichotomic_bolp(b, system):
@@ -421,7 +422,7 @@ def _fraction_dichotomic(bolp, system, extra_ties=()):
 
     def image(x):
         return tuple(
-            sum((c * v for c, v in zip(row, x)), F(0)) for row in (bolp.f1, bolp.f2)
+            sum((c * v for c, v in zip(row, x)), F(0)) for row in bolp_objectives(bolp)
         )
 
     xa, xb = lex(f1, (f2,) + extra_ties), lex(f2, (f1,) + extra_ties)
@@ -537,9 +538,10 @@ def test_sweep_stage_gate(request, monkeypatch):
 
 def test_sweep_reads_no_fraction_vertex(request, monkeypatch, example2):
     """Deterministic gate for the integer sweep: across the bundled sweep
-    grids every LP vertex and value stays in ints and every lambda's
-    objectives too, so no LpResult.x, LpResult.value, Bolp.f1, Bolp.f2
-    or Bolp.cost_rows is read; each counter sees a read of its own."""
+    grids every LP vertex and value stays in ints, so no LpResult.x or
+    LpResult.value is read; each counter sees a read of its own.  A
+    lambda's objectives have no Fraction view to read: the Fraction rule
+    of test_source_rules keeps them in ints."""
     reads = {}
 
     def count(owner, name):
@@ -554,18 +556,14 @@ def test_sweep_reads_no_fraction_vertex(request, monkeypatch, example2):
 
     for name in ("x", "value"):
         count(lp_core.LpResult, name)
-    for name in ("f1", "f2", "cost_rows"):
-        count(Bolp, name)
     for name, lambda_max, steps in SWEEP_GRIDS:
         sweep_lambda(request.getfixturevalue(name), F(lambda_max), steps)
     assert set(reads.values()) == {0}, reads
     res = lp_core.solve_lp(system_lp(example2, example2.c1))
-    b = fix_lambda(example2, F(1))
-    for owner, names in ((res, ("x", "value")), (b, ("f1", "f2", "cost_rows"))):
-        for name in names:
-            before = reads[name]
-            assert getattr(owner, name) is not None
-            assert reads[name] == before + 1, name
+    for name in ("x", "value"):
+        before = reads[name]
+        assert getattr(res, name) is not None
+        assert reads[name] == before + 1, name
 
 
 def test_sweep_grid_is_exact(example2):

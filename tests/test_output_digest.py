@@ -16,7 +16,8 @@ a byte.
 Sweeps beyond the bundled three are pinned by their documents too: 24
 acceptance records (random_pblp, Random(1405)) and 12 degenerate ones
 (degenerate_pblp, Random(7)), cases alternating in each, swept to
-lambda 7/3 in 14 steps.
+lambda 7/3 in 14 steps.  The same 36 records' plot files, on that
+grid, are pinned as well.
 
 A change that moves output bytes or pivots on purpose updates the
 constants below and says why in CHANGES.md.
@@ -26,8 +27,17 @@ import hashlib
 import random
 from fractions import Fraction
 
-from pblp import Case, Method, enumerate_breakpoints, lp_core, sweep_lambda
+from pblp import (
+    Case,
+    Method,
+    decompose,
+    emit_plot_data,
+    enumerate_breakpoints,
+    lp_core,
+    sweep_lambda,
+)
 from pblp.cli_io import emit_solution, emit_sweep
+from pblp.oracle import lambda_grid
 from conftest import load_instance
 from instance_gen import degenerate_pblp, random_pblp
 
@@ -36,6 +46,7 @@ PIVOT_COUNT = 6721
 PIVOTS_SHA256 = "34acf7508616a3a8f62b5e6946aec183cf935fd58cf8198ae88a2b9f203295d2"
 DEGENERATE_SHA256 = "0e1ae3fdda10781650b743abf720c61cbebb93146725b0c9ae49e8ca7b8fc1f5"
 SWEEP_SHA256 = "8f8f68e8df1c5a6f63993d90161732441d4fe32273c64085ff40d6c01922231f"
+PLOT_SHA256 = "0103b52bcb0f76c3372d97291fa0ffdbf09e242a6cd74b2663e5687352599b74"
 SWEEPS = (("example2", 6, 60), ("example2_case1", 4, 40), ("example1", 4, 40))
 
 
@@ -76,13 +87,25 @@ def test_degenerate_documents_are_pinned():
     assert digest == DEGENERATE_SHA256
 
 
-def test_sweep_documents_are_pinned():
+def _sweep_family():
     rng = random.Random(1405)
     family = [random_pblp(rng, (Case.ONE, Case.TWO)[i % 2]) for i in range(24)]
     rng = random.Random(7)
     family += [degenerate_pblp(rng, (Case.ONE, Case.TWO)[i % 2]) for i in range(12)]
+    return family
+
+
+def test_sweep_documents_are_pinned():
+    family = _sweep_family()
     documents = [
         emit_sweep(p, sweep_lambda(p, Fraction(7, 3), 14)) for p in family
     ]
     digest = hashlib.sha256("".join(documents).encode()).hexdigest()
     assert digest == SWEEP_SHA256
+
+
+def test_plot_files_are_pinned():
+    grid = lambda_grid(Fraction(7, 3), 14)
+    documents = [emit_plot_data(decompose(p), p.case, grid) for p in _sweep_family()]
+    digest = hashlib.sha256("".join(documents).encode()).hexdigest()
+    assert digest == PLOT_SHA256

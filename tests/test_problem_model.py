@@ -16,17 +16,18 @@ from pblp import (
     Sense,
     emit_problem,
     fix_lambda,
-    lambda_from_weight,
     parse_problem,
     segment_for_lambda,
     solve_lex_lp,
     solve_lp,
-    ws_scalarize,
 )
 from pblp.errors import BadCase, DimensionMismatch, NegativeParameter
 from pblp.numerics import integer_row
-from pblp.problem_model import Weight2, Weight3, ge_form
-from conftest import as_tuple, map_weight_to_simplex, project, w2, w3
+from pblp.problem_model import ge_form
+from conftest import (
+    Weight2, Weight3, as_tuple, bolp_objectives, lambda_from_weight,
+    map_weight_to_simplex, project, w2, w3, ws_scalarize,
+)
 
 F = Fraction
 
@@ -85,7 +86,7 @@ def test_images_match_the_fraction_dot_product():
             (0,) * n,
             (F(0),) * n,
         ):
-            for record, rows in ((p, p.cost_rows), (b, (b.f1, b.f2))):
+            for record, rows in ((p, p.cost_rows), (b, bolp_objectives(b))):
                 image = record.image(x)
                 assert image == tuple(
                     sum((c * v for c, v in zip(row, x)), F(0)) for row in rows
@@ -123,7 +124,7 @@ def test_image_of_an_integer_vertex_is_the_fraction_dot_product(data):
     x = [data.draw(_entries) for _ in range(n)]
     den = data.draw(_denominators)
     point = [F(v, den) for v in x]
-    for record, rows in ((p, p.cost_rows), (b, (b.f1, b.f2))):
+    for record, rows in ((p, p.cost_rows), (b, bolp_objectives(b))):
         assert record.image(x, den) == tuple(
             sum((c * v for c, v in zip(cost, point)), F(0)) for cost in rows
         )
@@ -161,15 +162,15 @@ def test_integer_costs_put_every_row_over_one_scale(example1, example2, example2
         check(p.integer_costs, p.cost_rows)
         for lam in (F(0), F(1, 3), F(5, 2), F(7)):
             b = fix_lambda(p, lam)
-            check(b.integer_costs, (b.f1, b.f2))
+            check(b.integer_costs, bolp_objectives(b))
 
 
 def test_fix_lambda_matches_the_fraction_objectives():
     """fix_lambda builds its rows in ints from p.integer_costs; against
-    c_k + lambda*s_k*d1 taken in Fractions here, f1 and f2 are those
-    objectives and integer_costs is integer_row of the two, split into
-    rows; the record hashes, as a frozen record should.  On the seeded
-    records of the test above, in both cases."""
+    c_k + lambda*s_k*d1 taken in Fractions here, its rows over its scale
+    are those objectives and integer_costs is integer_row of the two,
+    split into rows; the record hashes, as a frozen record should.  On
+    the seeded records of the test above, in both cases."""
     rng = random.Random(2025)
 
     def costs(n):
@@ -188,7 +189,7 @@ def test_fix_lambda_matches_the_fraction_objectives():
                     for row, share in zip((c1, c2), case.shares)
                 ]
                 b = fix_lambda(p, lam)
-                assert (b.f1, b.f2) == tuple(want), (p, lam)
+                assert bolp_objectives(b) == tuple(want), (p, lam)
                 rows, scale = b.integer_costs
                 assert ([*rows[0], *rows[1]], scale) == integer_row(
                     [*want[0], *want[1]]
@@ -198,17 +199,18 @@ def test_fix_lambda_matches_the_fraction_objectives():
 
 def test_fix_lambda_case_two_shifts_both_objectives(example2):
     b = fix_lambda(example2, F(2))
-    assert b.f1 == tuple(c + 2 * d for c, d in zip(example2.c1, example2.d1))
-    assert b.f2 == tuple(c + 2 * d for c, d in zip(example2.c2, example2.d1))
+    f1, f2 = bolp_objectives(b)
+    assert f1 == tuple(c + 2 * d for c, d in zip(example2.c1, example2.d1))
+    assert f2 == tuple(c + 2 * d for c, d in zip(example2.c2, example2.d1))
     assert b.image((F(0), F(5), F(5))) == (F(10), F(15))
 
 
 def test_fix_lambda_case_one_leaves_the_second_objective(example2_case1):
-    b = fix_lambda(example2_case1, F(3))
-    assert b.f1 == tuple(
+    f1, f2 = bolp_objectives(fix_lambda(example2_case1, F(3)))
+    assert f1 == tuple(
         c + 3 * d for c, d in zip(example2_case1.c1, example2_case1.d1)
     )
-    assert b.f2 == example2_case1.c2
+    assert f2 == example2_case1.c2
 
 
 def test_fix_lambda_rejects_negative_parameters(example2):
@@ -287,18 +289,17 @@ def test_lambda_from_weight_edge_outcomes():
 
 def test_segments_for_lambda():
     s = segment_for_lambda(Case.ONE, F(0))
-    assert (s.p.w1, s.p.w2, s.q.w1, s.q.w2) == (F(0), F(1), F(1), F(0))
+    assert (*s[0], *s[1]) == (F(0), F(1), F(1), F(0))
     s = segment_for_lambda(Case.TWO, F(1))
-    assert (s.p.w1, s.p.w2, s.q.w1, s.q.w2) == (F(0), F(1, 2), F(1, 2), F(0))
+    assert (*s[0], *s[1]) == (F(0), F(1, 2), F(1, 2), F(0))
     s = segment_for_lambda(Case.TWO, F(2))
-    assert (s.p.w1, s.p.w2, s.q.w1, s.q.w2) == (F(0), F(1, 3), F(1, 3), F(0))
+    assert (*s[0], *s[1]) == (F(0), F(1, 3), F(1, 3), F(0))
     with pytest.raises(NegativeParameter):
         segment_for_lambda(Case.ONE, F(-1, 2))
 
 
 def _on_segment(seg, pt):
-    px, py = seg.p.w1, seg.p.w2
-    qx, qy = seg.q.w1, seg.q.w2
+    (px, py), (qx, qy) = seg
     cross = (qx - px) * (pt[1] - py) - (qy - py) * (pt[0] - px)
     if cross != 0:
         return False

@@ -2,11 +2,13 @@
 never an assert (which python -O strips) and never a StopIteration
 from a next() without a default, and no float decides anything, so
 float() appears only in the lossy plot comments of
-cli_io.emit_plot_data.  The weight geometry computes in ints: in
-weight_geometry only ConvexPolygon2.vertices and ConvexPolygon2.area,
-which hand Fractions to callers, build a Fraction.  No state lives at
-module level: no module-level dict, list or set but __all__, and no
-global statement.  Two modules also keep their
+cli_io.emit_plot_data.  The weight geometry, the problem records and
+the oracles compute in ints and build a Fraction only where a number
+leaves them: in weight_geometry only ConvexPolygon2.vertices and
+ConvexPolygon2.area, in problem_model only the Fraction images and the
+plotted lambda segments, and in oracle only the returned images and the
+lambda grid.  No state lives at module level: no module-level dict,
+list or set but __all__, and no global statement.  Two modules also keep their
 layer: the vertex oracle shares no logic with the decomposition and the
 interval routes it cross-checks, and the weight geometry builds only on
 the problem records and the numerics.  A case is its share vector
@@ -14,25 +16,29 @@ Case.shares, so Case.ONE and Case.TWO are named only in Case itself,
 in the two interval routes and in the route pick that selects them.
 Every module but the package __init__ uses each name it imports, and
 every name the package __init__ exports is referenced by some other
-module of the package, but for the Fraction references the tests
-compare with."""
+module of the package."""
 
 import ast
 import pathlib
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "pblp"
 FLOAT_ALLOWED = {("cli_io", "emit_plot_data")}
-FRACTION_RULED = {"weight_geometry"}
+FRACTION_RULED = {"weight_geometry", "problem_model", "oracle"}
 FRACTION_ALLOWED = {
     ("weight_geometry", "ConvexPolygon2.vertices"),
     ("weight_geometry", "ConvexPolygon2.area"),
+    ("problem_model", "_CostRecord.image"),
+    ("problem_model", "segment_for_lambda"),
+    ("oracle", "extreme_nondominated_bruteforce"),
+    ("oracle", "dichotomic_bolp"),
+    ("oracle", "lambda_grid"),
+    ("oracle", "sweep_lambda"),
 }
 MUTABLE_DISPLAYS = (
     ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp
 )
 IMPORTS_FORBIDDEN = {"oracle": {"wsd", "breakpoints"}}
 IMPORTS_ALLOWED = {"weight_geometry": {"problem_model", "numerics"}}
-EXPORTS_UNREFERENCED = {"ws_scalarize", "lambda_from_weight"}
 CASE_NAMED = {
     ("problem_model", "Case"),
     ("breakpoints", "interval_lp_case1"),
@@ -136,6 +142,15 @@ def test_the_fraction_rule_sees_what_it_forbids(tmp_path):
     elsewhere = tmp_path / "wsd.py"
     elsewhere.write_text(geometry.read_text())
     assert _violations(elsewhere) == []
+    oracle = tmp_path / "oracle.py"
+    oracle.write_text(
+        "from fractions import Fraction\n"
+        "def lambda_grid(m, k):\n"
+        "    return [Fraction(i) * m / k for i in range(k + 1)]\n"
+        "def _cone_rays(r):\n"
+        "    return Fraction(r[0], r[-1])\n"
+    )
+    assert _violations(oracle) == ["oracle.py:5: Fraction() call"]
 
 
 def _state_violations(path: pathlib.Path) -> list[str]:
@@ -312,11 +327,11 @@ def test_the_import_rule_sees_what_it_forbids(tmp_path):
 
 def _unreferenced_exports(package: pathlib.Path) -> list[str]:
     """Names the package __init__ imports from a module m, and so
-    exports, that no module of package but __init__ reads, but for
-    EXPORTS_UNREFERENCED.  A module reads the name when it loads it and
-    is m or imported it from m, or when it loads it as an attribute of
-    m bound by "from . import m".  An attribute of anything else, or a
-    name another module defines for itself, does not count."""
+    exports, that no module of package but __init__ reads.  A module
+    reads the name when it loads it and is m or imported it from m, or
+    when it loads it as an attribute of m bound by "from . import m".
+    An attribute of anything else, or a name another module defines for
+    itself, does not count."""
     init = ast.parse((package / "__init__.py").read_text())
     exported = [
         (alias.lineno, node.module, alias.asname or alias.name)
@@ -350,7 +365,7 @@ def _unreferenced_exports(package: pathlib.Path) -> list[str]:
     return [
         f"__init__.py:{line}: {name} is exported and never referenced"
         for line, module, name in exported
-        if (module, name) not in referenced and name not in EXPORTS_UNREFERENCED
+        if (module, name) not in referenced
     ]
 
 
@@ -400,6 +415,7 @@ def test_the_export_rule_sees_what_it_forbids(tmp_path):
         "__init__.py:5: decompose is exported and never referenced",
         "__init__.py:5: find_extreme_image is exported and never referenced",
         "__init__.py:6: fix_lambda is exported and never referenced",
+        "__init__.py:6: ws_scalarize is exported and never referenced",
     ]
 
 

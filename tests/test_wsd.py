@@ -20,8 +20,8 @@ from pblp import wsd
 from pblp.cli_io import COMPUTE_ERROR, cli_main, emit_problem
 from pblp.errors import InfeasibleProblem, UnboundedScalarization
 from pblp.lp_core import FeasibleSystem, solve_lex_lp
-from pblp.problem_model import Weight2, system_lp, ws_scalarize
-from conftest import component, load_instance, w3
+from pblp.problem_model import system_lp
+from conftest import Weight2, component, load_instance, w3, ws_scalarize
 from pblp.weight_geometry import (
     competitor_halfplane,
     component_vertices,
