@@ -53,7 +53,6 @@ from .oracle import (
     sweep_lambda,
 )
 from .problem_model import (
-    Bolp,
     Case,
     Pblp,
     fix_lambda,

@@ -516,8 +516,5 @@ def cli_main(argv=None) -> int:
 
 
 def main():
+    """The pblp console script and python -m pblp: exit with cli_main's code."""
     sys.exit(cli_main())
-
-
-if __name__ == "__main__":
-    main()

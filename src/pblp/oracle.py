@@ -19,9 +19,9 @@ from math import gcd
 from operator import mul
 
 from .errors import InfeasibleProblem, TooLarge, UnboundedScalarization
-from .lp_core import FeasibleSystem, LpStatus, Sense, solve_lex_lp
+from .lp_core import FeasibleSystem, LinearProgram, LpStatus, Sense, solve_lex_lp
 from .numerics import integer_row
-from .problem_model import Bolp, Pblp, fix_lambda, system_lp
+from .problem_model import Pblp, fix_lambda, integral_image, system_lp
 from .weight_geometry import IntImage, Point3, component_vertices
 
 __all__ = [
@@ -139,10 +139,10 @@ def _by_value(y: IntImage, z: IntImage) -> int:
 
 
 def _nondominated(images) -> list[IntImage]:
-    """The distinct images, reduced ints (Y..., D) as
-    Pblp.integral_image gives them, that no other one dominates, sorted
-    by value.  A dominator is lexicographically smaller and dominance is
-    transitive, so each image is compared only with those already kept."""
+    """The distinct images, reduced ints (Y..., D) as integral_image
+    gives them, that no other one dominates, sorted by value.  A
+    dominator is lexicographically smaller and dominance is transitive,
+    so each image is compared only with those already kept."""
     kept: list[IntImage] = []
     for y in sorted(set(images), key=cmp_to_key(_by_value)):
         if not any(all(a * y[-1] <= b * z[-1] for a, b in zip(z, y[:-1])) for z in kept):
@@ -169,11 +169,12 @@ def extreme_nondominated_bruteforce(p: Pblp) -> tuple[Point3, ...]:
     w.x <= w.y is implied by its dominator z's, w.x <= w.z <= w.y, so it
     never binds.
     """
+    costs = p.integer_costs
     points, rays = _cone_rays(p.rows, p.rhs, p.senses, p.n)
     for r in rays:
-        if any(c < 0 for c in p.image(r)):
+        if any(c < 0 for c in integral_image(costs, r, 1)):
             raise UnboundedScalarization(f"ray {r} lowers a cost row")
-    pareto = _nondominated(p.integral_image(r[:-1], r[-1]) for r in points)
+    pareto = _nondominated(integral_image(costs, r[:-1], r[-1]) for r in points)
     return tuple(
         tuple(Fraction(a, y[-1]) for a in y[:-1])
         for y in pareto
@@ -184,9 +185,11 @@ def extreme_nondominated_bruteforce(p: Pblp) -> tuple[Point3, ...]:
 # -- parametric oracle -------------------------------------------------------
 
 
-def _lex(bolp: Bolp, objective, ties, system: FeasibleSystem):
-    """The vertex (numerators, den) of the lexicographic solve."""
-    res = solve_lex_lp(system_lp(bolp, objective), ties, system)
+def _lex(system: FeasibleSystem, objective, ties):
+    """The vertex (numerators, den) of a lexicographic solve on system."""
+    lp = system.lp  # the system's own constraints
+    lp = LinearProgram(tuple(objective), lp.rows, lp.rhs, lp.senses, lp.nonneg)
+    res = solve_lex_lp(lp, ties, system)
     if res.status is LpStatus.UNBOUNDED:
         raise UnboundedScalarization("biobjective scalarization is unbounded")
     if res.status is LpStatus.INFEASIBLE:
@@ -194,26 +197,28 @@ def _lex(bolp: Bolp, objective, ties, system: FeasibleSystem):
     return res.vertex
 
 
-def dichotomic_bolp(bolp: Bolp, system: FeasibleSystem, extra_ties=()) -> tuple:
-    """All extreme nondominated images of a biobjective problem.
+def dichotomic_bolp(costs, system: FeasibleSystem, extra_ties=()) -> tuple:
+    """All extreme nondominated images of the biobjective problem
+    min (f1.x, f2.x) over system's feasible set.
 
-    Classic dichotomic search: solve both lexicographic corners, then
+    costs is the pair ((f1, f2), L) that fix_lambda gives.  Classic
+    dichotomic search: solve both lexicographic corners, then
     recursively probe the weight orthogonal to each gap.  Ties inside
     every solve are broken by (f1, f2) and then extra_ties, making the
-    witnesses deterministic.  f1 and f2 enter every solve as the integer
-    rows of bolp.integer_costs, L times each, with the same signs and
-    pivots.  Every solve runs phase two only, on system, bolp's feasible
-    system.  Images are held as Bolp.integral_image gives them, reduced
-    ints (Y1, Y2, D), so equal images are equal tuples and each probe
-    is integer arithmetic.  Returns (image, witness) pairs sorted by
-    first objective value: the image as Fractions, the witness as the
-    solve's vertex (numerators, den).
+    witnesses deterministic.  f1 and f2 enter every solve as those
+    integer rows, L times each objective, with the same signs and
+    pivots.  Every solve runs phase two only, on system.  Images are
+    held as integral_image gives them, reduced ints (Y1, Y2, D), so
+    equal images are equal tuples and each probe is integer arithmetic.
+    Returns (image, witness) pairs sorted by first objective value: the
+    image as Fractions, the witness as the solve's vertex
+    (numerators, den).
     """
-    (f1, f2), _ = bolp.integer_costs
+    (f1, f2), _ = costs
     extra_ties = tuple(extra_ties)
-    xa = _lex(bolp, f1, (f2,) + extra_ties, system)
-    xb = _lex(bolp, f2, (f1,) + extra_ties, system)
-    a, b = bolp.integral_image(*xa), bolp.integral_image(*xb)
+    xa = _lex(system, f1, (f2,) + extra_ties)
+    xb = _lex(system, f2, (f1,) + extra_ties)
+    a, b = integral_image(costs, *xa), integral_image(costs, *xb)
     found = {a: xa}
 
     def probe(lo, hi):
@@ -227,8 +232,8 @@ def dichotomic_bolp(bolp: Bolp, system: FeasibleSystem, extra_ties=()) -> tuple:
         common = gcd(k1, k2)
         k1, k2 = k1 // common, k2 // common
         objective = tuple(k1 * f + k2 * g for f, g in zip(f1, f2))
-        x = _lex(bolp, objective, (f1, f2) + extra_ties, system)
-        y = bolp.integral_image(*x)
+        x = _lex(system, objective, (f1, f2) + extra_ties)
+        y = integral_image(costs, *x)
         y1, y2, dy = y
         if (k1 * y1 + k2 * y2) * dl < (k1 * l1 + k2 * l2) * dy:  # strictly below
             found[y] = x
@@ -279,8 +284,8 @@ def sweep_lambda(p: Pblp, lambda_max: Fraction, steps: int) -> SweepReport:
     sets bracket a breakpoint.  Fixing lambda changes only the
     objectives, so the whole grid shares one feasible system, and the
     extra ties (c1, c2, d1) are p.integer_costs rows, scaled once.  A
-    witness set is keyed by its images as Pblp.integral_image gives
-    them, so each distinct set is turned into sorted Fractions once.
+    witness set is keyed by its images as integral_image gives them, so
+    each distinct set is turned into sorted Fractions once.
     """
     grid = lambda_grid(lambda_max, steps)
     system = FeasibleSystem(system_lp(p, p.c1))
@@ -289,9 +294,8 @@ def sweep_lambda(p: Pblp, lambda_max: Fraction, steps: int) -> SweepReport:
     witness_images = []
     bolp_images = []
     for lam in grid:
-        bolp = fix_lambda(p, lam)
-        pairs = dichotomic_bolp(bolp, system, ties)
-        key = frozenset(p.integral_image(*x) for _, x in pairs)
+        pairs = dichotomic_bolp(fix_lambda(p, lam), system, ties)
+        key = frozenset(integral_image(p.integer_costs, *x) for _, x in pairs)
         if key not in sorted_sets:
             sorted_sets[key] = tuple(sorted(
                 tuple(Fraction(a, y[-1]) for a in y[:-1]) for y in key

@@ -35,34 +35,12 @@ class Case(Enum):
         return (1, 0) if self is Case.ONE else (1, 1)
 
 
-class _CostRecord:
-    """The images of points under a record's costs, read from its
-    integer_costs (rows, L): each cost row times L, the lcm of all the
-    rows' denominators."""
-
-    def image(self, x, den=1) -> tuple[Fraction, ...]:
-        """C x / den for x ints over den > 0, as an LP vertex is held, or
-        rationals with den 1: one dot product per row of integer_costs
-        over L * den, and no lcm."""
-        rows, scale = self.integer_costs
-        return tuple(Fraction(sum(map(mul, row, x)), scale * den) for row in rows)
-
-    def integral_image(self, x, den: int) -> tuple[int, ...]:
-        """image(x, den) for ints x as reduced ints (Y..., D), D > 0,
-        the form weight_geometry.integral_image gives: equal images give
-        equal tuples."""
-        rows, scale = self.integer_costs
-        y = (*(sum(map(mul, row, x)) for row in rows), scale * den)
-        common = gcd(*y)
-        return tuple(v // common for v in y)
-
-
 @dataclass(frozen=True)
-class Pblp(_CostRecord):
+class Pblp:
     """One parametric instance; x >= 0 is implicit in the feasible system.
 
-    cost_rows, integer_costs and image belong to the triobjective
-    problem min (c1.x, c2.x, d1.x): case plays no part in them.
+    cost_rows and integer_costs belong to the triobjective problem
+    min (c1.x, c2.x, d1.x): case plays no part in them.
     """
 
     case: Case
@@ -94,31 +72,31 @@ class Pblp(_CostRecord):
         return tuple(values[k : k + n] for k in range(0, len(values), n)), scale
 
 
-@dataclass(frozen=True)
-class Bolp(_CostRecord):
-    """A plain biobjective problem, as produced by fixing lambda: its
-    two objectives are held as integer_costs (rows, L) alone."""
+def integral_image(costs, x, den: int) -> tuple[int, ...]:
+    """C x / den, for costs = (rows, L) as Pblp.integer_costs and
+    fix_lambda give them (each cost row of C times L) and ints x over
+    den > 0 as an LP vertex is held: one dot product per row, as reduced
+    ints (Y..., D), D > 0, so equal images are equal tuples."""
+    rows, scale = costs
+    y = (*(sum(map(mul, row, x)) for row in rows), scale * den)
+    common = gcd(*y)
+    return tuple(v // common for v in y)
 
-    n: int
-    rows: tuple[tuple[Fraction, ...], ...]
-    rhs: tuple[Fraction, ...]
-    senses: tuple[Sense, ...]
-    integer_costs: tuple[tuple[tuple[int, ...], ...], int]
 
-
-def system_lp(record: Pblp | Bolp, objective) -> LinearProgram:
-    """The LP  min objective.x  over record's feasible system, x >= 0."""
+def system_lp(p: Pblp, objective) -> LinearProgram:
+    """The LP  min objective.x  over p's feasible system, x >= 0."""
     return LinearProgram(
         objective=tuple(objective),
-        rows=record.rows,
-        rhs=record.rhs,
-        senses=record.senses,
-        nonneg=(True,) * record.n,
+        rows=p.rows,
+        rhs=p.rhs,
+        senses=p.senses,
+        nonneg=(True,) * p.n,
     )
 
 
-def fix_lambda(p: Pblp, lam: Fraction) -> Bolp:
-    """Substitute a concrete lambda >= 0 into the parametric objectives.
+def fix_lambda(p: Pblp, lam: Fraction) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """The objectives of the biobjective problem at a concrete
+    lambda >= 0, over p's feasible system, as the pair ((f1, f2), L).
 
     With lambda = a/q and p.integer_costs (C1, C2, D) over L, objective k
     is (q C_k + a s_k D) / (q L).  Divided by the gcd of qL and every
@@ -135,7 +113,7 @@ def fix_lambda(p: Pblp, lam: Fraction) -> Bolp:
     ]
     common = gcd(q * scale, *rows[0], *rows[1])
     rows = tuple(tuple([v // common for v in row]) for row in rows)
-    return Bolp(p.n, p.rows, p.rhs, p.senses, (rows, q * scale // common))
+    return rows, q * scale // common
 
 
 # -- weights ---------------------------------------------------------------

@@ -22,7 +22,6 @@ from fractions import Fraction
 from functools import cached_property, cmp_to_key
 from math import gcd, lcm
 
-from .numerics import integer_row
 from .problem_model import Pblp, ge_form
 
 Point2 = tuple[Fraction, Fraction]
@@ -204,13 +203,6 @@ def intersect_polygons(a: ConvexPolygon2, b: ConvexPolygon2) -> ConvexPolygon2:
 # -- components ------------------------------------------------------------
 
 
-def integral_image(y: Point3) -> IntImage:
-    """y as integer numerators over its least common denominator D > 0,
-    (Y1, Y2, Y3, D); equal images give equal tuples."""
-    numerators, den = integer_row(y)
-    return (*numerators, den)
-
-
 def competitor_halfplane(y: IntImage, other: IntImage) -> HalfPlane:
     """The weights where y is no worse than other, w.y <= w.other.
 
@@ -228,11 +220,11 @@ def component_halfplanes(y: IntImage, others) -> list[HalfPlane]:
     """Half-planes whose intersection is the component of y.
 
     One competitor_halfplane per competitor y' other than y, all as
-    integral_image gives them.  A competitor equal to y + t*(1,1,1)
-    yields the degenerate plane 0 <= -t, trivially true for shifts
-    upward.  The three bounds of the projected simplex close the list,
-    so intersecting everything over the whole plane gives the component
-    directly.
+    problem_model.integral_image gives them.  A competitor equal to
+    y + t*(1,1,1) yields the degenerate plane 0 <= -t, trivially true
+    for shifts upward.  The three bounds of the projected simplex close
+    the list, so intersecting everything over the whole plane gives the
+    component directly.
     """
     out = [competitor_halfplane(y, other) for other in others if other != y]
     out.append(HalfPlane(-1, 0, 0))  # w1 >= 0
@@ -243,7 +235,7 @@ def component_halfplanes(y: IntImage, others) -> list[HalfPlane]:
 
 def component_vertices(y: IntImage, others) -> ConvexPolygon2:
     """The component of y within the projected simplex, as a polygon;
-    y and others as integral_image gives them."""
+    y and others as problem_model.integral_image gives them."""
     poly = simplex_triangle()
     for hp in component_halfplanes(y, others):
         poly = clip_polygon(poly, hp)

@@ -43,10 +43,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import InfeasibleProblem, InvariantViolation, UnboundedScalarization
 from .lp_core import FeasibleSystem, LinearProgram, LpStatus, solve_lex_lp
-from .problem_model import Pblp, system_lp
+from .problem_model import Pblp, integral_image, system_lp
 from .weight_geometry import (
     ConvexPolygon2,
     IntImage,
@@ -55,7 +56,6 @@ from .weight_geometry import (
     competitor_halfplane,
     component_vertices,
     convex_hull,
-    integral_image,
     split_polygon,
 )
 
@@ -66,15 +66,23 @@ __all__ = ["ExtremeImage", "Decomposition", "find_extreme_image", "decompose"]
 class ExtremeImage:
     """An image point of the triobjective problem with one witness.
 
-    cone holds the reduced costs of (c1, c2, d1) at the basis that found
-    the image, one integer triple per nonbasic column whose triple is not
-    all zero, over one common positive scale (LpResult.reduced).  It
-    plays no part in equality or repr.
+    int_image is the image as integral_image gives it from the witness
+    vertex, reduced ints (Y1, Y2, Y3, D), so equal images are equal
+    tuples; image is its Fraction view, built once per record.  cone holds the reduced
+    costs of (c1, c2, d1) at the basis that found the image, one integer
+    triple per nonbasic column whose triple is not all zero, over one
+    common positive scale (LpResult.reduced).  It plays no part in
+    equality or repr.
     """
 
-    image: Point3
+    int_image: IntImage
     witness: tuple[Fraction, ...]
     cone: tuple[tuple[int, int, int], ...] = field(compare=False, repr=False)
+
+    @cached_property
+    def image(self) -> Point3:
+        *numerators, den = self.int_image
+        return tuple(Fraction(a, den) for a in numerators)
 
     def covers(self, vertex: Triple) -> bool:
         """Whether the basis behind this image is optimal at the weight
@@ -134,8 +142,8 @@ def find_extreme_image(p: Pblp, w: Triple, system: FeasibleSystem) -> ExtremeIma
         raise UnboundedScalarization(f"weighted sum unbounded at w = ({weight})")
     if result.status is LpStatus.INFEASIBLE:
         raise InfeasibleProblem("feasible set is empty")
-    image = p.image(*result.vertex)
-    return ExtremeImage(image=image, witness=result.x, cone=result.reduced)
+    image = integral_image(p.integer_costs, *result.vertex)
+    return ExtremeImage(int_image=image, witness=result.x, cone=result.reduced)
 
 
 def _below(vertex: Triple, y: IntImage, z: IntImage) -> bool:
@@ -151,21 +159,19 @@ def decompose(p: Pblp) -> Decomposition:
     problem and their components; p.case plays no part."""
     # Every weighted sum shares p's constraints: phase one runs once here.
     system = FeasibleSystem(_weighted_sum(p, (1, 1, 3)))
-    # Every solve's record, keyed by its integral image: each carries the
-    # cone of one basis that yields that image.
+    # Every solve's record, keyed by its int_image: each carries the cone
+    # of one basis that yields that image.
     found: dict[IntImage, list[ExtremeImage]] = {}
 
-    def solve_at(w: Triple) -> tuple[ExtremeImage, IntImage]:
+    def solve_at(w: Triple) -> ExtremeImage:
         entry = find_extreme_image(p, w, system)
-        image = integral_image(entry.image)
-        found.setdefault(image, []).append(entry)
-        return entry, image
+        found.setdefault(entry.int_image, []).append(entry)
+        return entry
 
-    entry, y = solve_at((1, 1, 3))  # the centroid
-    known, images = [entry], [y]
+    known = [solve_at((1, 1, 3))]  # the centroid
     # One LP certificate per distinct vertex, ever: its optimum's record
-    # and image (an index into discovered order is not stable).
-    cache: dict[Triple, tuple[ExtremeImage, IntImage]] = {}
+    # (an index into discovered order is not stable).
+    cache: dict[Triple, ExtremeImage] = {}
 
     # A new image adds one half-plane to each known component, so the
     # known polygons are clipped by it rather than rebuilt.  They tile the
@@ -173,7 +179,7 @@ def decompose(p: Pblp) -> Decomposition:
     # cuts off them: the hull of their points.  Clipping and the hull are
     # exact and ConvexPolygon2 canonical, so the tiling is the one that
     # component_vertices gives.
-    polygons = [component_vertices(y, images)]
+    polygons = [component_vertices(known[0].int_image, ())]
     # certified[i]: vertices that passed against known[i].  A pass depends
     # on the image and the vertex alone, so later rounds skip the pair and
     # find the same first failure, hence the same challenger.  A vertex in
@@ -182,14 +188,14 @@ def decompose(p: Pblp) -> Decomposition:
     certified: list[set[Triple]] = [set()]
     while True:
         challenger = None
-        for image, poly, done in zip(images, polygons, certified):
+        for entry, poly, done in zip(known, polygons, certified):
             for vertex in poly.triples:
                 if vertex in done:
                     continue
-                if not any(rec.covers(vertex) for rec in found[image]):
+                if not any(rec.covers(vertex) for rec in found[entry.int_image]):
                     if vertex not in cache:
                         cache[vertex] = solve_at(vertex)
-                    if _below(vertex, cache[vertex][1], image):
+                    if _below(vertex, cache[vertex].int_image, entry.int_image):
                         challenger = cache[vertex]
                         break
                 done.add(vertex)
@@ -197,16 +203,15 @@ def decompose(p: Pblp) -> Decomposition:
                 break
         if challenger is None:
             break
-        entry, y = challenger
-        if y in images:
-            raise InvariantViolation(f"tiling admitted known image {entry.image}")
+        y = challenger.int_image
+        if any(entry.int_image == y for entry in known):
+            raise InvariantViolation(f"tiling admitted known image {challenger.image}")
         splits = [
-            split_polygon(poly, competitor_halfplane(image, y))
-            for image, poly in zip(images, polygons)
+            split_polygon(poly, competitor_halfplane(entry.int_image, y))
+            for entry, poly in zip(known, polygons)
         ]
-        known.append(entry)
+        known.append(challenger)
         certified.append(set())
-        images.append(y)
         polygons = [kept for kept, _ in splits]
         polygons.append(convex_hull(point for _, cut in splits for point in cut))
 

@@ -2,6 +2,7 @@ import pathlib
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 
 import pytest
 
@@ -19,7 +20,6 @@ from pblp.lp_core import (
 from pblp.numerics import integer_row
 from pblp.oracle import _cone_rays
 from pblp.problem_model import system_lp
-from pblp.weight_geometry import integral_image
 
 INSTANCE_DIR = pathlib.Path(__file__).resolve().parent.parent / "instances"
 
@@ -40,11 +40,28 @@ def build_lp(objective, rows, rhs, senses) -> LinearProgram:
     )
 
 
-def bolp_objectives(b):
-    """The two objectives of the Bolp b as Fraction rows, each row of
-    b.integer_costs over its scale."""
-    rows, scale = b.integer_costs
+def bolp_objectives(costs):
+    """The two objectives that fix_lambda gives as costs = (rows, L),
+    as Fraction rows: each row over L."""
+    rows, scale = costs
     return tuple(tuple(Fraction(a, scale) for a in row) for row in rows)
+
+
+def cost_image(costs, x, den=1) -> tuple[Fraction, ...]:
+    """The reference Fraction image C x / den, for costs = (rows, L) as
+    Pblp.integer_costs and fix_lambda give them and x ints over den > 0,
+    as an LP vertex is held, or rationals with den 1: one dot product per
+    row over L * den."""
+    rows, scale = costs
+    return tuple(Fraction(sum(map(mul, row, x)), scale * den) for row in rows)
+
+
+def int_image(y) -> tuple[int, ...]:
+    """The rational image y as integer numerators over its least common
+    denominator D > 0, (Y..., D): the reduced ints that
+    problem_model.integral_image gives and ExtremeImage.int_image holds."""
+    numerators, den = integer_row(y)
+    return (*numerators, den)
 
 
 @dataclass(frozen=True)
@@ -270,7 +287,7 @@ def plane(a1, a2, rhs) -> HalfPlane:
 def component(y, others) -> ConvexPolygon2:
     """component_vertices of the image y against others, all Fraction
     triples."""
-    return component_vertices(integral_image(y), [integral_image(z) for z in others])
+    return component_vertices(int_image(y), [int_image(z) for z in others])
 
 
 def cross(o, a, b) -> Fraction:

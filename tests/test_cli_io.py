@@ -7,6 +7,7 @@ import random
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -20,10 +21,11 @@ from pblp import (
     extreme_nondominated_bruteforce,
     parse_problem,
     rat_parse,
+    simplex_triangle,
     sweep_lambda,
 )
 from pblp import cli_io
-from pblp.breakpoints import enumerate_breakpoints
+from pblp.breakpoints import enumerate_breakpoints, solve_on_decomposition
 from pblp.cli_io import (
     COMPUTE_ERROR,
     MISMATCH,
@@ -447,6 +449,55 @@ def test_cli_check_reports_mismatches(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert code == MISMATCH
     assert "MISMATCH" in err
+
+
+def test_cli_check_reports_every_kind_of_mismatch(monkeypatch, capsys):
+    """Tamper with both routes' results and make sure the check names
+    each disagreement and exits MISMATCH: the vertex route's intervals,
+    breakpoints and axis differ from the LP route's, and the LP route's
+    decomposition has components that overlap and do not sum to 1/2,
+    after more interval LP solves than two per image.  Its images are
+    left alone, so the vertex oracle still agrees."""
+    untampered = {}
+
+    def tampered_lp(p, method):
+        sol = enumerate_breakpoints(p, method)
+        dec = untampered["dec"] = sol.decomposition
+        whole = (simplex_triangle(),) * len(dec.components)
+        return replace(
+            sol,
+            decomposition=replace(dec, components=whole),
+            interval_lp_solves=2 * len(dec.images) + 1,
+        )
+
+    def tampered_vertex(p, dec, method):
+        sol = solve_on_decomposition(p, untampered["dec"], method)
+        return replace(
+            sol,
+            intervals=sol.intervals[::-1],
+            breakpoints=sol.breakpoints[:-1],
+            axis=sol.axis[:-1],
+        )
+
+    monkeypatch.setattr("pblp.cli_io.enumerate_breakpoints", tampered_lp)
+    monkeypatch.setattr("pblp.cli_io.solve_on_decomposition", tampered_vertex)
+    code = cli_main(["check", _instance("example1.pblp"), "--quiet"])
+    lines = capsys.readouterr().err.splitlines()
+    assert code == MISMATCH
+    assert all(line.startswith("MISMATCH: ") for line in lines)
+    heads = sorted(line.split(":")[1].strip() for line in lines)
+    overlaps = [
+        f"components {i} and {j} overlap with area 1/2"
+        for i in range(4) for j in range(i + 1, 4)
+    ]
+    assert heads == sorted([
+        "interval mismatch",
+        "breakpoint mismatch",
+        "axis segmentation mismatch between methods",
+        "component areas sum to 2, not 1/2",
+        *overlaps,
+        "interval LP solves 9 exceed 2*|images|=8",
+    ])
 
 
 @pytest.fixture

@@ -1250,6 +1250,22 @@ def test_dimension_mismatch_is_rejected():
         FeasibleSystem(lp).face((1,))
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("nonneg", (True,), "objective and domain lengths differ"),
+        ("rhs", (Fraction(1), Fraction(2)), "row, rhs and sense counts differ"),
+        ("senses", (), "row, rhs and sense counts differ"),
+        ("rows", ((Fraction(1),),), "row length differs from objective"),
+    ],
+)
+def test_a_misshapen_lp_is_a_dimension_mismatch(field, value, message):
+    """Each shape check of LinearProgram raises its own DimensionMismatch."""
+    lp = build_lp([1, 2], [[1, 1]], [1], ["<="])
+    with pytest.raises(DimensionMismatch, match=message):
+        replace(lp, **{field: value})
+
+
 def test_a_float_in_the_objective_is_a_typed_error():
     """Objectives reach integer_row as they are, so a float is refused
     there, not silently turned into a Fraction."""

@@ -19,13 +19,12 @@ from pblp import (
     sweep_lambda,
 )
 from pblp import lp_core, oracle
-from pblp.errors import TooLarge, UnboundedScalarization
+from pblp.errors import InfeasibleProblem, TooLarge, UnboundedScalarization
 from pblp.numerics import integer_row
 from pblp.problem_model import system_lp
-from pblp.weight_geometry import integral_image
 from conftest import (
     UnboundedFeasibleSet, VertexSet, basis_vertices, bolp_objectives, component,
-    load_instance, vertices_and_rays,
+    cost_image, int_image, load_instance, vertices_and_rays,
 )
 from instance_gen import degenerate_pblp, random_pblp
 
@@ -239,15 +238,15 @@ def test_the_image_oracle_runs_no_simplex(monkeypatch):
     def no_simplex(*args, **kwargs):
         raise RuntimeError("the vertex oracle ran the simplex")
 
-    bolp = fix_lambda(problems[0], F(0))
-    system = lp_core.FeasibleSystem(system_lp(bolp, bolp_objectives(bolp)[0]))
+    costs = fix_lambda(problems[0], F(0))
+    system = lp_core.FeasibleSystem(system_lp(problems[0], problems[0].c1))
     for module in (lp_core, oracle):
         for name in ("solve_lp", "solve_lex_lp", "FeasibleSystem"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, no_simplex)
     monkeypatch.setattr(lp_core, "_Tableau", no_simplex)
     with pytest.raises(RuntimeError, match="ran the simplex"):
-        dichotomic_bolp(bolp, system)
+        dichotomic_bolp(costs, system)
     assert [extreme_nondominated_bruteforce(p) for p in problems] == expected
 
 
@@ -282,7 +281,7 @@ def _unfiltered_extreme_images(p):
     """The image oracle without its Pareto filter: every vertex image's
     component is tested against all the others."""
     verts = vertices_and_rays(p.rows, p.rhs, p.senses, p.n)
-    images = sorted({p.image(x) for x in verts.vertices})
+    images = sorted({cost_image(p.integer_costs, x) for x in verts.vertices})
     return tuple(
         y
         for y in images
@@ -292,7 +291,7 @@ def _unfiltered_extreme_images(p):
 
 def _dominated_images(p):
     verts = vertices_and_rays(p.rows, p.rhs, p.senses, p.n)
-    images = {p.image(x) for x in verts.vertices}
+    images = {cost_image(p.integer_costs, x) for x in verts.vertices}
     return [
         y for y in images
         if any(z != y and all(a <= b for a, b in zip(z, y)) for z in images)
@@ -324,8 +323,8 @@ def test_pareto_filter_matches_the_all_pairs_definition():
             y for y in set(points)
             if not any(z != y and all(a <= b for a, b in zip(z, y)) for z in points)
         )
-        assert oracle._nondominated(map(integral_image, points)) == [
-            integral_image(y) for y in expected
+        assert oracle._nondominated(map(int_image, points)) == [
+            int_image(y) for y in expected
         ]
         repeats += len(set(points)) < len(points)
         ties += any(
@@ -349,10 +348,10 @@ def test_pareto_filter_orders_images_over_unequal_denominators():
             y for y in set(points)
             if not any(z != y and all(a <= b for a, b in zip(z, y)) for z in points)
         )
-        assert oracle._nondominated(map(integral_image, points)) == [
-            integral_image(y) for y in expected
+        assert oracle._nondominated(map(int_image, points)) == [
+            int_image(y) for y in expected
         ]
-        mixed += len({integral_image(y)[-1] for y in expected}) > 1
+        mixed += len({int_image(y)[-1] for y in expected}) > 1
     assert mixed > 100
 
 
@@ -390,39 +389,38 @@ def test_dichotomic_finds_both_corners_and_the_middle(example2):
 
 def test_dichotomic_on_a_three_point_front():
     # pentagon-ish region whose lower-left frontier has three corners
-    b = fix_lambda(
-        Pblp(
-            case=Case.ONE,
-            n=2,
-            rows=((F(1), F(2)), (F(2), F(1))),
-            rhs=(F(2), F(2)),
-            senses=(Sense.GE, Sense.GE),
-            c1=(F(1), F(0)),
-            c2=(F(0), F(1)),
-            d1=(F(1), F(1)),
-        ),
-        F(0),
+    p = Pblp(
+        case=Case.ONE,
+        n=2,
+        rows=((F(1), F(2)), (F(2), F(1))),
+        rhs=(F(2), F(2)),
+        senses=(Sense.GE, Sense.GE),
+        c1=(F(1), F(0)),
+        c2=(F(0), F(1)),
+        d1=(F(1), F(1)),
     )
-    system = FeasibleSystem(system_lp(b, bolp_objectives(b)[0]))
-    front = [y for y, _ in dichotomic_bolp(b, system)]
+    costs = fix_lambda(p, F(0))
+    system = FeasibleSystem(system_lp(p, p.c1))
+    front = [y for y, _ in dichotomic_bolp(costs, system)]
     assert front == [(F(0), F(2)), (F(2, 3), F(2, 3)), (F(2), F(0))]
-    for y, x in dichotomic_bolp(b, system):
-        assert b.image(*x) == y
+    for y, x in dichotomic_bolp(costs, system):
+        assert cost_image(costs, *x) == y
 
 
-def _fraction_dichotomic(bolp, system, extra_ties=()):
+def _fraction_dichotomic(costs, system, extra_ties=()):
     """The dichotomic search in Fractions: each vertex read through
     LpResult.x, images as Fraction dot products, the probe weight scaled
     to ints by integer_row and the "strictly below" test in Fractions."""
-    (f1, f2), _ = bolp.integer_costs
+    (f1, f2), _ = costs
     extra_ties = tuple(extra_ties)
 
     def lex(objective, ties):
-        return lp_core.solve_lex_lp(system_lp(bolp, objective), ties, system).x
+        lp = replace(system.lp, objective=tuple(objective))
+        return lp_core.solve_lex_lp(lp, ties, system).x
 
     def image(x):
         return tuple(
-            sum((c * v for c, v in zip(row, x)), F(0)) for row in bolp_objectives(bolp)
+            sum((c * v for c, v in zip(row, x)), F(0)) for row in bolp_objectives(costs)
         )
 
     xa, xb = lex(f1, (f2,) + extra_ties), lex(f2, (f1,) + extra_ties)
@@ -445,6 +443,31 @@ def _fraction_dichotomic(bolp, system, extra_ties=()):
     return tuple(sorted(found.items()))
 
 
+@pytest.mark.parametrize(
+    "error, rows, rhs, senses",
+    [
+        # min -x over x >= 1 at lambda = 0: the first corner is unbounded
+        (UnboundedScalarization, ((F(1),),), (F(1),), (Sense.GE,)),
+        # x >= 2 and x <= 1: the feasible set is empty
+        (InfeasibleProblem, ((F(1),), (F(1),)), (F(2), F(1)), (Sense.GE, Sense.LE)),
+    ],
+)
+def test_the_parametric_oracle_raises_typed_errors(error, rows, rhs, senses):
+    """A biobjective problem without a lexicographic optimum is a typed
+    PblpError, from dichotomic_bolp on its objectives and from the sweep
+    that calls it, never a result."""
+    p = Pblp(
+        case=Case.TWO, n=1, rows=rows, rhs=rhs, senses=senses,
+        c1=(F(-1),), c2=(F(0),), d1=(F(1),),
+    )
+    system = FeasibleSystem(system_lp(p, p.c1))
+    with pytest.raises(error):
+        dichotomic_bolp(fix_lambda(p, F(0)), system)
+    assert system.solves == 1
+    with pytest.raises(error):
+        sweep_lambda(p, F(1), 2)
+
+
 def test_integer_dichotomic_matches_the_fraction_reference():
     """dichotomic_bolp in homogeneous ints finds the images, witnesses
     and LP solve counts of the Fraction search, on the acceptance family
@@ -460,12 +483,12 @@ def test_integer_dichotomic_matches_the_fraction_reference():
             q = replace(p, case=case)
             ties, _ = q.integer_costs
             for lam in (F(0), F(1, 3), F(1), F(5, 2), F(7)):
-                bolp = fix_lambda(q, lam)
+                costs = fix_lambda(q, lam)
                 for extra in ((), ties):
                     system = FeasibleSystem(system_lp(q, q.c1))
                     reference = FeasibleSystem(system_lp(q, q.c1))
-                    got = dichotomic_bolp(bolp, system, extra)
-                    want = _fraction_dichotomic(bolp, reference, extra)
+                    got = dichotomic_bolp(costs, system, extra)
+                    want = _fraction_dichotomic(costs, reference, extra)
                     assert [y for y, _ in got] == [y for y, _ in want], (q, lam)
                     witnesses = [tuple(F(v, den) for v in x) for _, (x, den) in got]
                     assert witnesses == [x for _, x in want], (q, lam)

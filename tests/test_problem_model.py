@@ -23,10 +23,10 @@ from pblp import (
 )
 from pblp.errors import BadCase, DimensionMismatch, NegativeParameter
 from pblp.numerics import integer_row
-from pblp.problem_model import ge_form
+from pblp.problem_model import ge_form, integral_image
 from conftest import (
-    Weight2, Weight3, as_tuple, bolp_objectives, lambda_from_weight,
-    map_weight_to_simplex, project, w2, w3, ws_scalarize,
+    Weight2, Weight3, as_tuple, bolp_objectives, cost_image, int_image,
+    lambda_from_weight, map_weight_to_simplex, project, w2, w3, ws_scalarize,
 )
 
 F = Fraction
@@ -53,19 +53,44 @@ def test_dimension_checks_fire_on_bad_cost_rows():
         )
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("rhs", (F(1), F(2)), "row, rhs and sense counts differ"),
+        ("senses", (), "row, rhs and sense counts differ"),
+        ("rows", ((F(1),),), "constraint row width differs from n"),
+    ],
+)
+def test_dimension_checks_fire_on_bad_constraints(field, value, message):
+    """A system whose rows, right sides and senses do not line up, or a
+    row of the wrong width, is a DimensionMismatch on construction."""
+    good = dict(
+        case=Case.TWO, n=2, rows=((F(1), F(1)),), rhs=(F(1),), senses=(Sense.GE,),
+        c1=(F(1), F(0)), c2=(F(0), F(1)), d1=(F(1), F(1)),
+    )
+    Pblp(**good)
+    with pytest.raises(DimensionMismatch, match=message):
+        Pblp(**{**good, field: value})
+
+
 def test_triobjective_costs_stack_and_ignore_the_case(example2):
-    """cost_rows and image are those of min (c1.x, c2.x, d1.x), the
-    same for either case tag."""
+    """cost_rows, integer_costs and so the images are those of
+    min (c1.x, c2.x, d1.x), the same for either case tag."""
     other = replace(example2, case=Case.ONE)
     for p in (example2, other):
         assert p.cost_rows == (example2.c1, example2.c2, example2.d1)
-        assert p.image((F(0), F(5), F(5))) == (F(0), F(5), F(5))
+        assert p.integer_costs == example2.integer_costs
+        assert integral_image(p.integer_costs, (0, 5, 5), 1) == (0, 5, 5, 1)
+        assert cost_image(p.integer_costs, (F(0), F(5), F(5))) == (F(0), F(5), F(5))
 
 
 def test_images_match_the_fraction_dot_product():
-    """Pblp.image and Bolp.image work over integer cost rows and x over
-    one denominator; on seeded rational vectors, int rays with negative
-    entries and the zero vector they give the Fraction dot product."""
+    """integral_image works over integer cost rows and ints x over one
+    denominator, for Pblp.integer_costs and for the pair fix_lambda
+    gives; on seeded rational vectors, put over their lcm, int rays with
+    negative entries and the zero vector it gives the Fraction dot
+    product as reduced ints, and the reference cost_image gives it as
+    Fractions."""
     rng = random.Random(1405)
 
     def num():
@@ -86,11 +111,12 @@ def test_images_match_the_fraction_dot_product():
             (0,) * n,
             (F(0),) * n,
         ):
-            for record, rows in ((p, p.cost_rows), (b, bolp_objectives(b))):
-                image = record.image(x)
-                assert image == tuple(
-                    sum((c * v for c, v in zip(row, x)), F(0)) for row in rows
-                ), (record, x)
+            ints, den = integer_row(x)
+            for costs, rows in ((p.integer_costs, p.cost_rows), (b, bolp_objectives(b))):
+                want = tuple(sum((c * v for c, v in zip(row, x)), F(0)) for row in rows)
+                assert integral_image(costs, ints, den) == int_image(want), (p, x)
+                image = cost_image(costs, x)
+                assert image == want, (p, x)
                 assert all(type(v) is F for v in image)
 
 
@@ -106,11 +132,12 @@ _denominators = st.one_of(st.integers(1, 60), _huge.map(abs))
 
 @given(st.data())
 def test_image_of_an_integer_vertex_is_the_fraction_dot_product(data):
-    """Pblp.image and Bolp.image on a vertex as an LP leaves it, ints x
-    over den > 0, give the Fraction dot product of each cost row with
-    x / den, and Bolp.integral_image gives the same image as reduced
-    ints (Y1, Y2, D), D > 0; entries, denominators and costs are
-    negative, zero, small or of thousands of digits."""
+    """integral_image on a vertex as an LP leaves it, ints x over
+    den > 0, for Pblp.integer_costs and for the pair fix_lambda gives,
+    is the Fraction dot product of each cost row with x / den as reduced
+    ints (Y..., D), D > 0, and the reference cost_image is that product;
+    entries, denominators and costs are negative, zero, small or of
+    thousands of digits."""
     n = data.draw(st.integers(1, 4))
 
     def row():
@@ -124,20 +151,19 @@ def test_image_of_an_integer_vertex_is_the_fraction_dot_product(data):
     x = [data.draw(_entries) for _ in range(n)]
     den = data.draw(_denominators)
     point = [F(v, den) for v in x]
-    for record, rows in ((p, p.cost_rows), (b, bolp_objectives(b))):
-        assert record.image(x, den) == tuple(
-            sum((c * v for c, v in zip(cost, point)), F(0)) for cost in rows
-        )
-    y1, y2, d = b.integral_image(x, den)
-    assert d > 0 and gcd(y1, y2, d) == 1
-    assert (F(y1, d), F(y2, d)) == b.image(x, den)
+    for costs, rows in ((p.integer_costs, p.cost_rows), (b, bolp_objectives(b))):
+        want = tuple(sum((c * v for c, v in zip(cost, point)), F(0)) for cost in rows)
+        assert cost_image(costs, x, den) == want
+        *ys, d = integral_image(costs, x, den)
+        assert d > 0 and gcd(*ys, d) == 1
+        assert tuple(F(y, d) for y in ys) == want
 
 
 def test_integer_costs_put_every_row_over_one_scale(example1, example2, example2_case1):
     """A record keeps its costs once as ints, integer_costs = (rows, L):
     every row is over one L, the lcm of all its cost denominators, so
     row k over L is cost row k.  On the bundled three, on seeded
-    rational records and on their Bolp records at a few lambdas."""
+    rational records and on their fix_lambda pairs at a few lambdas."""
     rng = random.Random(2025)
 
     def costs(n):
@@ -162,14 +188,14 @@ def test_integer_costs_put_every_row_over_one_scale(example1, example2, example2
         check(p.integer_costs, p.cost_rows)
         for lam in (F(0), F(1, 3), F(5, 2), F(7)):
             b = fix_lambda(p, lam)
-            check(b.integer_costs, bolp_objectives(b))
+            check(b, bolp_objectives(b))
 
 
 def test_fix_lambda_matches_the_fraction_objectives():
     """fix_lambda builds its rows in ints from p.integer_costs; against
     c_k + lambda*s_k*d1 taken in Fractions here, its rows over its scale
-    are those objectives and integer_costs is integer_row of the two,
-    split into rows; the record hashes, as a frozen record should.  On
+    are those objectives and the pair is integer_row of the two, split
+    into rows; the pair hashes, as Pblp.integer_costs' parts do.  On
     the seeded records of the test above, in both cases."""
     rng = random.Random(2025)
 
@@ -190,7 +216,7 @@ def test_fix_lambda_matches_the_fraction_objectives():
                 ]
                 b = fix_lambda(p, lam)
                 assert bolp_objectives(b) == tuple(want), (p, lam)
-                rows, scale = b.integer_costs
+                rows, scale = b
                 assert ([*rows[0], *rows[1]], scale) == integer_row(
                     [*want[0], *want[1]]
                 ), (p, lam)
@@ -202,7 +228,8 @@ def test_fix_lambda_case_two_shifts_both_objectives(example2):
     f1, f2 = bolp_objectives(b)
     assert f1 == tuple(c + 2 * d for c, d in zip(example2.c1, example2.d1))
     assert f2 == tuple(c + 2 * d for c, d in zip(example2.c2, example2.d1))
-    assert b.image((F(0), F(5), F(5))) == (F(10), F(15))
+    assert cost_image(b, (F(0), F(5), F(5))) == (F(10), F(15))
+    assert integral_image(b, (0, 5, 5), 1) == (10, 15, 1)
 
 
 def test_fix_lambda_case_one_leaves_the_second_objective(example2_case1):
@@ -243,7 +270,7 @@ def test_scalarized_lex_solve_settles_the_tie(example2):
     w = w3(F(1, 5), F(3, 10), F(1, 2))
     res = solve_lex_lp(ws_scalarize(example2, w), ties=example2.cost_rows)
     assert res.value == F(4)
-    assert example2.image(res.x) == (F(0), F(5), F(5))
+    assert cost_image(example2.integer_costs, res.x) == (F(0), F(5), F(5))
 
 
 def test_weight_map_known_values():

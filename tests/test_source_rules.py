@@ -2,16 +2,17 @@
 never an assert (which python -O strips) and never a StopIteration
 from a next() without a default, and no float decides anything, so
 float() appears only in the lossy plot comments of
-cli_io.emit_plot_data.  The weight geometry, the problem records and
-the oracles compute in ints and build a Fraction only where a number
-leaves them: in weight_geometry only ConvexPolygon2.vertices and
-ConvexPolygon2.area, in problem_model only the Fraction images and the
-plotted lambda segments, and in oracle only the returned images and the
-lambda grid.  No state lives at module level: no module-level dict,
+cli_io.emit_plot_data.  The weight geometry, the problem records, the
+decomposition and the oracles compute in ints and build a Fraction only
+where a number leaves them: in weight_geometry only
+ConvexPolygon2.vertices and ConvexPolygon2.area, in problem_model only
+the plotted lambda segments, in wsd only an image's Fraction view and
+the weight an unbounded solve names, and in oracle only the returned
+images and the lambda grid.  No state lives at module level: no module-level dict,
 list or set but __all__, and no global statement.  Two modules also keep their
 layer: the vertex oracle shares no logic with the decomposition and the
 interval routes it cross-checks, and the weight geometry builds only on
-the problem records and the numerics.  A case is its share vector
+the problem records.  A case is its share vector
 Case.shares, so Case.ONE and Case.TWO are named only in Case itself,
 in the two interval routes and in the route pick that selects them.
 Every module but the package __init__ uses each name it imports, and
@@ -23,12 +24,13 @@ import pathlib
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "pblp"
 FLOAT_ALLOWED = {("cli_io", "emit_plot_data")}
-FRACTION_RULED = {"weight_geometry", "problem_model", "oracle"}
+FRACTION_RULED = {"weight_geometry", "problem_model", "wsd", "oracle"}
 FRACTION_ALLOWED = {
     ("weight_geometry", "ConvexPolygon2.vertices"),
     ("weight_geometry", "ConvexPolygon2.area"),
-    ("problem_model", "_CostRecord.image"),
     ("problem_model", "segment_for_lambda"),
+    ("wsd", "ExtremeImage.image"),
+    ("wsd", "find_extreme_image"),
     ("oracle", "extreme_nondominated_bruteforce"),
     ("oracle", "dichotomic_bolp"),
     ("oracle", "lambda_grid"),
@@ -38,7 +40,7 @@ MUTABLE_DISPLAYS = (
     ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp
 )
 IMPORTS_FORBIDDEN = {"oracle": {"wsd", "breakpoints"}}
-IMPORTS_ALLOWED = {"weight_geometry": {"problem_model", "numerics"}}
+IMPORTS_ALLOWED = {"weight_geometry": {"problem_model"}}
 CASE_NAMED = {
     ("problem_model", "Case"),
     ("breakpoints", "interval_lp_case1"),
@@ -139,9 +141,21 @@ def test_the_fraction_rule_sees_what_it_forbids(tmp_path):
         "weight_geometry.py:14: Fraction() call",
         "weight_geometry.py:16: Fraction() call",
     ]
-    elsewhere = tmp_path / "wsd.py"
+    elsewhere = tmp_path / "breakpoints.py"
     elsewhere.write_text(geometry.read_text())
     assert _violations(elsewhere) == []
+    wsd = tmp_path / "wsd.py"
+    wsd.write_text(
+        "from fractions import Fraction\n"
+        "class ExtremeImage:\n"
+        "    def image(self):\n"
+        "        return tuple(Fraction(a, self.den) for a in self.numerators)\n"
+        "def find_extreme_image(p, w):\n"
+        "    raise ValueError(str(Fraction(w[0], w[2])))\n"
+        "def decompose(p):\n"
+        "    return Fraction(1, 2)\n"
+    )
+    assert _violations(wsd) == ["wsd.py:8: Fraction() call"]
     oracle = tmp_path / "oracle.py"
     oracle.write_text(
         "from fractions import Fraction\n"
@@ -272,6 +286,7 @@ def test_the_layering_rule_sees_what_it_forbids(tmp_path):
         "from pblp import errors\n"
     )
     assert _layering_violations(geometry) == [
+        "weight_geometry.py:3: imports numerics",
         "weight_geometry.py:4: imports lp_core",
         "weight_geometry.py:5: imports errors",
     ]

@@ -22,7 +22,6 @@ from pblp.problem_model import ge_form
 from pblp.weight_geometry import (
     HalfPlane,
     convex_hull,
-    integral_image,
     intersect_polygons,
     split_polygon,
 )
@@ -30,6 +29,7 @@ from pblp.weight_geometry import (
 from conftest import (
     component,
     hull_of,
+    int_image,
     plane,
     plane_contains,
     plane_is_trivial,
@@ -396,7 +396,7 @@ def test_intersect_polygons_matches_a_fraction_clip_by_clip_reference():
 def test_component_halfplanes_known_values():
     y = (F(5), F(10), F(0))
     others = [(F(0), F(5), F(5)), (F(15), F(0), F(2))]
-    planes = component_halfplanes(integral_image(y), [integral_image(o) for o in others])
+    planes = component_halfplanes(int_image(y), [int_image(o) for o in others])
     competitor = [(hp.a1, hp.a2, hp.rhs) for hp in planes[:2]]
     assert competitor == [(F(10), F(10), F(5)), (F(-8), F(12), F(2))]
     # the list closes with the three simplex bounds
@@ -409,7 +409,7 @@ def test_component_halfplanes_known_values():
 
 def test_uniform_shift_gives_a_trivial_halfplane():
     y = (F(1), F(2), F(3))
-    planes = component_halfplanes(integral_image(y), [integral_image((F(2), F(3), F(4)))])
+    planes = component_halfplanes(int_image(y), [int_image((F(2), F(3), F(4)))])
     assert plane_is_trivial(planes[0])
     assert planes[0].rhs == 1  # 0 <= 1, satisfied everywhere
 

@@ -21,7 +21,9 @@ from pblp.cli_io import COMPUTE_ERROR, cli_main, emit_problem
 from pblp.errors import InfeasibleProblem, UnboundedScalarization
 from pblp.lp_core import FeasibleSystem, solve_lex_lp
 from pblp.problem_model import system_lp
-from conftest import Weight2, component, load_instance, w3, ws_scalarize
+from conftest import (
+    Weight2, component, cost_image, int_image, load_instance, w3, ws_scalarize,
+)
 from pblp.weight_geometry import (
     competitor_halfplane,
     component_vertices,
@@ -30,7 +32,7 @@ from pblp.weight_geometry import (
     simplex_triangle,
 )
 from pblp.wsd import Decomposition
-from instance_gen import random_bounded_system, random_cost, random_pblp
+from instance_gen import degenerate_pblp, random_bounded_system, random_cost, random_pblp
 
 F = Fraction
 
@@ -39,7 +41,8 @@ def test_find_extreme_image_at_an_interior_weight(example2):
     system = FeasibleSystem(system_lp(example2, example2.c1))
     entry = find_extreme_image(example2, (2, 3, 10), system)  # w = (1/5, 3/10, 1/2)
     assert entry.image == (F(0), F(5), F(5))
-    assert example2.image(entry.witness) == entry.image
+    assert entry.int_image == (0, 5, 5, 1)
+    assert cost_image(example2.integer_costs, entry.witness) == entry.image
 
 
 def test_find_extreme_image_on_unbounded_scalarization():
@@ -120,7 +123,7 @@ def test_decompose_example2_frozen(example2):
     }
     for entry, poly in zip(dec.images, dec.components):
         assert poly.vertices == expected[entry.image]
-        assert example2.image(entry.witness) == entry.image
+        assert cost_image(example2.integer_costs, entry.witness) == entry.image
     assert sum(p.area() for p in dec.components) == F(1, 2)
 
 
@@ -152,16 +155,22 @@ def test_components_tile_without_overlap(example1):
 
 
 def test_decompose_random_instances_agree_with_the_oracle():
-    """A seeded mini-batch; the large batch lives in the acceptance
-    suite.  Images must match the brute-force set exactly and the
-    components must tile the simplex."""
-    rng = random.Random(11)
-    for trial in range(12):
-        case = Case.ONE if trial % 2 == 0 else Case.TWO
-        p = random_pblp(rng, case)
+    """A seeded mini-batch of the acceptance family and of the
+    degenerate family; the large batch lives in the acceptance suite.
+    Images must match the brute-force set exactly and the components
+    must tile the simplex.  Each record holds its image once, as ints:
+    they must be the reduction of its Fraction image, which must be its
+    witness's image under the cost rows."""
+    rng, degenerate_rng = random.Random(11), random.Random(7)
+    problems = [random_pblp(rng, (Case.ONE, Case.TWO)[i % 2]) for i in range(12)]
+    problems += [degenerate_pblp(degenerate_rng, Case.ONE) for _ in range(12)]
+    for p in problems:
         dec = decompose(p)
         assert dec.image_points() == extreme_nondominated_bruteforce(p)
         assert sum(poly.area() for poly in dec.components) == F(1, 2)
+        for entry in dec.images:
+            assert entry.int_image == int_image(entry.image), p
+            assert cost_image(p.integer_costs, entry.witness) == entry.image, p
 
 
 def test_decompose_agrees_with_the_oracle_on_larger_systems():
@@ -446,7 +455,7 @@ def test_integer_certificates_match_the_fraction_weighted_sum():
                     price=p.integer_costs[0],
                 )
                 assert (got.image, got.witness, got.cone) == (
-                    p.image(ref.x), ref.x, ref.reduced
+                    cost_image(p.integer_costs, ref.x), ref.x, ref.reduced
                 ), (p, triple)
                 rest = 1 - w1 - w2
                 for entry in dec.images + (got,):
