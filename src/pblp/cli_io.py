@@ -390,7 +390,7 @@ def run_check(p: Pblp, out=None) -> list[str]:
 
 def _read_problem(path: str) -> Pblp:
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8-sig") as handle:  # drops a BOM
             text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:  # a bad byte is a ValueError
         raise ParseError(f"cannot read {path}: {exc}")

@@ -81,7 +81,6 @@ min c.x  s.t. rows (sense) rhs, x >= 0:
 
 from __future__ import annotations
 
-from bisect import bisect
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -267,21 +266,19 @@ def solve_square(rows: list[list[int]]) -> list[Fraction] | None:
 
 
 def _pivoted(
-    row: list[int], k: int, at: int, prow: list[int], p: int, det: int, sign: int
+    row: list[int], k: int, prow: list[int], p: int, det: int, sign: int
 ) -> list[int]:
     """row after a pivot on entry k of prow, p = |prow[k]| (see
     _Tableau._pivot): (row * p - row[k] * prow) / det, exact by
     Sylvester's identity since each entry stays a minor of the starting
-    integer system, with the entering label's entry at k replaced by the
-    leaving label's, -sign * row[k], at position at.  A row with
-    row[k] = 0 is only rescaled, in place when p = det."""
+    integer system; slot k passes to the leaving label, at -sign *
+    row[k].  A row with row[k] = 0 is only rescaled, unchanged if p = det."""
     f = row[k]
     if f:
         row = [(a * p - f * q) // det for a, q in zip(row, prow)]
+        row[k] = -sign * f
     elif p != det:
         row = [a * p // det for a in row]
-    del row[k]
-    row.insert(at, -sign * f)
     return row
 
 
@@ -290,16 +287,16 @@ class _Tableau:
 
     A label is a standard-form column index: the variables, then one
     slack per inequality row, then phase one's artificials.  basis holds
-    the basic label of each row and nonbasic the other labels, in label
-    order; each basic label keeps one row over the nonbasic labels only,
-    its row of B^-1 A, since every basic column is a unit vector, with
-    its right side as the last entry, as in lrs.  Fraction-free: rows
-    hold ints over one positive common denominator det, so the true
-    dictionary and right side are rows/det.  d is the kept reduced-cost
-    row of the current simplex run's cost, det times the true one at
-    each nonbasic position (see _reduced_row), or None outside a run's
-    reach: a new tableau or a copy has none.  Until phase one installs
-    a basis, every label < num_cols is nonbasic.  A face (see
+    the basic label of each row and nonbasic the label in each slot, in
+    no set order (see _pivot); each basic label keeps one row over the
+    slots only, its row of B^-1 A, since every basic column is a unit
+    vector, with its right side as the last entry, as in lrs.
+    Fraction-free: rows hold ints over one positive common denominator
+    det, so the true dictionary and right side are rows/det.  d is the
+    kept reduced-cost row of the current simplex run's cost, det times
+    the true one in each slot (see _reduced_row), or None outside a
+    run's reach: a new tableau or a copy has none.  Until phase one
+    installs a basis, every label < num_cols is nonbasic.  A face (see
     FeasibleSystem.face) drops nonbasic labels.  dantzig selects the
     pivot rule (see _simplex).
     """
@@ -374,17 +371,14 @@ class _Tableau:
         and the kept row d become (row * p - row[col] * pivot row) / det
         and det becomes p (see _pivoted); d, which has no right side,
         stops where it does.  A negative p flips the sign of row r, so
-        det stays positive.  The leaving column was det times a unit
-        vector, so its new entries follow without arithmetic: -row[col]
-        in every other row and det in row r, both negated when p < 0.  It
-        moves to its place in label order.
+        det stays positive.  The leaving label takes the entering label's
+        slot.  Its column was det times a unit vector, so its new entries
+        follow without arithmetic: -row[col] in every other row and det
+        in row r, both negated when p < 0.
         """
         rows, det, nonbasic = self.rows, self.det, self.nonbasic
         k = nonbasic.index(col)
-        leaving = self.basis[r]
-        del nonbasic[k]
-        at = bisect(nonbasic, leaving)
-        nonbasic.insert(at, leaving)
+        nonbasic[k] = self.basis[r]
         prow = rows[r]
         p, sign = prow[k], 1
         if p < 0:
@@ -392,17 +386,16 @@ class _Tableau:
             prow = rows[r] = [-a for a in prow]
         for i, row in enumerate(rows):
             if i != r:
-                rows[i] = _pivoted(row, k, at, prow, p, det, sign)
+                rows[i] = _pivoted(row, k, prow, p, det, sign)
         if self.d is not None:
-            self.d = _pivoted(self.d, k, at, prow, p, det, sign)
-        del prow[k]
-        prow.insert(at, sign * det)
+            self.d = _pivoted(self.d, k, prow, p, det, sign)
+        prow[k] = sign * det
         self.det = p
         self.basis[r] = col
 
     def _reduced_row(self, cost: list[int]) -> list[int]:
-        """det times the reduced cost of each nonbasic label, in label
-        order: cost[j] * det - sum_i cost[basis_i] * rows[i][k] for
+        """det times the reduced cost of the label in each slot:
+        cost[j] * det - sum_i cost[basis_i] * rows[i][k] for
         j = nonbasic[k].
 
         cost is integer (see _column_cost) and det positive, so each
@@ -421,22 +414,24 @@ class _Tableau:
         """Minimize cost.z; banned labels never enter.
 
         The kept row d is built here once and updated by each pivot, so
-        pricing reads it.  Bland's rule enters the first nonbasic label,
-        in label order, of negative reduced cost.  With dantzig set, the
-        label of most negative d, every entry over one det, enters, the
-        lowest on ties, until _DEGENERATE_RUN degenerate pivots in a row
-        hand the rest of the run to Bland's rule, which cannot cycle.
+        pricing reads it: of the labels of negative d, the one of least
+        key enters, and keys read labels, not slots.  Bland's key is the
+        label; with dantzig set it is (d, label), every d over one det,
+        until _DEGENERATE_RUN degenerate pivots in a row hand the rest of
+        the run to Bland's key, which cannot cycle.
         """
         rows, basis, nonbasic = self.rows, self.basis, self.nonbasic
         self.d = self._reduced_row(cost)
         bland, stalled = not self.dantzig, 0
         while True:
-            k, least = -1, 0
-            for j, reduced in enumerate(self.d):
-                if reduced < least and nonbasic[j] not in banned:
-                    k, least = j, reduced
-                    if bland:
-                        break
+            k = best = -1
+            for slot, reduced in enumerate(self.d):
+                if reduced < 0:
+                    j = nonbasic[slot]
+                    if j not in banned:
+                        key = j if bland else (reduced, j)
+                        if k < 0 or key < best:
+                            k, best = slot, key
             if k < 0:
                 return LpStatus.OPTIMAL
             # Minimum ratio of right side to a over a > 0, compared
@@ -525,9 +520,9 @@ class _Tableau:
         for i, row in enumerate(self.rows):
             if self.basis[i] < self.num_cols:
                 continue
-            pivot_col = next(
+            pivot_col = min(
                 (j for j, a in zip(self.nonbasic, row) if a and j < self.num_cols),
-                None,
+                default=None,
             )
             if pivot_col is None:
                 raise InvariantViolation("an artificial row has no pivot column")
@@ -553,10 +548,10 @@ class _Tableau:
 
     def reduced_costs(self, objectives) -> tuple[tuple[int, ...], ...]:
         """LpResult.reduced at this basis for objectives, int rows over
-        one common positive scale L: _reduced_row gives each over det *
-        L.  Nothing is banned: every nonbasic label, slack or
-        structural, bounds the cone.  Raises NotRational on an entry
-        that is no int.
+        one common positive scale L, in label order: _reduced_row gives
+        each over det * L.  Nothing is banned: every nonbasic label,
+        slack or structural, bounds the cone.  Raises NotRational on an
+        entry that is no int.
         """
         priced = []
         for objective in objectives:
@@ -564,7 +559,8 @@ class _Tableau:
                 raise NotRational("priced objectives must be int rows")
             pad = [0] * (self.num_cols - len(objective))
             priced.append(self._reduced_row([*objective, *pad]))
-        return tuple(entry for entry in zip(*priced) if any(entry))
+        by_label = sorted(zip(self.nonbasic, zip(*priced)))
+        return tuple(entry for _, entry in by_label if any(entry))
 
     def phase_two(self, objectives) -> tuple[int, int] | None:
         """Lexicographic minimum of objectives in order, on this tableau:
@@ -674,13 +670,12 @@ class FeasibleSystem:
         At the optimal basis each nonbasic label of positive reduced
         cost is zero on the whole face (see _Tableau._ban_optimal_face),
         so the face drops it; the kept row of the minimization tells
-        which.  The rest keep their label order, so the pivot rule and
-        the ratio test's ties take the pivots of a full tableau with the
-        dropped labels banned; no row is added and det stays.  The face
-        keeps lp and value_only, so the same LPs are accepted on it, on
-        another pivot path than a plain solve's: one may end on another
-        optimal vertex of the same value.  A face that drops a label
-        prices nothing.
+        which.  Pricing and the ratio test's ties read labels, not slots,
+        so they take the pivots of a full tableau with the dropped labels
+        banned; no row is added and det stays.  The face keeps lp and
+        value_only, so the same LPs are accepted on it, on another pivot
+        path than a plain solve's: one may end on another optimal vertex
+        of the same value.  A face that drops a label prices nothing.
         """
         if len(objective) != self.lp.num_vars:
             raise DimensionMismatch("face objective length differs")

@@ -304,6 +304,21 @@ def test_cli_quiet_stdout_matches_the_golden_file(instance, command, capsys):
     assert out == (GOLDEN_DIR / f"{instance}.{command}.out").read_text()
 
 
+@pytest.mark.parametrize("instance", ["example1", "example2", "example2_case1"])
+def test_cli_reads_a_file_that_starts_with_a_byte_order_mark(
+    instance, tmp_path, capsys
+):
+    """Editors on some systems write UTF-8 with a byte-order mark: a
+    bundled instance behind one gives every command's golden --quiet
+    stdout."""
+    marked = tmp_path / f"{instance}.pblp"
+    marked.write_bytes(b"\xef\xbb\xbf" + (INSTANCE_DIR / marked.name).read_bytes())
+    for command, argv in GOLDEN_COMMANDS.items():
+        assert cli_main(argv + [str(marked), "--quiet"]) == 0, command
+        out, err = capsys.readouterr()
+        assert (out, err) == ((GOLDEN_DIR / f"{instance}.{command}.out").read_text(), "")
+
+
 @pytest.mark.parametrize("command", sorted(GOLDEN_COMMANDS))
 def test_cli_stdout_is_the_same_under_python_O(command):
     """python -O strips asserts; the package keeps none, so every
@@ -364,7 +379,9 @@ def test_cli_exit_codes_for_bad_input(tmp_path, capsys):
     binary.write_bytes(b"\xff\xfe")
     one_byte = tmp_path / "one_byte.pblp"
     one_byte.write_bytes(MINIMAL.replace("d1: 1 1", "d1: 1 \xff1").encode("latin-1"))
-    for path in (binary, one_byte):
+    marked = tmp_path / "marked.pblp"  # a byte-order mark, then a bad byte
+    marked.write_bytes(b"\xef\xbb\xbf" + one_byte.read_bytes())
+    for path in (binary, one_byte, marked):
         assert cli_main(["solve", str(path)]) == PARSE_ERROR, path
         out, err = capsys.readouterr()
         assert out == "" and "can't decode" in err, path

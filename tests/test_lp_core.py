@@ -3,6 +3,7 @@
 import random
 from dataclasses import replace
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -338,14 +339,17 @@ def _gauss_jordan(aug):
     return [row[m] for row in aug]
 
 
-def _fraction_reference(lp, ties):
+def _fraction_reference(lp, ties, price):
     """Two-phase simplex on a Fraction tableau, normalized after every
     pivot: the textbook form of the engine's algorithm.  It takes the
     same decisions in the same order (column layout, rank reduction,
     phase-one start, Bland's rule, ratio-test ties, stage bans), so the
     engine must reproduce its pivot path exactly.  Returns (status, x,
-    value, dual, basis); basis is None when the rank reduction already
-    proves infeasibility, and dual is set on optimal plain solves only.
+    value, dual, basis, reduced); basis is None when the rank reduction
+    already proves infeasibility, dual is set on optimal plain solves
+    only, and reduced on optimal solves: one tuple per nonbasic column,
+    in label order, of the reduced costs of the price rows there,
+    unless all are zero.
     """
     zero, one = Fraction(0), Fraction(1)
     cols = lp.num_vars
@@ -373,7 +377,7 @@ def _fraction_reference(lp, ties):
         pc = next((j for j in range(n) if work[j] != 0), None)
         if pc is None:
             if work[-1] != 0:
-                return LpStatus.INFEASIBLE, None, None, None, None
+                return LpStatus.INFEASIBLE, None, None, None, None, None
             continue
         elims.append([a / work[pc] for a in work])
         piv_cols.append(pc)
@@ -419,7 +423,7 @@ def _fraction_reference(lp, ties):
     if arts:
         simplex([zero] * n + [one] * len(arts), set())
         if any(tab[i][-1] != 0 for i in range(m) if basis[i] in arts):
-            return LpStatus.INFEASIBLE, None, None, None, basis
+            return LpStatus.INFEASIBLE, None, None, None, basis, None
         for i in range(m):
             if basis[i] in arts:
                 pivot(i, next(j for j in range(n) if tab[i][j] != 0))
@@ -432,7 +436,7 @@ def _fraction_reference(lp, ties):
             banned.update(j for j, red in priced(cost, banned) if red > 0)
         cost = column_cost(objective)
         if simplex(cost, banned) is LpStatus.UNBOUNDED:
-            return LpStatus.UNBOUNDED, None, None, None, basis
+            return LpStatus.UNBOUNDED, None, None, None, basis, None
     z = [zero] * n
     for i, col in enumerate(basis):
         z[col] = tab[i][-1]
@@ -447,7 +451,12 @@ def _fraction_reference(lp, ties):
         for i, yi in zip(keep, y):
             dual[i] = sign[i] * yi
         dual = tuple(dual)
-    return LpStatus.OPTIMAL, x, value, dual, basis
+    by_row = [dict(priced(column_cost(row), set())) for row in price]
+    reduced = tuple(
+        entry for j in range(n) if j not in basis
+        for entry in [tuple(red[j] for red in by_row)] if any(entry)
+    )
+    return LpStatus.OPTIMAL, x, value, dual, basis, reduced
 
 
 def _random_fractional_case(rng):
@@ -498,18 +507,18 @@ def _random_fractional_case(rng):
 
 def _assert_fraction_free(tab, infeasible=False, face=False):
     """tab is an integer dictionary over a positive det: one int row per
-    basic label over its nonbasic labels, which are in label order and
-    disjoint from the basic ones, then its right side.  Every right side
-    is >= 0: the set-up makes it so, and the ratio test keeps it, so once
-    phase one has succeeded the dictionary is primal feasible.  Unless
-    phase one found tab infeasible no artificial label is left, and
-    unless tab is a face, which drops labels, every label < num_cols is
-    basic or nonbasic."""
+    basic label over its nonbasic labels, which are distinct, in any
+    slot order, and disjoint from the basic ones, then its right side.
+    Every right side is >= 0: the set-up makes it so, and the ratio test
+    keeps it, so once phase one has succeeded the dictionary is primal
+    feasible.  Unless phase one found tab infeasible no artificial label
+    is left, and unless tab is a face, which drops labels, every label
+    < num_cols is basic or nonbasic."""
     assert type(tab.det) is int and tab.det > 0
     assert all(len(row) == len(tab.nonbasic) + 1 for row in tab.rows)
     assert all(type(a) is int for row in tab.rows for a in row)
     assert all(row[-1] >= 0 for row in tab.rows)
-    assert tab.nonbasic == sorted(tab.nonbasic)
+    assert len(set(tab.nonbasic)) == len(tab.nonbasic)
     assert not set(tab.basis) & set(tab.nonbasic)
     labels = set(tab.basis) | set(tab.nonbasic)
     if not infeasible:
@@ -522,24 +531,38 @@ def _label_count(tab):
     return len(tab.basis) + len(tab.nonbasic)
 
 
+def _primitive(reduced):
+    """The entries of reduced tuples, in order, over their gcd: tuples
+    that differ by one positive common factor come out equal."""
+    if reduced is None:
+        return None
+    flat, _ = integer_row([v for entry in reduced for v in entry])
+    common = gcd(*flat) or 1
+    return len(reduced), [v // common for v in flat]
+
+
 def test_integer_tableau_matches_a_fraction_reference():
     """Seeded oracle for the fraction-free tableau: on LPs with
     fractional data it must take the pivot path of a plain Fraction
-    tableau, so status, x, value, duals and the final basis agree, and
-    every entry stays an int over a positive det."""
+    tableau, so status, x, value, duals, the final basis and the reduced
+    costs of the objective and ties, in label order and up to their
+    positive common scale, agree, and every entry stays an int over a
+    positive det."""
     rng = random.Random(1968)
     seen = {status: 0 for status in LpStatus}
     seen.update(redundant=0, contradictory=0, ties=0, negative_rhs=0, det=0)
     for _ in range(500):
         lp, ties, kinds = _random_fractional_case(rng)
-        want_status, want_x, want_value, want_dual, want_basis = _fraction_reference(
-            lp, ties
+        price = _over_one_scale((lp.objective, *ties))
+        want_status, want_x, want_value, want_dual, want_basis, want_reduced = (
+            _fraction_reference(lp, ties, price)
         )
-        got = solve_lp(lp, ties)
+        got = solve_lp(lp, ties, price=price)
         assert (got.status, got.x, got.value) == (want_status, want_x, want_value), (
             lp, ties,
         )
         assert got.dual == want_dual, (lp, ties)
+        assert _primitive(got.reduced) == _primitive(want_reduced), (lp, ties)
         tab = lp_core._Tableau(lp)
         _assert_fraction_free(tab)
         seen["det"] += tab.det > 1
@@ -1166,6 +1189,75 @@ def test_value_only_solves_and_faces_match_plain_ones():
             ref = solve_lp(on_face, system=want_face)
             assert (res.status, res.value) == (ref.status, ref.value), (lp, f, g)
             assert res.x is None
+    assert all(count >= 20 for count in seen.values()), seen
+
+
+def _shuffle_slots(tab, rng):
+    """Permute tab's slots in place: nonbasic, the entries of every row
+    before its right side, and d, all by one permutation."""
+    order = list(range(len(tab.nonbasic)))
+    rng.shuffle(order)
+    tab.nonbasic[:] = [tab.nonbasic[k] for k in order]
+    for row in tab.rows:
+        row[:-1] = [row[k] for k in order]
+    if tab.d is not None:
+        tab.d[:] = [tab.d[k] for k in order]
+
+
+def test_slot_order_changes_no_pivot_or_result(monkeypatch):
+    """Seeded metamorphic check: pricing and the drive-out of phase one
+    read labels, not slots.  Shuffling a tableau's slots before and
+    after every simplex run, so before phase one's drive-out, before
+    each stage of phase two and before the reduced costs are read,
+    changes no pivot, status, vertex, value, dual or reduced, on plain
+    solves and on value-only systems, which price by Dantzig's rule,
+    and on their faces.  Drive-outs and Dantzig ties both occur."""
+    pivot, simplex = lp_core._Tableau._pivot, lp_core._Tableau._simplex
+    shuffle = random.Random(1977)
+    state = dict(on=False, banned=None)
+    pivots = []
+    seen = dict(drive_out=0, dantzig_ties=0, faces=0)
+
+    def recording_pivot(self, r, col):
+        pivots.append((r, col))
+        if state["on"] and self.d is None:
+            seen["drive_out"] += 1
+        elif state["on"] and self.dantzig:
+            eligible = [
+                v for j, v in zip(self.nonbasic, self.d)
+                if v < 0 and j not in state["banned"]
+            ]
+            seen["dantzig_ties"] += eligible.count(min(eligible)) > 1
+        pivot(self, r, col)
+
+    def shuffling_simplex(self, cost, banned):
+        state["banned"] = banned
+        if state["on"]:
+            _shuffle_slots(self, shuffle)
+        status = simplex(self, cost, banned)
+        if state["on"]:
+            _shuffle_slots(self, shuffle)
+        return status
+
+    def run(lp, ties, price, value_only, shuffled):
+        state["on"] = shuffled
+        pivots.clear()
+        system = FeasibleSystem(lp, value_only=value_only)
+        out = [solve_lp(lp, ties, system, () if value_only else price)]
+        value, face = system.face(ties[0] if ties else lp.objective)
+        if face is not None:
+            seen["faces"] += shuffled
+            out += [value, solve_lp(replace(lp, objective=price[-1]), system=face)]
+        return out, pivots[:]
+
+    monkeypatch.setattr(lp_core._Tableau, "_pivot", recording_pivot)
+    monkeypatch.setattr(lp_core._Tableau, "_simplex", shuffling_simplex)
+    rng = random.Random(1983)
+    for _ in range(600):
+        lp, ties, price, _ = _lex_equivalence_case(rng)
+        for value_only in (False, True):
+            want = run(lp, ties, price, value_only, shuffled=False)
+            assert run(lp, ties, price, value_only, shuffled=True) == want, (lp, ties)
     assert all(count >= 20 for count in seen.values()), seen
 
 
