@@ -43,6 +43,11 @@ class EmptyComponent(PblpError):
     not extreme nondominated."""
 
 
+class DegenerateOperands(PblpError):
+    """Two polygons to intersect are both points or segments, so
+    neither one's edges bound the region to clip the other by."""
+
+
 class NoFiniteVertex(PblpError):
     """Every vertex of the component maps to an infinite or undefined
     parameter value, so no finite interval bound exists."""

@@ -14,15 +14,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 
 from .errors import InfeasibleProblem, TooLarge, UnboundedScalarization
 from .lp_core import FeasibleSystem, LinearProgram, LpStatus, Sense, solve_lex_lp
 from .numerics import integer_row
 from .problem_model import Pblp, fix_lambda, integral_image, system_lp
-from .weight_geometry import IntImage, Point3, component_vertices
+from .weight_geometry import (
+    IntImage, Point3, clip_polygon, competitor_halfplane, simplex_triangle,
+)
 
 __all__ = [
     "SweepReport",
@@ -129,25 +130,36 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _by_value(y: IntImage, z: IntImage) -> int:
-    """-1, 0 or 1 as the image y is lexicographically below, equal to
-    or above z, compared in ints: y's numerators times z's denominator
-    against z's numerators times y's."""
-    left = tuple(a * z[-1] for a in y[:-1])
-    right = tuple(b * y[-1] for b in z[:-1])
-    return (left > right) - (left < right)
-
-
 def _nondominated(images) -> list[IntImage]:
     """The distinct images, reduced ints (Y..., D) as integral_image
-    gives them, that no other one dominates, sorted by value.  A
-    dominator is lexicographically smaller and dominance is transitive,
-    so each image is compared only with those already kept."""
-    kept: list[IntImage] = []
-    for y in sorted(set(images), key=cmp_to_key(_by_value)):
-        if not any(all(a * y[-1] <= b * z[-1] for a, b in zip(z, y[:-1])) for z in kept):
-            kept.append(y)
-    return kept
+    gives them, that no other one dominates, sorted by value.  Over one
+    common denominator the numerators are the values, so they are both
+    the sort key and what the dominance test compares.  A dominator is
+    lexicographically smaller and dominance is transitive, so each image
+    is compared only with those already kept."""
+    images = set(images)
+    scale = lcm(*(y[-1] for y in images))
+    kept = []  # (values, image)
+    for values, y in sorted(
+        (tuple(a * (scale // y[-1]) for a in y[:-1]), y) for y in images
+    ):
+        if not any(all(a <= b for a, b in zip(z, values)) for z, _ in kept):
+            kept.append((values, y))
+    return [y for _, y in kept]
+
+
+def _has_full_component(y: IntImage, images) -> bool:
+    """Whether the component of y against images, as component_vertices
+    gives it, has positive area.  The simplex triangle is clipped by the
+    competitor half-planes alone, as its own bounds cut nothing from it,
+    and the first clip that leaves a point or a segment ends the test."""
+    poly = simplex_triangle()
+    for other in images:
+        if other != y:
+            poly = clip_polygon(poly, competitor_halfplane(y, other))
+            if len(poly.triples) < 3:
+                return False
+    return True
 
 
 def extreme_nondominated_bruteforce(p: Pblp) -> tuple[Point3, ...]:
@@ -163,7 +175,9 @@ def extreme_nondominated_bruteforce(p: Pblp) -> tuple[Point3, ...]:
     images.  Map the vertices through the cost rows, in reduced ints
     until the images are returned as Fractions, drop every image
     that another one dominates componentwise, and keep the images whose
-    component against the remaining list has positive area.  The Pareto
+    component against the remaining list has positive area
+    (_has_full_component, which stops at the first clip that leaves a
+    point or a segment).  The Pareto
     filter changes no result: with w >= 0 a dominated image's component
     lies in the simplex boundary (zero area), and its half-plane
     w.x <= w.y is implied by its dominator z's, w.x <= w.z <= w.y, so it
@@ -178,7 +192,7 @@ def extreme_nondominated_bruteforce(p: Pblp) -> tuple[Point3, ...]:
     return tuple(
         tuple(Fraction(a, y[-1]) for a in y[:-1])
         for y in pareto
-        if component_vertices(y, pareto).area() > 0
+        if _has_full_component(y, pareto)
     )
 
 

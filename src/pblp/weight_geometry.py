@@ -11,8 +11,12 @@ denominator.  On top of that: half-plane clipping that also returns the
 points spanning the piece cut off, canonical convex polygons, the convex
 hull of a point set, shoelace areas, and the lifted H-representation of
 a component over (v, w), in the row layout the LP-based interval method
-solves.  Fractions are built only for callers that read them: a
-polygon's vertices and its area.
+solves.  A proper cut and a hull come out canonical as built; only a
+cut that leaves a point or a segment, or one of a degenerate polygon,
+takes the separate canonicalizing pass.  A canonical polygon is
+full-dimensional exactly when it has three or more vertices.  Fractions
+are built only for callers that read them: a polygon's vertices and its
+area.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from fractions import Fraction
 from functools import cached_property, cmp_to_key
 from math import gcd, lcm
 
+from .errors import DegenerateOperands
 from .problem_model import Pblp, ge_form
 
 Point2 = tuple[Fraction, Fraction]
@@ -109,22 +114,30 @@ def simplex_triangle() -> ConvexPolygon2:
     return ConvexPolygon2(((0, 0, 1), (1, 0, 1), (0, 1, 1)))
 
 
+def _corners(pts: list[Triple]) -> list[Triple]:
+    """The points where a closed walk of distinct points turns: those
+    whose 3x3 determinant with their two neighbours does not vanish."""
+    count = len(pts)
+    return [p for i, p in enumerate(pts) if _det3(pts[i - 1], p, pts[(i + 1) % count]) != 0]
+
+
+def _from_smallest(hull: list[Triple]) -> ConvexPolygon2:
+    """The polygon whose vertices hull walks, rotated to its smallest."""
+    start = hull.index(min(hull, key=_lex))
+    return ConvexPolygon2(tuple(hull[start:] + hull[:start]))
+
+
 def _canonical(out: list[Triple]) -> ConvexPolygon2:
     """The canonical polygon whose boundary out walks counterclockwise:
-    drop repeated triples and collinear ones, whose 3x3 determinant
-    vanishes, and rotate to the smallest vertex.  Fewer than three
-    points left give a sorted point or segment."""
+    drop repeated triples and collinear ones, and rotate to the smallest
+    vertex.  Fewer than three points left give a sorted point or
+    segment."""
     pts = [p for i, p in enumerate(out) if p != out[i - 1]] or out[:1]
-    count = len(pts)
-    hull = [
-        p for i, p in enumerate(pts)
-        if _det3(pts[i - 1], p, pts[(i + 1) % count]) != 0
-    ]
+    hull = _corners(pts)
     if len(hull) < 3:  # a point or a segment: its sorted extremes
         low, high = min(pts, key=_lex), max(pts, key=_lex)
         return ConvexPolygon2((low,) if low == high else (low, high))
-    start = hull.index(min(hull, key=_lex))
-    return ConvexPolygon2(tuple(hull[start:] + hull[:start]))
+    return _from_smallest(hull)
 
 
 def split_polygon(
@@ -136,10 +149,20 @@ def split_polygon(
     Each vertex (X, Y, W) is evaluated once as D = a1*X + a2*Y - rhs*W,
     of the sign of a1*x + a2*y - rhs as W > 0.  Unless every D is <= 0
     or every D > 0, one Sutherland-Hodgman pass (CACM 1974) reuses the
-    D: edge s -> e crosses the line at Ds*e - De*s, negated to W > 0 and
-    divided by the gcd of its entries, so a positive multiple of the
-    plane gives the same point.  The kept part stays convex and
-    counterclockwise, so _canonical, not a hull, makes it canonical.
+    D: an edge s -> e whose ends lie strictly on opposite sides crosses
+    the line at Ds*e - De*s, negated to W > 0 and divided by the gcd of
+    its entries, so a positive multiple of the plane gives the same
+    point.  An end on the line is its own crossing and is emitted once.
+
+    The kept part stays convex and counterclockwise.  When poly has
+    three or more vertices and one of them lies strictly inside
+    (D < 0), the kept part is full-dimensional, each kept point is one
+    of its vertices, and, while poly's smallest vertex poly.triples[0]
+    is kept (D <= 0), that vertex still comes first: it is canonical as
+    built.  _corners still drops the collinear points a polygon built
+    by hand may carry, and the part is rotated only when the smallest
+    vertex is cut off.  A degenerate poly or cut, which leaves a point
+    or a segment, goes through _canonical.
     """
     ts = poly.triples
     a1, a2, rhs = hp.a1, hp.a2, hp.rhs
@@ -149,9 +172,12 @@ def split_polygon(
     if all(v > 0 for v in d):
         return ConvexPolygon2(()), list(ts)
     kept, cut = [], []
-    for i, (e, de) in enumerate(zip(ts, d)):  # edge ts[i-1] -> ts[i]
-        s, ds = ts[i - 1], d[i - 1]
-        if (ds > 0) != (de > 0):
+    for s, ds, e, de in zip(ts, d, ts[1:] + ts[:1], d[1:] + d[:1]):  # edge s -> e
+        if ds <= 0:
+            kept.append(s)
+        if ds >= 0:
+            cut.append(s)
+        if ds < 0 < de or de < 0 < ds:
             x = ds * e[0] - de * s[0]
             y = ds * e[1] - de * s[1]
             w = ds * e[2] - de * s[2]
@@ -160,11 +186,12 @@ def split_polygon(
             g = gcd(x, y, w)
             kept.append((x // g, y // g, w // g))
             cut.append(kept[-1])
-        if de <= 0:
-            kept.append(e)
-        if de >= 0:
-            cut.append(e)
-    return _canonical(kept), cut
+    if len(ts) < 3 or min(d) == 0:  # a point or a segment is left
+        return _canonical(kept), cut
+    hull = _corners(kept)
+    if d[0] > 0:  # the smallest vertex is cut off
+        return _from_smallest(hull), cut
+    return ConvexPolygon2(tuple(hull)), cut
 
 
 def clip_polygon(poly: ConvexPolygon2, hp: HalfPlane) -> ConvexPolygon2:
@@ -174,8 +201,10 @@ def clip_polygon(poly: ConvexPolygon2, hp: HalfPlane) -> ConvexPolygon2:
 
 def convex_hull(points) -> ConvexPolygon2:
     """The canonical hull of reduced triples by Andrew's monotone chain
-    (Inf. Process. Lett. 1979): it runs counterclockwise from the
-    smallest point, so only a collinear set needs _canonical."""
+    (Inf. Process. Lett. 1979), returned as built: the chain runs
+    counterclockwise from the smallest point and pops every point that
+    makes no left turn, so three or more distinct points give a strictly
+    convex polygon, or, when they are collinear, their sorted extremes."""
     pts = sorted(set(points), key=_lex)
     if len(pts) < 3:
         return ConvexPolygon2(tuple(pts))
@@ -187,11 +216,20 @@ def convex_hull(points) -> ConvexPolygon2:
                 chain.pop()
             chain.append(p)
         chain.pop()  # the first point of the other walk
-    return _canonical(chain)
+    return ConvexPolygon2(tuple(chain))
 
 
 def intersect_polygons(a: ConvexPolygon2, b: ConvexPolygon2) -> ConvexPolygon2:
-    """Exact intersection; b must be full-dimensional."""
+    """Exact intersection of two polygons, one of them full-dimensional:
+    the other one is clipped by its edges.  The edges of a point or a
+    segment bound no region, so two such operands raise
+    DegenerateOperands."""
+    if len(b.triples) < 3:
+        if len(a.triples) < 3:
+            raise DegenerateOperands(
+                f"operands of {len(a.triples)} and {len(b.triples)} vertices"
+            )
+        a, b = b, a
     result = a
     for hp in b.edge_halfplanes():
         result = clip_polygon(result, hp)

@@ -215,7 +215,10 @@ def decompose(p: Pblp) -> Decomposition:
         polygons = [kept for kept, _ in splits]
         polygons.append(convex_hull(point for _, cut in splits for point in cut))
 
-    keep = [(entry, poly) for entry, poly in zip(known, polygons) if poly.area() > 0]
+    # canonical polygons: three vertices or more is positive area
+    keep = [
+        (entry, poly) for entry, poly in zip(known, polygons) if len(poly.triples) >= 3
+    ]
     keep.sort(key=lambda pair: pair[0].image)
     return Decomposition(
         images=tuple(entry for entry, _ in keep),

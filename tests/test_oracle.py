@@ -12,6 +12,7 @@ from pblp import (
     FeasibleSystem,
     Pblp,
     Sense,
+    component_vertices,
     decompose,
     dichotomic_bolp,
     extreme_nondominated_bruteforce,
@@ -377,6 +378,61 @@ def test_pareto_filter_drops_dominated_and_shifted_images():
         (F(0), F(0), F(0)),
         (F(2), F(-1), F(0)),
     )
+
+
+def _image_sets(rng, count):
+    """Seeded lists of Fraction images over unequal denominators, each
+    with a collinear run, an image shifted along (1, 1, 1), a weakly
+    dominated tie (equal in one objective, no better in the others) and
+    repeats."""
+    def value():
+        return F(rng.randint(-6, 6), rng.randint(1, 4))
+
+    for _ in range(count):
+        images = [tuple(value() for _ in range(3)) for _ in range(rng.randint(1, 6))]
+        base, step = images[0], tuple(value() / 2 for _ in range(3))
+        images += [
+            tuple(b + k * s for b, s in zip(base, step))
+            for k in range(1, rng.randint(2, 4))
+        ]
+        shift = value()
+        images.append(tuple(a + shift for a in rng.choice(images)))
+        tied, j = rng.choice(images), rng.randrange(3)
+        images.append(tuple(a if i == j else a + abs(value()) for i, a in enumerate(tied)))
+        images += rng.sample(images, rng.randint(1, len(images)))
+        rng.shuffle(images)
+        yield images
+
+
+def test_the_common_denominator_pareto_filter_matches_a_fraction_reference():
+    rng = random.Random(1407)
+    dropped = 0
+    for points in _image_sets(rng, 400):
+        expected = sorted(
+            y for y in set(points)
+            if not any(z != y and all(a <= b for a, b in zip(z, y)) for z in points)
+        )
+        assert oracle._nondominated(map(int_image, points)) == [
+            int_image(y) for y in expected
+        ], points
+        dropped += len(expected) < len(set(points))
+    assert dropped > 300
+
+
+def test_the_early_exit_component_test_matches_the_area_test():
+    """_has_full_component reads what the area of component_vertices
+    reads, against the raw list with its repeats and against the list
+    the Pareto filter leaves."""
+    rng = random.Random(1408)
+    outcomes = {False: 0, True: 0}
+    for points in _image_sets(rng, 300):
+        raw = [int_image(y) for y in points]
+        for images in (raw, oracle._nondominated(raw)):
+            for y in set(images):
+                full = component_vertices(y, images).area() > 0
+                assert oracle._has_full_component(y, images) == full, (y, points)
+                outcomes[full] += 1
+    assert min(outcomes.values()) > 500
 
 
 def test_dichotomic_finds_both_corners_and_the_middle(example2):

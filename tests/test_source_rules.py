@@ -12,7 +12,7 @@ images and the lambda grid.  No state lives at module level: no module-level dic
 list or set but __all__, and no global statement.  Two modules also keep their
 layer: the vertex oracle shares no logic with the decomposition and the
 interval routes it cross-checks, and the weight geometry builds only on
-the problem records.  A case is its share vector
+the problem records and raises the package's errors.  A case is its share vector
 Case.shares, so Case.ONE and Case.TWO are named only in Case itself,
 in the two interval routes and in the route pick that selects them.
 Every module but the package __init__ uses each name it imports, and
@@ -40,7 +40,7 @@ MUTABLE_DISPLAYS = (
     ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp
 )
 IMPORTS_FORBIDDEN = {"oracle": {"wsd", "breakpoints"}}
-IMPORTS_ALLOWED = {"weight_geometry": {"problem_model"}}
+IMPORTS_ALLOWED = {"weight_geometry": {"problem_model", "errors"}}
 CASE_NAMED = {
     ("problem_model", "Case"),
     ("breakpoints", "interval_lp_case1"),
@@ -283,12 +283,12 @@ def test_the_layering_rule_sees_what_it_forbids(tmp_path):
         "from .problem_model import Pblp\n"
         "from .numerics import INF\n"
         "from .lp_core import solve_lp\n"
-        "from pblp import errors\n"
+        "from pblp import wsd\n"
     )
     assert _layering_violations(geometry) == [
         "weight_geometry.py:3: imports numerics",
         "weight_geometry.py:4: imports lp_core",
-        "weight_geometry.py:5: imports errors",
+        "weight_geometry.py:5: imports wsd",
     ]
 
 

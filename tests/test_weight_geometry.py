@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -18,6 +19,8 @@ from pblp import (
     simplex_triangle,
     solve_lp,
 )
+from pblp import weight_geometry
+from pblp.errors import DegenerateOperands, PblpError
 from pblp.problem_model import ge_form
 from pblp.weight_geometry import (
     HalfPlane,
@@ -28,6 +31,7 @@ from pblp.weight_geometry import (
 
 from conftest import (
     component,
+    cross,
     hull_of,
     int_image,
     plane,
@@ -391,6 +395,110 @@ def test_intersect_polygons_matches_a_fraction_clip_by_clip_reference():
         nonempty += len(got.vertices) >= 3
         empty += got.is_empty()
     assert nonempty > 100 and empty > 40
+
+
+def _reference_intersection(a, b):
+    """a ∩ b in Fractions, for a full-dimensional polygon a: a point
+    by membership, a segment p -> q by bounding p + t(q - p), 0 <= t <= 1,
+    with each inward edge of a (Cyrus-Beck), and a polygon clip by clip
+    with _reference_clip."""
+    vs, edges = b.vertices, list(zip(a.vertices, a.vertices[1:] + a.vertices[:1]))
+    if len(vs) == 1:
+        return vs if polygon_contains(a, vs[0]) else ()
+    if len(vs) == 2:
+        p, q = vs
+        low, high = F(0), F(1)
+        for u, v in edges:  # inside: cross(u, v, x) >= 0, affine in t
+            fp, fq = cross(u, v, p), cross(u, v, q)
+            if fp == fq:
+                if fp < 0:
+                    return ()
+            elif fq > fp:
+                low = max(low, fp / (fp - fq))
+            else:
+                high = min(high, fp / (fp - fq))
+        if low > high:
+            return ()
+        ends = [(p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])) for t in (low, high)]
+        return hull_of(ends).vertices
+    expected = b
+    for (x1, y1), (x2, y2) in edges:
+        hp = plane(y2 - y1, x1 - x2, (y2 - y1) * x1 + (x1 - x2) * y1)
+        expected = _reference_clip(expected, hp)
+    return expected.vertices
+
+
+def test_intersect_polygons_takes_a_point_or_a_segment_in_either_place():
+    """A point or a segment meets a full-dimensional polygon in what a
+    Fraction reference gives, as the first operand or the second, and so
+    does a polygon; two points or segments raise DegenerateOperands."""
+    tri = simplex_triangle()
+    quarter = polygon([(F(1, 4), F(1, 4))])
+    spoke = polygon([(F(0), F(0)), (F(1, 4), F(1, 4))])
+    for shape in (quarter, spoke):
+        assert intersect_polygons(tri, shape) == shape
+        assert intersect_polygons(shape, tri) == shape
+    rng = random.Random(27)
+    shapes = set()
+    for _ in range(600):
+        a = _hard_polygon(rng, sizes=(3, 4, 5, 8))
+        if len(a.vertices) < 3:
+            continue
+        vs = a.vertices
+        u, v = rng.choice(vs), rng.choice(vs)
+        p, q, r = ((_hard_coord(rng), _hard_coord(rng)) for _ in range(3))
+        middle = ((u[0] + v[0]) / 2, (u[1] + v[1]) / 2)
+        beyond = (2 * v[0] - u[0], 2 * v[1] - u[1])
+        points = rng.choice((
+            [p], [u], [middle],  # points
+            [p, q], [u, p], [u, v], [u, beyond], [middle, p],  # segments
+            [p, q, r], [p, q, u],  # polygons
+        ))
+        b = hull_of(points)
+        expected = _reference_intersection(a, b)
+        assert intersect_polygons(a, b).vertices == expected, (a, b)
+        assert intersect_polygons(b, a).vertices == expected, (a, b)
+        shapes.add((min(len(b.vertices), 3), len(expected)))
+    for size in (1, 2):  # degenerate operands that miss, touch and cross
+        assert {(size, n) for n in range(size + 1)} <= shapes
+    assert (3, 0) in shapes and (3, 3) in shapes
+    for a, b in ((quarter, spoke), (spoke, spoke), (quarter, ConvexPolygon2(()))):
+        with pytest.raises(DegenerateOperands):
+            intersect_polygons(a, b)
+    assert issubclass(DegenerateOperands, PblpError)
+
+
+def test_proper_cuts_and_hulls_are_canonical_as_built(monkeypatch):
+    """A cut of a polygon of three or more vertices that leaves one of
+    them strictly inside, whether or not it cuts off the smallest, and
+    the hull of three or more points off one line, are canonical as
+    built: no call to _canonical, and the reference result."""
+    canonical = weight_geometry._canonical
+    calls = []
+    monkeypatch.setattr(
+        weight_geometry, "_canonical", lambda out: calls.append(out) or canonical(out)
+    )
+    rng = random.Random(26)
+    smallest_cut = {False: 0, True: 0}
+    for poly, hp in _clip_cases(rng, 3000):
+        ts = poly.triples
+        d = [hp.a1 * x + hp.a2 * y - hp.rhs * w for x, y, w in ts]
+        if len(ts) < 3 or min(d) >= 0 or max(d) <= 0:
+            continue
+        kept = clip_polygon(poly, hp)
+        assert kept.vertices == _reference_clip(poly, hp).vertices, (poly, hp)
+        assert kept == canonical(list(kept.triples)), (poly, hp)
+        smallest_cut[d[0] > 0] += 1
+    hulls = 0
+    for points in _hull_cases(rng, 3000):
+        expected = hull_of(points)
+        if len(expected.vertices) < 3:
+            continue
+        hull = convex_hull(triple(x, y) for x, y in points)
+        assert hull == expected == canonical(list(hull.triples)), points
+        hulls += 1
+    assert calls == []
+    assert min(smallest_cut.values()) > 200 and hulls > 500
 
 
 def test_component_halfplanes_known_values():
