@@ -373,7 +373,7 @@ def run_check(p: Pblp, out=None) -> list[str]:
     for i in range(len(dec.components)):
         for j in range(i + 1, len(dec.components)):
             overlap = intersect_polygons(dec.components[i], dec.components[j])
-            if overlap.area() != 0:
+            if len(overlap.triples) >= 3:
                 problems.append(
                     f"components {i} and {j} overlap with area {overlap.area()}"
                 )

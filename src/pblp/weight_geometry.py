@@ -11,9 +11,11 @@ denominator.  On top of that: half-plane clipping that also returns the
 points spanning the piece cut off, canonical convex polygons, the convex
 hull of a point set, shoelace areas, and the lifted H-representation of
 a component over (v, w), in the row layout the LP-based interval method
-solves.  A proper cut and a hull come out canonical as built; only a
-cut that leaves a point or a segment, or one of a degenerate polygon,
-takes the separate canonicalizing pass.  A canonical polygon is
+solves.  Canonical form is a contract, not a pass: a canonical polygon
+in gives a canonical polygon out, and convex_hull is the one function
+that makes a canonical polygon from arbitrary points.  A polygon built
+by hand must already be canonical; nothing checks it at run time, as no
+polygon comes from outside the package.  A canonical polygon is
 full-dimensional exactly when it has three or more vertices.  Fractions
 are built only for callers that read them: a polygon's vertices and its
 area.
@@ -73,8 +75,10 @@ class ConvexPolygon2:
 
     Vertices are counterclockwise, collinear points removed, starting at
     the lexicographically smallest vertex.  Zero, one or two vertices
-    encode the empty set, a point, and a segment; those degenerate shapes
-    arise naturally while clipping and have area zero.
+    encode the empty set, a point, and a sorted segment; those degenerate
+    shapes arise naturally while clipping and have area zero.  The
+    constructor takes the triples as given: built by hand they must be
+    canonical, and convex_hull makes them so from any points.
     """
 
     triples: tuple[Triple, ...]
@@ -114,32 +118,6 @@ def simplex_triangle() -> ConvexPolygon2:
     return ConvexPolygon2(((0, 0, 1), (1, 0, 1), (0, 1, 1)))
 
 
-def _corners(pts: list[Triple]) -> list[Triple]:
-    """The points where a closed walk of distinct points turns: those
-    whose 3x3 determinant with their two neighbours does not vanish."""
-    count = len(pts)
-    return [p for i, p in enumerate(pts) if _det3(pts[i - 1], p, pts[(i + 1) % count]) != 0]
-
-
-def _from_smallest(hull: list[Triple]) -> ConvexPolygon2:
-    """The polygon whose vertices hull walks, rotated to its smallest."""
-    start = hull.index(min(hull, key=_lex))
-    return ConvexPolygon2(tuple(hull[start:] + hull[:start]))
-
-
-def _canonical(out: list[Triple]) -> ConvexPolygon2:
-    """The canonical polygon whose boundary out walks counterclockwise:
-    drop repeated triples and collinear ones, and rotate to the smallest
-    vertex.  Fewer than three points left give a sorted point or
-    segment."""
-    pts = [p for i, p in enumerate(out) if p != out[i - 1]] or out[:1]
-    hull = _corners(pts)
-    if len(hull) < 3:  # a point or a segment: its sorted extremes
-        low, high = min(pts, key=_lex), max(pts, key=_lex)
-        return ConvexPolygon2((low,) if low == high else (low, high))
-    return _from_smallest(hull)
-
-
 def split_polygon(
     poly: ConvexPolygon2, hp: HalfPlane
 ) -> tuple[ConvexPolygon2, list[Triple]]:
@@ -154,15 +132,17 @@ def split_polygon(
     its entries, so a positive multiple of the plane gives the same
     point.  An end on the line is its own crossing and is emitted once.
 
-    The kept part stays convex and counterclockwise.  When poly has
+    poly must be canonical, and the kept part is too.  When poly has
     three or more vertices and one of them lies strictly inside
-    (D < 0), the kept part is full-dimensional, each kept point is one
-    of its vertices, and, while poly's smallest vertex poly.triples[0]
-    is kept (D <= 0), that vertex still comes first: it is canonical as
-    built.  _corners still drops the collinear points a polygon built
-    by hand may carry, and the part is rotated only when the smallest
-    vertex is cut off.  A degenerate poly or cut, which leaves a point
-    or a segment, goes through _canonical.
+    (D < 0), the kept part is full-dimensional and, as poly has no
+    collinear points and the line meets its boundary at most twice,
+    each kept point is one of its vertices, counterclockwise.  While
+    poly's smallest vertex poly.triples[0] is kept (D <= 0) it still
+    comes first, so the part is returned as built, and rotated to its
+    smallest vertex only when that one is cut off.  A degenerate poly
+    or cut, which leaves a point or a segment and may emit a crossing
+    twice, returns the convex_hull of the kept points: their sorted
+    extremes.
     """
     ts = poly.triples
     a1, a2, rhs = hp.a1, hp.a2, hp.rhs
@@ -187,11 +167,11 @@ def split_polygon(
             kept.append((x // g, y // g, w // g))
             cut.append(kept[-1])
     if len(ts) < 3 or min(d) == 0:  # a point or a segment is left
-        return _canonical(kept), cut
-    hull = _corners(kept)
+        return convex_hull(kept), cut
     if d[0] > 0:  # the smallest vertex is cut off
-        return _from_smallest(hull), cut
-    return ConvexPolygon2(tuple(hull)), cut
+        start = kept.index(min(kept, key=_lex))
+        kept = kept[start:] + kept[:start]
+    return ConvexPolygon2(tuple(kept)), cut
 
 
 def clip_polygon(poly: ConvexPolygon2, hp: HalfPlane) -> ConvexPolygon2:

@@ -8,7 +8,9 @@ where a number leaves them: in weight_geometry only
 ConvexPolygon2.vertices and ConvexPolygon2.area, in problem_model only
 the plotted lambda segments, in wsd only an image's Fraction view and
 the weight an unbounded solve names, and in oracle only the returned
-images and the lambda grid.  No state lives at module level: no module-level dict,
+images and the lambda grid.  Only weight_geometry builds a
+ConvexPolygon2, so every polygon comes from a cut or a hull that keeps
+canonical form.  No state lives at module level: no module-level dict,
 list or set but __all__, and no global statement.  Two modules also keep their
 layer: the vertex oracle shares no logic with the decomposition and the
 interval routes it cross-checks, and the weight geometry builds only on
@@ -76,6 +78,12 @@ def _violations(path: pathlib.Path) -> list[str]:
             and (module, function) not in FRACTION_ALLOWED
         ):
             found.append(f"{path.name}:{node.lineno}: Fraction() call")
+        if (
+            isinstance(node, ast.Call)
+            and module != "weight_geometry"
+            and "ConvexPolygon2" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+        ):
+            found.append(f"{path.name}:{node.lineno}: ConvexPolygon2() call")
         if (
             isinstance(node, ast.Call)
             and isinstance(node.func, ast.Name)
@@ -165,6 +173,28 @@ def test_the_fraction_rule_sees_what_it_forbids(tmp_path):
         "    return Fraction(r[0], r[-1])\n"
     )
     assert _violations(oracle) == ["oracle.py:5: Fraction() call"]
+
+
+def test_the_polygon_rule_sees_what_it_forbids(tmp_path):
+    bad = tmp_path / "wsd.py"
+    bad.write_text(
+        "from . import weight_geometry as wg\n"
+        "from .weight_geometry import ConvexPolygon2, convex_hull\n"
+        "def component(ts):\n"
+        "    return convex_hull(ts), ConvexPolygon2(tuple(ts))\n"
+        "def empty():\n"
+        "    return wg.ConvexPolygon2(())\n"
+    )
+    assert _violations(bad) == [
+        "wsd.py:4: ConvexPolygon2() call",
+        "wsd.py:6: ConvexPolygon2() call",
+    ]
+    geometry = tmp_path / "weight_geometry.py"
+    geometry.write_text(
+        "def simplex_triangle():\n"
+        "    return ConvexPolygon2(((0, 0, 1), (1, 0, 1), (0, 1, 1)))\n"
+    )
+    assert _violations(geometry) == []
 
 
 def _state_violations(path: pathlib.Path) -> list[str]:

@@ -19,7 +19,6 @@ from pblp import (
     simplex_triangle,
     solve_lp,
 )
-from pblp import weight_geometry
 from pblp.errors import DegenerateOperands, PblpError
 from pblp.problem_model import ge_form
 from pblp.weight_geometry import (
@@ -286,9 +285,11 @@ def test_convex_hull_matches_the_fraction_hull():
     assert sizes == {1, 2, 3, 4}
 
 
-def test_a_cut_canonicalizes_redundant_boundary_points():
-    """A polygon built directly with extra points on its edges still comes
-    out of a cut in canonical form, as the hull clip gives it."""
+def test_the_hull_canonicalizes_redundant_boundary_points():
+    """A canonical polygon's vertices padded with extra points on its
+    edges give the polygon back through convex_hull, and a cut of it is
+    the hull clip of the padded points: points from anywhere are made
+    canonical by the hull, never by a cut."""
     rng = random.Random(21)
     cuts = 0
     for poly, hp in _clip_cases(rng, 2000):
@@ -299,12 +300,13 @@ def test_a_cut_canonicalizes_redundant_boundary_points():
         for i, v in enumerate(vs):
             w = vs[(i + 1) % len(vs)]
             padded += [v, ((v[0] + w[0]) / 2, (v[1] + w[1]) / 2)]
-        redundant = polygon(padded)
+        hull = convex_hull(triple(x, y) for x, y in padded)
+        assert hull == poly
         if all(plane_contains(hp, v) for v in padded):
             continue  # an uncut polygon is returned as it is
         cuts += 1
-        expected = _reference_clip(redundant, hp).vertices
-        assert clip_polygon(redundant, hp).vertices == expected
+        expected = _reference_clip(polygon(padded), hp).vertices
+        assert clip_polygon(hull, hp).vertices == expected
     assert cuts > 500
 
 
@@ -468,36 +470,27 @@ def test_intersect_polygons_takes_a_point_or_a_segment_in_either_place():
     assert issubclass(DegenerateOperands, PblpError)
 
 
-def test_proper_cuts_and_hulls_are_canonical_as_built(monkeypatch):
-    """A cut of a polygon of three or more vertices that leaves one of
-    them strictly inside, whether or not it cuts off the smallest, and
-    the hull of three or more points off one line, are canonical as
-    built: no call to _canonical, and the reference result."""
-    canonical = weight_geometry._canonical
-    calls = []
-    monkeypatch.setattr(
-        weight_geometry, "_canonical", lambda out: calls.append(out) or canonical(out)
-    )
+def test_cuts_and_hulls_are_fixed_points_of_the_hull():
+    """Canonical in, canonical out: every part a cut keeps, whether the
+    cut is proper (a vertex strictly inside and one strictly beyond,
+    with or without the smallest vertex cut off) or leaves a point or a
+    segment, and every hull, equals convex_hull of its own triples and
+    the Fraction reference."""
     rng = random.Random(26)
     smallest_cut = {False: 0, True: 0}
     for poly, hp in _clip_cases(rng, 3000):
+        kept = clip_polygon(poly, hp)
+        assert kept == convex_hull(kept.triples), (poly, hp)
+        assert kept.vertices == _reference_clip(poly, hp).vertices, (poly, hp)
         ts = poly.triples
         d = [hp.a1 * x + hp.a2 * y - hp.rhs * w for x, y, w in ts]
-        if len(ts) < 3 or min(d) >= 0 or max(d) <= 0:
-            continue
-        kept = clip_polygon(poly, hp)
-        assert kept.vertices == _reference_clip(poly, hp).vertices, (poly, hp)
-        assert kept == canonical(list(kept.triples)), (poly, hp)
-        smallest_cut[d[0] > 0] += 1
+        if len(ts) >= 3 and min(d) < 0 < max(d):
+            smallest_cut[d[0] > 0] += 1
     hulls = 0
     for points in _hull_cases(rng, 3000):
-        expected = hull_of(points)
-        if len(expected.vertices) < 3:
-            continue
         hull = convex_hull(triple(x, y) for x, y in points)
-        assert hull == expected == canonical(list(hull.triples)), points
-        hulls += 1
-    assert calls == []
+        assert hull == convex_hull(hull.triples) == hull_of(points), points
+        hulls += len(hull.triples) >= 3
     assert min(smallest_cut.values()) > 200 and hulls > 500
 
 
