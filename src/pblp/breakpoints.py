@@ -107,7 +107,6 @@ class AxisSegment:
 
 @dataclass(frozen=True)
 class ParametricSolution:
-    case: Case
     method: Method
     decomposition: Decomposition
     intervals: tuple[ParameterInterval, ...]
@@ -284,7 +283,6 @@ def solve_on_decomposition(
     segments.append(AxisSegment(prev, INF, prev_closed, False, witnesses(top - 1, top)))
 
     return ParametricSolution(
-        case=p.case,
         method=method,
         decomposition=dec,
         intervals=tuple(intervals),

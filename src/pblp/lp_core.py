@@ -60,10 +60,12 @@ report optimal values only: at any optimal basis the columns of
 positive reduced cost cut out the same optimal face, so faces and
 values do not depend on the pivot path, but the final basis does.
 
-eliminate and solve_square are the package's one exact elimination
-routine, shared by the tableau's rank reduction and the duals.  Rows
-and objectives reach the integers through numerics.integer_row, which
-raises NotRational on an entry that is no int or Fraction.
+_Tableau._exchange, the Bareiss step, is the package's one exact
+elimination: a simplex pivot takes it with a label swap around it, and
+_row_reduce runs it as Gauss-Jordan elimination for the tableau's rank
+reduction and the duals.  Rows and objectives reach the integers
+through numerics.integer_row, which raises NotRational on an entry that
+is no int or Fraction.
 
 Optimal duals are solved exactly from the final basis of a plain solve
 only: one with no ties whose caller gave no FeasibleSystem.  Reduced
@@ -97,9 +99,6 @@ __all__ = [
     "FeasibleSystem",
     "solve_lp",
     "solve_lex_lp",
-    "Echelon",
-    "eliminate",
-    "solve_square",
 ]
 
 _DEGENERATE_RUN = 50  # degenerate pivots in a row that end Dantzig's rule
@@ -193,83 +192,11 @@ class LpResult:
         return Fraction(*self.int_value)
 
 
-# -- exact elimination ------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Echelon:
-    """Outcome of eliminate on integer rows [coefficients | rhs].
-
-    kept indexes the kept rows and pivots holds their pivot columns.
-    rows holds them reduced: row k is zero in the pivot columns of rows
-    0..k-1, so in pivot-column order the kept system is triangular.
-    consistent is False when a dropped row reduces to 0 = nonzero.
-    """
-
-    kept: list[int]
-    pivots: list[int]
-    rows: list[list[int]]
-    consistent: bool
-
-
-def eliminate(rows: list[list[int]]) -> Echelon:
-    """Forward elimination in integers, one row at a time, in order.
-
-    Each row is reduced against the kept rows before it, fraction-free
-    (row * pivot - row[col] * kept row, both factors divided by their
-    gcd), and kept when a coefficient survives; its first nonzero
-    coefficient is its pivot and its content is divided out.  So the
-    kept rows are the greedy independent set in row order.
-    """
-    kept: list[int] = []
-    pivots: list[int] = []
-    reduced: list[list[int]] = []
-    consistent = True
-    width = len(rows[0]) - 1 if rows else 0
-    for idx, work in enumerate(rows):
-        for col, elim in zip(pivots, reduced):
-            f = work[col]
-            if f:
-                p = elim[col]
-                g = gcd(p, f)
-                p, f = p // g, f // g
-                work = [a * p - f * e for a, e in zip(work, elim)]
-        piv = next((j for j in range(width) if work[j]), None)
-        if piv is None:
-            consistent = consistent and work[-1] == 0
-            continue
-        content = gcd(*work)
-        reduced.append([a // content for a in work])
-        pivots.append(piv)
-        kept.append(idx)
-    return Echelon(kept, pivots, reduced, consistent)
-
-
-def solve_square(rows: list[list[int]]) -> list[Fraction] | None:
-    """x with A x = b for a square integer system [A | b], None if A is
-    singular.
-
-    Back-substitutes the triangular rows of eliminate in integers over
-    D, the product of their pivots.  D is the determinant of that
-    triangular system up to sign, so by Cramer's rule every D * x_j is
-    an integer and every division below is exact.
-    """
-    echelon = eliminate(rows)
-    if len(echelon.kept) < len(rows):
-        return None
-    det = prod(row[col] for row, col in zip(echelon.rows, echelon.pivots))
-    scaled = [0] * len(rows)  # det * x, filled from the last pivot back
-    for row, col in zip(reversed(echelon.rows), reversed(echelon.pivots)):
-        rest = sum(a * v for a, v in zip(row, scaled) if a)
-        scaled[col] = (row[-1] * det - rest) // row[col]
-    return [Fraction(v, det) for v in scaled]
-
-
 def _pivoted(
     row: list[int], k: int, prow: list[int], p: int, det: int, sign: int
 ) -> list[int]:
-    """row after a pivot on entry k of prow, p = |prow[k]| (see
-    _Tableau._pivot): (row * p - row[k] * prow) / det, exact by
+    """row after an exchange on entry k of prow, p = |prow[k]| (see
+    _Tableau._exchange): (row * p - row[k] * prow) / det, exact by
     Sylvester's identity since each entry stays a minor of the starting
     integer system; slot k passes to the leaving label, at -sign *
     row[k].  A row with row[k] = 0 is only rescaled, unchanged if p = det."""
@@ -335,15 +262,15 @@ class _Tableau:
         # (they are zero in every slack column) so keeps exactly the rows
         # a pass over all rows keeps.
         eq_rows = [i for i, col in enumerate(slack_col) if col is None]
-        echelon = eliminate([scaled[i][0] for i in eq_rows])
-        self.infeasible_by_rank = not echelon.consistent
-        kept_eq = {eq_rows[k] for k in echelon.kept}
+        _, _, pivots, consistent = _row_reduce([scaled[i][0] for i in eq_rows])
+        self.infeasible_by_rank = not consistent
+        kept_eq = {i for i, col in zip(eq_rows, pivots) if col is not None}
         self.orig_row = [  # index into lp.rows, for duals
             i for i, col in enumerate(slack_col) if col is not None or i in kept_eq
         ]
         # The product of the kept rows' scales, not their lcm, is the
         # determinant of the starting basis in the integer system, and
-        # only with it are the Bareiss divisions in _pivot exact.  Each
+        # only with it are the Bareiss divisions in _exchange exact.  Each
         # row is brought to det and negated where its right side is
         # negative, so that every right side is >= 0; row_factor is the
         # factor from original to integer row, det times that sign.
@@ -364,21 +291,27 @@ class _Tableau:
     # -- pivoting ---------------------------------------------------------
 
     def _pivot(self, r: int, col: int):
-        """Bareiss's integer-preserving pivot (Bareiss 1968, Edmonds 1967):
-        label col enters in row r, and basis[r] leaves.
+        """A simplex pivot: label col enters in row r, basis[r] leaves
+        and takes col's slot, and _exchange updates the numbers."""
+        k = self.nonbasic.index(col)
+        self.nonbasic[k] = self.basis[r]
+        self._exchange(r, k)
+        self.basis[r] = col
+
+    def _exchange(self, r: int, k: int):
+        """Bareiss's integer-preserving exchange (Bareiss 1968, Edmonds
+        1967) of row r's basic column with slot k's, on the numbers only.
 
         With p the pivot entry, every other row, right side included,
-        and the kept row d become (row * p - row[col] * pivot row) / det
+        and the kept row d become (row * p - row[k] * pivot row) / det
         and det becomes p (see _pivoted); d, which has no right side,
         stops where it does.  A negative p flips the sign of row r, so
-        det stays positive.  The leaving label takes the entering label's
-        slot.  Its column was det times a unit vector, so its new entries
-        follow without arithmetic: -row[col] in every other row and det
-        in row r, both negated when p < 0.
+        det stays positive.  Slot k passes to the leaving column.  It
+        was det times a unit vector, so its new entries follow without
+        arithmetic: -row[k] in every other row and det in row r, both
+        negated when p < 0.
         """
-        rows, det, nonbasic = self.rows, self.det, self.nonbasic
-        k = nonbasic.index(col)
-        nonbasic[k] = self.basis[r]
+        rows, det = self.rows, self.det
         prow = rows[r]
         p, sign = prow[k], 1
         if p < 0:
@@ -391,7 +324,6 @@ class _Tableau:
             self.d = _pivoted(self.d, k, prow, p, det, sign)
         prow[k] = sign * det
         self.det = p
-        self.basis[r] = col
 
     def _reduced_row(self, cost: list[int]) -> list[int]:
         """det times the reduced cost of the label in each slot:
@@ -616,7 +548,8 @@ class _Tableau:
         return tuple(x), self.det
 
     def duals(self, lp: LinearProgram) -> tuple[Fraction, ...]:
-        """Dual of each row of lp from B^T y = c_B on the final basis.
+        """Dual of each row of lp from B^T y = c_B on the final basis,
+        solved by _row_reduce.
 
         B is read off start_rows, the kept integer rows as built before
         any pivot, and c is lp's objective times the lcm of its
@@ -624,15 +557,47 @@ class _Tableau:
         dual of original row orig_row[i].  Dropped rows get dual zero.
         """
         cost, scale = self._column_cost(lp.objective)
-        y = solve_square(
+        rows, det, pivots, _ = _row_reduce(
             [[row[col] for row in self.start_rows] + [cost[col]] for col in self.basis]
         )
-        if y is None:
+        if None in pivots:
             raise InvariantViolation("final simplex basis is singular")
         duals = [Fraction(0)] * len(lp.rows)
-        for i, factor, v in zip(self.orig_row, self.row_factor, y):
-            duals[i] = v * factor / scale
+        for row, k in zip(rows, pivots):  # y_k = row[-1] / det
+            factor = self.row_factor[k]
+            duals[self.orig_row[k]] = Fraction(row[-1] * factor, det * scale)
         return tuple(duals)
+
+
+def _row_reduce(rows: list[list[int]]):
+    """Gauss-Jordan elimination of integer rows [A | b] by _exchange:
+    (rows, det, pivots, consistent).
+
+    On a bare tableau, the rows at det 1 with A's columns in the slots,
+    each row in order is exchanged on the first slot still nonzero in it
+    that no earlier row took, and that slot, which now holds the column
+    that left, is retired.  A row with no such slot depends on the rows
+    before it and is dropped: pivots holds None for it, consistent turns
+    False if it reads 0 = nonzero, and later exchanges only rescale it.
+    So the kept rows are the greedy independent set in row order.  Column
+    pivots[i] of A is basic in kept row i, so a square A that keeps every
+    row solves A x = b as x[pivots[i]] = rows[i][-1] / det.
+    """
+    tab = _Tableau.__new__(_Tableau)
+    tab.rows, tab.det, tab.d = [row[:] for row in rows], 1, None
+    free = list(range(len(rows[0]) - 1)) if rows else []
+    pivots: list[int | None] = []
+    consistent = True
+    for r in range(len(rows)):
+        row = tab.rows[r]  # as the exchanges so far left it
+        k = next((j for j in free if row[j]), None)
+        if k is None:
+            consistent = consistent and row[-1] == 0
+        else:
+            free.remove(k)
+            tab._exchange(r, k)
+        pivots.append(k)
+    return tab.rows, tab.det, pivots, consistent
 
 
 class FeasibleSystem:

@@ -1,13 +1,19 @@
 """Independent checks for the decomposition machinery.
 
-Nothing here shares logic with the component/interval code: vertices and
-extreme rays come from an exact double-description conversion of the
-constraints, extreme nondominated images from re-deriving each
-candidate's component against the vertex images that no other vertex
-image dominates componentwise, and the parametric picture from solving
-the biobjective problem from scratch on a lambda grid.  The vertex path
-runs no simplex: it shares only numerics.integer_row with the LP
-engine, never wsd or breakpoints.
+Vertices and extreme rays come from an exact double-description
+conversion of the constraints, extreme nondominated images from
+re-deriving each candidate's component against the vertex images that
+no other vertex image dominates componentwise, and the parametric
+picture from solving the biobjective problem from scratch on a lambda
+grid.  Nothing here imports wsd or breakpoints.  The vertex path runs no
+simplex: it shares only numerics.integer_row with the LP engine.  It
+does share two things with decompose: problem_model.integral_image,
+which maps a vertex to its image, and the weight geometry.
+_has_full_component cuts weight_geometry.simplex_triangle by the
+competitor_halfplane of each other image through clip_polygon, whose
+split_polygon is the cut decompose makes, so a fault there can reach
+both sides of the image check.  The lambda grid shares the LP engine
+and no weight geometry.
 """
 
 from __future__ import annotations

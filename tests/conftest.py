@@ -2,6 +2,7 @@ import pathlib
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, prod
 from operator import mul
 
 import pytest
@@ -13,9 +14,7 @@ from pblp.lp_core import (
     LinearProgram,
     LpStatus,
     Sense,
-    eliminate,
     solve_lp,
-    solve_square,
 )
 from pblp.numerics import integer_row
 from pblp.oracle import _cone_rays
@@ -211,13 +210,12 @@ def basis_vertices(rows, rhs, senses, n: int):
             slack[k] = 1 if sense is Sense.LE else -1
             k += 1
         std.append(integer_row([Fraction(a) for a in row] + slack + [Fraction(b)])[0])
-    echelon = eliminate(std)
-    if not echelon.consistent:
+    reduced, _, consistent = _eliminate(std)
+    if not consistent:
         raise InvariantViolation("a feasible system reduced to 0 = nonzero")
-    reduced = echelon.rows
     seen = set()
     for basis in combinations(range(total), len(reduced)):
-        sol = solve_square([[row[c] for c in basis] + [row[-1]] for row in reduced])
+        sol = _solve_square([[row[c] for c in basis] + [row[-1]] for row in reduced])
         if sol is None:
             continue
         z = [zero] * total
@@ -226,6 +224,56 @@ def basis_vertices(rows, rhs, senses, n: int):
         if all(v >= 0 for v in z) and _satisfies(rows, rhs, senses, z[:n]):
             seen.add(tuple(z[:n]))
     return tuple(sorted(seen))
+
+
+def _eliminate(rows):
+    """Forward elimination of integer rows [A | b], one row at a time, in
+    order: (reduced, pivots, consistent).
+
+    Each row is reduced against the kept rows before it, fraction-free
+    (row * pivot - row[col] * kept row, both factors divided by their
+    gcd), and kept when a coefficient survives; its first nonzero
+    coefficient is its pivot and its content is divided out.  So the kept
+    rows are the greedy independent set in row order, and reduced row k
+    is zero in the pivot columns of rows 0..k-1.  consistent is False
+    when a dropped row reduces to 0 = nonzero.  The engine eliminates by
+    its own exchange step (lp_core._row_reduce); this copy shares none of
+    it, so the basis reference checks the engine from outside.
+    """
+    pivots, reduced, consistent = [], [], True
+    width = len(rows[0]) - 1 if rows else 0
+    for work in rows:
+        for col, elim in zip(pivots, reduced):
+            f = work[col]
+            if f:
+                p = elim[col]
+                g = gcd(p, f)
+                p, f = p // g, f // g
+                work = [a * p - f * e for a, e in zip(work, elim)]
+        piv = next((j for j in range(width) if work[j]), None)
+        if piv is None:
+            consistent = consistent and work[-1] == 0
+            continue
+        content = gcd(*work)
+        reduced.append([a // content for a in work])
+        pivots.append(piv)
+    return reduced, pivots, consistent
+
+
+def _solve_square(rows):
+    """x with A x = b for a square integer system [A | b], None if A is
+    singular: _eliminate's triangular rows back-substituted in integers
+    over D, the product of their pivots, which makes every D * x_j an
+    integer (Cramer's rule) and every division exact."""
+    reduced, pivots, _ = _eliminate(rows)
+    if len(reduced) < len(rows):
+        return None
+    det = prod(row[col] for row, col in zip(reduced, pivots))
+    scaled = [0] * len(rows)  # det * x, filled from the last pivot back
+    for row, col in zip(reversed(reduced), reversed(pivots)):
+        rest = sum(a * v for a, v in zip(row, scaled) if a)
+        scaled[col] = (row[-1] * det - rest) // row[col]
+    return [Fraction(v, det) for v in scaled]
 
 
 def reference_phase_two(tab, objectives):

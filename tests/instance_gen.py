@@ -17,8 +17,8 @@ from pblp import Case, LinearProgram, LpStatus, Pblp, Sense, solve_lp
 _SENSE_POOL = (Sense.LE, Sense.GE, Sense.LE, Sense.GE, Sense.EQ)
 
 
-def random_bounded_system(rng: random.Random, max_vars=5, max_rows=7):
-    n = rng.randint(2, max_vars)
+def random_bounded_system(rng: random.Random, max_vars=5, max_rows=7, min_vars=2):
+    n = rng.randint(min_vars, max_vars)
     while True:
         extra = rng.randint(1, max_rows - 1)
         rows = []
@@ -46,8 +46,10 @@ def random_cost(rng: random.Random, n: int):
     return tuple(Fraction(rng.randint(-9, 9)) for _ in range(n))
 
 
-def random_pblp(rng: random.Random, case: Case) -> Pblp:
-    n, rows, rhs, senses = random_bounded_system(rng)
+def random_pblp(rng: random.Random, case: Case, **sizes) -> Pblp:
+    """A bounded instance; sizes (max_vars, max_rows, min_vars) pass to
+    random_bounded_system."""
+    n, rows, rhs, senses = random_bounded_system(rng, **sizes)
     c1 = random_cost(rng, n)
     c2 = random_cost(rng, n)
     d1 = random_cost(rng, n)

@@ -20,7 +20,6 @@ from pblp import (
 )
 from pblp import lp_core
 from pblp.errors import DimensionMismatch, NotRational, SystemMismatch
-from pblp.lp_core import eliminate, solve_square
 from pblp.numerics import integer_row
 from conftest import _satisfies, build_lp, reference_phase_two, vertices_and_rays
 from instance_gen import degenerate_pblp
@@ -833,8 +832,8 @@ def _standard_form_rows(lp):
 def test_rank_reduction_over_equality_rows_keeps_what_all_rows_keep():
     """The tableau eliminates over its equality rows only, since an
     inequality row alone touches its slack column.  Its kept rows and
-    its infeasibility verdict must be those of eliminate over every
-    integer row, with duplicated and summed equality rows, duplicated
+    its infeasibility verdict must be those of a Fraction Gauss-Jordan
+    over every row, with duplicated and summed equality rows, duplicated
     inequality rows and contradictory duplicates mixed in."""
     rng = random.Random(1405)
     seen = dict(duplicate=0, summed=0, inequality_twins=0, contradictory=0)
@@ -878,19 +877,19 @@ def test_rank_reduction_over_equality_rows_keeps_what_all_rows_keep():
             [num() for _ in range(n)], [rows[i] for i in order],
             [rhs[i] for i in order], [senses[i] for i in order],
         )
-        echelon = eliminate([integer_row(row)[0] for row in _standard_form_rows(lp)])
+        kept, _, consistent, _ = _fraction_elimination(_standard_form_rows(lp))
         tab = lp_core._Tableau(lp)
-        assert tab.orig_row == echelon.kept, lp
-        assert tab.infeasible_by_rank == (not echelon.consistent), lp
+        assert tab.orig_row == kept, lp
+        assert tab.infeasible_by_rank == (not consistent), lp
 
-        kept = {order[k] for k in echelon.kept}  # indices before shuffling
+        kept = {order[k] for k in kept}  # indices before shuffling
         assert all(senses[i] == "=" for i in set(order) - kept), lp
         for kind, group in groups.items():
             # a dependent group loses a row; inequality twins both stay
             assert kept.issuperset(group) == (kind == "inequality_twins"), lp
             seen[kind] += 1
         if "contradictory" in groups:
-            assert not echelon.consistent, lp
+            assert not consistent, lp
     assert all(count >= 20 for count in seen.values()), seen
 
 
@@ -939,20 +938,37 @@ def _random_rows(rng, count, width):
     return rows
 
 
+def _reduced(rows):
+    """lp_core._row_reduce on rows scaled to integers: (kept, pivots,
+    consistent, reduced, det), kept indexing the kept rows, pivots their
+    columns and reduced their reduced rows, ints over det."""
+    reduced, det, pivots, consistent = lp_core._row_reduce(
+        [integer_row(row)[0] for row in rows]
+    )
+    kept = [i for i, col in enumerate(pivots) if col is not None]
+    return (
+        kept, [pivots[i] for i in kept], consistent, [reduced[i] for i in kept], det
+    )
+
+
 def test_elimination_matches_a_fraction_gauss_jordan():
-    """Seeded oracle for the one exact elimination routine: the kept
-    rows, their pivots, the consistency verdict and every square solve
-    agree with a Fraction Gauss-Jordan, and solutions are Fractions."""
+    """Seeded oracle for the one exact elimination routine, Gauss-Jordan
+    by the simplex's exchange step: the kept rows, their pivots, the
+    consistency verdict, every entry of a kept row outside the pivot
+    columns and every square solve agree with a Fraction Gauss-Jordan,
+    and the rows stay ints over a positive det."""
     rng = random.Random(1968)
     seen = dict(dropped=0, inconsistent=0, fractional=0, singular=0, solved=0)
     for _ in range(400):
         rows = _random_rows(rng, rng.randint(0, 6), rng.randint(1, 5))
-        scaled = [integer_row(row)[0] for row in rows]
-        echelon = eliminate(scaled)
-        kept, pivots, consistent, _ = _fraction_elimination(rows)
-        assert (echelon.kept, echelon.pivots) == (kept, pivots), rows
-        assert echelon.consistent == consistent, rows
-        assert all(type(a) is int for row in echelon.rows for a in row)
+        want = _fraction_elimination(rows)
+        kept, pivots, consistent, reduced, det = _reduced(rows)
+        assert (kept, pivots, consistent) == want[:3], rows
+        assert type(det) is int and det > 0, rows
+        assert all(type(a) is int for row in reduced for a in row), rows
+        free = [j for j in range(len(rows[0])) if j not in pivots] if rows else []
+        for row, want_row in zip(reduced, want[3]):
+            assert [Fraction(row[j], det) for j in free] == [want_row[j] for j in free]
         seen["dropped"] += len(kept) < len(rows)
         seen["inconsistent"] += not consistent
         seen["fractional"] += any(a.denominator > 1 for row in rows for a in row)
@@ -968,13 +984,17 @@ def test_elimination_matches_a_fraction_gauss_jordan():
             want = [Fraction(0)] * k
             for pc, row in zip(pivots, reduced):
                 want[pc] = row[-1]
-        got = solve_square([integer_row(row)[0] for row in square])
+        kept, pivots, _, reduced, det = _reduced(square)
+        got = None
+        if len(kept) == k:
+            got = [Fraction(0)] * k
+            for col, row in zip(pivots, reduced):
+                got[col] = Fraction(row[-1], det)
         assert got == want, square
         if got is None:
             seen["singular"] += 1
         else:
             seen["solved"] += 1
-            assert all(type(v) is Fraction for v in got), got
             for row in square:
                 assert sum(a * v for a, v in zip(row, got)) == row[-1]
     assert all(count >= 20 for count in seen.values()), seen

@@ -296,7 +296,7 @@ def test_oracle_and_geometry_keep_their_layers():
 def test_the_layering_rule_sees_what_it_forbids(tmp_path):
     oracle = tmp_path / "oracle.py"
     oracle.write_text(
-        "from .lp_core import solve_square\n"
+        "from .lp_core import solve_lp\n"
         "from .wsd import decompose\n"
         "def f():\n"
         "    from . import breakpoints, numerics\n"
