@@ -51,7 +51,7 @@ from fractions import Fraction
 from .errors import EmptyComponent, NoFiniteVertex, SystemMismatch
 from .lp_core import FeasibleSystem, LinearProgram, LpStatus, Sense, solve_lp
 from .numerics import INF
-from .problem_model import Case, Pblp
+from .problem_model import Case, Pblp, integral_image
 from .weight_geometry import (
     ComponentHrep,
     ConvexPolygon2,
@@ -205,16 +205,15 @@ def interval_vertex(case: Case, poly: ConvexPolygon2) -> tuple[Fraction, object]
 # -- axis assembly ----------------------------------------------------------
 
 
-def _bolp_image(case: Case, y: Point3, lam: Fraction):
-    s1, s2 = case.shares
-    return (y[0] + lam * s1 * y[2], y[1] + lam * s2 * y[2])
-
-
 def _is_singleton(case: Case, beta: Fraction, leaving, entering) -> bool:
-    """Whether beta is a one-point segment: images leave (their intervals
-    end at beta) and enter (start there) with different bolp images."""
-    left = {_bolp_image(case, y, beta) for y in leaving}
-    came = {_bolp_image(case, y, beta) for y in entering}
+    """Whether beta = a/q is a one-point segment: the int_images that leave
+    (intervals end at beta) and enter (start there) map to different bolp
+    images (y1 + beta*s1*y3, y2 + beta*s2*y3), reduced by integral_image."""
+    s1, s2 = case.shares
+    a, q = beta.numerator, beta.denominator
+    costs = (((q, 0, a * s1), (0, q, a * s2)), q)
+    left = {integral_image(costs, y[:-1], y[-1]) for y in leaving}
+    came = {integral_image(costs, y[:-1], y[-1]) for y in entering}
     return bool(left and came) and left != came
 
 
@@ -269,13 +268,11 @@ def solve_on_decomposition(
     prev, prev_closed = Fraction(0), True
     for i, beta in enumerate(breakpoints, 1):
         middle = witnesses(i - 1, i)
-        leaving = [iv.image for iv, (_, up) in zip(intervals, ranks) if up == i]
-        entering = [iv.image for iv, (lo, _) in zip(intervals, ranks) if lo == i]
+        leaving = [e.int_image for e, (_, up) in zip(dec.images, ranks) if up == i]
+        entering = [e.int_image for e, (lo, _) in zip(dec.images, ranks) if lo == i]
         if _is_singleton(p.case, beta, leaving, entering):
-            if prev < beta:
-                # up to but excluding the one-point breakpoint (this
-                # piece is absent when the singleton sits at the start)
-                segments.append(AxisSegment(prev, beta, prev_closed, False, middle))
+            # up to but excluding beta; prev < beta, as breakpoints are positive
+            segments.append(AxisSegment(prev, beta, prev_closed, False, middle))
             segments.append(AxisSegment(beta, beta, True, True, witnesses(i, i)))
         else:
             segments.append(AxisSegment(prev, beta, prev_closed, True, middle))

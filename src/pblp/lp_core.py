@@ -30,7 +30,7 @@ current vertex and the stages stop.
 
 Rows keep the sense they are given in.  Phase one starts a row on its
 own slack when that slack reads +1 once the right side is made
-nonnegative (a <= row with rhs >= 0, a >= row with rhs <= 0) and on an
+nonnegative (a <= row with rhs >= 0, a >= row with rhs < 0) and on an
 artificial otherwise, so rows that z = 0 satisfies, written in <= form,
 need no artificial.  The rank reduction eliminates over the equality
 rows only: an inequality row is the one row with a nonzero in its slack

@@ -169,9 +169,6 @@ def decompose(p: Pblp) -> Decomposition:
         return entry
 
     known = [solve_at((1, 1, 3))]  # the centroid
-    # One LP certificate per distinct vertex, ever: its optimum's record
-    # (an index into discovered order is not stable).
-    cache: dict[Triple, ExtremeImage] = {}
 
     # A new image adds one half-plane to each known component, so the
     # known polygons are clipped by it rather than rebuilt.  They tile the
@@ -193,10 +190,9 @@ def decompose(p: Pblp) -> Decomposition:
                 if vertex in done:
                     continue
                 if not any(rec.covers(vertex) for rec in found[entry.int_image]):
-                    if vertex not in cache:
-                        cache[vertex] = solve_at(vertex)
-                    if _below(vertex, cache[vertex].int_image, entry.int_image):
-                        challenger = cache[vertex]
+                    best = solve_at(vertex)
+                    if _below(vertex, best.int_image, entry.int_image):
+                        challenger = best
                         break
                 done.add(vertex)
             if challenger is not None:

@@ -576,23 +576,36 @@ def test_axis_witnesses_are_the_intervals_that_cover_each_segment():
     assert all(count >= 50 for count in kinds.values()), kinds
 
 
+def _bolp_sets(case, intervals, beta):
+    """The bolp images (y1 + beta*s1*y3, y2 + beta*s2*y3), in Fractions,
+    of the images leaving at beta (their intervals end there) and of
+    those entering (theirs start there), found by a scan of every
+    interval."""
+    s1, s2 = case.shares
+
+    def bolp(ivs):
+        return {
+            (y1 + beta * s1 * y3, y2 + beta * s2 * y3)
+            for y1, y2, y3 in (iv.image for iv in ivs)
+        }
+
+    leaving = bolp(iv for iv in intervals if iv.upper == beta)
+    return leaving, bolp(iv for iv in intervals if iv.lower == beta)
+
+
 def _reference_axis(case, intervals):
     """The breakpoints and axis as read before the ends became ranks:
     the witnesses of a segment are the intervals that contain its
     midpoint (lower + 1 for the last one), those of a one-point segment
     the intervals that contain it, and a breakpoint is one point when
-    the images leaving and entering there, found by a scan of every
-    interval, have different bolp images."""
+    the images leaving and entering there have different bolp images
+    (_bolp_sets)."""
 
     def witnesses(lam):
         return tuple(i for i, iv in enumerate(intervals) if iv.contains(lam))
 
     def one_point(beta):
-        def bolp(ivs):
-            return {breakpoints._bolp_image(case, iv.image, beta) for iv in ivs}
-
-        leaving = bolp(iv for iv in intervals if iv.upper == beta)
-        entering = bolp(iv for iv in intervals if iv.lower == beta)
+        leaving, entering = _bolp_sets(case, intervals, beta)
         return bool(leaving and entering) and leaving != entering
 
     ends = sorted(
@@ -639,6 +652,7 @@ def test_axis_from_end_ranks_matches_the_reference_formulation(
         problems += [p, replace(p, case=Case.TWO)]
     problems += [example1, example2, example2_case1]
     one_point = 0
+    seam_free = dict.fromkeys(Method, 0)
     for p in problems:
         dec = decompose(p)
         for method in (Method.LP, Method.ADAPTED):
@@ -646,7 +660,13 @@ def test_axis_from_end_ranks_matches_the_reference_formulation(
             expected = _reference_axis(p.case, sol.intervals)
             assert (sol.breakpoints, _axis_tuples(sol)) == expected, (p, method)
             one_point += sum(s.lower == s.upper for s in sol.axis)
+            for beta in sol.breakpoints:
+                leaving, entering = _bolp_sets(p.case, sol.intervals, beta)
+                seam_free[method] += bool(leaving) and leaving == entering
     assert one_point >= 100, one_point
+    # images leave and enter at one biobjective point: example2 at 1 and
+    # three case-ONE breakpoints (acceptance 120 and 188, degenerate 47)
+    assert all(count >= 4 for count in seam_free.values()), seam_free
 
 
 def test_a_one_point_segment_at_the_first_breakpoint():
@@ -679,6 +699,38 @@ def test_a_one_point_segment_at_the_first_breakpoint():
         assert _reference_axis(p.case, sol.intervals) == (
             sol.breakpoints, _axis_tuples(sol)
         )
+
+
+def test_a_seam_free_breakpoint_in_case_one():
+    """Instance 120 of the acceptance batch (seed 1405).  At lambda = 7/6,
+    its one breakpoint, the image (10/7, -40/7, -5/7) leaves and
+    (318/7, -40/7, -269/7) enters.  In case ONE both map to the
+    biobjective point (25/42, -40/7), so the change is seam-free and 7/6
+    is a plain segment boundary, not a segment of its own."""
+    p = Pblp(
+        case=Case.ONE, n=4,
+        rows=((F(7), F(-1), F(0), F(0)), (F(1), F(1), F(1), F(1))),
+        rhs=(F(5), F(7)),
+        senses=(Sense.GE, Sense.LE),
+        c1=(F(2), F(2), F(7), F(4)),
+        c2=(F(-8), F(-6), F(0), F(2)),
+        d1=(F(-1), F(2), F(-6), F(0)),
+    )
+    for method in (Method.LP, Method.ADAPTED):
+        sol = enumerate_breakpoints(p, method)
+        assert _interval_map(sol) == {
+            (F(10, 7), F(-40, 7), F(-5, 7)): (F(0), F(7, 6)),
+            (F(14), F(-56), F(-7)): (F(0), INF),
+            (F(318, 7), F(-40, 7), F(-269, 7)): (F(7, 6), INF),
+        }
+        assert sol.breakpoints == (F(7, 6),)
+        assert _bolp_sets(p.case, sol.intervals, F(7, 6)) == (
+            {(F(25, 42), F(-40, 7))}, {(F(25, 42), F(-40, 7))}
+        )
+        assert _axis_tuples(sol) == [
+            (F(0), F(7, 6), True, True, (0, 1)),
+            (F(7, 6), INF, False, False, (1, 2)),
+        ]
 
 
 def test_methods_agree_on_random_instances():

@@ -3,12 +3,13 @@ never an assert (which python -O strips) and never a StopIteration
 from a next() without a default, and no float decides anything, so
 float() appears only in the lossy plot comments of
 cli_io.emit_plot_data.  The weight geometry, the problem records, the
-decomposition and the oracles compute in ints and build a Fraction only
-where a number leaves them: in weight_geometry only
+decomposition, the parameter axis and the oracles compute in ints and
+build a Fraction only where a number leaves them: in weight_geometry only
 ConvexPolygon2.vertices and ConvexPolygon2.area, in problem_model only
 the plotted lambda segments, in wsd only an image's Fraction view and
-the weight an unbounded solve names, and in oracle only the returned
-images and the lambda grid.  Only weight_geometry builds a
+the weight an unbounded solve names, in breakpoints only the interval
+ends interval_vertex reads off the vertices and the axis origin, and in
+oracle only the returned images and the lambda grid.  Only weight_geometry builds a
 ConvexPolygon2, so every polygon comes from a cut or a hull that keeps
 canonical form.  No state lives at module level: no module-level dict,
 list or set but __all__, and no global statement.  Two modules also keep their
@@ -26,13 +27,15 @@ import pathlib
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "pblp"
 FLOAT_ALLOWED = {("cli_io", "emit_plot_data")}
-FRACTION_RULED = {"weight_geometry", "problem_model", "wsd", "oracle"}
+FRACTION_RULED = {"weight_geometry", "problem_model", "wsd", "breakpoints", "oracle"}
 FRACTION_ALLOWED = {
     ("weight_geometry", "ConvexPolygon2.vertices"),
     ("weight_geometry", "ConvexPolygon2.area"),
     ("problem_model", "segment_for_lambda"),
     ("wsd", "ExtremeImage.image"),
     ("wsd", "find_extreme_image"),
+    ("breakpoints", "interval_vertex"),
+    ("breakpoints", "solve_on_decomposition"),
     ("oracle", "extreme_nondominated_bruteforce"),
     ("oracle", "dichotomic_bolp"),
     ("oracle", "lambda_grid"),
@@ -149,7 +152,7 @@ def test_the_fraction_rule_sees_what_it_forbids(tmp_path):
         "weight_geometry.py:14: Fraction() call",
         "weight_geometry.py:16: Fraction() call",
     ]
-    elsewhere = tmp_path / "breakpoints.py"
+    elsewhere = tmp_path / "lp_core.py"
     elsewhere.write_text(geometry.read_text())
     assert _violations(elsewhere) == []
     wsd = tmp_path / "wsd.py"
@@ -173,6 +176,17 @@ def test_the_fraction_rule_sees_what_it_forbids(tmp_path):
         "    return Fraction(r[0], r[-1])\n"
     )
     assert _violations(oracle) == ["oracle.py:5: Fraction() call"]
+    axis = tmp_path / "breakpoints.py"
+    axis.write_text(
+        "from fractions import Fraction\n"
+        "def interval_vertex(case, poly):\n"
+        "    return Fraction(1, 2), Fraction(3)\n"
+        "def solve_on_decomposition(p, dec, method):\n"
+        "    return Fraction(0)\n"
+        "def _is_singleton(case, beta, leaving, entering):\n"
+        "    return {Fraction(y[0], y[-1]) for y in leaving}\n"
+    )
+    assert _violations(axis) == ["breakpoints.py:7: Fraction() call"]
 
 
 def test_the_polygon_rule_sees_what_it_forbids(tmp_path):
