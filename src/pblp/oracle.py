@@ -13,13 +13,18 @@ _has_full_component cuts weight_geometry.simplex_triangle by the
 competitor_halfplane of each other image through clip_polygon, whose
 split_polygon is the cut decompose makes, so a fault there can reach
 both sides of the image check.  The lambda grid shares the LP engine
-and no weight geometry.
+and no weight geometry, but it reads the reduced-cost cones of
+LpResult.reduced: a basis stays optimal for every weighted sum of
+(c1, c2, d1) in its cone, the principle of decompose's cover test, so
+a basis an earlier grid solve ended on answers every later solve it is
+lexicographically optimal for (sweep_lambda).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm
 from operator import mul
 
@@ -205,19 +210,38 @@ def extreme_nondominated_bruteforce(p: Pblp) -> tuple[Point3, ...]:
 # -- parametric oracle -------------------------------------------------------
 
 
-def _lex(system: FeasibleSystem, objective, ties):
-    """The vertex (numerators, den) of a lexicographic solve on system."""
+def _lex(system: FeasibleSystem, objective, ties, price=()):
+    """The result of a lexicographic solve on system, priced for price,
+    which is optimal: the other outcomes raise."""
     lp = system.lp  # the system's own constraints
     lp = LinearProgram(tuple(objective), lp.rows, lp.rhs, lp.senses, lp.nonneg)
-    res = solve_lex_lp(lp, ties, system)
+    res = solve_lex_lp(lp, ties, system, price)
     if res.status is LpStatus.UNBOUNDED:
         raise UnboundedScalarization("biobjective scalarization is unbounded")
     if res.status is LpStatus.INFEASIBLE:
         raise InfeasibleProblem("feasible set is empty")
-    return res.vertex
+    return res
 
 
-def dichotomic_bolp(costs, system: FeasibleSystem, extra_ties=()) -> tuple:
+def _lex_optimal(cone, stages) -> bool:
+    """Whether each triple r in cone gives a lexicographically
+    nonnegative sequence: w.r for each stage weight w, then r itself,
+    the stages of unit weights."""
+    for r in cone:
+        for w in stages:
+            value = sum(map(mul, w, r))
+            if value:
+                break
+        else:
+            value = next(filter(None, r), 0)
+        if value < 0:
+            return False
+    return True
+
+
+def dichotomic_bolp(
+    costs, system: FeasibleSystem, extra_ties=(), weights=None, bases=None
+) -> tuple:
     """All extreme nondominated images of the biobjective problem
     min (f1.x, f2.x) over system's feasible set.
 
@@ -233,11 +257,31 @@ def dichotomic_bolp(costs, system: FeasibleSystem, extra_ties=()) -> tuple:
     Returns (image, witness) pairs sorted by first objective value: the
     image as Fractions, the witness as the solve's vertex
     (numerators, den).
+
+    bases, which sweep_lambda passes, is None or a list of (vertex,
+    cone), one per basis an earlier solve ended on, cone the reduced
+    costs of extra_ties there; weights then holds f1's and f2's weights
+    over extra_ties, up to one common positive factor.  A held basis on
+    which every stage is lexicographically optimal (_lex_optimal)
+    answers a solve in place of an LP; a solve that runs prices
+    extra_ties and adds its basis.
     """
     (f1, f2), _ = costs
     extra_ties = tuple(extra_ties)
-    xa = _lex(system, f1, (f2,) + extra_ties)
-    xb = _lex(system, f2, (f1,) + extra_ties)
+    w1, w2 = weights or ((), ())
+
+    def lex(objective, ties, stages):
+        if bases is None:
+            return _lex(system, objective, ties + extra_ties).vertex
+        for vertex, cone in reversed(bases):  # newest, so nearest, first
+            if _lex_optimal(cone, stages):
+                return vertex
+        res = _lex(system, objective, ties + extra_ties, extra_ties)
+        bases.append((res.vertex, res.reduced))
+        return res.vertex
+
+    xa = lex(f1, (f2,), (w1, w2))
+    xb = lex(f2, (f1,), (w2, w1))
     a, b = integral_image(costs, *xa), integral_image(costs, *xb)
     found = {a: xa}
 
@@ -252,7 +296,8 @@ def dichotomic_bolp(costs, system: FeasibleSystem, extra_ties=()) -> tuple:
         common = gcd(k1, k2)
         k1, k2 = k1 // common, k2 // common
         objective = tuple(k1 * f + k2 * g for f, g in zip(f1, f2))
-        x = _lex(system, objective, (f1, f2) + extra_ties)
+        w = tuple(k1 * u + k2 * v for u, v in zip(w1, w2))
+        x = lex(objective, (f1, f2), (w, w1, w2))
         y = integral_image(costs, *x)
         y1, y2, dy = y
         if (k1 * y1 + k2 * y2) * dl < (k1 * l1 + k2 * l2) * dy:  # strictly below
@@ -304,21 +349,45 @@ def sweep_lambda(p: Pblp, lambda_max: Fraction, steps: int) -> SweepReport:
     sets bracket a breakpoint.  Fixing lambda changes only the
     objectives, so the whole grid shares one feasible system, and the
     extra ties (c1, c2, d1) are p.integer_costs rows, scaled once.  A
-    witness set is keyed by its images as integral_image gives them, so
-    each distinct set is turned into sorted Fractions once.
+    witness set is keyed by its images as integral_image gives them,
+    each computed once per vertex, so each distinct set is turned into
+    sorted Fractions once.
+
+    Most grid points run no LP.  At lambda = a/q, f1 and f2 are
+    positive multiples of the weighted sums of (c1, c2, d1) by
+    (q, 0, a*s1) and (0, q, a*s2), s the case's shares, so each stage of
+    a solve weighs those rows: by one of these, by k1 and k2 of them for
+    a probe's k1 f1 + k2 f2, or by a unit vector for a tie among c1, c2
+    and d1.  Reduced costs are linear in the objective, so a basis at
+    which every nonbasic column's reduced costs r of (c1, c2, d1) give a
+    lexicographically nonnegative sequence (W_1.r, ..., W_S.r) over the
+    stage weights W_s is a lexicographic optimum of those stages, and
+    the staged simplex ends on such a basis (the wsd module docstring).
+    The sweep keeps each basis a solve ended on with its cone, and one
+    that passes answers a later solve without changing a result: the
+    ties end with c1, c2 and d1, so every lexicographic optimum has the
+    same triobjective image, and so the same witness and biobjective
+    images; only the vertex may differ, which the report does not hold.
+    A passing basis proves every stage bounded, so a grid point whose
+    scalarization is unbounded still runs its solve and raises.
     """
     grid = lambda_grid(lambda_max, steps)
     system = FeasibleSystem(system_lp(p, p.c1))
     ties, _ = p.integer_costs
+    s1, s2 = p.case.shares
+    bases = []  # (vertex, cone) of each basis a solve ended on
+    image = cache(lambda vertex: integral_image(p.integer_costs, *vertex))
     sorted_sets = {}  # frozenset of integral images -> sorted Fraction images
     witness_images = []
     bolp_images = []
     for lam in grid:
-        pairs = dichotomic_bolp(fix_lambda(p, lam), system, ties)
-        key = frozenset(integral_image(p.integer_costs, *x) for _, x in pairs)
+        a, q = lam.numerator, lam.denominator
+        weights = ((q, 0, a * s1), (0, q, a * s2))
+        pairs = dichotomic_bolp(fix_lambda(p, lam), system, ties, weights, bases)
+        key = frozenset(image(x) for _, x in pairs)
         if key not in sorted_sets:
             sorted_sets[key] = tuple(sorted(
-                tuple(Fraction(a, y[-1]) for a in y[:-1]) for y in key
+                tuple(Fraction(v, y[-1]) for v in y[:-1]) for y in key
             ))
         witness_images.append(sorted_sets[key])
         bolp_images.append(tuple(y for y, _ in pairs))

@@ -572,20 +572,129 @@ def test_sweep_brackets_the_case_one_breakpoints(example2_case1):
     assert report.changes == ((F(1), F(11, 10)), (F(12, 5), F(5, 2)))
 
 
-# The sweep grids of the benchmark, per pass: 538 pivots and 484 LP
-# solves, on 2621 _simplex runs (phase ones and lexicographic stages)
-# while every tie stage ran; a stage after a vertex face stops cuts them
-# to 705.  Each run builds one full reduced-cost row, which its pivots
-# then update: 1945 rows were summed when every pricing pass summed one.
+def _witness_images(p, pairs):
+    """The sorted triobjective images of dichotomic_bolp's witnesses."""
+    return tuple(sorted({cost_image(p.integer_costs, *x) for _, x in pairs}))
+
+
+def _cold_sweep(p, lambda_max, steps):
+    """The witness images, biobjective images, changes and LP solves of
+    a sweep from dichotomic_bolp alone: at each grid point a fresh
+    FeasibleSystem, ties (c1, c2, d1) and no bases."""
+    ties, _ = p.integer_costs
+    grid = oracle.lambda_grid(lambda_max, steps)
+    witness_images, bolp_images, solves = [], [], 0
+    for lam in grid:
+        system = FeasibleSystem(system_lp(p, p.c1))
+        pairs = dichotomic_bolp(fix_lambda(p, lam), system, ties)
+        solves += system.solves
+        witness_images.append(_witness_images(p, pairs))
+        bolp_images.append(tuple(y for y, _ in pairs))
+    changes = tuple(
+        (grid[i - 1], grid[i])
+        for i in range(1, len(grid))
+        if witness_images[i] != witness_images[i - 1]
+    )
+    return tuple(witness_images), tuple(bolp_images), changes, solves
+
+
+# LP solves of the sweeps below, 3104 cold: a basis that answers a solve
+# the LP would end elsewhere can send the dichotomic search another way.
+FAMILY_SWEEP_LP_SOLVES = 151
+
+
+def test_the_sweep_bases_match_the_cold_reference():
+    """A sweep whose solves are answered by the cones of bases it holds
+    reports the witness images, biobjective images and changes of cold
+    dichotomic searches, one fresh system per grid point, on the
+    acceptance and degenerate families under both case tags, and the
+    bases answer solves: the sweep runs fewer LPs on every record, and
+    the measured number in all.  The same grid walked down from
+    lambda = 5, with bases held across its dichotomic searches, matches
+    the reference too: there a basis of a larger lambda can tie every
+    stage but the ties' unit weights, which an ascending sweep never
+    meets."""
+    rng = random.Random(1405)
+    family = [random_pblp(rng, Case.ONE) for _ in range(12)]
+    rng = random.Random(7)
+    family += [degenerate_pblp(rng, Case.ONE) for _ in range(12)]
+    moved = lp_solves = 0
+    for p in family:
+        for case in Case:
+            q = replace(p, case=case)
+            report = sweep_lambda(q, F(5), 20)
+            witness_images, bolp_images, changes, solves = _cold_sweep(q, F(5), 20)
+            assert report.witness_images == witness_images, q
+            assert report.bolp_images == bolp_images, q
+            assert report.changes == changes, q
+            assert report.lp_solves < solves, q
+            lp_solves += report.lp_solves
+            moved += bool(changes)
+            ties, _ = q.integer_costs
+            s1, s2 = case.shares
+            system, bases = FeasibleSystem(system_lp(q, q.c1)), []
+            for i in reversed(range(len(report.grid))):
+                a, d = report.grid[i].numerator, report.grid[i].denominator
+                weights = ((d, 0, a * s1), (0, d, a * s2))
+                costs = fix_lambda(q, report.grid[i])
+                pairs = dichotomic_bolp(costs, system, ties, weights, bases)
+                assert _witness_images(q, pairs) == witness_images[i], (q, i)
+                assert tuple(y for y, _ in pairs) == bolp_images[i], (q, i)
+    assert moved >= 30, moved
+    assert lp_solves == FAMILY_SWEEP_LP_SOLVES
+
+
+def test_the_ties_unit_weights_decide_a_held_basis():
+    """On the segment x1 + x2 = 1, case ONE's f1 = x1 + lambda x2 ties
+    at lambda = 1 and f2 = 0 throughout, so there the ties c1, c2, d1
+    alone pick the witness: (0, 1), where c1 is 0.  The basis that
+    lambda = 2 ends on, at (1, 0), ties every stage weight at lambda = 1
+    and fails only on c1's unit weight, so it answers nothing there."""
+    p = Pblp(
+        case=Case.ONE, n=2, rows=((F(1), F(1)),), rhs=(F(1),), senses=(Sense.EQ,),
+        c1=(F(1), F(0)), c2=(F(0), F(0)), d1=(F(0), F(1)),
+    )
+    ties, _ = p.integer_costs
+    system, bases = FeasibleSystem(system_lp(p, p.c1)), []
+    for lam, witness in ((F(2), (1, 0)), (F(1), (0, 1))):
+        weights = ((lam.denominator, 0, lam.numerator), (0, lam.denominator, 0))
+        pairs = dichotomic_bolp(fix_lambda(p, lam), system, ties, weights, bases)
+        assert [tuple(F(v, den) for v in x) for _, (x, den) in pairs] == [witness]
+    assert system.solves == len(bases) == 2
+
+
+def test_a_held_basis_never_hides_an_unbounded_grid_point():
+    """On x1 <= 1, x >= 0, where x2 grows without bound, case ONE's
+    f1 = (1 - lambda) x2 is bounded below for lambda <= 1 and unbounded
+    above 1, and f2 = x2 throughout.  The bases of the bounded grid
+    points answer nothing at an unbounded one, which raises as a cold
+    solve does."""
+    p = Pblp(
+        case=Case.ONE, n=2, rows=((F(1), F(0)),), rhs=(F(1),), senses=(Sense.LE,),
+        c1=(F(0), F(1)), c2=(F(0), F(1)), d1=(F(0), F(-1)),
+    )
+    assert sweep_lambda(p, F(1, 2), 2).lp_solves >= 1
+    with pytest.raises(UnboundedScalarization):
+        sweep_lambda(p, F(2), 2)
+
+
+# The sweep grids of the benchmark, per pass: 26 pivots and 14 LP solves,
+# on 22 _simplex runs (phase ones and lexicographic stages).  Before the
+# sweep kept the bases its solves ended on, every grid point solved its
+# corners and probes: 484 LP solves, 538 pivots and 705 runs, from 143
+# dichotomic searches whose solves end on 8 distinct vertices.  Each run
+# builds one full reduced-cost row, which its pivots then update, and
+# each solve that runs prices (c1, c2, d1) at its final basis, one row
+# each: 1945 rows were summed when every pricing pass summed one.
 SWEEP_GRIDS = (("example2", 6, 60), ("example2_case1", 4, 40), ("example1", 4, 40))
-SWEEP_SIMPLEX_RUNS, SWEEP_PIVOTS, SWEEP_LP_SOLVES = 705, 538, 484
+SWEEP_SIMPLEX_RUNS, SWEEP_PIVOTS, SWEEP_LP_SOLVES = 22, 26, 14
 
 
 def test_sweep_stage_gate(request, monkeypatch):
     """Deterministic gate for the sweep's lexicographic solves: the
     stages after a vertex face do not run, no simplex iteration sums a
-    reduced-cost row afresh, and the pivots and LP solves stay at the
-    measured values."""
+    reduced-cost row afresh, beside the three priced rows of each solve,
+    and the pivots and LP solves stay at the measured values."""
     counts = dict(simplex=0, pivots=0, priced=0)
     pivot, simplex = lp_core._Tableau._pivot, lp_core._Tableau._simplex
     reduced_row = lp_core._Tableau._reduced_row
@@ -610,7 +719,7 @@ def test_sweep_stage_gate(request, monkeypatch):
         report = sweep_lambda(request.getfixturevalue(name), F(lambda_max), steps)
         lp_solves += report.lp_solves
     assert counts["simplex"] <= SWEEP_SIMPLEX_RUNS, counts
-    assert counts["priced"] <= SWEEP_SIMPLEX_RUNS, counts
+    assert counts["priced"] <= SWEEP_SIMPLEX_RUNS + 3 * SWEEP_LP_SOLVES, counts
     assert counts["pivots"] <= SWEEP_PIVOTS, counts
     assert lp_solves == SWEEP_LP_SOLVES
 

@@ -51,8 +51,8 @@ from conftest import load_instance
 from instance_gen import degenerate_pblp, random_pblp
 
 DOCUMENTS_SHA256 = "678abde767a6993fb3d0ea3b71ec30251a546f8ba78debba5626d225b65a4929"
-PIVOT_COUNT = 6721
-PIVOTS_SHA256 = "34acf7508616a3a8f62b5e6946aec183cf935fd58cf8198ae88a2b9f203295d2"
+PIVOT_COUNT = 6209
+PIVOTS_SHA256 = "e3cf300f52f2b795e966f76f96459d7875e4f14e1be18c1ba5f9b10ca8baea3f"
 DEGENERATE_SHA256 = "0e1ae3fdda10781650b743abf720c61cbebb93146725b0c9ae49e8ca7b8fc1f5"
 SWEEP_SHA256 = "8f8f68e8df1c5a6f63993d90161732441d4fe32273c64085ff40d6c01922231f"
 PLOT_SHA256 = "0103b52bcb0f76c3372d97291fa0ffdbf09e242a6cd74b2663e5687352599b74"
