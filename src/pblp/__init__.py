@@ -55,7 +55,6 @@ from .oracle import (
 from .problem_model import (
     Case,
     Pblp,
-    fix_lambda,
     segment_for_lambda,
 )
 from .cli_io import (

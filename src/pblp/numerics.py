@@ -3,8 +3,9 @@
 Rationals are stdlib fractions.Fraction, always in lowest terms, so str
 gives the canonical 'p' or 'p/q'.  This module adds the problem-file
 token parser, integer_row, the package's one scaling of a rational row
-to integers, and INF, the open right end of a parameter interval, which
-is tested with `is INF`, never ordered, and whose str is 'inf'.
+to integers, require_rational, the check on a lambda, and INF, the open
+right end of a parameter interval, which is tested with `is INF`, never
+ordered, and whose str is 'inf'.
 """
 
 from __future__ import annotations
@@ -56,6 +57,13 @@ def integer_row(values) -> tuple[list[int], int]:
     except AttributeError:
         bad = next((v for v in values if not isinstance(v, (int, Fraction))), None)
         raise NotRational(f"{bad!r} is neither an int nor a Fraction") from None
+
+
+def require_rational(value) -> None:
+    """Raise NotRational unless value is an int or a Fraction: a float or
+    a str is never read as a rational."""
+    if not isinstance(value, (int, Fraction)):
+        raise NotRational(f"{value!r} is neither an int nor a Fraction")
 
 
 class _PositiveInfinity:

@@ -17,21 +17,21 @@ and no weight geometry, but it reads the reduced-cost cones of
 LpResult.reduced: a basis stays optimal for every weighted sum of
 (c1, c2, d1) in its cone, the principle of decompose's cover test, so
 a basis an earlier grid solve ended on answers every later solve it is
-lexicographically optimal for (sweep_lambda).
+lexicographically optimal for (sweep_lambda), its held triobjective
+image mapped to lambda's biobjective one in ints (_bolp_image).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from math import gcd, lcm
 from operator import mul
 
 from .errors import InfeasibleProblem, TooLarge, UnboundedScalarization
 from .lp_core import FeasibleSystem, LinearProgram, LpStatus, Sense, solve_lex_lp
-from .numerics import integer_row
-from .problem_model import Pblp, fix_lambda, integral_image, system_lp
+from .numerics import integer_row, require_rational
+from .problem_model import Pblp, integral_image, system_lp
 from .weight_geometry import (
     IntImage, Point3, clip_polygon, competitor_halfplane, simplex_triangle,
 )
@@ -239,9 +239,19 @@ def _lex_optimal(cone, stages) -> bool:
     return True
 
 
-def dichotomic_bolp(
-    costs, system: FeasibleSystem, extra_ties=(), weights=None, bases=None
-) -> tuple:
+def _bolp_image(w1, w2, y: IntImage) -> tuple[int, int, int]:
+    """The biobjective image, reduced ints (Y1, Y2, D), of the
+    triobjective image y = (Y1, Y2, Y3, D) under the stage weights w1 and
+    w2 of lambda = a/q, (q, 0, a*s1) and (0, q, a*s2) up to one common
+    positive factor: (w1.Y, w2.Y, w1[0] D) over their gcd, which is
+    integral_image(fix_lambda(p, lambda), x, den) for y's vertex x/den."""
+    *values, d = y
+    z = (sum(map(mul, w1, values)), sum(map(mul, w2, values)), w1[0] * d)
+    common = gcd(*z)
+    return tuple(v // common for v in z)
+
+
+def dichotomic_bolp(costs, system: FeasibleSystem, extra_ties=(), bases=None) -> tuple:
     """All extreme nondominated images of the biobjective problem
     min (f1.x, f2.x) over system's feasible set.
 
@@ -254,63 +264,75 @@ def dichotomic_bolp(
     pivots.  Every solve runs phase two only, on system.  Images are
     held as integral_image gives them, reduced ints (Y1, Y2, D), so
     equal images are equal tuples and each probe is integer arithmetic.
-    Returns (image, witness) pairs sorted by first objective value: the
+    Returns (image, witness) pairs by rising first objective value: the
     image as Fractions, the witness as the solve's vertex
-    (numerators, den).
+    (numerators, den), collected in that order and not sorted: corner
+    a, each probe's lower gap, image and upper gap, then corner b.
 
-    bases, which sweep_lambda passes, is None or a list of (vertex,
-    cone), one per basis an earlier solve ended on, cone the reduced
-    costs of extra_ties there; weights then holds f1's and f2's weights
-    over extra_ties, up to one common positive factor.  A held basis on
-    which every stage is lexicographically optimal (_lex_optimal)
-    answers a solve in place of an LP; a solve that runs prices
-    extra_ties and adds its basis.
+    bases, which sweep_lambda passes, is None or a list of
+    (vertex, cone, image), one per basis an earlier solve ended on: cone
+    the reduced costs of extra_ties there, image the vertex's
+    triobjective image integral_image((extra_ties, L), *vertex).  costs
+    is then ((w1, w2), L): f1's and f2's weights over the extra_ties
+    rows, up to one common positive factor, as _bolp_image takes them,
+    and their scale.  A held basis on which every stage is
+    lexicographically optimal (_lex_optimal) answers a solve in place of
+    an LP and gives its image through _bolp_image, so an answer builds
+    no objective; a solve that runs weighs the extra_ties rows for its
+    stages, prices extra_ties and adds its basis, which is then the
+    witness.
     """
-    (f1, f2), _ = costs
     extra_ties = tuple(extra_ties)
-    w1, w2 = weights or ((), ())
+    if bases is None:  # the stages weigh f1 and f2
+        rows, _ = costs
+        w1, w2 = (1, 0), (0, 1)
+    else:  # the stages weigh the ties
+        (w1, w2), scale = costs
+        rows = extra_ties
 
-    def lex(objective, ties, stages):
+    def lex(stages):
+        # (image, witness) of the lexicographic optimum of each stage
+        # weight's row, then extra_ties
+        if bases is not None:
+            for basis in reversed(bases):  # newest, so nearest, first
+                if _lex_optimal(basis[1], stages):
+                    return _bolp_image(w1, w2, basis[2]), basis
+        columns = tuple(zip(*rows))
+        objective, *ties = ([sum(map(mul, w, c)) for c in columns] for w in stages)
+        ties = (*ties, *extra_ties)
         if bases is None:
-            return _lex(system, objective, ties + extra_ties).vertex
-        for vertex, cone in reversed(bases):  # newest, so nearest, first
-            if _lex_optimal(cone, stages):
-                return vertex
-        res = _lex(system, objective, ties + extra_ties, extra_ties)
-        bases.append((res.vertex, res.reduced))
-        return res.vertex
-
-    xa = lex(f1, (f2,), (w1, w2))
-    xb = lex(f2, (f1,), (w2, w1))
-    a, b = integral_image(costs, *xa), integral_image(costs, *xb)
-    found = {a: xa}
+            x = _lex(system, objective, ties).vertex
+            return integral_image(costs, *x), x
+        res = _lex(system, objective, ties, extra_ties)
+        image = integral_image((rows, scale), *res.vertex)
+        bases.append((res.vertex, res.reduced, image))
+        return _bolp_image(w1, w2, image), bases[-1]
 
     def probe(lo, hi):
         # lo has the smaller f1 and larger f2.  The weight orthogonal to
         # the gap, (lo_2 - hi_2, hi_1 - lo_1), times Dl Dh over the gcd:
         # both parts are positive, so the signs, and so the pivots, are
         # the weighted sum's, and _lex never reads the value
-        l1, l2, dl = lo
-        h1, h2, dh = hi
+        (l1, l2, dl), (h1, h2, dh) = lo[0], hi[0]
         k1, k2 = l2 * dh - h2 * dl, h1 * dl - l1 * dh
         common = gcd(k1, k2)
         k1, k2 = k1 // common, k2 // common
-        objective = tuple(k1 * f + k2 * g for f, g in zip(f1, f2))
         w = tuple(k1 * u + k2 * v for u, v in zip(w1, w2))
-        x = lex(objective, (f1, f2), (w, w1, w2))
-        y = integral_image(costs, *x)
-        y1, y2, dy = y
+        mid = lex((w, w1, w2))
+        y1, y2, dy = mid[0]
         if (k1 * y1 + k2 * y2) * dl < (k1 * l1 + k2 * l2) * dy:  # strictly below
-            found[y] = x
-            probe(lo, y)
-            probe(y, hi)
+            probe(lo, mid)
+            found.append(mid)
+            probe(mid, hi)
 
-    if a != b:
-        found[b] = xb
+    a, b = lex((w1, w2)), lex((w2, w1))
+    found = [a]  # (image, witness) pairs, by rising f1
+    if a[0] != b[0]:
         probe(a, b)
-    return tuple(sorted(
-        ((Fraction(y1, d), Fraction(y2, d)), x) for (y1, y2, d), x in found.items()
-    ))
+        found.append(b)
+    return tuple(
+        ((Fraction(y1, d), Fraction(y2, d)), witness) for (y1, y2, d), witness in found
+    )
 
 
 @dataclass(frozen=True)
@@ -333,12 +355,17 @@ class SweepReport:
 
 
 def lambda_grid(lambda_max: Fraction, steps: int) -> tuple[Fraction, ...]:
-    """steps + 1 evenly spaced lambdas from 0 to lambda_max."""
+    """steps + 1 evenly spaced lambdas from 0 to lambda_max = a/q, the
+    i-th one Fraction(i a, q steps).  Raises NotRational for a
+    lambda_max that is neither an int nor a Fraction, ValueError for
+    steps <= 0 or lambda_max < 0."""
     if steps <= 0:
         raise ValueError("steps must be positive")
+    require_rational(lambda_max)
     if lambda_max < 0:
         raise ValueError("lambda_max must be nonnegative")
-    return tuple(Fraction(i) * lambda_max / steps for i in range(steps + 1))
+    a, q = lambda_max.numerator, lambda_max.denominator * steps
+    return tuple(Fraction(i * a, q) for i in range(steps + 1))
 
 
 def sweep_lambda(p: Pblp, lambda_max: Fraction, steps: int) -> SweepReport:
@@ -348,10 +375,7 @@ def sweep_lambda(p: Pblp, lambda_max: Fraction, steps: int) -> SweepReport:
     breakpoints; consecutive grid points with different witness image
     sets bracket a breakpoint.  Fixing lambda changes only the
     objectives, so the whole grid shares one feasible system, and the
-    extra ties (c1, c2, d1) are p.integer_costs rows, scaled once.  A
-    witness set is keyed by its images as integral_image gives them,
-    each computed once per vertex, so each distinct set is turned into
-    sorted Fractions once.
+    extra ties (c1, c2, d1) are p.integer_costs rows, scaled once.
 
     Most grid points run no LP.  At lambda = a/q, f1 and f2 are
     positive multiples of the weighted sums of (c1, c2, d1) by
@@ -370,21 +394,23 @@ def sweep_lambda(p: Pblp, lambda_max: Fraction, steps: int) -> SweepReport:
     images; only the vertex may differ, which the report does not hold.
     A passing basis proves every stage bounded, so a grid point whose
     scalarization is unbounded still runs its solve and raises.
+    A grid point that held bases answer is int work alone: no objective
+    row, no vertex image, no sort.  A witness set is keyed by its held
+    images, so each distinct set is turned into sorted Fractions once.
     """
     grid = lambda_grid(lambda_max, steps)
     system = FeasibleSystem(system_lp(p, p.c1))
-    ties, _ = p.integer_costs
+    ties, scale = p.integer_costs
     s1, s2 = p.case.shares
-    bases = []  # (vertex, cone) of each basis a solve ended on
-    image = cache(lambda vertex: integral_image(p.integer_costs, *vertex))
-    sorted_sets = {}  # frozenset of integral images -> sorted Fraction images
+    bases = []  # (vertex, cone, image) of each basis a solve ended on
+    sorted_sets = {}  # frozenset of held images -> sorted Fraction images
     witness_images = []
     bolp_images = []
     for lam in grid:
         a, q = lam.numerator, lam.denominator
         weights = ((q, 0, a * s1), (0, q, a * s2))
-        pairs = dichotomic_bolp(fix_lambda(p, lam), system, ties, weights, bases)
-        key = frozenset(image(x) for _, x in pairs)
+        pairs = dichotomic_bolp((weights, scale), system, ties, bases)
+        key = frozenset(basis[2] for _, basis in pairs)
         if key not in sorted_sets:
             sorted_sets[key] = tuple(sorted(
                 tuple(Fraction(v, y[-1]) for v in y[:-1]) for y in key

@@ -22,7 +22,7 @@ from operator import mul
 
 from .errors import DimensionMismatch, NegativeParameter
 from .lp_core import LinearProgram, Sense
-from .numerics import integer_row
+from .numerics import integer_row, require_rational
 
 
 class Case(Enum):
@@ -102,7 +102,9 @@ def fix_lambda(p: Pblp, lam: Fraction) -> tuple[tuple[tuple[int, ...], ...], int
     is (q C_k + a s_k D) / (q L).  Divided by the gcd of qL and every
     entry, those are the rows and the scale, the lcm of the objectives'
     denominators, that numerics.integer_row gives the Fraction rows.
+    Raises NotRational for a lambda that is neither an int nor a Fraction.
     """
+    require_rational(lam)
     if lam < 0:
         raise NegativeParameter(f"lambda = {lam}")
     a, q = lam.numerator, lam.denominator
@@ -127,7 +129,9 @@ def segment_for_lambda(
 
     It runs from (0, 1/(1+lambda*s2)) to (1/(1+lambda*s1), 0): in case
     ONE from (0, 1) with slope -(1+lambda), in case TWO with slope -1.
+    Raises NotRational for a lambda that is neither an int nor a Fraction.
     """
+    require_rational(lam)
     if lam < 0:
         raise NegativeParameter(f"lambda = {lam}")
     s1, s2 = case.shares

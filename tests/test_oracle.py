@@ -16,13 +16,12 @@ from pblp import (
     decompose,
     dichotomic_bolp,
     extreme_nondominated_bruteforce,
-    fix_lambda,
     sweep_lambda,
 )
 from pblp import lp_core, oracle
-from pblp.errors import InfeasibleProblem, TooLarge, UnboundedScalarization
+from pblp.errors import InfeasibleProblem, NotRational, TooLarge, UnboundedScalarization
 from pblp.numerics import integer_row
-from pblp.problem_model import system_lp
+from pblp.problem_model import fix_lambda, integral_image, system_lp
 from conftest import (
     UnboundedFeasibleSet, VertexSet, basis_vertices, bolp_objectives, component,
     cost_image, int_image, load_instance, vertices_and_rays,
@@ -524,15 +523,20 @@ def test_the_parametric_oracle_raises_typed_errors(error, rows, rhs, senses):
         sweep_lambda(p, F(1), 2)
 
 
+def _families(size):
+    """size acceptance and size degenerate records, case ONE."""
+    rng = random.Random(1405)
+    family = [random_pblp(rng, Case.ONE) for _ in range(size)]
+    rng = random.Random(7)
+    return family + [degenerate_pblp(rng, Case.ONE) for _ in range(size)]
+
+
 def test_integer_dichotomic_matches_the_fraction_reference():
     """dichotomic_bolp in homogeneous ints finds the images, witnesses
     and LP solve counts of the Fraction search, on the acceptance family
     and the degenerate family, under both case tags, at five lambdas,
     with and without the sweep's extra ties."""
-    rng = random.Random(1405)
-    family = [random_pblp(rng, Case.ONE) for _ in range(12)]
-    rng = random.Random(7)
-    family += [degenerate_pblp(rng, Case.ONE) for _ in range(12)]
+    family = _families(12)
     seen = dict(runs=0, probed=0, fractional=0)
     for p in family:
         for case in Case:
@@ -614,10 +618,7 @@ def test_the_sweep_bases_match_the_cold_reference():
     the reference too: there a basis of a larger lambda can tie every
     stage but the ties' unit weights, which an ascending sweep never
     meets."""
-    rng = random.Random(1405)
-    family = [random_pblp(rng, Case.ONE) for _ in range(12)]
-    rng = random.Random(7)
-    family += [degenerate_pblp(rng, Case.ONE) for _ in range(12)]
+    family = _families(12)
     moved = lp_solves = 0
     for p in family:
         for case in Case:
@@ -630,15 +631,15 @@ def test_the_sweep_bases_match_the_cold_reference():
             assert report.lp_solves < solves, q
             lp_solves += report.lp_solves
             moved += bool(changes)
-            ties, _ = q.integer_costs
+            ties, scale = q.integer_costs
             s1, s2 = case.shares
             system, bases = FeasibleSystem(system_lp(q, q.c1)), []
             for i in reversed(range(len(report.grid))):
                 a, d = report.grid[i].numerator, report.grid[i].denominator
                 weights = ((d, 0, a * s1), (0, d, a * s2))
-                costs = fix_lambda(q, report.grid[i])
-                pairs = dichotomic_bolp(costs, system, ties, weights, bases)
-                assert _witness_images(q, pairs) == witness_images[i], (q, i)
+                pairs = dichotomic_bolp((weights, scale), system, ties, bases)
+                vertices = [(y, vertex) for y, (vertex, _, _) in pairs]
+                assert _witness_images(q, vertices) == witness_images[i], (q, i)
                 assert tuple(y for y, _ in pairs) == bolp_images[i], (q, i)
     assert moved >= 30, moved
     assert lp_solves == FAMILY_SWEEP_LP_SOLVES
@@ -654,13 +655,95 @@ def test_the_ties_unit_weights_decide_a_held_basis():
         case=Case.ONE, n=2, rows=((F(1), F(1)),), rhs=(F(1),), senses=(Sense.EQ,),
         c1=(F(1), F(0)), c2=(F(0), F(0)), d1=(F(0), F(1)),
     )
-    ties, _ = p.integer_costs
+    ties, scale = p.integer_costs
     system, bases = FeasibleSystem(system_lp(p, p.c1)), []
     for lam, witness in ((F(2), (1, 0)), (F(1), (0, 1))):
         weights = ((lam.denominator, 0, lam.numerator), (0, lam.denominator, 0))
-        pairs = dichotomic_bolp(fix_lambda(p, lam), system, ties, weights, bases)
-        assert [tuple(F(v, den) for v in x) for _, (x, den) in pairs] == [witness]
+        pairs = dichotomic_bolp((weights, scale), system, ties, bases)
+        assert [tuple(F(v, den) for v in x) for _, ((x, den), _, _) in pairs] == [witness]
     assert system.solves == len(bases) == 2
+
+
+def _held_sweep(p, lambda_max, steps):
+    """(lambda, weights, pairs) at each point of p's grid, from the held
+    form of dichotomic_bolp as sweep_lambda calls it, one system and
+    one list of bases across the grid."""
+    ties, scale = p.integer_costs
+    s1, s2 = p.case.shares
+    system, bases = FeasibleSystem(system_lp(p, p.c1)), []
+    for lam in oracle.lambda_grid(lambda_max, steps):
+        a, q = lam.numerator, lam.denominator
+        weights = ((q, 0, a * s1), (0, q, a * s2))
+        yield lam, weights, dichotomic_bolp((weights, scale), system, ties, bases)
+
+
+def test_the_held_image_map_is_the_biobjective_image():
+    """Every answer of a held-basis sweep, a held basis or a solve that
+    runs, holds its vertex's triobjective image, and _bolp_image maps it
+    through lambda's stage weights to the image integral_image gives the
+    vertex under fix_lambda's objectives, also with both stage weights
+    times 3; the answer's Fractions are that image's.  On the acceptance
+    and degenerate families under both case tags, on two grids from
+    lambda = 0."""
+    answers = 0
+    for p in _families(8):
+        for case in Case:
+            q = replace(p, case=case)
+            for lambda_max, steps in ((F(5), 20), (F(7, 3), 14)):
+                for lam, (w1, w2), pairs in _held_sweep(q, lambda_max, steps):
+                    costs = fix_lambda(q, lam)
+                    tripled = [tuple(3 * v for v in w) for w in (w1, w2)]
+                    for (f1, f2), (vertex, _, image) in pairs:
+                        assert image == integral_image(q.integer_costs, *vertex)
+                        want = integral_image(costs, *vertex)
+                        assert oracle._bolp_image(w1, w2, image) == want, (q, lam)
+                        assert oracle._bolp_image(*tripled, image) == want, (q, lam)
+                        assert (f1, f2) == (F(want[0], want[2]), F(want[1], want[2]))
+                        answers += 1
+    assert answers >= 2000, answers
+
+
+def test_the_pairs_rise_in_f1_and_fall_in_f2():
+    """dichotomic_bolp collects its pairs in order and sorts nothing: on
+    the cold form and the held form, over the acceptance and degenerate
+    families under both case tags, the images rise strictly in f1 and
+    fall strictly in f2, on fronts of up to the measured six images."""
+    sizes = []
+    for p in _families(12):
+        for case in Case:
+            q = replace(p, case=case)
+            ties, _ = q.integer_costs
+            fronts = []
+            for lam, _, pairs in _held_sweep(q, F(5), 10):
+                system = FeasibleSystem(system_lp(q, q.c1))
+                fronts.append(dichotomic_bolp(fix_lambda(q, lam), system, ties))
+                fronts.append(pairs)
+            for pairs in fronts:
+                images = [y for y, _ in pairs]
+                assert all(a[0] < b[0] and a[1] > b[1] for a, b in zip(images, images[1:]))
+                sizes.append(len(images))
+    assert max(sizes) == 6 and sum(size >= 4 for size in sizes) >= 50, sizes
+
+
+def test_lambda_grid_is_the_fraction_grid():
+    """lambda_grid's Fraction(i a, q steps) is Fraction(i) * lambda_max
+    / steps, for int and Fraction lambda_max, zero and Fraction(6, 4)
+    among them."""
+    for lambda_max in (0, 1, 3, F(0), F(6, 4), F(7, 3), F(5), F(1, 12)):
+        for steps in (1, 2, 4, 14, 60):
+            grid = oracle.lambda_grid(lambda_max, steps)
+            assert grid == tuple(F(i) * lambda_max / steps for i in range(steps + 1))
+            assert all(type(lam) is F for lam in grid)
+
+
+@pytest.mark.parametrize("lambda_max", [0.5, 2.0, -0.5, "1", "1/2", None])
+def test_lambda_grid_rejects_a_lambda_max_that_is_not_rational(example2, lambda_max):
+    """A float or a str lambda_max is NotRational, never a float grid or
+    an untyped error, from the grid and from the sweep that builds it."""
+    with pytest.raises(NotRational):
+        oracle.lambda_grid(lambda_max, 2)
+    with pytest.raises(NotRational):
+        sweep_lambda(example2, lambda_max, 2)
 
 
 def test_a_held_basis_never_hides_an_unbounded_grid_point():
@@ -764,3 +847,7 @@ def test_sweep_validates_arguments(example2):
         sweep_lambda(example2, F(1), 0)
     with pytest.raises(ValueError):
         sweep_lambda(example2, F(-1), 5)
+    with pytest.raises(ValueError):
+        oracle.lambda_grid(F(1), 0)
+    with pytest.raises(ValueError):
+        oracle.lambda_grid(-1, 5)

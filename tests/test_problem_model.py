@@ -15,15 +15,14 @@ from pblp import (
     Pblp,
     Sense,
     emit_problem,
-    fix_lambda,
     parse_problem,
     segment_for_lambda,
     solve_lex_lp,
     solve_lp,
 )
-from pblp.errors import BadCase, DimensionMismatch, NegativeParameter
+from pblp.errors import BadCase, DimensionMismatch, NegativeParameter, NotRational
 from pblp.numerics import integer_row
-from pblp.problem_model import ge_form, integral_image
+from pblp.problem_model import fix_lambda, ge_form, integral_image
 from conftest import (
     Weight2, Weight3, as_tuple, bolp_objectives, cost_image, int_image,
     lambda_from_weight, map_weight_to_simplex, project, w2, w3, ws_scalarize,
@@ -243,6 +242,22 @@ def test_fix_lambda_case_one_leaves_the_second_objective(example2_case1):
 def test_fix_lambda_rejects_negative_parameters(example2):
     with pytest.raises(NegativeParameter):
         fix_lambda(example2, F(-1))
+
+
+@pytest.mark.parametrize("lam", [0.5, 2.0, -0.5, "1", "1/2", None])
+def test_fix_lambda_rejects_a_lambda_that_is_not_rational(example2, lam):
+    """A float or a str is a typed error, never read as a rational."""
+    with pytest.raises(NotRational):
+        fix_lambda(example2, lam)
+
+
+@pytest.mark.parametrize("lam", [0.5, 2.0, -0.5, "1", "1/2", None])
+def test_segment_for_lambda_rejects_a_lambda_that_is_not_rational(lam):
+    """A float lambda is a typed error, not a pair of float end points,
+    and so is a str, in either case."""
+    for case in Case:
+        with pytest.raises(NotRational):
+            segment_for_lambda(case, lam)
 
 
 def test_weights_validate_on_construction():
