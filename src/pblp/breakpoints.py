@@ -51,7 +51,7 @@ from fractions import Fraction
 from .errors import EmptyComponent, NoFiniteVertex, SystemMismatch
 from .lp_core import FeasibleSystem, LinearProgram, LpStatus, Sense, solve_lp
 from .numerics import INF
-from .problem_model import Case, Pblp, integral_image
+from .problem_model import Case, Pblp, integral_image, lambda_weights
 from .weight_geometry import (
     ComponentHrep,
     ConvexPolygon2,
@@ -206,14 +206,13 @@ def interval_vertex(case: Case, poly: ConvexPolygon2) -> tuple[Fraction, object]
 
 
 def _is_singleton(case: Case, beta: Fraction, leaving, entering) -> bool:
-    """Whether beta = a/q is a one-point segment: the int_images that leave
+    """Whether beta is a one-point segment: the int_images that leave
     (intervals end at beta) and enter (start there) map to different bolp
-    images (y1 + beta*s1*y3, y2 + beta*s2*y3), reduced by integral_image."""
-    s1, s2 = case.shares
-    a, q = beta.numerator, beta.denominator
-    costs = (((q, 0, a * s1), (0, q, a * s2)), q)
-    left = {integral_image(costs, y[:-1], y[-1]) for y in leaving}
-    came = {integral_image(costs, y[:-1], y[-1]) for y in entering}
+    images (y1 + beta*s1*y3, y2 + beta*s2*y3), integral_image over
+    lambda_weights."""
+    weights = lambda_weights(case, beta)
+    left = {integral_image(weights, y, y[-1]) for y in leaving}
+    came = {integral_image(weights, y, y[-1]) for y in entering}
     return bool(left and came) and left != came
 
 

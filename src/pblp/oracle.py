@@ -17,8 +17,9 @@ and no weight geometry, but it reads the reduced-cost cones of
 LpResult.reduced: a basis stays optimal for every weighted sum of
 (c1, c2, d1) in its cone, the principle of decompose's cover test, so
 a basis an earlier grid solve ended on answers every later solve it is
-lexicographically optimal for (sweep_lambda), its held triobjective
-image mapped to lambda's biobjective one in ints (_bolp_image).
+lexicographically optimal for (dichotomic_bolp), its held triobjective
+image mapped to lambda's biobjective one in ints by integral_image over
+problem_model.lambda_weights.
 """
 
 from __future__ import annotations
@@ -29,9 +30,9 @@ from math import gcd, lcm
 from operator import mul
 
 from .errors import InfeasibleProblem, TooLarge, UnboundedScalarization
-from .lp_core import FeasibleSystem, LinearProgram, LpStatus, Sense, solve_lex_lp
+from .lp_core import FeasibleSystem, LpStatus, Sense, solve_lex_lp
 from .numerics import integer_row, require_rational
-from .problem_model import Pblp, integral_image, system_lp
+from .problem_model import Pblp, integral_image, lambda_weights, system_lp
 from .weight_geometry import (
     IntImage, Point3, clip_polygon, competitor_halfplane, simplex_triangle,
 )
@@ -210,17 +211,21 @@ def extreme_nondominated_bruteforce(p: Pblp) -> tuple[Point3, ...]:
 # -- parametric oracle -------------------------------------------------------
 
 
-def _lex(system: FeasibleSystem, objective, ties, price=()):
-    """The result of a lexicographic solve on system, priced for price,
-    which is optimal: the other outcomes raise."""
-    lp = system.lp  # the system's own constraints
-    lp = LinearProgram(tuple(objective), lp.rows, lp.rhs, lp.senses, lp.nonneg)
-    res = solve_lex_lp(lp, ties, system, price)
+def _lex(p: Pblp, system: FeasibleSystem, stages):
+    """(vertex, cone, image) of the basis that a lexicographic solve on
+    system ends on, which is optimal: the other outcomes raise.  Its
+    stages are each stage weight's sum of p's cost rows (c1, c2, d1),
+    then those rows, which are priced: cone is their reduced costs at
+    the basis, image the vertex's triobjective image."""
+    rows = p.integer_costs[0]
+    columns = tuple(zip(*rows))
+    objective, *ties = ([sum(map(mul, w, c)) for c in columns] for w in stages)
+    res = solve_lex_lp(system_lp(p, objective), (*ties, *rows), system, rows)
     if res.status is LpStatus.UNBOUNDED:
         raise UnboundedScalarization("biobjective scalarization is unbounded")
     if res.status is LpStatus.INFEASIBLE:
         raise InfeasibleProblem("feasible set is empty")
-    return res
+    return res.vertex, res.reduced, integral_image(p.integer_costs, *res.vertex)
 
 
 def _lex_optimal(cone, stages) -> bool:
@@ -239,74 +244,57 @@ def _lex_optimal(cone, stages) -> bool:
     return True
 
 
-def _bolp_image(w1, w2, y: IntImage) -> tuple[int, int, int]:
-    """The biobjective image, reduced ints (Y1, Y2, D), of the
-    triobjective image y = (Y1, Y2, Y3, D) under the stage weights w1 and
-    w2 of lambda = a/q, (q, 0, a*s1) and (0, q, a*s2) up to one common
-    positive factor: (w1.Y, w2.Y, w1[0] D) over their gcd, which is
-    integral_image(fix_lambda(p, lambda), x, den) for y's vertex x/den."""
-    *values, d = y
-    z = (sum(map(mul, w1, values)), sum(map(mul, w2, values)), w1[0] * d)
-    common = gcd(*z)
-    return tuple(v // common for v in z)
+def dichotomic_bolp(p: Pblp, lam: Fraction, system: FeasibleSystem, bases) -> tuple:
+    """All extreme nondominated images of p's biobjective problem at
+    lambda, min (f1.x, f2.x) over p's feasible set, solved on system,
+    p's FeasibleSystem (an LP over other constraints raises
+    SystemMismatch).
 
+    Dichotomic search (Aneja and Nair, Management Science 1979): solve
+    both lexicographic corners, then recursively probe the weight
+    orthogonal to each gap.  f1 and f2 are the sums of p's cost rows
+    (c1, c2, d1) by lambda_weights' stage weights w1 and w2, so every
+    stage of a solve weighs those rows: by w1 or w2, or by k1 w1 + k2 w2
+    for a probe.  Ties inside every solve are broken by (f1, f2) and
+    then c1, c2 and d1, so every lexicographic optimum has the same
+    triobjective image.  Images are held as integral_image gives them,
+    reduced ints (Y1, Y2, D), so equal images are equal tuples and each
+    probe is integer arithmetic.
 
-def dichotomic_bolp(costs, system: FeasibleSystem, extra_ties=(), bases=None) -> tuple:
-    """All extreme nondominated images of the biobjective problem
-    min (f1.x, f2.x) over system's feasible set.
+    bases is the caller's list of (vertex, cone, image), one per basis
+    an earlier solve on system ended on, as _lex gives them; a single
+    search passes [].  Reduced costs are linear in the objective, so a
+    basis at which every nonbasic column's reduced costs r of
+    (c1, c2, d1) give a lexicographically nonnegative sequence
+    (W_1.r, ..., W_S.r, r) over the stage weights W_s and the ties'
+    unit weights (_lex_optimal) is a lexicographic optimum of the solve,
+    and the staged simplex ends on such a basis (the wsd module
+    docstring).  Such a held basis answers the solve in place of an LP;
+    a solve that runs adds its basis.  An answer changes no result: the
+    ties end with c1, c2 and d1, so it has the triobjective image, and
+    so the biobjective image, that the LP would give; only the vertex
+    may differ.  A passing basis proves every stage bounded, so an
+    unbounded solve still runs and raises.  The answer's biobjective
+    image is its held image mapped through the stage weights by
+    integral_image, so an answer builds no objective.
 
-    costs is the pair ((f1, f2), L) that fix_lambda gives.  Classic
-    dichotomic search: solve both lexicographic corners, then
-    recursively probe the weight orthogonal to each gap.  Ties inside
-    every solve are broken by (f1, f2) and then extra_ties, making the
-    witnesses deterministic.  f1 and f2 enter every solve as those
-    integer rows, L times each objective, with the same signs and
-    pivots.  Every solve runs phase two only, on system.  Images are
-    held as integral_image gives them, reduced ints (Y1, Y2, D), so
-    equal images are equal tuples and each probe is integer arithmetic.
-    Returns (image, witness) pairs by rising first objective value: the
-    image as Fractions, the witness as the solve's vertex
-    (numerators, den), collected in that order and not sorted: corner
+    Returns (image, basis) pairs by rising first objective value, the
+    image as Fractions, collected in that order and not sorted: corner
     a, each probe's lower gap, image and upper gap, then corner b.
-
-    bases, which sweep_lambda passes, is None or a list of
-    (vertex, cone, image), one per basis an earlier solve ended on: cone
-    the reduced costs of extra_ties there, image the vertex's
-    triobjective image integral_image((extra_ties, L), *vertex).  costs
-    is then ((w1, w2), L): f1's and f2's weights over the extra_ties
-    rows, up to one common positive factor, as _bolp_image takes them,
-    and their scale.  A held basis on which every stage is
-    lexicographically optimal (_lex_optimal) answers a solve in place of
-    an LP and gives its image through _bolp_image, so an answer builds
-    no objective; a solve that runs weighs the extra_ties rows for its
-    stages, prices extra_ties and adds its basis, which is then the
-    witness.
+    Raises as lambda_weights does for lambda.
     """
-    extra_ties = tuple(extra_ties)
-    if bases is None:  # the stages weigh f1 and f2
-        rows, _ = costs
-        w1, w2 = (1, 0), (0, 1)
-    else:  # the stages weigh the ties
-        (w1, w2), scale = costs
-        rows = extra_ties
+    weights = lambda_weights(p.case, lam)
+    (w1, w2), _ = weights
 
     def lex(stages):
-        # (image, witness) of the lexicographic optimum of each stage
-        # weight's row, then extra_ties
-        if bases is not None:
-            for basis in reversed(bases):  # newest, so nearest, first
-                if _lex_optimal(basis[1], stages):
-                    return _bolp_image(w1, w2, basis[2]), basis
-        columns = tuple(zip(*rows))
-        objective, *ties = ([sum(map(mul, w, c)) for c in columns] for w in stages)
-        ties = (*ties, *extra_ties)
-        if bases is None:
-            x = _lex(system, objective, ties).vertex
-            return integral_image(costs, *x), x
-        res = _lex(system, objective, ties, extra_ties)
-        image = integral_image((rows, scale), *res.vertex)
-        bases.append((res.vertex, res.reduced, image))
-        return _bolp_image(w1, w2, image), bases[-1]
+        for basis in reversed(bases):  # newest, so nearest, first
+            if _lex_optimal(basis[1], stages):
+                break
+        else:  # no held basis answers: solve, and hold the basis
+            basis = _lex(p, system, stages)
+            bases.append(basis)
+        image = basis[2]
+        return integral_image(weights, image, image[-1]), basis
 
     def probe(lo, hi):
         # lo has the smaller f1 and larger f2.  The weight orthogonal to
@@ -326,12 +314,12 @@ def dichotomic_bolp(costs, system: FeasibleSystem, extra_ties=(), bases=None) ->
             probe(mid, hi)
 
     a, b = lex((w1, w2)), lex((w2, w1))
-    found = [a]  # (image, witness) pairs, by rising f1
+    found = [a]  # (image, basis) pairs, by rising f1
     if a[0] != b[0]:
         probe(a, b)
         found.append(b)
     return tuple(
-        ((Fraction(y1, d), Fraction(y2, d)), witness) for (y1, y2, d), witness in found
+        ((Fraction(y1, d), Fraction(y2, d)), basis) for (y1, y2, d), basis in found
     )
 
 
@@ -374,42 +362,21 @@ def sweep_lambda(p: Pblp, lambda_max: Fraction, steps: int) -> SweepReport:
     Witnesses carry their triobjective images, which are constant between
     breakpoints; consecutive grid points with different witness image
     sets bracket a breakpoint.  Fixing lambda changes only the
-    objectives, so the whole grid shares one feasible system, and the
-    extra ties (c1, c2, d1) are p.integer_costs rows, scaled once.
-
-    Most grid points run no LP.  At lambda = a/q, f1 and f2 are
-    positive multiples of the weighted sums of (c1, c2, d1) by
-    (q, 0, a*s1) and (0, q, a*s2), s the case's shares, so each stage of
-    a solve weighs those rows: by one of these, by k1 and k2 of them for
-    a probe's k1 f1 + k2 f2, or by a unit vector for a tie among c1, c2
-    and d1.  Reduced costs are linear in the objective, so a basis at
-    which every nonbasic column's reduced costs r of (c1, c2, d1) give a
-    lexicographically nonnegative sequence (W_1.r, ..., W_S.r) over the
-    stage weights W_s is a lexicographic optimum of those stages, and
-    the staged simplex ends on such a basis (the wsd module docstring).
-    The sweep keeps each basis a solve ended on with its cone, and one
-    that passes answers a later solve without changing a result: the
-    ties end with c1, c2 and d1, so every lexicographic optimum has the
-    same triobjective image, and so the same witness and biobjective
-    images; only the vertex may differ, which the report does not hold.
-    A passing basis proves every stage bounded, so a grid point whose
-    scalarization is unbounded still runs its solve and raises.
-    A grid point that held bases answer is int work alone: no objective
-    row, no vertex image, no sort.  A witness set is keyed by its held
-    images, so each distinct set is turned into sorted Fractions once.
+    objectives, so the whole grid shares one feasible system and one
+    list of held bases, and most grid points run no LP: a grid point
+    that held bases answer is int work alone, no objective row, no
+    vertex image, no sort (dichotomic_bolp).  A witness set is keyed by
+    its held images, so each distinct set is turned into sorted
+    Fractions once.
     """
     grid = lambda_grid(lambda_max, steps)
     system = FeasibleSystem(system_lp(p, p.c1))
-    ties, scale = p.integer_costs
-    s1, s2 = p.case.shares
     bases = []  # (vertex, cone, image) of each basis a solve ended on
     sorted_sets = {}  # frozenset of held images -> sorted Fraction images
     witness_images = []
     bolp_images = []
     for lam in grid:
-        a, q = lam.numerator, lam.denominator
-        weights = ((q, 0, a * s1), (0, q, a * s2))
-        pairs = dichotomic_bolp((weights, scale), system, ties, bases)
+        pairs = dichotomic_bolp(p, lam, system, bases)
         key = frozenset(basis[2] for _, basis in pairs)
         if key not in sorted_sets:
             sorted_sets[key] = tuple(sorted(

@@ -74,13 +74,16 @@ class Pblp:
 
 def integral_image(costs, x, den: int) -> tuple[int, ...]:
     """C x / den, for costs = (rows, L) as Pblp.integer_costs and
-    fix_lambda give them (each cost row of C times L) and ints x over
+    lambda_weights give them (each cost row of C times L) and ints x over
     den > 0 as an LP vertex is held: one dot product per row, as reduced
-    ints (Y..., D), D > 0, so equal images are equal tuples."""
+    ints (Y..., D), D > 0, so equal images are equal tuples.  A row
+    reads only as many entries of x as it has, so a held image
+    (Y..., D) maps with x = the image itself and den = D, uncopied."""
     rows, scale = costs
-    y = (*(sum(map(mul, row, x)) for row in rows), scale * den)
+    y = [sum(map(mul, row, x)) for row in rows]
+    y.append(scale * den)
     common = gcd(*y)
-    return tuple(v // common for v in y)
+    return tuple([v // common for v in y])
 
 
 def system_lp(p: Pblp, objective) -> LinearProgram:
@@ -94,28 +97,23 @@ def system_lp(p: Pblp, objective) -> LinearProgram:
     )
 
 
-def fix_lambda(p: Pblp, lam: Fraction) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """The objectives of the biobjective problem at a concrete
-    lambda >= 0, over p's feasible system, as the pair ((f1, f2), L).
-
-    With lambda = a/q and p.integer_costs (C1, C2, D) over L, objective k
-    is (q C_k + a s_k D) / (q L).  Divided by the gcd of qL and every
-    entry, those are the rows and the scale, the lcm of the objectives'
-    denominators, that numerics.integer_row gives the Fraction rows.
-    Raises NotRational for a lambda that is neither an int nor a Fraction.
+def lambda_weights(
+    case: Case, lam: Fraction
+) -> tuple[tuple[tuple[int, int, int], ...], int]:
+    """The biobjective problem at a concrete lambda = a/q >= 0 as weights
+    of the triobjective one, ((q, 0, a*s1), (0, q, a*s2)) over the scale
+    q, s the case's shares: objective k is (q c_k + a s_k d1) / q, so
+    integral_image of these on a triobjective image (y1, y2, y3) is the
+    biobjective image (y1 + lambda*s1*y3, y2 + lambda*s2*y3) in reduced
+    ints.  Raises NotRational for a lambda that is neither an int nor a
+    Fraction, NegativeParameter for lambda < 0.
     """
     require_rational(lam)
-    if lam < 0:
-        raise NegativeParameter(f"lambda = {lam}")
     a, q = lam.numerator, lam.denominator
-    (c1, c2, d), scale = p.integer_costs
-    rows = [  # a zero share leaves its row as it is, times q
-        [q * c + a * e for c, e in zip(row, d)] if share else [q * c for c in row]
-        for row, share in zip((c1, c2), p.case.shares)
-    ]
-    common = gcd(q * scale, *rows[0], *rows[1])
-    rows = tuple(tuple([v // common for v in row]) for row in rows)
-    return rows, q * scale // common
+    if a < 0:
+        raise NegativeParameter(f"lambda = {lam}")
+    s1, s2 = case.shares
+    return ((q, 0, a * s1), (0, q, a * s2)), q
 
 
 # -- weights ---------------------------------------------------------------

@@ -39,8 +39,21 @@ def build_lp(objective, rows, rhs, senses) -> LinearProgram:
     )
 
 
+def bolp_costs(p: Pblp, lam):
+    """The reference objectives of p's biobjective problem at lambda,
+    c_k + lambda*s_k*d1 taken in Fractions, s the case's shares, as the
+    pair ((f1, f2), L) that integer_row gives them: each row times L,
+    the lcm of their denominators."""
+    objectives = [
+        [c + lam * share * d for c, d in zip(row, p.d1)]
+        for row, share in zip((p.c1, p.c2), p.case.shares)
+    ]
+    values, scale = integer_row([*objectives[0], *objectives[1]])
+    return (tuple(values[: p.n]), tuple(values[p.n :])), scale
+
+
 def bolp_objectives(costs):
-    """The two objectives that fix_lambda gives as costs = (rows, L),
+    """The two objectives that bolp_costs gives as costs = (rows, L),
     as Fraction rows: each row over L."""
     rows, scale = costs
     return tuple(tuple(Fraction(a, scale) for a in row) for row in rows)
@@ -48,7 +61,7 @@ def bolp_objectives(costs):
 
 def cost_image(costs, x, den=1) -> tuple[Fraction, ...]:
     """The reference Fraction image C x / den, for costs = (rows, L) as
-    Pblp.integer_costs and fix_lambda give them and x ints over den > 0,
+    Pblp.integer_costs and bolp_costs give them and x ints over den > 0,
     as an LP vertex is held, or rationals with den 1: one dot product per
     row over L * den."""
     rows, scale = costs

@@ -19,12 +19,14 @@ from pblp import (
     sweep_lambda,
 )
 from pblp import lp_core, oracle
-from pblp.errors import InfeasibleProblem, NotRational, TooLarge, UnboundedScalarization
+from pblp.errors import (
+    InfeasibleProblem, NotRational, SystemMismatch, TooLarge, UnboundedScalarization,
+)
 from pblp.numerics import integer_row
-from pblp.problem_model import fix_lambda, integral_image, system_lp
+from pblp.problem_model import integral_image, lambda_weights, system_lp
 from conftest import (
-    UnboundedFeasibleSet, VertexSet, basis_vertices, bolp_objectives, component,
-    cost_image, int_image, load_instance, vertices_and_rays,
+    UnboundedFeasibleSet, VertexSet, basis_vertices, bolp_costs, bolp_objectives,
+    component, cost_image, int_image, load_instance, vertices_and_rays,
 )
 from instance_gen import degenerate_pblp, random_pblp
 
@@ -238,7 +240,6 @@ def test_the_image_oracle_runs_no_simplex(monkeypatch):
     def no_simplex(*args, **kwargs):
         raise RuntimeError("the vertex oracle ran the simplex")
 
-    costs = fix_lambda(problems[0], F(0))
     system = lp_core.FeasibleSystem(system_lp(problems[0], problems[0].c1))
     for module in (lp_core, oracle):
         for name in ("solve_lp", "solve_lex_lp", "FeasibleSystem"):
@@ -246,7 +247,7 @@ def test_the_image_oracle_runs_no_simplex(monkeypatch):
                 monkeypatch.setattr(module, name, no_simplex)
     monkeypatch.setattr(lp_core, "_Tableau", no_simplex)
     with pytest.raises(RuntimeError, match="ran the simplex"):
-        dichotomic_bolp(costs, system)
+        dichotomic_bolp(problems[0], F(0), system, [])
     assert [extreme_nondominated_bruteforce(p) for p in problems] == expected
 
 
@@ -436,10 +437,26 @@ def test_the_early_exit_component_test_matches_the_area_test():
 
 def test_dichotomic_finds_both_corners_and_the_middle(example2):
     system = FeasibleSystem(system_lp(example2, example2.c1))
-    b0 = fix_lambda(example2, F(0))
-    assert [y for y, _ in dichotomic_bolp(b0, system)] == [(F(0), F(5)), (F(15), F(0))]
-    b2 = fix_lambda(example2, F(2))
-    assert [y for y, _ in dichotomic_bolp(b2, system)] == [(F(5), F(10)), (F(19), F(4))]
+    front = [y for y, _ in dichotomic_bolp(example2, F(0), system, [])]
+    assert front == [(F(0), F(5)), (F(15), F(0))]
+    front = [y for y, _ in dichotomic_bolp(example2, F(2), system, [])]
+    assert front == [(F(5), F(10)), (F(19), F(4))]
+
+
+def test_dichotomic_rejects_the_system_of_other_constraints(example2):
+    """dichotomic_bolp solves on p's own constraints: a system with
+    every rhs doubled has example2's shape, but its LPs raise
+    SystemMismatch instead of giving that system's front, (10, 20) and
+    (34, 4) at lambda = 1 where example2's is (5, 10) and (17, 2)."""
+    system = FeasibleSystem(system_lp(example2, example2.c1))
+    front = [y for y, _ in dichotomic_bolp(example2, F(1), system, [])]
+    assert front == [(F(5), F(10)), (F(17), F(2))]
+    doubled = replace(example2, rhs=tuple(2 * b for b in example2.rhs))
+    foreign = FeasibleSystem(system_lp(doubled, doubled.c1))
+    with pytest.raises(SystemMismatch):
+        dichotomic_bolp(example2, F(1), foreign, [])
+    front = [y for y, _ in dichotomic_bolp(doubled, F(1), foreign, [])]
+    assert front == [(F(10), F(20)), (F(34), F(4))]
 
 
 def test_dichotomic_on_a_three_point_front():
@@ -454,48 +471,52 @@ def test_dichotomic_on_a_three_point_front():
         c2=(F(0), F(1)),
         d1=(F(1), F(1)),
     )
-    costs = fix_lambda(p, F(0))
     system = FeasibleSystem(system_lp(p, p.c1))
-    front = [y for y, _ in dichotomic_bolp(costs, system)]
-    assert front == [(F(0), F(2)), (F(2, 3), F(2, 3)), (F(2), F(0))]
-    for y, x in dichotomic_bolp(costs, system):
-        assert cost_image(costs, *x) == y
+    pairs = dichotomic_bolp(p, F(0), system, [])
+    assert [y for y, _ in pairs] == [(F(0), F(2)), (F(2, 3), F(2, 3)), (F(2), F(0))]
+    for y, (vertex, _, _) in pairs:
+        assert cost_image(bolp_costs(p, F(0)), *vertex) == y
 
 
-def _fraction_dichotomic(costs, system, extra_ties=()):
-    """The dichotomic search in Fractions: each vertex read through
-    LpResult.x, images as Fraction dot products, the probe weight scaled
-    to ints by integer_row and the "strictly below" test in Fractions."""
+def _fraction_dichotomic(p, lam, system):
+    """The reference dichotomic search at lambda, in Fractions and with
+    no held basis: the objectives bolp_costs builds, ties broken by
+    (f1, f2) and then p.integer_costs' rows (c1, c2, d1), each vertex
+    read through LpResult.x, images as Fraction dot products, the probe
+    weight scaled to ints by integer_row and the "strictly below" test
+    in Fractions.  Returns the sorted pairs of an image and the
+    triobjective image of its witness vertex, both Fractions."""
+    costs = bolp_costs(p, lam)
     (f1, f2), _ = costs
-    extra_ties = tuple(extra_ties)
+    ties, _ = p.integer_costs
 
-    def lex(objective, ties):
+    def lex(objective, first_ties):
         lp = replace(system.lp, objective=tuple(objective))
-        return lp_core.solve_lex_lp(lp, ties, system).x
+        return lp_core.solve_lex_lp(lp, (*first_ties, *ties), system).x
 
     def image(x):
         return tuple(
             sum((c * v for c, v in zip(row, x)), F(0)) for row in bolp_objectives(costs)
         )
 
-    xa, xb = lex(f1, (f2,) + extra_ties), lex(f2, (f1,) + extra_ties)
+    xa, xb = lex(f1, (f2,)), lex(f2, (f1,))
     a, b = image(xa), image(xb)
-    if a == b:
-        return ((a, xa),)
-    found = {a: xa, b: xb}
+    found = {a: xa}
 
     def probe(lo, hi):
         w1, w2 = lo[1] - hi[1], hi[0] - lo[0]
         (k1, k2), _ = integer_row((w1, w2))
-        x = lex(tuple(k1 * f + k2 * g for f, g in zip(f1, f2)), (f1, f2) + extra_ties)
+        x = lex(tuple(k1 * f + k2 * g for f, g in zip(f1, f2)), (f1, f2))
         y = image(x)
         if w1 * y[0] + w2 * y[1] < w1 * lo[0] + w2 * lo[1]:
             found[y] = x
             probe(lo, y)
             probe(y, hi)
 
-    probe(a, b)
-    return tuple(sorted(found.items()))
+    if a != b:
+        found[b] = xb
+        probe(a, b)
+    return tuple(sorted((y, cost_image(p.integer_costs, x)) for y, x in found.items()))
 
 
 @pytest.mark.parametrize(
@@ -509,15 +530,15 @@ def _fraction_dichotomic(costs, system, extra_ties=()):
 )
 def test_the_parametric_oracle_raises_typed_errors(error, rows, rhs, senses):
     """A biobjective problem without a lexicographic optimum is a typed
-    PblpError, from dichotomic_bolp on its objectives and from the sweep
-    that calls it, never a result."""
+    PblpError, from dichotomic_bolp and from the sweep that calls it,
+    never a result."""
     p = Pblp(
         case=Case.TWO, n=1, rows=rows, rhs=rhs, senses=senses,
         c1=(F(-1),), c2=(F(0),), d1=(F(1),),
     )
     system = FeasibleSystem(system_lp(p, p.c1))
     with pytest.raises(error):
-        dichotomic_bolp(fix_lambda(p, F(0)), system)
+        dichotomic_bolp(p, F(0), system, [])
     assert system.solves == 1
     with pytest.raises(error):
         sweep_lambda(p, F(1), 2)
@@ -531,35 +552,42 @@ def _families(size):
     return family + [degenerate_pblp(rng, Case.ONE) for _ in range(size)]
 
 
+# LP solves of the searches below, each on a fresh system with no held
+# basis; the Fraction reference runs 794 on the same searches.
+FAMILY_DICHOTOMIC_LP_SOLVES = 460
+
+
 def test_integer_dichotomic_matches_the_fraction_reference():
-    """dichotomic_bolp in homogeneous ints finds the images, witnesses
-    and LP solve counts of the Fraction search, on the acceptance family
-    and the degenerate family, under both case tags, at five lambdas,
-    with and without the sweep's extra ties."""
+    """dichotomic_bolp in homogeneous ints, each search from no held
+    basis, finds the biobjective images of the Fraction search and
+    witnesses with the same triobjective images, on the acceptance
+    family and the degenerate family, under both case tags, at five
+    lambdas.  The bases its own solves end on answer later solves of
+    the same search, so every search runs fewer LPs than the reference,
+    and all run the measured number."""
     family = _families(12)
     seen = dict(runs=0, probed=0, fractional=0)
+    lp_solves = 0
     for p in family:
         for case in Case:
             q = replace(p, case=case)
-            ties, _ = q.integer_costs
             for lam in (F(0), F(1, 3), F(1), F(5, 2), F(7)):
-                costs = fix_lambda(q, lam)
-                for extra in ((), ties):
-                    system = FeasibleSystem(system_lp(q, q.c1))
-                    reference = FeasibleSystem(system_lp(q, q.c1))
-                    got = dichotomic_bolp(costs, system, extra)
-                    want = _fraction_dichotomic(costs, reference, extra)
-                    assert [y for y, _ in got] == [y for y, _ in want], (q, lam)
-                    witnesses = [tuple(F(v, den) for v in x) for _, (x, den) in got]
-                    assert witnesses == [x for _, x in want], (q, lam)
-                    assert system.solves == reference.solves
-                    seen["runs"] += 1
-                    seen["probed"] += len(got) > 2
-                    seen["fractional"] += any(
-                        v.denominator > 1 for y, _ in got for v in y
-                    )
-    assert seen["runs"] == 480
-    assert seen["probed"] >= 100 and seen["fractional"] >= 300, seen
+                system = FeasibleSystem(system_lp(q, q.c1))
+                reference = FeasibleSystem(system_lp(q, q.c1))
+                got = dichotomic_bolp(q, lam, system, [])
+                want = _fraction_dichotomic(q, lam, reference)
+                assert [y for y, _ in got] == [y for y, _ in want], (q, lam)
+                assert _witness_images(q, got) == tuple(sorted({y for _, y in want}))
+                assert system.solves < reference.solves, (q, lam)
+                lp_solves += system.solves
+                seen["runs"] += 1
+                seen["probed"] += len(got) > 2
+                seen["fractional"] += any(
+                    v.denominator > 1 for y, _ in got for v in y
+                )
+    assert seen["runs"] == 240
+    assert seen["probed"] >= 50 and seen["fractional"] >= 150, seen
+    assert lp_solves == FAMILY_DICHOTOMIC_LP_SOLVES
 
 
 def test_sweep_brackets_the_example2_breakpoints(example2):
@@ -577,22 +605,22 @@ def test_sweep_brackets_the_case_one_breakpoints(example2_case1):
 
 
 def _witness_images(p, pairs):
-    """The sorted triobjective images of dichotomic_bolp's witnesses."""
-    return tuple(sorted({cost_image(p.integer_costs, *x) for _, x in pairs}))
+    """The sorted triobjective images of the vertices of the held bases
+    (vertex, cone, image) that witness dichotomic_bolp's pairs."""
+    return tuple(sorted({cost_image(p.integer_costs, *basis[0]) for _, basis in pairs}))
 
 
 def _cold_sweep(p, lambda_max, steps):
     """The witness images, biobjective images, changes and LP solves of
-    a sweep from dichotomic_bolp alone: at each grid point a fresh
-    FeasibleSystem, ties (c1, c2, d1) and no bases."""
-    ties, _ = p.integer_costs
+    a sweep from the Fraction reference search alone: at each grid point
+    a fresh FeasibleSystem and no held basis."""
     grid = oracle.lambda_grid(lambda_max, steps)
     witness_images, bolp_images, solves = [], [], 0
     for lam in grid:
         system = FeasibleSystem(system_lp(p, p.c1))
-        pairs = dichotomic_bolp(fix_lambda(p, lam), system, ties)
+        pairs = _fraction_dichotomic(p, lam, system)
         solves += system.solves
-        witness_images.append(_witness_images(p, pairs))
+        witness_images.append(tuple(sorted({y for _, y in pairs})))
         bolp_images.append(tuple(y for y, _ in pairs))
     changes = tuple(
         (grid[i - 1], grid[i])
@@ -610,7 +638,7 @@ FAMILY_SWEEP_LP_SOLVES = 151
 def test_the_sweep_bases_match_the_cold_reference():
     """A sweep whose solves are answered by the cones of bases it holds
     reports the witness images, biobjective images and changes of cold
-    dichotomic searches, one fresh system per grid point, on the
+    reference searches, one fresh system per grid point, on the
     acceptance and degenerate families under both case tags, and the
     bases answer solves: the sweep runs fewer LPs on every record, and
     the measured number in all.  The same grid walked down from
@@ -631,15 +659,10 @@ def test_the_sweep_bases_match_the_cold_reference():
             assert report.lp_solves < solves, q
             lp_solves += report.lp_solves
             moved += bool(changes)
-            ties, scale = q.integer_costs
-            s1, s2 = case.shares
             system, bases = FeasibleSystem(system_lp(q, q.c1)), []
             for i in reversed(range(len(report.grid))):
-                a, d = report.grid[i].numerator, report.grid[i].denominator
-                weights = ((d, 0, a * s1), (0, d, a * s2))
-                pairs = dichotomic_bolp((weights, scale), system, ties, bases)
-                vertices = [(y, vertex) for y, (vertex, _, _) in pairs]
-                assert _witness_images(q, vertices) == witness_images[i], (q, i)
+                pairs = dichotomic_bolp(q, report.grid[i], system, bases)
+                assert _witness_images(q, pairs) == witness_images[i], (q, i)
                 assert tuple(y for y, _ in pairs) == bolp_images[i], (q, i)
     assert moved >= 30, moved
     assert lp_solves == FAMILY_SWEEP_LP_SOLVES
@@ -655,34 +678,27 @@ def test_the_ties_unit_weights_decide_a_held_basis():
         case=Case.ONE, n=2, rows=((F(1), F(1)),), rhs=(F(1),), senses=(Sense.EQ,),
         c1=(F(1), F(0)), c2=(F(0), F(0)), d1=(F(0), F(1)),
     )
-    ties, scale = p.integer_costs
     system, bases = FeasibleSystem(system_lp(p, p.c1)), []
     for lam, witness in ((F(2), (1, 0)), (F(1), (0, 1))):
-        weights = ((lam.denominator, 0, lam.numerator), (0, lam.denominator, 0))
-        pairs = dichotomic_bolp((weights, scale), system, ties, bases)
+        pairs = dichotomic_bolp(p, lam, system, bases)
         assert [tuple(F(v, den) for v in x) for _, ((x, den), _, _) in pairs] == [witness]
     assert system.solves == len(bases) == 2
 
 
 def _held_sweep(p, lambda_max, steps):
-    """(lambda, weights, pairs) at each point of p's grid, from the held
-    form of dichotomic_bolp as sweep_lambda calls it, one system and
-    one list of bases across the grid."""
-    ties, scale = p.integer_costs
-    s1, s2 = p.case.shares
+    """(lambda, pairs) at each point of p's grid, from dichotomic_bolp
+    as sweep_lambda calls it, one system and one list of bases across
+    the grid."""
     system, bases = FeasibleSystem(system_lp(p, p.c1)), []
     for lam in oracle.lambda_grid(lambda_max, steps):
-        a, q = lam.numerator, lam.denominator
-        weights = ((q, 0, a * s1), (0, q, a * s2))
-        yield lam, weights, dichotomic_bolp((weights, scale), system, ties, bases)
+        yield lam, dichotomic_bolp(p, lam, system, bases)
 
 
 def test_the_held_image_map_is_the_biobjective_image():
     """Every answer of a held-basis sweep, a held basis or a solve that
-    runs, holds its vertex's triobjective image, and _bolp_image maps it
-    through lambda's stage weights to the image integral_image gives the
-    vertex under fix_lambda's objectives, also with both stage weights
-    times 3; the answer's Fractions are that image's.  On the acceptance
+    runs, holds its vertex's triobjective image, and lambda_weights maps
+    it to the image that the Fraction objectives of lambda give the
+    vertex; the answer's Fractions are that image's.  On the acceptance
     and degenerate families under both case tags, on two grids from
     lambda = 0."""
     answers = 0
@@ -690,14 +706,13 @@ def test_the_held_image_map_is_the_biobjective_image():
         for case in Case:
             q = replace(p, case=case)
             for lambda_max, steps in ((F(5), 20), (F(7, 3), 14)):
-                for lam, (w1, w2), pairs in _held_sweep(q, lambda_max, steps):
-                    costs = fix_lambda(q, lam)
-                    tripled = [tuple(3 * v for v in w) for w in (w1, w2)]
+                for lam, pairs in _held_sweep(q, lambda_max, steps):
+                    costs = bolp_costs(q, lam)
+                    weights = lambda_weights(case, lam)
                     for (f1, f2), (vertex, _, image) in pairs:
                         assert image == integral_image(q.integer_costs, *vertex)
                         want = integral_image(costs, *vertex)
-                        assert oracle._bolp_image(w1, w2, image) == want, (q, lam)
-                        assert oracle._bolp_image(*tripled, image) == want, (q, lam)
+                        assert integral_image(weights, image, image[-1]) == want
                         assert (f1, f2) == (F(want[0], want[2]), F(want[1], want[2]))
                         answers += 1
     assert answers >= 2000, answers
@@ -705,18 +720,18 @@ def test_the_held_image_map_is_the_biobjective_image():
 
 def test_the_pairs_rise_in_f1_and_fall_in_f2():
     """dichotomic_bolp collects its pairs in order and sorts nothing: on
-    the cold form and the held form, over the acceptance and degenerate
-    families under both case tags, the images rise strictly in f1 and
-    fall strictly in f2, on fronts of up to the measured six images."""
+    single searches, each from no held basis, and on a held-basis sweep,
+    over the acceptance and degenerate families under both case tags,
+    the images rise strictly in f1 and fall strictly in f2, on fronts of
+    up to the measured six images."""
     sizes = []
     for p in _families(12):
         for case in Case:
             q = replace(p, case=case)
-            ties, _ = q.integer_costs
             fronts = []
-            for lam, _, pairs in _held_sweep(q, F(5), 10):
+            for lam, pairs in _held_sweep(q, F(5), 10):
                 system = FeasibleSystem(system_lp(q, q.c1))
-                fronts.append(dichotomic_bolp(fix_lambda(q, lam), system, ties))
+                fronts.append(dichotomic_bolp(q, lam, system, []))
                 fronts.append(pairs)
             for pairs in fronts:
                 images = [y for y, _ in pairs]

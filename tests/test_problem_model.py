@@ -22,9 +22,11 @@ from pblp import (
 )
 from pblp.errors import BadCase, DimensionMismatch, NegativeParameter, NotRational
 from pblp.numerics import integer_row
-from pblp.problem_model import fix_lambda, ge_form, integral_image
+from pblp.lp_core import FeasibleSystem
+from pblp.oracle import dichotomic_bolp
+from pblp.problem_model import ge_form, integral_image, lambda_weights, system_lp
 from conftest import (
-    Weight2, Weight3, as_tuple, bolp_objectives, cost_image, int_image,
+    Weight2, Weight3, as_tuple, bolp_costs, bolp_objectives, cost_image, int_image,
     lambda_from_weight, map_weight_to_simplex, project, w2, w3, ws_scalarize,
 )
 
@@ -85,11 +87,11 @@ def test_triobjective_costs_stack_and_ignore_the_case(example2):
 
 def test_images_match_the_fraction_dot_product():
     """integral_image works over integer cost rows and ints x over one
-    denominator, for Pblp.integer_costs and for the pair fix_lambda
-    gives; on seeded rational vectors, put over their lcm, int rays with
-    negative entries and the zero vector it gives the Fraction dot
-    product as reduced ints, and the reference cost_image gives it as
-    Fractions."""
+    denominator, for Pblp.integer_costs and for the reference pair
+    bolp_costs gives; on seeded rational vectors, put over their lcm,
+    int rays with negative entries and the zero vector it gives the
+    Fraction dot product as reduced ints, and the reference cost_image
+    gives it as Fractions."""
     rng = random.Random(1405)
 
     def num():
@@ -103,7 +105,7 @@ def test_images_match_the_fraction_dot_product():
             c2=tuple(num() for _ in range(n)),
             d1=tuple(num() for _ in range(n)),
         )
-        b = fix_lambda(p, F(rng.randint(0, 9), rng.randint(1, 4)))
+        b = bolp_costs(p, F(rng.randint(0, 9), rng.randint(1, 4)))
         for x in (
             tuple(num() for _ in range(n)),
             tuple(rng.randint(-5, 5) for _ in range(n)),
@@ -132,7 +134,7 @@ _denominators = st.one_of(st.integers(1, 60), _huge.map(abs))
 @given(st.data())
 def test_image_of_an_integer_vertex_is_the_fraction_dot_product(data):
     """integral_image on a vertex as an LP leaves it, ints x over
-    den > 0, for Pblp.integer_costs and for the pair fix_lambda gives,
+    den > 0, for Pblp.integer_costs and for the pair bolp_costs gives,
     is the Fraction dot product of each cost row with x / den as reduced
     ints (Y..., D), D > 0, and the reference cost_image is that product;
     entries, denominators and costs are negative, zero, small or of
@@ -146,7 +148,7 @@ def test_image_of_an_integer_vertex_is_the_fraction_dot_product(data):
         case=data.draw(st.sampled_from(list(Case))), n=n, rows=(), rhs=(), senses=(),
         c1=row(), c2=row(), d1=row(),
     )
-    b = fix_lambda(p, F(data.draw(_entries)) ** 2 / data.draw(_denominators))
+    b = bolp_costs(p, F(data.draw(_entries)) ** 2 / data.draw(_denominators))
     x = [data.draw(_entries) for _ in range(n)]
     den = data.draw(_denominators)
     point = [F(v, den) for v in x]
@@ -161,8 +163,8 @@ def test_image_of_an_integer_vertex_is_the_fraction_dot_product(data):
 def test_integer_costs_put_every_row_over_one_scale(example1, example2, example2_case1):
     """A record keeps its costs once as ints, integer_costs = (rows, L):
     every row is over one L, the lcm of all its cost denominators, so
-    row k over L is cost row k.  On the bundled three, on seeded
-    rational records and on their fix_lambda pairs at a few lambdas."""
+    row k over L is cost row k.  On the bundled three and on seeded
+    rational records."""
     rng = random.Random(2025)
 
     def costs(n):
@@ -185,17 +187,17 @@ def test_integer_costs_put_every_row_over_one_scale(example1, example2, example2
         ))
     for p in records:
         check(p.integer_costs, p.cost_rows)
-        for lam in (F(0), F(1, 3), F(5, 2), F(7)):
-            b = fix_lambda(p, lam)
-            check(b, bolp_objectives(b))
 
 
 def test_fix_lambda_matches_the_fraction_objectives():
-    """fix_lambda builds its rows in ints from p.integer_costs; against
-    c_k + lambda*s_k*d1 taken in Fractions here, its rows over its scale
-    are those objectives and the pair is integer_row of the two, split
-    into rows; the pair hashes, as Pblp.integer_costs' parts do.  On
-    the seeded records of the test above, in both cases."""
+    """Fixing lambda maps in ints: a vertex's triobjective image
+    (y1, y2, y3), held as reduced ints (Y..., D), mapped by
+    integral_image over lambda_weights(case, lambda), is
+    (y1 + lambda*s1*y3, y2 + lambda*s2*y3) taken in Fractions and the
+    vertex's image under the Fraction objectives c_k + lambda*s_k*d1
+    (bolp_costs), as reduced ints, whether the map reads the held image
+    whole or its values alone.  On seeded records and vertices, in both
+    cases, at lambdas from 0 up."""
     rng = random.Random(2025)
 
     def costs(n):
@@ -204,51 +206,68 @@ def test_fix_lambda_matches_the_fraction_objectives():
     for _ in range(40):
         n = rng.randint(1, 6)
         c1, c2, d1 = costs(n), costs(n), costs(n)
+        x = [rng.randint(-9, 9) for _ in range(n)]
+        den = rng.randint(1, 7)
         for case in Case:
             p = Pblp(
                 case=case, n=n, rows=(), rhs=(), senses=(), c1=c1, c2=c2, d1=d1
             )
-            for lam in (F(0), F(1, 3), F(5, 2), F(7), F(355, 113)):
-                want = [
-                    tuple(c + lam * share * d for c, d in zip(row, d1))
-                    for row, share in zip((c1, c2), case.shares)
-                ]
-                b = fix_lambda(p, lam)
-                assert bolp_objectives(b) == tuple(want), (p, lam)
-                rows, scale = b
-                assert ([*rows[0], *rows[1]], scale) == integer_row(
-                    [*want[0], *want[1]]
-                ), (p, lam)
-                assert hash(b) == hash(fix_lambda(p, lam))
+            y1, y2, y3 = cost_image(p.integer_costs, x, den)
+            held = integral_image(p.integer_costs, x, den)
+            s1, s2 = case.shares
+            for lam in (F(0), F(1, 3), F(5, 2), F(7), F(355, 113), 4):
+                want = (y1 + lam * s1 * y3, y2 + lam * s2 * y3)
+                assert cost_image(bolp_costs(p, lam), x, den) == want, (p, lam)
+                weights = lambda_weights(case, lam)
+                assert integral_image(weights, held, held[-1]) == int_image(want)
+                assert integral_image(weights, held[:-1], held[-1]) == int_image(want)
 
 
 def test_fix_lambda_case_two_shifts_both_objectives(example2):
-    b = fix_lambda(example2, F(2))
-    f1, f2 = bolp_objectives(b)
-    assert f1 == tuple(c + 2 * d for c, d in zip(example2.c1, example2.d1))
-    assert f2 == tuple(c + 2 * d for c, d in zip(example2.c2, example2.d1))
-    assert cost_image(b, (F(0), F(5), F(5))) == (F(10), F(15))
-    assert integral_image(b, (0, 5, 5), 1) == (10, 15, 1)
+    """lambda = a/q weighs (c1, c2, d1) by (q, 0, a) and (0, q, a) over
+    q in case TWO: (0, 5, 5) maps to (10, 15) at lambda = 2, as under
+    the Fraction objectives."""
+    weights = lambda_weights(example2.case, F(2))
+    assert weights == (((1, 0, 2), (0, 1, 2)), 1)
+    assert lambda_weights(example2.case, F(6, 4)) == (((2, 0, 3), (0, 2, 3)), 2)
+    assert integral_image(weights, (0, 5, 5, 1), 1) == (10, 15, 1)
+    assert cost_image(bolp_costs(example2, F(2)), (0, 5, 5)) == (F(10), F(15))
 
 
 def test_fix_lambda_case_one_leaves_the_second_objective(example2_case1):
-    f1, f2 = bolp_objectives(fix_lambda(example2_case1, F(3)))
-    assert f1 == tuple(
-        c + 3 * d for c, d in zip(example2_case1.c1, example2_case1.d1)
-    )
+    """In case ONE the second stage weight is (q, 0, 0) over q, c2
+    alone: (0, 5, 5) maps to (15, 5) at lambda = 3."""
+    weights = lambda_weights(example2_case1.case, F(3))
+    assert weights == (((1, 0, 3), (0, 1, 0)), 1)
+    assert integral_image(weights, (0, 5, 5, 1), 1) == (15, 5, 1)
+    f1, f2 = bolp_objectives(bolp_costs(example2_case1, F(3)))
     assert f2 == example2_case1.c2
 
 
 def test_fix_lambda_rejects_negative_parameters(example2):
-    with pytest.raises(NegativeParameter):
-        fix_lambda(example2, F(-1))
+    """A negative lambda is NegativeParameter from lambda_weights and
+    from the dichotomic search that calls it, before any solve."""
+    system = FeasibleSystem(system_lp(example2, example2.c1))
+    for lam in (F(-1), F(-1, 3), -2):
+        with pytest.raises(NegativeParameter):
+            lambda_weights(example2.case, lam)
+        with pytest.raises(NegativeParameter):
+            dichotomic_bolp(example2, lam, system, [])
+    assert system.solves == 0
 
 
 @pytest.mark.parametrize("lam", [0.5, 2.0, -0.5, "1", "1/2", None])
 def test_fix_lambda_rejects_a_lambda_that_is_not_rational(example2, lam):
-    """A float or a str is a typed error, never read as a rational."""
+    """A float or a str is a typed error, never read as a rational, from
+    lambda_weights in either case and from the dichotomic search that
+    calls it."""
+    system = FeasibleSystem(system_lp(example2, example2.c1))
+    for case in Case:
+        with pytest.raises(NotRational):
+            lambda_weights(case, lam)
     with pytest.raises(NotRational):
-        fix_lambda(example2, lam)
+        dichotomic_bolp(example2, lam, system, [])
+    assert system.solves == 0
 
 
 @pytest.mark.parametrize("lam", [0.5, 2.0, -0.5, "1", "1/2", None])
